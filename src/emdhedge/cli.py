@@ -84,17 +84,23 @@ class RunConfig:
             raise UsageError("empty method list")
         return out
 
-    def partition_of(self, series: PriceSeries):
+    def partition_scheme(self) -> tuple[Scheme, int | None]:
+        """(scheme, N) from ``equal:N`` or ``year``; N is None for ``year``."""
         spec = self.partition.strip().lower()
         if spec == "year":
-            return partition(series, Scheme.CALENDAR_YEAR)
+            return Scheme.CALENDAR_YEAR, None
         if spec.startswith("equal:"):
             try:
-                n = int(spec.split(":", 1)[1])
+                return Scheme.EQUAL_COUNT, int(spec.split(":", 1)[1])
             except ValueError:
                 raise UsageError(f"bad partition spec '{self.partition}'") from None
-            return partition(series, Scheme.EQUAL_COUNT, n_groups=n)
         raise UsageError(f"bad partition spec '{self.partition}' (use equal:N or year)")
+
+    def partition_of(self, series: PriceSeries):
+        scheme, n = self.partition_scheme()
+        if n is None:
+            return partition(series, scheme)
+        return partition(series, scheme, n_groups=n)
 
 
 class UsageError(Exception):
@@ -166,6 +172,15 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, _coerce(key, value))
     if cfg.k < 1:
         raise UsageError(f"k must be >= 1, got {cfg.k}")
+    _, n_groups = cfg.partition_scheme()
+    if n_groups is not None and cfg.k >= n_groups:
+        raise UsageError(f"k must be < N for equal:N, got k={cfg.k}, N={n_groups}")
+    if cfg.max_lag < 0:
+        raise UsageError(f"max_lag must be >= 0, got {cfg.max_lag}")
+    try:
+        cfg.sift_config()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if not (0.0 < cfg.alpha <= 0.5):
         raise UsageError(f"alpha must be in (0, 0.5], got {cfg.alpha}")
     if cfg.horizon_cap < 1:

@@ -82,9 +82,19 @@ class HedgeEstimate:
     lags: tuple[int, int] | None = None
 
 
-def ols(y: np.ndarray, X: np.ndarray, intercept: bool = True) -> OlsFit:
-    """Least squares of y on the columns of X via a stable factorization.
+def _full_rank(s: np.ndarray, n: int, p: int) -> bool:
+    """numpy's ``matrix_rank`` rule on singular values ``s`` of an n x p
+    matrix: full column rank iff all p values exceed s[0]*max(n, p)*eps."""
+    return len(s) == p and s[-1] > s[0] * max(n, p) * np.finfo(float).eps
 
+
+def ols(y: np.ndarray, X: np.ndarray, intercept: bool = True) -> OlsFit:
+    """Least squares of y on the columns of X from one thin SVD.
+
+    With design = U diag(s) V', the rank follows ``matrix_rank``'s rule,
+    the coefficients are V (U'y / s) and the standard errors are sigma times
+    the column norms of V'/s (the square roots of diag((X'X)^-1)), so no
+    normal-equations inverse is formed.
     R-squared is centered when an intercept is present, uncentered otherwise.
     AIC = n*ln(SSE/n) + 2p with p the number of fitted coefficients.
     """
@@ -99,9 +109,10 @@ def ols(y: np.ndarray, X: np.ndarray, intercept: bool = True) -> OlsFit:
     p = design.shape[1]
     if n <= p + 1:
         raise InsufficientDataError(f"{n} observations for {p} coefficients")
-    if np.linalg.matrix_rank(design) < p:
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if not _full_rank(s, n, p):
         raise SingularDesignError("regressor matrix is rank deficient")
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    coef = vt.T @ ((u.T @ y) / s)
     resid = y - design @ coef
     sse = float(resid @ resid)
     if intercept:
@@ -114,11 +125,10 @@ def ols(y: np.ndarray, X: np.ndarray, intercept: bool = True) -> OlsFit:
         r2 = 1.0 if sse <= 1e-300 else 0.0
     dof = n - p
     sigma2 = sse / dof
-    xtx_inv = np.linalg.inv(design.T @ design)
-    se = np.sqrt(np.clip(np.diag(xtx_inv) * sigma2, 0.0, None))
+    se = np.sqrt(sigma2) * np.linalg.norm(vt / s[:, None], axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0.0, coef / se, np.sign(coef) * np.inf)
-    aic = n * math.log(sse / n) + 2 * p if sse > 0.0 else -math.inf
+    aic = _aic(sse, n, p)
     alpha = float(coef[0]) if intercept else 0.0
     beta = coef[1:] if intercept else coef
     return OlsFit(
@@ -131,6 +141,10 @@ def ols(y: np.ndarray, X: np.ndarray, intercept: bool = True) -> OlsFit:
         aic=aic,
         has_intercept=intercept,
     )
+
+
+def _aic(sse: float, n: int, p: int) -> float:
+    return n * math.log(sse / n) + 2 * p if sse > 0.0 else -math.inf
 
 
 Train = PriceSeries | SegmentedSeries
@@ -219,6 +233,16 @@ def eecm_ratio(
     The cointegrating regression S = a + b F + u runs on (log) levels over
     the full training sample; the grid search over (m, n) lag counts shares
     one sample aligned to ``max_lag``. Ties break to smaller m+n, then m.
+
+    The grid is scored from one QR factorization of the full design
+    [1, dF, u, dS lags 1..L, dF lags 1..L | dS]. Candidate (m, n) uses a
+    column subset of R: for each m, one small QR of R's columns
+    [base, m dS lags, all dF lags, dS] gives the SSE of every n as a tail
+    sum of squares of its last column. The rank rule runs once on the full
+    design, which by singular-value interlacing covers every candidate; only
+    when it fails is each candidate checked on its own subset of R's columns
+    (same singular values as its design). Only the winner is refit with
+    ``ols``.
     """
     if max_lag < 0:
         raise DataError("max_lag must be >= 0")
@@ -263,24 +287,39 @@ def eecm_ratio(
         raise InsufficientDataError(f"{len(ds)} observations at horizon {horizon}")
     _check_futures_variance(df)
 
+    # one QR of [1, dF, u, dS lags 1..L, dF lags 1..L | dS]; candidate (m, n)
+    # is a column subset, scored from R alone
+    nobs = len(ds)
+    base = [np.ones(nobs), df] + ([u_lag] if include_u else [])
+    n_base = len(base)
+    n_cols = n_base + 2 * max_lag
+    r = np.linalg.qr(np.column_stack(base + ds_l + df_l + [ds]), mode="r")
+    full_ok = _full_rank(np.linalg.svd(r[:, :n_cols], compute_uv=False), nobs, n_cols)
+    ds_cols = list(range(n_base, n_base + max_lag))
+    df_cols = list(range(n_base + max_lag, n_cols))
     best = None
     for m in range(max_lag + 1):
+        cols = list(range(n_base)) + ds_cols[:m] + df_cols
+        # R of [base, m dS lags, all dF lags | dS]: the SSE of the first p
+        # columns is the tail sum of squares of the last column
+        rm = np.linalg.qr(r[:, cols + [n_cols]], mode="r")
         for n_ in range(max_lag + 1):
-            cols = [df]
-            if include_u:
-                cols.append(u_lag)
-            cols.extend(ds_l[:m])
-            cols.extend(df_l[:n_])
-            try:
-                fit = ols(ds, np.column_stack(cols), intercept=True)
-            except (SingularDesignError, InsufficientDataError):
+            p = n_base + m + n_
+            if nobs <= p + 1:
+                break
+            # every candidate passes the rank rule when the full design does
+            if not full_ok and not _full_rank(
+                np.linalg.svd(r[:, cols[:p]], compute_uv=False), nobs, p
+            ):
                 continue
-            key = (fit.aic, m + n_, m)
+            tail = rm[p:, -1]
+            key = (_aic(float(tail @ tail), nobs, p), m + n_, m)
             if best is None or key < best[0]:
-                best = (key, m, n_, fit)
+                best = (key, m, n_)
     if best is None:
         raise SingularDesignError("no EECM candidate model could be fit")
-    _, m, n_, fit = best
+    _, m, n_ = best
+    fit = ols(ds, np.column_stack(base[1:] + ds_l[:m] + df_l[:n_]), intercept=True)
     return HedgeEstimate(Method.EECM, horizon, fit.slope, fit, lags=(m, n_))
 
 
@@ -363,7 +402,7 @@ def vemd_ratio(
     paired IMFs (the IMFs themselves, not log returns)."""
     ds = _level_diffs(pair.spot, horizon, segments, stride_block)
     df = _level_diffs(pair.fut, horizon, segments, stride_block)
-    if len(ds) <= MIN_OBS:
+    if len(ds) < MIN_OBS:
         raise InsufficientDataError(
             f"{len(ds)} IMF difference observations at horizon {horizon}"
         )

@@ -19,6 +19,7 @@ import numpy as np
 from .emd import ImfSet, SiftConfig, decompose
 from .errors import InsufficientDataError
 from .estimators import (
+    MIN_OBS,
     Method,
     ecm_ratio,
     eecm_ratio,
@@ -127,7 +128,7 @@ def emd_ratio_fn(
 
     def fn(segments: tuple[range, ...]) -> float:
         y, x = _per_segment_design(method, spot, fut, tuple(segments), horizon, imf_index, cfg)
-        if len(y) < 10:
+        if len(y) < MIN_OBS:
             raise InsufficientDataError(f"{len(y)} pooled observations")
         return ols(y, x, intercept=True).slope
 

@@ -187,3 +187,22 @@ class TestPipeline:
         paths = json.loads((outdir / "cv_paths.json").read_text())
         key = "MV:h1:variance_reduction"
         assert len(paths[key]["per_path_values"]) == 4
+
+
+class TestBadConfigFailsUpFront:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--envelope-tolerance", "2"],
+            ["--max-lag", "-1"],
+            ["--partition", "equal:3", "--k", "5"],
+            ["--partition", "bogus"],
+        ],
+        ids=["envelope-tolerance", "max-lag", "k-vs-groups", "partition-spec"],
+    )
+    def test_usage_error_before_any_artifact(self, pair_csv, tmp_path, capsys, flags):
+        outdir = tmp_path / "out"
+        rc = main(["pipeline", "--input", str(pair_csv), "--out", str(outdir)] + flags)
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not outdir.exists() or not any(outdir.iterdir())

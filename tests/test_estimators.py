@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from emdhedge.emd import decompose
+from emdhedge.emd import Imf, ImfSet, decompose
 from emdhedge.errors import (
     DataError,
     DegenerateInputError,
@@ -10,6 +12,7 @@ from emdhedge.errors import (
     SingularDesignError,
 )
 from emdhedge.estimators import (
+    MIN_OBS,
     Method,
     aemd_ratio,
     ecm_ratio,
@@ -21,7 +24,7 @@ from emdhedge.estimators import (
     vemd_ratio,
     ImfPair,
 )
-from emdhedge.series import DiffKind, Leg, PriceSeries, horizon_diff
+from emdhedge.series import DiffKind, Leg, PriceSeries, SegmentedSeries, horizon_diff
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
 
@@ -62,6 +65,7 @@ class TestOls:
         sigma2 = sse / (50 - 4)
         se = np.sqrt(np.diag(np.linalg.inv(D.T @ D)) * sigma2)
         assert np.allclose(fit.t_stats, coef / se, atol=1e-8)
+        np.testing.assert_allclose(fit.t_stats, coef / se, rtol=1e-8)
         assert fit.aic == pytest.approx(50 * np.log(sse / 50) + 8, abs=1e-10)
 
     def test_singular_design(self):
@@ -72,6 +76,21 @@ class TestOls:
     def test_too_few_obs(self):
         with pytest.raises(InsufficientDataError):
             ols(np.arange(3.0), np.arange(3.0))
+
+    def test_exactly_collinear_column(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=40)
+        with pytest.raises(SingularDesignError):
+            ols(rng.normal(size=40), np.column_stack([x, 3.0 * x]))
+
+    def test_obs_count_boundary(self):
+        # 3 coefficients: n = p + 1 is rejected, n = p + 2 is fitted
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(5, 2))
+        y = rng.normal(size=5)
+        with pytest.raises(InsufficientDataError):
+            ols(y[:4], X[:4])
+        assert ols(y, X).n_obs == 5
 
 
 def coint_pair(seed=0, n=2000, b=0.9, phi=0.8, sigma=0.005):
@@ -205,6 +224,89 @@ class TestEecmRatio:
         assert est.lags == (0, 0)
 
 
+def brute_force_eecm(spot_segs, fut_segs, h, max_lag, include_u):
+    """Every (m, n) candidate fitted with lstsq; same sample, AIC and
+    tie-break as eecm_ratio. Returns (lags, slope on dF, full-design rank
+    deficiency)."""
+    ls = [np.log(v) for v in spot_segs]
+    lf = [np.log(v) for v in fut_segs]
+    levels = np.column_stack([np.ones(sum(map(len, lf))), np.concatenate(lf)])
+    c, *_ = np.linalg.lstsq(levels, np.concatenate(ls), rcond=None)
+    u_all = np.concatenate(ls) - levels @ c
+    rows, pos = [], 0
+    for s, f in zip(ls, lf):
+        u = u_all[pos : pos + len(s)]
+        pos += len(s)
+        ds, df = s[h:] - s[:-h], f[h:] - f[:-h]
+        for t in range(max_lag, len(ds)):
+            rows.append(
+                [ds[t], df[t], u[t]]
+                + [ds[t - i] for i in range(1, max_lag + 1)]
+                + [df[t - i] for i in range(1, max_lag + 1)]
+            )
+    A = np.array(rows)
+    y, nobs = A[:, 0], len(A)
+    u_cols = [2] if include_u else []
+    ds_cols = list(range(3, 3 + max_lag))
+    df_cols = list(range(3 + max_lag, 3 + 2 * max_lag))
+    full = np.column_stack([np.ones(nobs), A[:, [1] + u_cols + ds_cols + df_cols]])
+    deficient = np.linalg.matrix_rank(full) < full.shape[1]
+    best = None
+    for m in range(max_lag + 1):
+        for n in range(max_lag + 1):
+            X = np.column_stack([np.ones(nobs), A[:, [1] + u_cols + ds_cols[:m] + df_cols[:n]]])
+            p = X.shape[1]
+            if nobs <= p + 1 or np.linalg.matrix_rank(X) < p:
+                continue
+            coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+            r = y - X @ coef
+            sse = r @ r
+            aic = nobs * math.log(sse / nobs) + 2 * p if sse > 0 else -math.inf
+            key = (aic, m + n, m)
+            if best is None or key < best[0]:
+                best = (key, (m, n), coef[1])
+    return best[1], best[2], deficient
+
+
+class TestEecmLagSearch:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_grid(self, seed):
+        spot, fut = coint_pair(seed=seed, n=300)
+        two = (range(0, 130), range(170, 300))
+        for h in (1, 5, 17):
+            for segs in (None, two):
+                if segs is None:
+                    s, f = spot, fut
+                    s_vals, f_vals = [spot.values], [fut.values]
+                else:
+                    s, f = SegmentedSeries(spot, segs), SegmentedSeries(fut, segs)
+                    s_vals = [spot.values[r.start : r.stop] for r in segs]
+                    f_vals = [fut.values[r.start : r.stop] for r in segs]
+                for include_u in (True, False):
+                    est = eecm_ratio(s, f, h, include_u=include_u)
+                    lags, ratio, _ = brute_force_eecm(s_vals, f_vals, h, 10, include_u)
+                    assert est.lags == lags
+                    assert abs(est.ratio - ratio) <= 1e-12
+
+    @pytest.mark.parametrize("include_u", [True, False])
+    def test_rank_deficient_full_design(self, include_u):
+        # a futures leg repeating every 4 days makes dF lag 4 a copy of dF
+        # (and dF plus lags 1..3 sum to zero), so the full design fails the
+        # rank rule and each candidate is checked on its own
+        rng = np.random.default_rng(0)
+        n = 300
+        lf = np.tile(4.0 + 0.02 * rng.normal(size=4), n // 4)
+        ls = 0.1 + 0.9 * lf + 0.001 * rng.normal(size=n).cumsum() + 0.005 * rng.normal(size=n)
+        spot = price_series(np.exp(ls))
+        fut = price_series(np.exp(lf), leg=Leg.FUTURES)
+        lags, ratio, deficient = brute_force_eecm([spot.values], [fut.values], 1, 6, include_u)
+        assert deficient
+        est = eecm_ratio(spot, fut, 1, max_lag=6, include_u=include_u)
+        assert est.lags == lags
+        assert est.lags[1] <= 2
+        assert abs(est.ratio - ratio) <= 1e-12
+
+
 class TestPairImfs:
     def test_equal_counts(self):
         t = np.arange(1500.0)
@@ -332,3 +434,42 @@ class TestAemdRatio:
         spot_set, fut_set = synthetic_pair_sets()
         est = aemd_ratio(spot_set, fut_set, 10_000)
         assert est.ratio == pytest.approx(2.0, abs=1e-6)
+
+
+def _walk(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.exp(4.0 + np.cumsum(0.01 * rng.normal(size=n)))
+
+
+def _imf_set(values):
+    imf = Imf(values, 1, 2.0, 0, 0, 0, 1, True)
+    return ImfSet((imf,), np.zeros(len(values)), len(values))
+
+
+# each builder yields an estimate from exactly n_obs regression observations
+BOUNDARY_CASES = {
+    "MV": lambda n: mv_ratio(price_series(_walk(n + 1, 1)), price_series(_walk(n + 1, 2)), 1),
+    "ECM": lambda n: ecm_ratio(price_series(_walk(n + 1, 1)), price_series(_walk(n + 1, 2)), 1),
+    "EECM": lambda n: eecm_ratio(
+        price_series(_walk(n + 1, 1)), price_series(_walk(n + 1, 2)), 1, max_lag=0
+    ),
+    "VEMD": lambda n: vemd_ratio(
+        ImfPair(1, np.log(_walk(n + 1, 1)), np.log(_walk(n + 1, 2)), 2.0, 2.0), 1
+    ),
+    "SEMD": lambda n: semd_ratio(ImfPair(1, np.log(_walk(n, 1)), np.log(_walk(n, 2)), 2.0, 2.0)),
+    "AEMD": lambda n: aemd_ratio(
+        _imf_set(np.log(_walk(n, 1))), _imf_set(np.log(_walk(n, 2))), 5
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(BOUNDARY_CASES))
+class TestMinObsBoundary:
+    def test_one_below_minimum_rejected(self, method):
+        with pytest.raises(InsufficientDataError):
+            BOUNDARY_CASES[method](MIN_OBS - 1)
+
+    def test_minimum_accepted(self, method):
+        est = BOUNDARY_CASES[method](MIN_OBS)
+        assert est.fit.n_obs == MIN_OBS
+        assert np.isfinite(est.ratio)
