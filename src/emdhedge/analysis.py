@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
+from scipy.special import stdtr
 
 from .emd import ImfSet
 from .errors import DataError, DegenerateInputError, InsufficientDataError
@@ -130,7 +130,7 @@ def significance_stars(t_stat: float, dof: int) -> str:
     """Two-sided stars at 0.01 (***), 0.05 (**), 0.10 (*)."""
     if dof < 1 or not np.isfinite(t_stat):
         return ""
-    p = 2.0 * sp_stats.t.sf(abs(t_stat), dof)
+    p = 2.0 * stdtr(dof, -abs(t_stat))  # the Student-t survival function
     if p < 0.01:
         return "***"
     if p < 0.05:

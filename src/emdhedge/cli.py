@@ -188,12 +188,16 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     if cfg.decompose_scope not in ("full", "per-segment"):
         raise UsageError(f"bad decompose_scope '{cfg.decompose_scope}'")
     if cfg.horizons != "auto":
+        horizons = []
         for tok in cfg.horizons.split(","):
             try:
-                if int(tok) < 1:
+                horizons.append(int(tok))
+                if horizons[-1] < 1:
                     raise ValueError
             except ValueError:
                 raise UsageError(f"bad horizon '{tok}'") from None
+        if len(set(horizons)) < len(horizons):
+            raise UsageError(f"duplicate horizons in '{cfg.horizons}'")
     return cfg
 
 
@@ -438,6 +442,7 @@ def _emit_cv(state: PipelineState) -> None:
     part = cfg.partition_of(state.spot)
     criteria = (Criterion.VARIANCE_REDUCTION, Criterion.VAR)
     sidecar: dict = {}
+    decompositions: dict = {}  # per-segment scope: (leg, start, stop) -> ImfSet
     for imf_index, h in state.rows:
         for method in methods:
             try:
@@ -453,6 +458,7 @@ def _emit_cv(state: PipelineState) -> None:
                     max_lag=cfg.max_lag,
                     cfg=cfg.sift_config(),
                     log_levels=cfg.levels == "log",
+                    decompositions=decompositions,
                 )
                 reports = run_cv(
                     state.spot,
@@ -636,6 +642,10 @@ STAGES = ("decompose", "preliminary", "insample", "cv", "determinants")
 def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
     """Run the selected stages and write the manifest; returns the out dir."""
     state = _load_state(cfg)
+    if "cv" in stages:  # k < N for a calendar-year partition needs the data
+        n_groups = len(cfg.partition_of(state.spot).groups)
+        if cfg.k >= n_groups:
+            raise DataError(f"k must be < N, got k={cfg.k} with {n_groups} partition groups")
     status = "ok"
     failed_stage = None
     stage_fns = {

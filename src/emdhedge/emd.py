@@ -6,7 +6,9 @@ conditions (extrema/zero-crossing balance; near-zero envelope mean), then peels
 the IMF off and continues on the remainder until only a trend is left.
 
 Envelopes use natural cubic splines with ``boundary_mirror_count`` extrema
-mirrored beyond each end to suppress end swings.
+mirrored beyond each end to suppress end swings. Each spline is built by one
+direct tridiagonal solve of the natural end-condition system (LAPACK
+``dgtsv``), with the same arithmetic as ``scipy.interpolate.CubicSpline``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
-from .errors import DataError, InsufficientDataError
+from .errors import DataError, InsufficientDataError, NumericError
 
 logger = logging.getLogger(__name__)
 
@@ -108,20 +110,15 @@ def find_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         raise InsufficientDataError("need at least 3 samples for extrema detection")
 
     starts, stops = _plateau_runs(x)
-    run_vals = x[starts]
-    maxima: list[int] = []
-    minima: list[int] = []
-    for i in range(1, len(run_vals) - 1):
-        v = run_vals[i]
-        mid = (starts[i] + stops[i] - 1) // 2
-        if v > run_vals[i - 1] and v > run_vals[i + 1]:
-            maxima.append(mid)
-        elif v < run_vals[i - 1] and v < run_vals[i + 1]:
-            minima.append(mid)
+    rv = x[starts]
+    inner = rv[1:-1]
+    mids = (starts[1:-1] + stops[1:-1] - 1) // 2
+    maxima = mids[(inner > rv[:-2]) & (inner > rv[2:])]
+    minima = mids[(inner < rv[:-2]) & (inner < rv[2:])]
 
     nz = x[x != 0.0]
     crossings = int(np.count_nonzero(np.sign(nz[1:]) != np.sign(nz[:-1]))) if len(nz) > 1 else 0
-    return np.array(maxima, dtype=int), np.array(minima, dtype=int), crossings
+    return maxima, minima, crossings
 
 
 def _mirrored_knots(idx: np.ndarray, vals: np.ndarray, n: int, mirror: int):
@@ -138,6 +135,41 @@ def _mirrored_knots(idx: np.ndarray, vals: np.ndarray, n: int, mirror: int):
     return knots_i, knots_v[keep]
 
 
+def _natural_spline(knots: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Natural cubic spline through (knots, values), evaluated at t.
+
+    Knot slopes solve the tridiagonal system that ``CubicSpline(...,
+    bc_type="natural")`` builds, by the same LAPACK routine (``dgtsv``); the
+    Hermite coefficients and the piecewise evaluation repeat ``PPoly``'s
+    operations, so the result is bit-identical. Knots must strictly increase.
+    """
+    x = knots.astype(float)
+    y = values
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d = np.empty(len(x))
+    d[0] = 2 * dx[0]
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    d[-1] = 2 * dx[-1]
+    du = np.concatenate([dx[:1], dx[:-1]])
+    dl = np.concatenate([dx[1:], dx[-1:]])
+    b = np.empty(len(x))
+    b[0] = 3 * (y[1] - y[0])
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[-1] = 3 * (y[-1] - y[-2]) + 0.0  # CubicSpline adds 0.5 * 0 * dx**2 here
+    *_, s, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
+    if info != 0:
+        raise NumericError(f"envelope spline system is singular (dgtsv info={info})")
+    tc = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0 = tc / dx
+    c1 = (slope - s[:-1]) / dx - tc
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    z = t - x[i]
+    z2 = z * z
+    # PPoly sums from the constant term up, starting from 0.0
+    return (((0.0 + y[i]) + s[i] * z) + c1[i] * z2) + c0[i] * (z2 * z)
+
+
 def envelope_mean(
     x: np.ndarray,
     maxima: np.ndarray,
@@ -146,6 +178,7 @@ def envelope_mean(
 ) -> np.ndarray | None:
     """Pointwise mean of the upper and lower natural cubic spline envelopes.
 
+    Each envelope is one direct tridiagonal solve (``_natural_spline``).
     Returns None when either side has fewer than 2 extrema, which signals
     decomposition termination rather than a failure.
     """
@@ -153,11 +186,11 @@ def envelope_mean(
     if len(maxima) < 2 or len(minima) < 2:
         return None
     n = len(x)
-    t = np.arange(n)
+    t = np.arange(n, dtype=float)
     ui, uv = _mirrored_knots(np.asarray(maxima), x[maxima], n, mirror)
     li, lv = _mirrored_knots(np.asarray(minima), x[minima], n, mirror)
-    upper = CubicSpline(ui, uv, bc_type="natural")(t)
-    lower = CubicSpline(li, lv, bc_type="natural")(t)
+    upper = _natural_spline(ui, uv, t)
+    lower = _natural_spline(li, lv, t)
     return 0.5 * (upper + lower)
 
 

@@ -8,6 +8,11 @@ EMD methods support two decomposition scopes:
   decomposition itself sees test data);
 - ``per-segment``: re-run the decomposition on each contiguous training
   segment and pool regression observations, eliminating look-ahead.
+
+Per-segment decompositions are memoized in a dict keyed by (leg, start,
+stop). The CLI's CV stage passes one dict to every ratio function it builds,
+so each distinct training segment of each leg is decomposed once per stage,
+however many methods, rows and splits reuse it.
 """
 
 from __future__ import annotations
@@ -60,6 +65,15 @@ def conventional_ratio_fn(
     return fn
 
 
+def _segment_imfs(
+    cache: dict, leg: str, series: PriceSeries, seg: range, cfg: SiftConfig
+) -> ImfSet:
+    key = (leg, seg.start, seg.stop)
+    if key not in cache:
+        cache[key] = decompose(series.values[seg.start : seg.stop], cfg)
+    return cache[key]
+
+
 def _per_segment_design(
     method: Method,
     spot: PriceSeries,
@@ -68,15 +82,14 @@ def _per_segment_design(
     horizon: int,
     imf_index: int | None,
     cfg: SiftConfig,
+    cache: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
     ys, xs = [], []
     for seg in segments:
-        sv = spot.values[seg.start : seg.stop]
-        fv = fut.values[seg.start : seg.stop]
-        if len(sv) < 8:
+        if len(seg) < 8:
             continue
-        s_set = decompose(sv, cfg)
-        f_set = decompose(fv, cfg)
+        s_set = _segment_imfs(cache, "spot", spot, seg, cfg)
+        f_set = _segment_imfs(cache, "fut", fut, seg, cfg)
         if method is Method.AEMD:
             s_sel = [i.values for i in s_set.imfs if i.cycle <= horizon]
             f_sel = [i.values for i in f_set.imfs if i.cycle <= horizon]
@@ -112,7 +125,13 @@ def emd_ratio_fn(
     fut_set: ImfSet,
     scope: str = "full",
     cfg: SiftConfig = SiftConfig(),
+    decompositions: dict | None = None,
 ) -> RatioFn:
+    """Ratio function for an EMD method.
+
+    ``decompositions`` memoizes the per-segment scope's decompositions; share
+    one dict between ratio functions of the same series pair and SiftConfig.
+    """
     if scope == "full":
         pairs, _ = pair_imfs(spot_set, fut_set)
 
@@ -126,8 +145,12 @@ def emd_ratio_fn(
 
         return fn
 
+    cache = {} if decompositions is None else decompositions
+
     def fn(segments: tuple[range, ...]) -> float:
-        y, x = _per_segment_design(method, spot, fut, tuple(segments), horizon, imf_index, cfg)
+        y, x = _per_segment_design(
+            method, spot, fut, tuple(segments), horizon, imf_index, cfg, cache
+        )
         if len(y) < MIN_OBS:
             raise InsufficientDataError(f"{len(y)} pooled observations")
         return ols(y, x, intercept=True).slope
@@ -147,9 +170,12 @@ def make_ratio_fn(
     max_lag: int = 10,
     cfg: SiftConfig = SiftConfig(),
     log_levels: bool = True,
+    decompositions: dict | None = None,
 ) -> RatioFn:
     if method in CONVENTIONAL:
         return conventional_ratio_fn(method, spot, fut, horizon, max_lag, log_levels)
     if spot_set is None or fut_set is None:
         raise ValueError("EMD methods need both decompositions")
-    return emd_ratio_fn(method, spot, fut, horizon, imf_index, spot_set, fut_set, scope, cfg)
+    return emd_ratio_fn(
+        method, spot, fut, horizon, imf_index, spot_set, fut_set, scope, cfg, decompositions
+    )

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats
 
 from .errors import DataError, InsufficientDataError
 from .series import DiffKind, PriceSeries, horizon_diff
@@ -140,7 +139,12 @@ def he_var(spot_ret: np.ndarray, portfolio: np.ndarray, alpha: float = 0.05) -> 
 
 def moments(values: np.ndarray) -> Moments:
     """Sample mean, std (n-1), moment skewness g1 and excess kurtosis g2
-    (central moments with n denominator)."""
+    (central moments with n denominator).
+
+    g1 and g2 repeat ``scipy.stats.skew``/``kurtosis`` (``bias=True``)
+    operation for operation, including their NaN for a second moment at
+    round-off level relative to the mean.
+    """
     values = np.asarray(values, dtype=float)
     n = len(values)
     if n < 4:
@@ -148,10 +152,13 @@ def moments(values: np.ndarray) -> Moments:
     std = float(np.std(values, ddof=1))
     if std <= 0.0:
         return Moments(float(values.mean()), 0.0, float("nan"), float("nan"), n, degenerate=True)
-    return Moments(
-        mean=float(values.mean()),
-        std=std,
-        skew=float(stats.skew(values, bias=True)),
-        kurt=float(stats.kurtosis(values, fisher=True, bias=True)),
-        n_obs=n,
-    )
+    mean = values.mean()
+    d = values - mean
+    d2 = d**2
+    m2, m3, m4 = np.mean(d2), np.mean(d2 * d), np.mean(d2**2)
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        skew = kurt = float("nan")
+    else:
+        skew = float(m3 / m2**1.5)
+        kurt = float(m4 / m2**2.0 - 3)
+    return Moments(mean=float(mean), std=std, skew=skew, kurt=kurt, n_obs=n)

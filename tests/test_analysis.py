@@ -151,6 +151,16 @@ class TestSignificanceStars:
     def test_sign_symmetric(self):
         assert significance_stars(-5.0, 30) == significance_stars(5.0, 30)
 
+    def test_matches_scipy_t_survival(self):
+        def reference(t, dof):
+            p = 2.0 * sp_stats.t.sf(abs(t), dof)
+            return "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.10 else ""
+
+        for dof in (1, 2, 7, 40, 500):
+            edges = [sp_stats.t.isf(a / 2, dof) for a in (0.01, 0.05, 0.10)]
+            for t in np.r_[edges, np.nextafter(edges, 0.0), np.linspace(-12.0, 12.0, 49)]:
+                assert significance_stars(t, dof) == reference(t, dof)
+
     def test_invalid_inputs_blank(self):
         assert significance_stars(float("nan"), 30) == ""
         assert significance_stars(3.0, 0) == ""

@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emdhedge
+from emdhedge import methods
 from emdhedge.cli import (
     RunConfig,
     UsageError,
@@ -12,7 +17,8 @@ from emdhedge.cli import (
     parse_config,
     run_pipeline,
 )
-from emdhedge.series import load_csv
+from emdhedge.cpcv import Scheme, enumerate_splits, partition
+from emdhedge.series import load_csv, restrict
 
 
 def ns(**kwargs):
@@ -109,6 +115,18 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 1
 
 
+def test_cli_import_leaves_scipy_stats_and_interpolate_unloaded():
+    code = (
+        "import sys, emdhedge.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(emdhedge.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.fixture(scope="module")
 def pair_csv(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "pair.csv"
@@ -188,6 +206,60 @@ class TestPipeline:
         key = "MV:h1:variance_reduction"
         assert len(paths[key]["per_path_values"]) == 4
 
+    def test_per_segment_cv_decomposes_each_training_segment_once(
+        self, pair_csv, tmp_path, monkeypatch
+    ):
+        calls = []
+        real_decompose = methods.decompose
+
+        def counting_decompose(x, cfg):
+            calls.append(len(x))
+            return real_decompose(x, cfg)
+
+        monkeypatch.setattr(methods, "decompose", counting_decompose)
+        rc = main(
+            [
+                "cv",
+                "--input",
+                str(pair_csv),
+                "--out",
+                str(tmp_path / "out"),
+                "--partition",
+                "equal:5",
+                "--decompose-scope",
+                "per-segment",
+                "--methods",
+                "VEMD,SEMD,AEMD",
+                "--horizons",
+                "2,5",
+            ]
+        )
+        assert rc == 0
+        spot, _, _ = load_csv(pair_csv)
+        groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
+        segments = {
+            seg
+            for _, train in enumerate_splits(5, 2).splits
+            for seg in restrict(spot, [groups[g] for g in train]).segments
+        }
+        # one spot and one futures decomposition per distinct training segment,
+        # shared by 3 methods x 2 horizons x 10 splits
+        assert len(calls) == 2 * len(segments)
+
+    def test_year_partition_with_k_at_least_the_years_is_a_data_error(
+        self, pair_csv, tmp_path, capsys
+    ):
+        spot, _, _ = load_csv(pair_csv)
+        n_years = len(partition(spot, Scheme.CALENDAR_YEAR).groups)
+        outdir = tmp_path / "out"
+        rc = main(
+            ["cv", "--input", str(pair_csv), "--out", str(outdir)]
+            + ["--partition", "year", "--k", str(n_years)]
+        )
+        assert rc == 2
+        assert "data error" in capsys.readouterr().err
+        assert not list(outdir.glob("*.csv"))
+
 
 class TestBadConfigFailsUpFront:
     @pytest.mark.parametrize(
@@ -197,8 +269,15 @@ class TestBadConfigFailsUpFront:
             ["--max-lag", "-1"],
             ["--partition", "equal:3", "--k", "5"],
             ["--partition", "bogus"],
+            ["--horizons", "5,5"],
         ],
-        ids=["envelope-tolerance", "max-lag", "k-vs-groups", "partition-spec"],
+        ids=[
+            "envelope-tolerance",
+            "max-lag",
+            "k-vs-groups",
+            "partition-spec",
+            "duplicate-horizons",
+        ],
     )
     def test_usage_error_before_any_artifact(self, pair_csv, tmp_path, capsys, flags):
         outdir = tmp_path / "out"

@@ -61,6 +61,54 @@ class TestFindExtrema:
         with pytest.raises(InsufficientDataError):
             find_extrema(np.array([1.0, 2.0]))
 
+    @staticmethod
+    def loop_reference(x):
+        """Plateau-run walk: one extremum per dominating run, at its midpoint."""
+        starts = [0] + [i for i in range(1, len(x)) if x[i] != x[i - 1]]
+        stops = starts[1:] + [len(x)]
+        maxima, minima = [], []
+        for i in range(1, len(starts) - 1):
+            v, prev, nxt = x[starts[i]], x[starts[i - 1]], x[starts[i + 1]]
+            mid = (starts[i] + stops[i] - 1) // 2
+            if v > prev and v > nxt:
+                maxima.append(mid)
+            elif v < prev and v < nxt:
+                minima.append(mid)
+        nz = [v for v in x if v != 0.0]
+        crossings = sum(np.sign(a) != np.sign(b) for a, b in zip(nz, nz[1:]))
+        return maxima, minima, crossings
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [0.0, 1.0, 0.0],
+            [1.0, 0.0, 1.0],
+            [1.0, 1.0, 1.0],
+            [2.0, 2.0, 2.0, 2.0, 2.0, 2.0],
+            [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, -1.0, -1.0, -1.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, -1.0, 0.0, 2.0, 2.0, 0.0, -3.0],
+            [3.0, 3.0, 1.0, 1.0, 1.0, 1.0, 3.0, 3.0, 1.0],
+        ],
+        ids=["len3-max", "len3-min", "len3-const", "constant", "plateaus", "zeros", "wide"],
+    )
+    def test_matches_loop_reference_on_edge_cases(self, x):
+        x = np.array(x)
+        maxima, minima, crossings = find_extrema(x)
+        ref_max, ref_min, ref_cross = self.loop_reference(x)
+        assert list(maxima) == ref_max
+        assert list(minima) == ref_min
+        assert crossings == ref_cross
+
+    def test_matches_loop_reference_on_rounded_noise(self):
+        rng = np.random.default_rng(21)
+        for n in (3, 4, 7, 50, 301):
+            for _ in range(20):
+                x = np.round(rng.standard_normal(n), 0)  # many ties and exact zeros
+                maxima, minima, crossings = find_extrema(x)
+                ref_max, ref_min, ref_cross = self.loop_reference(x)
+                assert list(maxima) == ref_max and list(minima) == ref_min
+                assert crossings == ref_cross
+
 
 class TestEnvelopeMean:
     def test_symmetric_sine_mean_near_zero(self):
@@ -86,6 +134,26 @@ class TestEnvelopeMean:
     def test_too_few_extrema_signals_termination(self):
         x = np.arange(10.0)
         assert envelope_mean(x, np.array([], dtype=int), np.array([], dtype=int)) is None
+
+    @pytest.mark.parametrize("mirror", [1, 2, 3])
+    def test_matches_scipy_natural_cubic_spline(self, mirror):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(30 + mirror)
+        for n in (30, 60, 250):
+            x = np.cumsum(rng.standard_normal(n)) + sine(9, n, 2.0)
+            maxima, minima, _ = find_extrema(x)
+            t = np.arange(n)
+
+            def spline(idx):
+                m = min(mirror, len(idx))
+                knots = np.r_[-idx[:m][::-1], idx, 2 * (n - 1) - idx[-m:][::-1]]
+                vals = np.r_[x[idx[:m]][::-1], x[idx], x[idx[-m:]][::-1]]
+                return CubicSpline(knots, vals, bc_type="natural")(t)
+
+            expected = 0.5 * (spline(maxima) + spline(minima))
+            got = envelope_mean(x, maxima, minima, mirror)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(x)))
 
 
 class TestIsImf:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,23 @@ class TestMoments:
     def test_too_few(self):
         with pytest.raises(InsufficientDataError):
             moments(np.array([1.0, 2.0, 3.0]))
+
+    def test_matches_scipy_stats(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(15)
+        samples = [rng.standard_t(3, n) * 10.0 ** rng.uniform(-6, 3) for n in (4, 5, 30, 500)]
+        samples += [np.round(rng.standard_normal(40), 1) + 1e4, rng.exponential(2.0, 100)]
+        round_off = 1.0 + np.finfo(float).eps * (np.arange(8) % 2)
+        assert np.isnan(moments(round_off).skew)  # m2 at round-off level: shape undefined
+        for x in samples + [round_off]:
+            m = moments(x)
+            with warnings.catch_warnings():  # scipy flags the round-off case
+                warnings.simplefilter("ignore", RuntimeWarning)
+                np.testing.assert_array_equal(
+                    [m.skew, m.kurt],
+                    [stats.skew(x, bias=True), stats.kurtosis(x, fisher=True, bias=True)],
+                )
 
 
 finite_returns = st.lists(
