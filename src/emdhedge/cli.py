@@ -249,6 +249,7 @@ class PipelineState:
     match_rows: list | None = None
     cv_reports: dict = field(default_factory=dict)  # (method, horizon, criterion) -> PathReport
     exclusions: list = field(default_factory=list)
+    cv_failed_splits: dict = field(default_factory=dict)  # exception class -> failed CV splits
 
 
 def _load_state(cfg: RunConfig) -> PipelineState:
@@ -475,6 +476,8 @@ def _emit_cv(state: PipelineState) -> None:
             except EmdHedgeError as exc:
                 state.warnings.append(f"cv {method.value} imf{imf_index} h={h}: {exc}")
                 continue
+            for cls, _ in reports[criteria[0]].failed_reasons:
+                state.cv_failed_splits[cls] = state.cv_failed_splits.get(cls, 0) + 1
             for crit, rep in reports.items():
                 state.cv_reports[(method, h, crit)] = rep
                 sidecar[f"{method.value}:h{h}:{crit.value}"] = {
@@ -485,6 +488,7 @@ def _emit_cv(state: PipelineState) -> None:
                     "n_paths_total": rep.n_paths_total,
                     "n_paths_voided": rep.n_paths_voided,
                     "failed_splits": list(rep.failed_splits),
+                    "failed_reasons": [list(r) for r in rep.failed_reasons],
                     "decompose_scope": cfg.decompose_scope,
                 }
                 for g, reason in rep.excluded_groups:
@@ -673,6 +677,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
         "artifacts": state.artifacts,
         "warnings": state.warnings,
         "exclusions": [list(e) for e in state.exclusions],
+        "counters": {"cv_failed_splits": state.cv_failed_splits},
         "skipped_methods": [
             m.value for m in ALL_METHODS if m not in cfg.method_list()
         ],

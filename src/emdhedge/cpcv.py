@@ -11,7 +11,7 @@ reduction and the minimum for VaR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Callable
@@ -19,15 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, NumericError
-from .performance import (
-    Criterion,
-    Moments,
-    build_portfolio,
-    he_var,
-    he_variance,
-    moments,
-)
-from .series import DiffKind, PriceSeries, restrict
+from .performance import Criterion, Moments, effectiveness_rows, moments
+from .series import PriceSeries, restrict
 
 __all__ = [
     "Scheme",
@@ -74,9 +67,11 @@ class PathAssignment:
     n_paths: int
     # (group index, split index) -> 1-based path id
     cells: dict[tuple[int, int], int]
+    # path id - 1 -> that path's (group index, split index) cells, by group
+    paths: tuple[tuple[tuple[int, int], ...], ...]
 
     def cells_of_path(self, path_id: int) -> list[tuple[int, int]]:
-        return sorted(g_s for g_s, p in self.cells.items() if p == path_id)
+        return list(self.paths[path_id - 1]) if 1 <= path_id <= self.n_paths else []
 
 
 # cell status markers in the score table
@@ -96,6 +91,8 @@ class PathReport:
     n_paths_total: int
     n_paths_voided: int
     failed_splits: tuple[int, ...]
+    # (exception class, message) of each failed split, aligned with failed_splits
+    failed_reasons: tuple[tuple[str, str], ...]
 
 
 def partition(series: PriceSeries | int, scheme: Scheme, n_groups: int = 10) -> GroupPartition:
@@ -148,13 +145,15 @@ def assign_paths(splits: SplitSet) -> PathAssignment:
     """
     n_paths = math.comb(splits.n_groups - 1, splits.k - 1)
     cells: dict[tuple[int, int], int] = {}
+    paths = [[None] * splits.n_groups for _ in range(n_paths)]
     counters = [0] * splits.n_groups
     for s_idx, (test, _) in enumerate(splits.splits):
         for g in test:
             counters[g] += 1
             cells[(g, s_idx)] = counters[g]
+            paths[counters[g] - 1][g] = (g, s_idx)
     assert all(c == n_paths for c in counters)
-    return PathAssignment(n_paths=n_paths, cells=cells)
+    return PathAssignment(n_paths=n_paths, cells=cells, paths=tuple(map(tuple, paths)))
 
 
 def path_statistics(
@@ -208,8 +207,18 @@ def run_cv(
     ``ratio_fn`` maps the merged training index ranges to a hedge ratio.
     Each test group is scored separately on within-group horizon differences;
     groups with fewer than ``min_obs`` differenced observations are excluded
-    at this horizon. Per-split values (for reporting) average the split's
-    included test-group scores.
+    at this horizon.
+
+    Phase 1 estimates the ratio of every split. A split whose ratio function
+    raises a ``NumericError``, ``InsufficientDataError`` or ``DataError``, or
+    returns a non-finite ratio, is failed; its exception class and message
+    go to ``PathReport.failed_reasons``. Phase 2 scores each included test
+    group once: the ratios of its non-failed splits form one portfolio per
+    row, and ``effectiveness_rows`` scores all rows per criterion, so the
+    group's spot-side variance, degeneracy floor and alpha-quantile are
+    computed once per group rather than once per cell. A degenerate spot
+    side or a non-finite score excludes the cell. Per-split values (for
+    reporting) average the split's included test-group scores, in test order.
     """
     if len(spot) != len(fut):
         raise DataError("spot and futures series must be aligned")
@@ -222,57 +231,61 @@ def run_cv(
     assignment = assign_paths(splits)
 
     excluded: list[tuple[int, str]] = []
-    group_ok: list[bool] = []
     group_rets: list[tuple[np.ndarray, np.ndarray] | None] = []
     for gi, g in enumerate(part.groups):
         n_diffs = len(g) - horizon
         if n_diffs < min_obs:
             excluded.append((gi, f"{max(n_diffs, 0)} observations at horizon {horizon} < {min_obs}"))
-            group_ok.append(False)
             group_rets.append(None)
             continue
         sv = np.log(spot.values[g.start : g.stop])
         fv = np.log(fut.values[g.start : g.stop])
         group_rets.append((sv[horizon:] - sv[:-horizon], fv[horizon:] - fv[:-horizon]))
-        group_ok.append(True)
-    if not any(group_ok):
+    if all(rets is None for rets in group_rets):
         raise InsufficientDataError(f"all groups excluded at horizon {horizon}")
 
-    cell_scores: dict[Criterion, dict[tuple[int, int], float | str]] = {c: {} for c in criteria}
-    per_split: dict[Criterion, list[float | None]] = {c: [] for c in criteria}
+    # phase 1: one hedge ratio per split; None marks a failed split
+    ratios: list[float | None] = []
     failed_splits: list[int] = []
-    for s_idx, (test, train) in enumerate(splits.splits):
+    failed_reasons: list[tuple[str, str]] = []
+    for s_idx, (_, train) in enumerate(splits.splits):
         try:
             train_segments = restrict(spot, [part.groups[g] for g in train]).segments
             ratio = float(ratio_fn(train_segments))
             if not math.isfinite(ratio):
                 raise NumericError("non-finite hedge ratio")
-        except (NumericError, InsufficientDataError, DataError):
+        except (NumericError, InsufficientDataError, DataError) as exc:
             failed_splits.append(s_idx)
-            for c in criteria:
-                per_split[c].append(None)
-                for g in test:
-                    cell_scores[c][(g, s_idx)] = FAILED
-            continue
+            failed_reasons.append((type(exc).__name__, str(exc)))
+            ratio = None
+        ratios.append(ratio)
+
+    # phase 2: score each test group once for all the splits it tests
+    cell_scores: dict[Criterion, dict[tuple[int, int], float | str]] = {c: {} for c in criteria}
+    for g, rets in enumerate(group_rets):
+        tested_by = [path[g][1] for path in assignment.paths]  # g's test splits, in order
+        ok = [s for s in tested_by if ratios[s] is not None]
         for c in criteria:
-            split_vals = []
-            for g in test:
-                if not group_ok[g]:
-                    cell_scores[c][(g, s_idx)] = EXCLUDED
-                    continue
-                ds, df = group_rets[g]
-                hedged = build_portfolio(ds, df, ratio, horizon)
-                if c is Criterion.VARIANCE_REDUCTION:
-                    eff = he_variance(ds, hedged.portfolio)
-                else:
-                    eff = he_var(ds, hedged.portfolio, alpha)
-                score = eff.value
-                if eff.degenerate or not math.isfinite(score):
-                    cell_scores[c][(g, s_idx)] = EXCLUDED
-                    continue
-                cell_scores[c][(g, s_idx)] = score
-                split_vals.append(score)
-            per_split[c].append(float(np.mean(split_vals)) if split_vals else None)
+            for s in tested_by:
+                cell_scores[c][(g, s)] = FAILED if ratios[s] is None else EXCLUDED
+        if rets is None or not ok:
+            continue
+        ds, df = rets
+        r = np.array([ratios[s] for s in ok])
+        portfolios = ds[None, :] - r[:, None] * df[None, :]
+        for c in criteria:
+            values, _, _ = effectiveness_rows(c, ds, portfolios, alpha)
+            for s, v in zip(ok, values.tolist()):
+                if math.isfinite(v):  # degenerate spot side gives NaN
+                    cell_scores[c][(g, s)] = v
+
+    # per-split values average the split's included test-group scores
+    per_split: dict[Criterion, list[float | None]] = {c: [] for c in criteria}
+    for s_idx, (test, _) in enumerate(splits.splits):
+        for c in criteria:
+            vals = [cell_scores[c][(g, s_idx)] for g in test]
+            vals = [v for v in vals if not isinstance(v, str)]
+            per_split[c].append(float(np.mean(vals)) if vals else None)
 
     reports: dict[Criterion, PathReport] = {}
     for c in criteria:
@@ -288,5 +301,6 @@ def run_cv(
             n_paths_total=assignment.n_paths,
             n_paths_voided=voided,
             failed_splits=tuple(failed_splits),
+            failed_reasons=tuple(failed_reasons),
         )
     return reports

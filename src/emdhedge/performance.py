@@ -21,6 +21,7 @@ __all__ = [
     "Effectiveness",
     "Moments",
     "build_portfolio",
+    "effectiveness_rows",
     "he_variance",
     "var_quantile",
     "he_var",
@@ -95,45 +96,74 @@ def build_portfolio(
     )
 
 
+def effectiveness_rows(
+    criterion: Criterion,
+    spot_ret: np.ndarray,
+    portfolios: np.ndarray,
+    alpha: float = 0.05,
+) -> tuple[np.ndarray, bool, bool]:
+    """One criterion for every row of ``portfolios`` (m x n) against one
+    spot return series.
+
+    The spot side (its variance and degeneracy floor, or its alpha-quantile)
+    is computed once. Each portfolio variance or quantile is one reduction
+    along the contiguous last axis, so row i gives the same bits as the 1-D
+    call on ``portfolios[i]``. Returns (values, degenerate, sign_anomaly):
+    values are all NaN when the spot side is degenerate; sign_anomaly (VaR
+    only) flags a positive spot quantile.
+    """
+    spot_ret = np.asarray(spot_ret, dtype=float)
+    portfolios = np.asarray(portfolios, dtype=float)
+    if criterion is Criterion.VARIANCE_REDUCTION:
+        # 1 - var(portfolio)/var(spot), n-1 denominators
+        if min(len(spot_ret), portfolios.shape[1]) < 2:
+            raise InsufficientDataError("need at least 2 observations per side")
+        vs = float(np.var(spot_ret, ddof=1))
+        # relative floor: a constant series can show O(eps^2) variance from
+        # round-off in the mean subtraction
+        floor = (DEGENERACY_THRESHOLD * max(1.0, float(np.max(np.abs(spot_ret))))) ** 2
+        if vs <= floor:
+            return np.full(len(portfolios), np.nan), True, False
+        return 1.0 - np.var(portfolios, axis=1, ddof=1) / vs, False, False
+    # 1 - q_alpha(portfolio)/q_alpha(spot) on signed returns
+    qs = var_quantile(spot_ret, alpha)
+    qp = var_quantile(portfolios, alpha)
+    if abs(qs) < DEGENERACY_THRESHOLD:
+        return np.full(len(portfolios), np.nan), True, False
+    return 1.0 - qp / qs, False, qs > 0.0
+
+
 def he_variance(spot_ret: np.ndarray, portfolio: np.ndarray) -> Effectiveness:
     """Variance reduction: 1 - var(portfolio)/var(spot), n-1 denominators."""
-    spot_ret = np.asarray(spot_ret, dtype=float)
     portfolio = np.asarray(portfolio, dtype=float)
-    if min(len(spot_ret), len(portfolio)) < 2:
-        raise InsufficientDataError("need at least 2 observations per side")
-    vs = float(np.var(spot_ret, ddof=1))
-    vp = float(np.var(portfolio, ddof=1))
-    # relative floor: a constant series can show O(eps^2) variance from
-    # round-off in the mean subtraction
-    floor = (DEGENERACY_THRESHOLD * max(1.0, float(np.max(np.abs(spot_ret))))) ** 2
-    if vs <= floor:
-        return Effectiveness(Criterion.VARIANCE_REDUCTION, float("nan"), len(portfolio), degenerate=True)
-    return Effectiveness(Criterion.VARIANCE_REDUCTION, 1.0 - vp / vs, len(portfolio))
+    values, degenerate, _ = effectiveness_rows(Criterion.VARIANCE_REDUCTION, spot_ret, portfolio[None, :])
+    return Effectiveness(Criterion.VARIANCE_REDUCTION, float(values[0]), len(portfolio), degenerate=degenerate)
 
 
-def var_quantile(returns: np.ndarray, alpha: float) -> float:
+def var_quantile(returns: np.ndarray, alpha: float) -> float | np.ndarray:
     """Empirical alpha-quantile, linear interpolation between order statistics
-    at 1-based position (n-1)*alpha + 1."""
+    at 1-based position (n-1)*alpha + 1; taken along the last axis, so a
+    2-D input gives one quantile per row."""
     returns = np.asarray(returns, dtype=float)
-    if len(returns) < 20:
-        raise InsufficientDataError(f"need >= 20 observations, got {len(returns)}")
+    if returns.shape[-1] < 20:
+        raise InsufficientDataError(f"need >= 20 observations, got {returns.shape[-1]}")
     if not (0.0 < alpha <= 0.5):
         raise DataError("alpha must be in (0, 0.5]")
-    return float(np.quantile(returns, alpha, method="linear"))
+    q = np.quantile(returns, alpha, axis=-1, method="linear")
+    return float(q) if returns.ndim == 1 else q
 
 
 def he_var(spot_ret: np.ndarray, portfolio: np.ndarray, alpha: float = 0.05) -> Effectiveness:
     """VaR effectiveness: 1 - q_alpha(portfolio)/q_alpha(spot) on signed returns."""
-    qs = var_quantile(spot_ret, alpha)
-    qp = var_quantile(portfolio, alpha)
-    if abs(qs) < DEGENERACY_THRESHOLD:
-        return Effectiveness(Criterion.VAR, float("nan"), len(portfolio), alpha=alpha, degenerate=True)
+    portfolio = np.asarray(portfolio, dtype=float)
+    values, degenerate, sign_anomaly = effectiveness_rows(Criterion.VAR, spot_ret, portfolio[None, :], alpha)
     return Effectiveness(
         Criterion.VAR,
-        1.0 - qp / qs,
+        float(values[0]),
         len(portfolio),
         alpha=alpha,
-        sign_anomaly=qs > 0.0,
+        degenerate=degenerate,
+        sign_anomaly=sign_anomaly,
     )
 
 

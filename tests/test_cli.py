@@ -246,6 +246,30 @@ class TestPipeline:
         # shared by 3 methods x 2 horizons x 10 splits
         assert len(calls) == 2 * len(segments)
 
+    def test_every_failed_split_has_a_reason(self, tmp_path):
+        # per-segment AEMD at the first auto horizon finds no matching IMF in
+        # some training segments, so those splits fail
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "250", "--seed", "3"])
+        outdir = tmp_path / "out"
+        rc = main(
+            ["cv", "--input", str(pair), "--out", str(outdir), "--partition", "equal:5"]
+            + ["--decompose-scope", "per-segment", "--methods", "VEMD,SEMD,AEMD", "--horizon-cap", "5"]
+        )
+        assert rc == 0
+        paths = json.loads((outdir / "cv_paths.json").read_text())
+        counts = {}
+        for key, rep in paths.items():
+            assert len(rep["failed_reasons"]) == len(rep["failed_splits"])
+            for cls, message in rep["failed_reasons"]:
+                assert cls.endswith("Error") and message
+            if key.endswith(":variance_reduction"):  # one CV run per (method, horizon)
+                for cls, _ in rep["failed_reasons"]:
+                    counts[cls] = counts.get(cls, 0) + 1
+        assert sum(counts.values()) > 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["counters"]["cv_failed_splits"] == counts
+
     def test_year_partition_with_k_at_least_the_years_is_a_data_error(
         self, pair_csv, tmp_path, capsys
     ):

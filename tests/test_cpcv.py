@@ -6,6 +6,7 @@ import pytest
 from emdhedge.cpcv import (
     EXCLUDED,
     FAILED,
+    GroupPartition,
     Scheme,
     assign_paths,
     enumerate_splits,
@@ -13,9 +14,15 @@ from emdhedge.cpcv import (
     path_statistics,
     run_cv,
 )
-from emdhedge.errors import DataError, InsufficientDataError
-from emdhedge.performance import Criterion
-from emdhedge.series import Leg, PriceSeries
+from emdhedge.errors import DataError, InsufficientDataError, NumericError
+from emdhedge.performance import (
+    Criterion,
+    build_portfolio,
+    effectiveness_rows,
+    he_var,
+    he_variance,
+)
+from emdhedge.series import Leg, PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
 
@@ -229,3 +236,157 @@ class TestRunCv:
         vr_rep = reports[Criterion.VARIANCE_REDUCTION]
         assert var_rep.n_paths_total == vr_rep.n_paths_total == 4
         assert len(var_rep.per_path_values) == 4
+
+    def test_failed_split_keeps_exception_class_and_message(self):
+        spot, fut = coint_series(seed=5, n=600)
+        part = partition(600, Scheme.EQUAL_COUNT, 5)
+
+        def fn(segs):
+            if segs[0].start > 0:  # group 0 is a test group
+                raise InsufficientDataError("synthetic failure")
+            return float("nan") if len(segs) == 1 else 0.9
+
+        rep = run_cv(spot, fut, fn, 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
+            Criterion.VARIANCE_REDUCTION
+        ]
+        # splits 0-3 test group 0; split 9 tests (3, 4) and trains on one block
+        assert rep.failed_splits == (0, 1, 2, 3, 9)
+        assert rep.failed_reasons == (("InsufficientDataError", "synthetic failure"),) * 4 + (
+            ("NumericError", "non-finite hedge ratio"),
+        )
+
+
+class TestAssignPathsLookup:
+    def test_cells_of_path_matches_a_scan_of_cells(self):
+        for N, k in [(3, 1), (5, 2), (6, 3), (8, 3), (10, 2)]:
+            a = assign_paths(enumerate_splits(N, k))
+            for p in range(0, a.n_paths + 2):
+                assert a.cells_of_path(p) == sorted(c for c, q in a.cells.items() if q == p)
+
+
+def reference_cv(spot, fut, ratio_fn, h, criteria, part, k, min_obs, alpha):
+    """run_cv written per cell: one portfolio and one 1-D criterion per
+    (test group, split)."""
+    splits = enumerate_splits(part.n_groups, k)
+    rets, excluded = {}, []
+    for g, rg in enumerate(part.groups):
+        if len(rg) - h < min_obs:
+            excluded.append(g)
+            continue
+        sv = np.log(spot.values[rg.start : rg.stop])
+        fv = np.log(fut.values[rg.start : rg.stop])
+        rets[g] = (sv[h:] - sv[:-h], fv[h:] - fv[:-h])
+    cells = {c: {} for c in criteria}
+    per_split = {c: [] for c in criteria}
+    failed = []
+    degenerate = 0
+    for s, (test, train) in enumerate(splits.splits):
+        try:
+            ratio = float(ratio_fn(restrict(spot, [part.groups[g] for g in train]).segments))
+            if not math.isfinite(ratio):
+                raise NumericError("non-finite hedge ratio")
+        except (NumericError, InsufficientDataError, DataError):
+            failed.append(s)
+            for c in criteria:
+                per_split[c].append(None)
+                for g in test:
+                    cells[c][(g, s)] = FAILED
+            continue
+        for c in criteria:
+            vals = []
+            for g in test:
+                if g not in rets:
+                    cells[c][(g, s)] = EXCLUDED
+                    continue
+                ds, df = rets[g]
+                port = build_portfolio(ds, df, ratio, h).portfolio
+                if c is Criterion.VARIANCE_REDUCTION:
+                    eff = he_variance(ds, port)
+                else:
+                    eff = he_var(ds, port, alpha)
+                degenerate += eff.degenerate
+                if eff.degenerate or not math.isfinite(eff.value):
+                    cells[c][(g, s)] = EXCLUDED
+                    continue
+                cells[c][(g, s)] = eff.value
+                vals.append(eff.value)
+            per_split[c].append(float(np.mean(vals)) if vals else None)
+    assignment = assign_paths(splits)
+    out = {c: (tuple(per_split[c]),) + path_statistics(cells[c], assignment, c) for c in criteria}
+    return out, tuple(failed), excluded, degenerate
+
+
+class TestRunCvMatchesPerCellReference:
+    """The batched scoring gives exactly the per-cell numbers, not approximately."""
+
+    # six groups; group 2 is too short for min_obs, group 3 has a flat spot leg
+    SIZES = (110, 110, 18, 110, 110, 112)
+
+    def scenario(self):
+        spot, fut = coint_series(seed=21, n=sum(self.SIZES))
+        bounds = np.cumsum((0,) + self.SIZES)
+        groups = tuple(range(bounds[i], bounds[i + 1]) for i in range(len(self.SIZES)))
+        part = GroupPartition(Scheme.EQUAL_COUNT, groups, self.SIZES)
+        flat = spot.values.copy()
+        flat[groups[3].start : groups[3].stop] = flat[groups[3].start]
+        spot = price_series(flat)
+        ds = np.diff(np.log(spot.values))
+        df = np.diff(np.log(fut.values))
+
+        def ratio_fn(segs):
+            tested = tuple(
+                g for g, rg in enumerate(groups) if not any(rg.start >= s.start and rg.stop <= s.stop for s in segs)
+            )
+            if tested == (1, 3, 4):
+                raise InsufficientDataError("synthetic failure")
+            if tested == (0, 4, 5):
+                return float("inf")
+            idx = np.concatenate([np.arange(s.start, s.stop - 1) for s in segs])
+            return float(np.cov(ds[idx], df[idx])[0, 1] / np.var(df[idx], ddof=1))
+
+        return spot, fut, part, ratio_fn
+
+    @pytest.mark.parametrize(
+        "criteria",
+        [(Criterion.VARIANCE_REDUCTION,), (Criterion.VAR,), (Criterion.VARIANCE_REDUCTION, Criterion.VAR)],
+        ids=["vr", "var", "both"],
+    )
+    @pytest.mark.parametrize("h", [1, 4])
+    def test_equals_reference(self, criteria, h):
+        spot, fut, part, ratio_fn = self.scenario()
+        min_obs, alpha = 25, 0.05
+        got = run_cv(spot, fut, ratio_fn, h, criteria, part, 3, min_obs=min_obs, alpha=alpha)
+        want, failed, excluded, degenerate = reference_cv(
+            spot, fut, ratio_fn, h, criteria, part, 3, min_obs, alpha
+        )
+        # the scenario reaches every cell status
+        assert failed and excluded == [2] and degenerate
+        for c in criteria:
+            per_split, per_path, stats, voided = want[c]
+            rep = got[c]
+            assert stats is not None
+            assert rep.per_split_values == per_split
+            assert rep.per_path_values == per_path
+            assert rep.stats == stats
+            assert rep.n_paths_voided == voided
+            assert rep.failed_splits == failed
+            assert [g for g, _ in rep.excluded_groups] == excluded
+
+    @pytest.mark.parametrize("n", [20, 21, 249, 250, 1001])
+    def test_batched_row_equals_1d_call_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        ds, df = rng.normal(0, 0.02, n), rng.normal(0, 0.02, n)
+        df[::7] = np.round(df[::7], 3)  # ties in the order statistics
+        r = rng.uniform(0.5, 1.2, 21)
+        portfolios = ds[None, :] - r[:, None] * df[None, :]
+        var_rows = np.var(portfolios, axis=1, ddof=1)
+        q_rows = np.quantile(portfolios, 0.05, axis=1, method="linear")
+        vr_rows, _, _ = effectiveness_rows(Criterion.VARIANCE_REDUCTION, ds, portfolios)
+        var_eff_rows, _, _ = effectiveness_rows(Criterion.VAR, ds, portfolios, 0.05)
+        for i, ratio in enumerate(r):
+            port = build_portfolio(ds, df, ratio, 1).portfolio
+            assert port.tobytes() == portfolios[i].tobytes()
+            assert np.var(port, ddof=1).tobytes() == var_rows[i].tobytes()
+            assert np.quantile(port, 0.05, method="linear").tobytes() == q_rows[i].tobytes()
+            assert vr_rows[i] == he_variance(ds, port).value
+            assert var_eff_rows[i] == he_var(ds, port, 0.05).value
