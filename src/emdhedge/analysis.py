@@ -1,15 +1,23 @@
 """Cross-cutting diagnostics: IMF variance shares, spot/futures matching
-degree, and the determinant / relative-performance regressions."""
+degree, and the determinant / relative-performance regressions.
+
+Significance stars take the two-sided Student-t p-value from the
+regularized incomplete beta function, evaluated by its continued fraction
+with the modified Lentz method (Press et al., *Numerical Recipes*, 3rd ed.,
+section 6.4), in float arithmetic, or in 50-digit decimal arithmetic when p
+is within rounding of a star level.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
-from scipy.special import stdtr
 
 from .emd import ImfSet
-from .errors import DataError, DegenerateInputError, InsufficientDataError
+from .errors import DataError, DegenerateInputError, InsufficientDataError, NumericError
 from .estimators import ImfPair, OlsFit, ols
 
 __all__ = [
@@ -126,15 +134,96 @@ def relative_performance(model_he: float, mv_he: float) -> float:
     return (model_he - mv_he) / abs(mv_he)
 
 
+_STAR_LEVELS = ((0.01, "***"), (0.05, "**"), (0.10, "*"))
+_NEAR_TIE = 1e-6  # relative distance to a star level under which p is recomputed exactly
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _beta_cf(a, b, x, tiny, eps):
+    """Continued fraction of the regularized incomplete beta I_x(a, b), less
+    its prefactor, by the modified Lentz method, in float or Decimal
+    arithmetic; it converges fast for x < (a + 1) / (a + b + 2)."""
+    c, d = 1, 1 - (a + b) * x / (a + 1)
+    d = 1 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1 + num * d
+            d = 1 / (d if abs(d) > tiny else tiny)
+            c = 1 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1) < eps:
+            return h
+    raise NumericError(f"incomplete beta continued fraction did not converge (a={a}, b={b})")
+
+
+def _ibeta(a, b, x, y, front, tiny, eps):
+    """I_x(a, b) from y = 1 - x and front = x^a y^b / B(a, b), through
+    I_x(a, b) = 1 - I_y(b, a) where the fraction would converge slowly."""
+    if x < (a + 1) / (a + b + 2):
+        return front * _beta_cf(a, b, x, tiny, eps) / a
+    return 1 - front * _beta_cf(b, a, y, tiny, eps) / b
+
+
+def _t_pvalue(t_stat: float, dof: int) -> float:
+    """Two-sided Student-t p-value P(|T| >= |t_stat|) with ``dof`` degrees of
+    freedom: I_x(dof/2, 1/2) at x = dof / (dof + t^2).
+
+    dof = 1 (Cauchy) takes the closed form asin(sqrt(x)) / (pi/2), with the
+    branch and the operations of ``scipy.special.stdtr``, so it gives the
+    same bits; larger dof take the continued fraction.
+    """
+    t = float(t_stat)
+    t2 = t * t
+    if math.isinf(t2):
+        return 0.0
+    s = dof + t2
+    x, y = dof / s, t2 / s  # y = 1 - x without cancellation
+    if dof == 1:
+        return math.asin(math.sqrt(1.0 - y if 1.0 > 2.0 * t2 else x)) / (math.pi / 2)
+    if t2 == 0.0:
+        return 1.0
+    a = 0.5 * dof
+    log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    front = math.exp(a * math.log(x) + 0.5 * math.log(y) - log_beta)
+    return _ibeta(a, 0.5, x, y, front, 1e-300, 1e-16)
+
+
+def _t_pvalue_exact(t_stat: float, dof: int) -> Decimal:
+    """``_t_pvalue`` for dof >= 2 and t_stat != 0 in 50-digit decimal
+    arithmetic. B(dof/2, 1/2) is built up from B(1/2, 1/2) = pi or
+    B(1, 1/2) = 2 by B(k + 1, 1/2) = B(k, 1/2) k / (k + 1/2)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b = Decimal(dof) / 2, Decimal("0.5")
+        beta, k = (_PI, b) if dof % 2 else (Decimal(2), Decimal(1))
+        while k < a:
+            beta *= k / (k + b)
+            k += 1
+        t2 = Decimal(t_stat) ** 2
+        x, y = dof / (dof + t2), t2 / (dof + t2)
+        front = (a * x.ln() + b * y.ln()).exp() / beta
+        return _ibeta(a, b, x, y, front, Decimal("1e-80"), Decimal("1e-45"))
+
+
 def significance_stars(t_stat: float, dof: int) -> str:
-    """Two-sided stars at 0.01 (***), 0.05 (**), 0.10 (*)."""
+    """Two-sided stars at 0.01 (***), 0.05 (**), 0.10 (*).
+
+    A p-value within a relative 1e-6 of a level, where the rounding of the
+    float evaluation could decide the comparison, is recomputed exactly
+    (``_t_pvalue_exact``) for dof >= 2; at dof = 1 the float value is
+    scipy's already.
+    """
     if dof < 1 or not np.isfinite(t_stat):
         return ""
-    p = 2.0 * stdtr(dof, -abs(t_stat))  # the Student-t survival function
-    if p < 0.01:
-        return "***"
-    if p < 0.05:
-        return "**"
-    if p < 0.10:
-        return "*"
+    p = _t_pvalue(t_stat, dof)
+    if dof > 1 and any(abs(p - level) <= _NEAR_TIE * level for level, _ in _STAR_LEVELS):
+        p = _t_pvalue_exact(t_stat, dof)
+    for level, stars in _STAR_LEVELS:
+        if p < level:
+            return stars
     return ""

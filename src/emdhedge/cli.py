@@ -4,7 +4,9 @@ Subcommands: synth, decompose, hedge, cv, analyze, pipeline. Outputs are
 CSV tables plus JSON sidecars; all numbers are written at full precision so
 reruns with the same config are byte-identical.
 
-Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
+Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure. A stage that
+fails writes a ``failed`` manifest and exits 2 for a data error and 3 for
+anything else.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .analysis import (
     significance_stars,
     variance_decomposition,
 )
-from .cpcv import Criterion, PathReport, Scheme, partition, run_cv
+from .cpcv import Criterion, PathReport, Scheme, excluded_groups, partition, run_cv
 from .emd import ImfSet, SiftConfig, decompose
 from .errors import DataError, EmdHedgeError, NumericError
 from .estimators import Method, pair_imfs
@@ -37,6 +39,7 @@ from .series import DiffKind, PriceSeries, horizon_diff, load_csv
 from .synth import CointSpec, SynthSpec, gen_coint_pair, gen_tones
 
 ALL_METHODS = (Method.MV, Method.ECM, Method.EECM, Method.VEMD, Method.SEMD, Method.AEMD)
+CV_CRITERIA = (Criterion.VARIANCE_REDUCTION, Criterion.VAR)
 
 
 @dataclass
@@ -83,6 +86,20 @@ class RunConfig:
         if not out:
             raise UsageError("empty method list")
         return out
+
+    def horizon_list(self) -> list[int] | None:
+        """Explicit horizons in the given order, or None for ``auto``."""
+        if self.horizons == "auto":
+            return None
+        horizons = []
+        for tok in self.horizons.split(","):
+            try:
+                horizons.append(int(tok))
+                if horizons[-1] < 1:
+                    raise ValueError
+            except ValueError:
+                raise UsageError(f"bad horizon '{tok}'") from None
+        return horizons
 
     def partition_scheme(self) -> tuple[Scheme, int | None]:
         """(scheme, N) from ``equal:N`` or ``year``; N is None for ``year``."""
@@ -187,17 +204,9 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("horizon_cap must be >= 1")
     if cfg.decompose_scope not in ("full", "per-segment"):
         raise UsageError(f"bad decompose_scope '{cfg.decompose_scope}'")
-    if cfg.horizons != "auto":
-        horizons = []
-        for tok in cfg.horizons.split(","):
-            try:
-                horizons.append(int(tok))
-                if horizons[-1] < 1:
-                    raise ValueError
-            except ValueError:
-                raise UsageError(f"bad horizon '{tok}'") from None
-        if len(set(horizons)) < len(horizons):
-            raise UsageError(f"duplicate horizons in '{cfg.horizons}'")
+    horizons = cfg.horizon_list()
+    if horizons is not None and len(set(horizons)) < len(horizons):
+        raise UsageError(f"duplicate horizons in '{cfg.horizons}'")
     return cfg
 
 
@@ -294,12 +303,13 @@ def _emit_decomposition(state: PipelineState) -> None:
     state.fut_set = decompose(state.fut.values, sift_cfg)
     for name, s in (("spot", state.spot_set), ("futures", state.fut_set)):
         header = ["t"] + [f"imf{i + 1}" for i in range(len(s.imfs))] + ["residue"]
-        rows = [
-            [t] + [imf.values[t] for imf in s.imfs] + [s.residue[t]]
-            for t in range(s.source_len)
-        ]
+        columns = np.column_stack([imf.values for imf in s.imfs] + [s.residue])
         path = state.outdir / f"decomposition_{name}.csv"
-        _write_csv(path, header, rows)
+        with open(path, "w", newline="") as fh:  # _write_csv's bytes: repr of each float
+            fh.write(",".join(header) + "\n")
+            fh.writelines(
+                f"{t},{','.join(map(repr, row))}\n" for t, row in enumerate(columns.tolist())
+            )
         state.artifacts.append(path.name)
     sidecar = state.outdir / "decomposition.json"
     _write_json(
@@ -332,14 +342,14 @@ def _select_rows(state: PipelineState) -> list[tuple[int, int]]:
     cfg = state.cfg
     cycles = [imf.cycle for imf in state.spot_set.imfs]
     rows: list[tuple[int, int]] = []
-    if cfg.horizons == "auto":
+    horizons = cfg.horizon_list()
+    if horizons is None:
         for i, c in enumerate(cycles, start=1):
             h = max(1, round(c))
             if h <= cfg.horizon_cap:
                 rows.append((i, h))
     else:
-        for tok in cfg.horizons.split(","):
-            h = int(tok)
+        for h in horizons:
             nearest = min(range(len(cycles)), key=lambda j: abs(cycles[j] - h)) + 1 if cycles else 1
             rows.append((nearest, h))
     if not rows:
@@ -441,7 +451,7 @@ def _emit_cv(state: PipelineState) -> None:
     cfg = state.cfg
     methods = cfg.method_list()
     part = cfg.partition_of(state.spot)
-    criteria = (Criterion.VARIANCE_REDUCTION, Criterion.VAR)
+    criteria = CV_CRITERIA
     sidecar: dict = {}
     decompositions: dict = {}  # per-segment scope: (leg, start, stop) -> ImfSet
     for imf_index, h in state.rows:
@@ -643,15 +653,36 @@ def _emit_determinants(state: PipelineState) -> None:
 STAGES = ("decompose", "preliminary", "insample", "cv", "determinants")
 
 
+def _check_cv_against_data(state: PipelineState) -> None:
+    """Reject a CV config that the loaded data cannot serve, before any artifact:
+    k >= the number of partition groups (for a calendar-year partition this
+    needs the data), or an explicit horizon that excludes every group."""
+    cfg = state.cfg
+    part = cfg.partition_of(state.spot)
+    if cfg.k >= part.n_groups:
+        raise DataError(f"k must be < N, got k={cfg.k} with {part.n_groups} partition groups")
+    for h in cfg.horizon_list() or ():
+        if len(excluded_groups(part, h, CV_CRITERIA, cfg.min_obs)) == part.n_groups:
+            raise DataError(
+                f"horizon {h} excludes every partition group "
+                f"(largest group: {max(part.sizes)} observations)"
+            )
+
+
 def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
-    """Run the selected stages and write the manifest; returns the out dir."""
+    """Run the selected stages and write the manifest; returns the out dir.
+
+    A stage that raises ends the run with a ``failed`` manifest; the error is
+    then re-raised as a ``DataError`` if it was one, else as a
+    ``NumericError``, so the CLI exits 2 or 3.
+    """
+    cfg.method_list()  # a bad method list is a usage error, before any artifact
     state = _load_state(cfg)
-    if "cv" in stages:  # k < N for a calendar-year partition needs the data
-        n_groups = len(cfg.partition_of(state.spot).groups)
-        if cfg.k >= n_groups:
-            raise DataError(f"k must be < N, got k={cfg.k} with {n_groups} partition groups")
+    if "cv" in stages:
+        _check_cv_against_data(state)
     status = "ok"
     failed_stage = None
+    error: Exception | None = None
     stage_fns = {
         "decompose": _emit_decomposition,
         "preliminary": _emit_preliminary,
@@ -663,10 +694,12 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
         for stage in STAGES:
             if stage in stages:
                 stage_fns[stage](state)
-    except EmdHedgeError as exc:
+    except Exception as exc:  # any failure, expected or not, ends the run with a manifest
         status = "failed"
         failed_stage = stage
-        state.warnings.append(f"stage {stage} failed: {exc}")
+        error = exc
+        reason = str(exc) if isinstance(exc, EmdHedgeError) else f"{type(exc).__name__}: {exc}"
+        state.warnings.append(f"stage {stage} failed: {reason}")
     manifest = {
         "version": __version__,
         "status": status,
@@ -683,8 +716,9 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
         ],
     }
     _write_json(state.outdir / "manifest.json", manifest)
-    if status != "ok":
-        raise NumericError(f"pipeline stage '{failed_stage}' failed (see manifest)")
+    if error is not None:
+        cls = DataError if isinstance(error, DataError) else NumericError
+        raise cls(f"pipeline stage '{failed_stage}' failed: {reason} (see manifest)") from error
     return state.outdir
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "enumerate_splits",
     "assign_paths",
     "path_statistics",
+    "excluded_groups",
     "run_cv",
 ]
 
@@ -190,6 +191,28 @@ def path_statistics(
 RatioFn = Callable[[tuple[range, ...]], float]
 
 
+def excluded_groups(
+    part: GroupPartition,
+    horizon: int,
+    criteria: tuple[Criterion, ...],
+    min_obs: int | None = None,
+) -> list[tuple[int, str]]:
+    """(group index, reason) of each group too short to score at ``horizon``.
+
+    A group needs ``min_obs`` within-group horizon differences (default
+    max(10, 2 * horizon)), and at least 20 when VaR is among the criteria.
+    """
+    if min_obs is None:
+        min_obs = max(10, 2 * horizon)
+    if Criterion.VAR in criteria:
+        min_obs = max(min_obs, 20)  # empirical quantile floor
+    return [
+        (gi, f"{max(len(g) - horizon, 0)} observations at horizon {horizon} < {min_obs}")
+        for gi, g in enumerate(part.groups)
+        if len(g) - horizon < min_obs
+    ]
+
+
 def run_cv(
     spot: PriceSeries,
     fut: PriceSeries,
@@ -206,8 +229,8 @@ def run_cv(
 
     ``ratio_fn`` maps the merged training index ranges to a hedge ratio.
     Each test group is scored separately on within-group horizon differences;
-    groups with fewer than ``min_obs`` differenced observations are excluded
-    at this horizon.
+    groups too short for ``min_obs`` of them are excluded at this horizon
+    (``excluded_groups``).
 
     Phase 1 estimates the ratio of every split. A split whose ratio function
     raises a ``NumericError``, ``InsufficientDataError`` or ``DataError``, or
@@ -222,27 +245,21 @@ def run_cv(
     """
     if len(spot) != len(fut):
         raise DataError("spot and futures series must be aligned")
-    if min_obs is None:
-        min_obs = max(10, 2 * horizon)
-    if Criterion.VAR in criteria:
-        min_obs = max(min_obs, 20)  # empirical quantile floor
-
     splits = enumerate_splits(part.n_groups, k)
     assignment = assign_paths(splits)
 
-    excluded: list[tuple[int, str]] = []
+    excluded = excluded_groups(part, horizon, criteria, min_obs)
+    if len(excluded) == part.n_groups:
+        raise InsufficientDataError(f"all groups excluded at horizon {horizon}")
+    skip = {g for g, _ in excluded}
     group_rets: list[tuple[np.ndarray, np.ndarray] | None] = []
     for gi, g in enumerate(part.groups):
-        n_diffs = len(g) - horizon
-        if n_diffs < min_obs:
-            excluded.append((gi, f"{max(n_diffs, 0)} observations at horizon {horizon} < {min_obs}"))
+        if gi in skip:
             group_rets.append(None)
             continue
         sv = np.log(spot.values[g.start : g.stop])
         fv = np.log(fut.values[g.start : g.stop])
         group_rets.append((sv[horizon:] - sv[:-horizon], fv[horizon:] - fv[:-horizon]))
-    if all(rets is None for rets in group_rets):
-        raise InsufficientDataError(f"all groups excluded at horizon {horizon}")
 
     # phase 1: one hedge ratio per split; None marks a failed split
     ratios: list[float | None] = []

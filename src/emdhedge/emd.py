@@ -7,8 +7,9 @@ the IMF off and continues on the remainder until only a trend is left.
 
 Envelopes use natural cubic splines with ``boundary_mirror_count`` extrema
 mirrored beyond each end to suppress end swings. Each spline is built by one
-direct tridiagonal solve of the natural end-condition system (LAPACK
-``dgtsv``), with the same arithmetic as ``scipy.interpolate.CubicSpline``.
+direct tridiagonal solve of the natural end-condition system, a Python
+replica of LAPACK ``dgtsv`` (Anderson et al., *LAPACK Users' Guide*, 3rd
+ed., 1999), with the same arithmetic as ``scipy.interpolate.CubicSpline``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import DataError, InsufficientDataError, NumericError
 
@@ -90,12 +90,12 @@ class SiftResult:
     residue_like: bool = False
 
 
-def _plateau_runs(x: np.ndarray):
-    """Run-length encode x into (start, stop, value) runs of equal values."""
-    n = len(x)
-    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    stops = np.r_[starts[1:], n]
-    return starts, stops
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal consecutive values in x."""
+    change = np.empty(len(x), dtype=bool)
+    change[0] = True
+    np.not_equal(x[1:], x[:-1], out=change[1:])
+    return np.flatnonzero(change)
 
 
 def find_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -109,15 +109,15 @@ def find_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     if len(x) < 3:
         raise InsufficientDataError("need at least 3 samples for extrema detection")
 
-    starts, stops = _plateau_runs(x)
+    starts = _run_starts(x)
     rv = x[starts]
     inner = rv[1:-1]
-    mids = (starts[1:-1] + stops[1:-1] - 1) // 2
+    mids = (starts[1:-1] + starts[2:] - 1) // 2  # an inner run stops where the next starts
     maxima = mids[(inner > rv[:-2]) & (inner > rv[2:])]
     minima = mids[(inner < rv[:-2]) & (inner < rv[2:])]
 
-    nz = x[x != 0.0]
-    crossings = int(np.count_nonzero(np.sign(nz[1:]) != np.sign(nz[:-1]))) if len(nz) > 1 else 0
+    sign = np.sign(x[x != 0.0])
+    crossings = int(np.count_nonzero(sign[1:] != sign[:-1]))
     return maxima, minima, crossings
 
 
@@ -130,40 +130,92 @@ def _mirrored_knots(idx: np.ndarray, vals: np.ndarray, n: int, mirror: int):
     right_v = vals[-m:][::-1]
     knots_i = np.concatenate([left_i, idx, right_i])
     knots_v = np.concatenate([left_v, vals, right_v])
-    # dedupe any coincident knots from the reflection
+    if (knots_i[1:] > knots_i[:-1]).all():
+        return knots_i, knots_v
+    # dedupe any coincident knots from the reflection (an extremum at an end)
     knots_i, keep = np.unique(knots_i, return_index=True)
     return knots_i, knots_v[keep]
 
 
+def _dgtsv(dl: list, d: list, du: list, b: list) -> list:
+    """Solve one tridiagonal system as LAPACK ``dgtsv`` does, for one right-hand side.
+
+    ``dl``, ``d`` and ``du`` are the sub-, main and super-diagonal. Gaussian
+    elimination with partial pivoting: rows i and i+1 are interchanged when
+    the sub-diagonal entry is larger in magnitude than the pivot, which
+    fills in a second super-diagonal. The back-solve is ``(b - du*x[i+1] -
+    du2*x[i+2]) / d`` with the zero ``du2`` entries of non-interchanged rows
+    kept. Every operation and its order match the reference routine, so the
+    result is bit-identical to it. Row i's current pivot, super-diagonal and
+    right-hand side are carried in locals; the inputs are not modified. A
+    zero pivot (LAPACK ``info = i > 0``) raises ``NumericError``.
+    """
+    n = len(d)
+    piv = [0.0] * n
+    sup1 = [0.0] * n
+    sup2 = [0.0] * n
+    x = [0.0] * n  # the eliminated right-hand side, then the solution
+    dc, uc, bc = d[0], du[0] if n > 1 else 0.0, b[0]
+    i = 0
+    for li, dn, bn, un in zip(dl, d[1:], b[1:], du[1:] + [0.0]):  # row i + 1
+        if (dc if dc >= 0.0 else -dc) >= (li if li >= 0.0 else -li):
+            if dc == 0.0:
+                raise NumericError(f"envelope spline system is singular (dgtsv info={i + 1})")
+            fact = li / dc
+            piv[i], sup1[i], x[i] = dc, uc, bc
+            dc, uc, bc = dn - fact * uc, un, bn - fact * bc
+        else:  # interchange rows i and i + 1
+            fact = dc / li
+            piv[i], sup1[i], sup2[i], x[i] = li, dn, un, bn
+            dc, uc, bc = uc - fact * dn, -fact * un, bc - fact * bn
+        i += 1
+    if dc == 0.0:
+        raise NumericError(f"envelope spline system is singular (dgtsv info={n})")
+    x1 = x[n - 1] = bc / dc
+    if n > 1:
+        x1, x2 = (x[n - 2] - sup1[n - 2] * x1) / piv[n - 2], x1
+        x[n - 2] = x1
+        for i in range(n - 3, -1, -1):
+            x1, x2 = (x[i] - sup1[i] * x1 - sup2[i] * x2) / piv[i], x1
+            x[i] = x1
+    return x
+
+
 def _natural_spline(knots: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Natural cubic spline through (knots, values), evaluated at t.
+    """Natural cubic spline through (knots, values), evaluated at t = 0, 1, ..., n-1.
 
     Knot slopes solve the tridiagonal system that ``CubicSpline(...,
-    bc_type="natural")`` builds, by the same LAPACK routine (``dgtsv``); the
-    Hermite coefficients and the piecewise evaluation repeat ``PPoly``'s
-    operations, so the result is bit-identical. Knots must strictly increase.
+    bc_type="natural")`` builds, by a replica of the routine it calls
+    (``_dgtsv``); the Hermite coefficients and the piecewise evaluation
+    repeat ``PPoly``'s operations, so the result is bit-identical. The knots
+    are strictly increasing integers with ``knots[0] <= 0`` and ``knots[-1]
+    >= n - 1``, as ``_mirrored_knots`` makes them, so each interval's points
+    are counted rather than searched for.
     """
     x = knots.astype(float)
     y = values
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
+    dx = x[1:] - x[:-1]
+    slope = (y[1:] - y[:-1]) / dx
     d = np.empty(len(x))
     d[0] = 2 * dx[0]
     d[1:-1] = 2 * (dx[:-1] + dx[1:])
     d[-1] = 2 * dx[-1]
-    du = np.concatenate([dx[:1], dx[:-1]])
-    dl = np.concatenate([dx[1:], dx[-1:]])
     b = np.empty(len(x))
     b[0] = 3 * (y[1] - y[0])
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     b[-1] = 3 * (y[-1] - y[-2]) + 0.0  # CubicSpline adds 0.5 * 0 * dx**2 here
-    *_, s, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
-    if info != 0:
-        raise NumericError(f"envelope spline system is singular (dgtsv info={info})")
+    h = dx.tolist()
+    s = np.fromiter(_dgtsv(h[1:] + h[-1:], d.tolist(), h[:1] + h[:-1], b.tolist()), float, len(x))
     tc = (s[:-1] + s[1:] - 2 * slope) / dx
     c0 = tc / dx
     c1 = (slope - s[:-1]) / dx - tc
-    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    # interval of each t, as PPoly finds it: the last knot <= t, and the
+    # last interval for t at or beyond the last knot
+    n = len(t)
+    edges = np.minimum(np.maximum(knots, 0), n)
+    counts = edges[1:] - edges[:-1]
+    counts[-1] = n - edges[-2]
+    i = np.repeat(np.arange(len(x) - 1), counts)
     z = t - x[i]
     z2 = z * z
     # PPoly sums from the constant term up, starting from 0.0
@@ -256,8 +308,8 @@ def cycle(n_maxima: int, n_minima: int, series_len: int) -> float:
 
 
 def _is_monotone(x: np.ndarray) -> bool:
-    d = np.diff(x)
-    return bool(np.all(d >= 0) or np.all(d <= 0))
+    d = x[1:] - x[:-1]
+    return bool((d >= 0).all() or (d <= 0).all())
 
 
 def decompose(x: np.ndarray, cfg: SiftConfig = SiftConfig()) -> ImfSet:

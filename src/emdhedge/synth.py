@@ -2,8 +2,10 @@
 
 Randomness comes from the Philox 4x64 counter-based generator with Gaussian
 draws via the inverse normal CDF, so identical specs produce bit-identical
-streams on every platform. Draw order is fixed: futures-walk innovations
-first, then basis innovations, then the initial basis value.
+streams on every platform. The inverse CDF is a numpy port of the Cephes
+``ndtri`` (Moshier, *Methods and Programs for Mathematical Functions*, 1989),
+bit-identical to ``scipy.special.ndtri``. Draw order is fixed: futures-walk
+innovations first, then basis innovations, then the initial basis value.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DataError
 from .series import Leg, PriceSeries
@@ -56,10 +57,79 @@ class SynthSpec:
                 raise DataError("tone periods must be >= 4 samples")
 
 
+# Cephes ndtri: a rational approximation in y - 1/2 on the centre
+# exp(-2) < y < 1 - exp(-2), and two in z = 1/sqrt(-2 log y) on the tails
+# (sqrt(-2 log y) below 8, and from 8 up). Each Q starts with the leading
+# 1 that Cephes' p1evl implies; 1.0 * x + c rounds as x + c does.
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Horner's rule, highest power first (Cephes ``polevl``)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of y0 in (0, 1), element for element the
+    operations of Cephes ``ndtri``. The tails take ``math.log``, the C
+    library ``log`` that Cephes calls, because numpy's own ``log`` may round
+    differently."""
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)  # reflect the upper tail
+    out = np.empty_like(y)
+    centre = y > _EXP_M2
+    yc = y[centre] - 0.5
+    y2 = yc * yc
+    out[centre] = (yc + yc * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    tail = ~centre
+    x = np.sqrt(np.array([-2.0 * math.log(v) for v in y[tail].tolist()]))
+    x0 = x - np.array([math.log(v) for v in x.tolist()]) / x
+    z = 1.0 / x
+    x1 = np.where(
+        x < 8.0, z * _polevl(z, _P1) / _polevl(z, _Q1), z * _polevl(z, _P2) / _polevl(z, _Q2)
+    )
+    xt = x0 - x1
+    out[tail] = np.where(upper[tail], xt, -xt)
+    return out
+
+
 def _normals(rng: np.random.Generator, n: int) -> np.ndarray:
     """Standard normals via inverse CDF of Philox uniforms (portable)."""
     u = rng.random(n)
-    return ndtri(np.clip(u, 1e-15, 1.0 - 1e-16))
+    return _ndtri(np.clip(u, 1e-15, 1.0 - 1e-16))
 
 
 def _timestamps(n: int) -> np.ndarray:

@@ -3,6 +3,8 @@ import pytest
 from scipy import stats as sp_stats
 
 from emdhedge.analysis import (
+    _t_pvalue,
+    _t_pvalue_exact,
     determinant_regression,
     matching_degree,
     relative_performance,
@@ -164,3 +166,49 @@ class TestSignificanceStars:
     def test_invalid_inputs_blank(self):
         assert significance_stars(float("nan"), 30) == ""
         assert significance_stars(3.0, 0) == ""
+
+
+class TestTPvalue:
+    """The two-sided Student-t p-value against scipy (the oracle only)."""
+
+    DOFS = list(range(1, 61)) + [75, 100, 250, 500, 1000]
+
+    def test_within_1e12_of_scipy_stdtr(self):
+        from scipy.special import stdtr
+
+        rng = np.random.default_rng(5)
+        ts = np.concatenate([10.0 ** rng.uniform(-3, 3, 150), rng.uniform(0, 8, 150), [0.0, 1e300]])
+        for dof in self.DOFS:
+            for t in ts:
+                assert abs(_t_pvalue(t, dof) - 2.0 * stdtr(dof, -t)) <= 1e-12, (dof, t)
+
+    def test_cauchy_case_is_bit_identical_to_scipy(self):
+        from scipy.special import stdtr
+
+        ts = np.concatenate([10.0 ** np.linspace(-12, 8, 2001), [0.0, 0.7071, 0.7072]])
+        assert all(_t_pvalue(t, 1) == 2.0 * stdtr(1, -t) for t in ts)
+
+    def test_closed_form_for_two_dof(self):
+        for t in 10.0 ** np.linspace(-3, 3, 301):
+            r = np.sqrt(2 + t * t)
+            assert _t_pvalue(t, 2) == pytest.approx(2.0 / (r * (r + t)), rel=1e-13)
+
+    def test_exact_path_agrees_with_float_path(self):
+        for dof in (2, 3, 8, 41, 500):
+            for t in (0.3, 1.7, 2.5, 9.0):
+                assert abs(float(_t_pvalue_exact(t, dof)) - _t_pvalue(t, dof)) <= 1e-12
+
+    def test_same_stars_as_scipy_within_1e9_of_each_critical_t(self):
+        from scipy.special import stdtr, stdtrit
+
+        def reference(t, dof):
+            p = 2.0 * stdtr(dof, -abs(t))
+            return "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.10 else ""
+
+        for dof in self.DOFS:
+            for alpha in (0.01, 0.05, 0.10):
+                crit = -stdtrit(dof, alpha / 2)
+                for t in crit + np.array([-1e-9, -3e-10, 3e-10, 1e-9, -1e-3, 1e-3]):
+                    for signed in (t, -t):
+                        expected = reference(signed, dof)
+                        assert significance_stars(signed, dof) == expected, (dof, alpha, t)

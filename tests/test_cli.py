@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import emdhedge
-from emdhedge import methods
+from emdhedge import cli, methods
 from emdhedge.cli import (
     RunConfig,
     UsageError,
@@ -18,6 +18,8 @@ from emdhedge.cli import (
     run_pipeline,
 )
 from emdhedge.cpcv import Scheme, enumerate_splits, partition
+from emdhedge.emd import Imf, ImfSet
+from emdhedge.errors import SingularDesignError
 from emdhedge.series import load_csv, restrict
 
 
@@ -115,16 +117,44 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 1
 
 
-def test_cli_import_leaves_scipy_stats_and_interpolate_unloaded():
-    code = (
-        "import sys, emdhedge.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules])"
-    )
+_NO_SCIPY_RUN = """
+import importlib.abc, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy import refused: {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from emdhedge.analysis import significance_stars
+from emdhedge.cli import main
+
+pair, out = sys.argv[1], sys.argv[2]
+rcs = [
+    main(["synth", "--out", pair, "--length", "300", "--seed", "4"]),
+    main(["pipeline", "--input", pair, "--out", out, "--partition", "equal:4"]),
+]
+# a short pipeline has too few rows for the determinant regressions, so the
+# p-values are exercised directly, one of them at a near-tie (dof 5, p ~ 0.10)
+stars = [significance_stars(t, 5) for t in (0.5, 2.015048373333024, 4.5)]
+print(rcs, stars, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_synth_and_pipeline_run_with_scipy_imports_refused(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(emdhedge.__file__).parents[1])}
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path / "pair.csv"), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[0, 0] ['', '', '***'] []"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert "determinants.csv" in manifest["artifacts"]
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +174,24 @@ class TestPipeline:
         for name in ("decomposition_spot.csv", "decomposition_futures.csv", "cycles.csv"):
             assert name in manifest["artifacts"]
             assert (outdir / name).exists()
+
+    def test_decomposition_csv_has_write_csv_bytes_for_special_values(
+        self, pair_csv, tmp_path, monkeypatch
+    ):
+        spot, _, _ = load_csv(pair_csv)
+        n = len(spot)
+        special = np.resize([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -2.5e17, 1 / 3], n)
+        imf = Imf(special, 1, 4.0, 2, 2, 3, 1, True)
+        fake = ImfSet(imfs=(imf, imf), residue=special[::-1].copy(), source_len=n)
+        monkeypatch.setattr(cli, "decompose", lambda x, cfg: fake)
+        monkeypatch.setattr(cli, "pair_imfs", lambda a, b: ([], []))
+        outdir = tmp_path / "out"
+        rc = main(["decompose", "--input", str(pair_csv), "--out", str(outdir), "--horizons", "5"])
+        assert rc == 0
+        expected = tmp_path / "expected.csv"
+        rows = [[t, special[t], special[t], special[::-1][t]] for t in range(n)]
+        cli._write_csv(expected, ["t", "imf1", "imf2", "residue"], rows)
+        assert (outdir / "decomposition_spot.csv").read_bytes() == expected.read_bytes()
 
     def test_hedge_emits_insample_tables(self, pair_csv, tmp_path):
         outdir = tmp_path / "out"
@@ -285,6 +333,46 @@ class TestPipeline:
         assert not list(outdir.glob("*.csv"))
 
 
+class TestFailedStageExitCodes:
+    def test_data_error_in_a_stage_exits_2_with_a_failed_manifest(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        rows = "".join(f"2000-01-0{i + 1},{100 + i},{99 + i}\n" for i in range(5))
+        short.write_text("date,spot,futures\n" + rows)
+        outdir = tmp_path / "out"
+        assert main(["decompose", "--input", str(short), "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "stage 'decompose' failed" in err
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"]) == ("failed", "decompose")
+
+    def test_numeric_error_in_a_stage_exits_3(self, pair_csv, tmp_path, monkeypatch, capsys):
+        def singular(state):
+            raise SingularDesignError("singular design")
+
+        monkeypatch.setattr(cli, "_emit_insample", singular)
+        outdir = tmp_path / "out"
+        assert main(["hedge", "--input", str(pair_csv), "--out", str(outdir)]) == 3
+        assert "numeric error" in capsys.readouterr().err
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"]) == ("failed", "insample")
+
+    def test_unexpected_exception_exits_3_with_a_failed_manifest_and_no_traceback(
+        self, pair_csv, tmp_path, monkeypatch, capsys
+    ):
+        def broken(state):
+            raise KeyError("no such column")
+
+        monkeypatch.setattr(cli, "_emit_insample", broken)
+        outdir = tmp_path / "out"
+        assert main(["hedge", "--input", str(pair_csv), "--out", str(outdir)]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error" in err and "KeyError" in err and "Traceback" not in err
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"]) == ("failed", "insample")
+        assert any("KeyError" in w for w in manifest["warnings"])
+        assert "decomposition_spot.csv" in manifest["artifacts"]
+
+
 class TestBadConfigFailsUpFront:
     @pytest.mark.parametrize(
         "flags",
@@ -309,3 +397,38 @@ class TestBadConfigFailsUpFront:
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
         assert not outdir.exists() or not any(outdir.iterdir())
+
+    def test_unknown_method_is_a_usage_error_before_any_artifact(self, pair_csv, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        argv = ["pipeline", "--input", str(pair_csv), "--out", str(outdir), "--methods", "MV,GARCH"]
+        assert main(argv) == 1
+        assert "GARCH" in capsys.readouterr().err
+        assert not outdir.exists() or not any(outdir.iterdir())
+
+    def test_horizon_excluding_every_group_is_a_data_error_before_any_artifact(
+        self, tmp_path, capsys
+    ):
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "600", "--seed", "3"])
+        outdir = tmp_path / "out"
+        rc = main(
+            ["cv", "--input", str(pair), "--out", str(outdir), "--partition", "equal:6"]
+            + ["--horizons", "1,2,200"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "horizon 200" in err
+        assert not any(outdir.iterdir())
+
+    @pytest.mark.parametrize("horizon, rc", [(80, 0), (81, 2)])
+    def test_horizon_rejection_applies_the_cv_exclusion_rule_at_its_edge(
+        self, tmp_path, horizon, rc
+    ):
+        # equal:6 on T=600 gives groups of 100 observations: at h=80 each has
+        # 20 differences, the VaR floor; at h=81 every group is excluded
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "600", "--seed", "3"])
+        outdir = tmp_path / "out"
+        argv = ["cv", "--input", str(pair), "--out", str(outdir), "--partition", "equal:6"]
+        assert main(argv + ["--horizons", str(horizon), "--min-obs", "20", "--methods", "MV"]) == rc
+        assert (outdir / "manifest.json").exists() == (rc == 0)

@@ -4,6 +4,9 @@ import pytest
 from emdhedge.emd import (
     Imf,
     SiftConfig,
+    _dgtsv,
+    _mirrored_knots,
+    _natural_spline,
     cycle,
     decompose,
     envelope_mean,
@@ -11,7 +14,7 @@ from emdhedge.emd import (
     is_imf,
     sift,
 )
-from emdhedge.errors import DataError, InsufficientDataError
+from emdhedge.errors import DataError, InsufficientDataError, NumericError
 
 
 def sine(period, n, amplitude=1.0, phase=0.0):
@@ -154,6 +157,101 @@ class TestEnvelopeMean:
             expected = 0.5 * (spline(maxima) + spline(minima))
             got = envelope_mean(x, maxima, minima, mirror)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(x)))
+
+
+def spline_system(dx):
+    """The natural-spline slope system's (dl, d, du) for knot spacings dx."""
+    d = np.r_[2 * dx[0], 2 * (dx[:-1] + dx[1:]), 2 * dx[-1]]
+    return np.r_[dx[1:], dx[-1]], d, np.r_[dx[0], dx[:-1]]
+
+
+class TestDgtsv:
+    """The Python solve against LAPACK's dgtsv (scipy is the oracle only)."""
+
+    def test_bit_identical_to_lapack_including_row_interchanges(self):
+        from scipy.linalg.lapack import dgtsv
+
+        rng = np.random.default_rng(7)
+        interchanged = 0
+        for trial in range(3000):
+            n = int(rng.integers(2, 80))
+            if trial % 2:  # irregular knot spacings, as the envelopes produce
+                dl, d, du = spline_system(rng.integers(1, 40, n - 1).astype(float))
+            else:  # general systems of either sign
+                dl, d, du = (rng.standard_normal(m) for m in (n - 1, n, n - 1))
+            b = rng.standard_normal(n)
+            interchanged += abs(d[0]) < abs(dl[0])  # the first elimination step swaps rows
+            *_, expected, info = dgtsv(dl.copy(), d.copy(), du.copy(), b.copy())
+            assert info == 0
+            got = np.array(_dgtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist()))
+            assert got.tobytes() == expected.tobytes()
+        assert interchanged > 500
+
+    def test_inputs_are_not_modified(self):
+        dl, d, du, b = [3.0, 1.0], [1.0, 4.0, 2.0], [2.0, 5.0], [1.0, 2.0, 3.0]
+        _dgtsv(dl, d, du, b)
+        assert (dl, d, du, b) == ([3.0, 1.0], [1.0, 4.0, 2.0], [2.0, 5.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "dl, d, du",
+        [
+            ([0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0]),  # zero first pivot, no interchange
+            ([1.0], [1.0, 1.0], [1.0]),  # the last pivot eliminates to zero
+            ([1.0, 0.0], [0.0, 5.0, 1.0], [0.0, 1.0]),  # zero pivot after an interchange
+        ],
+    )
+    def test_zero_pivot_raises_numeric_error_where_lapack_reports_info(self, dl, d, du):
+        from scipy.linalg.lapack import dgtsv
+
+        b = [1.0] * len(d)
+        *_, info = dgtsv(np.array(dl), np.array(d), np.array(du), np.array(b))
+        assert info > 0
+        with pytest.raises(NumericError, match=f"info={info}"):
+            _dgtsv(dl, d, du, b)
+
+    @pytest.mark.parametrize("n", [9, 40, 250, 2000])
+    def test_spline_bit_identical_to_cubic_spline(self, n):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.standard_normal(n))
+        t = np.arange(n, dtype=float)
+        for idx in find_extrema(x)[:2]:
+            if len(idx) < 2:
+                continue
+            for mirror in (1, 2, 3):
+                knots, vals = _mirrored_knots(idx, x[idx], n, mirror)
+                expected = CubicSpline(knots, vals, bc_type="natural")(t)
+                assert _natural_spline(knots, vals, t).tobytes() == expected.tobytes()
+
+
+    @pytest.mark.parametrize("mirror", [1, 2])
+    def test_spline_bit_identical_with_boundary_extrema(self, mirror):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(10 + mirror)
+        n = 40
+        t = np.arange(n, dtype=float)
+        for _ in range(200):
+            # extrema at both ends reflect onto themselves, so the mirrored
+            # knots hold duplicates, and with mirror=1 the last knot is n - 1
+            idx = np.unique(np.r_[0, rng.choice(np.arange(1, n - 1), 5, replace=False), n - 1])
+            vals = rng.choice([-0.0, 0.0, -1.0, 1.5], len(idx))
+            knots, kv = _mirrored_knots(idx, vals, n, mirror)
+            expected = CubicSpline(knots, kv, bc_type="natural")(t)
+            assert _natural_spline(knots, kv, t).tobytes() == expected.tobytes()
+
+    def test_negative_zero_knot_value_evaluates_to_positive_zero(self):
+        # PPoly starts its sum at 0.0, so a -0.0 knot value on a stretch where
+        # every other term is -0.0 too still evaluates to +0.0
+        from scipy.interpolate import CubicSpline
+
+        n, idx = 12, np.array([2, 3, 7, 8])
+        knots, kv = _mirrored_knots(idx, np.array([-0.0, -1.0, -3.0, 2.0]), n, 2)
+        t = np.arange(n, dtype=float)
+        got = _natural_spline(knots, kv, t)
+        assert got.tobytes() == CubicSpline(knots, kv, bc_type="natural")(t).tobytes()
+        assert got[2] == 0.0 and not np.signbit(got[2])
 
 
 class TestIsImf:

@@ -4,7 +4,7 @@ import pytest
 from emdhedge.emd import decompose
 from emdhedge.errors import DataError
 from emdhedge.estimators import mv_ratio
-from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair, gen_tones
+from emdhedge.synth import CointSpec, SynthSpec, _ndtri, _normals, gen_coint_pair, gen_tones
 
 
 class TestGenTones:
@@ -84,3 +84,38 @@ class TestGenCointPair:
         assert np.array_equal(spot.timestamps, fut.timestamps)
         deltas = np.diff(spot.timestamps).astype(int)
         assert np.all(deltas == 1)
+
+
+class TestNormals:
+    """The numpy inverse normal CDF against scipy's ``ndtri`` (the oracle only)."""
+
+    def test_bit_identical_to_ndtri_on_philox_uniforms_and_clip_endpoints(self):
+        from scipy.special import ndtri
+
+        rng = np.random.Generator(np.random.Philox(2024))
+        got = _normals(rng, 1_000_000)
+        u = np.random.Generator(np.random.Philox(2024)).random(1_000_000)
+        expected = ndtri(np.clip(u, 1e-15, 1.0 - 1e-16))
+        assert got.tobytes() == expected.tobytes()
+        ends = np.array([1e-15, 1.0 - 1e-16])  # the clip bounds
+        assert _ndtri(ends).tobytes() == ndtri(ends).tobytes()
+
+    def test_bit_identical_across_every_branch(self):
+        from scipy.special import ndtri
+
+        e2 = 0.13533528323661269189  # exp(-2), where the branches meet
+        edges = np.array([e2, 1 - e2])
+        y = np.concatenate(
+            [
+                10.0 ** -np.linspace(0.9, 300.0, 20_000),  # lower tail, both z ranges
+                1.0 - 10.0 ** -np.linspace(0.9, 15.9, 20_000),  # upper tail
+                np.linspace(0.14, 0.86, 20_000),  # centre
+                edges,
+                np.nextafter(edges, 0.0),
+                np.nextafter(edges, 1.0),
+            ]
+        )
+        assert _ndtri(y).tobytes() == ndtri(y).tobytes()
+
+    def test_empty_draw(self):
+        assert _normals(np.random.Generator(np.random.Philox(0)), 0).shape == (0,)
