@@ -117,6 +117,18 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 1
 
 
+def test_cli_import_leaves_scipy_stats_and_interpolate_unloaded():
+    code = (
+        "import sys, emdhedge.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(emdhedge.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 _NO_SCIPY_RUN = """
 import importlib.abc, sys
 
