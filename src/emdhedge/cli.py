@@ -346,7 +346,10 @@ def _select_rows(state: PipelineState) -> list[tuple[int, int]]:
     if horizons is None:
         for i, c in enumerate(cycles, start=1):
             h = max(1, round(c))
-            if h <= cfg.horizon_cap:
+            kept = [j for j, hj in rows if hj == h]  # tables and CV reports are keyed by horizon
+            if kept:
+                state.warnings.append(f"imf{i} dropped: horizon {h} is already imf{kept[0]}'s")
+            elif h <= cfg.horizon_cap:
                 rows.append((i, h))
     else:
         for h in horizons:
@@ -388,22 +391,13 @@ def _emit_preliminary(state: PipelineState) -> None:
     state.artifacts.append(path.name)
 
 
-def _estimate_row(state: PipelineState, method: Method, imf_index: int, h: int):
+def _ratio_fn(state: PipelineState, method: Method, imf_index: int, h: int, **kw):
     cfg = state.cfg
-    fn = make_ratio_fn(
-        method,
-        state.spot,
-        state.fut,
-        h,
-        imf_index=imf_index,
-        spot_set=state.spot_set,
-        fut_set=state.fut_set,
-        scope="full",
-        max_lag=cfg.max_lag,
-        cfg=cfg.sift_config(),
-        log_levels=cfg.levels == "log",
+    return make_ratio_fn(
+        method, state.spot, state.fut, h, imf_index=imf_index, spot_set=state.spot_set,
+        fut_set=state.fut_set, max_lag=cfg.max_lag, cfg=cfg.sift_config(),
+        log_levels=cfg.levels == "log", **kw,
     )
-    return fn((range(0, len(state.spot)),))
 
 
 def _emit_insample(state: PipelineState) -> None:
@@ -417,7 +411,7 @@ def _emit_insample(state: PipelineState) -> None:
         ratios, vr_vals, var_vals = [], [], []
         for method in methods:
             try:
-                ratio = _estimate_row(state, method, imf_index, h)
+                ratio = _ratio_fn(state, method, imf_index, h)((range(0, len(state.spot)),))
             except EmdHedgeError as exc:
                 state.warnings.append(f"in-sample {method.value} imf{imf_index} h={h}: {exc}")
                 ratios.append(float("nan"))
@@ -457,19 +451,9 @@ def _emit_cv(state: PipelineState) -> None:
     for imf_index, h in state.rows:
         for method in methods:
             try:
-                fn = make_ratio_fn(
-                    method,
-                    state.spot,
-                    state.fut,
-                    h,
-                    imf_index=imf_index,
-                    spot_set=state.spot_set,
-                    fut_set=state.fut_set,
-                    scope=cfg.decompose_scope,
-                    max_lag=cfg.max_lag,
-                    cfg=cfg.sift_config(),
-                    log_levels=cfg.levels == "log",
-                    decompositions=decompositions,
+                fn = _ratio_fn(
+                    state, method, imf_index, h, scope=cfg.decompose_scope,
+                    decompositions=decompositions, groups=part.groups,
                 )
                 reports = run_cv(
                     state.spot,

@@ -227,7 +227,8 @@ def run_cv(
 ) -> dict[Criterion, PathReport]:
     """Run the full combinatorial CV for one (method, horizon).
 
-    ``ratio_fn`` maps the merged training index ranges to a hedge ratio.
+    ``ratio_fn`` maps the merged training index ranges, unions of whole
+    ``part`` groups, to a hedge ratio.
     Each test group is scored separately on within-group horizon differences;
     groups too short for ``min_obs`` of them are excluded at this horizon
     (``excluded_groups``).

@@ -2,8 +2,13 @@
 
 Conventional estimators (MV, ECM, EECM) regress horizon-h log-price
 differences; the EMD family (vanilla, sample-saving, aggregate) regresses
-price-level IMFs. When the training sample is a SegmentedSeries, differences
-and lags are formed within each contiguous segment and pooled.
+price-level IMFs. Each estimator takes its regression rows from the row
+builder ``methods.design_rows``, formed over the whole series and kept where
+the row's footprint (the indices it reads) lies inside one segment of the
+training sample, so no difference or lag spans a gap. The CV ratio
+functions in ``methods`` fit the same rows from per-bucket QR factors;
+they share this module's sample checks, rank rule, ECM fallback and EECM
+lag search, which read only an R factor, never X'X.
 """
 
 from __future__ import annotations
@@ -14,14 +19,14 @@ from enum import Enum
 
 import numpy as np
 
-from .emd import Imf, ImfSet
+from .emd import ImfSet
 from .errors import (
     DataError,
     DegenerateInputError,
     InsufficientDataError,
     SingularDesignError,
 )
-from .series import DiffKind, PriceSeries, SegmentedSeries, segment_diffs
+from .series import PriceSeries, SegmentedSeries
 
 __all__ = [
     "Method",
@@ -149,11 +154,25 @@ def _aic(sse: float, n: int, p: int) -> float:
 
 Train = PriceSeries | SegmentedSeries
 
+# too-few-rows message of each method, by row count n and horizon h
+_TOO_FEW = {
+    Method.MV: "{n} observations after horizon-{h} differencing",
+    Method.ECM: "{n} observations at horizon {h}",
+    Method.EECM: "{n} observations at horizon {h}",
+    Method.VEMD: "{n} IMF difference observations at horizon {h}",
+    Method.SEMD: "{n} IMF level observations",
+    Method.AEMD: "{n} aggregate observations",
+}
 
-def _segments_of(x: Train) -> list[np.ndarray]:
-    if isinstance(x, PriceSeries):
-        return [x.values]
-    return list(x.segment_values())
+
+def _check_rows(method: Method, n: int, horizon: int) -> None:
+    """Every estimator's sample-size rule on its n regression rows."""
+    if n == 0 and method is Method.ECM:
+        raise InsufficientDataError("no segment long enough for the horizon")
+    if n == 0 and method is Method.EECM:
+        raise InsufficientDataError("no segment long enough for horizon + max_lag")
+    if n < MIN_OBS:
+        raise InsufficientDataError(_TOO_FEW[method].format(n=n, h=horizon))
 
 
 def _check_futures_variance(df: np.ndarray) -> None:
@@ -161,139 +180,86 @@ def _check_futures_variance(df: np.ndarray) -> None:
         raise DegenerateInputError("futures differences have zero variance")
 
 
-def mv_ratio(spot: Train, fut: Train, horizon: int, stride_block: bool = False) -> HedgeEstimate:
+def _sample(method: Method, s, f, segments, horizon: int, **kw) -> np.ndarray:
+    """The rows [1, design | y] of ``method`` whose footprint lies inside one
+    of ``segments`` (default: the whole series), pooled in time order."""
+    from .methods import design_rows, pool  # methods builds on this module
+
+    return pool(*design_rows(method, s, f, horizon, **kw), segments or (range(0, len(s)),))
+
+
+def _train(x: Train) -> tuple[np.ndarray, tuple[range, ...]]:
+    if isinstance(x, PriceSeries):
+        return x.values, (range(0, len(x)),)
+    return x.parent.values, x.segments
+
+
+def _fit(method: Method, rows: np.ndarray, horizon: int) -> OlsFit:
+    _check_rows(method, len(rows), horizon)
+    _check_futures_variance(rows[:, 1])
+    return ols(rows[:, -1], rows[:, 1:-1], intercept=True)
+
+
+def mv_ratio(spot: Train, fut: Train, horizon: int) -> HedgeEstimate:
     """Minimum-variance ratio: slope of horizon-h log-return regression."""
-    ds = segment_diffs(spot, horizon, DiffKind.LOG, stride_block)
-    df = segment_diffs(fut, horizon, DiffKind.LOG, stride_block)
-    if len(ds) < MIN_OBS:
-        raise InsufficientDataError(
-            f"{len(ds)} observations after horizon-{horizon} differencing"
-        )
-    _check_futures_variance(df)
-    fit = ols(ds, df, intercept=True)
+    (s, segments), (f, _) = _train(spot), _train(fut)
+    fit = _fit(Method.MV, _sample(Method.MV, s, f, segments, horizon), horizon)
     return HedgeEstimate(Method.MV, horizon, fit.slope, fit)
 
 
-def _ecm_design(spot: Train, fut: Train, horizon: int):
-    """Pooled (dS, dF, lagged log S, lagged log F) aligned per segment."""
-    ds_all, df_all, s_lag, f_lag = [], [], [], []
-    for sv, fv in zip(_segments_of(spot), _segments_of(fut)):
-        if len(sv) <= horizon:
-            continue
-        ls, lf = np.log(sv), np.log(fv)
-        ds_all.append(ls[horizon:] - ls[:-horizon])
-        df_all.append(lf[horizon:] - lf[:-horizon])
-        s_lag.append(ls[:-horizon])
-        f_lag.append(lf[:-horizon])
-    if not ds_all:
-        raise InsufficientDataError("no segment long enough for the horizon")
-    return (np.concatenate(a) for a in (ds_all, df_all, s_lag, f_lag))
-
-
-def ecm_ratio(
-    spot: Train,
-    fut: Train,
-    horizon: int,
-    include_levels: bool = True,
-) -> HedgeEstimate:
+def ecm_ratio(spot: Train, fut: Train, horizon: int, include_levels: bool = True) -> HedgeEstimate:
     """Error-correction ratio: dS on dF plus the lagged log price levels.
 
     The level terms use the observation's earlier endpoint (lag = horizon).
     ``include_levels=False`` is the restricted variant, nesting back to MV.
     """
-    ds, df, s_lag, f_lag = _ecm_design(spot, fut, horizon)
-    if len(ds) < MIN_OBS:
-        raise InsufficientDataError(f"{len(ds)} observations at horizon {horizon}")
-    _check_futures_variance(df)
+    (s, segments), (f, _) = _train(spot), _train(fut)
+    rows = _sample(Method.ECM, s, f, segments, horizon)
     if not include_levels:
-        fit = ols(ds, df[:, None], intercept=True)
+        fit = _fit(Method.ECM, rows[:, [0, 1, -1]], horizon)
         return HedgeEstimate(Method.ECM, horizon, fit.slope, fit)
-    # when the two level columns are collinear (e.g. identical legs), drop
-    # the futures level, then both, rather than failing outright
-    for cols in ([df, s_lag, f_lag], [df, s_lag], [df]):
+    _check_rows(Method.ECM, len(rows), horizon)
+    _check_futures_variance(rows[:, 1])
+    fit = _ecm_fallback(lambda p: ols(rows[:, -1], rows[:, 1:p], intercept=True))
+    return HedgeEstimate(Method.ECM, horizon, fit.slope, fit)
+
+
+def _ecm_fallback(fit):
+    """``fit(p)`` on ECM's leading p design columns [1, dF, S, F]: when the
+    two level columns are collinear (e.g. identical legs), drop the futures
+    level, then both, rather than failing outright."""
+    for p in (4, 3, 2):
         try:
-            fit = ols(ds, np.column_stack(cols), intercept=True)
+            return fit(p)
         except SingularDesignError:
             continue
-        return HedgeEstimate(Method.ECM, horizon, fit.slope, fit)
     raise SingularDesignError("ECM design is rank deficient in every reduction")
 
 
-def eecm_ratio(
-    spot: Train,
-    fut: Train,
-    horizon: int,
-    max_lag: int = 10,
-    include_u: bool = True,
-    log_levels: bool = True,
-) -> HedgeEstimate:
-    """Extended ECM: AIC-selected lags of dS and dF plus the cointegration
-    residual.
+def _with_u(block: np.ndarray, a: float, b: float, include_u: bool) -> np.ndarray:
+    """EECM columns [1, dF, S, F, lags | dS] -> [1, dF, u, lags | dS].
 
-    The cointegrating regression S = a + b F + u runs on (log) levels over
-    the full training sample; the grid search over (m, n) lag counts shares
-    one sample aligned to ``max_lag``. Ties break to smaller m+n, then m.
-
-    The grid is scored from one QR factorization of the full design
-    [1, dF, u, dS lags 1..L, dF lags 1..L | dS]. Candidate (m, n) uses a
-    column subset of R: for each m, one small QR of R's columns
-    [base, m dS lags, all dF lags, dS] gives the SSE of every n as a tail
-    sum of squares of its last column. The rank rule runs once on the full
-    design, which by singular-value interlacing covers every candidate; only
-    when it fails is each candidate checked on its own subset of R's columns
-    (same singular values as its design). Only the winner is refit with
-    ``ols``.
+    S and F are the (log) levels at the earlier endpoint and u = S - a - b F
+    the cointegration residual there. This is a column transform X -> XM,
+    so applied to an R factor of X it gives one of XM.
     """
-    if max_lag < 0:
-        raise DataError("max_lag must be >= 0")
-    spot_segs = _segments_of(spot)
-    fut_segs = _segments_of(fut)
+    u = [block[:, 2] - a * block[:, 0] - b * block[:, 3]] if include_u else []
+    return np.column_stack([block[:, :2]] + u + [block[:, 4:]])
 
-    level = np.log if log_levels else np.asarray
-    s_lvl = [level(sv) for sv in spot_segs]
-    f_lvl = [level(fv) for fv in fut_segs]
-    coint = ols(np.concatenate(s_lvl), np.concatenate(f_lvl), intercept=True)
-    u_segs = []
-    pos = 0
-    for sv in s_lvl:
-        u_segs.append(coint.residuals[pos : pos + len(sv)])
-        pos += len(sv)
 
-    # common sample: t in [horizon + max_lag, len) within each segment
-    ds_all, df_all, u_all = [], [], []
-    ds_lags: list[list[np.ndarray]] = [[] for _ in range(max_lag)]
-    df_lags: list[list[np.ndarray]] = [[] for _ in range(max_lag)]
-    for sv, fv, u in zip(spot_segs, fut_segs, u_segs):
-        if len(sv) <= horizon + max_lag:
-            continue
-        ls, lf = np.log(sv), np.log(fv)
-        ds = ls[horizon:] - ls[:-horizon]
-        df = lf[horizon:] - lf[:-horizon]
-        lo = max_lag  # index into the diff arrays
-        ds_all.append(ds[lo:])
-        df_all.append(df[lo:])
-        u_all.append(u[lo : len(u) - horizon])  # u at the earlier endpoint
-        for i in range(1, max_lag + 1):
-            ds_lags[i - 1].append(ds[lo - i : len(ds) - i])
-            df_lags[i - 1].append(df[lo - i : len(df) - i])
-    if not ds_all:
-        raise InsufficientDataError("no segment long enough for horizon + max_lag")
-    ds = np.concatenate(ds_all)
-    df = np.concatenate(df_all)
-    u_lag = np.concatenate(u_all)
-    ds_l = [np.concatenate(c) for c in ds_lags]
-    df_l = [np.concatenate(c) for c in df_lags]
-    if len(ds) < MIN_OBS:
-        raise InsufficientDataError(f"{len(ds)} observations at horizon {horizon}")
-    _check_futures_variance(df)
+def _eecm_select(r: np.ndarray, nobs: int, n_base: int, max_lag: int):
+    """(m, n, R of [winner's design | dS]) of the AIC-best lag counts, scored
+    from an R factor of [base, dS lags 1..L, dF lags 1..L | dS].
 
-    # one QR of [1, dF, u, dS lags 1..L, dF lags 1..L | dS]; candidate (m, n)
-    # is a column subset, scored from R alone
-    nobs = len(ds)
-    base = [np.ones(nobs), df] + ([u_lag] if include_u else [])
-    n_base = len(base)
+    Candidate (m, n) uses a column subset of R: for each m, one small QR of
+    R's columns [base, m dS lags, all dF lags, dS] gives the SSE of every n
+    as a tail sum of squares of its last column. The rank rule runs once on
+    the full design, which by singular-value interlacing covers every
+    candidate; only when it fails is each candidate checked on its own
+    subset of R's columns (same singular values as its design). Ties break
+    to smaller m+n, then m.
+    """
     n_cols = n_base + 2 * max_lag
-    r = np.linalg.qr(np.column_stack(base + ds_l + df_l + [ds]), mode="r")
     full_ok = _full_rank(np.linalg.svd(r[:, :n_cols], compute_uv=False), nobs, n_cols)
     ds_cols = list(range(n_base, n_base + max_lag))
     df_cols = list(range(n_base + max_lag, n_cols))
@@ -315,11 +281,43 @@ def eecm_ratio(
             tail = rm[p:, -1]
             key = (_aic(float(tail @ tail), nobs, p), m + n_, m)
             if best is None or key < best[0]:
-                best = (key, m, n_)
+                best = (key, m, n_, rm)
     if best is None:
         raise SingularDesignError("no EECM candidate model could be fit")
-    _, m, n_ = best
-    fit = ols(ds, np.column_stack(base[1:] + ds_l[:m] + df_l[:n_]), intercept=True)
+    return best[1:]
+
+
+def eecm_ratio(
+    spot: Train,
+    fut: Train,
+    horizon: int,
+    max_lag: int = 10,
+    include_u: bool = True,
+    log_levels: bool = True,
+) -> HedgeEstimate:
+    """Extended ECM: AIC-selected lags of dS and dF plus the cointegration
+    residual.
+
+    The cointegrating regression S = a + b F + u runs on (log) levels over
+    the full training sample; the grid search over (m, n) lag counts shares
+    one sample aligned to ``max_lag``, scored by ``_eecm_select`` from one
+    QR factorization of the full design [1, dF, u, dS lags 1..L,
+    dF lags 1..L | dS]. Only the winner is refit with ``ols``.
+    """
+    (s, segments), (f, _) = _train(spot), _train(fut)
+    raw = _sample(Method.EECM, s, f, segments, horizon, max_lag=max_lag, log_levels=log_levels)
+    level = np.log if log_levels else np.asarray
+    # the cointegrating regression has SEMD's rows [1, F | S], on price levels
+    lv = _sample(Method.SEMD, level(s), level(f), segments, 0)
+    coint = ols(lv[:, -1], lv[:, 1], intercept=True)
+    _check_rows(Method.EECM, len(raw), horizon)
+    _check_futures_variance(raw[:, 1])
+    rows = _with_u(raw, coint.alpha, coint.slope, include_u)
+    n_base = 3 if include_u else 2
+    r = np.linalg.qr(rows, mode="r")
+    m, n_, _ = _eecm_select(r, len(rows), n_base, max_lag)
+    lags = list(range(n_base, n_base + m)) + list(range(n_base + max_lag, n_base + max_lag + n_))
+    fit = ols(rows[:, -1], rows[:, list(range(1, n_base)) + lags], intercept=True)
     return HedgeEstimate(Method.EECM, horizon, fit.slope, fit, lags=(m, n_))
 
 
@@ -375,39 +373,15 @@ def pair_imfs(spot_set: ImfSet, fut_set: ImfSet) -> tuple[list[ImfPair], list[st
     return pairs, surplus
 
 
-def _restrict_to_segments(values: np.ndarray, segments: tuple[range, ...] | None):
-    if segments is None:
-        return [values]
-    return [values[s.start : s.stop] for s in segments]
-
-
-def _level_diffs(values: np.ndarray, horizon: int, segments, stride_block=False) -> np.ndarray:
-    out = []
-    for v in _restrict_to_segments(values, segments):
-        if len(v) > horizon:
-            d = v[horizon:] - v[:-horizon]
-            if stride_block:
-                d = d[::horizon]
-            out.append(d)
-    return np.concatenate(out) if out else np.empty(0)
-
-
 def vemd_ratio(
     pair: ImfPair,
     horizon: int,
     segments: tuple[range, ...] | None = None,
-    stride_block: bool = False,
 ) -> HedgeEstimate:
     """Vanilla EMD ratio: regression of horizon-h level differences of the
     paired IMFs (the IMFs themselves, not log returns)."""
-    ds = _level_diffs(pair.spot, horizon, segments, stride_block)
-    df = _level_diffs(pair.fut, horizon, segments, stride_block)
-    if len(ds) < MIN_OBS:
-        raise InsufficientDataError(
-            f"{len(ds)} IMF difference observations at horizon {horizon}"
-        )
-    _check_futures_variance(df)
-    fit = ols(ds, df, intercept=True)
+    rows = _sample(Method.VEMD, pair.spot, pair.fut, segments, horizon)
+    fit = _fit(Method.VEMD, rows, horizon)
     return HedgeEstimate(Method.VEMD, horizon, fit.slope, fit, imf_index=pair.index)
 
 
@@ -417,13 +391,20 @@ def semd_ratio(
     segments: tuple[range, ...] | None = None,
 ) -> HedgeEstimate:
     """Sample-saving EMD ratio: regression on IMF levels, no differencing."""
-    ys = np.concatenate(_restrict_to_segments(pair.spot, segments))
-    xs = np.concatenate(_restrict_to_segments(pair.fut, segments))
-    if len(ys) < MIN_OBS:
-        raise InsufficientDataError(f"{len(ys)} IMF level observations")
-    _check_futures_variance(xs)
-    fit = ols(ys, xs, intercept=True)
+    rows = _sample(Method.SEMD, pair.spot, pair.fut, segments, horizon)
+    fit = _fit(Method.SEMD, rows, horizon)
     return HedgeEstimate(Method.SEMD, horizon, fit.slope, fit, imf_index=pair.index)
+
+
+def aggregate_imfs(spot_set: ImfSet, fut_set: ImfSet, horizon: int):
+    """Per leg, the sum of all IMFs whose own cycle is at or below the horizon."""
+    spot_sel = [i.values for i in spot_set.imfs if i.cycle <= horizon]
+    fut_sel = [i.values for i in fut_set.imfs if i.cycle <= horizon]
+    if not spot_sel:
+        raise DataError(f"no spot IMF with cycle <= horizon {horizon}")
+    if not fut_sel:
+        raise DataError(f"no futures IMF with cycle <= horizon {horizon}")
+    return np.sum(spot_sel, axis=0), np.sum(fut_sel, axis=0)
 
 
 def aemd_ratio(
@@ -432,18 +413,8 @@ def aemd_ratio(
     horizon: int,
     segments: tuple[range, ...] | None = None,
 ) -> HedgeEstimate:
-    """Aggregate EMD ratio: regression on the sums of all IMFs whose own
-    cycle is at or below the horizon, per leg."""
-    spot_sel = [i.values for i in spot_set.imfs if i.cycle <= horizon]
-    fut_sel = [i.values for i in fut_set.imfs if i.cycle <= horizon]
-    if not spot_sel:
-        raise DataError(f"no spot IMF with cycle <= horizon {horizon}")
-    if not fut_sel:
-        raise DataError(f"no futures IMF with cycle <= horizon {horizon}")
-    ys = np.concatenate(_restrict_to_segments(np.sum(spot_sel, axis=0), segments))
-    xs = np.concatenate(_restrict_to_segments(np.sum(fut_sel, axis=0), segments))
-    if len(ys) < MIN_OBS:
-        raise InsufficientDataError(f"{len(ys)} aggregate observations")
-    _check_futures_variance(xs)
-    fit = ols(ys, xs, intercept=True)
+    """Aggregate EMD ratio: regression on the ``aggregate_imfs`` sums."""
+    s, f = aggregate_imfs(spot_set, fut_set, horizon)
+    rows = _sample(Method.AEMD, s, f, segments, horizon)
+    fit = _fit(Method.AEMD, rows, horizon)
     return HedgeEstimate(Method.AEMD, horizon, fit.slope, fit)

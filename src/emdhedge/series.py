@@ -3,8 +3,7 @@
 Conventions
 -----------
 - Timestamps are numpy ``datetime64[D]`` arrays, strictly increasing.
-- Differences are overlapping (stride 1) by default; ``stride='block'``
-  subsamples every ``horizon`` observations for sensitivity checks.
+- Differences are overlapping (stride 1).
 - A SegmentedSeries is a set of contiguous slices of one parent series;
   no transform ever differences across a segment boundary.
 """
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -29,7 +28,6 @@ __all__ = [
     "SegmentedSeries",
     "load_csv",
     "horizon_diff",
-    "segment_diffs",
     "restrict",
 ]
 
@@ -78,9 +76,6 @@ class PriceSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def log_values(self) -> np.ndarray:
-        return np.log(self.values)
-
 
 @dataclass(frozen=True)
 class ReturnSeries:
@@ -127,10 +122,6 @@ class SegmentedSeries:
     def n_obs(self) -> int:
         return sum(len(s) for s in self.segments)
 
-    def segment_values(self):
-        for seg in self.segments:
-            yield self.parent.values[seg.start : seg.stop]
-
 
 def load_csv(
     path: str | Path,
@@ -152,36 +143,39 @@ def load_csv(
     spot_vals: list[float] = []
     fut_vals: list[float] = []
     dropped = 0
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        for col in (date_col, spot_col, futures_col):
-            if col not in reader.fieldnames:
-                raise DataError(f"{path}: missing column '{col}' (have {reader.fieldnames})")
-        for i, row in enumerate(reader, start=2):  # header is line 1
-            raw_s = (row[spot_col] or "").strip()
-            raw_f = (row[futures_col] or "").strip()
-            if not raw_s or not raw_f:
-                dropped += 1
-                continue
-            raw_d = (row[date_col] or "").strip()
-            try:
-                d = np.datetime64(raw_d, "D")
-            except ValueError:
-                raise DataError(f"{path}:{i}: unparseable date '{raw_d}'") from None
-            try:
-                s = float(raw_s)
-                f = float(raw_f)
-            except ValueError:
-                raise DataError(f"{path}:{i}: unparseable price") from None
-            if not (math.isfinite(s) and math.isfinite(f)) or s <= 0 or f <= 0:
-                raise DataError(f"{path}:{i}: non-positive or non-finite price")
-            if dates and d <= dates[-1]:
-                raise DataError(f"{path}:{i}: duplicated or out-of-order date {d}")
-            dates.append(d)
-            spot_vals.append(s)
-            fut_vals.append(f)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise DataError(f"{path}: empty file")
+            for col in (date_col, spot_col, futures_col):
+                if col not in reader.fieldnames:
+                    raise DataError(f"{path}: missing column '{col}' (have {reader.fieldnames})")
+            for i, row in enumerate(reader, start=2):  # header is line 1
+                raw_s = (row[spot_col] or "").strip()
+                raw_f = (row[futures_col] or "").strip()
+                if not raw_s or not raw_f:
+                    dropped += 1
+                    continue
+                raw_d = (row[date_col] or "").strip()
+                try:
+                    d = np.datetime64(raw_d, "D")
+                except ValueError:
+                    raise DataError(f"{path}:{i}: unparseable date '{raw_d}'") from None
+                try:
+                    s = float(raw_s)
+                    f = float(raw_f)
+                except ValueError:
+                    raise DataError(f"{path}:{i}: unparseable price") from None
+                if not (math.isfinite(s) and math.isfinite(f)) or s <= 0 or f <= 0:
+                    raise DataError(f"{path}:{i}: non-positive or non-finite price")
+                if dates and d <= dates[-1]:
+                    raise DataError(f"{path}:{i}: duplicated or out-of-order date {d}")
+                dates.append(d)
+                spot_vals.append(s)
+                fut_vals.append(f)
+    except (UnicodeDecodeError, csv.Error) as exc:  # undecodable bytes, or malformed CSV
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
     if len(dates) < 2:
         raise InsufficientDataError(f"{path}: fewer than 2 usable rows")
     ts = np.array(dates, dtype="datetime64[D]")
@@ -190,59 +184,21 @@ def load_csv(
     return spot, fut, dropped
 
 
-def _diff_values(x: np.ndarray, horizon: int, kind: DiffKind) -> np.ndarray:
-    if kind is DiffKind.LOG:
-        x = np.log(x)
-    return x[horizon:] - x[:-horizon]
-
-
 def horizon_diff(
     series: PriceSeries,
     horizon: int,
     kind: DiffKind = DiffKind.LOG,
-    stride_block: bool = False,
 ) -> ReturnSeries:
-    """Overlapping horizon-h differences of a price series.
-
-    With ``stride_block`` the observations are subsampled every ``horizon``
-    steps (non-overlapping blocks) instead of stride 1.
-    """
+    """Overlapping horizon-h differences of a price series."""
     if horizon < 1:
         raise DataError("horizon must be >= 1")
     if horizon >= len(series):
         raise InsufficientDataError(
             f"horizon {horizon} >= series length {len(series)}"
         )
-    vals = _diff_values(series.values, horizon, kind)
+    x = np.log(series.values) if kind is DiffKind.LOG else series.values
     idx = np.arange(horizon, len(series))
-    if stride_block:
-        vals = vals[::horizon]
-        idx = idx[::horizon]
-    return ReturnSeries(horizon=horizon, kind=kind, values=vals, origin_index=idx)
-
-
-def segment_diffs(
-    seg: SegmentedSeries | PriceSeries,
-    horizon: int,
-    kind: DiffKind = DiffKind.LOG,
-    stride_block: bool = False,
-) -> np.ndarray:
-    """Pool horizon-h differences across segments, never crossing a boundary.
-
-    Segments shorter than ``horizon + 1`` contribute no observations.
-    """
-    if isinstance(seg, PriceSeries):
-        return horizon_diff(seg, horizon, kind, stride_block).values
-    out = []
-    for vals in seg.segment_values():
-        if len(vals) > horizon:
-            d = _diff_values(vals, horizon, kind)
-            if stride_block:
-                d = d[::horizon]
-            out.append(d)
-    if not out:
-        return np.empty(0)
-    return np.concatenate(out)
+    return ReturnSeries(horizon=horizon, kind=kind, values=x[horizon:] - x[:-horizon], origin_index=idx)
 
 
 def restrict(series: PriceSeries, groups: list[range] | tuple[range, ...]) -> SegmentedSeries:

@@ -20,7 +20,7 @@ from emdhedge.cli import (
 from emdhedge.cpcv import Scheme, enumerate_splits, partition
 from emdhedge.emd import Imf, ImfSet
 from emdhedge.errors import SingularDesignError
-from emdhedge.series import load_csv, restrict
+from emdhedge.series import Leg, PriceSeries, load_csv, restrict
 
 
 def ns(**kwargs):
@@ -115,6 +115,32 @@ class TestExitCodes:
 
     def test_bad_subcommand_is_1(self):
         assert main(["frobnicate"]) == 1
+
+    def test_undecodable_input_is_a_data_error(self, tmp_path, capsys):
+        noise = tmp_path / "noise.csv"
+        noise.write_bytes(np.random.default_rng(0).integers(0, 256, 3000, dtype=np.uint8).tobytes())
+        outdir = tmp_path / "o"
+        assert main(["decompose", "--input", str(noise), "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "unreadable CSV" in err
+        assert not outdir.exists()
+
+
+def _imf_set(cycles, n=50):
+    imfs = tuple(Imf(np.zeros(n), i + 1, c, 1, 1, 1, 1, True) for i, c in enumerate(cycles))
+    return ImfSet(imfs=imfs, residue=np.zeros(n), source_len=n)
+
+
+def test_auto_rows_keep_the_first_imf_of_each_horizon(tmp_path):
+    ts = np.datetime64("2020-01-01") + np.arange(50)
+    leg = PriceSeries("x", Leg.SPOT, ts, np.ones(50))
+    state = cli.PipelineState(RunConfig(horizon_cap=10), leg, leg, 0, tmp_path)
+    state.spot_set = _imf_set([1.2, 1.4, 2.6, 3.4, 12.0])
+    assert cli._select_rows(state) == [(1, 1), (3, 3)]
+    assert state.warnings == [
+        "imf2 dropped: horizon 1 is already imf1's",
+        "imf4 dropped: horizon 3 is already imf3's",
+    ]
 
 
 def test_cli_import_leaves_scipy_stats_and_interpolate_unloaded():

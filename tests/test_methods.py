@@ -1,10 +1,25 @@
-import numpy as np
+from dataclasses import replace
 
+import numpy as np
+import pytest
+
+from emdhedge import methods
 from emdhedge.cpcv import Scheme, enumerate_splits, partition
-from emdhedge.emd import SiftConfig, decompose
-from emdhedge.estimators import Method, ols
-from emdhedge.methods import make_ratio_fn
-from emdhedge.series import restrict
+from emdhedge.emd import ImfSet, SiftConfig, decompose
+from emdhedge.errors import EmdHedgeError
+from emdhedge.estimators import (
+    Method,
+    aemd_ratio,
+    ecm_ratio,
+    eecm_ratio,
+    mv_ratio,
+    ols,
+    pair_imfs,
+    semd_ratio,
+    vemd_ratio,
+)
+from emdhedge.methods import design_rows, make_ratio_fn, pool
+from emdhedge.series import Leg, PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
 
@@ -35,3 +50,93 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
     assert set(cache) == {
         (leg, seg.start, seg.stop) for leg in ("spot", "fut") for seg in segments + segments_2
     }
+
+
+class TestPool:
+    def test_observation_count(self):
+        vals = np.arange(1.0, 31.0)
+        rows = pool(*design_rows(Method.VEMD, vals, vals, 4), (range(0, 12), range(15, 20), range(22, 25)))
+        # segments of length 12, 5, 3: only those longer than h contribute
+        assert len(rows) == (12 - 4) + (5 - 4) + 0
+
+    def test_never_crosses_boundary(self):
+        vals = np.concatenate([np.full(10, 1.0), np.full(10, 100.0)])
+        rows = pool(*design_rows(Method.VEMD, vals, vals, 1), (range(0, 10), range(11, 20)))
+        assert len(rows) == 9 + 8
+        assert np.all(rows[:, 1:] == 0.0)  # the 1 -> 100 jump never appears
+
+
+def _legs(case):
+    spot, fut = gen_coint_pair(SynthSpec(length=800, seed=5, coint=CointSpec()))
+    s_set = decompose(spot.values)
+    if case == "identical legs":  # ECM's level columns collinear: its fallback and the rank rule
+        return spot, PriceSeries("f", Leg.FUTURES, spot.timestamps, spot.values), s_set, s_set
+    if case == "constant futures":  # every futures column is constant: DegenerateInputError
+        flat = np.full(len(spot), 100.0)
+        zeros = tuple(replace(imf, values=np.zeros(len(spot))) for imf in s_set.imfs)
+        return spot, PriceSeries("f", Leg.FUTURES, spot.timestamps, flat), s_set, ImfSet(zeros, flat, len(spot))
+    return spot, fut, s_set, decompose(fut.values)
+
+
+def _groups(spot, scheme):
+    if scheme == "short group":  # group 2 is shorter than every footprint at h = 17
+        bounds = (0, 160, 320, 326, 480, 640, 800)
+        return tuple(range(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+    return partition(spot, Scheme(scheme), 6).groups
+
+
+def _outcome(call):
+    try:
+        return call()
+    except EmdHedgeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize(
+    "case, scheme",
+    [
+        ("cointegrated", "equal"),
+        ("cointegrated", "year"),
+        ("cointegrated", "short group"),
+        ("identical legs", "equal"),
+        ("constant futures", "equal"),
+    ],
+)
+def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeypatch):
+    spot, fut, s_set, f_set = _legs(case)
+    groups = _groups(spot, scheme)
+    splits = enumerate_splits(len(groups), 1 if scheme == "year" else 2).splits
+    pair = pair_imfs(s_set, f_set)[0][0]
+    lags = []
+    select = methods._eecm_select
+
+    def recording(*args):
+        best = select(*args)
+        lags.append(best[:2])
+        return best
+
+    monkeypatch.setattr(methods, "_eecm_select", recording)
+    for h in (3, 17):
+        estimators = {
+            Method.MV: lambda s, f, segs: mv_ratio(s, f, h),
+            Method.ECM: lambda s, f, segs: ecm_ratio(s, f, h),
+            Method.EECM: lambda s, f, segs: eecm_ratio(s, f, h),
+            Method.VEMD: lambda s, f, segs: vemd_ratio(pair, h, segs),
+            Method.SEMD: lambda s, f, segs: semd_ratio(pair, h, segs),
+            Method.AEMD: lambda s, f, segs: aemd_ratio(s_set, f_set, h, segs),
+        }
+        for method, estimate in estimators.items():
+            fn = make_ratio_fn(
+                method, spot, fut, h, imf_index=1, spot_set=s_set, fut_set=f_set, groups=groups
+            )
+            for _, train in splits:
+                s, f = restrict(spot, [groups[g] for g in train]), restrict(fut, [groups[g] for g in train])
+                del lags[:]
+                got = _outcome(lambda: fn(s.segments))
+                want = _outcome(lambda: estimate(s, f, s.segments))
+                if isinstance(want, tuple):
+                    assert got == want, (method, h, train)
+                    continue
+                assert abs(got - want.ratio) <= 1e-12 * abs(want.ratio), (method, h, train)
+                if method is Method.EECM:
+                    assert lags == [want.lags], (h, train)

@@ -12,7 +12,6 @@ from emdhedge.series import (
     horizon_diff,
     load_csv,
     restrict,
-    segment_diffs,
 )
 
 
@@ -111,11 +110,6 @@ class TestHorizonDiff:
         with pytest.raises(InsufficientDataError):
             horizon_diff(make_series([1, 2, 3]), 3, DiffKind.LEVEL)
 
-    def test_block_stride_subsamples(self):
-        s = make_series(np.arange(1.0, 11.0))
-        r = horizon_diff(s, 3, DiffKind.LEVEL, stride_block=True)
-        assert np.array_equal(r.values, [3.0, 3.0, 3.0])
-
     def test_telescoping_identity(self):
         rng = np.random.default_rng(11)
         vals = np.exp(rng.normal(0, 0.1, 60).cumsum())
@@ -151,19 +145,3 @@ class TestRestrict:
         with pytest.raises(DataError):
             restrict(s, [range(0, 6), range(5, 10)])
 
-
-class TestSegmentDiffs:
-    def test_observation_count(self):
-        s = make_series(np.arange(1.0, 31.0))
-        seg = restrict(s, [range(0, 12), range(15, 20), range(22, 25)])
-        h = 4
-        d = segment_diffs(seg, h, DiffKind.LEVEL)
-        # segments of length 12, 5, 3: only those longer than h contribute
-        assert len(d) == (12 - 4) + (5 - 4) + 0
-
-    def test_never_crosses_boundary(self):
-        vals = np.concatenate([np.full(10, 1.0), np.full(10, 100.0)])
-        s = make_series(vals)
-        seg = restrict(s, [range(0, 10), range(11, 20)])  # gap at index 10
-        d = segment_diffs(seg, 1, DiffKind.LEVEL)
-        assert np.all(d == 0.0)  # the 1 -> 100 jump never appears
