@@ -34,7 +34,7 @@ from .emd import ImfSet, SiftConfig, decompose
 from .errors import DataError, EmdHedgeError, NumericError
 from .estimators import Method, pair_imfs
 from .methods import EMD_FAMILY, make_ratio_fn
-from .performance import build_portfolio, he_var, he_variance
+from .performance import effectiveness_rows
 from .series import DiffKind, PriceSeries, horizon_diff, load_csv
 from .synth import CointSpec, SynthSpec, gen_coint_pair, gen_tones
 
@@ -408,23 +408,24 @@ def _emit_insample(state: PipelineState) -> None:
     for imf_index, h in state.rows:
         ds = horizon_diff(state.spot, h, DiffKind.LOG).values
         df = horizon_diff(state.fut, h, DiffKind.LOG).values
-        ratios, vr_vals, var_vals = [], [], []
+        ratios = []
         for method in methods:
-            try:
-                ratio = _ratio_fn(state, method, imf_index, h)((range(0, len(state.spot)),))
-            except EmdHedgeError as exc:
-                state.warnings.append(f"in-sample {method.value} imf{imf_index} h={h}: {exc}")
-                ratios.append(float("nan"))
-                vr_vals.append(float("nan"))
-                var_vals.append(float("nan"))
-                continue
-            hedged = build_portfolio(ds, df, ratio, h)
+            (ratio,) = _ratio_fn(state, method, imf_index, h)([(range(0, len(state.spot)),)])
+            if isinstance(ratio, EmdHedgeError):
+                state.warnings.append(f"in-sample {method.value} imf{imf_index} h={h}: {ratio}")
+                ratio = float("nan")
             ratios.append(ratio)
-            vr_vals.append(he_variance(ds, hedged.portfolio).value)
+        vr_vals, var_vals = [float("nan")] * len(methods), [float("nan")] * len(methods)
+        ok = [i for i, r in enumerate(ratios) if not math.isnan(r)]
+        if ok:  # the row's portfolios, scored by one call per criterion
+            portfolios = ds[None, :] - np.array([ratios[i] for i in ok])[:, None] * df[None, :]
+            vr, _, _ = effectiveness_rows(Criterion.VARIANCE_REDUCTION, ds, portfolios)
             try:
-                var_vals.append(he_var(ds, hedged.portfolio, cfg.alpha).value)
-            except EmdHedgeError:
-                var_vals.append(float("nan"))
+                var, _, _ = effectiveness_rows(Criterion.VAR, ds, portfolios, cfg.alpha)
+            except EmdHedgeError:  # too few observations for the VaR quantile
+                var = np.full(len(ok), np.nan)
+            for i, a, b in zip(ok, vr.tolist(), var.tolist()):
+                vr_vals[i], var_vals[i] = a, b
         ratio_rows.append([f"imf{imf_index}", h] + ratios)
         vr_rows.append([f"imf{imf_index}", h] + vr_vals)
         var_rows.append([f"imf{imf_index}", h] + var_vals)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "assign_paths",
     "path_statistics",
     "excluded_groups",
+    "RatioFn",
     "run_cv",
 ]
 
@@ -188,7 +189,12 @@ def path_statistics(
     return tuple(per_path), stats, voided
 
 
-RatioFn = Callable[[tuple[range, ...]], float]
+RatioFn = Callable[[Sequence[tuple[range, ...]]], list]
+"""A batched ratio function: given the training segments (merged index
+ranges) of a batch of splits, in split order, it returns one outcome per
+split, the hedge ratio or the ``DataError`` or ``NumericError`` its fit
+raises. Any other exception ends the call. A split's outcome does not
+depend on the rest of its batch."""
 
 
 def excluded_groups(
@@ -227,22 +233,22 @@ def run_cv(
 ) -> dict[Criterion, PathReport]:
     """Run the full combinatorial CV for one (method, horizon).
 
-    ``ratio_fn`` maps the merged training index ranges, unions of whole
-    ``part`` groups, to a hedge ratio.
+    ``ratio_fn`` is called once, with every split's training segments
+    (merged index ranges, unions of whole ``part`` groups) in split order.
     Each test group is scored separately on within-group horizon differences;
     groups too short for ``min_obs`` of them are excluded at this horizon
     (``excluded_groups``).
 
-    Phase 1 estimates the ratio of every split. A split whose ratio function
-    raises a ``NumericError``, ``InsufficientDataError`` or ``DataError``, or
-    returns a non-finite ratio, is failed; its exception class and message
-    go to ``PathReport.failed_reasons``. Phase 2 scores each included test
-    group once: the ratios of its non-failed splits form one portfolio per
-    row, and ``effectiveness_rows`` scores all rows per criterion, so the
-    group's spot-side variance, degeneracy floor and alpha-quantile are
-    computed once per group rather than once per cell. A degenerate spot
-    side or a non-finite score excludes the cell. Per-split values (for
-    reporting) average the split's included test-group scores, in test order.
+    Phase 1 estimates the ratio of every split. A split whose outcome is a
+    ``NumericError`` or ``DataError``, or a non-finite ratio, is failed; its
+    exception class and message go to ``PathReport.failed_reasons``. Phase
+    2 scores each included test group once: the ratios of its non-failed
+    splits form one portfolio per row, and ``effectiveness_rows`` scores all
+    rows per criterion, so the group's spot-side variance, degeneracy floor
+    and alpha-quantile are computed once per group rather than once per
+    cell. A degenerate spot side or a non-finite score excludes the cell.
+    Per-split values (for reporting) average the split's included
+    test-group scores, in test order.
     """
     if len(spot) != len(fut):
         raise DataError("spot and futures series must be aligned")
@@ -263,18 +269,16 @@ def run_cv(
         group_rets.append((sv[horizon:] - sv[:-horizon], fv[horizon:] - fv[:-horizon]))
 
     # phase 1: one hedge ratio per split; None marks a failed split
+    batch = [restrict(spot, [part.groups[g] for g in train]).segments for _, train in splits.splits]
     ratios: list[float | None] = []
     failed_splits: list[int] = []
     failed_reasons: list[tuple[str, str]] = []
-    for s_idx, (_, train) in enumerate(splits.splits):
-        try:
-            train_segments = restrict(spot, [part.groups[g] for g in train]).segments
-            ratio = float(ratio_fn(train_segments))
-            if not math.isfinite(ratio):
-                raise NumericError("non-finite hedge ratio")
-        except (NumericError, InsufficientDataError, DataError) as exc:
+    for s_idx, (_, ratio) in enumerate(zip(batch, ratio_fn(batch), strict=True)):
+        if not isinstance(ratio, (NumericError, DataError)) and not math.isfinite(ratio):
+            ratio = NumericError("non-finite hedge ratio")
+        if isinstance(ratio, (NumericError, DataError)):
             failed_splits.append(s_idx)
-            failed_reasons.append((type(exc).__name__, str(exc)))
+            failed_reasons.append((type(ratio).__name__, str(ratio)))
             ratio = None
         ratios.append(ratio)
 

@@ -23,7 +23,10 @@ from .errors import DataError, InsufficientDataError, NumericError
 
 logger = logging.getLogger(__name__)
 
+MIN_SAMPLES = 8  # shortest series ``decompose`` accepts
+
 __all__ = [
+    "MIN_SAMPLES",
     "SiftConfig",
     "Imf",
     "ImfSet",
@@ -87,6 +90,9 @@ class SiftResult:
     values: np.ndarray
     n_sifts: int
     converged: bool
+    n_maxima: int  # extrema counts of ``values``, from the last pass
+    n_minima: int
+    n_zero_crossings: int
     residue_like: bool = False
 
 
@@ -285,16 +291,17 @@ def sift(x: np.ndarray, cfg: SiftConfig = SiftConfig()) -> SiftResult:
     n_sifts = 0
     while True:
         maxima, minima, crossings = find_extrema(h)
+        counts = (len(maxima), len(minima), crossings)
         m = envelope_mean(h, maxima, minima, cfg.boundary_mirror_count)
         if m is None:
-            return SiftResult(h, n_sifts, converged=False, residue_like=True)
+            return SiftResult(h, n_sifts, False, *counts, residue_like=True)
         n_ext = len(maxima) + len(minima)
         rx = _rms(h)
         balanced = abs(n_ext - crossings) <= 1
         if balanced and rx > 0.0 and _rms(m) <= cfg.envelope_tolerance * rx:
-            return SiftResult(h, n_sifts, converged=True)
+            return SiftResult(h, n_sifts, True, *counts)
         if n_sifts >= cfg.max_sifts_per_imf:
-            return SiftResult(h, n_sifts, converged=False)
+            return SiftResult(h, n_sifts, False, *counts)
         h = h - m
         n_sifts += 1
 
@@ -319,8 +326,8 @@ def decompose(x: np.ndarray, cfg: SiftConfig = SiftConfig()) -> ImfSet:
     subtraction. Each emitted IMF carries its extrema counts and cycle.
     """
     x = np.asarray(x, dtype=float)
-    if len(x) < 8:
-        raise InsufficientDataError("need at least 8 samples to decompose")
+    if len(x) < MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {MIN_SAMPLES} samples to decompose")
     residue = x.copy()
     imfs: list[Imf] = []
     while len(imfs) < cfg.max_imfs:
@@ -330,17 +337,16 @@ def decompose(x: np.ndarray, cfg: SiftConfig = SiftConfig()) -> ImfSet:
         result = sift(residue, cfg)
         if result.residue_like:
             break
-        mx, mn, zc = find_extrema(result.values)
-        if len(mx) + len(mn) < 2:
+        if result.n_maxima + result.n_minima < 2:
             break
         imfs.append(
             Imf(
                 values=result.values,
                 index=len(imfs) + 1,
-                cycle=cycle(len(mx), len(mn), len(x)),
-                n_maxima=len(mx),
-                n_minima=len(mn),
-                n_zero_crossings=zc,
+                cycle=cycle(result.n_maxima, result.n_minima, len(x)),
+                n_maxima=result.n_maxima,
+                n_minima=result.n_minima,
+                n_zero_crossings=result.n_zero_crossings,
                 n_sifts=result.n_sifts,
                 converged=result.converged,
             )

@@ -87,10 +87,12 @@ class HedgeEstimate:
     lags: tuple[int, int] | None = None
 
 
-def _full_rank(s: np.ndarray, n: int, p: int) -> bool:
+def _full_rank(s: np.ndarray, n, p: int):
     """numpy's ``matrix_rank`` rule on singular values ``s`` of an n x p
-    matrix: full column rank iff all p values exceed s[0]*max(n, p)*eps."""
-    return len(s) == p and s[-1] > s[0] * max(n, p) * np.finfo(float).eps
+    matrix: full column rank iff all p values exceed s[0]*max(n, p)*eps.
+    On a stack (last axis the values, n one count per matrix), one verdict
+    per matrix."""
+    return (s.shape[-1] == p) & (s[..., -1] > s[..., 0] * np.maximum(n, p) * np.finfo(float).eps)
 
 
 def ols(y: np.ndarray, X: np.ndarray, intercept: bool = True) -> OlsFit:
@@ -224,6 +226,10 @@ def ecm_ratio(spot: Train, fut: Train, horizon: int, include_levels: bool = True
     return HedgeEstimate(Method.ECM, horizon, fit.slope, fit)
 
 
+ECM_RANK_DEFICIENT = "ECM design is rank deficient in every reduction"
+NO_EECM_FIT = "no EECM candidate model could be fit"
+
+
 def _ecm_fallback(fit):
     """``fit(p)`` on ECM's leading p design columns [1, dF, S, F]: when the
     two level columns are collinear (e.g. identical legs), drop the futures
@@ -233,58 +239,68 @@ def _ecm_fallback(fit):
             return fit(p)
         except SingularDesignError:
             continue
-    raise SingularDesignError("ECM design is rank deficient in every reduction")
+    raise SingularDesignError(ECM_RANK_DEFICIENT)
 
 
-def _with_u(block: np.ndarray, a: float, b: float, include_u: bool) -> np.ndarray:
+def _with_u(block: np.ndarray, a, b, include_u: bool) -> np.ndarray:
     """EECM columns [1, dF, S, F, lags | dS] -> [1, dF, u, lags | dS].
 
     S and F are the (log) levels at the earlier endpoint and u = S - a - b F
     the cointegration residual there. This is a column transform X -> XM,
-    so applied to an R factor of X it gives one of XM.
+    so applied to an R factor of X it gives one of XM. ``block`` may be a
+    stack of matrices, with a and b broadcast against it.
     """
-    u = [block[:, 2] - a * block[:, 0] - b * block[:, 3]] if include_u else []
-    return np.column_stack([block[:, :2]] + u + [block[:, 4:]])
+    u = [block[..., 2:3] - a * block[..., 0:1] - b * block[..., 3:4]] if include_u else []
+    return np.concatenate([block[..., :2]] + u + [block[..., 4:]], axis=-1)
 
 
-def _eecm_select(r: np.ndarray, nobs: int, n_base: int, max_lag: int):
-    """(m, n, R of [winner's design | dS]) of the AIC-best lag counts, scored
-    from an R factor of [base, dS lags 1..L, dF lags 1..L | dS].
+def _eecm_select(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
+    """(m, n, rms): per R factor in the stack ``r``, of [base, dS lags 1..L,
+    dF lags 1..L | dS] on ``nobs`` rows, the AIC-best lag counts (m = -1
+    where no candidate can be fit); rms[m] stacks the R factors of
+    [base, m dS lags, all dF lags | dS].
 
-    Candidate (m, n) uses a column subset of R: for each m, one small QR of
-    R's columns [base, m dS lags, all dF lags, dS] gives the SSE of every n
-    as a tail sum of squares of its last column. The rank rule runs once on
-    the full design, which by singular-value interlacing covers every
-    candidate; only when it fails is each candidate checked on its own
+    Candidate (m, n) uses a column subset of R: for each m, one batched QR
+    of R's columns [base, m dS lags, all dF lags, dS] gives the SSE of every
+    n as a tail sum of squares of its last column. The rank rule runs once
+    on the full design, which by singular-value interlacing covers every
+    candidate; only where it fails is each candidate checked on its own
     subset of R's columns (same singular values as its design). Ties break
     to smaller m+n, then m.
     """
     n_cols = n_base + 2 * max_lag
-    full_ok = _full_rank(np.linalg.svd(r[:, :n_cols], compute_uv=False), nobs, n_cols)
+    lags = np.arange(max_lag + 1)
+    # splits whose full design fails the rank rule and that have candidates
+    deficient = ~_full_rank(np.linalg.svd(r[:, :, :n_cols], compute_uv=False), nobs, n_cols)
+    deficient &= nobs > n_base + 1
     ds_cols = list(range(n_base, n_base + max_lag))
     df_cols = list(range(n_base + max_lag, n_cols))
-    best = None
+    aic = np.full((len(r), max_lag + 1, max_lag + 1), np.nan)  # NaN: not fit
+    rms = []
     for m in range(max_lag + 1):
         cols = list(range(n_base)) + ds_cols[:m] + df_cols
-        # R of [base, m dS lags, all dF lags | dS]: the SSE of the first p
-        # columns is the tail sum of squares of the last column
-        rm = np.linalg.qr(r[:, cols + [n_cols]], mode="r")
-        for n_ in range(max_lag + 1):
-            p = n_base + m + n_
-            if nobs <= p + 1:
-                break
-            # every candidate passes the rank rule when the full design does
-            if not full_ok and not _full_rank(
-                np.linalg.svd(r[:, cols[:p]], compute_uv=False), nobs, p
-            ):
-                continue
-            tail = rm[p:, -1]
-            key = (_aic(float(tail @ tail), nobs, p), m + n_, m)
-            if best is None or key < best[0]:
-                best = (key, m, n_, rm)
-    if best is None:
-        raise SingularDesignError("no EECM candidate model could be fit")
-    return best[1:]
+        rm = np.linalg.qr(r[:, :, cols + [n_cols]], mode="r")
+        rms.append(rm)
+        p = n_base + m + lags
+        fit = nobs[:, None] > p + 1
+        if deficient.any():
+            for n_ in range(max_lag + 1):
+                sv = np.linalg.svd(r[deficient][:, :, cols[: p[n_]]], compute_uv=False)
+                fit[deficient, n_] &= _full_rank(sv, nobs[deficient], p[n_])
+        # the SSE of the first p columns is the tail sum of squares of the
+        # last column (zero past its end)
+        y2 = rm[:, :, -1] ** 2
+        tails = np.append(np.cumsum(y2[:, ::-1], axis=1)[:, ::-1], np.zeros((len(r), 1)), axis=1)
+        sse = tails[:, np.minimum(p, y2.shape[1])]
+        n_b, p_b = np.broadcast_arrays(nobs[:, None], p)
+        aic[:, m][fit] = [_aic(*c) for c in zip(sse[fit].tolist(), n_b[fit].tolist(), p_b[fit].tolist())]
+    fit = ~np.isnan(aic)
+    best = np.where(fit, aic, np.inf).min(axis=(1, 2))
+    order = (lags[:, None] + lags) * (max_lag + 1) + lags[:, None]  # (m + n, m) at [m, n]
+    key = np.where(fit & (aic == best[:, None, None]), order, order.max() + 1)
+    m, n_ = np.divmod(key.reshape(len(r), order.size).argmin(axis=1), max_lag + 1)
+    m[~fit.any(axis=(1, 2))] = -1
+    return m, n_, rms
 
 
 def eecm_ratio(
@@ -315,7 +331,10 @@ def eecm_ratio(
     rows = _with_u(raw, coint.alpha, coint.slope, include_u)
     n_base = 3 if include_u else 2
     r = np.linalg.qr(rows, mode="r")
-    m, n_, _ = _eecm_select(r, len(rows), n_base, max_lag)
+    m, n_, _ = _eecm_select(r[None], np.array([len(rows)]), n_base, max_lag)
+    if m[0] < 0:
+        raise SingularDesignError(NO_EECM_FIT)
+    m, n_ = int(m[0]), int(n_[0])
     lags = list(range(n_base, n_base + m)) + list(range(n_base + max_lag, n_base + max_lag + n_))
     fit = ols(rows[:, -1], rows[:, list(range(1, n_base)) + lags], intercept=True)
     return HedgeEstimate(Method.EECM, horizon, fit.slope, fit, lags=(m, n_))

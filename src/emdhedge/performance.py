@@ -13,14 +13,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError, InsufficientDataError
-from .series import DiffKind, PriceSeries, horizon_diff
 
 __all__ = [
     "Criterion",
-    "HedgedReturns",
     "Effectiveness",
     "Moments",
-    "build_portfolio",
     "effectiveness_rows",
     "he_variance",
     "var_quantile",
@@ -34,17 +31,6 @@ DEGENERACY_THRESHOLD = 1e-12
 class Criterion(Enum):
     VARIANCE_REDUCTION = "variance_reduction"
     VAR = "var"
-
-
-@dataclass(frozen=True)
-class HedgedReturns:
-    """Spot, futures and hedged-portfolio log returns at one horizon."""
-
-    horizon: int
-    ratio: float
-    spot_returns: np.ndarray
-    futures_returns: np.ndarray
-    portfolio: np.ndarray  # spot - ratio * futures
 
 
 @dataclass(frozen=True)
@@ -65,35 +51,6 @@ class Moments:
     kurt: float  # excess
     n_obs: int
     degenerate: bool = False
-
-
-def build_portfolio(
-    spot: PriceSeries | np.ndarray,
-    fut: PriceSeries | np.ndarray,
-    ratio: float,
-    horizon: int,
-) -> HedgedReturns:
-    """Hedged portfolio returns p_t = d_h log S_t - ratio * d_h log F_t.
-
-    Accepts aligned PriceSeries or precomputed log-return arrays.
-    """
-    if isinstance(spot, PriceSeries):
-        if not isinstance(fut, PriceSeries) or len(spot) != len(fut):
-            raise DataError("spot and futures series must be aligned")
-        ds = horizon_diff(spot, horizon, DiffKind.LOG).values
-        df = horizon_diff(fut, horizon, DiffKind.LOG).values
-    else:
-        ds = np.asarray(spot, dtype=float)
-        df = np.asarray(fut, dtype=float)
-        if len(ds) != len(df):
-            raise DataError("spot and futures return arrays must be aligned")
-    return HedgedReturns(
-        horizon=horizon,
-        ratio=float(ratio),
-        spot_returns=ds,
-        futures_returns=df,
-        portfolio=ds - float(ratio) * df,
-    )
 
 
 def effectiveness_rows(

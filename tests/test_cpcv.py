@@ -17,13 +17,28 @@ from emdhedge.cpcv import (
 from emdhedge.errors import DataError, InsufficientDataError, NumericError
 from emdhedge.performance import (
     Criterion,
-    build_portfolio,
     effectiveness_rows,
     he_var,
     he_variance,
 )
 from emdhedge.series import Leg, PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
+
+
+def batched(fn):
+    """The batched ratio function of a per-split one: each split's ratio, or
+    the DataError or NumericError it raises, calling ``fn`` in split order."""
+
+    def run(batch):
+        out = []
+        for segs in batch:
+            try:
+                out.append(fn(segs))
+            except (DataError, NumericError) as exc:
+                out.append(exc)
+        return out
+
+    return run
 
 
 def price_series(values, start="2016-01-01", leg=Leg.SPOT):
@@ -158,7 +173,7 @@ class TestRunCv:
         spot = price_series(vals)
         fut = price_series(vals, leg=Leg.FUTURES)
         part = partition(400, Scheme.EQUAL_COUNT, 5)
-        reports = run_cv(spot, fut, lambda segs: 1.0, 1, (Criterion.VARIANCE_REDUCTION,), part, 2)
+        reports = run_cv(spot, fut, batched(lambda segs: 1.0), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)
         rep = reports[Criterion.VARIANCE_REDUCTION]
         assert rep.n_paths_total == 4
         assert rep.n_paths_voided == 0
@@ -172,8 +187,8 @@ class TestRunCv:
             lengths = sum(len(s) for s in segs)
             return 0.9 + 1e-6 * lengths
 
-        a = run_cv(spot, fut, fn, 3, tuple(Criterion), part, 2)
-        b = run_cv(spot, fut, fn, 3, tuple(Criterion), part, 2)
+        a = run_cv(spot, fut, batched(fn), 3, tuple(Criterion), part, 2)
+        b = run_cv(spot, fut, batched(fn), 3, tuple(Criterion), part, 2)
         for c in Criterion:
             assert a[c].per_path_values == b[c].per_path_values
             assert a[c].per_split_values == b[c].per_split_values
@@ -185,7 +200,7 @@ class TestRunCv:
         spot, fut = coint_series(seed=9, n=1000)
         part = partition(1000, Scheme.EQUAL_COUNT, 5)
         rep = run_cv(
-            spot, fut, lambda segs: 0.9, 2, (Criterion.VARIANCE_REDUCTION,), part, 2
+            spot, fut, batched(lambda segs: 0.9), 2, (Criterion.VARIANCE_REDUCTION,), part, 2
         )[Criterion.VARIANCE_REDUCTION]
         assert not rep.excluded_groups and not rep.failed_splits
         path_mean = np.mean(rep.per_path_values)
@@ -196,7 +211,7 @@ class TestRunCv:
         spot, fut = coint_series(seed=3, n=149)
         part = partition(149, Scheme.EQUAL_COUNT, 5)  # sizes (29,29,29,29,33)
         rep = run_cv(
-            spot, fut, lambda segs: 0.9, 10, (Criterion.VARIANCE_REDUCTION,), part, 2
+            spot, fut, batched(lambda segs: 0.9), 10, (Criterion.VARIANCE_REDUCTION,), part, 2
         )[Criterion.VARIANCE_REDUCTION]
         # min_obs = max(10, 2*10) = 20: groups of 29 have 19 diffs and drop,
         # the 33-sample remainder group has 23 and stays
@@ -206,7 +221,7 @@ class TestRunCv:
         spot, fut = coint_series(seed=3, n=520)
         part = partition(520, Scheme.EQUAL_COUNT, 5)
         with pytest.raises(InsufficientDataError):
-            run_cv(spot, fut, lambda segs: 0.9, 100, (Criterion.VARIANCE_REDUCTION,), part, 2)
+            run_cv(spot, fut, batched(lambda segs: 0.9), 100, (Criterion.VARIANCE_REDUCTION,), part, 2)
 
     def test_failed_split_voids_touching_paths(self):
         spot, fut = coint_series(seed=5, n=600)
@@ -219,7 +234,7 @@ class TestRunCv:
                 raise InsufficientDataError("synthetic failure")
             return 0.9
 
-        rep = run_cv(spot, fut, flaky, 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
+        rep = run_cv(spot, fut, batched(flaky), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
             Criterion.VARIANCE_REDUCTION
         ]
         assert rep.failed_splits == (0,)
@@ -231,7 +246,7 @@ class TestRunCv:
     def test_var_criterion_uses_min_rule(self):
         spot, fut = coint_series(seed=11, n=1500)
         part = partition(1500, Scheme.EQUAL_COUNT, 5)
-        reports = run_cv(spot, fut, lambda segs: 0.9, 1, tuple(Criterion), part, 2)
+        reports = run_cv(spot, fut, batched(lambda segs: 0.9), 1, tuple(Criterion), part, 2)
         var_rep = reports[Criterion.VAR]
         vr_rep = reports[Criterion.VARIANCE_REDUCTION]
         assert var_rep.n_paths_total == vr_rep.n_paths_total == 4
@@ -246,7 +261,7 @@ class TestRunCv:
                 raise InsufficientDataError("synthetic failure")
             return float("nan") if len(segs) == 1 else 0.9
 
-        rep = run_cv(spot, fut, fn, 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
+        rep = run_cv(spot, fut, batched(fn), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
             Criterion.VARIANCE_REDUCTION
         ]
         # splits 0-3 test group 0; split 9 tests (3, 4) and trains on one block
@@ -299,7 +314,7 @@ def reference_cv(spot, fut, ratio_fn, h, criteria, part, k, min_obs, alpha):
                     cells[c][(g, s)] = EXCLUDED
                     continue
                 ds, df = rets[g]
-                port = build_portfolio(ds, df, ratio, h).portfolio
+                port = ds - ratio * df
                 if c is Criterion.VARIANCE_REDUCTION:
                     eff = he_variance(ds, port)
                 else:
@@ -355,7 +370,7 @@ class TestRunCvMatchesPerCellReference:
     def test_equals_reference(self, criteria, h):
         spot, fut, part, ratio_fn = self.scenario()
         min_obs, alpha = 25, 0.05
-        got = run_cv(spot, fut, ratio_fn, h, criteria, part, 3, min_obs=min_obs, alpha=alpha)
+        got = run_cv(spot, fut, batched(ratio_fn), h, criteria, part, 3, min_obs=min_obs, alpha=alpha)
         want, failed, excluded, degenerate = reference_cv(
             spot, fut, ratio_fn, h, criteria, part, 3, min_obs, alpha
         )
@@ -384,7 +399,7 @@ class TestRunCvMatchesPerCellReference:
         vr_rows, _, _ = effectiveness_rows(Criterion.VARIANCE_REDUCTION, ds, portfolios)
         var_eff_rows, _, _ = effectiveness_rows(Criterion.VAR, ds, portfolios, 0.05)
         for i, ratio in enumerate(r):
-            port = build_portfolio(ds, df, ratio, 1).portfolio
+            port = ds - ratio * df
             assert port.tobytes() == portfolios[i].tobytes()
             assert np.var(port, ddof=1).tobytes() == var_rows[i].tobytes()
             assert np.quantile(port, 0.05, method="linear").tobytes() == q_rows[i].tobytes()

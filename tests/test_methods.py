@@ -1,7 +1,10 @@
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emdhedge import methods
 from emdhedge.cpcv import Scheme, enumerate_splits, partition
@@ -46,7 +49,7 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
                 Method.SEMD, spot, fut, 5, imf_index=1, spot_set=full_s, fut_set=full_f,
                 scope="per-segment", cfg=cfg, decompositions=shared,
             )
-            assert fn(segs) == expected
+            assert fn([segs]) == [expected]
     assert set(cache) == {
         (leg, seg.start, seg.stop) for leg in ("spot", "fut") for seg in segments + segments_2
     }
@@ -66,9 +69,13 @@ class TestPool:
         assert np.all(rows[:, 1:] == 0.0)  # the 1 -> 100 jump never appears
 
 
+@lru_cache(maxsize=None)
 def _legs(case):
     spot, fut = gen_coint_pair(SynthSpec(length=800, seed=5, coint=CointSpec()))
     s_set = decompose(spot.values)
+    if case == "identical on groups 0-2":  # only the split training on them is singular
+        vals = np.concatenate([spot.values[:300], fut.values[300:]])
+        return spot, PriceSeries("f", Leg.FUTURES, spot.timestamps, vals), s_set, decompose(vals)
     if case == "identical legs":  # ECM's level columns collinear: its fallback and the rank rule
         return spot, PriceSeries("f", Leg.FUTURES, spot.timestamps, spot.values), s_set, s_set
     if case == "constant futures":  # every futures column is constant: DegenerateInputError
@@ -87,9 +94,10 @@ def _groups(spot, scheme):
 
 def _outcome(call):
     try:
-        return call()
+        got = call()
     except EmdHedgeError as exc:
         return type(exc).__name__, str(exc)
+    return (type(got).__name__, str(got)) if isinstance(got, EmdHedgeError) else got
 
 
 @pytest.mark.parametrize(
@@ -112,7 +120,7 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
 
     def recording(*args):
         best = select(*args)
-        lags.append(best[:2])
+        lags.extend(zip(*best[:2]))
         return best
 
     monkeypatch.setattr(methods, "_eecm_select", recording)
@@ -132,7 +140,7 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
             for _, train in splits:
                 s, f = restrict(spot, [groups[g] for g in train]), restrict(fut, [groups[g] for g in train])
                 del lags[:]
-                got = _outcome(lambda: fn(s.segments))
+                got = _outcome(lambda: fn([s.segments])[0])
                 want = _outcome(lambda: estimate(s, f, s.segments))
                 if isinstance(want, tuple):
                     assert got == want, (method, h, train)
@@ -140,3 +148,30 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
                 assert abs(got - want.ratio) <= 1e-12 * abs(want.ratio), (method, h, train)
                 if method is Method.EECM:
                     assert lags == [want.lags], (h, train)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    method=st.sampled_from(list(Method)),
+    case=st.sampled_from(["cointegrated", "identical on groups 0-2", "identical legs", "constant futures"]),
+    h=st.sampled_from([3, 17]),
+    order=st.permutations(range(21)),
+    size=st.integers(1, 21),
+)
+# ECM's and EECM's singular split in the middle of a full batch
+@example(method=Method.ECM, case="identical on groups 0-2", h=3, order=[*range(10), 20, *range(10, 20)], size=21)
+@example(method=Method.EECM, case="identical on groups 0-2", h=3, order=[*range(10), 20, *range(10, 20)], size=21)
+def test_a_splits_outcome_does_not_depend_on_its_batch(method, case, h, order, size):
+    spot, fut, s_set, f_set = _legs(case)
+    groups = partition(spot, Scheme.EQUAL_COUNT, 8).groups
+    # the first 20 of the 56 splits at k=3, and training on groups 0-2 only
+    segments = [restrict(spot, [groups[g] for g in train]).segments for _, train in enumerate_splits(8, 3).splits[:20]]
+    segments.append((range(0, 300),))
+    batch = [segments[i] for i in order[:size]]
+    fn = make_ratio_fn(method, spot, fut, h, imf_index=1, spot_set=s_set, fut_set=f_set, groups=groups)
+    for segs, got in zip(batch, fn(batch), strict=True):
+        (want,) = fn([segs])
+        if isinstance(want, EmdHedgeError):
+            assert (type(got), str(got)) == (type(want), str(want)), segs
+        else:
+            assert abs(got - want) <= 1e-12 * abs(want), segs

@@ -9,45 +9,13 @@ from emdhedge.errors import DataError, InsufficientDataError
 from emdhedge.estimators import mv_ratio
 from emdhedge.performance import (
     Criterion,
-    build_portfolio,
     he_var,
     he_variance,
     moments,
     var_quantile,
 )
-from emdhedge.series import DiffKind, Leg, PriceSeries, horizon_diff
+from emdhedge.series import DiffKind, horizon_diff
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
-
-
-def price_series(values, leg=Leg.SPOT):
-    ts = np.datetime64("2018-01-01") + np.arange(len(values))
-    return PriceSeries("p", leg, ts, np.asarray(values, dtype=float))
-
-
-class TestBuildPortfolio:
-    def test_from_series(self):
-        spot = price_series(np.exp([0.0, 0.1, 0.3]))
-        fut = price_series(np.exp([0.0, 0.2, 0.5]), Leg.FUTURES)
-        hr = build_portfolio(spot, fut, 0.5, 1)
-        assert np.allclose(hr.spot_returns, [0.1, 0.2])
-        assert np.allclose(hr.futures_returns, [0.2, 0.3])
-        assert np.allclose(hr.portfolio, [0.0, 0.05])
-
-    def test_from_arrays(self):
-        hr = build_portfolio(np.array([1.0, 2.0]), np.array([0.5, 1.0]), 2.0, 1)
-        assert np.allclose(hr.portfolio, [0.0, 0.0])
-
-    def test_misaligned_rejected(self):
-        with pytest.raises(DataError):
-            build_portfolio(np.zeros(5), np.zeros(4), 1.0, 1)
-
-    def test_perfect_hedge_with_unit_ratio(self):
-        rng = np.random.default_rng(0)
-        vals = np.exp(rng.normal(0, 0.01, 60).cumsum())
-        spot = price_series(vals)
-        fut = price_series(vals, Leg.FUTURES)
-        hr = build_portfolio(spot, fut, 1.0, 2)
-        assert np.max(np.abs(hr.portfolio)) <= 1e-14
 
 
 class TestHeVariance:
