@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .analysis import (
     significance_stars,
     variance_decomposition,
 )
-from .cpcv import Criterion, PathReport, Scheme, excluded_groups, partition, run_cv
+from .cpcv import MIN_PATHS, Criterion, PathReport, Scheme, excluded_groups, partition, run_cv
 from .emd import ImfSet, SiftConfig, decompose
 from .errors import DataError, EmdHedgeError, NumericError
 from .estimators import Method, pair_imfs
@@ -63,7 +63,6 @@ class RunConfig:
     decompose_scope: str = "full"  # or "per-segment"
     min_obs: int | None = None
     levels: str = "log"  # cointegrating regression on log or raw levels
-    seed: int = 0
 
     def sift_config(self) -> SiftConfig:
         return SiftConfig(
@@ -140,9 +139,10 @@ class SystemExit_(Exception):
 # ---------------------------------------------------------------------------
 # config file + flag merging
 
-_CONFIG_KEYS = {f.name for f in RunConfig.__dataclass_fields__.values()}
-_INT_KEYS = {"k", "horizon_cap", "max_sifts", "max_imfs", "mirror", "max_lag", "min_obs", "seed"}
-_FLOAT_KEYS = {"alpha", "envelope_tolerance"}
+# config key -> the type its string value is coerced to, from the field's
+# annotation (a string under ``from __future__ import annotations``)
+_TYPE_OF = {"int": int, "int | None": int, "float": float}
+_CONFIG_TYPES = {f.name: _TYPE_OF.get(f.type, str) for f in fields(RunConfig)}
 
 
 def _read_config_file(path: str) -> dict:
@@ -158,7 +158,7 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             raise UsageError(f"{path}:{lineno}: unknown key '{key}'")
         out[key] = value
     return out
@@ -168,13 +168,18 @@ def _coerce(key: str, value):
     if value is None or not isinstance(value, str):
         return value
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        return _CONFIG_TYPES[key](value)
     except ValueError:
         raise UsageError(f"bad value for '{key}': {value}") from None
-    return value
+
+
+def _too_few_paths(n_groups: int, k: int) -> str | None:
+    """Why the C(N-1, k-1) paths of N groups and k test groups are too few
+    for path statistics, or None."""
+    n_paths = math.comb(n_groups - 1, k - 1)
+    if n_paths < MIN_PATHS:
+        return f"N={n_groups} groups with k={k} give {n_paths} CV paths; path statistics need {MIN_PATHS}"
+    return None
 
 
 def parse_config(args: argparse.Namespace) -> RunConfig:
@@ -183,7 +188,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for key, value in file_vals.items():
         setattr(cfg, key, _coerce(key, value))
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, _coerce(key, value))
@@ -192,6 +197,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     _, n_groups = cfg.partition_scheme()
     if n_groups is not None and cfg.k >= n_groups:
         raise UsageError(f"k must be < N for equal:N, got k={cfg.k}, N={n_groups}")
+    if n_groups is not None and (why := _too_few_paths(n_groups, cfg.k)):
+        raise UsageError(why)
     if cfg.max_lag < 0:
         raise UsageError(f"max_lag must be >= 0, got {cfg.max_lag}")
     try:
@@ -204,6 +211,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("horizon_cap must be >= 1")
     if cfg.decompose_scope not in ("full", "per-segment"):
         raise UsageError(f"bad decompose_scope '{cfg.decompose_scope}'")
+    if cfg.levels not in ("log", "raw"):
+        raise UsageError(f"bad levels '{cfg.levels}' (use log or raw)")
     horizons = cfg.horizon_list()
     if horizons is not None and len(set(horizons)) < len(horizons):
         raise UsageError(f"duplicate horizons in '{cfg.horizons}'")
@@ -236,6 +245,12 @@ def _write_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _emit_csv(state: PipelineState, name: str, header: list[str], rows: list[list]) -> None:
+    """Write one report table into the bundle and list it as an artifact."""
+    _write_csv(state.outdir / name, header, rows)
+    state.artifacts.append(name)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +287,7 @@ def _load_state(cfg: RunConfig) -> PipelineState:
     return PipelineState(cfg=cfg, spot=spot, fut=fut, dropped_rows=dropped, outdir=outdir)
 
 
-def _imfset_payload(s: ImfSet, cfg: RunConfig) -> dict:
+def _imfset_payload(s: ImfSet, sift_cfg: SiftConfig) -> dict:
     return {
         "source_len": s.source_len,
         "n_imfs": len(s.imfs),
@@ -287,21 +302,16 @@ def _imfset_payload(s: ImfSet, cfg: RunConfig) -> dict:
             }
             for imf in s.imfs
         ],
-        "config": {
-            "envelope_tolerance": cfg.envelope_tolerance,
-            "max_sifts_per_imf": cfg.max_sifts,
-            "max_imfs": cfg.max_imfs,
-            "boundary_mirror_count": cfg.mirror,
-        },
+        "config": asdict(sift_cfg),
     }
 
 
 def _emit_decomposition(state: PipelineState) -> None:
-    cfg = state.cfg
-    sift_cfg = cfg.sift_config()
+    sift_cfg = state.cfg.sift_config()
     state.spot_set = decompose(state.spot.values, sift_cfg)
     state.fut_set = decompose(state.fut.values, sift_cfg)
-    for name, s in (("spot", state.spot_set), ("futures", state.fut_set)):
+    legs = (("spot", state.spot_set), ("futures", state.fut_set))
+    for name, s in legs:
         header = ["t"] + [f"imf{i + 1}" for i in range(len(s.imfs))] + ["residue"]
         columns = np.column_stack([imf.values for imf in s.imfs] + [s.residue])
         path = state.outdir / f"decomposition_{name}.csv"
@@ -311,25 +321,14 @@ def _emit_decomposition(state: PipelineState) -> None:
                 f"{t},{','.join(map(repr, row))}\n" for t, row in enumerate(columns.tolist())
             )
         state.artifacts.append(path.name)
-    sidecar = state.outdir / "decomposition.json"
-    _write_json(
-        sidecar,
-        {
-            "spot": _imfset_payload(state.spot_set, cfg),
-            "futures": _imfset_payload(state.fut_set, cfg),
-        },
-    )
-    state.artifacts.append(sidecar.name)
+    _write_json(state.outdir / "decomposition.json", {name: _imfset_payload(s, sift_cfg) for name, s in legs})
+    state.artifacts.append("decomposition.json")
 
     # cycle table, one row per leg
     n = max(len(state.spot_set.imfs), len(state.fut_set.imfs))
     header = ["leg"] + [f"imf{i + 1}" for i in range(n)]
-    rows = []
-    for name, s in (("spot", state.spot_set), ("futures", state.fut_set)):
-        rows.append([name] + [imf.cycle for imf in s.imfs] + [None] * (n - len(s.imfs)))
-    path = state.outdir / "cycles.csv"
-    _write_csv(path, header, rows)
-    state.artifacts.append(path.name)
+    rows = [[name] + [imf.cycle for imf in s.imfs] + [None] * (n - len(s.imfs)) for name, s in legs]
+    _emit_csv(state, "cycles.csv", header, rows)
 
     state.pairs, state.surplus = pair_imfs(state.spot_set, state.fut_set)
     for s in state.surplus:
@@ -371,9 +370,7 @@ def _emit_preliminary(state: PipelineState) -> None:
         for vr in variance_decomposition(lr_set, lr):
             label = f"imf{vr.imf_index}" if vr.imf_index is not None else "residue"
             rows.append([name, label, vr.variance, vr.percent])
-    path = state.outdir / "variance_decomposition.csv"
-    _write_csv(path, ["leg", "component", "variance", "percent"], rows)
-    state.artifacts.append(path.name)
+    _emit_csv(state, "variance_decomposition.csv", ["leg", "component", "variance", "percent"], rows)
 
     state.match_rows = matching_degree(state.pairs)
     rows = [
@@ -386,9 +383,8 @@ def _emit_preliminary(state: PipelineState) -> None:
         ]
         for m in state.match_rows
     ]
-    path = state.outdir / "matching_degree.csv"
-    _write_csv(path, ["component", "beta", "r_squared", "cycle_spot", "cycle_fut"], rows)
-    state.artifacts.append(path.name)
+    header = ["component", "beta", "r_squared", "cycle_spot", "cycle_fut"]
+    _emit_csv(state, "matching_degree.csv", header, rows)
 
 
 def _ratio_fn(state: PipelineState, method: Method, imf_index: int, h: int, **kw):
@@ -429,16 +425,10 @@ def _emit_insample(state: PipelineState) -> None:
         ratio_rows.append([f"imf{imf_index}", h] + ratios)
         vr_rows.append([f"imf{imf_index}", h] + vr_vals)
         var_rows.append([f"imf{imf_index}", h] + var_vals)
-    names = [m.value for m in methods]
-    path = state.outdir / "insample_ratios.csv"
-    _write_csv(path, ["imf", "horizon"] + names, ratio_rows)
-    state.artifacts.append(path.name)
-    path = state.outdir / "insample_variance_reduction.csv"
-    _write_csv(path, ["imf", "horizon"] + names, vr_rows)
-    state.artifacts.append(path.name)
-    path = state.outdir / "insample_var.csv"
-    _write_csv(path, ["imf", "horizon"] + names, var_rows)
-    state.artifacts.append(path.name)
+    header = ["imf", "horizon"] + [m.value for m in methods]
+    _emit_csv(state, "insample_ratios.csv", header, ratio_rows)
+    _emit_csv(state, "insample_variance_reduction.csv", header, vr_rows)
+    _emit_csv(state, "insample_var.csv", header, var_rows)
 
 
 def _emit_cv(state: PipelineState) -> None:
@@ -510,129 +500,74 @@ def _emit_cv(state: PipelineState) -> None:
                 n_paths = max(n_paths, len(rep.per_path_values))
                 cells += [rep.stats.mean, rep.stats.std, rep.stats.skew, rep.stats.kurt]
             rows.append([h, n_paths] + cells)
-        path = state.outdir / fname
-        _write_csv(path, header, rows)
-        state.artifacts.append(path.name)
-    path = state.outdir / "cv_paths.json"
-    _write_json(path, sidecar)
-    state.artifacts.append(path.name)
+        _emit_csv(state, fname, header, rows)
+    _write_json(state.outdir / "cv_paths.json", sidecar)
+    state.artifacts.append("cv_paths.json")
 
 
 def _emit_determinants(state: PipelineState) -> None:
-    """Performance-vs-matching-degree regressions across (IMF, horizon) rows."""
-    methods = [m for m in state.cfg.method_list() if m in (Method.MV, *EMD_FAMILY)]
+    """Performance-vs-matching-degree regressions across (IMF, horizon) rows:
+    the CV mean of each method (``determinants.csv``) and the EMD family's VaR
+    relative to MV's (``relative_performance.csv``)."""
+    methods = state.cfg.method_list()
     match_by_imf = {m.imf_index: m.r_squared for m in state.match_rows if m.imf_index}
-    det_rows = []
-    for crit, panel in (
-        (Criterion.VARIANCE_REDUCTION, "variance_reduction"),
-        (Criterion.VAR, "var"),
-    ):
-        for method in methods:
-            xs, ys = [], []
-            for imf_index, h in state.rows:
-                rep = state.cv_reports.get((method, h, crit))
-                if rep is None or rep.stats is None or imf_index not in match_by_imf:
-                    continue
-                xs.append(match_by_imf[imf_index])
-                ys.append(rep.stats.mean)
-            if len(xs) < 3:
-                state.warnings.append(f"determinants {panel}/{method.value}: fewer than 3 rows")
-                continue
-            try:
-                fit = determinant_regression(np.array(ys), np.array(xs))
-            except EmdHedgeError as exc:
-                state.warnings.append(f"determinants {panel}/{method.value}: {exc}")
-                continue
-            det_rows.append(
-                [
-                    panel,
-                    method.value,
-                    fit.beta_origin,
-                    fit.t_origin,
-                    significance_stars(fit.t_origin, fit.n_obs - 1),
-                    fit.r2_origin,
-                    fit.alpha,
-                    fit.t_alpha,
-                    significance_stars(fit.t_alpha, fit.n_obs - 2),
-                    fit.beta_affine,
-                    fit.t_affine,
-                    significance_stars(fit.t_affine, fit.n_obs - 2),
-                    fit.r2_affine,
-                    fit.n_obs,
-                ]
-            )
-    path = state.outdir / "determinants.csv"
-    _write_csv(
-        path,
-        [
-            "panel",
-            "method",
-            "beta_origin",
-            "t_origin",
-            "sig_origin",
-            "r2_origin",
-            "alpha",
-            "t_alpha",
-            "sig_alpha",
-            "beta_affine",
-            "t_affine",
-            "sig_affine",
-            "r2_affine",
-            "n",
-        ],
-        det_rows,
-    )
-    state.artifacts.append(path.name)
 
-    # relative VaR performance of the EMD family vs the MV baseline
-    rel_rows = []
-    for method in (m for m in EMD_FAMILY if m in state.cfg.method_list()):
+    def fit(label: str, method: Method, crit: Criterion, y_of):
+        """The regression of ``y_of(report, h)`` on the rows' matching degree,
+        skipping rows without a CV mean or where ``y_of`` gives None; None,
+        with a warning, when it cannot be fitted."""
         xs, ys = [], []
         for imf_index, h in state.rows:
-            rep = state.cv_reports.get((method, h, Criterion.VAR))
-            mv = state.cv_reports.get((Method.MV, h, Criterion.VAR))
-            if (
-                rep is None
-                or rep.stats is None
-                or mv is None
-                or mv.stats is None
-                or imf_index not in match_by_imf
-            ):
+            rep = state.cv_reports.get((method, h, crit))
+            if rep is None or rep.stats is None or imf_index not in match_by_imf:
                 continue
-            try:
-                rel = relative_performance(rep.stats.mean, mv.stats.mean)
-            except EmdHedgeError:
-                continue
-            xs.append(match_by_imf[imf_index])
-            ys.append(rel)
+            y = y_of(rep, h)
+            if y is not None:
+                xs.append(match_by_imf[imf_index])
+                ys.append(y)
         if len(xs) < 3:
-            state.warnings.append(f"relative performance {method.value}: fewer than 3 rows")
-            continue
+            state.warnings.append(f"{label}: fewer than 3 rows")
+            return None
         try:
-            fit = determinant_regression(np.array(ys), np.array(xs))
+            return determinant_regression(np.array(ys), np.array(xs))
         except EmdHedgeError as exc:
-            state.warnings.append(f"relative performance {method.value}: {exc}")
-            continue
-        rel_rows.append(
-            [
-                method.value,
-                fit.alpha,
-                fit.t_alpha,
-                significance_stars(fit.t_alpha, fit.n_obs - 2),
-                fit.beta_affine,
-                fit.t_affine,
-                significance_stars(fit.t_affine, fit.n_obs - 2),
-                fit.r2_affine,
-                fit.n_obs,
-            ]
-        )
-    path = state.outdir / "relative_performance.csv"
-    _write_csv(
-        path,
-        ["method", "alpha", "t_alpha", "sig_alpha", "beta", "t_beta", "sig_beta", "r_squared", "n"],
-        rel_rows,
-    )
-    state.artifacts.append(path.name)
+            state.warnings.append(f"{label}: {exc}")
+            return None
+
+    def affine(f) -> list:
+        return [
+            f.alpha, f.t_alpha, significance_stars(f.t_alpha, f.n_obs - 2),
+            f.beta_affine, f.t_affine, significance_stars(f.t_affine, f.n_obs - 2),
+            f.r2_affine, f.n_obs,
+        ]
+
+    def relative_to_mv(rep: PathReport, h: int) -> float | None:
+        mv = state.cv_reports.get((Method.MV, h, Criterion.VAR))
+        if mv is None or mv.stats is None:
+            return None
+        try:
+            return relative_performance(rep.stats.mean, mv.stats.mean)
+        except EmdHedgeError:
+            return None
+
+    det_rows = []
+    for crit, panel in ((Criterion.VARIANCE_REDUCTION, "variance_reduction"), (Criterion.VAR, "var")):
+        for method in (m for m in methods if m in (Method.MV, *EMD_FAMILY)):
+            f = fit(f"determinants {panel}/{method.value}", method, crit, lambda rep, h: rep.stats.mean)
+            if f is not None:
+                origin = [f.beta_origin, f.t_origin, significance_stars(f.t_origin, f.n_obs - 1), f.r2_origin]
+                det_rows.append([panel, method.value] + origin + affine(f))
+    header = ["panel", "method", "beta_origin", "t_origin", "sig_origin", "r2_origin", "alpha", "t_alpha"]
+    header += ["sig_alpha", "beta_affine", "t_affine", "sig_affine", "r2_affine", "n"]
+    _emit_csv(state, "determinants.csv", header, det_rows)
+
+    rel_rows = []
+    for method in (m for m in EMD_FAMILY if m in methods):
+        f = fit(f"relative performance {method.value}", method, Criterion.VAR, relative_to_mv)
+        if f is not None:
+            rel_rows.append([method.value] + affine(f))
+    header = ["method", "alpha", "t_alpha", "sig_alpha", "beta", "t_beta", "sig_beta", "r_squared", "n"]
+    _emit_csv(state, "relative_performance.csv", header, rel_rows)
 
 
 STAGES = ("decompose", "preliminary", "insample", "cv", "determinants")
@@ -640,12 +575,15 @@ STAGES = ("decompose", "preliminary", "insample", "cv", "determinants")
 
 def _check_cv_against_data(state: PipelineState) -> None:
     """Reject a CV config that the loaded data cannot serve, before any artifact:
-    k >= the number of partition groups (for a calendar-year partition this
-    needs the data), or an explicit horizon that excludes every group."""
+    k >= the number of partition groups or too few CV paths (for a
+    calendar-year partition this needs the data), or an explicit horizon
+    that excludes every group."""
     cfg = state.cfg
     part = cfg.partition_of(state.spot)
     if cfg.k >= part.n_groups:
         raise DataError(f"k must be < N, got k={cfg.k} with {part.n_groups} partition groups")
+    if why := _too_few_paths(part.n_groups, cfg.k):
+        raise DataError(why)
     for h in cfg.horizon_list() or ():
         if len(excluded_groups(part, h, CV_CRITERIA, cfg.min_obs)) == part.n_groups:
             raise DataError(
@@ -711,27 +649,11 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
 # subcommands
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input")
-    p.add_argument("--out")
+    """``--config`` plus one ``--<field-name>`` per ``RunConfig`` field; values
+    are coerced and checked in ``parse_config``, as config-file values are."""
     p.add_argument("--config")
-    p.add_argument("--date-col", dest="date_col")
-    p.add_argument("--spot-col", dest="spot_col")
-    p.add_argument("--futures-col", dest="futures_col")
-    p.add_argument("--k")
-    p.add_argument("--alpha")
-    p.add_argument("--horizons")
-    p.add_argument("--horizon-cap", dest="horizon_cap")
-    p.add_argument("--partition")
-    p.add_argument("--methods")
-    p.add_argument("--decompose-scope", dest="decompose_scope", choices=["full", "per-segment"])
-    p.add_argument("--envelope-tolerance", dest="envelope_tolerance")
-    p.add_argument("--max-sifts", dest="max_sifts")
-    p.add_argument("--max-imfs", dest="max_imfs")
-    p.add_argument("--mirror")
-    p.add_argument("--max-lag", dest="max_lag")
-    p.add_argument("--min-obs", dest="min_obs")
-    p.add_argument("--seed")
-    p.add_argument("--levels", choices=["log", "raw"])
+    for f in fields(RunConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name)
 
 
 def _cmd_synth(args) -> int:

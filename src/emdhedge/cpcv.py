@@ -33,6 +33,7 @@ __all__ = [
     "assign_paths",
     "path_statistics",
     "excluded_groups",
+    "MIN_PATHS",
     "RatioFn",
     "run_cv",
 ]
@@ -75,6 +76,9 @@ class PathAssignment:
     def cells_of_path(self, path_id: int) -> list[tuple[int, int]]:
         return list(self.paths[path_id - 1]) if 1 <= path_id <= self.n_paths else []
 
+
+# the fewest paths whose distribution gets moments (skewness and kurtosis)
+MIN_PATHS = 4
 
 # cell status markers in the score table
 EXCLUDED = "excluded"
@@ -185,7 +189,7 @@ def path_statistics(
             per_path.append(float(np.mean(vals)))
         else:
             per_path.append(float(np.min(vals)))
-    stats = moments(np.array(per_path)) if len(per_path) >= 4 else None
+    stats = moments(np.array(per_path)) if len(per_path) >= MIN_PATHS else None
     return tuple(per_path), stats, voided
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,55 @@ class TestParseConfig:
         cfg = parse_config(ns(methods="MV,GARCH"))
         with pytest.raises(UsageError, match="GARCH"):
             cfg.method_list()
+
+
+# a valid (text, coerced value) for every RunConfig field
+_FIELD_VALUES = {
+    "input": ("pair.csv", "pair.csv"),
+    "out": ("report", "report"),
+    "date_col": ("day", "day"),
+    "spot_col": ("s", "s"),
+    "futures_col": ("f", "f"),
+    "partition": ("equal:6", "equal:6"),
+    "k": ("3", 3),
+    "horizons": ("2,5", "2,5"),
+    "horizon_cap": ("30", 30),
+    "methods": ("MV,SEMD", "MV,SEMD"),
+    "alpha": ("0.1", 0.1),
+    "envelope_tolerance": ("0.2", 0.2),
+    "max_sifts": ("20", 20),
+    "max_imfs": ("8", 8),
+    "mirror": ("3", 3),
+    "max_lag": ("4", 4),
+    "decompose_scope": ("per-segment", "per-segment"),
+    "min_obs": ("30", 30),
+    "levels": ("raw", "raw"),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_every_config_field_is_a_flag_and_a_config_key(name, tmp_path):
+    text, value = _FIELD_VALUES[name]
+    parser = argparse.ArgumentParser()
+    cli._add_common_flags(parser)
+    from_flag = parse_config(parser.parse_args(["--" + name.replace("_", "-"), text]))
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{name} = {text}\n")
+    from_file = parse_config(ns(config=str(cfg_file)))
+    for cfg in (from_flag, from_file):
+        got = getattr(cfg, name)
+        assert (got, type(got)) == (value, type(value))
+
+
+def test_seed_is_a_synth_flag_only(pair_csv, tmp_path, capsys):
+    argv = ["pipeline", "--input", str(pair_csv), "--out", str(tmp_path / "a")]
+    assert main(argv + ["--seed", "1"]) == 1
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed = 1\n")
+    argv = ["pipeline", "--input", str(pair_csv), "--out", str(tmp_path / "b"), "--config", str(cfg_file)]
+    assert main(argv) == 1
+    assert "unknown key 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 class TestSynthCommand:
@@ -171,7 +221,7 @@ from emdhedge.cli import main
 pair, out = sys.argv[1], sys.argv[2]
 rcs = [
     main(["synth", "--out", pair, "--length", "300", "--seed", "4"]),
-    main(["pipeline", "--input", pair, "--out", out, "--partition", "equal:4"]),
+    main(["pipeline", "--input", pair, "--out", out, "--partition", "equal:5"]),
 ]
 # a short pipeline has too few rows for the determinant regressions, so the
 # p-values are exercised directly, one of them at a near-tie (dof 5, p ~ 0.10)
@@ -420,6 +470,9 @@ class TestBadConfigFailsUpFront:
             ["--partition", "equal:3", "--k", "5"],
             ["--partition", "bogus"],
             ["--horizons", "5,5"],
+            ["--partition", "equal:6", "--k", "1"],
+            ["--partition", "equal:4"],
+            ["--decompose-scope", "per-seg"],
         ],
         ids=[
             "envelope-tolerance",
@@ -427,6 +480,9 @@ class TestBadConfigFailsUpFront:
             "k-vs-groups",
             "partition-spec",
             "duplicate-horizons",
+            "one-path",
+            "three-paths",
+            "decompose-scope",
         ],
     )
     def test_usage_error_before_any_artifact(self, pair_csv, tmp_path, capsys, flags):
@@ -435,6 +491,24 @@ class TestBadConfigFailsUpFront:
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
         assert not outdir.exists() or not any(outdir.iterdir())
+
+    def test_levels_from_a_config_file_are_checked(self, pair_csv, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("levels = lg\n")
+        outdir = tmp_path / "out"
+        argv = ["hedge", "--input", str(pair_csv), "--out", str(outdir), "--methods", "EECM"]
+        assert main(argv + ["--config", str(cfg_file)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not outdir.exists() or not any(outdir.iterdir())
+
+    def test_year_partition_with_too_few_paths_is_a_data_error_before_any_artifact(
+        self, pair_csv, tmp_path, capsys
+    ):
+        # 900 days span 3 calendar years: k=2 gives C(2, 1) = 2 paths
+        outdir = tmp_path / "out"
+        assert main(["cv", "--input", str(pair_csv), "--out", str(outdir), "--partition", "year"]) == 2
+        assert "2 CV paths" in capsys.readouterr().err
+        assert not any(outdir.iterdir())
 
     def test_unknown_method_is_a_usage_error_before_any_artifact(self, pair_csv, tmp_path, capsys):
         outdir = tmp_path / "out"
