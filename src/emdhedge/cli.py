@@ -406,7 +406,7 @@ def _emit_insample(state: PipelineState) -> None:
         df = horizon_diff(state.fut, h, DiffKind.LOG).values
         ratios = []
         for method in methods:
-            (ratio,) = _ratio_fn(state, method, imf_index, h)([(range(0, len(state.spot)),)])
+            (ratio,) = _ratio_fn(state, method, imf_index, h)([(0,)])
             if isinstance(ratio, EmdHedgeError):
                 state.warnings.append(f"in-sample {method.value} imf{imf_index} h={h}: {ratio}")
                 ratio = float("nan")

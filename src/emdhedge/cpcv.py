@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError, InsufficientDataError, NumericError
 from .performance import Criterion, Moments, effectiveness_rows, moments
-from .series import PriceSeries, restrict
+from .series import PriceSeries
 
 __all__ = [
     "Scheme",
@@ -193,12 +193,12 @@ def path_statistics(
     return tuple(per_path), stats, voided
 
 
-RatioFn = Callable[[Sequence[tuple[range, ...]]], list]
-"""A batched ratio function: given the training segments (merged index
-ranges) of a batch of splits, in split order, it returns one outcome per
-split, the hedge ratio or the ``DataError`` or ``NumericError`` its fit
-raises. Any other exception ends the call. A split's outcome does not
-depend on the rest of its batch."""
+RatioFn = Callable[[Sequence[tuple[int, ...]]], list]
+"""A batched ratio function: given the training groups (ascending indices
+into the partition's groups, as ``enumerate_splits`` yields them) of a batch
+of splits, in split order, it returns one outcome per split, the hedge ratio
+or the ``DataError`` or ``NumericError`` its fit raises. Any other exception
+ends the call. A split's outcome does not depend on the rest of its batch."""
 
 
 def excluded_groups(
@@ -237,8 +237,8 @@ def run_cv(
 ) -> dict[Criterion, PathReport]:
     """Run the full combinatorial CV for one (method, horizon).
 
-    ``ratio_fn`` is called once, with every split's training segments
-    (merged index ranges, unions of whole ``part`` groups) in split order.
+    ``ratio_fn`` is called once, with every split's training groups
+    (indices into ``part.groups``) in split order.
     Each test group is scored separately on within-group horizon differences;
     groups too short for ``min_obs`` of them are excluded at this horizon
     (``excluded_groups``).
@@ -273,7 +273,7 @@ def run_cv(
         group_rets.append((sv[horizon:] - sv[:-horizon], fv[horizon:] - fv[:-horizon]))
 
     # phase 1: one hedge ratio per split; None marks a failed split
-    batch = [restrict(spot, [part.groups[g] for g in train]).segments for _, train in splits.splits]
+    batch = [train for _, train in splits.splits]
     ratios: list[float | None] = []
     failed_splits: list[int] = []
     failed_reasons: list[tuple[str, str]] = []

@@ -1,14 +1,15 @@
 """Bridges the six estimators into the cross-validation harness.
 
-A ratio function (``cpcv.RatioFn``) takes the training segments (merged
-index ranges) of a batch of CV splits and returns each split's hedge ratio,
-or the error its fit raises. EMD methods support two decomposition scopes:
+A ratio function (``cpcv.RatioFn``) takes the training groups (indices
+into the partition's groups) of a batch of CV splits and returns each
+split's hedge ratio, or the error its fit raises. EMD methods support two decomposition scopes:
 
 - ``full``: decompose the whole series once and restrict regression samples
   to the training indices (matches single-decomposition reporting, but the
   decomposition itself sees test data);
 - ``per-segment``: re-run the decomposition on each contiguous training
-  segment and pool regression observations, eliminating look-ahead.
+  segment (a run of adjacent training groups) and pool regression
+  observations, eliminating look-ahead.
 
 Full-scope and conventional ratios come from one row builder, shared with
 the public estimators: ``design_rows`` forms a method's regression rows
@@ -57,7 +58,7 @@ from .estimators import (
     ols,
     pair_imfs,
 )
-from .series import PriceSeries
+from .series import PriceSeries, restrict
 
 __all__ = ["design_rows", "pool", "make_ratio_fn"]
 
@@ -259,15 +260,17 @@ def make_ratio_fn(
     """Batched ratio function (``cpcv.RatioFn``) of one (method, horizon) on
     the given series pair.
 
+    A batch names each split's training groups by index into ``groups``,
+    the CV partition's groups (default: the whole series as group 0).
     Full-scope and conventional ratios fit a whole batch at once from the
-    bucket R factors. They bucket the rows by ``groups``, the CV partition's
-    groups (default: the whole series as one group), so each split's
-    segments must be unions of groups. The per-segment scope fits split by
-    split; ``decompositions`` memoizes its decompositions: share one dict
-    between ratio functions of the same series pair and SiftConfig.
+    bucket R factors, bucketing the rows by ``groups``. The per-segment
+    scope fits split by split; ``decompositions`` memoizes its
+    decompositions: share one dict between ratio functions of the same
+    series pair and SiftConfig.
     """
     if method in EMD_FAMILY and (spot_set is None or fut_set is None):
         raise ValueError("EMD methods need both decompositions")
+    groups = groups or (range(0, len(spot)),)
     if method in EMD_FAMILY and scope != "full":
         cache = {} if decompositions is None else decompositions
 
@@ -277,9 +280,9 @@ def make_ratio_fn(
                 cache[key] = decompose(series.values[seg.start : seg.stop], cfg)
             return cache[key]
 
-        def per_segment_ratio(segments: tuple[range, ...]) -> float:
+        def per_segment_ratio(train: tuple[int, ...]) -> float:
             ys, xs = [], []
-            for seg in segments:
+            for seg in restrict(spot, [groups[g] for g in train]).segments:
                 if len(seg) < MIN_SAMPLES:
                     continue
                 s_set, f_set = imfs("spot", spot, seg), imfs("fut", fut, seg)
@@ -305,18 +308,15 @@ def make_ratio_fn(
 
         def per_segment_fn(batch) -> list:
             out = []
-            for segments in batch:
+            for train in batch:
                 try:
-                    out.append(per_segment_ratio(segments))
+                    out.append(per_segment_ratio(train))
                 except (DataError, NumericError) as exc:
                     out.append(exc)
             return out
 
         return per_segment_fn
 
-    groups = groups or (range(0, len(spot)),)
-    first = {g.start: i for i, g in enumerate(groups)}
-    last = {g.stop: i for i, g in enumerate(groups)}
     built: list = []  # (row buckets, EECM's level buckets) once built
 
     def buckets():
@@ -344,9 +344,8 @@ def make_ratio_fn(
             except (DataError, NumericError) as exc:
                 return [exc] * len(batch)
         train = np.zeros((len(batch), len(groups)), dtype=bool)
-        for s, segments in enumerate(batch):
-            for seg in segments:
-                train[s, first[seg.start] : last[seg.stop] + 1] = True
+        for s, split_groups in enumerate(batch):
+            train[s, list(split_groups)] = True
         return _fit_splits(method, horizon, max_lag, *built[0], train)
 
     return fn

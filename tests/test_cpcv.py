@@ -25,15 +25,16 @@ from emdhedge.series import Leg, PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
 
-def batched(fn):
+def batched(fn, spot, part):
     """The batched ratio function of a per-split one: each split's ratio, or
-    the DataError or NumericError it raises, calling ``fn`` in split order."""
+    the DataError or NumericError it raises, calling ``fn`` on each split's
+    training segments (its training groups, merged) in split order."""
 
     def run(batch):
         out = []
-        for segs in batch:
+        for train in batch:
             try:
-                out.append(fn(segs))
+                out.append(fn(restrict(spot, [part.groups[g] for g in train]).segments))
             except (DataError, NumericError) as exc:
                 out.append(exc)
         return out
@@ -173,7 +174,8 @@ class TestRunCv:
         spot = price_series(vals)
         fut = price_series(vals, leg=Leg.FUTURES)
         part = partition(400, Scheme.EQUAL_COUNT, 5)
-        reports = run_cv(spot, fut, batched(lambda segs: 1.0), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)
+        fn = batched(lambda segs: 1.0, spot, part)
+        reports = run_cv(spot, fut, fn, 1, (Criterion.VARIANCE_REDUCTION,), part, 2)
         rep = reports[Criterion.VARIANCE_REDUCTION]
         assert rep.n_paths_total == 4
         assert rep.n_paths_voided == 0
@@ -187,8 +189,8 @@ class TestRunCv:
             lengths = sum(len(s) for s in segs)
             return 0.9 + 1e-6 * lengths
 
-        a = run_cv(spot, fut, batched(fn), 3, tuple(Criterion), part, 2)
-        b = run_cv(spot, fut, batched(fn), 3, tuple(Criterion), part, 2)
+        a = run_cv(spot, fut, batched(fn, spot, part), 3, tuple(Criterion), part, 2)
+        b = run_cv(spot, fut, batched(fn, spot, part), 3, tuple(Criterion), part, 2)
         for c in Criterion:
             assert a[c].per_path_values == b[c].per_path_values
             assert a[c].per_split_values == b[c].per_split_values
@@ -200,7 +202,7 @@ class TestRunCv:
         spot, fut = coint_series(seed=9, n=1000)
         part = partition(1000, Scheme.EQUAL_COUNT, 5)
         rep = run_cv(
-            spot, fut, batched(lambda segs: 0.9), 2, (Criterion.VARIANCE_REDUCTION,), part, 2
+            spot, fut, batched(lambda segs: 0.9, spot, part), 2, (Criterion.VARIANCE_REDUCTION,), part, 2
         )[Criterion.VARIANCE_REDUCTION]
         assert not rep.excluded_groups and not rep.failed_splits
         path_mean = np.mean(rep.per_path_values)
@@ -211,7 +213,7 @@ class TestRunCv:
         spot, fut = coint_series(seed=3, n=149)
         part = partition(149, Scheme.EQUAL_COUNT, 5)  # sizes (29,29,29,29,33)
         rep = run_cv(
-            spot, fut, batched(lambda segs: 0.9), 10, (Criterion.VARIANCE_REDUCTION,), part, 2
+            spot, fut, batched(lambda segs: 0.9, spot, part), 10, (Criterion.VARIANCE_REDUCTION,), part, 2
         )[Criterion.VARIANCE_REDUCTION]
         # min_obs = max(10, 2*10) = 20: groups of 29 have 19 diffs and drop,
         # the 33-sample remainder group has 23 and stays
@@ -221,7 +223,8 @@ class TestRunCv:
         spot, fut = coint_series(seed=3, n=520)
         part = partition(520, Scheme.EQUAL_COUNT, 5)
         with pytest.raises(InsufficientDataError):
-            run_cv(spot, fut, batched(lambda segs: 0.9), 100, (Criterion.VARIANCE_REDUCTION,), part, 2)
+            fn = batched(lambda segs: 0.9, spot, part)
+            run_cv(spot, fut, fn, 100, (Criterion.VARIANCE_REDUCTION,), part, 2)
 
     def test_failed_split_voids_touching_paths(self):
         spot, fut = coint_series(seed=5, n=600)
@@ -234,7 +237,7 @@ class TestRunCv:
                 raise InsufficientDataError("synthetic failure")
             return 0.9
 
-        rep = run_cv(spot, fut, batched(flaky), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
+        rep = run_cv(spot, fut, batched(flaky, spot, part), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
             Criterion.VARIANCE_REDUCTION
         ]
         assert rep.failed_splits == (0,)
@@ -246,7 +249,7 @@ class TestRunCv:
     def test_var_criterion_uses_min_rule(self):
         spot, fut = coint_series(seed=11, n=1500)
         part = partition(1500, Scheme.EQUAL_COUNT, 5)
-        reports = run_cv(spot, fut, batched(lambda segs: 0.9), 1, tuple(Criterion), part, 2)
+        reports = run_cv(spot, fut, batched(lambda segs: 0.9, spot, part), 1, tuple(Criterion), part, 2)
         var_rep = reports[Criterion.VAR]
         vr_rep = reports[Criterion.VARIANCE_REDUCTION]
         assert var_rep.n_paths_total == vr_rep.n_paths_total == 4
@@ -261,7 +264,7 @@ class TestRunCv:
                 raise InsufficientDataError("synthetic failure")
             return float("nan") if len(segs) == 1 else 0.9
 
-        rep = run_cv(spot, fut, batched(fn), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
+        rep = run_cv(spot, fut, batched(fn, spot, part), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
             Criterion.VARIANCE_REDUCTION
         ]
         # splits 0-3 test group 0; split 9 tests (3, 4) and trains on one block
@@ -370,7 +373,8 @@ class TestRunCvMatchesPerCellReference:
     def test_equals_reference(self, criteria, h):
         spot, fut, part, ratio_fn = self.scenario()
         min_obs, alpha = 25, 0.05
-        got = run_cv(spot, fut, batched(ratio_fn), h, criteria, part, 3, min_obs=min_obs, alpha=alpha)
+        fn = batched(ratio_fn, spot, part)
+        got = run_cv(spot, fut, fn, h, criteria, part, 3, min_obs=min_obs, alpha=alpha)
         want, failed, excluded, degenerate = reference_cv(
             spot, fut, ratio_fn, h, criteria, part, 3, min_obs, alpha
         )

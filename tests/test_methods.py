@@ -33,12 +33,12 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
     groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
     _, train = enumerate_splits(5, 2).splits[3]  # test groups (0, 4): one training segment
     segments = restrict(spot, [groups[g] for g in train]).segments
-    _, train = enumerate_splits(5, 2).splits[1]  # test groups (0, 2): two training segments
-    segments_2 = restrict(spot, [groups[g] for g in train]).segments
+    _, train_2 = enumerate_splits(5, 2).splits[1]  # test groups (0, 2): two training segments
+    segments_2 = restrict(spot, [groups[g] for g in train_2]).segments
     assert len(segments) == 1 and len(segments_2) == 2
 
     cache: dict = {}
-    for segs in (segments, segments_2):
+    for split_groups, segs in ((train, segments), (train_2, segments_2)):
         ys, xs = [], []
         for seg in segs:
             ys.append(decompose(spot.values[seg.start : seg.stop], cfg).imfs[0].values)
@@ -47,9 +47,9 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
         for shared in (cache, None):
             fn = make_ratio_fn(
                 Method.SEMD, spot, fut, 5, imf_index=1, spot_set=full_s, fut_set=full_f,
-                scope="per-segment", cfg=cfg, decompositions=shared,
+                scope="per-segment", cfg=cfg, decompositions=shared, groups=groups,
             )
-            assert fn([segs]) == [expected]
+            assert fn([split_groups]) == [expected]
     assert set(cache) == {
         (leg, seg.start, seg.stop) for leg in ("spot", "fut") for seg in segments + segments_2
     }
@@ -140,7 +140,7 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
             for _, train in splits:
                 s, f = restrict(spot, [groups[g] for g in train]), restrict(fut, [groups[g] for g in train])
                 del lags[:]
-                got = _outcome(lambda: fn([s.segments])[0])
+                got = _outcome(lambda: fn([train])[0])
                 want = _outcome(lambda: estimate(s, f, s.segments))
                 if isinstance(want, tuple):
                     assert got == want, (method, h, train)
@@ -165,13 +165,12 @@ def test_a_splits_outcome_does_not_depend_on_its_batch(method, case, h, order, s
     spot, fut, s_set, f_set = _legs(case)
     groups = partition(spot, Scheme.EQUAL_COUNT, 8).groups
     # the first 20 of the 56 splits at k=3, and training on groups 0-2 only
-    segments = [restrict(spot, [groups[g] for g in train]).segments for _, train in enumerate_splits(8, 3).splits[:20]]
-    segments.append((range(0, 300),))
-    batch = [segments[i] for i in order[:size]]
+    trains = [train for _, train in enumerate_splits(8, 3).splits[:20]] + [(0, 1, 2)]
+    batch = [trains[i] for i in order[:size]]
     fn = make_ratio_fn(method, spot, fut, h, imf_index=1, spot_set=s_set, fut_set=f_set, groups=groups)
-    for segs, got in zip(batch, fn(batch), strict=True):
-        (want,) = fn([segs])
+    for train, got in zip(batch, fn(batch), strict=True):
+        (want,) = fn([train])
         if isinstance(want, EmdHedgeError):
-            assert (type(got), str(got)) == (type(want), str(want)), segs
+            assert (type(got), str(got)) == (type(want), str(want)), train
         else:
-            assert abs(got - want) <= 1e-12 * abs(want), segs
+            assert abs(got - want) <= 1e-12 * abs(want), train
