@@ -32,7 +32,7 @@ from .analysis import (
 from .cpcv import MIN_PATHS, Criterion, PathReport, Scheme, excluded_groups, partition, run_cv
 from .emd import ImfSet, SiftConfig, decompose
 from .errors import DataError, EmdHedgeError, NumericError
-from .estimators import Method, pair_imfs
+from .estimators import Method, horizon_of, pair_imfs
 from .methods import EMD_FAMILY, make_ratio_fn
 from .performance import effectiveness_rows
 from .series import DiffKind, PriceSeries, horizon_diff, load_csv
@@ -344,7 +344,7 @@ def _select_rows(state: PipelineState) -> list[tuple[int, int]]:
     horizons = cfg.horizon_list()
     if horizons is None:
         for i, c in enumerate(cycles, start=1):
-            h = max(1, round(c))
+            h = horizon_of(c)
             kept = [j for j, hj in rows if hj == h]  # tables and CV reports are keyed by horizon
             if kept:
                 state.warnings.append(f"imf{i} dropped: horizon {h} is already imf{kept[0]}'s")

@@ -38,6 +38,7 @@ __all__ = [
     "ecm_ratio",
     "eecm_ratio",
     "pair_imfs",
+    "horizon_of",
     "vemd_ratio",
     "semd_ratio",
     "aemd_ratio",
@@ -415,10 +416,19 @@ def semd_ratio(
     return HedgeEstimate(Method.SEMD, horizon, fit.slope, fit, imf_index=pair.index)
 
 
+def horizon_of(cycle: float) -> int:
+    """The hedging horizon, in days, of an IMF with mean cycle ``cycle``: the
+    cycle rounded to the nearest day (halves to even), at least 1. Auto
+    horizon rows and AEMD's IMF selection share it, so the IMF a row is
+    named after is inside that row's aggregate."""
+    return max(1, round(cycle))
+
+
 def aggregate_imfs(spot_set: ImfSet, fut_set: ImfSet, horizon: int):
-    """Per leg, the sum of all IMFs whose own cycle is at or below the horizon."""
-    spot_sel = [i.values for i in spot_set.imfs if i.cycle <= horizon]
-    fut_sel = [i.values for i in fut_set.imfs if i.cycle <= horizon]
+    """Per leg, the sum of all IMFs whose own horizon (``horizon_of`` their
+    cycle) is at or below ``horizon``."""
+    spot_sel = [i.values for i in spot_set.imfs if horizon_of(i.cycle) <= horizon]
+    fut_sel = [i.values for i in fut_set.imfs if horizon_of(i.cycle) <= horizon]
     if not spot_sel:
         raise DataError(f"no spot IMF with cycle <= horizon {horizon}")
     if not fut_sel:

@@ -15,8 +15,10 @@ from emdhedge.estimators import (
     MIN_OBS,
     Method,
     aemd_ratio,
+    aggregate_imfs,
     ecm_ratio,
     eecm_ratio,
+    horizon_of,
     mv_ratio,
     ols,
     pair_imfs,
@@ -434,6 +436,17 @@ class TestAemdRatio:
         spot_set, fut_set = synthetic_pair_sets()
         est = aemd_ratio(spot_set, fut_set, 10_000)
         assert est.ratio == pytest.approx(2.0, abs=1e-6)
+
+    def test_an_imf_counts_at_the_horizon_of_its_own_cycle(self):
+        # the auto row of an IMF with cycle 3.3 has h = 3, and its aggregate
+        # must hold that IMF
+        vals = np.random.default_rng(0).normal(size=(3, 50))
+        cycles = (1.4, 3.3, 9.0)
+        imfs = tuple(Imf(v, i + 1, c, 1, 1, 1, 1, True) for i, (v, c) in enumerate(zip(vals, cycles)))
+        imf_set = ImfSet(imfs, np.zeros(50), 50)
+        assert [horizon_of(c) for c in (0.2, 1.4, 2.5, 3.3, 3.5, 9.0)] == [1, 1, 2, 3, 4, 9]
+        spot, fut = aggregate_imfs(imf_set, imf_set, 3)
+        assert np.array_equal(spot, vals[0] + vals[1]) and np.array_equal(fut, spot)
 
 
 def _walk(n, seed):
