@@ -721,8 +721,7 @@ def main(argv: list[str] | None = None) -> int:
         "pipeline": STAGES,
     }
     for name in stage_of:
-        p = sub.add_parser(name)
-        _add_common_flags(p)
+        _add_common_flags(sub.add_parser(name))
 
     try:
         args = parser.parse_args(argv)

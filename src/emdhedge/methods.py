@@ -2,7 +2,8 @@
 
 A ratio function (``cpcv.RatioFn``) takes the training groups (indices
 into the partition's groups) of a batch of CV splits and returns each
-split's hedge ratio, or the error its fit raises. EMD methods support two decomposition scopes:
+split's hedge ratio, or the error its fit raises. EMD methods support two
+decomposition scopes:
 
 - ``full``: decompose the whole series once and restrict regression samples
   to the training indices (matches single-decomposition reporting, but the
