@@ -2,13 +2,16 @@
 
 Conventional estimators (MV, ECM, EECM) regress horizon-h log-price
 differences; the EMD family (vanilla, sample-saving, aggregate) regresses
-price-level IMFs. Each estimator takes its regression rows from the row
-builder ``methods.design_rows``, formed over the whole series and kept where
-the row's footprint (the indices it reads) lies inside one segment of the
-training sample, so no difference or lag spans a gap. The CV ratio
-functions in ``methods`` fit the same rows from per-bucket QR factors;
-they share this module's sample checks, rank rule, ECM fallback and EECM
-lag search, which read only an R factor, never X'X.
+price-level IMFs. Every estimator takes its training sample as
+``segments``, a tuple of index ranges (default: the whole series), and its
+regression rows from one row builder: ``design_rows`` forms a method's rows
+[1, design | y] over the whole series once, each with its footprint [i, i +
+back], the indices it reads (back is h for MV, ECM and VEMD, h + max_lag for
+EECM and 0 for SEMD and AEMD), and ``pool`` keeps the rows whose footprint
+lies inside one segment, so no difference or lag spans a gap. The CV ratio
+functions in ``methods`` fit the same rows from per-bucket QR factors; they
+share this module's sample checks, rank rule, ECM fallback and EECM lag
+search, which read only an R factor, never X'X.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ from .errors import (
     InsufficientDataError,
     SingularDesignError,
 )
-from .series import PriceSeries, SegmentedSeries
+from .series import PriceSeries, check_segments
 
 __all__ = [
     "Method",
     "OlsFit",
     "HedgeEstimate",
     "ImfPair",
+    "design_rows",
+    "pool",
     "ols",
     "mv_ratio",
     "ecm_ratio",
@@ -155,8 +160,6 @@ def _aic(sse: float, n: int, p: int) -> float:
     return n * math.log(sse / n) + 2 * p if sse > 0.0 else -math.inf
 
 
-Train = PriceSeries | SegmentedSeries
-
 # too-few-rows message of each method, by row count n and horizon h
 _TOO_FEW = {
     Method.MV: "{n} observations after horizon-{h} differencing",
@@ -183,18 +186,53 @@ def _check_futures_variance(df: np.ndarray) -> None:
         raise DegenerateInputError("futures differences have zero variance")
 
 
+def design_rows(
+    method: Method,
+    s: np.ndarray,
+    f: np.ndarray,
+    horizon: int,
+    max_lag: int = 0,
+    log_levels: bool = True,
+) -> tuple[np.ndarray, int]:
+    """(rows, back): the regression rows [1, design | y] of ``method`` and
+    their footprint length, row i reading indices [i, i + back].
+
+    ``s`` and ``f`` are prices for MV, ECM and EECM, IMF levels for the EMD
+    family. EECM's rows are [1, dF, S, F, dS lags 1..L, dF lags 1..L | dS]
+    with S, F the (log) levels at the earlier endpoint, which ``_with_u``
+    turns into the cointegration residual.
+    """
+    if method in (Method.SEMD, Method.AEMD):
+        return np.column_stack([np.ones(len(s)), f, s]), 0
+    if horizon < 1:
+        raise DataError("horizon must be >= 1")
+    ls, lf = (s, f) if method is Method.VEMD else (np.log(s), np.log(f))
+    ds, df = ls[horizon:] - ls[:-horizon], lf[horizon:] - lf[:-horizon]
+    if method in (Method.MV, Method.VEMD):
+        return np.column_stack([np.ones(len(ds)), df, ds]), horizon
+    if method is Method.ECM:
+        return np.column_stack([np.ones(len(ds)), df, ls[:-horizon], lf[:-horizon], ds]), horizon
+    if max_lag < 0:
+        raise DataError("max_lag must be >= 0")
+    lag, n = max_lag, len(ds) - max_lag
+    if n <= 0:
+        return np.empty((0, 5 + 2 * lag)), horizon + lag
+    level = np.log if log_levels else np.asarray
+    cols = [np.ones(n), df[lag:], level(s)[lag : lag + n], level(f)[lag : lag + n]]
+    cols += [d[lag - i : lag - i + n] for d in (ds, df) for i in range(1, lag + 1)]
+    return np.column_stack(cols + [ds[lag:]]), horizon + lag
+
+
+def pool(rows: np.ndarray, back: int, segments: tuple[range, ...]) -> np.ndarray:
+    """The rows whose footprint lies inside one of ``segments``, in order."""
+    return np.concatenate([rows[g.start : max(g.start, g.stop - back)] for g in segments])
+
+
 def _sample(method: Method, s, f, segments, horizon: int, **kw) -> np.ndarray:
     """The rows [1, design | y] of ``method`` whose footprint lies inside one
     of ``segments`` (default: the whole series), pooled in time order."""
-    from .methods import design_rows, pool  # methods builds on this module
-
-    return pool(*design_rows(method, s, f, horizon, **kw), segments or (range(0, len(s)),))
-
-
-def _train(x: Train) -> tuple[np.ndarray, tuple[range, ...]]:
-    if isinstance(x, PriceSeries):
-        return x.values, (range(0, len(x)),)
-    return x.parent.values, x.segments
+    segments = (range(0, len(s)),) if segments is None else check_segments(segments, len(s))
+    return pool(*design_rows(method, s, f, horizon, **kw), segments)
 
 
 def _fit(method: Method, rows: np.ndarray, horizon: int) -> OlsFit:
@@ -203,21 +241,30 @@ def _fit(method: Method, rows: np.ndarray, horizon: int) -> OlsFit:
     return ols(rows[:, -1], rows[:, 1:-1], intercept=True)
 
 
-def mv_ratio(spot: Train, fut: Train, horizon: int) -> HedgeEstimate:
+def mv_ratio(
+    spot: PriceSeries,
+    fut: PriceSeries,
+    horizon: int,
+    segments: tuple[range, ...] | None = None,
+) -> HedgeEstimate:
     """Minimum-variance ratio: slope of horizon-h log-return regression."""
-    (s, segments), (f, _) = _train(spot), _train(fut)
-    fit = _fit(Method.MV, _sample(Method.MV, s, f, segments, horizon), horizon)
+    fit = _fit(Method.MV, _sample(Method.MV, spot.values, fut.values, segments, horizon), horizon)
     return HedgeEstimate(Method.MV, horizon, fit.slope, fit)
 
 
-def ecm_ratio(spot: Train, fut: Train, horizon: int, include_levels: bool = True) -> HedgeEstimate:
+def ecm_ratio(
+    spot: PriceSeries,
+    fut: PriceSeries,
+    horizon: int,
+    include_levels: bool = True,
+    segments: tuple[range, ...] | None = None,
+) -> HedgeEstimate:
     """Error-correction ratio: dS on dF plus the lagged log price levels.
 
     The level terms use the observation's earlier endpoint (lag = horizon).
     ``include_levels=False`` is the restricted variant, nesting back to MV.
     """
-    (s, segments), (f, _) = _train(spot), _train(fut)
-    rows = _sample(Method.ECM, s, f, segments, horizon)
+    rows = _sample(Method.ECM, spot.values, fut.values, segments, horizon)
     if not include_levels:
         fit = _fit(Method.ECM, rows[:, [0, 1, -1]], horizon)
         return HedgeEstimate(Method.ECM, horizon, fit.slope, fit)
@@ -305,12 +352,13 @@ def _eecm_select(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
 
 
 def eecm_ratio(
-    spot: Train,
-    fut: Train,
+    spot: PriceSeries,
+    fut: PriceSeries,
     horizon: int,
     max_lag: int = 10,
     include_u: bool = True,
     log_levels: bool = True,
+    segments: tuple[range, ...] | None = None,
 ) -> HedgeEstimate:
     """Extended ECM: AIC-selected lags of dS and dF plus the cointegration
     residual.
@@ -321,7 +369,7 @@ def eecm_ratio(
     QR factorization of the full design [1, dF, u, dS lags 1..L,
     dF lags 1..L | dS]. Only the winner is refit with ``ols``.
     """
-    (s, segments), (f, _) = _train(spot), _train(fut)
+    s, f = spot.values, fut.values
     raw = _sample(Method.EECM, s, f, segments, horizon, max_lag=max_lag, log_levels=log_levels)
     level = np.log if log_levels else np.asarray
     # the cointegrating regression has SEMD's rows [1, F | S], on price levels

@@ -12,12 +12,11 @@ decomposition scopes:
   segment (a run of adjacent training groups) and pool regression
   observations, eliminating look-ahead.
 
-Full-scope and conventional ratios come from one row builder, shared with
-the public estimators: ``design_rows`` forms a method's regression rows
-[1, design | y] over the whole series once. Row i has the footprint
-[i, i + back], the indices it reads: back is h for MV, ECM and VEMD, h +
-max_lag for EECM and 0 for SEMD and AEMD. A training sample uses a row iff
-its footprint lies inside one training segment.
+Full-scope and conventional ratios come from the estimators' row builder,
+``estimators.design_rows``: a method's regression rows [1, design | y] over
+the whole series, each with its footprint [i, i + back], the indices it
+reads. A training sample uses a row iff its footprint lies inside one
+training segment.
 
 A ratio function buckets the rows by the (first, last) partition group their
 footprint touches and keeps one thin QR factor R per bucket. A split stacks
@@ -56,56 +55,15 @@ from .estimators import (
     _full_rank,
     _with_u,
     aggregate_imfs,
+    design_rows,
     ols,
     pair_imfs,
 )
 from .series import PriceSeries, restrict
 
-__all__ = ["design_rows", "pool", "make_ratio_fn"]
+__all__ = ["make_ratio_fn"]
 
 EMD_FAMILY = (Method.VEMD, Method.SEMD, Method.AEMD)
-
-
-def design_rows(
-    method: Method,
-    s: np.ndarray,
-    f: np.ndarray,
-    horizon: int,
-    max_lag: int = 0,
-    log_levels: bool = True,
-) -> tuple[np.ndarray, int]:
-    """(rows, back): the regression rows [1, design | y] of ``method`` and
-    their footprint length, row i reading indices [i, i + back].
-
-    ``s`` and ``f`` are prices for MV, ECM and EECM, IMF levels for the EMD
-    family. EECM's rows are [1, dF, S, F, dS lags 1..L, dF lags 1..L | dS]
-    with S, F the (log) levels at the earlier endpoint, which
-    ``estimators._with_u`` turns into the cointegration residual.
-    """
-    if method in (Method.SEMD, Method.AEMD):
-        return np.column_stack([np.ones(len(s)), f, s]), 0
-    if horizon < 1:
-        raise DataError("horizon must be >= 1")
-    ls, lf = (s, f) if method is Method.VEMD else (np.log(s), np.log(f))
-    ds, df = ls[horizon:] - ls[:-horizon], lf[horizon:] - lf[:-horizon]
-    if method in (Method.MV, Method.VEMD):
-        return np.column_stack([np.ones(len(ds)), df, ds]), horizon
-    if method is Method.ECM:
-        return np.column_stack([np.ones(len(ds)), df, ls[:-horizon], lf[:-horizon], ds]), horizon
-    if max_lag < 0:
-        raise DataError("max_lag must be >= 0")
-    lag, n = max_lag, len(ds) - max_lag
-    if n <= 0:
-        return np.empty((0, 5 + 2 * lag)), horizon + lag
-    level = np.log if log_levels else np.asarray
-    cols = [np.ones(n), df[lag:], level(s)[lag : lag + n], level(f)[lag : lag + n]]
-    cols += [d[lag - i : lag - i + n] for d in (ds, df) for i in range(1, lag + 1)]
-    return np.column_stack(cols + [ds[lag:]]), horizon + lag
-
-
-def pool(rows: np.ndarray, back: int, segments: tuple[range, ...]) -> np.ndarray:
-    """The rows whose footprint lies inside one of ``segments``, in order."""
-    return np.concatenate([rows[g.start : max(g.start, g.stop - back)] for g in segments])
 
 
 class _Buckets:
@@ -283,7 +241,7 @@ def make_ratio_fn(
 
         def per_segment_ratio(train: tuple[int, ...]) -> float:
             ys, xs = [], []
-            for seg in restrict(spot, [groups[g] for g in train]).segments:
+            for seg in restrict(spot, [groups[g] for g in train]):
                 if len(seg) < MIN_SAMPLES:
                     continue
                 s_set, f_set = imfs("spot", spot, seg), imfs("fut", fut, seg)

@@ -4,8 +4,10 @@ Conventions
 -----------
 - Timestamps are numpy ``datetime64[D]`` arrays, strictly increasing.
 - Differences are overlapping (stride 1).
-- A SegmentedSeries is a set of contiguous slices of one parent series;
-  no transform ever differences across a segment boundary.
+- A training sample is a tuple of index ranges ("segments") into one
+  series: non-empty, step 1, in order and non-overlapping
+  (``check_segments``); no transform ever differences across a segment
+  boundary.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ __all__ = [
     "DiffKind",
     "PriceSeries",
     "ReturnSeries",
-    "SegmentedSeries",
     "load_csv",
     "horizon_diff",
+    "check_segments",
     "restrict",
 ]
 
@@ -92,35 +94,6 @@ class ReturnSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class SegmentedSeries:
-    """Contiguous, non-overlapping slices of a parent price series.
-
-    ``segments`` are half-open index ranges into the parent arrays, in
-    chronological order with implicit gaps between them.
-    """
-
-    parent: PriceSeries
-    segments: tuple[range, ...]
-
-    def __post_init__(self):
-        segs = tuple(self.segments)
-        object.__setattr__(self, "segments", segs)
-        last_stop = 0
-        for seg in segs:
-            if seg.start < last_stop or seg.step != 1:
-                raise DataError("segments must be ordered, non-overlapping, step 1")
-            if seg.start < 0 or seg.stop > len(self.parent):
-                raise DataError("segment out of bounds")
-            if len(seg) == 0:
-                raise DataError("empty segment")
-            last_stop = seg.stop
-
-    @property
-    def n_obs(self) -> int:
-        return sum(len(s) for s in self.segments)
 
 
 def load_csv(
@@ -201,17 +174,34 @@ def horizon_diff(
     return ReturnSeries(horizon=horizon, kind=kind, values=x[horizon:] - x[:-horizon], origin_index=idx)
 
 
-def restrict(series: PriceSeries, groups: list[range] | tuple[range, ...]) -> SegmentedSeries:
-    """Restrict a series to the given index ranges, merging adjacent ones."""
-    ordered = sorted(groups, key=lambda r: r.start)
+def check_segments(segments, n: int) -> tuple[range, ...]:
+    """``segments`` as a tuple, once checked to be a training sample of a
+    series of ``n`` observations: at least one range, each non-empty, step 1
+    and inside [0, n), in order and non-overlapping."""
+    segs = tuple(segments)
+    if not segs:
+        raise DataError("a training sample needs at least one segment")
+    last_stop = 0
+    for seg in segs:
+        if seg.step != 1:
+            raise DataError(f"segment {seg} has step {seg.step}, not 1")
+        if len(seg) == 0:
+            raise DataError(f"empty segment {seg}")
+        if seg.start < 0 or seg.stop > n:
+            raise DataError(f"segment {seg} out of bounds for {n} observations")
+        if seg.start < last_stop:
+            raise DataError(f"segment {seg} overlaps or precedes the segment before it")
+        last_stop = seg.stop
+    return segs
+
+
+def restrict(series: PriceSeries, groups: list[range] | tuple[range, ...]) -> tuple[range, ...]:
+    """The training sample of ``series`` on the given index ranges: the
+    ranges in time order, adjacent ones merged."""
     merged: list[range] = []
-    for g in ordered:
-        if g.step != 1:
-            raise DataError("group ranges must have step 1")
-        if merged and g.start < merged[-1].stop:
-            raise DataError(f"overlapping group ranges at index {g.start}")
+    for g in check_segments(sorted(groups, key=lambda r: r.start), len(series)):
         if merged and g.start == merged[-1].stop:
             merged[-1] = range(merged[-1].start, g.stop)
         else:
-            merged.append(range(g.start, g.stop))
-    return SegmentedSeries(parent=series, segments=tuple(merged))
+            merged.append(g)
+    return tuple(merged)

@@ -376,7 +376,7 @@ class TestPipeline:
         segments = {
             seg
             for _, train in enumerate_splits(5, 2).splits
-            for seg in restrict(spot, [groups[g] for g in train]).segments
+            for seg in restrict(spot, [groups[g] for g in train])
         }
         # one spot and one futures decomposition per distinct training segment,
         # shared by 3 methods x 2 horizons x 10 splits

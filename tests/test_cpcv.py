@@ -34,7 +34,7 @@ def batched(fn, spot, part):
         out = []
         for train in batch:
             try:
-                out.append(fn(restrict(spot, [part.groups[g] for g in train]).segments))
+                out.append(fn(restrict(spot, [part.groups[g] for g in train])))
             except (DataError, NumericError) as exc:
                 out.append(exc)
         return out
@@ -300,7 +300,7 @@ def reference_cv(spot, fut, ratio_fn, h, criteria, part, k, min_obs, alpha):
     degenerate = 0
     for s, (test, train) in enumerate(splits.splits):
         try:
-            ratio = float(ratio_fn(restrict(spot, [part.groups[g] for g in train]).segments))
+            ratio = float(ratio_fn(restrict(spot, [part.groups[g] for g in train])))
             if not math.isfinite(ratio):
                 raise NumericError("non-finite hedge ratio")
         except (NumericError, InsufficientDataError, DataError):

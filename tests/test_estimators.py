@@ -26,7 +26,7 @@ from emdhedge.estimators import (
     vemd_ratio,
     ImfPair,
 )
-from emdhedge.series import DiffKind, Leg, PriceSeries, SegmentedSeries, horizon_diff
+from emdhedge.series import DiffKind, Leg, PriceSeries, horizon_diff
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
 
@@ -278,14 +278,12 @@ class TestEecmLagSearch:
         for h in (1, 5, 17):
             for segs in (None, two):
                 if segs is None:
-                    s, f = spot, fut
                     s_vals, f_vals = [spot.values], [fut.values]
                 else:
-                    s, f = SegmentedSeries(spot, segs), SegmentedSeries(fut, segs)
                     s_vals = [spot.values[r.start : r.stop] for r in segs]
                     f_vals = [fut.values[r.start : r.stop] for r in segs]
                 for include_u in (True, False):
-                    est = eecm_ratio(s, f, h, include_u=include_u)
+                    est = eecm_ratio(spot, fut, h, include_u=include_u, segments=segs)
                     lags, ratio, _ = brute_force_eecm(s_vals, f_vals, h, 10, include_u)
                     assert est.lags == lags
                     assert abs(est.ratio - ratio) <= 1e-12

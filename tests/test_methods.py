@@ -13,15 +13,17 @@ from emdhedge.errors import EmdHedgeError
 from emdhedge.estimators import (
     Method,
     aemd_ratio,
+    design_rows,
     ecm_ratio,
     eecm_ratio,
     mv_ratio,
     ols,
     pair_imfs,
+    pool,
     semd_ratio,
     vemd_ratio,
 )
-from emdhedge.methods import design_rows, make_ratio_fn, pool
+from emdhedge.methods import make_ratio_fn
 from emdhedge.series import Leg, PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
@@ -32,9 +34,9 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
     full_s, full_f = decompose(spot.values, cfg), decompose(fut.values, cfg)
     groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
     _, train = enumerate_splits(5, 2).splits[3]  # test groups (0, 4): one training segment
-    segments = restrict(spot, [groups[g] for g in train]).segments
+    segments = restrict(spot, [groups[g] for g in train])
     _, train_2 = enumerate_splits(5, 2).splits[1]  # test groups (0, 2): two training segments
-    segments_2 = restrict(spot, [groups[g] for g in train_2]).segments
+    segments_2 = restrict(spot, [groups[g] for g in train_2])
     assert len(segments) == 1 and len(segments_2) == 2
 
     cache: dict = {}
@@ -126,22 +128,22 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
     monkeypatch.setattr(methods, "_eecm_select", recording)
     for h in (3, 17):
         estimators = {
-            Method.MV: lambda s, f, segs: mv_ratio(s, f, h),
-            Method.ECM: lambda s, f, segs: ecm_ratio(s, f, h),
-            Method.EECM: lambda s, f, segs: eecm_ratio(s, f, h),
-            Method.VEMD: lambda s, f, segs: vemd_ratio(pair, h, segs),
-            Method.SEMD: lambda s, f, segs: semd_ratio(pair, h, segs),
-            Method.AEMD: lambda s, f, segs: aemd_ratio(s_set, f_set, h, segs),
+            Method.MV: lambda segs: mv_ratio(spot, fut, h, segments=segs),
+            Method.ECM: lambda segs: ecm_ratio(spot, fut, h, segments=segs),
+            Method.EECM: lambda segs: eecm_ratio(spot, fut, h, segments=segs),
+            Method.VEMD: lambda segs: vemd_ratio(pair, h, segments=segs),
+            Method.SEMD: lambda segs: semd_ratio(pair, h, segments=segs),
+            Method.AEMD: lambda segs: aemd_ratio(s_set, f_set, h, segments=segs),
         }
         for method, estimate in estimators.items():
             fn = make_ratio_fn(
                 method, spot, fut, h, imf_index=1, spot_set=s_set, fut_set=f_set, groups=groups
             )
             for _, train in splits:
-                s, f = restrict(spot, [groups[g] for g in train]), restrict(fut, [groups[g] for g in train])
+                segs = restrict(spot, [groups[g] for g in train])
                 del lags[:]
                 got = _outcome(lambda: fn([train])[0])
-                want = _outcome(lambda: estimate(s, f, s.segments))
+                want = _outcome(lambda: estimate(segs))
                 if isinstance(want, tuple):
                     assert got == want, (method, h, train)
                     continue

@@ -8,7 +8,6 @@ from emdhedge.series import (
     DiffKind,
     Leg,
     PriceSeries,
-    SegmentedSeries,
     horizon_diff,
     load_csv,
     restrict,
@@ -125,20 +124,16 @@ class TestHorizonDiff:
 class TestRestrict:
     def test_full_range_is_identity(self):
         s = make_series(np.arange(1.0, 11.0))
-        seg = restrict(s, [range(0, 10)])
-        assert seg.segments == (range(0, 10),)
-        assert seg.n_obs == 10
+        assert restrict(s, [range(0, 10)]) == (range(0, 10),)
 
     def test_adjacent_groups_merge(self):
         s = make_series(np.arange(1.0, 26.0))
         groups = [range(5, 10), range(10, 15)]
-        seg = restrict(s, groups)
-        assert seg.segments == (range(5, 15),)
+        assert restrict(s, groups) == (range(5, 15),)
 
     def test_gap_kept(self):
         s = make_series(np.arange(1.0, 26.0))
-        seg = restrict(s, [range(0, 5), range(10, 15)])
-        assert seg.segments == (range(0, 5), range(10, 15))
+        assert restrict(s, [range(0, 5), range(10, 15)]) == (range(0, 5), range(10, 15))
 
     def test_overlap_rejected(self):
         s = make_series(np.arange(1.0, 26.0))
