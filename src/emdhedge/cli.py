@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .analysis import (
     significance_stars,
     variance_decomposition,
 )
-from .cpcv import MIN_PATHS, Criterion, PathReport, Scheme, excluded_groups, partition, run_cv
+from .cpcv import MIN_PATHS, Criterion, PathReport, Scheme, excluded_groups, partition, run_cv, why_too_few_paths
 from .emd import ImfSet, SiftConfig, decompose
 from .errors import DataError, EmdHedgeError, NumericError
 from .estimators import Method, horizon_of, pair_imfs
@@ -63,6 +64,32 @@ class RunConfig:
     decompose_scope: str = "full"  # or "per-segment"
     min_obs: int | None = None
     levels: str = "log"  # cointegrating regression on log or raw levels
+
+    def __post_init__(self):
+        """Check the rules a config obeys on its own, whether parsed or built
+        in code. The CV partition's rules (``cpcv.why_too_few_paths``) apply
+        only to runs with a CV stage; ``run_pipeline`` checks them."""
+        if self.k < 1:
+            raise UsageError(f"k must be >= 1, got {self.k}")
+        self.partition_scheme()
+        if self.max_lag < 0:
+            raise UsageError(f"max_lag must be >= 0, got {self.max_lag}")
+        try:
+            self.sift_config()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if not (0.0 < self.alpha <= 0.5):
+            raise UsageError(f"alpha must be in (0, 0.5], got {self.alpha}")
+        if self.horizon_cap < 1:
+            raise UsageError("horizon_cap must be >= 1")
+        if self.decompose_scope not in ("full", "per-segment"):
+            raise UsageError(f"bad decompose_scope '{self.decompose_scope}'")
+        if self.levels not in ("log", "raw"):
+            raise UsageError(f"bad levels '{self.levels}' (use log or raw)")
+        horizons = self.horizon_list()
+        if horizons is not None and len(set(horizons)) < len(horizons):
+            raise UsageError(f"duplicate horizons in '{self.horizons}'")
+        self.method_list()
 
     def sift_config(self) -> SiftConfig:
         return SiftConfig(
@@ -173,50 +200,12 @@ def _coerce(key: str, value):
         raise UsageError(f"bad value for '{key}': {value}") from None
 
 
-def _too_few_paths(n_groups: int, k: int) -> str | None:
-    """Why the C(N-1, k-1) paths of N groups and k test groups are too few
-    for path statistics, or None."""
-    n_paths = math.comb(n_groups - 1, k - 1)
-    if n_paths < MIN_PATHS:
-        return f"N={n_groups} groups with k={k} give {n_paths} CV paths; path statistics need {MIN_PATHS}"
-    return None
-
-
 def parse_config(args: argparse.Namespace) -> RunConfig:
-    """Flags override config-file values override defaults."""
-    cfg = RunConfig()
-    file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, value in file_vals.items():
-        setattr(cfg, key, _coerce(key, value))
-    for key in _CONFIG_TYPES:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, _coerce(key, value))
-    if cfg.k < 1:
-        raise UsageError(f"k must be >= 1, got {cfg.k}")
-    _, n_groups = cfg.partition_scheme()
-    if n_groups is not None and cfg.k >= n_groups:
-        raise UsageError(f"k must be < N for equal:N, got k={cfg.k}, N={n_groups}")
-    if n_groups is not None and (why := _too_few_paths(n_groups, cfg.k)):
-        raise UsageError(why)
-    if cfg.max_lag < 0:
-        raise UsageError(f"max_lag must be >= 0, got {cfg.max_lag}")
-    try:
-        cfg.sift_config()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if not (0.0 < cfg.alpha <= 0.5):
-        raise UsageError(f"alpha must be in (0, 0.5], got {cfg.alpha}")
-    if cfg.horizon_cap < 1:
-        raise UsageError("horizon_cap must be >= 1")
-    if cfg.decompose_scope not in ("full", "per-segment"):
-        raise UsageError(f"bad decompose_scope '{cfg.decompose_scope}'")
-    if cfg.levels not in ("log", "raw"):
-        raise UsageError(f"bad levels '{cfg.levels}' (use log or raw)")
-    horizons = cfg.horizon_list()
-    if horizons is not None and len(set(horizons)) < len(horizons):
-        raise UsageError(f"duplicate horizons in '{cfg.horizons}'")
-    return cfg
+    """Flags override config-file values override defaults; ``RunConfig``
+    checks the merged values."""
+    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    values.update((key, getattr(args, key)) for key in _CONFIG_TYPES if getattr(args, key, None) is not None)
+    return RunConfig(**{key: _coerce(key, value) for key, value in values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +400,28 @@ def _emit_insample(state: PipelineState) -> None:
                 state.warnings.append(f"in-sample {method.value} imf{imf_index} h={h}: {ratio}")
                 ratio = float("nan")
             ratios.append(ratio)
-        vr_vals, var_vals = [float("nan")] * len(methods), [float("nan")] * len(methods)
         ok = [i for i, r in enumerate(ratios) if not math.isnan(r)]
-        if ok:  # the row's portfolios, scored by one call per criterion
-            portfolios = ds[None, :] - np.array([ratios[i] for i in ok])[:, None] * df[None, :]
-            vr, _, _ = effectiveness_rows(Criterion.VARIANCE_REDUCTION, ds, portfolios)
-            try:
-                var, _, _ = effectiveness_rows(Criterion.VAR, ds, portfolios, cfg.alpha)
-            except EmdHedgeError:  # too few observations for the VaR quantile
-                var = np.full(len(ok), np.nan)
-            for i, a, b in zip(ok, vr.tolist(), var.tolist()):
-                vr_vals[i], var_vals[i] = a, b
+        # the row's portfolios, scored by one call per criterion
+        portfolios = ds[None, :] - np.array([ratios[i] for i in ok])[:, None] * df[None, :]
+        scores = []
+        for crit in CV_CRITERIA:
+            values = [float("nan")] * len(methods)
+            if ok:
+                try:
+                    got, _, _ = effectiveness_rows(crit, ds, portfolios, cfg.alpha)
+                    why = "degenerate spot returns"  # the only NaN a score can return
+                except EmdHedgeError as exc:  # e.g. too few observations for the VaR quantile
+                    got, why = np.full(len(ok), np.nan), str(exc)
+                for i, v in zip(ok, got.tolist()):
+                    values[i] = v
+                    if math.isnan(v):
+                        state.warnings.append(
+                            f"in-sample {methods[i].value} imf{imf_index} h={h}: {crit.value} not scored: {why}"
+                        )
+            scores.append(values)
         ratio_rows.append([f"imf{imf_index}", h] + ratios)
-        vr_rows.append([f"imf{imf_index}", h] + vr_vals)
-        var_rows.append([f"imf{imf_index}", h] + var_vals)
+        vr_rows.append([f"imf{imf_index}", h] + scores[0])
+        var_rows.append([f"imf{imf_index}", h] + scores[1])
     header = ["imf", "horizon"] + [m.value for m in methods]
     _emit_csv(state, "insample_ratios.csv", header, ratio_rows)
     _emit_csv(state, "insample_variance_reduction.csv", header, vr_rows)
@@ -461,8 +458,20 @@ def _emit_cv(state: PipelineState) -> None:
             except EmdHedgeError as exc:
                 state.warnings.append(f"cv {method.value} imf{imf_index} h={h}: {exc}")
                 continue
-            for cls, _ in reports[criteria[0]].failed_reasons:
-                state.cv_failed_splits[cls] = state.cv_failed_splits.get(cls, 0) + 1
+            failed = Counter(cls for cls, _ in reports[criteria[0]].failed_reasons)
+            for cls, n in failed.items():
+                state.cv_failed_splits[cls] = state.cv_failed_splits.get(cls, 0) + n
+            voided = [
+                f"{rep.n_paths_voided} of {rep.n_paths_total} {crit.value} paths voided"
+                for crit, rep in reports.items()
+                if rep.stats is None
+            ]
+            if voided:
+                classes = ", ".join(f"{n} {cls}" for cls, n in sorted(failed.items())) or "none"
+                state.warnings.append(
+                    f"cv {method.value} imf{imf_index} h={h}: no path statistics, fewer than "
+                    f"{MIN_PATHS} paths left ({', '.join(voided)}); failed splits: {classes}"
+                )
             for crit, rep in reports.items():
                 state.cv_reports[(method, h, crit)] = rep
                 sidecar[f"{method.value}:h{h}:{crit.value}"] = {
@@ -575,14 +584,12 @@ STAGES = ("decompose", "preliminary", "insample", "cv", "determinants")
 
 def _check_cv_against_data(state: PipelineState) -> None:
     """Reject a CV config that the loaded data cannot serve, before any artifact:
-    k >= the number of partition groups or too few CV paths (for a
-    calendar-year partition this needs the data), or an explicit horizon
-    that excludes every group."""
+    a calendar-year partition whose groups cannot give path statistics
+    (``why_too_few_paths``), or an explicit horizon that excludes every
+    group."""
     cfg = state.cfg
     part = cfg.partition_of(state.spot)
-    if cfg.k >= part.n_groups:
-        raise DataError(f"k must be < N, got k={cfg.k} with {part.n_groups} partition groups")
-    if why := _too_few_paths(part.n_groups, cfg.k):
+    if why := why_too_few_paths(part.n_groups, cfg.k):
         raise DataError(why)
     for h in cfg.horizon_list() or ():
         if len(excluded_groups(part, h, CV_CRITERIA, cfg.min_obs)) == part.n_groups:
@@ -599,7 +606,9 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
     then re-raised as a ``DataError`` if it was one, else as a
     ``NumericError``, so the CLI exits 2 or 3.
     """
-    cfg.method_list()  # a bad method list is a usage error, before any artifact
+    _, n_groups = cfg.partition_scheme()
+    if "cv" in stages and n_groups is not None and (why := why_too_few_paths(n_groups, cfg.k)):
+        raise UsageError(why)  # equal:N: a config error, before loading
     state = _load_state(cfg)
     if "cv" in stages:
         _check_cv_against_data(state)
@@ -650,7 +659,8 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     """``--config`` plus one ``--<field-name>`` per ``RunConfig`` field; values
-    are coerced and checked in ``parse_config``, as config-file values are."""
+    are coerced in ``parse_config`` and checked by ``RunConfig``, as
+    config-file values are."""
     p.add_argument("--config")
     for f in fields(RunConfig):
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name)

@@ -34,6 +34,7 @@ __all__ = [
     "path_statistics",
     "excluded_groups",
     "MIN_PATHS",
+    "why_too_few_paths",
     "RatioFn",
     "run_cv",
 ]
@@ -79,6 +80,18 @@ class PathAssignment:
 
 # the fewest paths whose distribution gets moments (skewness and kurtosis)
 MIN_PATHS = 4
+
+def why_too_few_paths(n_groups: int, k: int) -> str | None:
+    """Why N partition groups with k test groups cannot give path
+    statistics, or None: k must be below N, and the C(N-1, k-1) paths at
+    least ``MIN_PATHS``."""
+    if k >= n_groups:
+        return f"k must be < N, got k={k} with N={n_groups} partition groups"
+    n_paths = math.comb(n_groups - 1, k - 1)
+    if n_paths < MIN_PATHS:
+        return f"N={n_groups} groups with k={k} give {n_paths} CV paths; path statistics need {MIN_PATHS}"
+    return None
+
 
 # cell status markers in the score table
 EXCLUDED = "excluded"

@@ -1,13 +1,18 @@
 import argparse
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emdhedge
 from emdhedge import cli, methods
@@ -75,9 +80,12 @@ class TestParseConfig:
             parse_config(ns(horizons="5,zero"))
 
     def test_unknown_method(self):
-        cfg = parse_config(ns(methods="MV,GARCH"))
         with pytest.raises(UsageError, match="GARCH"):
-            cfg.method_list()
+            parse_config(ns(methods="MV,GARCH"))
+
+    def test_a_config_built_in_code_is_checked(self):
+        with pytest.raises(UsageError, match="levels"):
+            RunConfig(levels="lg", methods="EECM")
 
 
 # a valid (text, coerced value) for every RunConfig field
@@ -406,6 +414,23 @@ class TestPipeline:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["counters"]["cv_failed_splits"] == counts
 
+    def test_a_cv_run_without_path_statistics_is_warned_about(self, tmp_path):
+        # on this input one failed per-segment AEMD split at h=3 voids one of
+        # the 4 paths, which leaves too few for path statistics
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "250", "--seed", "3"])
+        outdir = tmp_path / "out"
+        argv = ["cv", "--input", str(pair), "--out", str(outdir), "--partition", "equal:5"]
+        argv += ["--decompose-scope", "per-segment", "--methods", "AEMD", "--horizons", "3"]
+        assert main(argv) == 0
+        with open(outdir / "cv_var.csv", newline="") as fh:
+            assert next(csv.DictReader(fh))["AEMD_mean"] == "nan"
+        warnings = json.loads((outdir / "manifest.json").read_text())["warnings"]
+        assert warnings == [
+            "cv AEMD imf1 h=3: no path statistics, fewer than 4 paths left (1 of 4 variance_reduction"
+            " paths voided, 1 of 4 var paths voided); failed splits: 1 InsufficientDataError"
+        ]
+
     def test_year_partition_with_k_at_least_the_years_is_a_data_error(
         self, pair_csv, tmp_path, capsys
     ):
@@ -501,6 +526,14 @@ class TestBadConfigFailsUpFront:
         assert "usage error" in capsys.readouterr().err
         assert not outdir.exists() or not any(outdir.iterdir())
 
+    @pytest.mark.parametrize("command", ["decompose", "hedge"])
+    def test_partition_rules_apply_only_to_runs_with_a_cv_stage(self, pair_csv, tmp_path, command):
+        # equal:4 with k=2 gives 3 CV paths, too few for CV, which these commands do not run
+        outdir = tmp_path / "out"
+        argv = [command, "--input", str(pair_csv), "--out", str(outdir), "--partition", "equal:4"]
+        assert main(argv + ["--methods", "MV,SEMD"]) == 0
+        assert json.loads((outdir / "manifest.json").read_text())["status"] == "ok"
+
     def test_year_partition_with_too_few_paths_is_a_data_error_before_any_artifact(
         self, pair_csv, tmp_path, capsys
     ):
@@ -544,3 +577,56 @@ class TestBadConfigFailsUpFront:
         argv = ["cv", "--input", str(pair), "--out", str(outdir), "--partition", "equal:6"]
         assert main(argv + ["--horizons", str(horizon), "--min-obs", "20", "--methods", "MV"]) == rc
         assert (outdir / "manifest.json").exists() == (rc == 0)
+
+
+def _unexplained_nans(outdir: Path) -> list[str]:
+    """The NaN cells of the bundle's CV means and in-sample tables that have
+    no reason: a manifest warning naming the cell's method and horizon, an
+    exclusion at its horizon, or failed splits in ``cv_paths.json``."""
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    paths = json.loads((outdir / "cv_paths.json").read_text()) if "cv_paths.json" in manifest["artifacts"] else {}
+
+    def explained(method: str, h: int, crit: str | None) -> bool:
+        named = re.compile(rf"\b{method}\b.*\bh={h}:")
+        return (
+            any(named.search(w) for w in manifest["warnings"])
+            or any(e[0] == h for e in manifest["exclusions"])
+            or bool(crit and paths.get(f"{method}:h{h}:{crit}", {}).get("failed_reasons"))
+        )
+
+    unexplained = []
+    tables = [(n, n[3:-4]) for n in ("cv_variance_reduction.csv", "cv_var.csv")]
+    tables += [(n, None) for n in ("insample_ratios.csv", "insample_variance_reduction.csv", "insample_var.csv")]
+    for name, crit in tables:
+        if name not in manifest["artifacts"]:
+            continue
+        with open(outdir / name, newline="") as fh:
+            for row in csv.DictReader(fh):
+                h = int(row["horizon"])
+                for col, value in row.items():
+                    method = col[: -len("_mean")] if crit else col
+                    if (col.endswith("_mean") or not crit) and value == "nan" and not explained(method, h, crit):
+                        unexplained.append(f"{name} h={h} {col}")
+    return unexplained
+
+
+@pytest.mark.parametrize(
+    "command, scope, horizons",
+    [
+        ("pipeline", "full", "auto"),
+        ("pipeline", "per-segment", "auto"),
+        ("cv", "per-segment", "2,9"),
+        ("cv", "full", "3,16"),
+        ("hedge", "full", "2,235"),  # 15 differences at h=235: too few for the VaR quantile
+    ],
+)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_every_missing_number_has_a_reason(command, scope, horizons, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        pair, outdir = Path(tmp) / "pair.csv", Path(tmp) / "out"
+        assert main(["synth", "--out", str(pair), "--length", "250", "--seed", str(seed)]) == 0
+        argv = [command, "--input", str(pair), "--out", str(outdir), "--partition", "equal:5"]
+        argv += ["--decompose-scope", scope, "--horizons", horizons, "--max-lag", "4"]
+        assert main(argv) == 0
+        assert _unexplained_nans(outdir) == []

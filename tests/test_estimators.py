@@ -26,7 +26,7 @@ from emdhedge.estimators import (
     vemd_ratio,
     ImfPair,
 )
-from emdhedge.series import DiffKind, Leg, PriceSeries, horizon_diff
+from emdhedge.series import DiffKind, Leg, PriceSeries, horizon_diff, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
 
@@ -484,3 +484,33 @@ class TestMinObsBoundary:
         est = BOUNDARY_CASES[method](MIN_OBS)
         assert est.fit.n_obs == MIN_OBS
         assert np.isfinite(est.ratio)
+
+
+# segments that are not a training sample of a 200-observation series, and
+# the words of the check each must fail
+BAD_SEGMENTS = {
+    "out of bounds": ((range(0, 50), range(190, 210)), "out of bounds"),
+    "empty": ((range(0, 50), range(60, 60)), "empty segment"),
+    "overlapping": ((range(0, 50), range(40, 90)), "overlaps"),
+    "step 2": ((range(0, 100, 2),), "step 2"),
+}
+_S, _F = price_series(_walk(200, 1)), price_series(_walk(200, 2))
+_PAIR = ImfPair(1, np.log(_S.values), np.log(_F.values), 2.0, 2.0)
+SEGMENT_TAKERS = {
+    "restrict": lambda segs: restrict(_S, segs),
+    "MV": lambda segs: mv_ratio(_S, _F, 3, segments=segs),
+    "ECM": lambda segs: ecm_ratio(_S, _F, 3, segments=segs),
+    "EECM": lambda segs: eecm_ratio(_S, _F, 3, max_lag=2, segments=segs),
+    "VEMD": lambda segs: vemd_ratio(_PAIR, 3, segments=segs),
+    "SEMD": lambda segs: semd_ratio(_PAIR, segments=segs),
+    "AEMD": lambda segs: aemd_ratio(_imf_set(_PAIR.spot), _imf_set(_PAIR.fut), 5, segments=segs),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SEGMENTS))
+@pytest.mark.parametrize("taker", sorted(SEGMENT_TAKERS))
+def test_segments_that_are_not_a_training_sample_are_rejected(taker, case):
+    segs, words = BAD_SEGMENTS[case]
+    SEGMENT_TAKERS[taker]((range(0, 50), range(100, 200)))  # a valid sample is accepted
+    with pytest.raises(DataError, match=words):
+        SEGMENT_TAKERS[taker](segs)
