@@ -69,27 +69,24 @@ class RunConfig:
         """Check the rules a config obeys on its own, whether parsed or built
         in code. The CV partition's rules (``cpcv.why_too_few_paths``) apply
         only to runs with a CV stage; ``run_pipeline`` checks them."""
-        if self.k < 1:
-            raise UsageError(f"k must be >= 1, got {self.k}")
-        self.partition_scheme()
-        if self.max_lag < 0:
-            raise UsageError(f"max_lag must be >= 0, got {self.max_lag}")
+        self.partition_scheme()  # these three raise on a spec they cannot parse
+        self.method_list()
+        horizons = self.horizon_list() or []
         try:
             self.sift_config()
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        if not (0.0 < self.alpha <= 0.5):
-            raise UsageError(f"alpha must be in (0, 0.5], got {self.alpha}")
-        if self.horizon_cap < 1:
-            raise UsageError("horizon_cap must be >= 1")
-        if self.decompose_scope not in ("full", "per-segment"):
-            raise UsageError(f"bad decompose_scope '{self.decompose_scope}'")
-        if self.levels not in ("log", "raw"):
-            raise UsageError(f"bad levels '{self.levels}' (use log or raw)")
-        horizons = self.horizon_list()
-        if horizons is not None and len(set(horizons)) < len(horizons):
-            raise UsageError(f"duplicate horizons in '{self.horizons}'")
-        self.method_list()
+        for ok, why in (
+            (self.k >= 1, f"k must be >= 1, got {self.k}"),
+            (self.max_lag >= 0, f"max_lag must be >= 0, got {self.max_lag}"),
+            (0.0 < self.alpha <= 0.5, f"alpha must be in (0, 0.5], got {self.alpha}"),
+            (self.horizon_cap >= 1, "horizon_cap must be >= 1"),
+            (self.decompose_scope in ("full", "per-segment"), f"bad decompose_scope '{self.decompose_scope}'"),
+            (self.levels in ("log", "raw"), f"bad levels '{self.levels}' (use log or raw)"),
+            (len(set(horizons)) == len(horizons), f"duplicate horizons in '{self.horizons}'"),
+        ):
+            if not ok:
+                raise UsageError(why)
 
     def sift_config(self) -> SiftConfig:
         return SiftConfig(
@@ -100,18 +97,12 @@ class RunConfig:
         )
 
     def method_list(self) -> list[Method]:
-        out = []
-        for name in self.methods.split(","):
-            name = name.strip().upper()
-            if not name:
-                continue
-            try:
-                out.append(Method[name])
-            except KeyError:
-                raise UsageError(f"unknown method '{name}'") from None
-        if not out:
+        names = [name.strip().upper() for name in self.methods.split(",") if name.strip()]
+        if unknown := [name for name in names if name not in Method.__members__]:
+            raise UsageError(f"unknown method '{unknown[0]}'")
+        if not names:
             raise UsageError("empty method list")
-        return out
+        return [Method[name] for name in names]
 
     def horizon_list(self) -> list[int] | None:
         """Explicit horizons in the given order, or None for ``auto``."""
@@ -141,9 +132,7 @@ class RunConfig:
 
     def partition_of(self, series: PriceSeries):
         scheme, n = self.partition_scheme()
-        if n is None:
-            return partition(series, scheme)
-        return partition(series, scheme, n_groups=n)
+        return partition(series, scheme) if n is None else partition(series, scheme, n_groups=n)
 
 
 class UsageError(Exception):
@@ -262,15 +251,13 @@ class PipelineState:
     match_rows: list | None = None
     cv_reports: dict = field(default_factory=dict)  # (method, horizon, criterion) -> PathReport
     exclusions: list = field(default_factory=list)
-    cv_failed_splits: dict = field(default_factory=dict)  # exception class -> failed CV splits
+    cv_failed_splits: Counter = field(default_factory=Counter)  # exception class -> failed CV splits
 
 
 def _load_state(cfg: RunConfig) -> PipelineState:
     if not cfg.input:
         raise UsageError("--input is required")
-    spot, fut, dropped = load_csv(
-        cfg.input, cfg.date_col, cfg.spot_col, cfg.futures_col
-    )
+    spot, fut, dropped = load_csv(cfg.input, cfg.date_col, cfg.spot_col, cfg.futures_col)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     return PipelineState(cfg=cfg, spot=spot, fut=fut, dropped_rows=dropped, outdir=outdir)
@@ -389,7 +376,7 @@ def _emit_insample(state: PipelineState) -> None:
     """In-sample tables: full sample as both training and testing set."""
     cfg = state.cfg
     methods = cfg.method_list()
-    ratio_rows, vr_rows, var_rows = [], [], []
+    ratio_rows, score_rows = [], {crit: [] for crit in CV_CRITERIA}
     for imf_index, h in state.rows:
         ds = horizon_diff(state.spot, h, DiffKind.LOG).values
         df = horizon_diff(state.fut, h, DiffKind.LOG).values
@@ -400,10 +387,10 @@ def _emit_insample(state: PipelineState) -> None:
                 state.warnings.append(f"in-sample {method.value} imf{imf_index} h={h}: {ratio}")
                 ratio = float("nan")
             ratios.append(ratio)
+        ratio_rows.append([f"imf{imf_index}", h] + ratios)
         ok = [i for i, r in enumerate(ratios) if not math.isnan(r)]
         # the row's portfolios, scored by one call per criterion
         portfolios = ds[None, :] - np.array([ratios[i] for i in ok])[:, None] * df[None, :]
-        scores = []
         for crit in CV_CRITERIA:
             values = [float("nan")] * len(methods)
             if ok:
@@ -418,14 +405,11 @@ def _emit_insample(state: PipelineState) -> None:
                         state.warnings.append(
                             f"in-sample {methods[i].value} imf{imf_index} h={h}: {crit.value} not scored: {why}"
                         )
-            scores.append(values)
-        ratio_rows.append([f"imf{imf_index}", h] + ratios)
-        vr_rows.append([f"imf{imf_index}", h] + scores[0])
-        var_rows.append([f"imf{imf_index}", h] + scores[1])
+            score_rows[crit].append([f"imf{imf_index}", h] + values)
     header = ["imf", "horizon"] + [m.value for m in methods]
     _emit_csv(state, "insample_ratios.csv", header, ratio_rows)
-    _emit_csv(state, "insample_variance_reduction.csv", header, vr_rows)
-    _emit_csv(state, "insample_var.csv", header, var_rows)
+    for crit in CV_CRITERIA:  # insample_variance_reduction.csv, insample_var.csv
+        _emit_csv(state, f"insample_{crit.value}.csv", header, score_rows[crit])
 
 
 def _emit_cv(state: PipelineState) -> None:
@@ -459,13 +443,9 @@ def _emit_cv(state: PipelineState) -> None:
                 state.warnings.append(f"cv {method.value} imf{imf_index} h={h}: {exc}")
                 continue
             failed = Counter(cls for cls, _ in reports[criteria[0]].failed_reasons)
-            for cls, n in failed.items():
-                state.cv_failed_splits[cls] = state.cv_failed_splits.get(cls, 0) + n
-            voided = [
-                f"{rep.n_paths_voided} of {rep.n_paths_total} {crit.value} paths voided"
-                for crit, rep in reports.items()
-                if rep.stats is None
-            ]
+            state.cv_failed_splits.update(failed)
+            missing = [(c, r) for c, r in reports.items() if r.stats is None]
+            voided = [f"{r.n_paths_voided} of {r.n_paths_total} {c.value} paths voided" for c, r in missing]
             if voided:
                 classes = ", ".join(f"{n} {cls}" for cls, n in sorted(failed.items())) or "none"
                 state.warnings.append(

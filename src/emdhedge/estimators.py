@@ -2,16 +2,13 @@
 
 Conventional estimators (MV, ECM, EECM) regress horizon-h log-price
 differences; the EMD family (vanilla, sample-saving, aggregate) regresses
-price-level IMFs. Every estimator takes its training sample as
-``segments``, a tuple of index ranges (default: the whole series), and its
-regression rows from one row builder: ``design_rows`` forms a method's rows
-[1, design | y] over the whole series once, each with its footprint [i, i +
-back], the indices it reads (back is h for MV, ECM and VEMD, h + max_lag for
-EECM and 0 for SEMD and AEMD), and ``pool`` keeps the rows whose footprint
-lies inside one segment, so no difference or lag spans a gap. The CV ratio
-functions in ``methods`` fit the same rows from per-bucket QR factors; they
-share this module's sample checks, rank rule, ECM fallback and EECM lag
-search, which read only an R factor, never X'X.
+price-level IMFs. Each estimator takes a training sample ``segments``
+(index ranges; default: the whole series) and fits the rows of the row
+builder ``design_rows`` whose footprint (the indices a row reads) lies
+inside one segment, so no difference or lag spans a gap. The CV ratio
+functions in ``methods`` fit the same rows from per-bucket QR factors;
+they share this module's sample checks, rank rule, ECM fallback and EECM
+lag search, which read only an R factor, never X'X.
 """
 
 from __future__ import annotations
@@ -235,10 +232,11 @@ def _sample(method: Method, s, f, segments, horizon: int, **kw) -> np.ndarray:
     return pool(*design_rows(method, s, f, horizon, **kw), segments)
 
 
-def _fit(method: Method, rows: np.ndarray, horizon: int) -> OlsFit:
+def _fit(method: Method, rows: np.ndarray, horizon: int, p: int = -1) -> OlsFit:
+    """The method's checks, then ``ols`` of y on the design columns before p."""
     _check_rows(method, len(rows), horizon)
     _check_futures_variance(rows[:, 1])
-    return ols(rows[:, -1], rows[:, 1:-1], intercept=True)
+    return ols(rows[:, -1], rows[:, 1:p], intercept=True)
 
 
 def mv_ratio(
@@ -266,11 +264,9 @@ def ecm_ratio(
     """
     rows = _sample(Method.ECM, spot.values, fut.values, segments, horizon)
     if not include_levels:
-        fit = _fit(Method.ECM, rows[:, [0, 1, -1]], horizon)
-        return HedgeEstimate(Method.ECM, horizon, fit.slope, fit)
-    _check_rows(Method.ECM, len(rows), horizon)
-    _check_futures_variance(rows[:, 1])
-    fit = _ecm_fallback(lambda p: ols(rows[:, -1], rows[:, 1:p], intercept=True))
+        fit = _fit(Method.ECM, rows, horizon, 2)
+    else:
+        fit = _ecm_fallback(lambda p: _fit(Method.ECM, rows, horizon, p))
     return HedgeEstimate(Method.ECM, horizon, fit.slope, fit)
 
 

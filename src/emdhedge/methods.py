@@ -282,8 +282,10 @@ def make_ratio_fn(
         if method is Method.AEMD:
             s, f = aggregate_imfs(spot_set, fut_set, horizon)
         elif method in EMD_FAMILY:
-            pair = pair_imfs(spot_set, fut_set)[0][imf_index - 1]
-            s, f = pair.spot, pair.fut
+            pairs, _ = pair_imfs(spot_set, fut_set)
+            if imf_index is None or imf_index >= len(pairs):  # the last pair is the residues'
+                raise DataError(f"spot IMF{imf_index} has no futures IMF to pair with")
+            s, f = pairs[imf_index - 1].spot, pairs[imf_index - 1].fut
         else:
             s, f = spot.values, fut.values
         rows = _Buckets(*design_rows(method, s, f, horizon, max_lag, log_levels), groups)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from emdhedge import methods
 from emdhedge.cpcv import Scheme, enumerate_splits, partition
 from emdhedge.emd import ImfSet, SiftConfig, decompose
-from emdhedge.errors import EmdHedgeError
+from emdhedge.errors import DataError, EmdHedgeError
 from emdhedge.estimators import (
     Method,
     aemd_ratio,
@@ -55,6 +55,20 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
     assert set(cache) == {
         (leg, seg.start, seg.stop) for leg in ("spot", "fut") for seg in segments + segments_2
     }
+
+
+@pytest.mark.parametrize("method", [Method.VEMD, Method.SEMD])
+def test_a_spot_imf_without_a_futures_partner_fails_every_split(method):
+    # futures keeps 2 IMFs: spot IMF3 would take the residue pair's slot,
+    # and spot IMF4 lies past the pairs
+    spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
+    s_set, f_set = decompose(spot.values), decompose(fut.values)
+    few = ImfSet(f_set.imfs[:2], f_set.residue, f_set.source_len)
+    groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
+    for imf_index in (3, 4):
+        fn = make_ratio_fn(method, spot, fut, 5, imf_index=imf_index, spot_set=s_set, fut_set=few, groups=groups)
+        for outcome in fn([(0, 1, 2), (2, 3, 4)]):
+            assert isinstance(outcome, DataError) and f"spot IMF{imf_index} has no futures IMF" in str(outcome)
 
 
 class TestPool:
