@@ -43,7 +43,7 @@ ALL_METHODS = (Method.MV, Method.ECM, Method.EECM, Method.VEMD, Method.SEMD, Met
 CV_CRITERIA = (Criterion.VARIANCE_REDUCTION, Criterion.VAR)
 
 
-@dataclass
+@dataclass(frozen=True)  # checked once, at construction
 class RunConfig:
     input: str | None = None
     out: str = "out"
@@ -69,24 +69,27 @@ class RunConfig:
         """Check the rules a config obeys on its own, whether parsed or built
         in code. The CV partition's rules (``cpcv.why_too_few_paths``) apply
         only to runs with a CV stage; ``run_pipeline`` checks them."""
-        self.partition_scheme()  # these three raise on a spec they cannot parse
-        self.method_list()
-        horizons = self.horizon_list() or []
+        if self.k < 1:
+            raise UsageError(f"k must be >= 1, got {self.k}")
+        self.partition_scheme()
+        if self.max_lag < 0:
+            raise UsageError(f"max_lag must be >= 0, got {self.max_lag}")
         try:
             self.sift_config()
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        for ok, why in (
-            (self.k >= 1, f"k must be >= 1, got {self.k}"),
-            (self.max_lag >= 0, f"max_lag must be >= 0, got {self.max_lag}"),
-            (0.0 < self.alpha <= 0.5, f"alpha must be in (0, 0.5], got {self.alpha}"),
-            (self.horizon_cap >= 1, "horizon_cap must be >= 1"),
-            (self.decompose_scope in ("full", "per-segment"), f"bad decompose_scope '{self.decompose_scope}'"),
-            (self.levels in ("log", "raw"), f"bad levels '{self.levels}' (use log or raw)"),
-            (len(set(horizons)) == len(horizons), f"duplicate horizons in '{self.horizons}'"),
-        ):
-            if not ok:
-                raise UsageError(why)
+        if not (0.0 < self.alpha <= 0.5):
+            raise UsageError(f"alpha must be in (0, 0.5], got {self.alpha}")
+        if self.horizon_cap < 1:
+            raise UsageError("horizon_cap must be >= 1")
+        if self.decompose_scope not in ("full", "per-segment"):
+            raise UsageError(f"bad decompose_scope '{self.decompose_scope}'")
+        if self.levels not in ("log", "raw"):
+            raise UsageError(f"bad levels '{self.levels}' (use log or raw)")
+        horizons = self.horizon_list()
+        if horizons is not None and len(set(horizons)) < len(horizons):
+            raise UsageError(f"duplicate horizons in '{self.horizons}'")
+        self.method_list()
 
     def sift_config(self) -> SiftConfig:
         return SiftConfig(
@@ -97,12 +100,18 @@ class RunConfig:
         )
 
     def method_list(self) -> list[Method]:
-        names = [name.strip().upper() for name in self.methods.split(",") if name.strip()]
-        if unknown := [name for name in names if name not in Method.__members__]:
-            raise UsageError(f"unknown method '{unknown[0]}'")
-        if not names:
+        out = []
+        for name in self.methods.split(","):
+            name = name.strip().upper()
+            if not name:
+                continue
+            try:
+                out.append(Method[name])
+            except KeyError:
+                raise UsageError(f"unknown method '{name}'") from None
+        if not out:
             raise UsageError("empty method list")
-        return [Method[name] for name in names]
+        return out
 
     def horizon_list(self) -> list[int] | None:
         """Explicit horizons in the given order, or None for ``auto``."""
@@ -132,7 +141,9 @@ class RunConfig:
 
     def partition_of(self, series: PriceSeries):
         scheme, n = self.partition_scheme()
-        return partition(series, scheme) if n is None else partition(series, scheme, n_groups=n)
+        if n is None:
+            return partition(series, scheme)
+        return partition(series, scheme, n_groups=n)
 
 
 class UsageError(Exception):
@@ -142,14 +153,7 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         self.print_usage(sys.stderr)
-        raise SystemExit_(1, message)
-
-
-class SystemExit_(Exception):
-    def __init__(self, code, message=""):
-        self.code = code
-        self.message = message
-        super().__init__(message)
+        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +261,9 @@ class PipelineState:
 def _load_state(cfg: RunConfig) -> PipelineState:
     if not cfg.input:
         raise UsageError("--input is required")
-    spot, fut, dropped = load_csv(cfg.input, cfg.date_col, cfg.spot_col, cfg.futures_col)
+    spot, fut, dropped = load_csv(
+        cfg.input, cfg.date_col, cfg.spot_col, cfg.futures_col
+    )
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     return PipelineState(cfg=cfg, spot=spot, fut=fut, dropped_rows=dropped, outdir=outdir)
@@ -720,10 +726,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(args)
         run_pipeline(cfg, stages=stage_of[args.command])
         return 0
-    except SystemExit_ as exc:
-        if exc.message:
-            print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

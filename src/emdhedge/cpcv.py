@@ -81,6 +81,7 @@ class PathAssignment:
 # the fewest paths whose distribution gets moments (skewness and kurtosis)
 MIN_PATHS = 4
 
+
 def why_too_few_paths(n_groups: int, k: int) -> str | None:
     """Why N partition groups with k test groups cannot give path
     statistics, or None: k must be below N, and the C(N-1, k-1) paths at

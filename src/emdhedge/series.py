@@ -4,10 +4,8 @@ Conventions
 -----------
 - Timestamps are numpy ``datetime64[D]`` arrays, strictly increasing.
 - Differences are overlapping (stride 1).
-- A training sample is a tuple of index ranges ("segments") into one
-  series: non-empty, step 1, in order and non-overlapping
-  (``check_segments``); no transform ever differences across a segment
-  boundary.
+- A training sample is a tuple of index ranges ("segments") into one series
+  (``check_segments``); no transform ever differences across a segment boundary.
 """
 
 from __future__ import annotations
