@@ -288,12 +288,19 @@ def _imfset_payload(s: ImfSet, sift_cfg: SiftConfig) -> dict:
     }
 
 
+def _warn_unconverged(state: PipelineState, what: str, s: ImfSet) -> None:
+    """One manifest warning for a decomposition with IMFs left at the sift cap."""
+    if n := sum(not imf.converged for imf in s.imfs):
+        state.warnings.append(f"decomposition of {what}: {n} of {len(s.imfs)} IMFs stopped unconverged at the sift cap")
+
+
 def _emit_decomposition(state: PipelineState) -> None:
     sift_cfg = state.cfg.sift_config()
     state.spot_set = decompose(state.spot.values, sift_cfg)
     state.fut_set = decompose(state.fut.values, sift_cfg)
     legs = (("spot", state.spot_set), ("futures", state.fut_set))
     for name, s in legs:
+        _warn_unconverged(state, f"{name} prices [0, {s.source_len})", s)
         header = ["t"] + [f"imf{i + 1}" for i in range(len(s.imfs))] + ["residue"]
         columns = np.column_stack([imf.values for imf in s.imfs] + [s.residue])
         path = state.outdir / f"decomposition_{name}.csv"
@@ -349,6 +356,7 @@ def _emit_preliminary(state: PipelineState) -> None:
     for name, series in (("spot", state.spot), ("futures", state.fut)):
         lr = horizon_diff(series, 1, DiffKind.LOG).values
         lr_set = decompose(lr, sift_cfg)
+        _warn_unconverged(state, f"{name} log returns [1, {len(series)})", lr_set)
         for vr in variance_decomposition(lr_set, lr):
             label = f"imf{vr.imf_index}" if vr.imf_index is not None else "residue"
             rows.append([name, label, vr.variance, vr.percent])
@@ -476,6 +484,8 @@ def _emit_cv(state: PipelineState) -> None:
                     if item not in state.exclusions:
                         state.exclusions.append(item)
 
+    for (leg, start, stop), s in decompositions.items():
+        _warn_unconverged(state, f"{leg} training segment [{start}, {stop})", s)
     for crit, fname in (
         (Criterion.VARIANCE_REDUCTION, "cv_variance_reduction.csv"),
         (Criterion.VAR, "cv_var.csv"),

@@ -14,14 +14,11 @@ ed., 1999), with the same arithmetic as ``scipy.interpolate.CubicSpline``.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, NumericError
-
-logger = logging.getLogger(__name__)
 
 MIN_SAMPLES = 8  # shortest series ``decompose`` accepts
 
@@ -352,6 +349,4 @@ def decompose(x: np.ndarray, cfg: SiftConfig = SiftConfig()) -> ImfSet:
             )
         )
         residue = residue - result.values
-    if imfs and not all(i.converged for i in imfs):
-        logger.warning("decomposition emitted non-converged IMFs (sift cap hit)")
     return ImfSet(imfs=tuple(imfs), residue=residue, source_len=len(x))

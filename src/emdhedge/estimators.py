@@ -164,7 +164,7 @@ _TOO_FEW = {
     Method.EECM: "{n} observations at horizon {h}",
     Method.VEMD: "{n} IMF difference observations at horizon {h}",
     Method.SEMD: "{n} IMF level observations",
-    Method.AEMD: "{n} aggregate observations",
+    Method.AEMD: "{n} aggregate observations at horizon {h}",
 }
 
 

@@ -8,33 +8,31 @@ decomposition scopes:
 - ``full``: decompose the whole series once and restrict regression samples
   to the training indices (matches single-decomposition reporting, but the
   decomposition itself sees test data);
-- ``per-segment``: re-run the decomposition on each contiguous training
-  segment (a run of adjacent training groups) and pool regression
-  observations, eliminating look-ahead.
+- ``per-segment``: re-run the decomposition on each training segment (a
+  maximal run of adjacent training groups) and pool the segments' rows,
+  eliminating look-ahead.
 
-Full-scope and conventional ratios come from the estimators' row builder,
-``estimators.design_rows``: a method's regression rows [1, design | y] over
-the whole series, each with its footprint [i, i + back], the indices it
-reads. A training sample uses a row iff its footprint lies inside one
-training segment.
-
-A ratio function buckets the rows by the (first, last) partition group their
-footprint touches and keeps one thin QR factor R per bucket. A split stacks
-the R of the buckets inside its training segments and takes one QR of the
-stack (TSQR's stacked-R reduction); that small R gives the split's slope,
-rank rule and residual sums of squares, at O(N p^2) per split, not O(T p).
-QR, never X'X: ECM's log levels are nearly collinear, and X'X would square
-their condition number. All splits of a call are fitted together: their
-stacks, zero-padded to one array, take one batched QR, and the estimator's
-checks, rank rule, solve, ECM fallback and EECM lag search each run once
-over the batch as array masks, so numpy's per-call overhead is paid per
-call, not per split.
+Rows come from the estimators' row builder, ``estimators.design_rows``: a
+method's regression rows [1, design | y], each with its footprint [i, i +
+back], the indices it reads. Both scopes fit from row blocks, each with the
+(first, last) partition groups its rows read and one thin QR factor R. The
+full scope's blocks are the runs of whole-series rows whose footprints touch
+the same groups, and a split uses those whose groups all train; the
+per-segment scope's blocks are a batch's training segments, and a split uses
+those that are exactly its own. A split stacks the R of its blocks and takes
+one QR of the stack (TSQR's stacked-R reduction); that small R gives the
+split's slope, rank rule and residual sums of squares, at O(N p^2) per
+split, not O(T p). QR, never X'X: ECM's log levels are nearly collinear, and
+X'X would square their condition number. All splits of a call are fitted
+together: their stacks, zero-padded to one array, take one batched QR, and
+the estimator's checks, rank rule, solve, ECM fallback and EECM lag search
+each run once over the batch as array masks, so numpy's per-call overhead is
+paid per call, not per split.
 
 Per-segment decompositions are memoized in a dict keyed by (leg, start,
 stop). The CLI's CV stage passes one dict to every ratio function it builds,
 so each distinct training segment of each leg is decomposed once per stage,
-however many methods, rows and splits reuse it. That scope pools its rows and
-fits them with ``ols``, as decomposition dominates its cost.
+however many methods, rows and splits reuse it.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cpcv import RatioFn
-from .emd import MIN_SAMPLES, ImfSet, SiftConfig, decompose
+from .emd import ImfSet, SiftConfig, decompose
 from .errors import DataError, InsufficientDataError, NumericError, SingularDesignError
 from .estimators import (
     ECM_RANK_DEFICIENT,
@@ -56,10 +54,9 @@ from .estimators import (
     _with_u,
     aggregate_imfs,
     design_rows,
-    ols,
     pair_imfs,
 )
-from .series import PriceSeries, restrict
+from .series import PriceSeries
 
 __all__ = ["make_ratio_fn"]
 
@@ -67,18 +64,18 @@ EMD_FAMILY = (Method.VEMD, Method.SEMD, Method.AEMD)
 
 
 class _Buckets:
-    """One thin R factor per run of rows whose footprints touch the same
-    (first, last) groups; ``groups`` tile the series in order."""
+    """One thin R factor per block: a run of ``rows`` that read the same
+    (first, last) partition groups, given per row. Per-segment blocks
+    (``left_out`` not None) are training segments, and ``left_out`` says why
+    each other training segment of the batch has no block."""
 
-    def __init__(self, rows: np.ndarray, back: int, groups: tuple[range, ...]):
-        gid = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-        first, last = gid[: len(rows)], gid[back : back + len(rows)]
+    def __init__(self, rows: np.ndarray, first: np.ndarray, last: np.ndarray, left_out: dict | None = None):
         self.start = np.flatnonzero(np.diff(first, prepend=-1) | np.diff(last, prepend=-1))
-        self.rows = rows
+        self.rows, self.left_out = rows, left_out
         self.first, self.last = first[self.start], last[self.start]
         self.count = np.diff(np.append(self.start, len(rows)))
-        # one batched QR of the zero-padded bucket blocks (zero rows leave R
-        # as it is), plus a zero R that pads the split stacks
+        # one batched QR of the zero-padded blocks (zero rows leave R as it
+        # is), plus a zero R that pads the split stacks
         q = rows.shape[1]
         offset = np.arange(max(q, int(self.count.max(initial=0))))
         inside = offset < self.count[:, None]
@@ -89,11 +86,22 @@ class _Buckets:
         self.x_min, self.x_max = np.minimum.reduceat(x, self.start), np.maximum.reduceat(x, self.start)
 
     def select(self, train: np.ndarray) -> np.ndarray:
-        """(splits, buckets) mask of the buckets each split uses, from its
+        """(splits, blocks) mask of the blocks each split uses, from its
         training groups ``train`` (splits, groups): those whose groups, first
-        to last, all train."""
+        to last, all train, and for per-segment blocks neither neighbour does."""
         gaps = np.cumsum(~train, axis=1)
-        return train[:, self.first] & (gaps[:, self.last] == gaps[:, self.first])
+        use = train[:, self.first] & (gaps[:, self.last] == gaps[:, self.first])
+        if self.left_out is not None:
+            edged = np.pad(train, ((0, 0), (1, 1)))
+            use &= ~edged[:, self.first] & ~edged[:, self.last + 2]
+        return use
+
+    def why_no_rows(self, train: np.ndarray, horizon: int) -> str:
+        """Per-segment: why a split training on groups ``train`` has no rows,
+        from its first training segment a..b."""
+        a = int(train.argmax())
+        b = a + int(np.append(train[a:], False).argmin()) - 1
+        return f"no training segment yields rows at horizon {horizon} ({self.left_out[a, b]})"
 
     def stack(self, use: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(row counts, R stacks): per split, the used buckets' R factors in
@@ -134,11 +142,8 @@ class _Outcomes:
 
     def fail(self, mask: np.ndarray, error) -> None:
         """Fail each live split s in ``mask`` with the exception ``error(s)``."""
-        self.check(mask, lambda s: _raise(error(s)))
-
-
-def _raise(exc: Exception):
-    raise exc
+        for s in np.flatnonzero(self.live & mask).tolist():
+            self.errors[s], self.live[s] = error(s), False
 
 
 def _solve(r: np.ndarray, p: int, ok: np.ndarray) -> np.ndarray:
@@ -168,6 +173,17 @@ def _slope(out: _Outcomes, n: np.ndarray, r: np.ndarray) -> np.ndarray:
     return coef
 
 
+def _legs(method: Method, spot_set: ImfSet, fut_set: ImfSet, horizon: int, imf_index: int | None):
+    """The (spot, futures) series an EMD method regresses: AEMD's
+    ``aggregate_imfs``, else IMF pair ``imf_index``."""
+    if method is Method.AEMD:
+        return aggregate_imfs(spot_set, fut_set, horizon)
+    pairs, _ = pair_imfs(spot_set, fut_set)
+    if imf_index is None or imf_index >= len(pairs):  # the last pair is the residues'
+        raise DataError(f"spot IMF{imf_index} has no futures IMF to pair with")
+    return pairs[imf_index - 1].spot, pairs[imf_index - 1].fut
+
+
 def _fit_splits(method: Method, horizon: int, max_lag: int, rows: _Buckets, levels, train: np.ndarray) -> list:
     """The estimator's ratio, or the exception it raises, on each split's
     rows inside its training groups ``train`` (splits, groups), from bucket
@@ -179,6 +195,8 @@ def _fit_splits(method: Method, horizon: int, max_lag: int, rows: _Buckets, leve
         n_lv, lv = levels.stack(levels.select(train))
         coef = _slope(out, n_lv, np.linalg.qr(lv, mode="r"))
         stack = _with_u(stack, coef[:, 0, None, None], coef[:, 1, None, None], include_u=True)
+    if rows.left_out is not None:
+        out.fail(n == 0, lambda s: InsufficientDataError(rows.why_no_rows(train[s], horizon)))
     out.check(n < MIN_OBS, lambda s: _check_rows(method, int(n[s]), horizon))
     rows.check_futures_variance(out, use)
     r = np.linalg.qr(stack, mode="r")
@@ -220,93 +238,70 @@ def make_ratio_fn(
     the given series pair.
 
     A batch names each split's training groups by index into ``groups``,
-    the CV partition's groups (default: the whole series as group 0).
-    Full-scope and conventional ratios fit a whole batch at once from the
-    bucket R factors, bucketing the rows by ``groups``. The per-segment
-    scope fits split by split; ``decompositions`` memoizes its
+    the CV partition's groups (default: the whole series as group 0). Each
+    call builds its row blocks, from the whole series (full scope) or from
+    the batch's training segments (per-segment scope), and fits the batch
+    from them at once. ``decompositions`` memoizes the per-segment
     decompositions: share one dict between ratio functions of the same
     series pair and SiftConfig.
     """
     if method in EMD_FAMILY and (spot_set is None or fut_set is None):
         raise ValueError("EMD methods need both decompositions")
     groups = groups or (range(0, len(spot)),)
-    if method in EMD_FAMILY and scope != "full":
-        cache = {} if decompositions is None else decompositions
+    cache = {} if decompositions is None else decompositions
 
-        def imfs(leg: str, series: PriceSeries, seg: range) -> ImfSet:
-            key = (leg, seg.start, seg.stop)
-            if key not in cache:
-                cache[key] = decompose(series.values[seg.start : seg.stop], cfg)
-            return cache[key]
+    def imfs(leg: str, series: PriceSeries, seg: range) -> ImfSet:
+        if (key := (leg, seg.start, seg.stop)) not in cache:
+            cache[key] = decompose(series.values[seg.start : seg.stop], cfg)
+        return cache[key]
 
-        def per_segment_ratio(train: tuple[int, ...]) -> float:
-            ys, xs = [], []
-            for seg in restrict(spot, [groups[g] for g in train]):
-                if len(seg) < MIN_SAMPLES:
-                    continue
-                s_set, f_set = imfs("spot", spot, seg), imfs("fut", fut, seg)
-                if method is Method.AEMD:
-                    try:
-                        y, x = aggregate_imfs(s_set, f_set, horizon)
-                    except DataError:  # no IMF of this segment is under the horizon
-                        continue
-                elif imf_index is None or min(len(s_set.imfs), len(f_set.imfs)) < imf_index:
-                    continue
-                else:
-                    y, x = s_set.imfs[imf_index - 1].values, f_set.imfs[imf_index - 1].values
-                rows, _ = design_rows(method, y, x, horizon)
-                if len(rows):
-                    ys.append(rows[:, -1])
-                    xs.append(rows[:, 1])
-            if not ys:
-                raise InsufficientDataError("no training segment yields the requested IMF")
-            y, x = np.concatenate(ys), np.concatenate(xs)
-            if len(y) < MIN_OBS:
-                raise InsufficientDataError(f"{len(y)} pooled observations")
-            return ols(y, x, intercept=True).slope
+    def segment_buckets(train: np.ndarray) -> _Buckets:
+        """One block per distinct training segment a..b of the batch, left
+        out if decomposing it or ``_legs`` raise ``DataError`` or it has no rows."""
+        # a segment a..b starts where a split's mask steps up and ends before it steps down
+        step = np.diff(np.pad(train, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+        starts, stops = np.nonzero(step == 1)[1], np.nonzero(step == -1)[1]
+        blocks, left_out = {}, {}
+        for a, b in sorted(set(zip(starts.tolist(), (stops - 1).tolist()))):
+            seg = range(groups[a].start, groups[b].stop)
+            try:
+                s, f = _legs(method, imfs("spot", spot, seg), imfs("futures", fut, seg), horizon, imf_index)
+                rows, _ = design_rows(method, s, f, horizon)
+                if not len(rows):
+                    _check_rows(method, 0, horizon)
+            except DataError as exc:
+                left_out[a, b] = f"groups {a}-{b}: {exc}"
+                continue
+            blocks[a, b] = rows
+        labels = np.array(list(blocks), dtype=int).reshape(-1, 2)  # (first, last) of each block
+        first, last = np.repeat(labels, [len(r) for r in blocks.values()], axis=0).T
+        return _Buckets(np.concatenate([*blocks.values(), np.empty((0, 3))]), first, last, left_out)
 
-        def per_segment_fn(batch) -> list:
-            out = []
-            for train in batch:
-                try:
-                    out.append(per_segment_ratio(train))
-                except (DataError, NumericError) as exc:
-                    out.append(exc)
-            return out
-
-        return per_segment_fn
-
-    built: list = []  # (row buckets, EECM's level buckets) once built
-
-    def buckets():
-        if method is Method.AEMD:
-            s, f = aggregate_imfs(spot_set, fut_set, horizon)
-        elif method in EMD_FAMILY:
-            pairs, _ = pair_imfs(spot_set, fut_set)
-            if imf_index is None or imf_index >= len(pairs):  # the last pair is the residues'
-                raise DataError(f"spot IMF{imf_index} has no futures IMF to pair with")
-            s, f = pairs[imf_index - 1].spot, pairs[imf_index - 1].fut
+    def buckets():  # full scope: row i reads groups gid[i] to gid[i + back]
+        if method in EMD_FAMILY:
+            s, f = _legs(method, spot_set, fut_set, horizon, imf_index)
         else:
             s, f = spot.values, fut.values
-        rows = _Buckets(*design_rows(method, s, f, horizon, max_lag, log_levels), groups)
+        gid = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        rows, back = design_rows(method, s, f, horizon, max_lag, log_levels)
+        rows = _Buckets(rows, gid[: len(rows)], gid[back : back + len(rows)])
         if method is not Method.EECM:
             return rows, None
         level = np.log if log_levels else np.asarray
         # the cointegrating regression has SEMD's rows [1, F | S], on levels
-        return rows, _Buckets(*design_rows(Method.SEMD, level(s), level(f), 0), groups)
+        lv, _ = design_rows(Method.SEMD, level(s), level(f), 0)
+        return rows, _Buckets(lv, gid[: len(lv)], gid[: len(lv)])
 
     def fn(batch) -> list:
-        if not built:
-            # built on first use and kept only once built, so a sample that
-            # cannot be formed (AEMD with no IMF under the horizon) fails
-            # every split of every call, as the estimator does
-            try:
-                built.append(buckets())
-            except (DataError, NumericError) as exc:
-                return [exc] * len(batch)
         train = np.zeros((len(batch), len(groups)), dtype=bool)
         for s, split_groups in enumerate(batch):
             train[s, list(split_groups)] = True
-        return _fit_splits(method, horizon, max_lag, *built[0], train)
+        if method in EMD_FAMILY and scope != "full":
+            return _fit_splits(method, horizon, max_lag, segment_buckets(train), None, train)
+        try:
+            rows, levels = buckets()
+        except (DataError, NumericError) as exc:  # no sample (AEMD with no IMF under the horizon)
+            return [exc] * len(batch)  # fails every split, as the estimator does
+        return _fit_splits(method, horizon, max_lag, rows, levels, train)
 
     return fn

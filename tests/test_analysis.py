@@ -198,6 +198,28 @@ class TestTPvalue:
             for t in (0.3, 1.7, 2.5, 9.0):
                 assert abs(float(_t_pvalue_exact(t, dof)) - _t_pvalue(t, dof)) <= 1e-12
 
+    def test_float_path_at_large_dof_is_within_1e10_and_stars_stay_exact(self):
+        # the continued fraction loses ~1e-11 relative at dof 5,000; the
+        # stars near each level come from the exact path
+        from scipy.special import stdtrit
+
+        dof = 5000
+        for t in np.arange(1, 11) / 2:
+            exact = float(_t_pvalue_exact(t, dof))
+            assert abs(_t_pvalue(t, dof) - exact) <= 1e-10 * exact, t
+
+        def exact_stars(t):
+            p = _t_pvalue_exact(t, dof)
+            return "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.10 else ""
+
+        for alpha in (0.01, 0.05, 0.10):
+            crit = -stdtrit(dof, alpha / 2)
+            edges = crit * (1 + np.array([-1e-9, -1e-12, 1e-12, 1e-9]))
+            sides = {exact_stars(t) for t in edges}
+            assert len(sides) == 2, alpha  # the points straddle the edge
+            for t in np.r_[edges, np.nextafter(crit, 0.0), np.nextafter(crit, 10.0)]:
+                assert significance_stars(t, dof) == exact_stars(t), (alpha, t)
+
     def test_same_stars_as_scipy_within_1e9_of_each_critical_t(self):
         from scipy.special import stdtr, stdtrit
 

@@ -24,7 +24,7 @@ from emdhedge.cli import (
     run_pipeline,
 )
 from emdhedge.cpcv import Scheme, enumerate_splits, partition
-from emdhedge.emd import Imf, ImfSet
+from emdhedge.emd import Imf, ImfSet, decompose
 from emdhedge.errors import SingularDesignError
 from emdhedge.series import Leg, PriceSeries, load_csv, restrict
 
@@ -323,6 +323,47 @@ class TestPipeline:
         outdir = run_pipeline(cfg, stages=("decompose", "cv"))
         second = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
         assert first == second
+
+    def test_per_segment_cv_reruns_byte_identical(self, tmp_path):
+        pair, outdir = tmp_path / "pair.csv", tmp_path / "out"
+        assert main(["synth", "--out", str(pair), "--length", "250", "--seed", "3"]) == 0
+        argv = ["cv", "--input", str(pair), "--out", str(outdir), "--partition", "equal:5"]
+        argv += ["--decompose-scope", "per-segment", "--methods", "VEMD,SEMD,AEMD"]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+        assert "cv_paths.json" in runs[0] and runs[0] == runs[1]
+
+    def test_unconverged_decompositions_are_warned_about_in_the_manifest(self, tmp_path, capfd):
+        pair, outdir = tmp_path / "pair.csv", tmp_path / "out"
+        assert main(["synth", "--out", str(pair), "--length", "300", "--seed", "3"]) == 0
+        argv = ["cv", "--input", str(pair), "--out", str(outdir), "--partition", "equal:5"]
+        argv += ["--decompose-scope", "per-segment", "--methods", "VEMD,SEMD,AEMD", "--max-sifts", "1"]
+        capfd.readouterr()
+        assert main(argv) == 0
+        assert capfd.readouterr().err == ""
+        # every decomposition of the run: both full legs, and each training
+        # segment of each leg
+        spot, fut, _ = load_csv(pair)
+        cfg = RunConfig(max_sifts=1).sift_config()
+        groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
+        splits = enumerate_splits(5, 2).splits
+        segments = {seg for _, train in splits for seg in restrict(spot, [groups[g] for g in train])}
+        ranges = [("prices", range(0, len(spot)))] + [("training segment", seg) for seg in segments]
+        expected = set()
+        for leg, series in (("spot", spot), ("futures", fut)):
+            for what, seg in ranges:
+                imfs = decompose(series.values[seg.start : seg.stop], cfg).imfs
+                if n := sum(not imf.converged for imf in imfs):
+                    expected.add(
+                        f"decomposition of {leg} {what} [{seg.start}, {seg.stop}): {n} of {len(imfs)} IMFs"
+                        " stopped unconverged at the sift cap"
+                    )
+        warnings = json.loads((outdir / "manifest.json").read_text())["warnings"]
+        assert len(expected) == 2 * len(ranges)  # one sift per IMF: none converges
+        assert {w for w in warnings if w.startswith("decomposition of")} == expected
+        assert len(warnings) == len(set(warnings))
 
     def test_reported_cv_stats_have_path_column(self, pair_csv, tmp_path):
         outdir = tmp_path / "out"

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from emdhedge import methods
 from emdhedge.cpcv import Scheme, enumerate_splits, partition
 from emdhedge.emd import ImfSet, SiftConfig, decompose
-from emdhedge.errors import DataError, EmdHedgeError
+from emdhedge.errors import DataError, EmdHedgeError, InsufficientDataError
 from emdhedge.estimators import (
     Method,
     aemd_ratio,
+    aggregate_imfs,
     design_rows,
     ecm_ratio,
     eecm_ratio,
@@ -39,22 +40,52 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
     segments_2 = restrict(spot, [groups[g] for g in train_2])
     assert len(segments) == 1 and len(segments_2) == 2
 
+    h = 5
     cache: dict = {}
-    for split_groups, segs in ((train, segments), (train_2, segments_2)):
-        ys, xs = [], []
-        for seg in segs:
-            ys.append(decompose(spot.values[seg.start : seg.stop], cfg).imfs[0].values)
-            xs.append(decompose(fut.values[seg.start : seg.stop], cfg).imfs[0].values)
-        expected = ols(np.concatenate(ys), np.concatenate(xs), intercept=True).slope
-        for shared in (cache, None):
-            fn = make_ratio_fn(
-                Method.SEMD, spot, fut, 5, imf_index=1, spot_set=full_s, fut_set=full_f,
-                scope="per-segment", cfg=cfg, decompositions=shared, groups=groups,
-            )
-            assert fn([split_groups]) == [expected]
+    for method in methods.EMD_FAMILY:
+        for split_groups, segs in ((train, segments), (train_2, segments_2)):
+            pooled = []
+            for seg in segs:
+                s_set, f_set = (decompose(leg.values[seg.start : seg.stop], cfg) for leg in (spot, fut))
+                if method is Method.AEMD:
+                    s, f = aggregate_imfs(s_set, f_set, h)
+                else:
+                    s, f = s_set.imfs[0].values, f_set.imfs[0].values
+                pooled.append(design_rows(method, s, f, h)[0])
+            rows = np.concatenate(pooled)
+            expected = ols(rows[:, -1], rows[:, 1], intercept=True).slope
+            for shared in (cache, None):
+                fn = make_ratio_fn(
+                    method, spot, fut, h, imf_index=1, spot_set=full_s, fut_set=full_f,
+                    scope="per-segment", cfg=cfg, decompositions=shared, groups=groups,
+                )
+                (got,) = fn([split_groups])
+                assert abs(got - expected) <= 1e-12 * abs(expected), (method, split_groups)
     assert set(cache) == {
-        (leg, seg.start, seg.stop) for leg in ("spot", "fut") for seg in segments + segments_2
+        (leg, seg.start, seg.stop) for leg in ("spot", "futures") for seg in segments + segments_2
     }
+
+
+@pytest.mark.parametrize(
+    "method, h, imf_index, cause",
+    [
+        (Method.AEMD, 1, 1, "no spot IMF with cycle <= horizon 1"),
+        (Method.VEMD, 2, 9, "spot IMF9 has no futures IMF to pair with"),
+        (Method.VEMD, 90, 1, "0 IMF difference observations at horizon 90"),
+    ],
+)
+def test_a_per_segment_split_without_rows_names_its_first_segments_cause(method, h, imf_index, cause):
+    spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
+    groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups  # 80 observations each
+    fn = make_ratio_fn(
+        method, spot, fut, h, imf_index=imf_index, spot_set=decompose(spot.values),
+        fut_set=decompose(fut.values), scope="per-segment", groups=groups,
+    )
+    # every training segment here is at most one group long
+    for train, first in (((1, 3), "1-1"), ((0, 2, 4), "0-0"), ((3,), "3-3")):
+        (got,) = fn([train])
+        assert isinstance(got, InsufficientDataError)
+        assert str(got) == f"no training segment yields rows at horizon {h} (groups {first}: {cause})"
 
 
 @pytest.mark.parametrize("method", [Method.VEMD, Method.SEMD])
@@ -166,6 +197,12 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
                     assert lags == [want.lags], (h, train)
 
 
+@lru_cache(maxsize=None)
+def _segment_decompositions(case) -> dict:
+    """One per-segment decomposition memo per case, shared by its examples."""
+    return {}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     method=st.sampled_from(list(Method)),
@@ -173,17 +210,26 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
     h=st.sampled_from([3, 17]),
     order=st.permutations(range(21)),
     size=st.integers(1, 21),
+    scope=st.sampled_from(["full", "per-segment"]),  # per-segment applies to the EMD methods
 )
-# ECM's and EECM's singular split in the middle of a full batch
-@example(method=Method.ECM, case="identical on groups 0-2", h=3, order=[*range(10), 20, *range(10, 20)], size=21)
-@example(method=Method.EECM, case="identical on groups 0-2", h=3, order=[*range(10), 20, *range(10, 20)], size=21)
-def test_a_splits_outcome_does_not_depend_on_its_batch(method, case, h, order, size):
+# ECM's and EECM's singular split in the middle of a full batch, and full
+# per-segment batches, whose blocks include the other splits' segments
+@example(method=Method.ECM, case="identical on groups 0-2", h=3, order=[*range(10), 20, *range(10, 20)], size=21,
+         scope="full")
+@example(method=Method.EECM, case="identical on groups 0-2", h=3, order=[*range(10), 20, *range(10, 20)], size=21,
+         scope="full")
+@example(method=Method.AEMD, case="cointegrated", h=3, order=[*range(21)], size=21, scope="per-segment")
+@example(method=Method.VEMD, case="cointegrated", h=17, order=[*range(21)], size=21, scope="per-segment")
+def test_a_splits_outcome_does_not_depend_on_its_batch(method, case, h, order, size, scope):
     spot, fut, s_set, f_set = _legs(case)
     groups = partition(spot, Scheme.EQUAL_COUNT, 8).groups
     # the first 20 of the 56 splits at k=3, and training on groups 0-2 only
     trains = [train for _, train in enumerate_splits(8, 3).splits[:20]] + [(0, 1, 2)]
     batch = [trains[i] for i in order[:size]]
-    fn = make_ratio_fn(method, spot, fut, h, imf_index=1, spot_set=s_set, fut_set=f_set, groups=groups)
+    fn = make_ratio_fn(
+        method, spot, fut, h, imf_index=1, spot_set=s_set, fut_set=f_set, groups=groups, scope=scope,
+        decompositions=_segment_decompositions(case),
+    )
     for train, got in zip(batch, fn(batch), strict=True):
         (want,) = fn([train])
         if isinstance(want, EmdHedgeError):
