@@ -31,7 +31,7 @@ from .analysis import (
     variance_decomposition,
 )
 from .cpcv import MIN_PATHS, Criterion, PathReport, Scheme, excluded_groups, partition, run_cv, why_too_few_paths
-from .emd import ImfSet, SiftConfig, decompose
+from .emd import ImfSet, SiftConfig, decompose_all
 from .errors import DataError, EmdHedgeError, NumericError
 from .estimators import Method, horizon_of, pair_imfs
 from .methods import EMD_FAMILY, make_ratio_fn
@@ -294,10 +294,16 @@ def _warn_unconverged(state: PipelineState, what: str, s: ImfSet) -> None:
         state.warnings.append(f"decomposition of {what}: {n} of {len(s.imfs)} IMFs stopped unconverged at the sift cap")
 
 
+def _decomposed(result: ImfSet | EmdHedgeError) -> ImfSet:
+    """One series' ``decompose_all`` result: its ImfSet, or its error raised."""
+    if isinstance(result, EmdHedgeError):
+        raise result
+    return result
+
+
 def _emit_decomposition(state: PipelineState) -> None:
     sift_cfg = state.cfg.sift_config()
-    state.spot_set = decompose(state.spot.values, sift_cfg)
-    state.fut_set = decompose(state.fut.values, sift_cfg)
+    state.spot_set, state.fut_set = map(_decomposed, decompose_all([state.spot.values, state.fut.values], sift_cfg))
     legs = (("spot", state.spot_set), ("futures", state.fut_set))
     for name, s in legs:
         _warn_unconverged(state, f"{name} prices [0, {s.source_len})", s)
@@ -353,9 +359,9 @@ def _emit_preliminary(state: PipelineState) -> None:
     cfg = state.cfg
     sift_cfg = cfg.sift_config()
     rows = []
-    for name, series in (("spot", state.spot), ("futures", state.fut)):
-        lr = horizon_diff(series, 1, DiffKind.LOG).values
-        lr_set = decompose(lr, sift_cfg)
+    legs = (("spot", state.spot), ("futures", state.fut))
+    lrs = [horizon_diff(series, 1, DiffKind.LOG).values for _, series in legs]
+    for (name, series), lr, lr_set in zip(legs, lrs, map(_decomposed, decompose_all(lrs, sift_cfg))):
         _warn_unconverged(state, f"{name} log returns [1, {len(series)})", lr_set)
         for vr in variance_decomposition(lr_set, lr):
             label = f"imf{vr.imf_index}" if vr.imf_index is not None else "residue"
@@ -433,7 +439,7 @@ def _emit_cv(state: PipelineState) -> None:
     part = cfg.partition_of(state.spot)
     criteria = CV_CRITERIA
     sidecar: dict = {}
-    decompositions: dict = {}  # per-segment scope: (leg, start, stop) -> ImfSet
+    decompositions: dict = {}  # per-segment scope: (leg, start, stop) -> ImfSet or its error
     for imf_index, h in state.rows:
         for method in methods:
             try:
@@ -485,7 +491,8 @@ def _emit_cv(state: PipelineState) -> None:
                         state.exclusions.append(item)
 
     for (leg, start, stop), s in decompositions.items():
-        _warn_unconverged(state, f"{leg} training segment [{start}, {stop})", s)
+        if isinstance(s, ImfSet):
+            _warn_unconverged(state, f"{leg} training segment [{start}, {stop})", s)
     for crit, fname in (
         (Criterion.VARIANCE_REDUCTION, "cv_variance_reduction.csv"),
         (Criterion.VAR, "cv_var.csv"),

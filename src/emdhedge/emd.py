@@ -3,24 +3,42 @@
 The decomposition repeatedly subtracts the mean of the cubic-spline envelopes
 through the local maxima and minima until the candidate satisfies the two IMF
 conditions (extrema/zero-crossing balance; near-zero envelope mean), then peels
-the IMF off and continues on the remainder until only a trend is left.
+the IMF off and continues on the remainder until only a trend is left (Huang
+et al., Proc. R. Soc. A 454, 1998).
 
 Envelopes use natural cubic splines with ``boundary_mirror_count`` extrema
 mirrored beyond each end to suppress end swings. Each spline is built by one
 direct tridiagonal solve of the natural end-condition system, a Python
 replica of LAPACK ``dgtsv`` (Anderson et al., *LAPACK Users' Guide*, 3rd
 ed., 1999), with the same arithmetic as ``scipy.interpolate.CubicSpline``.
+
+``decompose_all`` sifts a list of independent series in lockstep on one
+ragged concatenation, so numpy's per-call overhead is paid once per step,
+not once per series. Each step runs one segmented extrema pass (runs and
+zero crossings never span two series), builds both envelope systems of
+every series still sifting as segmented array operations, solves each
+system with the scalar ``_dgtsv``, evaluates every spline in one gather,
+and then applies each series' stop rules; a series leaves the batch when
+its decomposition ends. Each series sees exactly the operations a
+one-series loop would apply to it, its rms included (numpy's pairwise sum
+over its own slice), so its result does not depend on its batch mates.
+``decompose``, ``sift``, ``find_extrema`` and ``envelope_mean`` are the
+one-series calls of the same kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InsufficientDataError, NumericError
+from .errors import DataError, EmdHedgeError, InsufficientDataError, NumericError
 
 MIN_SAMPLES = 8  # shortest series ``decompose`` accepts
+# most samples sifted in one lockstep batch: bounds the batch's working arrays
+# (a per-segment CV stage at T=4000 sifts ~190k samples), which then stay in cache
+_LOCKSTEP_SAMPLES = 1 << 15
 
 __all__ = [
     "MIN_SAMPLES",
@@ -33,6 +51,7 @@ __all__ = [
     "is_imf",
     "sift",
     "decompose",
+    "decompose_all",
     "cycle",
 ]
 
@@ -93,12 +112,54 @@ class SiftResult:
     residue_like: bool = False
 
 
-def _run_starts(x: np.ndarray) -> np.ndarray:
-    """Start index of each run of equal consecutive values in x."""
+class _Layout:
+    """Where each series of a ragged concatenation lies: built once per set
+    of series, so the sifting steps add no pass to find it."""
+
+    def __init__(self, n: np.ndarray):
+        self.n = n
+        self.stop = np.cumsum(n)
+        self.start = self.stop - n
+        self.edges = np.append(self.start, self.stop[-1])
+        self.bounds = list(zip(self.start.tolist(), self.stop.tolist()))
+        self.first = np.zeros(int(self.stop[-1]), dtype=bool)  # a series' first sample
+        self.first[self.start] = True
+        # the envelope systems: each series' upper, then each series' lower
+        t = np.arange(self.stop[-1]) - np.repeat(self.start, n)  # sample index within its series
+        self.n2 = np.concatenate([n, n])
+        self.start2 = np.concatenate([self.start, self.start])
+        self.t2 = np.concatenate([t, t]).astype(float)
+
+
+def _extrema(x: np.ndarray, lay: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strict local maxima and minima (ascending positions in x) and the zero
+    crossing count of each series of the concatenation x; no run of equal
+    values and no crossing spans two series."""
     change = np.empty(len(x), dtype=bool)
-    change[0] = True
     np.not_equal(x[1:], x[:-1], out=change[1:])
-    return np.flatnonzero(change)
+    change[lay.start] = True
+    starts = np.flatnonzero(change)
+    rv = x[starts]
+    inner = rv[1:-1]
+    own = ~lay.first[starts]  # the run continues its predecessor's series
+    interior = own[1:-1] & own[2:]
+    mids = (starts[1:-1] + starts[2:] - 1) // 2  # an inner run stops where the next starts
+    maxima = mids[interior & (inner > rv[:-2]) & (inner > rv[2:])]
+    minima = mids[interior & (inner < rv[:-2]) & (inner < rv[2:])]
+
+    nz = np.flatnonzero(x)
+    sign = np.sign(x[nz])
+    flip = np.zeros(len(nz) + 1, dtype=bool)  # flip[j]: the sign changes from nz[j - 1] to nz[j]
+    np.not_equal(sign[1:], sign[:-1], out=flip[1:-1])
+    lo = np.searchsorted(nz, lay.edges)  # series s holds nz[lo[s]:lo[s + 1]]
+    flip[lo] = False  # no crossing into a series from the one before
+    flips_before = np.searchsorted(np.flatnonzero(flip), lo)
+    return maxima, minima, flips_before[1:] - flips_before[:-1]
+
+
+def _check_extrema_samples(x: np.ndarray) -> None:
+    if len(x) < 3:
+        raise InsufficientDataError("need at least 3 samples for extrema detection")
 
 
 def find_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -109,35 +170,38 @@ def find_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     samples; an exact zero between opposite signs counts once.
     """
     x = np.asarray(x, dtype=float)
-    if len(x) < 3:
-        raise InsufficientDataError("need at least 3 samples for extrema detection")
-
-    starts = _run_starts(x)
-    rv = x[starts]
-    inner = rv[1:-1]
-    mids = (starts[1:-1] + starts[2:] - 1) // 2  # an inner run stops where the next starts
-    maxima = mids[(inner > rv[:-2]) & (inner > rv[2:])]
-    minima = mids[(inner < rv[:-2]) & (inner < rv[2:])]
-
-    sign = np.sign(x[x != 0.0])
-    crossings = int(np.count_nonzero(sign[1:] != sign[:-1]))
-    return maxima, minima, crossings
+    _check_extrema_samples(x)
+    maxima, minima, crossings = _extrema(x, _Layout(np.array([len(x)])))
+    return maxima, minima, int(crossings[0])
 
 
-def _mirrored_knots(idx: np.ndarray, vals: np.ndarray, n: int, mirror: int):
-    """Extend extrema by reflecting ``mirror`` of them beyond each end."""
-    m = min(mirror, len(idx))
-    left_i = -idx[:m][::-1]
-    left_v = vals[:m][::-1]
-    right_i = 2 * (n - 1) - idx[-m:][::-1]
-    right_v = vals[-m:][::-1]
-    knots_i = np.concatenate([left_i, idx, right_i])
-    knots_v = np.concatenate([left_v, vals, right_v])
-    if (knots_i[1:] > knots_i[:-1]).all():
-        return knots_i, knots_v
-    # dedupe any coincident knots from the reflection (an extremum at an end)
-    knots_i, keep = np.unique(knots_i, return_index=True)
-    return knots_i, knots_v[keep]
+def _knots(e: np.ndarray, v: np.ndarray, count: np.ndarray, n: np.ndarray, mirror: int):
+    """Envelope knots of each system: its ``count`` extrema (positions e,
+    ascending within a system, and values v, grouped by system) with
+    ``mirror`` of them reflected beyond each end of its series of ``n``
+    samples. Returns the concatenated knots, their values and each system's
+    knot count."""
+    m = np.minimum(count, mirror)
+    size = count + 2 * m
+    first = np.cumsum(count) - count  # each system's first extremum
+    stop = first + count
+    system = np.repeat(np.arange(len(count)), size)  # of each knot
+    # a system's knots stand for extrema q = first - m .. stop + m - 1,
+    # counted on past both ends; past an end, q reflects extremum r
+    # (first - 1 - i reflects first + i, and stop + i reflects stop - 1 - i)
+    q = np.arange(len(system)) + (first - m - (np.cumsum(size) - size))[system]
+    r = np.minimum(np.maximum(q, (2 * first - 1)[system] - q), (2 * stop - 1)[system] - q)
+    pos = e[r]
+    knots = np.where(r > q, -pos, np.where(r < q, (2 * (n - 1))[system] - pos, pos))
+    values = v[r]
+    # two knots of a system coincide only where an extremum at an end of its
+    # series reflects onto itself: keep the first (both carry its value)
+    same = knots[1:] == knots[:-1]
+    if same.any():
+        keep = np.append(True, ~same)
+        knots, values = knots[keep], values[keep]
+        size = np.diff(np.cumsum(keep)[np.cumsum(size) - 1], prepend=0)
+    return knots, values, size
 
 
 def _dgtsv(dl: list, d: list, du: list, b: list) -> list:
@@ -184,45 +248,64 @@ def _dgtsv(dl: list, d: list, du: list, b: list) -> list:
     return x
 
 
-def _natural_spline(knots: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Natural cubic spline through (knots, values), evaluated at t = 0, 1, ..., n-1.
+def _splines(knots: np.ndarray, y: np.ndarray, size: np.ndarray, n: np.ndarray, t: np.ndarray):
+    """Natural cubic splines through each system's (knots, y), evaluated at
+    its series' sample indices t = 0, 1, ..., n - 1 (concatenated).
 
-    Knot slopes solve the tridiagonal system that ``CubicSpline(...,
-    bc_type="natural")`` builds, by a replica of the routine it calls
-    (``_dgtsv``); the Hermite coefficients and the piecewise evaluation
-    repeat ``PPoly``'s operations, so the result is bit-identical. The knots
-    are strictly increasing integers with ``knots[0] <= 0`` and ``knots[-1]
-    >= n - 1``, as ``_mirrored_knots`` makes them, so each interval's points
-    are counted rather than searched for.
+    Returns the concatenated values and {system: NumericError} for the
+    systems whose solve is singular. Knot slopes solve the tridiagonal system
+    that ``CubicSpline(..., bc_type="natural")`` builds, one ``_dgtsv`` per
+    system; the Hermite coefficients and the piecewise evaluation repeat
+    ``PPoly``'s operations, so each spline is bit-identical to it. Each
+    system's knots are strictly increasing integers with ``knots[0] <= 0``
+    and ``knots[-1] >= n - 1``, as ``_knots`` makes them, so each interval's
+    points are counted rather than searched for.
     """
     x = knots.astype(float)
-    y = values
-    dx = x[1:] - x[:-1]
-    slope = (y[1:] - y[:-1]) / dx
-    d = np.empty(len(x))
-    d[0] = 2 * dx[0]
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    d[-1] = 2 * dx[-1]
+    end = np.cumsum(size)
+    first, last = end - size, end - 1
+    dx = x[1:] - x[:-1]  # the entries between two systems are never read
+    dy = y[1:] - y[:-1]
+    slope = dy / dx
+    gaps = np.concatenate([[0.0], dx, [0.0]])
+    gaps[first] = 0.0  # the knot gaps either side of each knot, 0 past a system's end
+    d = 2 * (gaps[:-1] + gaps[1:])
     b = np.empty(len(x))
-    b[0] = 3 * (y[1] - y[0])
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    b[-1] = 3 * (y[-1] - y[-2]) + 0.0  # CubicSpline adds 0.5 * 0 * dx**2 here
-    h = dx.tolist()
-    s = np.fromiter(_dgtsv(h[1:] + h[-1:], d.tolist(), h[:1] + h[:-1], b.tolist()), float, len(x))
+    b[first] = 3 * dy[first]
+    b[last] = 3 * dy[last - 1] + 0.0  # CubicSpline adds 0.5 * 0 * dx**2 here
+    s, errors = np.zeros(len(x)), {}
+    for j, (a, e) in enumerate(zip(first.tolist(), end.tolist())):
+        h = dx[a : e - 1].tolist()  # one system at a time: Python floats cost 4x the memory
+        try:
+            s[a:e] = _dgtsv(h[1:] + h[-1:], d[a:e].tolist(), h[:1] + h[:-1], b[a:e].tolist())
+        except NumericError as exc:
+            errors[j] = exc
     tc = (s[:-1] + s[1:] - 2 * slope) / dx
     c0 = tc / dx
     c1 = (slope - s[:-1]) / dx - tc
     # interval of each t, as PPoly finds it: the last knot <= t, and the
     # last interval for t at or beyond the last knot
-    n = len(t)
-    edges = np.minimum(np.maximum(knots, 0), n)
+    edges = np.minimum(np.maximum(knots, 0), np.repeat(n, size))
     counts = edges[1:] - edges[:-1]
-    counts[-1] = n - edges[-2]
-    i = np.repeat(np.arange(len(x) - 1), counts)
+    counts[last[:-1]] = 0  # between two systems
+    counts[last - 1] = n - edges[last - 1]
+    i = np.repeat(np.arange(len(dx)), counts)
     z = t - x[i]
     z2 = z * z
     # PPoly sums from the constant term up, starting from 0.0
-    return (((0.0 + y[i]) + s[i] * z) + c1[i] * z2) + c0[i] * (z2 * z)
+    return (((0.0 + y[i]) + s[i] * z) + c1[i] * z2) + c0[i] * (z2 * z), errors
+
+
+def _envelope_means(lay: _Layout, e: np.ndarray, v: np.ndarray, count: np.ndarray, mirror: int):
+    """Pointwise mean of the upper and lower envelopes of each series of
+    ``lay``, concatenated, and {system: NumericError} of the singular
+    systems. ``e``, ``v`` and ``count`` give each system's extrema (local
+    positions and values): every series' maxima, then every series' minima."""
+    knots, values, size = _knots(e, v, count, lay.n2, mirror)
+    env, errors = _splines(knots, values, size, lay.n2, lay.t2)
+    half = len(env) // 2
+    return 0.5 * (env[:half] + env[half:]), errors
 
 
 def envelope_mean(
@@ -233,24 +316,30 @@ def envelope_mean(
 ) -> np.ndarray | None:
     """Pointwise mean of the upper and lower natural cubic spline envelopes.
 
-    Each envelope is one direct tridiagonal solve (``_natural_spline``).
-    Returns None when either side has fewer than 2 extrema, which signals
+    Each envelope is one direct tridiagonal solve (``_splines``). Returns
+    None when either side has fewer than 2 extrema, which signals
     decomposition termination rather than a failure.
     """
     x = np.asarray(x, dtype=float)
     if len(maxima) < 2 or len(minima) < 2:
         return None
-    n = len(x)
-    t = np.arange(n, dtype=float)
-    ui, uv = _mirrored_knots(np.asarray(maxima), x[maxima], n, mirror)
-    li, lv = _mirrored_knots(np.asarray(minima), x[minima], n, mirror)
-    upper = _natural_spline(ui, uv, t)
-    lower = _natural_spline(li, lv, t)
-    return 0.5 * (upper + lower)
+    e = np.concatenate([maxima, minima])
+    count = np.array([len(maxima), len(minima)])
+    m, errors = _envelope_means(_Layout(np.array([len(x)])), e, x[e], count, mirror)
+    if errors:
+        raise next(iter(errors.values()))
+    return m
 
 
 def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
+
+
+def _rms_of(sq: np.ndarray, a: int, b: int) -> float:
+    """``_rms`` of the series at [a, b) from its squares ``sq[a:b]``, bit for
+    bit: np.mean sums the slice by numpy's pairwise sum, which np.add.reduceat
+    (a running sum) would not reproduce."""
+    return math.sqrt(np.add.reduce(sq[a:b]) / (b - a))
 
 
 def is_imf(x: np.ndarray, envelope_tolerance: float = 0.05, mirror: int = 2) -> tuple[bool, dict]:
@@ -277,6 +366,73 @@ def is_imf(x: np.ndarray, envelope_tolerance: float = 0.05, mirror: int = 2) -> 
     return _rms(m) <= envelope_tolerance * rx, counts
 
 
+def _sift_all(xs: list[np.ndarray], cfg: SiftConfig, max_imfs: int) -> list:
+    """Sift every series of xs (each of at least 3 samples) in lockstep,
+    peeling off up to ``max_imfs`` IMFs each.
+
+    Returns, per series, the ``NumericError`` raised for it, or its sift
+    results and its residue: one result per IMF, in order, then a
+    residue-like one if its envelopes vanished first. A candidate is one
+    IMF when it is balanced and its envelope mean is small, or after
+    ``max_sifts_per_imf`` subtractions (flagged non-converged); the
+    envelopes vanish when either side has fewer than 2 extrema, which ends
+    the series: at its first sift this is the trend test of the residue.
+    The array work of a step runs once on the concatenation; the stop rules
+    are a few scalar tests per series, cheaper in Python than as numpy
+    masks at the batch widths the callers run.
+    """
+    out: list = [None] * len(xs)  # None while the series still sifts
+    if not xs:
+        return out
+    lay = _Layout(np.array([len(x) for x in xs]))
+    h = np.concatenate(xs)  # each series' candidate
+    residue = h.copy()
+    ids = list(range(len(xs)))  # each batch member's position in xs
+    n_sifts = [0] * len(xs)
+    results: list[list[SiftResult]] = [[] for _ in xs]
+    tol = cfg.envelope_tolerance
+    while True:
+        maxima, minima, crossings = _extrema(h, lay)
+        ext = np.concatenate([maxima, minima])
+        ends = np.concatenate([np.searchsorted(maxima, lay.start), np.searchsorted(minima, lay.edges) + len(maxima)])
+        count = ends[1:] - ends[:-1]  # extrema per system: every series' maxima, then minima
+        e, v = ext - np.repeat(lay.start2, count), h[ext]
+        counts = list(zip(count[: len(ids)].tolist(), count[len(ids) :].tolist(), crossings.tolist()))
+        for s, ((a, b), i, c) in enumerate(zip(lay.bounds, ids, counts)):
+            if out[i] is None and min(c[:2]) < 2:  # the envelopes vanish
+                last = SiftResult(h[a:b].copy(), n_sifts[s], False, *c, residue_like=True)
+                out[i] = (results[i] + [last], residue[a:b].copy())
+        keep = [out[i] is None for i in ids]
+        if not all(keep):  # the series that ended leave the batch
+            ids, n_sifts, counts = ([a for a, k in zip(seq, keep) if k] for seq in (ids, n_sifts, counts))
+            if not ids:
+                return out
+            rows, samples = np.repeat(keep + keep, count), np.repeat(keep, lay.n)
+            e, v, count = e[rows], v[rows], count[keep + keep]
+            lay, h, residue = _Layout(lay.n[keep]), h[samples], residue[samples]
+
+        m, errors = _envelope_means(lay, e, v, count, cfg.boundary_mirror_count)
+        for j, exc in errors.items():  # the first singular system of a series ends it
+            if out[ids[j % len(ids)]] is None:
+                out[ids[j % len(ids)]] = exc
+        sq_h, sq_m, h_next = np.square(h), np.square(m), h - m
+        for s, ((a, b), i, (n_max, n_min, crossings)) in enumerate(zip(lay.bounds, ids, counts)):
+            if out[i] is not None:
+                continue
+            rx = _rms_of(sq_h, a, b)
+            converged = abs(n_max + n_min - crossings) <= 1 and rx > 0.0 and _rms_of(sq_m, a, b) <= tol * rx
+            if not converged and n_sifts[s] < cfg.max_sifts_per_imf:
+                n_sifts[s] += 1
+                continue
+            results[i].append(SiftResult(h[a:b].copy(), n_sifts[s], converged, n_max, n_min, crossings))
+            residue[a:b] -= h[a:b]
+            h_next[a:b] = residue[a:b]  # the next IMF's sifting starts from the residue
+            n_sifts[s] = 0
+            if len(results[i]) == max_imfs:
+                out[i] = (results[i], residue[a:b].copy())
+        h = h_next
+
+
 def sift(x: np.ndarray, cfg: SiftConfig = SiftConfig()) -> SiftResult:
     """Refine a candidate by repeated envelope-mean subtraction.
 
@@ -284,23 +440,12 @@ def sift(x: np.ndarray, cfg: SiftConfig = SiftConfig()) -> SiftResult:
     ``max_sifts_per_imf`` subtractions (flagged non-converged). If the
     envelopes vanish mid-sift the current iterate is returned residue-like.
     """
-    h = np.asarray(x, dtype=float).copy()
-    n_sifts = 0
-    while True:
-        maxima, minima, crossings = find_extrema(h)
-        counts = (len(maxima), len(minima), crossings)
-        m = envelope_mean(h, maxima, minima, cfg.boundary_mirror_count)
-        if m is None:
-            return SiftResult(h, n_sifts, False, *counts, residue_like=True)
-        n_ext = len(maxima) + len(minima)
-        rx = _rms(h)
-        balanced = abs(n_ext - crossings) <= 1
-        if balanced and rx > 0.0 and _rms(m) <= cfg.envelope_tolerance * rx:
-            return SiftResult(h, n_sifts, True, *counts)
-        if n_sifts >= cfg.max_sifts_per_imf:
-            return SiftResult(h, n_sifts, False, *counts)
-        h = h - m
-        n_sifts += 1
+    x = np.asarray(x, dtype=float)
+    _check_extrema_samples(x)
+    (result,) = _sift_all([x], cfg, 1)
+    if isinstance(result, EmdHedgeError):
+        raise result
+    return result[0][-1]
 
 
 def cycle(n_maxima: int, n_minima: int, series_len: int) -> float:
@@ -311,9 +456,37 @@ def cycle(n_maxima: int, n_minima: int, series_len: int) -> float:
     return series_len / denom * 2.0
 
 
-def _is_monotone(x: np.ndarray) -> bool:
-    d = x[1:] - x[:-1]
-    return bool((d >= 0).all() or (d <= 0).all())
+def decompose_all(xs: list[np.ndarray], cfg: SiftConfig = SiftConfig()) -> list[ImfSet | EmdHedgeError]:
+    """Decompose each series of xs in lockstep: per series, its ImfSet, or
+    the error raised for it (a series shorter than ``MIN_SAMPLES``, or a
+    singular envelope system). Each result is the one ``decompose`` gives
+    for that series alone. Consecutive series are sifted together in
+    batches of at most ``_LOCKSTEP_SAMPLES`` samples."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    out: list = [None] * len(xs)
+    batches, size = [[]], 0
+    for i, x in enumerate(xs):
+        if len(x) < MIN_SAMPLES:
+            out[i] = InsufficientDataError(f"need at least {MIN_SAMPLES} samples to decompose")
+            continue
+        if size + len(x) > _LOCKSTEP_SAMPLES:
+            batches.append([])
+            size = 0
+        batches[-1].append(i)
+        size += len(x)
+    for batch in batches:
+        for i, result in zip(batch, _sift_all([xs[i] for i in batch], cfg, cfg.max_imfs)):
+            out[i] = result if isinstance(result, EmdHedgeError) else _imf_set(*result, len(xs[i]))
+    return out
+
+
+def _imf_set(sifted: list[SiftResult], residue: np.ndarray, n: int) -> ImfSet:
+    """The decomposition of a series of n samples from its sift results and residue."""
+    imfs = []
+    for k, r in enumerate((r for r in sifted if not r.residue_like), start=1):
+        counts = (r.n_maxima, r.n_minima, r.n_zero_crossings)
+        imfs.append(Imf(r.values, k, cycle(r.n_maxima, r.n_minima, n), *counts, r.n_sifts, r.converged))
+    return ImfSet(imfs=tuple(imfs), residue=residue, source_len=n)
 
 
 def decompose(x: np.ndarray, cfg: SiftConfig = SiftConfig()) -> ImfSet:
@@ -322,31 +495,7 @@ def decompose(x: np.ndarray, cfg: SiftConfig = SiftConfig()) -> ImfSet:
     Reconstruction is exact up to float error because sifting is pure
     subtraction. Each emitted IMF carries its extrema counts and cycle.
     """
-    x = np.asarray(x, dtype=float)
-    if len(x) < MIN_SAMPLES:
-        raise InsufficientDataError(f"need at least {MIN_SAMPLES} samples to decompose")
-    residue = x.copy()
-    imfs: list[Imf] = []
-    while len(imfs) < cfg.max_imfs:
-        maxima, minima, _ = find_extrema(residue)
-        if len(maxima) < 2 or len(minima) < 2 or _is_monotone(residue):
-            break
-        result = sift(residue, cfg)
-        if result.residue_like:
-            break
-        if result.n_maxima + result.n_minima < 2:
-            break
-        imfs.append(
-            Imf(
-                values=result.values,
-                index=len(imfs) + 1,
-                cycle=cycle(result.n_maxima, result.n_minima, len(x)),
-                n_maxima=result.n_maxima,
-                n_minima=result.n_minima,
-                n_zero_crossings=result.n_zero_crossings,
-                n_sifts=result.n_sifts,
-                converged=result.converged,
-            )
-        )
-        residue = residue - result.values
-    return ImfSet(imfs=tuple(imfs), residue=residue, source_len=len(x))
+    (result,) = decompose_all([x], cfg)
+    if isinstance(result, EmdHedgeError):
+        raise result
+    return result

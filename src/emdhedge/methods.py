@@ -30,9 +30,14 @@ each run once over the batch as array masks, so numpy's per-call overhead is
 paid per call, not per split.
 
 Per-segment decompositions are memoized in a dict keyed by (leg, start,
-stop). The CLI's CV stage passes one dict to every ratio function it builds,
-so each distinct training segment of each leg is decomposed once per stage,
-however many methods, rows and splits reuse it.
+stop), holding each one's ImfSet or the error it raised. The CLI's CV stage
+passes one dict to every ratio function it builds, so each distinct training
+segment of each leg is decomposed once per stage, however many methods, rows
+and splits reuse it. A call decomposes every (leg, segment) of its batch
+that the memo lacks in one lockstep ``emd.decompose_all`` call, and fills
+the memo in the order a lookup per segment would (spot, then futures only if
+spot decomposed): a stage's first per-segment call fills it with every
+training segment of the partition's splits.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ from __future__ import annotations
 import numpy as np
 
 from .cpcv import RatioFn
-from .emd import ImfSet, SiftConfig, decompose
-from .errors import DataError, InsufficientDataError, NumericError, SingularDesignError
+from .emd import ImfSet, SiftConfig, decompose_all
+from .errors import DataError, EmdHedgeError, InsufficientDataError, NumericError, SingularDesignError
 from .estimators import (
     ECM_RANK_DEFICIENT,
     MIN_OBS,
@@ -242,18 +247,39 @@ def make_ratio_fn(
     call builds its row blocks, from the whole series (full scope) or from
     the batch's training segments (per-segment scope), and fits the batch
     from them at once. ``decompositions`` memoizes the per-segment
-    decompositions: share one dict between ratio functions of the same
-    series pair and SiftConfig.
+    decompositions (each one's ImfSet or error): share one dict between
+    ratio functions of the same series pair and SiftConfig.
     """
     if method in EMD_FAMILY and (spot_set is None or fut_set is None):
         raise ValueError("EMD methods need both decompositions")
     groups = groups or (range(0, len(spot)),)
     cache = {} if decompositions is None else decompositions
+    legs = (("spot", spot), ("futures", fut))
 
-    def imfs(leg: str, series: PriceSeries, seg: range) -> ImfSet:
-        if (key := (leg, seg.start, seg.stop)) not in cache:
-            cache[key] = decompose(series.values[seg.start : seg.stop], cfg)
-        return cache[key]
+    def decompose_missing(segments: list[range]) -> None:
+        """Memoize, in one lockstep call, each decomposition the segments
+        need that the memo lacks, as one lookup per segment would make them:
+        spot, then futures only if spot decomposed."""
+        todo = {}
+        for seg in segments:
+            for leg, series in legs:
+                if (key := (leg, seg.start, seg.stop)) not in cache:
+                    todo[key] = series.values[seg.start : seg.stop]
+                elif isinstance(cache[key], EmdHedgeError):
+                    break
+        done = dict(zip(todo, decompose_all(list(todo.values()), cfg)))
+        for seg in segments:
+            for leg, _ in legs:
+                if (key := (leg, seg.start, seg.stop)) not in cache:
+                    cache[key] = done[key]
+                if isinstance(cache[key], EmdHedgeError):
+                    break
+
+    def imfs(leg: str, seg: range) -> ImfSet:
+        found = cache[leg, seg.start, seg.stop]
+        if isinstance(found, EmdHedgeError):
+            raise found.with_traceback(None)
+        return found
 
     def segment_buckets(train: np.ndarray) -> _Buckets:
         """One block per distinct training segment a..b of the batch, left
@@ -261,11 +287,13 @@ def make_ratio_fn(
         # a segment a..b starts where a split's mask steps up and ends before it steps down
         step = np.diff(np.pad(train, ((0, 0), (1, 1))).astype(np.int8), axis=1)
         starts, stops = np.nonzero(step == 1)[1], np.nonzero(step == -1)[1]
+        spans = sorted(set(zip(starts.tolist(), (stops - 1).tolist())))
+        segments = [range(groups[a].start, groups[b].stop) for a, b in spans]
+        decompose_missing(segments)
         blocks, left_out = {}, {}
-        for a, b in sorted(set(zip(starts.tolist(), (stops - 1).tolist()))):
-            seg = range(groups[a].start, groups[b].stop)
+        for (a, b), seg in zip(spans, segments):
             try:
-                s, f = _legs(method, imfs("spot", spot, seg), imfs("futures", fut, seg), horizon, imf_index)
+                s, f = _legs(method, imfs("spot", seg), imfs("futures", seg), horizon, imf_index)
                 rows, _ = design_rows(method, s, f, horizon)
                 if not len(rows):
                     _check_rows(method, 0, horizon)

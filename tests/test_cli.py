@@ -279,7 +279,7 @@ class TestPipeline:
         special = np.resize([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -2.5e17, 1 / 3], n)
         imf = Imf(special, 1, 4.0, 2, 2, 3, 1, True)
         fake = ImfSet(imfs=(imf, imf), residue=special[::-1].copy(), source_len=n)
-        monkeypatch.setattr(cli, "decompose", lambda x, cfg: fake)
+        monkeypatch.setattr(cli, "decompose_all", lambda xs, cfg: [fake] * len(xs))
         monkeypatch.setattr(cli, "pair_imfs", lambda a, b: ([], []))
         outdir = tmp_path / "out"
         rc = main(["decompose", "--input", str(pair_csv), "--out", str(outdir), "--horizons", "5"])
@@ -395,13 +395,13 @@ class TestPipeline:
         self, pair_csv, tmp_path, monkeypatch
     ):
         calls = []
-        real_decompose = methods.decompose
+        real_decompose_all = methods.decompose_all
 
-        def counting_decompose(x, cfg):
-            calls.append(len(x))
-            return real_decompose(x, cfg)
+        def counting_decompose_all(xs, cfg):
+            calls.append(len(xs))
+            return real_decompose_all(xs, cfg)
 
-        monkeypatch.setattr(methods, "decompose", counting_decompose)
+        monkeypatch.setattr(methods, "decompose_all", counting_decompose_all)
         rc = main(
             [
                 "cv",
@@ -428,8 +428,9 @@ class TestPipeline:
             for seg in restrict(spot, [groups[g] for g in train])
         }
         # one spot and one futures decomposition per distinct training segment,
-        # shared by 3 methods x 2 horizons x 10 splits
-        assert len(calls) == 2 * len(segments)
+        # shared by 3 methods x 2 horizons x 10 splits, all in the stage's
+        # first lockstep call
+        assert calls[0] == sum(calls) == 2 * len(segments)
 
     def test_every_failed_split_has_a_reason(self, tmp_path):
         # per-segment AEMD at the first auto horizon finds no matching IMF in

@@ -1,14 +1,26 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from emdhedge import emd
 from emdhedge.emd import (
+    MIN_SAMPLES,
     Imf,
+    ImfSet,
     SiftConfig,
+    SiftResult,
     _dgtsv,
-    _mirrored_knots,
-    _natural_spline,
+    _extrema,
+    _knots,
+    _Layout,
+    _rms_of,
+    _splines,
     cycle,
     decompose,
+    decompose_all,
     envelope_mean,
     find_extrema,
     is_imf,
@@ -102,6 +114,21 @@ class TestFindExtrema:
         assert list(minima) == ref_min
         assert crossings == ref_cross
 
+    def test_a_batch_matches_each_series_alone(self):
+        # rounded short series: equal values, plateaus and exact zeros meet
+        # at the series boundaries, where no run or crossing may span two
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            xs = [np.round(rng.standard_normal(int(rng.integers(3, 12)))) for _ in range(int(rng.integers(1, 7)))]
+            n = np.array([len(x) for x in xs])
+            lay = _Layout(n)
+            maxima, minima, crossings = _extrema(np.concatenate(xs), lay)
+            for x, a, b, c in zip(xs, lay.start, lay.stop, crossings):
+                ref_max, ref_min, ref_cross = find_extrema(x)
+                assert (maxima[(maxima >= a) & (maxima < b)] - a).tolist() == ref_max.tolist()
+                assert (minima[(minima >= a) & (minima < b)] - a).tolist() == ref_min.tolist()
+                assert c == ref_cross
+
     def test_matches_loop_reference_on_rounded_noise(self):
         rng = np.random.default_rng(21)
         for n in (3, 4, 7, 50, 301):
@@ -157,6 +184,21 @@ class TestEnvelopeMean:
             expected = 0.5 * (spline(maxima) + spline(minima))
             got = envelope_mean(x, maxima, minima, mirror)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(x)))
+
+
+def mirrored_knots(idx, vals, n, mirror):
+    """One system's envelope knots: a batch of one for ``_knots``."""
+    knots, values, _ = _knots(np.asarray(idx), np.asarray(vals), np.array([len(idx)]), np.array([n]), mirror)
+    return knots, values
+
+
+def natural_splines(systems, n):
+    """Each (knots, values) system's spline at t = 0 .. n - 1, all from one ``_splines`` call."""
+    knots, values = (np.concatenate(a) for a in zip(*systems))
+    size, ns = np.array([len(k) for k, _ in systems]), np.full(len(systems), n)
+    out, errors = _splines(knots, values, size, ns, np.tile(np.arange(n, dtype=float), len(systems)))
+    assert not errors
+    return np.split(out, len(systems))
 
 
 def spline_system(dx):
@@ -216,14 +258,16 @@ class TestDgtsv:
         rng = np.random.default_rng(n)
         x = np.cumsum(rng.standard_normal(n))
         t = np.arange(n, dtype=float)
-        for idx in find_extrema(x)[:2]:
-            if len(idx) < 2:
-                continue
-            for mirror in (1, 2, 3):
-                knots, vals = _mirrored_knots(idx, x[idx], n, mirror)
-                expected = CubicSpline(knots, vals, bc_type="natural")(t)
-                assert _natural_spline(knots, vals, t).tobytes() == expected.tobytes()
-
+        systems = [
+            mirrored_knots(idx, x[idx], n, mirror)
+            for idx in find_extrema(x)[:2]
+            if len(idx) >= 2
+            for mirror in (1, 2, 3)
+        ]
+        assert systems
+        for (knots, vals), got in zip(systems, natural_splines(systems, n)):
+            expected = CubicSpline(knots, vals, bc_type="natural")(t)
+            assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mirror", [1, 2])
     def test_spline_bit_identical_with_boundary_extrema(self, mirror):
@@ -232,14 +276,24 @@ class TestDgtsv:
         rng = np.random.default_rng(10 + mirror)
         n = 40
         t = np.arange(n, dtype=float)
-        for _ in range(200):
-            # extrema at both ends reflect onto themselves, so the mirrored
-            # knots hold duplicates, and with mirror=1 the last knot is n - 1
-            idx = np.unique(np.r_[0, rng.choice(np.arange(1, n - 1), 5, replace=False), n - 1])
+        systems = []
+        for trial in range(200):
+            # extrema at either end reflect onto themselves, so the mirrored
+            # knots hold duplicates, and with mirror=1 the last knot is n - 1;
+            # a third of the systems have both ends, a third one, a third none
+            ends = [[0, n - 1], [0] if trial % 2 else [n - 1], []][trial % 3]
+            idx = np.unique(np.r_[ends, rng.choice(np.arange(1, n - 1), 5, replace=False)]).astype(int)
             vals = rng.choice([-0.0, 0.0, -1.0, 1.5], len(idx))
-            knots, kv = _mirrored_knots(idx, vals, n, mirror)
-            expected = CubicSpline(knots, kv, bc_type="natural")(t)
-            assert _natural_spline(knots, kv, t).tobytes() == expected.tobytes()
+            m = min(mirror, len(idx))
+            expected_knots, keep = np.unique(
+                np.r_[-idx[:m][::-1], idx, 2 * (n - 1) - idx[-m:][::-1]], return_index=True
+            )
+            knots, kv = mirrored_knots(idx, vals, n, mirror)
+            assert knots.tolist() == expected_knots.tolist()
+            assert kv.tobytes() == np.r_[vals[:m][::-1], vals, vals[-m:][::-1]][keep].tobytes()
+            systems.append((knots, kv))
+        for (knots, kv), got in zip(systems, natural_splines(systems, n)):
+            assert got.tobytes() == CubicSpline(knots, kv, bc_type="natural")(t).tobytes()
 
     def test_negative_zero_knot_value_evaluates_to_positive_zero(self):
         # PPoly starts its sum at 0.0, so a -0.0 knot value on a stretch where
@@ -247,9 +301,9 @@ class TestDgtsv:
         from scipy.interpolate import CubicSpline
 
         n, idx = 12, np.array([2, 3, 7, 8])
-        knots, kv = _mirrored_knots(idx, np.array([-0.0, -1.0, -3.0, 2.0]), n, 2)
+        knots, kv = mirrored_knots(idx, np.array([-0.0, -1.0, -3.0, 2.0]), n, 2)
         t = np.arange(n, dtype=float)
-        got = _natural_spline(knots, kv, t)
+        (got,) = natural_splines([(knots, kv)], n)
         assert got.tobytes() == CubicSpline(knots, kv, bc_type="natural")(t).tobytes()
         assert got[2] == 0.0 and not np.signbit(got[2])
 
@@ -375,3 +429,135 @@ class TestDecompose:
         assert len(a.imfs) == len(b.imfs)
         for ia, ib in zip(a.imfs, b.imfs):
             assert np.allclose(c * ia.values, ib.values, rtol=1e-9, atol=1e-12)
+
+
+def _rms(x):
+    return float(np.sqrt(np.mean(np.square(x))))
+
+
+def test_rms_from_squares_is_np_mean_of_each_slice():
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal(3000) * np.exp(rng.uniform(-20, 20, 3000))
+    sq = np.square(x)
+    for _ in range(2000):
+        a = int(rng.integers(0, 2700))
+        b = a + int(rng.integers(1, 300))
+        assert _rms_of(sq, a, b) == _rms(x[a:b])
+
+
+def reference_sift(x, cfg):
+    """The one-series sifting loop ``decompose_all`` replaced, kept as its reference."""
+    h = x.copy()
+    n_sifts = 0
+    while True:
+        maxima, minima, crossings = find_extrema(h)
+        counts = (len(maxima), len(minima), crossings)
+        m = envelope_mean(h, maxima, minima, cfg.boundary_mirror_count)
+        if m is None:
+            return SiftResult(h, n_sifts, False, *counts, residue_like=True)
+        rx = _rms(h)
+        balanced = abs(len(maxima) + len(minima) - crossings) <= 1
+        if balanced and rx > 0.0 and _rms(m) <= cfg.envelope_tolerance * rx:
+            return SiftResult(h, n_sifts, True, *counts)
+        if n_sifts >= cfg.max_sifts_per_imf:
+            return SiftResult(h, n_sifts, False, *counts)
+        h = h - m
+        n_sifts += 1
+
+
+def reference_decompose(x, cfg):
+    """The one-series decomposition loop, with the monotone-residue and
+    post-sift extrema checks the lockstep kernel dropped (neither can fire)."""
+    if len(x) < MIN_SAMPLES:
+        return InsufficientDataError(f"need at least {MIN_SAMPLES} samples to decompose")
+    residue = x.copy()
+    imfs = []
+    while len(imfs) < cfg.max_imfs:
+        maxima, minima, _ = find_extrema(residue)
+        d = residue[1:] - residue[:-1]
+        if len(maxima) < 2 or len(minima) < 2 or (d >= 0).all() or (d <= 0).all():
+            break
+        r = reference_sift(residue, cfg)
+        if r.residue_like or r.n_maxima + r.n_minima < 2:
+            break
+        cyc = cycle(r.n_maxima, r.n_minima, len(x))
+        counts = (r.n_maxima, r.n_minima, r.n_zero_crossings)
+        imfs.append(Imf(r.values, len(imfs) + 1, cyc, *counts, r.n_sifts, r.converged))
+        residue = residue - r.values
+    return ImfSet(tuple(imfs), residue, len(x))
+
+
+def assert_same(got, expected):
+    """Bit-identical decompositions, or errors of the same class and message."""
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+        return
+    assert isinstance(got, ImfSet) and got.source_len == expected.source_len
+    assert got.residue.tobytes() == expected.residue.tobytes()
+    assert len(got.imfs) == len(expected.imfs)
+    for a, b in zip(got.imfs, expected.imfs):
+        assert a.values.tobytes() == b.values.tobytes()
+        assert (a.index, a.cycle, a.n_maxima, a.n_minima, a.n_zero_crossings, a.n_sifts, a.converged) == (
+            b.index, b.cycle, b.n_maxima, b.n_minima, b.n_zero_crossings, b.n_sifts, b.converged
+        )
+
+
+SERIES_KINDS = ("noise", "rounded", "walk", "tones", "constant", "ramp")
+
+
+def make_series(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n, dtype=float)
+    if kind == "noise":
+        return rng.standard_normal(n)
+    if kind == "rounded":  # plateaus and exact zeros
+        return np.round(1.5 * rng.standard_normal(n))
+    if kind == "walk":
+        return np.cumsum(rng.standard_normal(n))
+    if kind == "tones":
+        return np.sin(2 * np.pi * t / 7) + 0.5 * np.sin(2 * np.pi * t / 29) + 0.1 * rng.standard_normal(n)
+    if kind == "constant":
+        return np.full(n, 2.5)
+    return 0.3 * t - 1.0  # ramp
+
+
+series_st = st.tuples(
+    st.sampled_from(SERIES_KINDS),
+    st.one_of(st.integers(0, MIN_SAMPLES + 1), st.integers(MIN_SAMPLES + 2, 160)),
+    st.integers(0, 2**16),
+)
+sift_config_st = st.builds(
+    SiftConfig,
+    envelope_tolerance=st.sampled_from([0.05, 0.3]),
+    max_sifts_per_imf=st.sampled_from([1, 2, 64]),
+    max_imfs=st.sampled_from([1, 2, 16]),
+    boundary_mirror_count=st.sampled_from([1, 2, 3]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(series_st, min_size=1, max_size=6), sift_config_st, st.sampled_from([1 << 15, 120, 1]), st.data())
+@example([("ramp", 50, 0), ("constant", 50, 0), ("noise", 5, 1), ("tones", 120, 2)], SiftConfig(), 1 << 15, None)
+@example([("rounded", 90, 3), ("walk", 60, 4)], SiftConfig(max_imfs=1, max_sifts_per_imf=1), 100, None)
+def test_decompose_all_is_the_one_series_loop_for_each_series(draws, cfg, batch_samples, data):
+    xs = [make_series(*d) for d in draws]
+    expected = [reference_decompose(x, cfg) for x in xs]
+    with patch.object(emd, "_LOCKSTEP_SAMPLES", batch_samples):  # lockstep batches of at most this many samples
+        got = decompose_all(xs, cfg)
+    for (kind, _, _), g, e in zip(draws, got, expected):
+        assert_same(g, e)
+        if kind in ("constant", "ramp") and isinstance(e, ImfSet):
+            assert not g.imfs  # a trend has no IMF
+    # a series' result depends neither on its batch mates nor on its position
+    order = data.draw(st.permutations(range(len(xs)))) if data is not None else list(range(len(xs)))[::-1]
+    for i, g in zip(order, decompose_all([xs[i] for i in order], cfg)):
+        assert_same(g, expected[i])
+    for x, e in zip(xs, expected):
+        (g,) = decompose_all([x], cfg)
+        assert_same(g, e)
+        if len(x) >= 3:
+            r, ref = sift(x, cfg), reference_sift(x, cfg)
+            assert r.values.tobytes() == ref.values.tobytes()
+            assert (r.n_sifts, r.converged, r.n_maxima, r.n_minima, r.n_zero_crossings, r.residue_like) == (
+                ref.n_sifts, ref.converged, ref.n_maxima, ref.n_minima, ref.n_zero_crossings, ref.residue_like
+            )

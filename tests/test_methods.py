@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from emdhedge import methods
 from emdhedge.cpcv import Scheme, enumerate_splits, partition
-from emdhedge.emd import ImfSet, SiftConfig, decompose
+from emdhedge.emd import MIN_SAMPLES, ImfSet, SiftConfig, decompose, decompose_all
 from emdhedge.errors import DataError, EmdHedgeError, InsufficientDataError
 from emdhedge.estimators import (
     Method,
@@ -236,3 +236,49 @@ def test_a_splits_outcome_does_not_depend_on_its_batch(method, case, h, order, s
             assert (type(got), str(got)) == (type(want), str(want)), train
         else:
             assert abs(got - want) <= 1e-12 * abs(want), train
+
+
+def test_a_too_short_training_segment_is_decomposed_once_and_left_out_of_its_blocks(monkeypatch):
+    # T=30 in 5 groups of 6: a one-group training segment is shorter than
+    # MIN_SAMPLES, longer ones decompose
+    s0, f0 = gen_coint_pair(SynthSpec(length=100, seed=2, coint=CointSpec()))
+    spot = PriceSeries("s", Leg.SPOT, s0.timestamps[:30], s0.values[:30])
+    fut = PriceSeries("f", Leg.FUTURES, s0.timestamps[:30], f0.values[:30])
+    groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
+    trains = [train for _, train in enumerate_splits(5, 2).splits]
+    segments = {seg for train in trains for seg in restrict(spot, [groups[g] for g in train])}
+    calls = []
+
+    def counting_decompose_all(xs, cfg):
+        calls.append([len(x) for x in xs])
+        return decompose_all(xs, cfg)
+
+    monkeypatch.setattr(methods, "decompose_all", counting_decompose_all)
+    memo: dict = {}
+    fns = [
+        make_ratio_fn(
+            method, spot, fut, 1, imf_index=1, spot_set=decompose(spot.values), fut_set=decompose(fut.values),
+            scope="per-segment", groups=groups, decompositions=memo,
+        )
+        for method in (Method.VEMD, Method.SEMD)
+    ]
+    runs = [fn(trains) for fn in fns + fns]
+    # one lockstep call decomposes every (leg, segment) once; later calls find them all
+    assert sorted(calls[0]) == sorted(len(seg) for seg in segments for _ in range(2))
+    assert all(c == [] for c in calls[1:])
+    short = [seg for seg in segments if len(seg) < MIN_SAMPLES]
+    assert len(short) == 5
+    for seg in short:  # a spot error: no futures entry, as a lookup per segment makes
+        assert isinstance(memo["spot", seg.start, seg.stop], InsufficientDataError)
+        assert ("futures", seg.start, seg.stop) not in memo
+    for out in runs:
+        by_train = dict(zip(trains, out))
+        # groups 1-1 are left out, groups 3-4 still fitted
+        assert isinstance(by_train[1, 3, 4], float) and by_train[1, 3, 4] == by_train[0, 3, 4]
+        err = by_train[0, 2, 4]
+        assert type(err) is InsufficientDataError
+        cause = f"need at least {MIN_SAMPLES} samples to decompose"
+        assert str(err) == f"no training segment yields rows at horizon 1 (groups 0-0: {cause})"
+    # memoized errors re-raise with the same class and message on every lookup
+    for a, b in zip(runs, runs[2:]):
+        assert [(type(o), str(o)) for o in a] == [(type(o), str(o)) for o in b]
