@@ -138,7 +138,7 @@ def _extrema(x: np.ndarray, lay: _Layout) -> tuple[np.ndarray, np.ndarray, np.nd
     change = np.empty(len(x), dtype=bool)
     np.not_equal(x[1:], x[:-1], out=change[1:])
     change[lay.start] = True
-    starts = np.flatnonzero(change)
+    starts = change.nonzero()[0]
     rv = x[starts]
     inner = rv[1:-1]
     own = ~lay.first[starts]  # the run continues its predecessor's series
@@ -147,13 +147,13 @@ def _extrema(x: np.ndarray, lay: _Layout) -> tuple[np.ndarray, np.ndarray, np.nd
     maxima = mids[interior & (inner > rv[:-2]) & (inner > rv[2:])]
     minima = mids[interior & (inner < rv[:-2]) & (inner < rv[2:])]
 
-    nz = np.flatnonzero(x)
+    nz = x.nonzero()[0]
     sign = np.sign(x[nz])
     flip = np.zeros(len(nz) + 1, dtype=bool)  # flip[j]: the sign changes from nz[j - 1] to nz[j]
     np.not_equal(sign[1:], sign[:-1], out=flip[1:-1])
-    lo = np.searchsorted(nz, lay.edges)  # series s holds nz[lo[s]:lo[s + 1]]
+    lo = nz.searchsorted(lay.edges)  # series s holds nz[lo[s]:lo[s + 1]]
     flip[lo] = False  # no crossing into a series from the one before
-    flips_before = np.searchsorted(np.flatnonzero(flip), lo)
+    flips_before = flip.nonzero()[0].searchsorted(lo)
     return maxima, minima, flips_before[1:] - flips_before[:-1]
 
 
@@ -183,13 +183,13 @@ def _knots(e: np.ndarray, v: np.ndarray, count: np.ndarray, n: np.ndarray, mirro
     knot count."""
     m = np.minimum(count, mirror)
     size = count + 2 * m
-    first = np.cumsum(count) - count  # each system's first extremum
+    first = count.cumsum() - count  # each system's first extremum
     stop = first + count
-    system = np.repeat(np.arange(len(count)), size)  # of each knot
+    system = np.arange(len(count)).repeat(size)  # of each knot
     # a system's knots stand for extrema q = first - m .. stop + m - 1,
     # counted on past both ends; past an end, q reflects extremum r
     # (first - 1 - i reflects first + i, and stop + i reflects stop - 1 - i)
-    q = np.arange(len(system)) + (first - m - (np.cumsum(size) - size))[system]
+    q = np.arange(len(system)) + (first - m - (size.cumsum() - size))[system]
     r = np.minimum(np.maximum(q, (2 * first - 1)[system] - q), (2 * stop - 1)[system] - q)
     pos = e[r]
     knots = np.where(r > q, -pos, np.where(r < q, (2 * (n - 1))[system] - pos, pos))
@@ -262,7 +262,7 @@ def _splines(knots: np.ndarray, y: np.ndarray, size: np.ndarray, n: np.ndarray, 
     points are counted rather than searched for.
     """
     x = knots.astype(float)
-    end = np.cumsum(size)
+    end = size.cumsum()
     first, last = end - size, end - 1
     dx = x[1:] - x[:-1]  # the entries between two systems are never read
     dy = y[1:] - y[:-1]
@@ -286,11 +286,11 @@ def _splines(knots: np.ndarray, y: np.ndarray, size: np.ndarray, n: np.ndarray, 
     c1 = (slope - s[:-1]) / dx - tc
     # interval of each t, as PPoly finds it: the last knot <= t, and the
     # last interval for t at or beyond the last knot
-    edges = np.minimum(np.maximum(knots, 0), np.repeat(n, size))
+    edges = np.minimum(np.maximum(knots, 0), n.repeat(size))
     counts = edges[1:] - edges[:-1]
     counts[last[:-1]] = 0  # between two systems
     counts[last - 1] = n - edges[last - 1]
-    i = np.repeat(np.arange(len(dx)), counts)
+    i = np.arange(len(dx)).repeat(counts)
     z = t - x[i]
     z2 = z * z
     # PPoly sums from the constant term up, starting from 0.0
@@ -394,9 +394,9 @@ def _sift_all(xs: list[np.ndarray], cfg: SiftConfig, max_imfs: int) -> list:
     while True:
         maxima, minima, crossings = _extrema(h, lay)
         ext = np.concatenate([maxima, minima])
-        ends = np.concatenate([np.searchsorted(maxima, lay.start), np.searchsorted(minima, lay.edges) + len(maxima)])
+        ends = np.concatenate([maxima.searchsorted(lay.start), minima.searchsorted(lay.edges) + len(maxima)])
         count = ends[1:] - ends[:-1]  # extrema per system: every series' maxima, then minima
-        e, v = ext - np.repeat(lay.start2, count), h[ext]
+        e, v = ext - lay.start2.repeat(count), h[ext]
         counts = list(zip(count[: len(ids)].tolist(), count[len(ids) :].tolist(), crossings.tolist()))
         for s, ((a, b), i, c) in enumerate(zip(lay.bounds, ids, counts)):
             if out[i] is None and min(c[:2]) < 2:  # the envelopes vanish
