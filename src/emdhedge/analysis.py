@@ -109,8 +109,8 @@ def determinant_regression(performance: np.ndarray, matching: np.ndarray) -> Det
     matching = np.asarray(matching, dtype=float)
     if len(performance) != len(matching):
         raise DataError("performance and matching must pair up")
-    if len(performance) < 3:
-        raise InsufficientDataError("need at least 3 paired observations")
+    if len(performance) < 4:  # the affine fit's 2 coefficients need n > 3
+        raise InsufficientDataError(f"need at least 4 paired observations, got {len(performance)}")
     origin = ols(performance, matching, intercept=False)
     affine = ols(performance, matching, intercept=True)
     return DeterminantFit(

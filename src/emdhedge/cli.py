@@ -441,27 +441,20 @@ def _emit_cv(state: PipelineState) -> None:
     sidecar: dict = {}
     decompositions: dict = {}  # per-segment scope: (leg, start, stop) -> ImfSet or its error
     for imf_index, h in state.rows:
+        try:
+            fns = {
+                m.value: _ratio_fn(
+                    state, m, imf_index, h, scope=cfg.decompose_scope, decompositions=decompositions,
+                    groups=part.groups,
+                )
+                for m in methods
+            }
+            row = run_cv(state.spot, state.fut, fns, h, criteria, part, cfg.k, min_obs=cfg.min_obs, alpha=cfg.alpha)
+        except EmdHedgeError as exc:  # holds for the whole horizon, e.g. all groups excluded
+            state.warnings.extend(f"cv {m.value} imf{imf_index} h={h}: {exc}" for m in methods)
+            continue
         for method in methods:
-            try:
-                fn = _ratio_fn(
-                    state, method, imf_index, h, scope=cfg.decompose_scope,
-                    decompositions=decompositions, groups=part.groups,
-                )
-                reports = run_cv(
-                    state.spot,
-                    state.fut,
-                    fn,
-                    h,
-                    criteria,
-                    part,
-                    cfg.k,
-                    min_obs=cfg.min_obs,
-                    alpha=cfg.alpha,
-                    method_label=method.value,
-                )
-            except EmdHedgeError as exc:
-                state.warnings.append(f"cv {method.value} imf{imf_index} h={h}: {exc}")
-                continue
+            reports = {c: row[method.value, c] for c in criteria}
             failed = Counter(cls for cls, _ in reports[criteria[0]].failed_reasons)
             state.cv_failed_splits.update(failed)
             missing = [(c, r) for c, r in reports.items() if r.stats is None]
@@ -537,9 +530,6 @@ def _emit_determinants(state: PipelineState) -> None:
             if y is not None:
                 xs.append(match_by_imf[imf_index])
                 ys.append(y)
-        if len(xs) < 3:
-            state.warnings.append(f"{label}: fewer than 3 rows")
-            return None
         try:
             return determinant_regression(np.array(ys), np.array(xs))
         except EmdHedgeError as exc:

@@ -6,6 +6,12 @@ order). Each group's test appearances, taken in split order, are assigned
 path ids 1..C(N-1,k-1); a path is a chronological reassembly with exactly one
 test cell per group. Path scores are the mean of cell scores for variance
 reduction and the minimum for VaR.
+
+``run_cv`` scores every method of one horizon in one call: the group
+returns and the spot side of each test group are computed once, and each
+criterion's scores are one (method, path, group) array, with failed and
+excluded cells as masks, aggregated by the same kernel as
+``path_statistics``.
 """
 
 from __future__ import annotations
@@ -188,23 +194,40 @@ def path_statistics(
     path with every cell excluded is dropped. Returns
     (path values, moments, n voided/dropped).
     """
-    per_path: list[float] = []
-    voided = 0
-    for p in range(1, assignment.n_paths + 1):
-        scores = [cell_scores[c] for c in assignment.cells_of_path(p)]
-        if any(s == FAILED for s in scores):
-            voided += 1
-            continue
-        vals = [s for s in scores if not isinstance(s, str)]
-        if not vals:
-            voided += 1
-            continue
-        if criterion is Criterion.VARIANCE_REDUCTION:
-            per_path.append(float(np.mean(vals)))
-        else:
-            per_path.append(float(np.min(vals)))
-    stats = moments(np.array(per_path)) if len(per_path) >= MIN_PATHS else None
-    return tuple(per_path), stats, voided
+    marks = [[cell_scores[c] for c in path] for path in assignment.paths]
+    scores = np.array([[math.nan if isinstance(s, str) else s for s in row] for row in marks])
+    included = np.array([[not isinstance(s, str) for s in row] for row in marks])
+    failed = np.array([[isinstance(s, str) and s == FAILED for s in row] for row in marks])
+    return _path_statistics(scores[None], included[None], failed[None], criterion)[0]
+
+
+def _reduce_rows(values: np.ndarray, keep: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` (``np.mean`` or ``np.min``) of each row's kept values; NaN
+    for a row with none. The kept values of the rows with the same count are
+    packed left into one contiguous block, so each row reduces with the bits
+    of the 1-D call on its own values: numpy's pairwise sum depends on the
+    count, so an excluded value must be dropped, not zero-filled or masked."""
+    out = np.full(len(values), np.nan)
+    counts = keep.sum(axis=1)
+    for n in np.unique(counts[counts > 0]).tolist():
+        rows = counts == n
+        out[rows] = reduce(values[rows][keep[rows]].reshape(-1, n), axis=1)
+    return out
+
+
+def _path_statistics(
+    scores: np.ndarray, included: np.ndarray, failed: np.ndarray, criterion: Criterion
+) -> list[tuple[tuple[float, ...], Moments | None, int]]:
+    """``path_statistics`` of each row of (row, path, group) cell arrays."""
+    reduce = np.mean if criterion is Criterion.VARIANCE_REDUCTION else np.min
+    rows, n_paths, n_groups = scores.shape
+    values = _reduce_rows(scores.reshape(-1, n_groups), included.reshape(-1, n_groups), reduce)
+    out = []
+    for row, keep in zip(values.reshape(rows, n_paths), ~failed.any(axis=2) & included.any(axis=2)):
+        per_path = row[keep]
+        stats = moments(per_path) if len(per_path) >= MIN_PATHS else None
+        out.append((tuple(per_path.tolist()), stats, n_paths - int(keep.sum())))
+    return out
 
 
 RatioFn = Callable[[Sequence[tuple[int, ...]]], list]
@@ -240,107 +263,92 @@ def excluded_groups(
 def run_cv(
     spot: PriceSeries,
     fut: PriceSeries,
-    ratio_fn: RatioFn,
+    ratio_fns: dict[str, RatioFn],
     horizon: int,
     criteria: tuple[Criterion, ...],
     part: GroupPartition,
     k: int,
     min_obs: int | None = None,
     alpha: float = 0.05,
-    method_label: str = "",
-) -> dict[Criterion, PathReport]:
-    """Run the full combinatorial CV for one (method, horizon).
+) -> dict[tuple[str, Criterion], PathReport]:
+    """Run the full combinatorial CV of every method of one horizon.
 
-    ``ratio_fn`` is called once, with every split's training groups
-    (indices into ``part.groups``) in split order.
-    Each test group is scored separately on within-group horizon differences;
+    ``ratio_fns`` maps each method label to its ratio function; the result
+    maps each (label, criterion) to its report, labels in dict order. Each
+    test group is scored separately on within-group horizon differences;
     groups too short for ``min_obs`` of them are excluded at this horizon
-    (``excluded_groups``).
+    (``excluded_groups``). If every group is excluded, no fit is made.
 
-    Phase 1 estimates the ratio of every split. A split whose outcome is a
-    ``NumericError`` or ``DataError``, or a non-finite ratio, is failed; its
-    exception class and message go to ``PathReport.failed_reasons``. Phase
-    2 scores each included test group once: the ratios of its non-failed
-    splits form one portfolio per row, and ``effectiveness_rows`` scores all
-    rows per criterion, so the group's spot-side variance, degeneracy floor
-    and alpha-quantile are computed once per group rather than once per
-    cell. A degenerate spot side or a non-finite score excludes the cell.
-    Per-split values (for reporting) average the split's included
-    test-group scores, in test order.
+    Each ratio function is called once, in dict order, with every split's
+    training groups (indices into ``part.groups``) in split order. A split
+    whose outcome is a ``NumericError`` or ``DataError``, or a non-finite
+    ratio, fails for that method, its exception class and message going to
+    ``PathReport.failed_reasons``. Each included test group is then scored
+    once: the ratios of every (method, split) cell it tests that did not
+    fail form one portfolio per row, and ``effectiveness_rows`` scores all
+    rows per criterion, so the group's spot side is computed once per
+    (horizon, group). A degenerate spot side or a non-finite score excludes
+    the cell. Each criterion's scores form one (method, path, group) array;
+    per-split values average a split's included test-group scores, in test
+    order, and path values follow ``path_statistics``' rules.
     """
     if len(spot) != len(fut):
         raise DataError("spot and futures series must be aligned")
     splits = enumerate_splits(part.n_groups, k)
     assignment = assign_paths(splits)
-
     excluded = excluded_groups(part, horizon, criteria, min_obs)
     if len(excluded) == part.n_groups:
         raise InsufficientDataError(f"all groups excluded at horizon {horizon}")
     skip = {g for g, _ in excluded}
-    group_rets: list[tuple[np.ndarray, np.ndarray] | None] = []
-    for gi, g in enumerate(part.groups):
-        if gi in skip:
-            group_rets.append(None)
-            continue
-        sv = np.log(spot.values[g.start : g.stop])
-        fv = np.log(fut.values[g.start : g.stop])
-        group_rets.append((sv[horizon:] - sv[:-horizon], fv[horizon:] - fv[:-horizon]))
 
-    # phase 1: one hedge ratio per split; None marks a failed split
+    # one hedge ratio per (method, split); NaN marks a failed split
     batch = [train for _, train in splits.splits]
-    ratios: list[float | None] = []
-    failed_splits: list[int] = []
-    failed_reasons: list[tuple[str, str]] = []
-    for s_idx, (_, ratio) in enumerate(zip(batch, ratio_fn(batch), strict=True)):
-        if not isinstance(ratio, (NumericError, DataError)) and not math.isfinite(ratio):
-            ratio = NumericError("non-finite hedge ratio")
-        if isinstance(ratio, (NumericError, DataError)):
-            failed_splits.append(s_idx)
-            failed_reasons.append((type(ratio).__name__, str(ratio)))
-            ratio = None
-        ratios.append(ratio)
+    ratios = np.full((len(ratio_fns), len(batch)), np.nan)
+    failures = []  # per method: (failed splits, their reasons)
+    for m, ratio_fn in enumerate(ratio_fns.values()):
+        failed_splits, reasons = [], []
+        for s_idx, (_, ratio) in enumerate(zip(batch, ratio_fn(batch), strict=True)):
+            if not isinstance(ratio, (NumericError, DataError)) and not math.isfinite(ratio):
+                ratio = NumericError("non-finite hedge ratio")
+            if isinstance(ratio, (NumericError, DataError)):
+                failed_splits.append(s_idx)
+                reasons.append((type(ratio).__name__, str(ratio)))
+            else:
+                ratios[m, s_idx] = ratio
+        failures.append((tuple(failed_splits), tuple(reasons)))
+    failed = np.isnan(ratios)
 
-    # phase 2: score each test group once for all the splits it tests
-    cell_scores: dict[Criterion, dict[tuple[int, int], float | str]] = {c: {} for c in criteria}
-    for g, rets in enumerate(group_rets):
-        tested_by = [path[g][1] for path in assignment.paths]  # g's test splits, in order
-        ok = [s for s in tested_by if ratios[s] is not None]
-        for c in criteria:
-            for s in tested_by:
-                cell_scores[c][(g, s)] = FAILED if ratios[s] is None else EXCLUDED
-        if rets is None or not ok:
+    # each included test group once, for every (method, split) it tests
+    split_of = np.array([[s for _, s in path] for path in assignment.paths])  # (path, group) -> split
+    scores = {c: np.full((len(ratio_fns), assignment.n_paths, part.n_groups), np.nan) for c in criteria}
+    for g, rg in enumerate(part.groups):
+        ok = ~failed[:, split_of[:, g]]  # (method, path)
+        if g in skip or not ok.any():
             continue
-        ds, df = rets
-        r = np.array([ratios[s] for s in ok])
-        portfolios = ds[None, :] - r[:, None] * df[None, :]
+        sv = np.log(spot.values[rg.start : rg.stop])
+        fv = np.log(fut.values[rg.start : rg.stop])
+        ds, df = sv[horizon:] - sv[:-horizon], fv[horizon:] - fv[:-horizon]
+        portfolios = ds[None, :] - ratios[:, split_of[:, g]][ok][:, None] * df[None, :]
         for c in criteria:
-            values, _, _ = effectiveness_rows(c, ds, portfolios, alpha)
-            for s, v in zip(ok, values.tolist()):
-                if math.isfinite(v):  # degenerate spot side gives NaN
-                    cell_scores[c][(g, s)] = v
+            scores[c][:, :, g][ok] = effectiveness_rows(c, ds, portfolios, alpha)[0]
 
-    # per-split values average the split's included test-group scores
-    per_split: dict[Criterion, list[float | None]] = {c: [] for c in criteria}
-    for s_idx, (test, _) in enumerate(splits.splits):
-        for c in criteria:
-            vals = [cell_scores[c][(g, s_idx)] for g in test]
-            vals = [v for v in vals if not isinstance(v, str)]
-            per_split[c].append(float(np.mean(vals)) if vals else None)
-
-    reports: dict[Criterion, PathReport] = {}
+    # per-split and per-path values through index arrays
+    tests = np.array([test for test, _ in splits.splits])  # (split, test slot) -> group
+    test_paths = np.array([[assignment.cells[g, s] - 1 for g in test] for s, test in enumerate(tests.tolist())])
+    per_split, per_path = {}, {}
     for c in criteria:
-        path_vals, stats, voided = path_statistics(cell_scores[c], assignment, c)
-        reports[c] = PathReport(
-            method=method_label,
-            horizon=horizon,
-            criterion=c,
-            per_split_values=tuple(per_split[c]),
-            per_path_values=path_vals,
-            stats=stats,
-            excluded_groups=tuple(excluded),
-            n_paths_total=assignment.n_paths,
-            n_paths_voided=voided,
-            failed_splits=tuple(failed_splits),
-            failed_reasons=tuple(failed_reasons),
-        )
+        cells = scores[c][:, test_paths, tests].reshape(-1, k)
+        per_split[c] = _reduce_rows(cells, np.isfinite(cells), np.mean).reshape(len(ratio_fns), len(batch)).tolist()
+        per_path[c] = _path_statistics(scores[c], np.isfinite(scores[c]), failed[:, split_of], c)
+    reports: dict[tuple[str, Criterion], PathReport] = {}
+    for m, label in enumerate(ratio_fns):
+        for c in criteria:
+            path_vals, stats, voided = per_path[c][m]
+            reports[label, c] = PathReport(
+                method=label, horizon=horizon, criterion=c,
+                per_split_values=tuple(None if math.isnan(v) else v for v in per_split[c][m]),
+                per_path_values=path_vals, stats=stats, excluded_groups=tuple(excluded),
+                n_paths_total=assignment.n_paths, n_paths_voided=voided,
+                failed_splits=failures[m][0], failed_reasons=failures[m][1],
+            )
     return reports

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
@@ -120,6 +122,17 @@ class TestDeterminantRegression:
     def test_too_few(self):
         with pytest.raises(InsufficientDataError):
             determinant_regression(np.zeros(2), np.zeros(2))
+
+    def test_three_rows_are_too_few_for_the_affine_fit(self):
+        m = np.array([0.2, 0.5, 0.9])
+        with pytest.raises(InsufficientDataError, match="need at least 4 paired observations, got 3"):
+            determinant_regression(0.5 * m + np.array([0.01, -0.02, 0.01]), m)
+
+    def test_four_rows_fit(self):
+        m = np.array([0.2, 0.5, 0.7, 0.9])
+        fit = determinant_regression(0.5 * m + 0.2 + np.array([0.01, -0.02, 0.01, 0.0]), m)
+        assert fit.n_obs == 4
+        assert math.isfinite(fit.t_affine) and math.isfinite(fit.t_alpha)
 
 
 class TestRelativePerformance:

@@ -473,6 +473,27 @@ class TestPipeline:
             " paths voided, 1 of 4 var paths voided); failed splits: 1 InsufficientDataError"
         ]
 
+    def test_a_horizon_no_group_can_score_is_warned_about_once_per_method(self, tmp_path):
+        # T=300 in 5 groups of 60: the auto rows h=33 and h=75 leave fewer
+        # than min_obs = 2h differences in every group
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "300", "--seed", "3"])
+        outdir = tmp_path / "out"
+        argv = ["cv", "--input", str(pair), "--out", str(outdir), "--partition", "equal:5", "--methods", "MV,SEMD"]
+        assert main(argv) == 0
+        warnings = json.loads((outdir / "manifest.json").read_text())["warnings"]
+        assert warnings == [
+            f"cv {m} imf{i} h={h}: all groups excluded at horizon {h}"
+            for i, h in ((3, 33), (4, 75))
+            for m in ("MV", "SEMD")
+        ]
+        with open(outdir / "cv_variance_reduction.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["horizon"], r["path"], r["MV_mean"], r["SEMD_mean"]) for r in rows[2:]] == [
+            ("33", "0", "nan", "nan"),
+            ("75", "0", "nan", "nan"),
+        ]
+
     def test_year_partition_with_k_at_least_the_years_is_a_data_error(
         self, pair_csv, tmp_path, capsys
     ):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emdhedge.cpcv import (
     EXCLUDED,
     FAILED,
+    MIN_PATHS,
     GroupPartition,
     Scheme,
     assign_paths,
@@ -20,6 +23,7 @@ from emdhedge.performance import (
     effectiveness_rows,
     he_var,
     he_variance,
+    moments,
 )
 from emdhedge.series import Leg, PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
@@ -40,6 +44,11 @@ def batched(fn, spot, part):
         return out
 
     return run
+
+
+def run_one(spot, fut, ratio_fn, *args, **kwargs):
+    """``run_cv`` of one method: a one-entry dict in, its reports by criterion out."""
+    return {c: rep for (_, c), rep in run_cv(spot, fut, {"m": ratio_fn}, *args, **kwargs).items()}
 
 
 def price_series(values, start="2016-01-01", leg=Leg.SPOT):
@@ -175,7 +184,7 @@ class TestRunCv:
         fut = price_series(vals, leg=Leg.FUTURES)
         part = partition(400, Scheme.EQUAL_COUNT, 5)
         fn = batched(lambda segs: 1.0, spot, part)
-        reports = run_cv(spot, fut, fn, 1, (Criterion.VARIANCE_REDUCTION,), part, 2)
+        reports = run_one(spot, fut, fn, 1, (Criterion.VARIANCE_REDUCTION,), part, 2)
         rep = reports[Criterion.VARIANCE_REDUCTION]
         assert rep.n_paths_total == 4
         assert rep.n_paths_voided == 0
@@ -189,8 +198,8 @@ class TestRunCv:
             lengths = sum(len(s) for s in segs)
             return 0.9 + 1e-6 * lengths
 
-        a = run_cv(spot, fut, batched(fn, spot, part), 3, tuple(Criterion), part, 2)
-        b = run_cv(spot, fut, batched(fn, spot, part), 3, tuple(Criterion), part, 2)
+        a = run_one(spot, fut, batched(fn, spot, part), 3, tuple(Criterion), part, 2)
+        b = run_one(spot, fut, batched(fn, spot, part), 3, tuple(Criterion), part, 2)
         for c in Criterion:
             assert a[c].per_path_values == b[c].per_path_values
             assert a[c].per_split_values == b[c].per_split_values
@@ -201,7 +210,7 @@ class TestRunCv:
         # both count every cell exactly once
         spot, fut = coint_series(seed=9, n=1000)
         part = partition(1000, Scheme.EQUAL_COUNT, 5)
-        rep = run_cv(
+        rep = run_one(
             spot, fut, batched(lambda segs: 0.9, spot, part), 2, (Criterion.VARIANCE_REDUCTION,), part, 2
         )[Criterion.VARIANCE_REDUCTION]
         assert not rep.excluded_groups and not rep.failed_splits
@@ -212,7 +221,7 @@ class TestRunCv:
     def test_short_groups_excluded_at_long_horizon(self):
         spot, fut = coint_series(seed=3, n=149)
         part = partition(149, Scheme.EQUAL_COUNT, 5)  # sizes (29,29,29,29,33)
-        rep = run_cv(
+        rep = run_one(
             spot, fut, batched(lambda segs: 0.9, spot, part), 10, (Criterion.VARIANCE_REDUCTION,), part, 2
         )[Criterion.VARIANCE_REDUCTION]
         # min_obs = max(10, 2*10) = 20: groups of 29 have 19 diffs and drop,
@@ -224,7 +233,7 @@ class TestRunCv:
         part = partition(520, Scheme.EQUAL_COUNT, 5)
         with pytest.raises(InsufficientDataError):
             fn = batched(lambda segs: 0.9, spot, part)
-            run_cv(spot, fut, fn, 100, (Criterion.VARIANCE_REDUCTION,), part, 2)
+            run_one(spot, fut, fn, 100, (Criterion.VARIANCE_REDUCTION,), part, 2)
 
     def test_failed_split_voids_touching_paths(self):
         spot, fut = coint_series(seed=5, n=600)
@@ -237,7 +246,7 @@ class TestRunCv:
                 raise InsufficientDataError("synthetic failure")
             return 0.9
 
-        rep = run_cv(spot, fut, batched(flaky, spot, part), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
+        rep = run_one(spot, fut, batched(flaky, spot, part), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
             Criterion.VARIANCE_REDUCTION
         ]
         assert rep.failed_splits == (0,)
@@ -249,7 +258,7 @@ class TestRunCv:
     def test_var_criterion_uses_min_rule(self):
         spot, fut = coint_series(seed=11, n=1500)
         part = partition(1500, Scheme.EQUAL_COUNT, 5)
-        reports = run_cv(spot, fut, batched(lambda segs: 0.9, spot, part), 1, tuple(Criterion), part, 2)
+        reports = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 1, tuple(Criterion), part, 2)
         var_rep = reports[Criterion.VAR]
         vr_rep = reports[Criterion.VARIANCE_REDUCTION]
         assert var_rep.n_paths_total == vr_rep.n_paths_total == 4
@@ -264,7 +273,7 @@ class TestRunCv:
                 raise InsufficientDataError("synthetic failure")
             return float("nan") if len(segs) == 1 else 0.9
 
-        rep = run_cv(spot, fut, batched(fn, spot, part), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
+        rep = run_one(spot, fut, batched(fn, spot, part), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
             Criterion.VARIANCE_REDUCTION
         ]
         # splits 0-3 test group 0; split 9 tests (3, 4) and trains on one block
@@ -280,6 +289,21 @@ class TestAssignPathsLookup:
             a = assign_paths(enumerate_splits(N, k))
             for p in range(0, a.n_paths + 2):
                 assert a.cells_of_path(p) == sorted(c for c, q in a.cells.items() if q == p)
+
+
+def reference_paths(cell_scores, assignment, criterion):
+    """path_statistics written per path: one 1-D mean or minimum over a
+    Python list of each path's included cells, in group order."""
+    per_path, voided = [], 0
+    for p in range(1, assignment.n_paths + 1):
+        scores = [cell_scores[c] for c in assignment.cells_of_path(p)]
+        vals = [s for s in scores if not isinstance(s, str)]
+        if any(s == FAILED for s in scores if isinstance(s, str)) or not vals:
+            voided += 1
+            continue
+        per_path.append(float(np.mean(vals) if criterion is Criterion.VARIANCE_REDUCTION else np.min(vals)))
+    stats = moments(np.array(per_path)) if len(per_path) >= MIN_PATHS else None
+    return tuple(per_path), stats, voided
 
 
 def reference_cv(spot, fut, ratio_fn, h, criteria, part, k, min_obs, alpha):
@@ -330,7 +354,7 @@ def reference_cv(spot, fut, ratio_fn, h, criteria, part, k, min_obs, alpha):
                 vals.append(eff.value)
             per_split[c].append(float(np.mean(vals)) if vals else None)
     assignment = assign_paths(splits)
-    out = {c: (tuple(per_split[c]),) + path_statistics(cells[c], assignment, c) for c in criteria}
+    out = {c: (tuple(per_split[c]),) + reference_paths(cells[c], assignment, c) for c in criteria}
     return out, tuple(failed), excluded, degenerate
 
 
@@ -374,7 +398,7 @@ class TestRunCvMatchesPerCellReference:
         spot, fut, part, ratio_fn = self.scenario()
         min_obs, alpha = 25, 0.05
         fn = batched(ratio_fn, spot, part)
-        got = run_cv(spot, fut, fn, h, criteria, part, 3, min_obs=min_obs, alpha=alpha)
+        got = run_one(spot, fut, fn, h, criteria, part, 3, min_obs=min_obs, alpha=alpha)
         want, failed, excluded, degenerate = reference_cv(
             spot, fut, ratio_fn, h, criteria, part, 3, min_obs, alpha
         )
@@ -409,3 +433,96 @@ class TestRunCvMatchesPerCellReference:
             assert np.quantile(port, 0.05, method="linear").tobytes() == q_rows[i].tobytes()
             assert vr_rows[i] == he_variance(ds, port).value
             assert var_eff_rows[i] == he_var(ds, port, 0.05).value
+
+
+def table_fn(groups, outcomes):
+    """A per-split ratio function that looks up each split's outcome (a ratio
+    or an exception to raise) by its training groups."""
+
+    def fn(segs):
+        train = tuple(g for g, rg in enumerate(groups) if any(rg.start >= s.start and rg.stop <= s.stop for s in segs))
+        out = outcomes[train]
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    return fn
+
+
+FAILURES = [float("nan"), float("inf"), InsufficientDataError("synthetic failure")]
+
+
+@st.composite
+def multi_method_scenarios(draw):
+    n_groups = draw(st.integers(5, 9))
+    k = draw(st.integers(1, 3))
+    h = draw(st.sampled_from([1, 3]))
+    min_obs = 20
+    short = set(draw(st.lists(st.integers(0, n_groups - 1), max_size=2)))  # excluded at this horizon
+    sizes = tuple(
+        draw(st.integers(5, min_obs + h - 1) if g in short else st.integers(min_obs + h, 60)) for g in range(n_groups)
+    )
+    flat = draw(st.none() | st.integers(0, n_groups - 1))  # a degenerate spot side
+    criteria = draw(st.sampled_from([(Criterion.VARIANCE_REDUCTION,), (Criterion.VAR,), tuple(Criterion)]))
+    trains = [train for _, train in enumerate_splits(n_groups, k).splits]
+    labels = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True))
+    outcomes = {}
+    for m in labels:
+        outcomes[m] = {t: draw(st.floats(0.5, 1.5)) for t in trains}
+        for s in draw(st.lists(st.integers(0, len(trains) - 1), max_size=3)):  # failing splits
+            outcomes[m][trains[s]] = draw(st.sampled_from(FAILURES))
+    seed = draw(st.integers(0, 50))
+    return sizes, k, h, min_obs, flat, criteria, outcomes, seed, draw(st.randoms())
+
+
+def same_report(rep, per_split, per_path, stats, voided, failed, excluded):
+    """Equality bit for bit; repr also tells apart the NaN moments of a
+    degenerate path set."""
+    assert repr(rep.per_split_values) == repr(per_split)
+    assert repr(rep.per_path_values) == repr(per_path)
+    assert repr(rep.stats) == repr(stats)
+    assert rep.n_paths_voided == voided
+    assert rep.failed_splits == failed
+    assert [g for g, _ in rep.excluded_groups] == excluded
+
+
+class TestMultiMethodRunCv:
+    @settings(max_examples=40, deadline=None)
+    @given(multi_method_scenarios())
+    def test_each_method_equals_the_per_cell_reference(self, scenario):
+        sizes, k, h, min_obs, flat, criteria, outcomes, seed, rnd = scenario
+        n = sum(sizes)
+        spot, fut = coint_series(seed=seed, n=max(n, 100))  # synth makes at least 100 samples
+        bounds = np.cumsum((0,) + sizes)
+        groups = tuple(range(bounds[i], bounds[i + 1]) for i in range(len(sizes)))
+        part = GroupPartition(Scheme.EQUAL_COUNT, groups, sizes)
+        values = spot.values[:n].copy()
+        if flat is not None:
+            values[groups[flat].start : groups[flat].stop] = values[groups[flat].start]
+        spot, fut = price_series(values), price_series(fut.values[:n], leg=Leg.FUTURES)
+        fns = {m: table_fn(groups, table) for m, table in outcomes.items()}
+        args = (h, criteria, part, k)
+        got = run_cv(spot, fut, {m: batched(fn, spot, part) for m, fn in fns.items()}, *args, min_obs=min_obs)
+        assert list(got) == [(m, c) for m in fns for c in criteria]
+        for m, fn in fns.items():
+            want, failed, excluded, _ = reference_cv(spot, fut, fn, h, criteria, part, k, min_obs, 0.05)
+            for c in criteria:
+                assert got[m, c].method == m
+                same_report(got[m, c], *want[c], failed, excluded)
+        # a method's reports do not depend on the other methods or their order
+        others = rnd.sample(list(fns), rnd.randint(1, len(fns)))
+        alone = run_cv(spot, fut, {m: batched(fns[m], spot, part) for m in others}, *args, min_obs=min_obs)
+        for m, c in alone:
+            assert repr(alone[m, c]) == repr(got[m, c])
+
+
+def test_path_statistics_equals_the_per_path_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        N = int(rng.integers(5, 10))
+        k = int(rng.integers(1, 4))
+        a = assign_paths(enumerate_splits(N, k))
+        marks = rng.choice([FAILED, EXCLUDED, "score"], size=len(a.cells), p=[0.02, 0.1, 0.88])
+        scores = {cell: float(rng.normal()) if m == "score" else str(m) for cell, m in zip(a.cells, marks)}
+        for crit in Criterion:
+            assert repr(path_statistics(scores, a, crit)) == repr(reference_paths(scores, a, crit))
