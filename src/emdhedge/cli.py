@@ -34,7 +34,7 @@ from .cpcv import MIN_PATHS, Criterion, PathReport, Scheme, excluded_groups, par
 from .emd import ImfSet, SiftConfig, decompose_all
 from .errors import DataError, EmdHedgeError, NumericError
 from .estimators import Method, horizon_of, pair_imfs
-from .methods import EMD_FAMILY, make_ratio_fn
+from .methods import EMD_FAMILY, SegmentImfs, make_ratio_fn
 from .performance import effectiveness_rows
 from .series import DiffKind, PriceSeries, horizon_diff, load_csv
 from .synth import CointSpec, SynthSpec, gen_coint_pair, gen_tones
@@ -265,7 +265,10 @@ def _load_state(cfg: RunConfig) -> PipelineState:
         cfg.input, cfg.date_col, cfg.spot_col, cfg.futures_col
     )
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at --out or above it
+        raise UsageError(f"cannot create out directory {cfg.out}: {exc.strerror or exc}") from None
     return PipelineState(cfg=cfg, spot=spot, fut=fut, dropped_rows=dropped, outdir=outdir)
 
 
@@ -383,12 +386,12 @@ def _emit_preliminary(state: PipelineState) -> None:
     _emit_csv(state, "matching_degree.csv", header, rows)
 
 
-def _ratio_fn(state: PipelineState, method: Method, imf_index: int, h: int, **kw):
+def _ratio_fn(state: PipelineState, method: Method, imf_index: int, h: int, imfs=None, groups=None):
+    """The ratio function of one table cell; ``imfs`` defaults to the whole-series decompositions."""
     cfg = state.cfg
+    imfs = (state.spot_set, state.fut_set) if imfs is None else imfs
     return make_ratio_fn(
-        method, state.spot, state.fut, h, imf_index=imf_index, spot_set=state.spot_set,
-        fut_set=state.fut_set, max_lag=cfg.max_lag, cfg=cfg.sift_config(),
-        log_levels=cfg.levels == "log", **kw,
+        method, state.spot, state.fut, h, imf_index, imfs, cfg.max_lag, cfg.levels == "log", groups
     )
 
 
@@ -439,16 +442,11 @@ def _emit_cv(state: PipelineState) -> None:
     part = cfg.partition_of(state.spot)
     criteria = CV_CRITERIA
     sidecar: dict = {}
-    decompositions: dict = {}  # per-segment scope: (leg, start, stop) -> ImfSet or its error
+    per_segment = cfg.decompose_scope == "per-segment"
+    imfs = SegmentImfs(state.spot, state.fut, cfg.sift_config()) if per_segment else None
     for imf_index, h in state.rows:
         try:
-            fns = {
-                m.value: _ratio_fn(
-                    state, m, imf_index, h, scope=cfg.decompose_scope, decompositions=decompositions,
-                    groups=part.groups,
-                )
-                for m in methods
-            }
+            fns = {m.value: _ratio_fn(state, m, imf_index, h, imfs, part.groups) for m in methods}
             row = run_cv(state.spot, state.fut, fns, h, criteria, part, cfg.k, min_obs=cfg.min_obs, alpha=cfg.alpha)
         except EmdHedgeError as exc:  # holds for the whole horizon, e.g. all groups excluded
             state.warnings.extend(f"cv {m.value} imf{imf_index} h={h}: {exc}" for m in methods)
@@ -483,9 +481,9 @@ def _emit_cv(state: PipelineState) -> None:
                     if item not in state.exclusions:
                         state.exclusions.append(item)
 
-    for (leg, start, stop), s in decompositions.items():
-        if isinstance(s, ImfSet):
-            _warn_unconverged(state, f"{leg} training segment [{start}, {stop})", s)
+    if per_segment:
+        for leg, seg, s in imfs.decomposed():
+            _warn_unconverged(state, f"{leg} training segment [{seg.start}, {seg.stop})", s)
     for crit, fname in (
         (Criterion.VARIANCE_REDUCTION, "cv_variance_reduction.csv"),
         (Criterion.VAR, "cv_var.csv"),
@@ -659,42 +657,32 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name)
 
 
+def _tone_list(text: str) -> tuple[tuple[float, float], ...]:
+    """``period:amplitude`` pairs, comma-separated."""
+    try:
+        pairs = [tok.split(":") for tok in text.split(",")] if text else []
+        return tuple((float(period), float(amp)) for period, amp in pairs)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad tone list '{text}' (use period:amplitude,...)") from None
+
+
 def _cmd_synth(args) -> int:
-    length = int(args.length)
-    seed = int(args.seed or 0)
     if args.mode == "tones":
-        tones = []
-        if args.tones:
-            for tok in args.tones.split(","):
-                period, amp = tok.split(":")
-                tones.append((float(period), float(amp)))
         spec = SynthSpec(
-            length=length,
-            seed=seed,
-            tones=tuple(tones),
-            trend_slope=float(args.trend),
-            noise_sigma=float(args.noise),
+            length=args.length, seed=args.seed, tones=args.tones, trend_slope=args.trend, noise_sigma=args.noise
         )
         series = gen_tones(spec)
         spot_vals = fut_vals = series.values
         ts = series.timestamps
     else:
-        spec = SynthSpec(
-            length=length,
-            seed=seed,
-            coint=CointSpec(
-                long_run_slope=float(args.b),
-                basis_phi=float(args.phi),
-                basis_sigma=float(args.basis_sigma),
-            ),
-        )
-        spot, fut = gen_coint_pair(spec)
+        coint = CointSpec(long_run_slope=args.b, basis_phi=args.phi, basis_sigma=args.basis_sigma)
+        spot, fut = gen_coint_pair(SynthSpec(length=args.length, seed=args.seed, coint=coint))
         spot_vals, fut_vals, ts = spot.values, fut.values, spot.timestamps
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = [
         [str(ts[i]), spot_vals[i], fut_vals[i]]
-        for i in range(length)
+        for i in range(args.length)
     ]
     _write_csv(out, ["date", "spot", "futures"], rows)
     return 0
@@ -706,15 +694,15 @@ def main(argv: list[str] | None = None) -> int:
 
     p_synth = sub.add_parser("synth", help="write a synthetic spot/futures CSV")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--length", default="1000")
-    p_synth.add_argument("--seed", default="0")
+    p_synth.add_argument("--length", type=int, default=1000)
+    p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--mode", choices=["coint", "tones"], default="coint")
-    p_synth.add_argument("--tones", help="comma list of period:amplitude")
-    p_synth.add_argument("--trend", default="0.0")
-    p_synth.add_argument("--noise", default="0.0")
-    p_synth.add_argument("--b", default="0.9")
-    p_synth.add_argument("--phi", default="0.8")
-    p_synth.add_argument("--basis-sigma", dest="basis_sigma", default="0.005")
+    p_synth.add_argument("--tones", type=_tone_list, default=(), help="comma list of period:amplitude")
+    p_synth.add_argument("--trend", type=float, default=0.0)
+    p_synth.add_argument("--noise", type=float, default=0.0)
+    p_synth.add_argument("--b", type=float, default=0.9)
+    p_synth.add_argument("--phi", type=float, default=0.8)
+    p_synth.add_argument("--basis-sigma", dest="basis_sigma", type=float, default=0.005)
 
     stage_of = {
         "decompose": ("decompose",),

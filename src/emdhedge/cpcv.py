@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, NumericError
-from .performance import Criterion, Moments, effectiveness_rows, moments
+from .performance import MOMENTS_MIN_OBS, VAR_MIN_OBS, Criterion, Moments, effectiveness_rows, moments
 from .series import PriceSeries
 
 __all__ = [
@@ -84,8 +84,7 @@ class PathAssignment:
         return list(self.paths[path_id - 1]) if 1 <= path_id <= self.n_paths else []
 
 
-# the fewest paths whose distribution gets moments (skewness and kurtosis)
-MIN_PATHS = 4
+MIN_PATHS = MOMENTS_MIN_OBS  # the fewest paths whose distribution gets moments
 
 
 def why_too_few_paths(n_groups: int, k: int) -> str | None:
@@ -247,12 +246,13 @@ def excluded_groups(
     """(group index, reason) of each group too short to score at ``horizon``.
 
     A group needs ``min_obs`` within-group horizon differences (default
-    max(10, 2 * horizon)), and at least 20 when VaR is among the criteria.
+    max(10, 2 * horizon)), and at least ``VAR_MIN_OBS`` when VaR is among the
+    criteria.
     """
     if min_obs is None:
         min_obs = max(10, 2 * horizon)
     if Criterion.VAR in criteria:
-        min_obs = max(min_obs, 20)  # empirical quantile floor
+        min_obs = max(min_obs, VAR_MIN_OBS)  # empirical quantile floor
     return [
         (gi, f"{max(len(g) - horizon, 0)} observations at horizon {horizon} < {min_obs}")
         for gi, g in enumerate(part.groups)

@@ -29,15 +29,15 @@ the estimator's checks, rank rule, solve, ECM fallback and EECM lag search
 each run once over the batch as array masks, so numpy's per-call overhead is
 paid per call, not per split.
 
-Per-segment decompositions are memoized in a dict keyed by (leg, start,
-stop), holding each one's ImfSet or the error it raised. The CLI's CV stage
-passes one dict to every ratio function it builds, so each distinct training
-segment of each leg is decomposed once per stage, however many methods, rows
-and splits reuse it. A call decomposes every (leg, segment) of its batch
-that the memo lacks in one lockstep ``emd.decompose_all`` call, and fills
-the memo in the order a lookup per segment would (spot, then futures only if
-spot decomposed): a stage's first per-segment call fills it with every
-training segment of the partition's splits.
+The per-segment scope reads its decompositions from a ``SegmentImfs``
+store, which owns one series pair, its SiftConfig and the decompositions of
+its segments (each one's ImfSet or the error it raised). The CLI's CV stage
+passes one store to every ratio function it builds, so each distinct
+training segment is decomposed once per stage, however many methods, rows
+and splits reuse it. A call decomposes both legs of every segment of its
+batch that the store lacks in one lockstep ``emd.decompose_all`` call: a
+stage's first per-segment call fills it with every training segment of the
+partition's splits.
 """
 
 from __future__ import annotations
@@ -63,9 +63,42 @@ from .estimators import (
 )
 from .series import PriceSeries
 
-__all__ = ["make_ratio_fn"]
+__all__ = ["SegmentImfs", "make_ratio_fn"]
 
 EMD_FAMILY = (Method.VEMD, Method.SEMD, Method.AEMD)
+
+
+class SegmentImfs:
+    """The (spot, futures) decompositions of the segments of one series
+    pair under one SiftConfig, each segment decomposed once."""
+
+    def __init__(self, spot: PriceSeries, fut: PriceSeries, cfg: SiftConfig = SiftConfig()):
+        self.spot, self.fut, self.cfg = spot, fut, cfg
+        self._sets: dict[range, tuple] = {}  # segment -> (spot, futures), each an ImfSet or its error
+
+    def decompose(self, segments: list[range]) -> None:
+        """Decompose both legs of each segment the store lacks, in one lockstep call."""
+        todo = [seg for seg in segments if seg not in self._sets]
+        legs = [leg.values[seg.start : seg.stop] for seg in todo for leg in (self.spot, self.fut)]
+        done = decompose_all(legs, self.cfg)
+        for i, seg in enumerate(todo):
+            self._sets[seg] = tuple(done[2 * i : 2 * i + 2])
+
+    def __getitem__(self, seg: range) -> tuple[ImfSet, ImfSet]:
+        """A decomposed segment's (spot, futures) ImfSets; raises the error
+        of its first leg that failed."""
+        for found in self._sets[seg]:
+            if isinstance(found, EmdHedgeError):
+                raise found.with_traceback(None)
+        return self._sets[seg]
+
+    def decomposed(self):
+        """(leg name, segment, ImfSet) of each leg that decomposed, in the
+        order the segments were decomposed."""
+        for seg, sets in self._sets.items():
+            for leg, found in zip(("spot", "futures"), sets):
+                if isinstance(found, ImfSet):
+                    yield leg, seg, found
 
 
 class _Buckets:
@@ -230,13 +263,9 @@ def make_ratio_fn(
     fut: PriceSeries,
     horizon: int,
     imf_index: int | None = None,
-    spot_set: ImfSet | None = None,
-    fut_set: ImfSet | None = None,
-    scope: str = "full",
+    imfs: tuple[ImfSet, ImfSet] | SegmentImfs | None = None,
     max_lag: int = 10,
-    cfg: SiftConfig = SiftConfig(),
     log_levels: bool = True,
-    decompositions: dict | None = None,
     groups: tuple[range, ...] | None = None,
 ) -> RatioFn:
     """Batched ratio function (``cpcv.RatioFn``) of one (method, horizon) on
@@ -244,42 +273,19 @@ def make_ratio_fn(
 
     A batch names each split's training groups by index into ``groups``,
     the CV partition's groups (default: the whole series as group 0). Each
-    call builds its row blocks, from the whole series (full scope) or from
-    the batch's training segments (per-segment scope), and fits the batch
-    from them at once. ``decompositions`` memoizes the per-segment
-    decompositions (each one's ImfSet or error): share one dict between
-    ratio functions of the same series pair and SiftConfig.
+    call builds its row blocks and fits the batch from them at once. An EMD
+    method's ``imfs`` sets its decomposition scope: the whole-series (spot,
+    futures) decompositions give the full scope, blocks from the whole
+    series; a ``SegmentImfs`` store of the same series pair gives the
+    per-segment scope, blocks from the batch's training segments. The other
+    methods take their blocks from the whole series and read no ``imfs``.
     """
-    if method in EMD_FAMILY and (spot_set is None or fut_set is None):
-        raise ValueError("EMD methods need both decompositions")
+    per_segment = isinstance(imfs, SegmentImfs)
+    if per_segment and (imfs.spot is not spot or imfs.fut is not fut):
+        raise ValueError("the SegmentImfs store decomposes another series pair")
+    if method in EMD_FAMILY and imfs is None:
+        raise ValueError("EMD methods need decompositions")
     groups = groups or (range(0, len(spot)),)
-    cache = {} if decompositions is None else decompositions
-    legs = (("spot", spot), ("futures", fut))
-
-    def decompose_missing(segments: list[range]) -> None:
-        """Memoize, in one lockstep call, each decomposition the segments
-        need that the memo lacks, as one lookup per segment would make them:
-        spot, then futures only if spot decomposed."""
-        todo = {}
-        for seg in segments:
-            for leg, series in legs:
-                if (key := (leg, seg.start, seg.stop)) not in cache:
-                    todo[key] = series.values[seg.start : seg.stop]
-                elif isinstance(cache[key], EmdHedgeError):
-                    break
-        done = dict(zip(todo, decompose_all(list(todo.values()), cfg)))
-        for seg in segments:
-            for leg, _ in legs:
-                if (key := (leg, seg.start, seg.stop)) not in cache:
-                    cache[key] = done[key]
-                if isinstance(cache[key], EmdHedgeError):
-                    break
-
-    def imfs(leg: str, seg: range) -> ImfSet:
-        found = cache[leg, seg.start, seg.stop]
-        if isinstance(found, EmdHedgeError):
-            raise found.with_traceback(None)
-        return found
 
     def segment_buckets(train: np.ndarray) -> _Buckets:
         """One block per distinct training segment a..b of the batch, left
@@ -289,11 +295,11 @@ def make_ratio_fn(
         starts, stops = np.nonzero(step == 1)[1], np.nonzero(step == -1)[1]
         spans = sorted(set(zip(starts.tolist(), (stops - 1).tolist())))
         segments = [range(groups[a].start, groups[b].stop) for a, b in spans]
-        decompose_missing(segments)
+        imfs.decompose(segments)
         blocks, left_out = {}, {}
         for (a, b), seg in zip(spans, segments):
             try:
-                s, f = _legs(method, imfs("spot", seg), imfs("futures", seg), horizon, imf_index)
+                s, f = _legs(method, *imfs[seg], horizon, imf_index)
                 rows, _ = design_rows(method, s, f, horizon)
                 if not len(rows):
                     _check_rows(method, 0, horizon)
@@ -307,7 +313,7 @@ def make_ratio_fn(
 
     def buckets():  # full scope: row i reads groups gid[i] to gid[i + back]
         if method in EMD_FAMILY:
-            s, f = _legs(method, spot_set, fut_set, horizon, imf_index)
+            s, f = _legs(method, *imfs, horizon, imf_index)
         else:
             s, f = spot.values, fut.values
         gid = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
@@ -324,7 +330,7 @@ def make_ratio_fn(
         train = np.zeros((len(batch), len(groups)), dtype=bool)
         for s, split_groups in enumerate(batch):
             train[s, list(split_groups)] = True
-        if method in EMD_FAMILY and scope != "full":
+        if method in EMD_FAMILY and per_segment:
             return _fit_splits(method, horizon, max_lag, segment_buckets(train), None, train)
         try:
             rows, levels = buckets()

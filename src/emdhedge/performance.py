@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 DEGENERACY_THRESHOLD = 1e-12
+VAR_MIN_OBS = 20  # the fewest returns an empirical VaR quantile is taken from
+MOMENTS_MIN_OBS = 4  # the fewest values that get moments (skewness and kurtosis)
 
 
 class Criterion(Enum):
@@ -102,8 +104,8 @@ def var_quantile(returns: np.ndarray, alpha: float) -> float | np.ndarray:
     at 1-based position (n-1)*alpha + 1; taken along the last axis, so a
     2-D input gives one quantile per row."""
     returns = np.asarray(returns, dtype=float)
-    if returns.shape[-1] < 20:
-        raise InsufficientDataError(f"need >= 20 observations, got {returns.shape[-1]}")
+    if returns.shape[-1] < VAR_MIN_OBS:
+        raise InsufficientDataError(f"need >= {VAR_MIN_OBS} observations, got {returns.shape[-1]}")
     if not (0.0 < alpha <= 0.5):
         raise DataError("alpha must be in (0, 0.5]")
     q = np.quantile(returns, alpha, axis=-1, method="linear")
@@ -134,8 +136,8 @@ def moments(values: np.ndarray) -> Moments:
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
-    if n < 4:
-        raise InsufficientDataError("need at least 4 observations for moments")
+    if n < MOMENTS_MIN_OBS:
+        raise InsufficientDataError(f"need at least {MOMENTS_MIN_OBS} observations for moments")
     std = float(np.std(values, ddof=1))
     if std <= 0.0:
         return Moments(float(values.mean()), 0.0, float("nan"), float("nan"), n, degenerate=True)

@@ -147,6 +147,8 @@ def load_csv(
                 fut_vals.append(f)
     except (UnicodeDecodeError, csv.Error) as exc:  # undecodable bytes, or malformed CSV
         raise DataError(f"{path}: unreadable CSV: {exc}") from None
+    except OSError as exc:  # e.g. a directory, or no read permission
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
     if len(dates) < 2:
         raise InsufficientDataError(f"{path}: fewer than 2 usable rows")
     ts = np.array(dates, dtype="datetime64[D]")

@@ -162,6 +162,16 @@ class TestSynthCommand:
         assert np.array_equal(spot.values, fut.values)
 
 
+    @pytest.mark.parametrize(
+        "flags", [["--length", "abc"], ["--seed", "x"], ["--mode", "tones", "--tones", "12"], ["--noise", "y"]]
+    )
+    def test_a_bad_flag_value_is_a_usage_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "pair.csv"
+        assert main(["synth", "--out", str(out), *flags]) == 1
+        assert f"usage error: argument {flags[-2]}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["cv", "--input", "x.csv", "--k", "0"]) == 1
@@ -170,6 +180,21 @@ class TestExitCodes:
     def test_missing_input_file_is_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         assert main(["cv", "--input", str(missing), "--out", str(tmp_path / "o")]) == 2
+
+    def test_a_directory_as_input_is_a_data_error(self, tmp_path, capsys):
+        outdir = tmp_path / "o"
+        assert main(["cv", "--input", str(tmp_path), "--out", str(outdir)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {tmp_path}: cannot read")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_an_out_path_at_or_below_a_file_is_a_usage_error(self, below, pair_csv, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        outdir = blocker / "o" if below else blocker
+        assert main(["cv", "--input", str(pair_csv), "--out", str(outdir)]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: cannot create out directory {outdir}")
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
 
     def test_bad_subcommand_is_1(self):
         assert main(["frobnicate"]) == 1

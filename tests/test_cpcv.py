@@ -264,6 +264,18 @@ class TestRunCv:
         assert var_rep.n_paths_total == vr_rep.n_paths_total == 4
         assert len(var_rep.per_path_values) == 4
 
+    def test_var_scores_a_group_of_exactly_its_floor_and_excludes_one_below(self):
+        spot, fut = coint_series(seed=5, n=221)
+        bounds = (0, 21, 41, 101, 161, 221)  # 20 and 19 one-day differences in groups 0 and 1
+        groups = tuple(range(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+        part = GroupPartition(Scheme.EQUAL_COUNT, groups, tuple(map(len, groups)))
+        rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 1, (Criterion.VAR,), part, 2, min_obs=1)[
+            Criterion.VAR
+        ]
+        assert rep.excluded_groups == ((1, "19 observations at horizon 1 < 20"),)
+        # split 0 tests groups (0, 1): its value is group 0's VaR on 20 differences
+        assert math.isfinite(rep.per_split_values[0])
+
     def test_failed_split_keeps_exception_class_and_message(self):
         spot, fut = coint_series(seed=5, n=600)
         part = partition(600, Scheme.EQUAL_COUNT, 5)

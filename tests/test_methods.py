@@ -24,7 +24,7 @@ from emdhedge.estimators import (
     semd_ratio,
     vemd_ratio,
 )
-from emdhedge.methods import make_ratio_fn
+from emdhedge.methods import SegmentImfs, make_ratio_fn
 from emdhedge.series import Leg, PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
@@ -32,7 +32,6 @@ from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
     spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
     cfg = SiftConfig()
-    full_s, full_f = decompose(spot.values, cfg), decompose(fut.values, cfg)
     groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
     _, train = enumerate_splits(5, 2).splits[3]  # test groups (0, 4): one training segment
     segments = restrict(spot, [groups[g] for g in train])
@@ -41,7 +40,7 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
     assert len(segments) == 1 and len(segments_2) == 2
 
     h = 5
-    cache: dict = {}
+    shared = SegmentImfs(spot, fut, cfg)
     for method in methods.EMD_FAMILY:
         for split_groups, segs in ((train, segments), (train_2, segments_2)):
             pooled = []
@@ -54,15 +53,12 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
                 pooled.append(design_rows(method, s, f, h)[0])
             rows = np.concatenate(pooled)
             expected = ols(rows[:, -1], rows[:, 1], intercept=True).slope
-            for shared in (cache, None):
-                fn = make_ratio_fn(
-                    method, spot, fut, h, imf_index=1, spot_set=full_s, fut_set=full_f,
-                    scope="per-segment", cfg=cfg, decompositions=shared, groups=groups,
-                )
+            for imfs in (shared, SegmentImfs(spot, fut, cfg)):
+                fn = make_ratio_fn(method, spot, fut, h, imf_index=1, imfs=imfs, groups=groups)
                 (got,) = fn([split_groups])
                 assert abs(got - expected) <= 1e-12 * abs(expected), (method, split_groups)
-    assert set(cache) == {
-        (leg, seg.start, seg.stop) for leg in ("spot", "futures") for seg in segments + segments_2
+    assert {(leg, seg) for leg, seg, _ in shared.decomposed()} == {
+        (leg, seg) for leg in ("spot", "futures") for seg in segments + segments_2
     }
 
 
@@ -77,10 +73,7 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
 def test_a_per_segment_split_without_rows_names_its_first_segments_cause(method, h, imf_index, cause):
     spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
     groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups  # 80 observations each
-    fn = make_ratio_fn(
-        method, spot, fut, h, imf_index=imf_index, spot_set=decompose(spot.values),
-        fut_set=decompose(fut.values), scope="per-segment", groups=groups,
-    )
+    fn = make_ratio_fn(method, spot, fut, h, imf_index=imf_index, imfs=SegmentImfs(spot, fut), groups=groups)
     # every training segment here is at most one group long
     for train, first in (((1, 3), "1-1"), ((0, 2, 4), "0-0"), ((3,), "3-3")):
         (got,) = fn([train])
@@ -97,7 +90,7 @@ def test_a_spot_imf_without_a_futures_partner_fails_every_split(method):
     few = ImfSet(f_set.imfs[:2], f_set.residue, f_set.source_len)
     groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
     for imf_index in (3, 4):
-        fn = make_ratio_fn(method, spot, fut, 5, imf_index=imf_index, spot_set=s_set, fut_set=few, groups=groups)
+        fn = make_ratio_fn(method, spot, fut, 5, imf_index=imf_index, imfs=(s_set, few), groups=groups)
         for outcome in fn([(0, 1, 2), (2, 3, 4)]):
             assert isinstance(outcome, DataError) and f"spot IMF{imf_index} has no futures IMF" in str(outcome)
 
@@ -181,9 +174,7 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
             Method.AEMD: lambda segs: aemd_ratio(s_set, f_set, h, segments=segs),
         }
         for method, estimate in estimators.items():
-            fn = make_ratio_fn(
-                method, spot, fut, h, imf_index=1, spot_set=s_set, fut_set=f_set, groups=groups
-            )
+            fn = make_ratio_fn(method, spot, fut, h, imf_index=1, imfs=(s_set, f_set), groups=groups)
             for _, train in splits:
                 segs = restrict(spot, [groups[g] for g in train])
                 del lags[:]
@@ -198,9 +189,10 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
 
 
 @lru_cache(maxsize=None)
-def _segment_decompositions(case) -> dict:
-    """One per-segment decomposition memo per case, shared by its examples."""
-    return {}
+def _segment_imfs(case) -> SegmentImfs:
+    """One per-segment decomposition store per case, shared by its examples."""
+    spot, fut, _, _ = _legs(case)
+    return SegmentImfs(spot, fut)
 
 
 @settings(max_examples=40, deadline=None)
@@ -226,10 +218,8 @@ def test_a_splits_outcome_does_not_depend_on_its_batch(method, case, h, order, s
     # the first 20 of the 56 splits at k=3, and training on groups 0-2 only
     trains = [train for _, train in enumerate_splits(8, 3).splits[:20]] + [(0, 1, 2)]
     batch = [trains[i] for i in order[:size]]
-    fn = make_ratio_fn(
-        method, spot, fut, h, imf_index=1, spot_set=s_set, fut_set=f_set, groups=groups, scope=scope,
-        decompositions=_segment_decompositions(case),
-    )
+    imfs = (s_set, f_set) if scope == "full" else _segment_imfs(case)
+    fn = make_ratio_fn(method, spot, fut, h, imf_index=1, imfs=imfs, groups=groups)
     for train, got in zip(batch, fn(batch), strict=True):
         (want,) = fn([train])
         if isinstance(want, EmdHedgeError):
@@ -254,23 +244,23 @@ def test_a_too_short_training_segment_is_decomposed_once_and_left_out_of_its_blo
         return decompose_all(xs, cfg)
 
     monkeypatch.setattr(methods, "decompose_all", counting_decompose_all)
-    memo: dict = {}
+    store = SegmentImfs(spot, fut)
     fns = [
-        make_ratio_fn(
-            method, spot, fut, 1, imf_index=1, spot_set=decompose(spot.values), fut_set=decompose(fut.values),
-            scope="per-segment", groups=groups, decompositions=memo,
-        )
+        make_ratio_fn(method, spot, fut, 1, imf_index=1, imfs=store, groups=groups)
         for method in (Method.VEMD, Method.SEMD)
     ]
     runs = [fn(trains) for fn in fns + fns]
-    # one lockstep call decomposes every (leg, segment) once; later calls find them all
+    # one lockstep call decomposes every (leg, segment) once; later calls decompose none
     assert sorted(calls[0]) == sorted(len(seg) for seg in segments for _ in range(2))
     assert all(c == [] for c in calls[1:])
     short = [seg for seg in segments if len(seg) < MIN_SAMPLES]
     assert len(short) == 5
-    for seg in short:  # a spot error: no futures entry, as a lookup per segment makes
-        assert isinstance(memo["spot", seg.start, seg.stop], InsufficientDataError)
-        assert ("futures", seg.start, seg.stop) not in memo
+    assert {(leg, seg) for leg, seg, _ in store.decomposed()} == {
+        (leg, seg) for leg in ("spot", "futures") for seg in segments if seg not in short
+    }
+    for seg in short:
+        with pytest.raises(InsufficientDataError):
+            store[seg]
     for out in runs:
         by_train = dict(zip(trains, out))
         # groups 1-1 are left out, groups 3-4 still fitted
@@ -282,3 +272,12 @@ def test_a_too_short_training_segment_is_decomposed_once_and_left_out_of_its_blo
     # memoized errors re-raise with the same class and message on every lookup
     for a, b in zip(runs, runs[2:]):
         assert [(type(o), str(o)) for o in a] == [(type(o), str(o)) for o in b]
+
+
+def test_a_store_of_another_series_pair_is_refused():
+    spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
+    other, _ = gen_coint_pair(SynthSpec(length=400, seed=5, coint=CointSpec()))
+    for store in (SegmentImfs(other, fut), SegmentImfs(spot, other)):
+        for method in (Method.MV, Method.VEMD):
+            with pytest.raises(ValueError, match="another series pair"):
+                make_ratio_fn(method, spot, fut, 5, imf_index=1, imfs=store)
