@@ -171,7 +171,13 @@ def _read_config_file(path: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise UsageError(f"config file not found: {path}")
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    try:
+        text = p.read_text()
+    except OSError as exc:  # e.g. a directory, or no read permission
+        raise UsageError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"undecodable config file {path}: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -250,7 +256,6 @@ class PipelineState:
     spot_set: ImfSet | None = None
     fut_set: ImfSet | None = None
     pairs: list | None = None
-    surplus: list[str] = field(default_factory=list)
     rows: list[tuple[int, int]] = field(default_factory=list)  # (imf_index, horizon)
     match_rows: list | None = None
     cv_reports: dict = field(default_factory=dict)  # (method, horizon, criterion) -> PathReport
@@ -328,9 +333,8 @@ def _emit_decomposition(state: PipelineState) -> None:
     rows = [[name] + [imf.cycle for imf in s.imfs] + [None] * (n - len(s.imfs)) for name, s in legs]
     _emit_csv(state, "cycles.csv", header, rows)
 
-    state.pairs, state.surplus = pair_imfs(state.spot_set, state.fut_set)
-    for s in state.surplus:
-        state.warnings.append(f"unmatched {s} excluded from pairing")
+    state.pairs, surplus = pair_imfs(state.spot_set, state.fut_set)
+    state.warnings.extend(f"unmatched {s} excluded from pairing" for s in surplus)
     state.rows = _select_rows(state)
 
 
@@ -442,6 +446,7 @@ def _emit_cv(state: PipelineState) -> None:
     part = cfg.partition_of(state.spot)
     criteria = CV_CRITERIA
     sidecar: dict = {}
+    tables: dict = {crit: [] for crit in criteria}  # criterion -> one row per horizon
     per_segment = cfg.decompose_scope == "per-segment"
     imfs = SegmentImfs(state.spot, state.fut, cfg.sift_config()) if per_segment else None
     for imf_index, h in state.rows:
@@ -450,7 +455,11 @@ def _emit_cv(state: PipelineState) -> None:
             row = run_cv(state.spot, state.fut, fns, h, criteria, part, cfg.k, min_obs=cfg.min_obs, alpha=cfg.alpha)
         except EmdHedgeError as exc:  # holds for the whole horizon, e.g. all groups excluded
             state.warnings.extend(f"cv {m.value} imf{imf_index} h={h}: {exc}" for m in methods)
+            for crit in criteria:
+                tables[crit].append([h, 0] + [float("nan")] * (4 * len(methods)))
             continue
+        # every report of a horizon holds the same excluded groups
+        state.exclusions.extend((h, g, reason) for g, reason in row[methods[0].value, criteria[0]].excluded_groups)
         for method in methods:
             reports = {c: row[method.value, c] for c in criteria}
             failed = Counter(cls for cls, _ in reports[criteria[0]].failed_reasons)
@@ -476,34 +485,22 @@ def _emit_cv(state: PipelineState) -> None:
                     "failed_reasons": [list(r) for r in rep.failed_reasons],
                     "decompose_scope": cfg.decompose_scope,
                 }
-                for g, reason in rep.excluded_groups:
-                    item = (h, g, reason)
-                    if item not in state.exclusions:
-                        state.exclusions.append(item)
+        for crit in criteria:
+            n_paths, cells = 0, []
+            for rep in (row[m.value, crit] for m in methods):
+                if rep.stats is None:
+                    cells += [float("nan")] * 4
+                else:
+                    n_paths = max(n_paths, len(rep.per_path_values))
+                    cells += [rep.stats.mean, rep.stats.std, rep.stats.skew, rep.stats.kurt]
+            tables[crit].append([h, n_paths] + cells)
 
     if per_segment:
         for leg, seg, s in imfs.decomposed():
             _warn_unconverged(state, f"{leg} training segment [{seg.start}, {seg.stop})", s)
-    for crit, fname in (
-        (Criterion.VARIANCE_REDUCTION, "cv_variance_reduction.csv"),
-        (Criterion.VAR, "cv_var.csv"),
-    ):
-        header = ["horizon", "path"]
-        for m in methods:
-            header += [f"{m.value}_{c}" for c in ("mean", "std", "skew", "kurt")]
-        rows = []
-        for imf_index, h in state.rows:
-            n_paths = 0
-            cells = []
-            for m in methods:
-                rep = state.cv_reports.get((m, h, crit))
-                if rep is None or rep.stats is None:
-                    cells += [float("nan")] * 4
-                    continue
-                n_paths = max(n_paths, len(rep.per_path_values))
-                cells += [rep.stats.mean, rep.stats.std, rep.stats.skew, rep.stats.kurt]
-            rows.append([h, n_paths] + cells)
-        _emit_csv(state, fname, header, rows)
+    header = ["horizon", "path"] + [f"{m.value}_{c}" for m in methods for c in ("mean", "std", "skew", "kurt")]
+    for crit in criteria:  # cv_variance_reduction.csv, cv_var.csv
+        _emit_csv(state, f"cv_{crit.value}.csv", header, tables[crit])
     _write_json(state.outdir / "cv_paths.json", sidecar)
     state.artifacts.append("cv_paths.json")
 
@@ -679,12 +676,15 @@ def _cmd_synth(args) -> int:
         spot, fut = gen_coint_pair(SynthSpec(length=args.length, seed=args.seed, coint=coint))
         spot_vals, fut_vals, ts = spot.values, fut.values, spot.timestamps
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     rows = [
         [str(ts[i]), spot_vals[i], fut_vals[i]]
         for i in range(args.length)
     ]
-    _write_csv(out, ["date", "spot", "futures"], rows)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _write_csv(out, ["date", "spot", "futures"], rows)
+    except OSError as exc:  # a directory at --out, or a file above it
+        raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     return 0
 
 

@@ -53,7 +53,6 @@ class Scheme(Enum):
 
 @dataclass(frozen=True)
 class GroupPartition:
-    scheme: Scheme
     groups: tuple[range, ...]
     sizes: tuple[int, ...]
 
@@ -107,8 +106,6 @@ FAILED = "failed"
 @dataclass(frozen=True)
 class PathReport:
     method: str
-    horizon: int
-    criterion: Criterion
     per_split_values: tuple[float | None, ...]
     per_path_values: tuple[float, ...]
     stats: Moments | None
@@ -146,7 +143,7 @@ def partition(series: PriceSeries | int, scheme: Scheme, n_groups: int = 10) -> 
         groups = tuple(range(bounds[i], bounds[i + 1]) for i in range(len(starts)))
     else:
         raise DataError(f"unknown partition scheme {scheme}")
-    return GroupPartition(scheme=scheme, groups=groups, sizes=tuple(len(g) for g in groups))
+    return GroupPartition(groups=groups, sizes=tuple(len(g) for g in groups))
 
 
 def enumerate_splits(n_groups: int, k: int) -> SplitSet:
@@ -345,7 +342,7 @@ def run_cv(
         for c in criteria:
             path_vals, stats, voided = per_path[c][m]
             reports[label, c] = PathReport(
-                method=label, horizon=horizon, criterion=c,
+                method=label,
                 per_split_values=tuple(None if math.isnan(v) else v for v in per_split[c][m]),
                 per_path_values=path_vals, stats=stats, excluded_groups=tuple(excluded),
                 n_paths_total=assignment.n_paths, n_paths_voided=voided,

@@ -70,10 +70,8 @@ class OlsFit:
     beta: np.ndarray
     r_squared: float
     t_stats: np.ndarray
-    residuals: np.ndarray
     n_obs: int
     aic: float
-    has_intercept: bool
 
     @property
     def slope(self) -> float:
@@ -82,8 +80,6 @@ class OlsFit:
 
 @dataclass(frozen=True)
 class HedgeEstimate:
-    method: Method
-    horizon: int
     ratio: float
     fit: OlsFit
     imf_index: int | None = None
@@ -146,10 +142,8 @@ def ols(y: np.ndarray, X: np.ndarray, intercept: bool = True) -> OlsFit:
         beta=beta,
         r_squared=r2,
         t_stats=t_stats,
-        residuals=resid,
         n_obs=n,
         aic=aic,
-        has_intercept=intercept,
     )
 
 
@@ -247,7 +241,7 @@ def mv_ratio(
 ) -> HedgeEstimate:
     """Minimum-variance ratio: slope of horizon-h log-return regression."""
     fit = _fit(Method.MV, _sample(Method.MV, spot.values, fut.values, segments, horizon), horizon)
-    return HedgeEstimate(Method.MV, horizon, fit.slope, fit)
+    return HedgeEstimate(fit.slope, fit)
 
 
 def ecm_ratio(
@@ -267,7 +261,7 @@ def ecm_ratio(
         fit = _fit(Method.ECM, rows, horizon, 2)
     else:
         fit = _ecm_fallback(lambda p: _fit(Method.ECM, rows, horizon, p))
-    return HedgeEstimate(Method.ECM, horizon, fit.slope, fit)
+    return HedgeEstimate(fit.slope, fit)
 
 
 ECM_RANK_DEFICIENT = "ECM design is rank deficient in every reduction"
@@ -382,7 +376,7 @@ def eecm_ratio(
     m, n_ = int(m[0]), int(n_[0])
     lags = list(range(n_base, n_base + m)) + list(range(n_base + max_lag, n_base + max_lag + n_))
     fit = ols(rows[:, -1], rows[:, list(range(1, n_base)) + lags], intercept=True)
-    return HedgeEstimate(Method.EECM, horizon, fit.slope, fit, lags=(m, n_))
+    return HedgeEstimate(fit.slope, fit, lags=(m, n_))
 
 
 @dataclass(frozen=True)
@@ -446,7 +440,7 @@ def vemd_ratio(
     paired IMFs (the IMFs themselves, not log returns)."""
     rows = _sample(Method.VEMD, pair.spot, pair.fut, segments, horizon)
     fit = _fit(Method.VEMD, rows, horizon)
-    return HedgeEstimate(Method.VEMD, horizon, fit.slope, fit, imf_index=pair.index)
+    return HedgeEstimate(fit.slope, fit, imf_index=pair.index)
 
 
 def semd_ratio(
@@ -457,7 +451,7 @@ def semd_ratio(
     """Sample-saving EMD ratio: regression on IMF levels, no differencing."""
     rows = _sample(Method.SEMD, pair.spot, pair.fut, segments, horizon)
     fit = _fit(Method.SEMD, rows, horizon)
-    return HedgeEstimate(Method.SEMD, horizon, fit.slope, fit, imf_index=pair.index)
+    return HedgeEstimate(fit.slope, fit, imf_index=pair.index)
 
 
 def horizon_of(cycle: float) -> int:
@@ -490,4 +484,4 @@ def aemd_ratio(
     s, f = aggregate_imfs(spot_set, fut_set, horizon)
     rows = _sample(Method.AEMD, s, f, segments, horizon)
     fit = _fit(Method.AEMD, rows, horizon)
-    return HedgeEstimate(Method.AEMD, horizon, fit.slope, fit)
+    return HedgeEstimate(fit.slope, fit)

@@ -39,8 +39,6 @@ class Criterion(Enum):
 class Effectiveness:
     criterion: Criterion
     value: float
-    n_obs: int
-    alpha: float | None = None
     degenerate: bool = False
     sign_anomaly: bool = False
 
@@ -51,7 +49,6 @@ class Moments:
     std: float
     skew: float
     kurt: float  # excess
-    n_obs: int
     degenerate: bool = False
 
 
@@ -96,7 +93,7 @@ def he_variance(spot_ret: np.ndarray, portfolio: np.ndarray) -> Effectiveness:
     """Variance reduction: 1 - var(portfolio)/var(spot), n-1 denominators."""
     portfolio = np.asarray(portfolio, dtype=float)
     values, degenerate, _ = effectiveness_rows(Criterion.VARIANCE_REDUCTION, spot_ret, portfolio[None, :])
-    return Effectiveness(Criterion.VARIANCE_REDUCTION, float(values[0]), len(portfolio), degenerate=degenerate)
+    return Effectiveness(Criterion.VARIANCE_REDUCTION, float(values[0]), degenerate=degenerate)
 
 
 def var_quantile(returns: np.ndarray, alpha: float) -> float | np.ndarray:
@@ -119,8 +116,6 @@ def he_var(spot_ret: np.ndarray, portfolio: np.ndarray, alpha: float = 0.05) -> 
     return Effectiveness(
         Criterion.VAR,
         float(values[0]),
-        len(portfolio),
-        alpha=alpha,
         degenerate=degenerate,
         sign_anomaly=sign_anomaly,
     )
@@ -140,7 +135,7 @@ def moments(values: np.ndarray) -> Moments:
         raise InsufficientDataError(f"need at least {MOMENTS_MIN_OBS} observations for moments")
     std = float(np.std(values, ddof=1))
     if std <= 0.0:
-        return Moments(float(values.mean()), 0.0, float("nan"), float("nan"), n, degenerate=True)
+        return Moments(float(values.mean()), 0.0, float("nan"), float("nan"), degenerate=True)
     mean = values.mean()
     d = values - mean
     d2 = d**2
@@ -150,4 +145,4 @@ def moments(values: np.ndarray) -> Moments:
     else:
         skew = float(m3 / m2**1.5)
         kurt = float(m4 / m2**2.0 - 3)
-    return Moments(mean=float(mean), std=std, skew=skew, kurt=kurt, n_obs=n)
+    return Moments(mean=float(mean), std=std, skew=skew, kurt=kurt)

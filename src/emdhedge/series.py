@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DataError, InsufficientDataError
 
 __all__ = [
-    "Leg",
     "DiffKind",
     "PriceSeries",
     "ReturnSeries",
@@ -30,11 +29,6 @@ __all__ = [
     "check_segments",
     "restrict",
 ]
-
-
-class Leg(Enum):
-    SPOT = "spot"
-    FUTURES = "futures"
 
 
 class DiffKind(Enum):
@@ -52,8 +46,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class PriceSeries:
     """A timestamped level series for one contract leg."""
 
-    id: str
-    leg: Leg
     timestamps: np.ndarray  # datetime64[D]
     values: np.ndarray  # float64, strictly positive
 
@@ -81,8 +73,6 @@ class PriceSeries:
 class ReturnSeries:
     """Horizon-differenced observations of a price series."""
 
-    horizon: int
-    kind: DiffKind
     values: np.ndarray
     origin_index: np.ndarray  # index of each observation's later endpoint
 
@@ -99,8 +89,6 @@ def load_csv(
     date_col: str = "date",
     spot_col: str = "spot",
     futures_col: str = "futures",
-    spot_id: str = "spot",
-    futures_id: str = "futures",
 ) -> tuple[PriceSeries, PriceSeries, int]:
     """Load a paired spot/futures CSV.
 
@@ -152,8 +140,8 @@ def load_csv(
     if len(dates) < 2:
         raise InsufficientDataError(f"{path}: fewer than 2 usable rows")
     ts = np.array(dates, dtype="datetime64[D]")
-    spot = PriceSeries(spot_id, Leg.SPOT, ts, np.array(spot_vals))
-    fut = PriceSeries(futures_id, Leg.FUTURES, ts, np.array(fut_vals))
+    spot = PriceSeries(ts, np.array(spot_vals))
+    fut = PriceSeries(ts, np.array(fut_vals))
     return spot, fut, dropped
 
 
@@ -171,7 +159,7 @@ def horizon_diff(
         )
     x = np.log(series.values) if kind is DiffKind.LOG else series.values
     idx = np.arange(horizon, len(series))
-    return ReturnSeries(horizon=horizon, kind=kind, values=x[horizon:] - x[:-horizon], origin_index=idx)
+    return ReturnSeries(values=x[horizon:] - x[:-horizon], origin_index=idx)
 
 
 def check_segments(segments, n: int) -> tuple[range, ...]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .series import Leg, PriceSeries
+from .series import PriceSeries
 
 __all__ = ["CointSpec", "SynthSpec", "gen_tones", "gen_coint_pair"]
 
@@ -149,8 +149,6 @@ def gen_tones(spec: SynthSpec) -> PriceSeries:
         x += spec.noise_sigma * _normals(rng, spec.length)
     offset = 1.0 - min(0.0, float(x.min()))
     return PriceSeries(
-        id=f"tones-{spec.seed}",
-        leg=Leg.SPOT,
         timestamps=_timestamps(spec.length),
         values=x + offset,
     )
@@ -184,6 +182,6 @@ def gen_coint_pair(spec: SynthSpec) -> tuple[PriceSeries, PriceSeries]:
 
     log_s = c.intercept + c.long_run_slope * log_f + u
     ts = _timestamps(n)
-    spot = PriceSeries(f"coint-spot-{spec.seed}", Leg.SPOT, ts, np.exp(log_s))
-    fut = PriceSeries(f"coint-fut-{spec.seed}", Leg.FUTURES, ts, np.exp(log_f))
+    spot = PriceSeries(ts, np.exp(log_s))
+    fut = PriceSeries(ts, np.exp(log_f))
     return spot, fut

@@ -26,7 +26,7 @@ from emdhedge.cli import (
 from emdhedge.cpcv import Scheme, enumerate_splits, partition
 from emdhedge.emd import Imf, ImfSet, decompose
 from emdhedge.errors import SingularDesignError
-from emdhedge.series import Leg, PriceSeries, load_csv, restrict
+from emdhedge.series import PriceSeries, load_csv, restrict
 
 
 def ns(**kwargs):
@@ -171,6 +171,15 @@ class TestSynthCommand:
         assert f"usage error: argument {flags[-2]}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["directory", "below a file"])
+    def test_an_unwritable_out_is_a_usage_error(self, target, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = tmp_path if target == "directory" else blocker / "pair.csv"
+        assert main(["synth", "--out", str(out), "--length", "200"]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: cannot write {out}")
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
@@ -216,7 +225,7 @@ def _imf_set(cycles, n=50):
 
 def test_auto_rows_keep_the_first_imf_of_each_horizon(tmp_path):
     ts = np.datetime64("2020-01-01") + np.arange(50)
-    leg = PriceSeries("x", Leg.SPOT, ts, np.ones(50))
+    leg = PriceSeries(ts, np.ones(50))
     state = cli.PipelineState(RunConfig(horizon_cap=10), leg, leg, 0, tmp_path)
     state.spot_set = _imf_set([1.2, 1.4, 2.6, 3.4, 12.0])
     assert cli._select_rows(state) == [(1, 1), (3, 3)]
@@ -519,6 +528,17 @@ class TestPipeline:
             ("75", "0", "nan", "nan"),
         ]
 
+    def test_the_manifest_lists_each_excluded_group_once_in_order(self, tmp_path):
+        # T=640 in 6 groups: the first five hold 106 prices, 70 differences
+        # at h=36, fewer than min_obs = 72; the last group (110) is kept
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "640", "--seed", "3"])
+        outdir = tmp_path / "out"
+        argv = ["pipeline", "--input", str(pair), "--out", str(outdir), "--partition", "equal:6", "--horizons", "5,36"]
+        assert main(argv) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["exclusions"] == [[36, g, "70 observations at horizon 36 < 72"] for g in range(5)]
+
     def test_year_partition_with_k_at_least_the_years_is_a_data_error(
         self, pair_csv, tmp_path, capsys
     ):
@@ -604,6 +624,18 @@ class TestBadConfigFailsUpFront:
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
         assert not outdir.exists() or not any(outdir.iterdir())
+
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_an_unreadable_config_file_is_a_usage_error(self, kind, pair_csv, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        if kind == "directory":
+            cfg_file.mkdir()
+        else:
+            cfg_file.write_bytes(b"k = 2\n\xff\xfe\n")
+        outdir = tmp_path / "out"
+        assert main(["cv", "--input", str(pair_csv), "--out", str(outdir), "--config", str(cfg_file)]) == 1
+        assert f"config file {cfg_file}" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_levels_from_a_config_file_are_checked(self, pair_csv, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -25,7 +25,7 @@ from emdhedge.performance import (
     he_variance,
     moments,
 )
-from emdhedge.series import Leg, PriceSeries, restrict
+from emdhedge.series import PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
 
@@ -51,9 +51,9 @@ def run_one(spot, fut, ratio_fn, *args, **kwargs):
     return {c: rep for (_, c), rep in run_cv(spot, fut, {"m": ratio_fn}, *args, **kwargs).items()}
 
 
-def price_series(values, start="2016-01-01", leg=Leg.SPOT):
+def price_series(values, start="2016-01-01"):
     ts = np.datetime64(start) + np.arange(len(values))
-    return PriceSeries("p", leg, ts, np.asarray(values, dtype=float))
+    return PriceSeries(ts, np.asarray(values, dtype=float))
 
 
 class TestPartition:
@@ -77,7 +77,7 @@ class TestPartition:
                 np.datetime64("2021-01-01") + np.arange(30),
             ]
         )
-        s = PriceSeries("p", Leg.SPOT, ts, np.linspace(1, 2, 180))
+        s = PriceSeries(ts, np.linspace(1, 2, 180))
         part = partition(s, Scheme.CALENDAR_YEAR)
         assert part.sizes == (100, 50, 30)
 
@@ -181,7 +181,7 @@ class TestRunCv:
         rng = np.random.default_rng(1)
         vals = np.exp(rng.normal(0, 0.01, 400).cumsum())
         spot = price_series(vals)
-        fut = price_series(vals, leg=Leg.FUTURES)
+        fut = price_series(vals)
         part = partition(400, Scheme.EQUAL_COUNT, 5)
         fn = batched(lambda segs: 1.0, spot, part)
         reports = run_one(spot, fut, fn, 1, (Criterion.VARIANCE_REDUCTION,), part, 2)
@@ -268,7 +268,7 @@ class TestRunCv:
         spot, fut = coint_series(seed=5, n=221)
         bounds = (0, 21, 41, 101, 161, 221)  # 20 and 19 one-day differences in groups 0 and 1
         groups = tuple(range(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-        part = GroupPartition(Scheme.EQUAL_COUNT, groups, tuple(map(len, groups)))
+        part = GroupPartition(groups, tuple(map(len, groups)))
         rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 1, (Criterion.VAR,), part, 2, min_obs=1)[
             Criterion.VAR
         ]
@@ -380,7 +380,7 @@ class TestRunCvMatchesPerCellReference:
         spot, fut = coint_series(seed=21, n=sum(self.SIZES))
         bounds = np.cumsum((0,) + self.SIZES)
         groups = tuple(range(bounds[i], bounds[i + 1]) for i in range(len(self.SIZES)))
-        part = GroupPartition(Scheme.EQUAL_COUNT, groups, self.SIZES)
+        part = GroupPartition(groups, self.SIZES)
         flat = spot.values.copy()
         flat[groups[3].start : groups[3].stop] = flat[groups[3].start]
         spot = price_series(flat)
@@ -507,11 +507,11 @@ class TestMultiMethodRunCv:
         spot, fut = coint_series(seed=seed, n=max(n, 100))  # synth makes at least 100 samples
         bounds = np.cumsum((0,) + sizes)
         groups = tuple(range(bounds[i], bounds[i + 1]) for i in range(len(sizes)))
-        part = GroupPartition(Scheme.EQUAL_COUNT, groups, sizes)
+        part = GroupPartition(groups, sizes)
         values = spot.values[:n].copy()
         if flat is not None:
             values[groups[flat].start : groups[flat].stop] = values[groups[flat].start]
-        spot, fut = price_series(values), price_series(fut.values[:n], leg=Leg.FUTURES)
+        spot, fut = price_series(values), price_series(fut.values[:n])
         fns = {m: table_fn(groups, table) for m, table in outcomes.items()}
         args = (h, criteria, part, k)
         got = run_cv(spot, fut, {m: batched(fn, spot, part) for m, fn in fns.items()}, *args, min_obs=min_obs)

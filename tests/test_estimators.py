@@ -26,13 +26,13 @@ from emdhedge.estimators import (
     vemd_ratio,
     ImfPair,
 )
-from emdhedge.series import DiffKind, Leg, PriceSeries, horizon_diff, restrict
+from emdhedge.series import DiffKind, PriceSeries, horizon_diff, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
 
-def price_series(values, name="x", leg=Leg.SPOT):
+def price_series(values):
     ts = np.datetime64("2015-01-01") + np.arange(len(values))
-    return PriceSeries(name, leg, ts, np.asarray(values, dtype=float))
+    return PriceSeries(ts, np.asarray(values, dtype=float))
 
 
 class TestOls:
@@ -148,7 +148,7 @@ class TestMvRatio:
         assert grid[int(np.argmin(variances))] == pytest.approx(est.ratio, abs=0.01)
 
     def test_degenerate_futures(self):
-        fut = price_series(np.full(100, 10.0), leg=Leg.FUTURES)
+        fut = price_series(np.full(100, 10.0))
         spot, _ = coint_pair(seed=1, n=100)
         with pytest.raises(DegenerateInputError):
             mv_ratio(spot, fut, 1)
@@ -157,14 +157,14 @@ class TestMvRatio:
         spot, fut = coint_pair(seed=4, n=400)
         base = mv_ratio(spot, fut, 3).ratio
         spot2 = price_series(spot.values * 17.0)
-        fut2 = price_series(fut.values * 0.003, leg=Leg.FUTURES)
+        fut2 = price_series(fut.values * 0.003)
         assert mv_ratio(spot2, fut2, 3).ratio == pytest.approx(base, abs=1e-12)
 
 
 class TestEcmRatio:
     def test_identical_series_perfect_match(self):
         spot, _ = coint_pair(seed=2, n=300)
-        fut = price_series(spot.values, leg=Leg.FUTURES)
+        fut = price_series(spot.values)
         est = ecm_ratio(spot, fut, 1)
         assert est.ratio == pytest.approx(1.0)
         assert est.fit.r_squared == pytest.approx(1.0)
@@ -211,7 +211,7 @@ class TestEecmRatio:
             for t in range(2, n):
                 u[t] = 1.2 * u[t - 1] - 0.5 * u[t - 2] + eps[t]
             spot = price_series(np.exp(0.1 + 0.9 * lf + u))
-            fut = price_series(np.exp(lf), leg=Leg.FUTURES)
+            fut = price_series(np.exp(lf))
             est = eecm_ratio(spot, fut, 1, max_lag=3)
             hits += est.lags != (0, 0)
         assert hits > 20
@@ -221,7 +221,7 @@ class TestEecmRatio:
         # AIC floors at -inf and the tie-break picks the smallest (m+n, m)
         lf = np.linspace(4.0, 4.5, 200) + 0.05 * np.sin(np.arange(200) / 5)
         spot = price_series(np.exp(lf))
-        fut = price_series(np.exp(lf), leg=Leg.FUTURES)
+        fut = price_series(np.exp(lf))
         est = eecm_ratio(spot, fut, 1, max_lag=2, include_u=False)
         assert est.lags == (0, 0)
 
@@ -298,7 +298,7 @@ class TestEecmLagSearch:
         lf = np.tile(4.0 + 0.02 * rng.normal(size=4), n // 4)
         ls = 0.1 + 0.9 * lf + 0.001 * rng.normal(size=n).cumsum() + 0.005 * rng.normal(size=n)
         spot = price_series(np.exp(ls))
-        fut = price_series(np.exp(lf), leg=Leg.FUTURES)
+        fut = price_series(np.exp(lf))
         lags, ratio, deficient = brute_force_eecm([spot.values], [fut.values], 1, 6, include_u)
         assert deficient
         est = eecm_ratio(spot, fut, 1, max_lag=6, include_u=include_u)

@@ -25,7 +25,7 @@ from emdhedge.estimators import (
     vemd_ratio,
 )
 from emdhedge.methods import SegmentImfs, make_ratio_fn
-from emdhedge.series import Leg, PriceSeries, restrict
+from emdhedge.series import PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
 
@@ -115,13 +115,13 @@ def _legs(case):
     s_set = decompose(spot.values)
     if case == "identical on groups 0-2":  # only the split training on them is singular
         vals = np.concatenate([spot.values[:300], fut.values[300:]])
-        return spot, PriceSeries("f", Leg.FUTURES, spot.timestamps, vals), s_set, decompose(vals)
+        return spot, PriceSeries(spot.timestamps, vals), s_set, decompose(vals)
     if case == "identical legs":  # ECM's level columns collinear: its fallback and the rank rule
-        return spot, PriceSeries("f", Leg.FUTURES, spot.timestamps, spot.values), s_set, s_set
+        return spot, PriceSeries(spot.timestamps, spot.values), s_set, s_set
     if case == "constant futures":  # every futures column is constant: DegenerateInputError
         flat = np.full(len(spot), 100.0)
         zeros = tuple(replace(imf, values=np.zeros(len(spot))) for imf in s_set.imfs)
-        return spot, PriceSeries("f", Leg.FUTURES, spot.timestamps, flat), s_set, ImfSet(zeros, flat, len(spot))
+        return spot, PriceSeries(spot.timestamps, flat), s_set, ImfSet(zeros, flat, len(spot))
     return spot, fut, s_set, decompose(fut.values)
 
 
@@ -232,8 +232,8 @@ def test_a_too_short_training_segment_is_decomposed_once_and_left_out_of_its_blo
     # T=30 in 5 groups of 6: a one-group training segment is shorter than
     # MIN_SAMPLES, longer ones decompose
     s0, f0 = gen_coint_pair(SynthSpec(length=100, seed=2, coint=CointSpec()))
-    spot = PriceSeries("s", Leg.SPOT, s0.timestamps[:30], s0.values[:30])
-    fut = PriceSeries("f", Leg.FUTURES, s0.timestamps[:30], f0.values[:30])
+    spot = PriceSeries(s0.timestamps[:30], s0.values[:30])
+    fut = PriceSeries(s0.timestamps[:30], f0.values[:30])
     groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
     trains = [train for _, train in enumerate_splits(5, 2).splits]
     segments = {seg for train in trains for seg in restrict(spot, [groups[g] for g in train])}

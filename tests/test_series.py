@@ -6,7 +6,6 @@ import pytest
 from emdhedge.errors import DataError, InsufficientDataError
 from emdhedge.series import (
     DiffKind,
-    Leg,
     PriceSeries,
     horizon_diff,
     load_csv,
@@ -16,7 +15,7 @@ from emdhedge.series import (
 
 def make_series(values, start="2020-01-01"):
     ts = np.datetime64(start) + np.arange(len(values))
-    return PriceSeries("test", Leg.SPOT, ts, np.array(values, dtype=float))
+    return PriceSeries(ts, np.array(values, dtype=float))
 
 
 class TestPriceSeries:
@@ -31,7 +30,7 @@ class TestPriceSeries:
     def test_rejects_unsorted_dates(self):
         ts = np.array(["2020-01-02", "2020-01-01"], dtype="datetime64[D]")
         with pytest.raises(DataError):
-            PriceSeries("x", Leg.SPOT, ts, np.array([1.0, 2.0]))
+            PriceSeries(ts, np.array([1.0, 2.0]))
 
     def test_values_immutable(self):
         s = make_series([1.0, 2.0, 3.0])
