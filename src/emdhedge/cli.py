@@ -680,10 +680,12 @@ def _cmd_synth(args) -> int:
         [str(ts[i]), spot_vals[i], fut_vals[i]]
         for i in range(args.length)
     ]
+    if out.parent.exists() and not out.parent.is_dir():
+        raise UsageError(f"cannot write {args.out}: {out.parent} is not a directory")
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         _write_csv(out, ["date", "spot", "futures"], rows)
-    except OSError as exc:  # a directory at --out, or a file above it
+    except OSError as exc:  # a directory at --out, or a file further up
         raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     return 0
 

@@ -404,8 +404,9 @@ def pair_imfs(spot_set: ImfSet, fut_set: ImfSet) -> tuple[list[ImfPair], list[st
     Returns (pairs, surplus) where surplus names unmatched IMFs; they are
     never used silently.
     """
-    if not spot_set.imfs or not fut_set.imfs:
-        raise DataError("both decompositions must contain at least one IMF")
+    legs = (("spot", spot_set), ("futures", fut_set))
+    if trends := [f"the {leg} decomposition has no IMF (a trend)" for leg, s in legs if not s.imfs]:
+        raise DataError("; ".join(trends))
     n = min(len(spot_set.imfs), len(fut_set.imfs))
     pairs = [
         ImfPair(

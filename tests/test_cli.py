@@ -177,7 +177,10 @@ class TestSynthCommand:
         blocker.write_text("")
         out = tmp_path if target == "directory" else blocker / "pair.csv"
         assert main(["synth", "--out", str(out), "--length", "200"]) == 1
-        assert capsys.readouterr().err.startswith(f"usage error: cannot write {out}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot write {out}")
+        if target == "below a file":
+            assert err == f"usage error: cannot write {out}: {blocker} is not a directory\n"
         assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
 
 
@@ -565,6 +568,21 @@ class TestFailedStageExitCodes:
         assert "data error" in err and "stage 'decompose' failed" in err
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert (manifest["status"], manifest["failed_stage"]) == ("failed", "decompose")
+
+    @pytest.mark.parametrize("trends", [("spot",), ("futures",), ("spot", "futures")])
+    def test_a_leg_with_no_imf_is_named(self, trends, tmp_path, capsys):
+        # a linear leg decomposes into its trend alone, so no IMF pairs with the other leg's
+        n = 120
+        walk = 100 + np.cumsum(np.random.default_rng(5).standard_normal(n))
+        spot, fut = (100 + 0.1 * np.arange(n) if leg in trends else walk for leg in ("spot", "futures"))
+        dates = np.datetime64("2000-01-03") + np.arange(n)
+        pair = tmp_path / "pair.csv"
+        pair.write_text("date,spot,futures\n" + "".join(f"{d},{s},{f}\n" for d, s, f in zip(dates, spot, fut)))
+        argv = ["hedge", "--input", str(pair), "--out", str(tmp_path / "out"), "--methods", "MV", "--horizons", "1,5"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        for leg in ("spot", "futures"):
+            assert (f"the {leg} decomposition has no IMF (a trend)" in err) == (leg in trends)
 
     def test_numeric_error_in_a_stage_exits_3(self, pair_csv, tmp_path, monkeypatch, capsys):
         def singular(state):
