@@ -218,8 +218,25 @@ def assert_near_cubic_spline(knots, values, got, n):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-11 * np.max(np.abs(values)))
 
 
-class TestSplineSolve:
-    """The batched cyclic-reduction solve, with scipy's splines as the oracle."""
+class TestDgtsv:
+    """The spline slope solve, which does the job of LAPACK's dgtsv for
+    ``CubicSpline``: one batched cyclic reduction, scipy's splines the oracle."""
+
+    def test_inputs_are_not_modified(self):
+        a, b, c = spline_system(np.array([3.0, 1.0, 2.0]))
+        d = np.array([1.0, -0.0, 2.0, 3.0])
+        args = [a, b, c, d]
+        before = [x.copy() for x in args]
+        _pcr(*args, len(b))
+        for x, y in zip(args, before):
+            assert x.tobytes() == y.tobytes()
+        knots, values = np.array([0, 3, 4, 6]), np.array([1.0, -0.0, 2.0, 3.0])
+        size, ns, t = np.array([4]), np.array([7]), np.arange(7, dtype=float)
+        args = [knots, values, size, ns, t]
+        before = [x.copy() for x in args]
+        _splines(*args)
+        for x, y in zip(args, before):
+            assert x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("n", [9, 40, 250, 2000])
     def test_spline_within_1e11_of_cubic_spline(self, n):
