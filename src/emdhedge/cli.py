@@ -36,7 +36,7 @@ from .errors import DataError, EmdHedgeError, NumericError
 from .estimators import Method, horizon_of, pair_imfs
 from .methods import EMD_FAMILY, SegmentImfs, make_ratio_fn
 from .performance import effectiveness_rows
-from .series import DiffKind, PriceSeries, horizon_diff, load_csv
+from .series import PriceSeries, load_csv, log_returns
 from .synth import CointSpec, SynthSpec, gen_coint_pair, gen_tones
 
 ALL_METHODS = (Method.MV, Method.ECM, Method.EECM, Method.VEMD, Method.SEMD, Method.AEMD)
@@ -86,10 +86,14 @@ class RunConfig:
             raise UsageError(f"bad decompose_scope '{self.decompose_scope}'")
         if self.levels not in ("log", "raw"):
             raise UsageError(f"bad levels '{self.levels}' (use log or raw)")
+        if self.min_obs is not None and self.min_obs < 1:
+            raise UsageError(f"min_obs must be >= 1, got {self.min_obs}")
         horizons = self.horizon_list()
         if horizons is not None and len(set(horizons)) < len(horizons):
             raise UsageError(f"duplicate horizons in '{self.horizons}'")
-        self.method_list()
+        methods = self.method_list()
+        if len(set(methods)) < len(methods):
+            raise UsageError(f"duplicate methods in '{self.methods}'")
 
     def sift_config(self) -> SiftConfig:
         return SiftConfig(
@@ -140,10 +144,7 @@ class RunConfig:
         raise UsageError(f"bad partition spec '{self.partition}' (use equal:N or year)")
 
     def partition_of(self, series: PriceSeries):
-        scheme, n = self.partition_scheme()
-        if n is None:
-            return partition(series, scheme)
-        return partition(series, scheme, n_groups=n)
+        return partition(series, *self.partition_scheme())
 
 
 class UsageError(Exception):
@@ -214,10 +215,7 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, (float, np.floating)):
-        v = float(v)
-        if math.isnan(v):
-            return "nan"
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
@@ -367,7 +365,7 @@ def _emit_preliminary(state: PipelineState) -> None:
     sift_cfg = cfg.sift_config()
     rows = []
     legs = (("spot", state.spot), ("futures", state.fut))
-    lrs = [horizon_diff(series, 1, DiffKind.LOG).values for _, series in legs]
+    lrs = [log_returns(series.values, 1) for _, series in legs]
     for (name, series), lr, lr_set in zip(legs, lrs, map(_decomposed, decompose_all(lrs, sift_cfg))):
         _warn_unconverged(state, f"{name} log returns [1, {len(series)})", lr_set)
         for vr in variance_decomposition(lr_set, lr):
@@ -405,8 +403,7 @@ def _emit_insample(state: PipelineState) -> None:
     methods = cfg.method_list()
     ratio_rows, score_rows = [], {crit: [] for crit in CV_CRITERIA}
     for imf_index, h in state.rows:
-        ds = horizon_diff(state.spot, h, DiffKind.LOG).values
-        df = horizon_diff(state.fut, h, DiffKind.LOG).values
+        ds, df = log_returns(state.spot.values, h), log_returns(state.fut.values, h)
         ratios = []
         for method in methods:
             (ratio,) = _ratio_fn(state, method, imf_index, h)([(0,)])
@@ -600,6 +597,9 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
     state = _load_state(cfg)
     if "cv" in stages:
         _check_cv_against_data(state)
+    if "insample" in stages:  # an explicit horizon with no in-sample returns raises here, before any artifact
+        for h in cfg.horizon_list() or ():
+            log_returns(state.spot.values, h)
     status = "ok"
     failed_stage = None
     error: Exception | None = None

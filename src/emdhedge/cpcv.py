@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DataError, InsufficientDataError, NumericError
 from .performance import MOMENTS_MIN_OBS, VAR_MIN_OBS, Criterion, Moments, effectiveness_rows, moments
-from .series import PriceSeries
+from .series import PriceSeries, log_returns
 
 __all__ = [
     "Scheme",
@@ -322,9 +322,7 @@ def run_cv(
         ok = ~failed[:, split_of[:, g]]  # (method, path)
         if g in skip or not ok.any():
             continue
-        sv = np.log(spot.values[rg.start : rg.stop])
-        fv = np.log(fut.values[rg.start : rg.stop])
-        ds, df = sv[horizon:] - sv[:-horizon], fv[horizon:] - fv[:-horizon]
+        ds, df = (log_returns(leg.values[rg.start : rg.stop], horizon) for leg in (spot, fut))
         portfolios = ds[None, :] - ratios[:, split_of[:, g]][ok][:, None] * df[None, :]
         for c in criteria:
             scores[c][:, :, g][ok] = effectiveness_rows(c, ds, portfolios, alpha)[0]

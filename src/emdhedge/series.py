@@ -1,9 +1,10 @@
-"""Time-series data model: price series, differencing transforms, CSV ingestion.
+"""Time-series data model: price series, log returns, CSV ingestion.
 
 Conventions
 -----------
 - Timestamps are numpy ``datetime64[D]`` arrays, strictly increasing.
-- Differences are overlapping (stride 1).
+- Horizon-h log returns (``log_returns``) are overlapping (stride 1) plain
+  arrays; every scored return, in-sample and cross-validated, comes from it.
 - A training sample is a tuple of index ranges ("segments") into one series
   (``check_segments``); no transform ever differences across a segment boundary.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -21,19 +21,12 @@ import numpy as np
 from .errors import DataError, InsufficientDataError
 
 __all__ = [
-    "DiffKind",
     "PriceSeries",
-    "ReturnSeries",
     "load_csv",
-    "horizon_diff",
+    "log_returns",
     "check_segments",
     "restrict",
 ]
-
-
-class DiffKind(Enum):
-    LEVEL = "level"
-    LOG = "log"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -64,21 +57,6 @@ class PriceSeries:
             raise DataError("price values must be strictly positive")
         if np.any(np.diff(ts).astype(int) <= 0):
             raise DataError("timestamps must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Horizon-differenced observations of a price series."""
-
-    values: np.ndarray
-    origin_index: np.ndarray  # index of each observation's later endpoint
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(np.asarray(self.values, dtype=float)))
-        object.__setattr__(self, "origin_index", _readonly(np.asarray(self.origin_index, dtype=int)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -145,21 +123,14 @@ def load_csv(
     return spot, fut, dropped
 
 
-def horizon_diff(
-    series: PriceSeries,
-    horizon: int,
-    kind: DiffKind = DiffKind.LOG,
-) -> ReturnSeries:
-    """Overlapping horizon-h differences of a price series."""
+def log_returns(values: np.ndarray, horizon: int) -> np.ndarray:
+    """Overlapping horizon-h differences of ``np.log(values)``."""
     if horizon < 1:
         raise DataError("horizon must be >= 1")
-    if horizon >= len(series):
-        raise InsufficientDataError(
-            f"horizon {horizon} >= series length {len(series)}"
-        )
-    x = np.log(series.values) if kind is DiffKind.LOG else series.values
-    idx = np.arange(horizon, len(series))
-    return ReturnSeries(values=x[horizon:] - x[:-horizon], origin_index=idx)
+    if horizon >= len(values):
+        raise InsufficientDataError(f"horizon {horizon} >= series length {len(values)}")
+    x = np.log(values)
+    return x[horizon:] - x[:-horizon]
 
 
 def check_segments(segments, n: int) -> tuple[range, ...]:

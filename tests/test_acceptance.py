@@ -31,7 +31,7 @@ from emdhedge.performance import (
     moments,
     var_quantile,
 )
-from emdhedge.series import DiffKind, horizon_diff
+from emdhedge.series import log_returns
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair, gen_tones
 
 
@@ -127,8 +127,8 @@ def test_criterion_05_mv_correctness():
         spot, fut = gen_coint_pair(SynthSpec(length=1500, seed=100, coint=CointSpec()))
         for h in (1, 5, 20):
             est = mv_ratio(spot, fut, h)
-            ds = horizon_diff(spot, h, DiffKind.LOG).values
-            df = horizon_diff(fut, h, DiffKind.LOG).values
+            ds = log_returns(spot.values, h)
+            df = log_returns(fut.values, h)
             cov_slope = np.cov(ds, df, ddof=1)[0, 1] / np.var(df, ddof=1)
             assert abs(est.ratio - cov_slope) <= 1e-10
             grid = np.linspace(est.ratio - 0.5, est.ratio + 0.5, 201)

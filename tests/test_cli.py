@@ -624,6 +624,8 @@ class TestBadConfigFailsUpFront:
             ["--partition", "equal:6", "--k", "1"],
             ["--partition", "equal:4"],
             ["--decompose-scope", "per-seg"],
+            ["--methods", "MV,MV"],
+            ["--min-obs", "0"],
         ],
         ids=[
             "envelope-tolerance",
@@ -634,6 +636,8 @@ class TestBadConfigFailsUpFront:
             "one-path",
             "three-paths",
             "decompose-scope",
+            "duplicate-methods",
+            "min-obs",
         ],
     )
     def test_usage_error_before_any_artifact(self, pair_csv, tmp_path, capsys, flags):
@@ -715,6 +719,22 @@ class TestBadConfigFailsUpFront:
         argv = ["cv", "--input", str(pair), "--out", str(outdir), "--partition", "equal:6"]
         assert main(argv + ["--horizons", str(horizon), "--min-obs", "20", "--methods", "MV"]) == rc
         assert (outdir / "manifest.json").exists() == (rc == 0)
+
+    @pytest.mark.parametrize("horizon, rc", [(299, 0), (300, 2)])
+    def test_in_sample_horizon_of_the_series_length_is_a_data_error_before_any_artifact(
+        self, tmp_path, capsys, horizon, rc
+    ):
+        # T=300 gives one in-sample return at h=299 and none at h=300
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "300", "--seed", "3"])
+        outdir = tmp_path / "out"
+        argv = ["hedge", "--input", str(pair), "--out", str(outdir), "--methods", "MV"]
+        assert main(argv + ["--horizons", f"1,{horizon}"]) == rc
+        if rc:
+            assert "data error: horizon 300 >= series length 300" in capsys.readouterr().err
+            assert not any(outdir.iterdir())
+        else:
+            assert (outdir / "manifest.json").exists()
 
 
 def _unexplained_nans(outdir: Path) -> list[str]:

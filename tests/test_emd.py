@@ -27,7 +27,7 @@ from emdhedge.emd import (
     sift,
 )
 from emdhedge.errors import DataError, InsufficientDataError
-from emdhedge.series import DiffKind, horizon_diff
+from emdhedge.series import log_returns
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
 
@@ -595,7 +595,7 @@ def test_decompose_all_has_the_structure_of_cubic_spline_envelopes(n):
     legs = []
     for seed in (3, 11):
         for leg in gen_coint_pair(SynthSpec(length=n, seed=seed, coint=CointSpec())):
-            legs += [leg.values, horizon_diff(leg, 1, DiffKind.LOG).values]
+            legs += [leg.values, log_returns(leg.values, 1)]
     cfg = SiftConfig()
     for x, got in zip(legs, decompose_all(legs, cfg)):
         expected = reference_decompose(x, cfg, cubic_spline_envelope_mean)

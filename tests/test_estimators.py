@@ -26,7 +26,7 @@ from emdhedge.estimators import (
     vemd_ratio,
     ImfPair,
 )
-from emdhedge.series import DiffKind, PriceSeries, horizon_diff, restrict
+from emdhedge.series import PriceSeries, log_returns, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
 
@@ -118,8 +118,8 @@ class TestMvRatio:
         ds = np.tile([0.01, 0.01, -0.01, -0.01], n // 4)
         fut = price_series(np.exp(np.concatenate([[0.0], df]).cumsum()))
         spot = price_series(np.exp(np.concatenate([[0.0], ds]).cumsum()))
-        dsv = horizon_diff(spot, 1).values
-        dfv = horizon_diff(fut, 1).values
+        dsv = log_returns(spot.values, 1)
+        dfv = log_returns(fut.values, 1)
         assert np.cov(dsv, dfv)[0, 1] == pytest.approx(0.0, abs=1e-15)
         est = mv_ratio(spot, fut, 1)
         assert est.ratio == pytest.approx(0.0, abs=1e-10)
@@ -132,8 +132,8 @@ class TestMvRatio:
     def test_slope_equals_cov_over_var(self):
         spot, fut = coint_pair(seed=8, n=500)
         for h in (1, 5):
-            ds = horizon_diff(spot, h).values
-            df = horizon_diff(fut, h).values
+            ds = log_returns(spot.values, h)
+            df = log_returns(fut.values, h)
             est = mv_ratio(spot, fut, h)
             expected = np.cov(ds, df, ddof=1)[0, 1] / np.var(df, ddof=1)
             assert abs(est.ratio - expected) <= 1e-10
@@ -141,8 +141,8 @@ class TestMvRatio:
     def test_grid_optimality(self):
         spot, fut = coint_pair(seed=3, n=800)
         est = mv_ratio(spot, fut, 1)
-        ds = horizon_diff(spot, 1).values
-        df = horizon_diff(fut, 1).values
+        ds = log_returns(spot.values, 1)
+        df = log_returns(fut.values, 1)
         grid = np.linspace(est.ratio - 1, est.ratio + 1, 201)
         variances = [np.var(ds - h * df, ddof=1) for h in grid]
         assert grid[int(np.argmin(variances))] == pytest.approx(est.ratio, abs=0.01)

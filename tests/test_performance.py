@@ -14,7 +14,7 @@ from emdhedge.performance import (
     moments,
     var_quantile,
 )
-from emdhedge.series import DiffKind, horizon_diff
+from emdhedge.series import log_returns
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
 
@@ -42,8 +42,8 @@ class TestHeVariance:
         # variance reduction equals the regression R-squared
         spot, fut = gen_coint_pair(SynthSpec(length=600, seed=21, coint=CointSpec()))
         est = mv_ratio(spot, fut, 1)
-        ds = horizon_diff(spot, 1, DiffKind.LOG).values
-        df = horizon_diff(fut, 1, DiffKind.LOG).values
+        ds = log_returns(spot.values, 1)
+        df = log_returns(fut.values, 1)
         port = ds - est.ratio * df
         eff = he_variance(ds, port)
         assert eff.value == pytest.approx(est.fit.r_squared, abs=1e-8)

@@ -5,10 +5,9 @@ import pytest
 
 from emdhedge.errors import DataError, InsufficientDataError
 from emdhedge.series import (
-    DiffKind,
     PriceSeries,
-    horizon_diff,
     load_csv,
+    log_returns,
     restrict,
 )
 
@@ -87,37 +86,37 @@ class TestLoadCsv:
         assert np.array_equal(fut.values, vals_f)
 
 
-class TestHorizonDiff:
-    def test_level_h1(self):
-        s = make_series([1, 2, 4, 8])
-        r = horizon_diff(s, 1, DiffKind.LEVEL)
-        assert np.array_equal(r.values, [1, 2, 4])
-        assert np.array_equal(r.origin_index, [1, 2, 3])
-
-    def test_level_h2(self):
-        s = make_series([1, 2, 4, 8])
-        assert np.array_equal(horizon_diff(s, 2, DiffKind.LEVEL).values, [3, 6])
-
+class TestLogReturns:
     def test_log_identity(self):
         e = math.e
-        s = make_series([e, e**2, e**3])
-        r = horizon_diff(s, 1, DiffKind.LOG)
-        assert np.allclose(r.values, [1.0, 1.0])
+        r = log_returns(make_series([e, e**2, e**3]).values, 1)
+        assert np.allclose(r, [1.0, 1.0])
+
+    def test_bit_identical_to_log_differences(self):
+        rng = np.random.default_rng(5)
+        x = np.exp(rng.normal(0, 0.1, 40).cumsum())
+        for h in (1, 3, 39):
+            assert np.array_equal(log_returns(x, h), np.log(x)[h:] - np.log(x)[:-h])
 
     def test_horizon_too_long(self):
-        with pytest.raises(InsufficientDataError):
-            horizon_diff(make_series([1, 2, 3]), 3, DiffKind.LEVEL)
+        with pytest.raises(InsufficientDataError, match="horizon 3 >= series length 3"):
+            log_returns(make_series([1, 2, 3]).values, 3)
+
+    @pytest.mark.parametrize("h", [0, -1])
+    def test_horizon_below_one(self, h):
+        with pytest.raises(DataError, match="horizon must be >= 1"):
+            log_returns(make_series([1, 2, 3]).values, h)
 
     def test_telescoping_identity(self):
         rng = np.random.default_rng(11)
         vals = np.exp(rng.normal(0, 0.1, 60).cumsum())
-        s = make_series(vals)
+        logs = np.log(vals)
         h, k = 4, 3
-        d = horizon_diff(s, h, DiffKind.LEVEL).values
+        d = log_returns(vals, h)
         # summing stride-h differences telescopes to the k*h difference
         for t in range(k * h, len(vals)):
             total = sum(d[t - h - j * h] for j in range(k))
-            assert total == pytest.approx(vals[t] - vals[t - k * h], abs=1e-12)
+            assert total == pytest.approx(logs[t] - logs[t - k * h], abs=1e-12)
 
 
 class TestRestrict:
