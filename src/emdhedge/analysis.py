@@ -71,16 +71,11 @@ def variance_decomposition(logret_set: ImfSet, source: np.ndarray) -> list[Varia
     src_var = float(np.var(np.asarray(source, dtype=float), ddof=1))
     if src_var <= 0.0:
         raise DegenerateInputError("source series has zero variance")
-    rows = [
-        VarianceRow(
-            imf_index=imf.index,
-            variance=float(np.var(imf.values, ddof=1)),
-            percent=float(np.var(imf.values, ddof=1)) / src_var * 100.0,
-        )
-        for imf in logret_set.imfs
-    ]
-    res_var = float(np.var(logret_set.residue, ddof=1))
-    rows.append(VarianceRow(imf_index=None, variance=res_var, percent=res_var / src_var * 100.0))
+    components = [(imf.index, imf.values) for imf in logret_set.imfs] + [(None, logret_set.residue)]
+    rows = []
+    for index, values in components:
+        var = float(np.var(values, ddof=1))
+        rows.append(VarianceRow(imf_index=index, variance=var, percent=var / src_var * 100.0))
     return rows
 
 

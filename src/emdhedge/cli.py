@@ -12,11 +12,11 @@ anything else.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -30,7 +30,9 @@ from .analysis import (
     significance_stars,
     variance_decomposition,
 )
-from .cpcv import MIN_PATHS, Criterion, PathReport, Scheme, excluded_groups, partition, run_cv, why_too_few_paths
+from .cpcv import (
+    MIN_PATHS, Criterion, GroupPartition, PathReport, Scheme, excluded_groups, partition, run_cv, why_too_few_paths
+)
 from .emd import ImfSet, SiftConfig, decompose_all
 from .errors import DataError, EmdHedgeError, NumericError
 from .estimators import Method, horizon_of, pair_imfs
@@ -39,7 +41,6 @@ from .performance import effectiveness_rows
 from .series import PriceSeries, load_csv, log_returns
 from .synth import CointSpec, SynthSpec, gen_coint_pair, gen_tones
 
-ALL_METHODS = (Method.MV, Method.ECM, Method.EECM, Method.VEMD, Method.SEMD, Method.AEMD)
 CV_CRITERIA = (Criterion.VARIANCE_REDUCTION, Criterion.VAR)
 
 
@@ -143,9 +144,6 @@ class RunConfig:
                 raise UsageError(f"bad partition spec '{self.partition}'") from None
         raise UsageError(f"bad partition spec '{self.partition}' (use equal:N or year)")
 
-    def partition_of(self, series: PriceSeries):
-        return partition(series, *self.partition_scheme())
-
 
 class UsageError(Exception):
     pass
@@ -211,20 +209,14 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 # emission helpers
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """The header, then one line per row: ``str`` of each cell, comma-joined.
+    Cells are ``str``, ``int`` or ``float`` (a numpy float64's ``str`` is the
+    same), so a float is written at its shortest round-trip repr; a missing
+    cell is passed as ``""``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -233,7 +225,7 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _emit_csv(state: PipelineState, name: str, header: list[str], rows: list[list]) -> None:
+def _emit_csv(state: PipelineState, name: str, header: list[str], rows: Iterable[Iterable]) -> None:
     """Write one report table into the bundle and list it as an artifact."""
     _write_csv(state.outdir / name, header, rows)
     state.artifacts.append(name)
@@ -249,6 +241,7 @@ class PipelineState:
     fut: PriceSeries
     dropped_rows: int
     outdir: Path
+    part: GroupPartition | None = None  # the CV partition; None for runs without a CV stage
     warnings: list[str] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
     spot_set: ImfSet | None = None
@@ -308,32 +301,37 @@ def _decomposed(result: ImfSet | EmdHedgeError) -> ImfSet:
 
 
 def _emit_decomposition(state: PipelineState) -> None:
+    """Decompose both legs, pair their IMFs and select the table rows, then
+    write the decomposition tables: a leg with no IMF, or rows the CV stage
+    cannot score, fail the stage before its first artifact."""
     sift_cfg = state.cfg.sift_config()
     state.spot_set, state.fut_set = map(_decomposed, decompose_all([state.spot.values, state.fut.values], sift_cfg))
     legs = (("spot", state.spot_set), ("futures", state.fut_set))
     for name, s in legs:
         _warn_unconverged(state, f"{name} prices [0, {s.source_len})", s)
+    state.pairs, surplus = pair_imfs(state.spot_set, state.fut_set)
+    state.warnings.extend(f"unmatched {s} excluded from pairing" for s in surplus)
+    rows = state.rows = _select_rows(state)
+    part = state.part  # the explicit-horizon rule of _cv_partition, for the rows as a whole
+    if part is not None and rows and all(_excludes_every_group(part, h, state.cfg.min_obs) for _, h in rows):
+        raise DataError(
+            f"horizons {', '.join(str(h) for _, h in rows)} each exclude every partition group "
+            f"(largest group: {max(part.sizes)} observations)"
+        )
+
+    for name, s in legs:
         header = ["t"] + [f"imf{i + 1}" for i in range(len(s.imfs))] + ["residue"]
-        columns = np.column_stack([imf.values for imf in s.imfs] + [s.residue])
-        path = state.outdir / f"decomposition_{name}.csv"
-        with open(path, "w", newline="") as fh:  # _write_csv's bytes: repr of each float
-            fh.write(",".join(header) + "\n")
-            fh.writelines(
-                f"{t},{','.join(map(repr, row))}\n" for t, row in enumerate(columns.tolist())
-            )
-        state.artifacts.append(path.name)
+        # a generator, so each leg's columns are freed once its table is written
+        columns = (values.tolist() for values in [*(imf.values for imf in s.imfs), s.residue])
+        _emit_csv(state, f"decomposition_{name}.csv", header, zip(range(s.source_len), *columns))
     _write_json(state.outdir / "decomposition.json", {name: _imfset_payload(s, sift_cfg) for name, s in legs})
     state.artifacts.append("decomposition.json")
 
     # cycle table, one row per leg
     n = max(len(state.spot_set.imfs), len(state.fut_set.imfs))
     header = ["leg"] + [f"imf{i + 1}" for i in range(n)]
-    rows = [[name] + [imf.cycle for imf in s.imfs] + [None] * (n - len(s.imfs)) for name, s in legs]
-    _emit_csv(state, "cycles.csv", header, rows)
-
-    state.pairs, surplus = pair_imfs(state.spot_set, state.fut_set)
-    state.warnings.extend(f"unmatched {s} excluded from pairing" for s in surplus)
-    state.rows = _select_rows(state)
+    cycle_rows = [[name] + [imf.cycle for imf in s.imfs] + [""] * (n - len(s.imfs)) for name, s in legs]
+    _emit_csv(state, "cycles.csv", header, cycle_rows)
 
 
 def _select_rows(state: PipelineState) -> list[tuple[int, int]]:
@@ -352,7 +350,7 @@ def _select_rows(state: PipelineState) -> list[tuple[int, int]]:
                 rows.append((i, h))
     else:
         for h in horizons:
-            nearest = min(range(len(cycles)), key=lambda j: abs(cycles[j] - h)) + 1 if cycles else 1
+            nearest = min(range(len(cycles)), key=lambda j: abs(cycles[j] - h)) + 1
             rows.append((nearest, h))
     if not rows:
         state.warnings.append("no usable (imf, horizon) rows under the horizon cap")
@@ -375,13 +373,9 @@ def _emit_preliminary(state: PipelineState) -> None:
 
     state.match_rows = matching_degree(state.pairs)
     rows = [
-        [
-            f"imf{m.imf_index}" if m.imf_index is not None else "residue",
-            m.beta,
-            m.r_squared,
-            m.cycle_spot,
-            m.cycle_fut,
-        ]
+        [f"imf{m.imf_index}", m.beta, m.r_squared, m.cycle_spot, m.cycle_fut]
+        if m.imf_index is not None
+        else ["residue", m.beta, m.r_squared, "", ""]  # a residue has no cycle
         for m in state.match_rows
     ]
     header = ["component", "beta", "r_squared", "cycle_spot", "cycle_fut"]
@@ -440,7 +434,7 @@ def _emit_cv(state: PipelineState) -> None:
     """Cross-validated path statistics plus a JSON sidecar with per-path values."""
     cfg = state.cfg
     methods = cfg.method_list()
-    part = cfg.partition_of(state.spot)
+    part = state.part
     criteria = CV_CRITERIA
     sidecar: dict = {}
     tables: dict = {crit: [] for crit in criteria}  # criterion -> one row per horizon
@@ -567,21 +561,26 @@ def _emit_determinants(state: PipelineState) -> None:
 STAGES = ("decompose", "preliminary", "insample", "cv", "determinants")
 
 
-def _check_cv_against_data(state: PipelineState) -> None:
-    """Reject a CV config that the loaded data cannot serve, before any artifact:
-    a calendar-year partition whose groups cannot give path statistics
-    (``why_too_few_paths``), or an explicit horizon that excludes every
-    group."""
+def _excludes_every_group(part: GroupPartition, h: int, min_obs: int | None) -> bool:
+    return len(excluded_groups(part, h, CV_CRITERIA, min_obs)) == part.n_groups
+
+
+def _cv_partition(state: PipelineState) -> GroupPartition:
+    """The CV partition of the loaded data; a data error, before any artifact,
+    when it cannot serve the CV stage: a calendar-year partition whose groups
+    cannot give path statistics (``why_too_few_paths``), or an explicit
+    horizon that excludes every group."""
     cfg = state.cfg
-    part = cfg.partition_of(state.spot)
+    part = partition(state.spot, *cfg.partition_scheme())
     if why := why_too_few_paths(part.n_groups, cfg.k):
         raise DataError(why)
     for h in cfg.horizon_list() or ():
-        if len(excluded_groups(part, h, CV_CRITERIA, cfg.min_obs)) == part.n_groups:
+        if _excludes_every_group(part, h, cfg.min_obs):
             raise DataError(
                 f"horizon {h} excludes every partition group "
                 f"(largest group: {max(part.sizes)} observations)"
             )
+    return part
 
 
 def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
@@ -596,7 +595,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
         raise UsageError(why)  # equal:N: a config error, before loading
     state = _load_state(cfg)
     if "cv" in stages:
-        _check_cv_against_data(state)
+        state.part = _cv_partition(state)
     if "insample" in stages:  # an explicit horizon with no in-sample returns raises here, before any artifact
         for h in cfg.horizon_list() or ():
             log_returns(state.spot.values, h)
@@ -632,7 +631,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
         "exclusions": [list(e) for e in state.exclusions],
         "counters": {"cv_failed_splits": state.cv_failed_splits},
         "skipped_methods": [
-            m.value for m in ALL_METHODS if m not in cfg.method_list()
+            m.value for m in Method if m not in cfg.method_list()
         ],
     }
     _write_json(state.outdir / "manifest.json", manifest)
@@ -676,10 +675,7 @@ def _cmd_synth(args) -> int:
         spot, fut = gen_coint_pair(SynthSpec(length=args.length, seed=args.seed, coint=coint))
         spot_vals, fut_vals, ts = spot.values, fut.values, spot.timestamps
     out = Path(args.out)
-    rows = [
-        [str(ts[i]), spot_vals[i], fut_vals[i]]
-        for i in range(args.length)
-    ]
+    rows = zip(map(str, ts.tolist()), spot_vals.tolist(), fut_vals.tolist())
     if out.parent.exists() and not out.parent.is_dir():
         raise UsageError(f"cannot write {args.out}: {out.parent} is not a directory")
     try:

@@ -321,10 +321,30 @@ class TestPipeline:
         outdir = tmp_path / "out"
         rc = main(["decompose", "--input", str(pair_csv), "--out", str(outdir), "--horizons", "5"])
         assert rc == 0
-        expected = tmp_path / "expected.csv"
-        rows = [[t, special[t], special[t], special[::-1][t]] for t in range(n)]
-        cli._write_csv(expected, ["t", "imf1", "imf2", "residue"], rows)
-        assert (outdir / "decomposition_spot.csv").read_bytes() == expected.read_bytes()
+        cells = [repr(float(v)) for v in special]
+        lines = [f"{t},{cells[t]},{cells[t]},{cells[n - 1 - t]}\n" for t in range(n)]
+        assert (outdir / "decomposition_spot.csv").read_bytes() == ("t,imf1,imf2,residue\n" + "".join(lines)).encode()
+
+    def test_a_missing_cycle_is_an_empty_cell(self, tmp_path):
+        # on this input the futures leg has one IMF more than the spot leg
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "100", "--seed", "3"])
+        outdir = run_pipeline(RunConfig(input=str(pair), out=str(tmp_path / "out")), ("decompose", "preliminary"))
+        legs = json.loads((outdir / "decomposition.json").read_text())
+        cycles = {leg: [repr(c) for c in d["cycles"]] for leg, d in legs.items()}
+        assert (len(cycles["spot"]), len(cycles["futures"])) == (2, 3)
+        assert (outdir / "cycles.csv").read_text().splitlines() == [
+            "leg,imf1,imf2,imf3",
+            "spot," + ",".join(cycles["spot"]) + ",",
+            "futures," + ",".join(cycles["futures"]),
+        ]
+        lines = (outdir / "matching_degree.csv").read_text().splitlines()
+        assert [line.split(",")[3:] for line in lines[1:]] == [
+            [cycles["spot"][0], cycles["futures"][0]],
+            [cycles["spot"][1], cycles["futures"][1]],
+            ["", ""],
+        ]
+        assert lines[-1].startswith("residue,") and lines[-1].endswith(",,")
 
     def test_hedge_emits_insample_tables(self, pair_csv, tmp_path):
         outdir = tmp_path / "out"
@@ -719,6 +739,24 @@ class TestBadConfigFailsUpFront:
         argv = ["cv", "--input", str(pair), "--out", str(outdir), "--partition", "equal:6"]
         assert main(argv + ["--horizons", str(horizon), "--min-obs", "20", "--methods", "MV"]) == rc
         assert (outdir / "manifest.json").exists() == (rc == 0)
+
+    @pytest.mark.parametrize("command", ["cv", "analyze", "pipeline"])
+    def test_auto_rows_that_each_exclude_every_group_are_a_data_error_before_any_table(
+        self, tmp_path, capsys, command
+    ):
+        # T=100 in 5 groups of 20: the auto rows h=4 and h=11 leave fewer than
+        # the 20 VaR observations in every group
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "100", "--seed", "3"])
+        outdir = tmp_path / "out"
+        assert main([command, "--input", str(pair), "--out", str(outdir), "--partition", "equal:5"]) == 2
+        err = capsys.readouterr().err
+        assert "horizons 4, 11 each exclude every partition group (largest group: 20 observations)" in err
+        assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"], manifest["artifacts"]) == ("failed", "decompose", [])
+        # without a CV stage the same rows are served
+        assert main(["hedge", "--input", str(pair), "--out", str(tmp_path / "hedge"), "--partition", "equal:5"]) == 0
 
     @pytest.mark.parametrize("horizon, rc", [(299, 0), (300, 2)])
     def test_in_sample_horizon_of_the_series_length_is_a_data_error_before_any_artifact(
