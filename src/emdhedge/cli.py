@@ -241,11 +241,14 @@ class PipelineState:
     fut: PriceSeries
     dropped_rows: int
     outdir: Path
+    stages: tuple[str, ...] = ()  # the stages this run selects
     part: GroupPartition | None = None  # the CV partition; None for runs without a CV stage
     warnings: list[str] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
     spot_set: ImfSet | None = None
     fut_set: ImfSet | None = None
+    # each leg's 1-day log-return decomposition, or its error, for the preliminary stage
+    return_sets: list[ImfSet | EmdHedgeError] | None = None
     pairs: list | None = None
     rows: list[tuple[int, int]] = field(default_factory=list)  # (imf_index, horizon)
     match_rows: list | None = None
@@ -254,7 +257,7 @@ class PipelineState:
     cv_failed_splits: Counter = field(default_factory=Counter)  # exception class -> failed CV splits
 
 
-def _load_state(cfg: RunConfig) -> PipelineState:
+def _load_state(cfg: RunConfig, stages: tuple[str, ...]) -> PipelineState:
     if not cfg.input:
         raise UsageError("--input is required")
     spot, fut, dropped = load_csv(
@@ -265,7 +268,7 @@ def _load_state(cfg: RunConfig) -> PipelineState:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at --out or above it
         raise UsageError(f"cannot create out directory {cfg.out}: {exc.strerror or exc}") from None
-    return PipelineState(cfg=cfg, spot=spot, fut=fut, dropped_rows=dropped, outdir=outdir)
+    return PipelineState(cfg=cfg, spot=spot, fut=fut, dropped_rows=dropped, outdir=outdir, stages=stages)
 
 
 def _imfset_payload(s: ImfSet, sift_cfg: SiftConfig) -> dict:
@@ -302,10 +305,16 @@ def _decomposed(result: ImfSet | EmdHedgeError) -> ImfSet:
 
 def _emit_decomposition(state: PipelineState) -> None:
     """Decompose both legs, pair their IMFs and select the table rows, then
-    write the decomposition tables: a leg with no IMF, or rows the CV stage
-    cannot score, fail the stage before its first artifact."""
+    write the decomposition tables: a leg with no IMF, no row for a run that
+    fills per-horizon tables, or rows the CV stage cannot score, fail the
+    stage before its first artifact. A run with a preliminary stage
+    decomposes the legs' 1-day log returns in the same lockstep call."""
     sift_cfg = state.cfg.sift_config()
-    state.spot_set, state.fut_set = map(_decomposed, decompose_all([state.spot.values, state.fut.values], sift_cfg))
+    prices = [state.spot.values, state.fut.values]
+    returns = [log_returns(values, 1) for values in prices] if "preliminary" in state.stages else []
+    results = decompose_all(prices + returns, sift_cfg)
+    state.spot_set, state.fut_set = map(_decomposed, results[:2])
+    state.return_sets = results[2:]
     legs = (("spot", state.spot_set), ("futures", state.fut_set))
     for name, s in legs:
         _warn_unconverged(state, f"{name} prices [0, {s.source_len})", s)
@@ -313,7 +322,11 @@ def _emit_decomposition(state: PipelineState) -> None:
     state.warnings.extend(f"unmatched {s} excluded from pairing" for s in surplus)
     rows = state.rows = _select_rows(state)
     part = state.part  # the explicit-horizon rule of _cv_partition, for the rows as a whole
-    if part is not None and rows and all(_excludes_every_group(part, h, state.cfg.min_obs) for _, h in rows):
+    if not rows:
+        if "insample" in state.stages or "cv" in state.stages:
+            raise DataError(f"no usable (imf, horizon) rows under the horizon cap {state.cfg.horizon_cap}")
+        state.warnings.append("no usable (imf, horizon) rows under the horizon cap")
+    elif part is not None and all(_excludes_every_group(part, h, state.cfg.min_obs) for _, h in rows):
         raise DataError(
             f"horizons {', '.join(str(h) for _, h in rows)} each exclude every partition group "
             f"(largest group: {max(part.sizes)} observations)"
@@ -352,21 +365,18 @@ def _select_rows(state: PipelineState) -> list[tuple[int, int]]:
         for h in horizons:
             nearest = min(range(len(cycles)), key=lambda j: abs(cycles[j] - h)) + 1
             rows.append((nearest, h))
-    if not rows:
-        state.warnings.append("no usable (imf, horizon) rows under the horizon cap")
     return rows
 
 
 def _emit_preliminary(state: PipelineState) -> None:
-    """Variance decomposition of the log-return series, and matching degree."""
-    cfg = state.cfg
-    sift_cfg = cfg.sift_config()
+    """Variance decomposition of the log-return series, and matching degree;
+    the decompositions come from the decompose stage, and are freed here."""
     rows = []
     legs = (("spot", state.spot), ("futures", state.fut))
-    lrs = [log_returns(series.values, 1) for _, series in legs]
-    for (name, series), lr, lr_set in zip(legs, lrs, map(_decomposed, decompose_all(lrs, sift_cfg))):
+    return_sets, state.return_sets = state.return_sets, None
+    for (name, series), lr_set in zip(legs, map(_decomposed, return_sets)):
         _warn_unconverged(state, f"{name} log returns [1, {len(series)})", lr_set)
-        for vr in variance_decomposition(lr_set, lr):
+        for vr in variance_decomposition(lr_set, log_returns(series.values, 1)):
             label = f"imf{vr.imf_index}" if vr.imf_index is not None else "residue"
             rows.append([name, label, vr.variance, vr.percent])
     _emit_csv(state, "variance_decomposition.csv", ["leg", "component", "variance", "percent"], rows)
@@ -489,6 +499,9 @@ def _emit_cv(state: PipelineState) -> None:
     if per_segment:
         for leg, seg, s in imfs.decomposed():
             _warn_unconverged(state, f"{leg} training segment [{seg.start}, {seg.stop})", s)
+    for crit in criteria:  # a table of NaN alone is a failed stage, not a result
+        if not any(math.isfinite(v) for row in tables[crit] for v in row[2:]):
+            raise DataError(f"no {crit.value} path statistics for any method and horizon")
     header = ["horizon", "path"] + [f"{m.value}_{c}" for m in methods for c in ("mean", "std", "skew", "kurt")]
     for crit in criteria:  # cv_variance_reduction.csv, cv_var.csv
         _emit_csv(state, f"cv_{crit.value}.csv", header, tables[crit])
@@ -593,7 +606,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
     _, n_groups = cfg.partition_scheme()
     if "cv" in stages and n_groups is not None and (why := why_too_few_paths(n_groups, cfg.k)):
         raise UsageError(why)  # equal:N: a config error, before loading
-    state = _load_state(cfg)
+    state = _load_state(cfg, stages)
     if "cv" in stages:
         state.part = _cv_partition(state)
     if "insample" in stages:  # an explicit horizon with no in-sample returns raises here, before any artifact

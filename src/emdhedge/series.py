@@ -12,7 +12,6 @@ Conventions
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,56 +70,113 @@ def load_csv(
     """Load a paired spot/futures CSV.
 
     Rows with a missing value on either leg are dropped pairwise so the two
-    legs stay aligned. Returns (spot, futures, n_dropped).
+    legs stay aligned, before their date is read. Returns (spot, futures,
+    n_dropped).
+
+    Each kept row is checked in turn for a date that does not parse (a blank
+    or ``NaT`` one included), a price that does not parse, a price that is
+    not finite and positive, and a date not after the previous row's; the
+    first line with a fault is named. The header is line 1, and blank lines
+    are not counted.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    dates: list[np.datetime64] = []
-    spot_vals: list[float] = []
-    fut_vals: list[float] = []
+    lines: list[int] = []
+    dates: list[str] = []
+    spots: list[str] = []
+    futs: list[str] = []
     dropped = 0
+    unreadable = None
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise DataError(f"{path}: empty file")
             for col in (date_col, spot_col, futures_col):
-                if col not in reader.fieldnames:
-                    raise DataError(f"{path}: missing column '{col}' (have {reader.fieldnames})")
-            for i, row in enumerate(reader, start=2):  # header is line 1
-                raw_s = (row[spot_col] or "").strip()
-                raw_f = (row[futures_col] or "").strip()
+                if col not in header:
+                    raise DataError(f"{path}: missing column '{col}' (have {header})")
+            # a repeated column name reads its last column
+            cols = [len(header) - 1 - header[::-1].index(col) for col in (date_col, spot_col, futures_col)]
+            for line, row in enumerate(filter(None, reader), start=2):
+                # a short row's missing cells are blank
+                raw_d, raw_s, raw_f = (row[c].strip() if c < len(row) else "" for c in cols)
                 if not raw_s or not raw_f:
                     dropped += 1
                     continue
-                raw_d = (row[date_col] or "").strip()
-                try:
-                    d = np.datetime64(raw_d, "D")
-                except ValueError:
-                    raise DataError(f"{path}:{i}: unparseable date '{raw_d}'") from None
-                try:
-                    s = float(raw_s)
-                    f = float(raw_f)
-                except ValueError:
-                    raise DataError(f"{path}:{i}: unparseable price") from None
-                if not (math.isfinite(s) and math.isfinite(f)) or s <= 0 or f <= 0:
-                    raise DataError(f"{path}:{i}: non-positive or non-finite price")
-                if dates and d <= dates[-1]:
-                    raise DataError(f"{path}:{i}: duplicated or out-of-order date {d}")
-                dates.append(d)
-                spot_vals.append(s)
-                fut_vals.append(f)
+                lines.append(line)
+                dates.append(raw_d)
+                spots.append(raw_s)
+                futs.append(raw_f)
     except (UnicodeDecodeError, csv.Error) as exc:  # undecodable bytes, or malformed CSV
-        raise DataError(f"{path}: unreadable CSV: {exc}") from None
+        # a faulty row read before the unreadable part is named first
+        unreadable = DataError(f"{path}: unreadable CSV: {exc}")
     except OSError as exc:  # e.g. a directory, or no read permission
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    if len(dates) < 2:
+    ts, spot_vals, fut_vals = _parse_columns(path, lines, dates, spots, futs)
+    if unreadable is not None:
+        raise unreadable
+    if len(ts) < 2:
         raise InsufficientDataError(f"{path}: fewer than 2 usable rows")
-    ts = np.array(dates, dtype="datetime64[D]")
-    spot = PriceSeries(ts, np.array(spot_vals))
-    fut = PriceSeries(ts, np.array(fut_vals))
-    return spot, fut, dropped
+    return PriceSeries(ts, spot_vals), PriceSeries(ts, fut_vals), dropped
+
+
+def _parse_date(raw: str) -> np.datetime64:
+    d = np.datetime64(raw, "D")
+    if np.isnat(d):
+        raise ValueError(f"not a date: '{raw}'")
+    return d
+
+
+def _first_unparsed(cells: list[str], parse) -> int:
+    """The index of the first cell that ``parse`` rejects, or ``len(cells)``."""
+    for i, cell in enumerate(cells):
+        try:
+            parse(cell)
+        except ValueError:
+            return i
+    return len(cells)
+
+
+def _parse_columns(path: Path, lines: list[int], dates: list[str], spots: list[str], futs: list[str]):
+    """The date, spot and futures columns of the kept rows, or the DataError
+    of the first faulty line. Each column is parsed in one pass; only a
+    column that fails is parsed again cell by cell, to find its first fault."""
+    n = len(lines)
+    try:
+        ts = np.array(dates, dtype="datetime64[D]")
+    except ValueError:
+        bad_date = _first_unparsed(dates, _parse_date)
+        ts = np.array(dates[:bad_date], dtype="datetime64[D]")
+    else:
+        nat = np.flatnonzero(np.isnat(ts))
+        bad_date = int(nat[0]) if len(nat) else n
+    try:
+        s, f = (np.array([float(v) for v in cells]) for cells in (spots, futs))
+    except ValueError:
+        bad_price = min(_first_unparsed(spots, float), _first_unparsed(futs, float))
+        s, f = (np.array([float(v) for v in cells[:bad_price]]) for cells in (spots, futs))
+    else:
+        bad_price = n
+    # the rows before the first unparsed one, checked for values and order
+    stop = min(bad_date, bad_price)
+    ts, s, f = ts[:stop], s[:stop], f[:stop]
+    bad_value = np.flatnonzero(~(np.isfinite(s) & np.isfinite(f) & (s > 0) & (f > 0)))
+    bad_order = np.flatnonzero(ts[1:] <= ts[:-1]) + 1
+    first = [int(rows[0]) if len(rows) else n for rows in (bad_value, bad_order)]
+    # within one line a date fault comes first, then price parse, value and order
+    row, kind = min((row, kind) for kind, row in enumerate([bad_date, bad_price, *first]))
+    if row == n:
+        return ts, s, f
+    where = f"{path}:{lines[row]}"
+    if kind == 0:
+        raise DataError(f"{where}: unparseable date '{dates[row]}'")
+    if kind == 1:
+        raise DataError(f"{where}: unparseable price")
+    if kind == 2:
+        raise DataError(f"{where}: non-positive or non-finite price")
+    raise DataError(f"{where}: duplicated or out-of-order date {ts[row]}")
 
 
 def log_returns(values: np.ndarray, horizon: int) -> np.ndarray:

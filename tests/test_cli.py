@@ -25,8 +25,9 @@ from emdhedge.cli import (
 )
 from emdhedge.cpcv import Scheme, enumerate_splits, partition
 from emdhedge.emd import Imf, ImfSet, decompose
-from emdhedge.errors import SingularDesignError
-from emdhedge.series import PriceSeries, load_csv, restrict
+from emdhedge.errors import DataError, SingularDesignError
+from emdhedge.estimators import Method
+from emdhedge.series import PriceSeries, load_csv, log_returns, restrict
 
 
 def ns(**kwargs):
@@ -489,6 +490,27 @@ class TestPipeline:
         # first lockstep call
         assert calls[0] == sum(calls) == 2 * len(segments)
 
+    @pytest.mark.parametrize(
+        "command, n_series", [("pipeline", 4), ("analyze", 4), ("hedge", 2), ("cv", 2), ("decompose", 2)]
+    )
+    def test_the_full_scope_decomposes_in_one_lockstep_call(self, pair_csv, tmp_path, monkeypatch, command, n_series):
+        calls = []
+        real_decompose_all = cli.decompose_all
+
+        def counting_decompose_all(xs, cfg):
+            calls.append([np.array(x) for x in xs])
+            return real_decompose_all(xs, cfg)
+
+        monkeypatch.setattr(cli, "decompose_all", counting_decompose_all)
+        argv = [command, "--input", str(pair_csv), "--out", str(tmp_path / "out"), "--partition", "equal:5"]
+        assert main(argv + ["--methods", "MV,VEMD"]) == 0
+        # the prices, then (with a preliminary stage) their 1-day log returns
+        spot, fut, _ = load_csv(pair_csv)
+        prices = [spot.values, fut.values]
+        expected = prices + [log_returns(v, 1) for v in prices] if n_series == 4 else prices
+        assert [len(xs) for xs in calls] == [n_series]
+        assert all(np.array_equal(got, want) for got, want in zip(calls[0], expected))
+
     def test_every_failed_split_has_a_reason(self, tmp_path):
         # per-segment AEMD at the first auto horizon finds no matching IMF in
         # some training segments, so those splits fail
@@ -515,12 +537,13 @@ class TestPipeline:
 
     def test_a_cv_run_without_path_statistics_is_warned_about(self, tmp_path):
         # on this input one failed per-segment AEMD split at h=3 voids one of
-        # the 4 paths, which leaves too few for path statistics
+        # the 4 paths, which leaves too few for path statistics; MV's fill
+        # the tables
         pair = tmp_path / "pair.csv"
         main(["synth", "--out", str(pair), "--length", "250", "--seed", "3"])
         outdir = tmp_path / "out"
         argv = ["cv", "--input", str(pair), "--out", str(outdir), "--partition", "equal:5"]
-        argv += ["--decompose-scope", "per-segment", "--methods", "AEMD", "--horizons", "3"]
+        argv += ["--decompose-scope", "per-segment", "--methods", "MV,AEMD", "--horizons", "3"]
         assert main(argv) == 0
         with open(outdir / "cv_var.csv", newline="") as fh:
             assert next(csv.DictReader(fh))["AEMD_mean"] == "nan"
@@ -529,6 +552,21 @@ class TestPipeline:
             "cv AEMD imf1 h=3: no path statistics, fewer than 4 paths left (1 of 4 variance_reduction"
             " paths voided, 1 of 4 var paths voided); failed splits: 1 InsufficientDataError"
         ]
+
+    def test_a_cv_stage_without_any_path_statistics_is_a_data_error(self, tmp_path, capsys):
+        # the input above with AEMD alone: no cell of either CV table is filled
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "250", "--seed", "3"])
+        outdir = tmp_path / "out"
+        argv = ["cv", "--input", str(pair), "--out", str(outdir), "--partition", "equal:5"]
+        argv += ["--decompose-scope", "per-segment", "--methods", "AEMD", "--horizons", "3"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "stage 'cv' failed: no variance_reduction path statistics for any method and horizon" in err
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"]) == ("failed", "cv")
+        assert not any(name.startswith("cv_") for name in manifest["artifacts"])
+        assert manifest["warnings"][0].startswith("cv AEMD imf1 h=3: no path statistics")
 
     def test_a_horizon_no_group_can_score_is_warned_about_once_per_method(self, tmp_path):
         # T=300 in 5 groups of 60: the auto rows h=33 and h=75 leave fewer
@@ -603,6 +641,21 @@ class TestFailedStageExitCodes:
         err = capsys.readouterr().err
         for leg in ("spot", "futures"):
             assert (f"the {leg} decomposition has no IMF (a trend)" in err) == (leg in trends)
+
+    def test_a_too_short_log_return_leg_fails_the_preliminary_stage(self, tmp_path):
+        # 8 prices decompose, but their 7 log returns are too few to decompose
+        spot = [100, 103, 99, 104, 98, 105, 97, 106]
+        fut = [100, 102.5, 99.5, 103, 98.5, 104, 97.5, 105]
+        pair = tmp_path / "pair.csv"
+        rows = [f"2020-01-0{i + 1},{s},{f}\n" for i, (s, f) in enumerate(zip(spot, fut))]
+        pair.write_text("date,spot,futures\n" + "".join(rows))
+        outdir = tmp_path / "out"
+        with pytest.raises(DataError, match="stage 'preliminary' failed: need at least 8 samples to decompose"):
+            run_pipeline(RunConfig(input=str(pair), out=str(outdir)), ("decompose", "preliminary"))
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"]) == ("failed", "preliminary")
+        tables = ["decomposition_spot.csv", "decomposition_futures.csv", "decomposition.json", "cycles.csv"]
+        assert manifest["artifacts"] == tables
 
     def test_numeric_error_in_a_stage_exits_3(self, pair_csv, tmp_path, monkeypatch, capsys):
         def singular(state):
@@ -758,6 +811,25 @@ class TestBadConfigFailsUpFront:
         # without a CV stage the same rows are served
         assert main(["hedge", "--input", str(pair), "--out", str(tmp_path / "hedge"), "--partition", "equal:5"]) == 0
 
+    @pytest.mark.parametrize("command", ["cv", "hedge", "decompose"])
+    def test_no_row_under_the_horizon_cap_is_a_data_error_for_runs_that_fill_tables(self, tmp_path, capsys, command):
+        # T=600: every auto horizon is above a cap of 1
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "600", "--seed", "3"])
+        outdir = tmp_path / "out"
+        argv = [command, "--input", str(pair), "--out", str(outdir), "--partition", "equal:6"]
+        rc = main(argv + ["--horizon-cap", "1", "--methods", "MV"])
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        if command == "decompose":  # no table has a row per horizon
+            assert rc == 0 and manifest["status"] == "ok"
+            assert "no usable (imf, horizon) rows under the horizon cap" in manifest["warnings"]
+            return
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stage 'decompose' failed: no usable (imf, horizon) rows under the horizon cap 1" in err
+        assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
+        assert (manifest["status"], manifest["failed_stage"], manifest["artifacts"]) == ("failed", "decompose", [])
+
     @pytest.mark.parametrize("horizon, rc", [(299, 0), (300, 2)])
     def test_in_sample_horizon_of_the_series_length_is_a_data_error_before_any_artifact(
         self, tmp_path, capsys, horizon, rc
@@ -825,4 +897,48 @@ def test_every_missing_number_has_a_reason(command, scope, horizons, seed):
         argv = [command, "--input", str(pair), "--out", str(outdir), "--partition", "equal:5"]
         argv += ["--decompose-scope", scope, "--horizons", horizons, "--max-lag", "4"]
         assert main(argv) == 0
+        assert _unexplained_nans(outdir) == []
+
+
+def _a_cell_is_finite(table: Path) -> bool:
+    """Whether any path-statistic cell of a CV table is finite."""
+    with open(table, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return any(np.isfinite(float(v)) for row in rows for col, v in row.items() if col not in ("horizon", "path"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    length=st.integers(100, 400),
+    seed=st.integers(0, 10_000),
+    groups=st.integers(5, 10),
+    k=st.integers(2, 3),
+    horizons=st.just("auto") | st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(
+        lambda hs: ",".join(map(str, hs))
+    ),
+    horizon_cap=st.sampled_from([1, 30, 183]),
+    methods=st.lists(st.sampled_from([m.value for m in Method]), min_size=1, max_size=6, unique=True).map(",".join),
+    scope=st.sampled_from(["full", "per-segment"]),
+    command=st.sampled_from(["pipeline", "analyze", "cv", "hedge"]),
+)
+def test_the_cli_contract_holds_for_drawn_configs(
+    length, seed, groups, k, horizons, horizon_cap, methods, scope, command
+):
+    """Every run exits with a documented code, a run that exits 0 fills a
+    cell of each CV table, and every missing number has a reason."""
+    with tempfile.TemporaryDirectory() as tmp:
+        pair, outdir = Path(tmp) / "pair.csv", Path(tmp) / "out"
+        assert main(["synth", "--out", str(pair), "--length", str(length), "--seed", str(seed)]) == 0
+        argv = [command, "--input", str(pair), "--out", str(outdir), "--partition", f"equal:{groups}", "--k", str(k)]
+        argv += ["--horizons", horizons, "--horizon-cap", str(horizon_cap), "--methods", methods]
+        rc = main(argv + ["--decompose-scope", scope, "--max-lag", "2"])
+        assert rc in (0, 1, 2, 3)
+        if not (outdir / "manifest.json").exists():  # a usage or data error before the run began
+            assert rc in (1, 2)
+            return
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["status"] == "ok") == (rc == 0)
+        if rc == 0:
+            for name in ("cv_variance_reduction.csv", "cv_var.csv"):
+                assert name not in manifest["artifacts"] or _a_cell_is_finite(outdir / name)
         assert _unexplained_nans(outdir) == []

@@ -71,6 +71,84 @@ class TestLoadCsv:
         with pytest.raises(InsufficientDataError):
             load_csv(p)
 
+    @staticmethod
+    def _error(tmp_path, lines):
+        p = tmp_path / "a.csv"
+        p.write_text("date,spot,futures\n" + "".join(line + "\n" for line in lines))
+        with pytest.raises(DataError) as info:
+            load_csv(p)
+        return str(info.value)[len(str(p)):]
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("notadate,1,2", "2020-01-09,x,2", ":3: unparseable date 'notadate'"),
+            ("2020-01-02,x,2", "notadate,1,2", ":3: unparseable price"),
+            ("2020-01-02,-1,2", "notadate,1,2", ":3: non-positive or non-finite price"),
+            ("2020-01-02,1,inf", "2020-01-09,x,2", ":3: non-positive or non-finite price"),
+            ("2020-01-01,1,2", "2020-01-09,0,2", ":3: duplicated or out-of-order date 2020-01-01"),
+            ("2019-12-31,1,2", "notadate,1,2", ":3: duplicated or out-of-order date 2019-12-31"),
+            ("2020-01-02,1,2", "2019-12-31,1,nan", ":5: non-positive or non-finite price"),
+            ("2020-01-02,1,2", "2020-01-05,1,2", ":5: duplicated or out-of-order date 2020-01-05"),
+            ("2020-01-02,1,2", "2019-12-31,1,2", ":5: duplicated or out-of-order date 2019-12-31"),
+        ],
+    )
+    def test_the_first_bad_line_is_named(self, tmp_path, first, second, message):
+        assert self._error(tmp_path, ["2020-01-01,1,2", first, "2020-01-05,1,2", second]) == message
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("notadate,x,2", "unparseable date 'notadate'"),
+            ("notadate,-1,2", "unparseable date 'notadate'"),
+            ("2020-01-02,1,y", "unparseable price"),
+            ("2020-01-02,-1,y", "unparseable price"),
+            ("2019-12-31,x,2", "unparseable price"),
+            ("2019-12-31,1,0", "non-positive or non-finite price"),
+            ("2019-12-31,-inf,2", "non-positive or non-finite price"),
+        ],
+    )
+    def test_within_a_line_date_then_price_parse_then_value_then_order(self, tmp_path, line, message):
+        assert self._error(tmp_path, ["2020-01-01,1,2", line]) == f":3: {message}"
+
+    def test_a_row_with_a_blank_price_is_dropped_before_its_date_is_read(self, tmp_path):
+        p = tmp_path / "a.csv"
+        rows = ["2020-01-01,1,2", "notadate,,2", "2019-12-31,1,", "2020-01-01, ,2", "2020-01-02,1.5,2.5"]
+        p.write_text("date,spot,futures\n" + "".join(r + "\n" for r in rows))
+        spot, fut, dropped = load_csv(p)
+        assert dropped == 3
+        assert spot.timestamps.tolist() == fut.timestamps.tolist() == [
+            np.datetime64("2020-01-01").item(), np.datetime64("2020-01-02").item()
+        ]
+        assert (spot.values.tolist(), fut.values.tolist()) == ([1.0, 1.5], [2.0, 2.5])
+
+    def test_a_short_row_counts_as_blank_cells(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("date,spot,futures\n2020-01-01,1,2\n2020-01-02,1\n2020-01-03\n2020-01-04,3,4,extra\n")
+        spot, fut, dropped = load_csv(p)
+        assert (len(spot), dropped) == (2, 2)
+        assert fut.values.tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("bad_first", [False, True])
+    def test_a_bad_line_read_before_undecodable_bytes_is_named(self, tmp_path, bad_first):
+        # the rows before the undecodable bytes fill more than one read buffer,
+        # so they are read, and checked, before the bytes are decoded
+        p = tmp_path / "a.csv"
+        rows = [f"{np.datetime64('2000-01-01') + i},1,2\n" for i in range(2000)]
+        if bad_first:
+            rows[3] = "notadate,1,2\n"
+        p.write_bytes(("date,spot,futures\n" + "".join(rows)).encode() + b"\xff\xfe,1,2\n")
+        with pytest.raises(DataError) as info:
+            load_csv(p)
+        expected = ":5: unparseable date 'notadate'" if bad_first else ": unreadable CSV"
+        assert str(info.value)[len(str(p)):].startswith(expected)
+
+    @pytest.mark.parametrize("cell, line", [("", 3), ("NaT", 5), ("nat", 2)])
+    def test_a_blank_or_nat_date_names_its_line(self, tmp_path, cell, line):
+        rows = [f"{np.datetime64('2020-01-01') + i},1,2" for i in range(5)]
+        rows[line - 2] = f"{cell},1,2"
+        assert self._error(tmp_path, rows) == f":{line}: unparseable date '{cell}'"
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)
         vals_s = np.exp(rng.normal(0, 1, 50))
