@@ -31,12 +31,13 @@ from .analysis import (
     variance_decomposition,
 )
 from .cpcv import (
-    MIN_PATHS, Criterion, GroupPartition, PathReport, Scheme, excluded_groups, partition, run_cv, why_too_few_paths
+    MIN_PATHS, Criterion, GroupPartition, PathReport, Scheme, enumerate_splits, excluded_groups, partition, run_cv,
+    why_too_few_paths,
 )
 from .emd import ImfSet, SiftConfig, decompose_all
 from .errors import DataError, EmdHedgeError, NumericError
 from .estimators import Method, horizon_of, pair_imfs
-from .methods import EMD_FAMILY, SegmentImfs, make_ratio_fn
+from .methods import EMD_FAMILY, make_ratio_fn, training_segments
 from .performance import effectiveness_rows
 from .series import PriceSeries, load_csv, log_returns
 from .synth import CointSpec, SynthSpec, gen_coint_pair, gen_tones
@@ -69,7 +70,7 @@ class RunConfig:
     def __post_init__(self):
         """Check the rules a config obeys on its own, whether parsed or built
         in code. The CV partition's rules (``cpcv.why_too_few_paths``) apply
-        only to runs with a CV stage; ``run_pipeline`` checks them."""
+        only to runs with a CV stage; the decompose stage checks them."""
         if self.k < 1:
             raise UsageError(f"k must be >= 1, got {self.k}")
         self.partition_scheme()
@@ -249,6 +250,8 @@ class PipelineState:
     fut_set: ImfSet | None = None
     # each leg's 1-day log-return decomposition, or its error, for the preliminary stage
     return_sets: list[ImfSet | EmdHedgeError] | None = None
+    # per-segment CV: each training segment's (spot, futures) decompositions, each an ImfSet or its error
+    segment_sets: dict[range, tuple] = field(default_factory=dict)
     pairs: list | None = None
     rows: list[tuple[int, int]] = field(default_factory=list)  # (imf_index, horizon)
     match_rows: list | None = None
@@ -305,28 +308,45 @@ def _decomposed(result: ImfSet | EmdHedgeError) -> ImfSet:
 
 def _emit_decomposition(state: PipelineState) -> None:
     """Decompose both legs, pair their IMFs and select the table rows, then
-    write the decomposition tables: a leg with no IMF, no row for a run that
-    fills per-horizon tables, or rows the CV stage cannot score, fail the
-    stage before its first artifact. A run with a preliminary stage
-    decomposes the legs' 1-day log returns in the same lockstep call."""
-    sift_cfg = state.cfg.sift_config()
+    write the decomposition tables. A CV partition that cannot serve the CV
+    stage, an explicit horizon with no in-sample return, a leg with no IMF,
+    no row for a run that fills per-horizon tables, or rows the CV stage
+    cannot score, fail the stage before its first artifact. The run's one
+    lockstep ``decompose_all`` call takes the prices, then, with a
+    preliminary stage, their 1-day log returns, then, for a per-segment CV
+    stage with an EMD method, both legs of each training segment of the
+    partition's splits."""
+    cfg = state.cfg
+    part = state.part = _cv_partition(state) if "cv" in state.stages else None
+    if "insample" in state.stages:  # an explicit horizon with no in-sample returns raises here
+        for h in cfg.horizon_list() or ():
+            log_returns(state.spot.values, h)
+    sift_cfg = cfg.sift_config()
     prices = [state.spot.values, state.fut.values]
     returns = [log_returns(values, 1) for values in prices] if "preliminary" in state.stages else []
-    results = decompose_all(prices + returns, sift_cfg)
+    segments = []
+    if part is not None and cfg.decompose_scope == "per-segment" and set(EMD_FAMILY) & set(cfg.method_list()):
+        splits = enumerate_splits(part.n_groups, cfg.k).splits
+        train = np.array([np.isin(range(part.n_groups), groups) for _, groups in splits])
+        segments = list(training_segments(part.groups, train).values())
+    pieces = [leg.values[seg.start : seg.stop] for seg in segments for leg in (state.spot, state.fut)]
+    results = decompose_all(prices + returns + pieces, sift_cfg)
     state.spot_set, state.fut_set = map(_decomposed, results[:2])
-    state.return_sets = results[2:]
+    n = len(prices + returns)
+    state.return_sets = results[2:n]
+    state.segment_sets = dict(zip(segments, zip(results[n::2], results[n + 1 :: 2])))
     legs = (("spot", state.spot_set), ("futures", state.fut_set))
     for name, s in legs:
         _warn_unconverged(state, f"{name} prices [0, {s.source_len})", s)
     state.pairs, surplus = pair_imfs(state.spot_set, state.fut_set)
     state.warnings.extend(f"unmatched {s} excluded from pairing" for s in surplus)
     rows = state.rows = _select_rows(state)
-    part = state.part  # the explicit-horizon rule of _cv_partition, for the rows as a whole
     if not rows:
         if "insample" in state.stages or "cv" in state.stages:
-            raise DataError(f"no usable (imf, horizon) rows under the horizon cap {state.cfg.horizon_cap}")
+            raise DataError(f"no usable (imf, horizon) rows under the horizon cap {cfg.horizon_cap}")
         state.warnings.append("no usable (imf, horizon) rows under the horizon cap")
-    elif part is not None and all(_excludes_every_group(part, h, state.cfg.min_obs) for _, h in rows):
+    # the explicit-horizon rule of _cv_partition, for the rows as a whole
+    elif part is not None and all(_excludes_every_group(part, h, cfg.min_obs) for _, h in rows):
         raise DataError(
             f"horizons {', '.join(str(h) for _, h in rows)} each exclude every partition group "
             f"(largest group: {max(part.sizes)} observations)"
@@ -434,6 +454,8 @@ def _emit_insample(state: PipelineState) -> None:
                             f"in-sample {methods[i].value} imf{imf_index} h={h}: {crit.value} not scored: {why}"
                         )
             score_rows[crit].append([f"imf{imf_index}", h] + values)
+    if not any(math.isfinite(v) for row in ratio_rows for v in row[2:]):  # a table of NaN alone fails
+        raise DataError("no in-sample hedge ratio for any method and horizon")
     header = ["imf", "horizon"] + [m.value for m in methods]
     _emit_csv(state, "insample_ratios.csv", header, ratio_rows)
     for crit in CV_CRITERIA:  # insample_variance_reduction.csv, insample_var.csv
@@ -448,8 +470,7 @@ def _emit_cv(state: PipelineState) -> None:
     criteria = CV_CRITERIA
     sidecar: dict = {}
     tables: dict = {crit: [] for crit in criteria}  # criterion -> one row per horizon
-    per_segment = cfg.decompose_scope == "per-segment"
-    imfs = SegmentImfs(state.spot, state.fut, cfg.sift_config()) if per_segment else None
+    imfs = state.segment_sets if cfg.decompose_scope == "per-segment" else None
     for imf_index, h in state.rows:
         try:
             fns = {m.value: _ratio_fn(state, m, imf_index, h, imfs, part.groups) for m in methods}
@@ -496,9 +517,10 @@ def _emit_cv(state: PipelineState) -> None:
                     cells += [rep.stats.mean, rep.stats.std, rep.stats.skew, rep.stats.kurt]
             tables[crit].append([h, n_paths] + cells)
 
-    if per_segment:
-        for leg, seg, s in imfs.decomposed():
-            _warn_unconverged(state, f"{leg} training segment [{seg.start}, {seg.stop})", s)
+    for seg, sets in state.segment_sets.items():
+        for leg, s in zip(("spot", "futures"), sets):
+            if isinstance(s, ImfSet):
+                _warn_unconverged(state, f"{leg} training segment [{seg.start}, {seg.stop})", s)
     for crit in criteria:  # a table of NaN alone is a failed stage, not a result
         if not any(math.isfinite(v) for row in tables[crit] for v in row[2:]):
             raise DataError(f"no {crit.value} path statistics for any method and horizon")
@@ -579,10 +601,10 @@ def _excludes_every_group(part: GroupPartition, h: int, min_obs: int | None) -> 
 
 
 def _cv_partition(state: PipelineState) -> GroupPartition:
-    """The CV partition of the loaded data; a data error, before any artifact,
-    when it cannot serve the CV stage: a calendar-year partition whose groups
-    cannot give path statistics (``why_too_few_paths``), or an explicit
-    horizon that excludes every group."""
+    """The CV partition of the loaded data; a data error when it cannot serve
+    the CV stage: a calendar-year partition whose groups cannot give path
+    statistics (``why_too_few_paths``), or an explicit horizon that excludes
+    every group."""
     cfg = state.cfg
     part = partition(state.spot, *cfg.partition_scheme())
     if why := why_too_few_paths(part.n_groups, cfg.k):
@@ -607,11 +629,6 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
     if "cv" in stages and n_groups is not None and (why := why_too_few_paths(n_groups, cfg.k)):
         raise UsageError(why)  # equal:N: a config error, before loading
     state = _load_state(cfg, stages)
-    if "cv" in stages:
-        state.part = _cv_partition(state)
-    if "insample" in stages:  # an explicit horizon with no in-sample returns raises here, before any artifact
-        for h in cfg.horizon_list() or ():
-            log_returns(state.spot.values, h)
     status = "ok"
     failed_stage = None
     error: Exception | None = None

@@ -9,8 +9,8 @@ decomposition scopes:
   to the training indices (matches single-decomposition reporting, but the
   decomposition itself sees test data);
 - ``per-segment``: re-run the decomposition on each training segment (a
-  maximal run of adjacent training groups) and pool the segments' rows,
-  eliminating look-ahead.
+  maximal run of adjacent training groups, ``training_segments``) and pool
+  the segments' rows, eliminating look-ahead.
 
 Rows come from the estimators' row builder, ``estimators.design_rows``: a
 method's regression rows [1, design | y], each with its footprint [i, i +
@@ -28,16 +28,6 @@ together: their stacks, zero-padded to one array, take one batched QR, and
 the estimator's checks, rank rule, solve, ECM fallback and EECM lag search
 each run once over the batch as array masks, so numpy's per-call overhead is
 paid per call, not per split.
-
-The per-segment scope reads its decompositions from a ``SegmentImfs``
-store, which owns one series pair, its SiftConfig and the decompositions of
-its segments (each one's ImfSet or the error it raised). The CLI's CV stage
-passes one store to every ratio function it builds, so each distinct
-training segment is decomposed once per stage, however many methods, rows
-and splits reuse it. A call decomposes both legs of every segment of its
-batch that the store lacks in one lockstep ``emd.decompose_all`` call: a
-stage's first per-segment call fills it with every training segment of the
-partition's splits.
 """
 
 from __future__ import annotations
@@ -45,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cpcv import RatioFn
-from .emd import ImfSet, SiftConfig, decompose_all
+from .emd import ImfSet
 from .errors import DataError, EmdHedgeError, InsufficientDataError, NumericError, SingularDesignError
 from .estimators import (
     ECM_RANK_DEFICIENT,
@@ -63,42 +53,20 @@ from .estimators import (
 )
 from .series import PriceSeries
 
-__all__ = ["SegmentImfs", "make_ratio_fn"]
+__all__ = ["make_ratio_fn", "training_segments"]
 
 EMD_FAMILY = (Method.VEMD, Method.SEMD, Method.AEMD)
 
 
-class SegmentImfs:
-    """The (spot, futures) decompositions of the segments of one series
-    pair under one SiftConfig, each segment decomposed once."""
-
-    def __init__(self, spot: PriceSeries, fut: PriceSeries, cfg: SiftConfig = SiftConfig()):
-        self.spot, self.fut, self.cfg = spot, fut, cfg
-        self._sets: dict[range, tuple] = {}  # segment -> (spot, futures), each an ImfSet or its error
-
-    def decompose(self, segments: list[range]) -> None:
-        """Decompose both legs of each segment the store lacks, in one lockstep call."""
-        todo = [seg for seg in segments if seg not in self._sets]
-        legs = [leg.values[seg.start : seg.stop] for seg in todo for leg in (self.spot, self.fut)]
-        done = decompose_all(legs, self.cfg)
-        for i, seg in enumerate(todo):
-            self._sets[seg] = tuple(done[2 * i : 2 * i + 2])
-
-    def __getitem__(self, seg: range) -> tuple[ImfSet, ImfSet]:
-        """A decomposed segment's (spot, futures) ImfSets; raises the error
-        of its first leg that failed."""
-        for found in self._sets[seg]:
-            if isinstance(found, EmdHedgeError):
-                raise found.with_traceback(None)
-        return self._sets[seg]
-
-    def decomposed(self):
-        """(leg name, segment, ImfSet) of each leg that decomposed, in the
-        order the segments were decomposed."""
-        for seg, sets in self._sets.items():
-            for leg, found in zip(("spot", "futures"), sets):
-                if isinstance(found, ImfSet):
-                    yield leg, seg, found
+def training_segments(groups: tuple[range, ...], train: np.ndarray) -> dict[tuple[int, int], range]:
+    """The distinct training segments of the splits whose training groups are
+    ``train`` (splits, groups): each maximal run a..b of adjacent training
+    groups, as (a, b) -> its observations, in sorted (a, b) order."""
+    # a segment a..b starts where a split's mask steps up and ends before it steps down
+    step = np.diff(np.pad(train, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    starts, stops = np.nonzero(step == 1)[1], np.nonzero(step == -1)[1]
+    spans = sorted(set(zip(starts.tolist(), (stops - 1).tolist())))
+    return {(a, b): range(groups[a].start, groups[b].stop) for a, b in spans}
 
 
 class _Buckets:
@@ -263,7 +231,7 @@ def make_ratio_fn(
     fut: PriceSeries,
     horizon: int,
     imf_index: int | None = None,
-    imfs: tuple[ImfSet, ImfSet] | SegmentImfs | None = None,
+    imfs: tuple[ImfSet, ImfSet] | dict[range, tuple] | None = None,
     max_lag: int = 10,
     log_levels: bool = True,
     groups: tuple[range, ...] | None = None,
@@ -276,13 +244,12 @@ def make_ratio_fn(
     call builds its row blocks and fits the batch from them at once. An EMD
     method's ``imfs`` sets its decomposition scope: the whole-series (spot,
     futures) decompositions give the full scope, blocks from the whole
-    series; a ``SegmentImfs`` store of the same series pair gives the
-    per-segment scope, blocks from the batch's training segments. The other
-    methods take their blocks from the whole series and read no ``imfs``.
+    series; a dict of each training segment's (spot, futures) decompositions,
+    each an ImfSet or the error decomposing it raised, gives the per-segment
+    scope, blocks from the batch's training segments. The other methods take
+    their blocks from the whole series and read no ``imfs``.
     """
-    per_segment = isinstance(imfs, SegmentImfs)
-    if per_segment and (imfs.spot is not spot or imfs.fut is not fut):
-        raise ValueError("the SegmentImfs store decomposes another series pair")
+    per_segment = isinstance(imfs, dict)
     if method in EMD_FAMILY and imfs is None:
         raise ValueError("EMD methods need decompositions")
     groups = groups or (range(0, len(spot)),)
@@ -290,15 +257,12 @@ def make_ratio_fn(
     def segment_buckets(train: np.ndarray) -> _Buckets:
         """One block per distinct training segment a..b of the batch, left
         out if decomposing it or ``_legs`` raise ``DataError`` or it has no rows."""
-        # a segment a..b starts where a split's mask steps up and ends before it steps down
-        step = np.diff(np.pad(train, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-        starts, stops = np.nonzero(step == 1)[1], np.nonzero(step == -1)[1]
-        spans = sorted(set(zip(starts.tolist(), (stops - 1).tolist())))
-        segments = [range(groups[a].start, groups[b].stop) for a, b in spans]
-        imfs.decompose(segments)
         blocks, left_out = {}, {}
-        for (a, b), seg in zip(spans, segments):
+        for (a, b), seg in training_segments(groups, train).items():
             try:
+                for found in imfs[seg]:  # the error of the first leg that failed to decompose
+                    if isinstance(found, EmdHedgeError):
+                        raise found.with_traceback(None)
                 s, f = _legs(method, *imfs[seg], horizon, imf_index)
                 rows, _ = design_rows(method, s, f, horizon)
                 if not len(rows):

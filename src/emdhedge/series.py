@@ -76,8 +76,9 @@ def load_csv(
     Each kept row is checked in turn for a date that does not parse (a blank
     or ``NaT`` one included), a price that does not parse, a price that is
     not finite and positive, and a date not after the previous row's; the
-    first line with a fault is named. The header is line 1, and blank lines
-    are not counted.
+    first line with a fault is named, by its line in the file: the header is
+    line 1, blank lines count, and a row that spans lines (a quoted cell with
+    a line break) is named by its last line.
     """
     path = Path(path)
     if not path.exists():
@@ -99,13 +100,13 @@ def load_csv(
                     raise DataError(f"{path}: missing column '{col}' (have {header})")
             # a repeated column name reads its last column
             cols = [len(header) - 1 - header[::-1].index(col) for col in (date_col, spot_col, futures_col)]
-            for line, row in enumerate(filter(None, reader), start=2):
+            for row in filter(None, reader):
                 # a short row's missing cells are blank
                 raw_d, raw_s, raw_f = (row[c].strip() if c < len(row) else "" for c in cols)
                 if not raw_s or not raw_f:
                     dropped += 1
                     continue
-                lines.append(line)
+                lines.append(reader.line_num)
                 dates.append(raw_d)
                 spots.append(raw_s)
                 futs.append(raw_f)

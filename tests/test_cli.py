@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emdhedge
-from emdhedge import cli, methods
+from emdhedge import cli
 from emdhedge.cli import (
     RunConfig,
     UsageError,
@@ -449,46 +449,46 @@ class TestPipeline:
         key = "MV:h1:variance_reduction"
         assert len(paths[key]["per_path_values"]) == 4
 
+    @pytest.mark.parametrize(
+        "command, method_list, returns, segments",
+        [
+            ("cv", "VEMD,SEMD,AEMD", False, True),
+            ("analyze", "MV,VEMD", True, True),
+            ("pipeline", "MV,SEMD", True, True),
+            ("cv", "MV", False, False),  # no EMD method
+            ("hedge", "VEMD", False, False),  # no CV stage
+        ],
+    )
     def test_per_segment_cv_decomposes_each_training_segment_once(
-        self, pair_csv, tmp_path, monkeypatch
+        self, pair_csv, tmp_path, monkeypatch, command, method_list, returns, segments
     ):
         calls = []
-        real_decompose_all = methods.decompose_all
+        real_decompose_all = cli.decompose_all
 
         def counting_decompose_all(xs, cfg):
-            calls.append(len(xs))
+            calls.append([np.array(x) for x in xs])
             return real_decompose_all(xs, cfg)
 
-        monkeypatch.setattr(methods, "decompose_all", counting_decompose_all)
-        rc = main(
-            [
-                "cv",
-                "--input",
-                str(pair_csv),
-                "--out",
-                str(tmp_path / "out"),
-                "--partition",
-                "equal:5",
-                "--decompose-scope",
-                "per-segment",
-                "--methods",
-                "VEMD,SEMD,AEMD",
-                "--horizons",
-                "2,5",
-            ]
-        )
-        assert rc == 0
-        spot, _, _ = load_csv(pair_csv)
+        monkeypatch.setattr(cli, "decompose_all", counting_decompose_all)
+        argv = [command, "--input", str(pair_csv), "--out", str(tmp_path / "out"), "--partition", "equal:5"]
+        argv += ["--decompose-scope", "per-segment", "--methods", method_list, "--horizons", "2,5"]
+        assert main(argv) == 0
+        spot, fut, _ = load_csv(pair_csv)
         groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
-        segments = {
-            seg
+        spans = sorted({
+            (seg.start, seg.stop)
             for _, train in enumerate_splits(5, 2).splits
             for seg in restrict(spot, [groups[g] for g in train])
-        }
-        # one spot and one futures decomposition per distinct training segment,
-        # shared by 3 methods x 2 horizons x 10 splits, all in the stage's
-        # first lockstep call
-        assert calls[0] == sum(calls) == 2 * len(segments)
+        })
+        # one lockstep call of the run: the prices, their 1-day log returns
+        # with a preliminary stage, then a spot and a futures piece per
+        # distinct training segment, in segment order, shared by every
+        # method, horizon and split of the CV stage
+        expected = [spot.values, fut.values]
+        expected += [log_returns(v, 1) for v in expected] if returns else []
+        expected += [leg.values[a:b] for a, b in spans for leg in (spot, fut)] if segments else []
+        assert len(spans) == 12 and [len(xs) for xs in calls] == [len(expected)]
+        assert all(np.array_equal(got, want) for got, want in zip(calls[0], expected))
 
     @pytest.mark.parametrize(
         "command, n_series", [("pipeline", 4), ("analyze", 4), ("hedge", 2), ("cv", 2), ("decompose", 2)]
@@ -567,6 +567,19 @@ class TestPipeline:
         assert (manifest["status"], manifest["failed_stage"]) == ("failed", "cv")
         assert not any(name.startswith("cv_") for name in manifest["artifacts"])
         assert manifest["warnings"][0].startswith("cv AEMD imf1 h=3: no path statistics")
+
+    def test_an_in_sample_stage_without_any_ratio_is_a_data_error(self, tmp_path, capsys):
+        # T=101 seed 0: the spot leg has no IMF with cycle <= 1, so AEMD has no ratio at h=1
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "101", "--seed", "0"])
+        outdir = tmp_path / "out"
+        assert main(["hedge", "--input", str(pair), "--out", str(outdir), "--horizons", "1", "--methods", "AEMD"]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'insample' failed: no in-sample hedge ratio for any method and horizon" in err
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"]) == ("failed", "insample")
+        assert not any(p.name.startswith("insample_") for p in outdir.iterdir())
+        assert manifest["warnings"][0] == "in-sample AEMD imf1 h=1: no spot IMF with cycle <= horizon 1"
 
     def test_a_horizon_no_group_can_score_is_warned_about_once_per_method(self, tmp_path):
         # T=300 in 5 groups of 60: the auto rows h=33 and h=75 leave fewer
@@ -749,6 +762,12 @@ class TestBadConfigFailsUpFront:
         assert main(argv + ["--methods", "MV,SEMD"]) == 0
         assert json.loads((outdir / "manifest.json").read_text())["status"] == "ok"
 
+    @staticmethod
+    def _assert_a_lone_failed_manifest(outdir: Path) -> None:
+        assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"], manifest["artifacts"]) == ("failed", "decompose", [])
+
     def test_year_partition_with_too_few_paths_is_a_data_error_before_any_artifact(
         self, pair_csv, tmp_path, capsys
     ):
@@ -756,7 +775,7 @@ class TestBadConfigFailsUpFront:
         outdir = tmp_path / "out"
         assert main(["cv", "--input", str(pair_csv), "--out", str(outdir), "--partition", "year"]) == 2
         assert "2 CV paths" in capsys.readouterr().err
-        assert not any(outdir.iterdir())
+        self._assert_a_lone_failed_manifest(outdir)
 
     def test_unknown_method_is_a_usage_error_before_any_artifact(self, pair_csv, tmp_path, capsys):
         outdir = tmp_path / "out"
@@ -778,7 +797,7 @@ class TestBadConfigFailsUpFront:
         assert rc == 2
         err = capsys.readouterr().err
         assert "data error" in err and "horizon 200" in err
-        assert not any(outdir.iterdir())
+        self._assert_a_lone_failed_manifest(outdir)
 
     @pytest.mark.parametrize("horizon, rc", [(80, 0), (81, 2)])
     def test_horizon_rejection_applies_the_cv_exclusion_rule_at_its_edge(
@@ -791,7 +810,10 @@ class TestBadConfigFailsUpFront:
         outdir = tmp_path / "out"
         argv = ["cv", "--input", str(pair), "--out", str(outdir), "--partition", "equal:6"]
         assert main(argv + ["--horizons", str(horizon), "--min-obs", "20", "--methods", "MV"]) == rc
-        assert (outdir / "manifest.json").exists() == (rc == 0)
+        if rc:
+            self._assert_a_lone_failed_manifest(outdir)
+        else:
+            assert json.loads((outdir / "manifest.json").read_text())["status"] == "ok"
 
     @pytest.mark.parametrize("command", ["cv", "analyze", "pipeline"])
     def test_auto_rows_that_each_exclude_every_group_are_a_data_error_before_any_table(
@@ -805,9 +827,7 @@ class TestBadConfigFailsUpFront:
         assert main([command, "--input", str(pair), "--out", str(outdir), "--partition", "equal:5"]) == 2
         err = capsys.readouterr().err
         assert "horizons 4, 11 each exclude every partition group (largest group: 20 observations)" in err
-        assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
-        manifest = json.loads((outdir / "manifest.json").read_text())
-        assert (manifest["status"], manifest["failed_stage"], manifest["artifacts"]) == ("failed", "decompose", [])
+        self._assert_a_lone_failed_manifest(outdir)
         # without a CV stage the same rows are served
         assert main(["hedge", "--input", str(pair), "--out", str(tmp_path / "hedge"), "--partition", "equal:5"]) == 0
 
@@ -827,8 +847,7 @@ class TestBadConfigFailsUpFront:
         assert rc == 2
         err = capsys.readouterr().err
         assert "stage 'decompose' failed: no usable (imf, horizon) rows under the horizon cap 1" in err
-        assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
-        assert (manifest["status"], manifest["failed_stage"], manifest["artifacts"]) == ("failed", "decompose", [])
+        self._assert_a_lone_failed_manifest(outdir)
 
     @pytest.mark.parametrize("horizon, rc", [(299, 0), (300, 2)])
     def test_in_sample_horizon_of_the_series_length_is_a_data_error_before_any_artifact(
@@ -841,8 +860,8 @@ class TestBadConfigFailsUpFront:
         argv = ["hedge", "--input", str(pair), "--out", str(outdir), "--methods", "MV"]
         assert main(argv + ["--horizons", f"1,{horizon}"]) == rc
         if rc:
-            assert "data error: horizon 300 >= series length 300" in capsys.readouterr().err
-            assert not any(outdir.iterdir())
+            assert "stage 'decompose' failed: horizon 300 >= series length 300" in capsys.readouterr().err
+            self._assert_a_lone_failed_manifest(outdir)
         else:
             assert (outdir / "manifest.json").exists()
 

@@ -24,9 +24,22 @@ from emdhedge.estimators import (
     semd_ratio,
     vemd_ratio,
 )
-from emdhedge.methods import SegmentImfs, make_ratio_fn
+from emdhedge.methods import make_ratio_fn, training_segments
 from emdhedge.series import PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
+
+
+def _training_segments(groups, trains) -> list[range]:
+    """The distinct training segments of splits training on ``trains``."""
+    train = np.array([np.isin(range(len(groups)), groups_of_split) for groups_of_split in trains])
+    return list(training_segments(groups, train).values())
+
+
+def _segment_sets(spot, fut, segments, cfg=SiftConfig()) -> dict:
+    """Each segment's (spot, futures) decompositions, each an ImfSet or its
+    error, from one lockstep call, as the CLI's decompose stage gives them."""
+    done = decompose_all([leg.values[seg.start : seg.stop] for seg in segments for leg in (spot, fut)], cfg)
+    return dict(zip(segments, zip(done[::2], done[1::2])))
 
 
 def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
@@ -40,7 +53,8 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
     assert len(segments) == 1 and len(segments_2) == 2
 
     h = 5
-    shared = SegmentImfs(spot, fut, cfg)
+    # every training segment of the partition's splits, or only the split's own
+    every = _segment_sets(spot, fut, _training_segments(groups, [t for _, t in enumerate_splits(5, 2).splits]), cfg)
     for method in methods.EMD_FAMILY:
         for split_groups, segs in ((train, segments), (train_2, segments_2)):
             pooled = []
@@ -53,13 +67,10 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
                 pooled.append(design_rows(method, s, f, h)[0])
             rows = np.concatenate(pooled)
             expected = ols(rows[:, -1], rows[:, 1], intercept=True).slope
-            for imfs in (shared, SegmentImfs(spot, fut, cfg)):
+            for imfs in (every, _segment_sets(spot, fut, list(segs), cfg)):
                 fn = make_ratio_fn(method, spot, fut, h, imf_index=1, imfs=imfs, groups=groups)
                 (got,) = fn([split_groups])
                 assert abs(got - expected) <= 1e-12 * abs(expected), (method, split_groups)
-    assert {(leg, seg) for leg, seg, _ in shared.decomposed()} == {
-        (leg, seg) for leg in ("spot", "futures") for seg in segments + segments_2
-    }
 
 
 @pytest.mark.parametrize(
@@ -73,8 +84,9 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
 def test_a_per_segment_split_without_rows_names_its_first_segments_cause(method, h, imf_index, cause):
     spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
     groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups  # 80 observations each
-    fn = make_ratio_fn(method, spot, fut, h, imf_index=imf_index, imfs=SegmentImfs(spot, fut), groups=groups)
-    # every training segment here is at most one group long
+    # every training segment here is one group long
+    imfs = _segment_sets(spot, fut, list(groups))
+    fn = make_ratio_fn(method, spot, fut, h, imf_index=imf_index, imfs=imfs, groups=groups)
     for train, first in (((1, 3), "1-1"), ((0, 2, 4), "0-0"), ((3,), "3-3")):
         (got,) = fn([train])
         assert isinstance(got, InsufficientDataError)
@@ -188,11 +200,17 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
                     assert lags == [want.lags], (h, train)
 
 
+# the first 20 of the 56 splits of 8 groups at k=3, and training on groups 0-2 only
+TRAINS = [train for _, train in enumerate_splits(8, 3).splits[:20]] + [(0, 1, 2)]
+
+
 @lru_cache(maxsize=None)
-def _segment_imfs(case) -> SegmentImfs:
-    """One per-segment decomposition store per case, shared by its examples."""
+def _segment_imfs(case) -> dict:
+    """The decompositions of every training segment of ``TRAINS``, per case,
+    shared by its examples."""
     spot, fut, _, _ = _legs(case)
-    return SegmentImfs(spot, fut)
+    groups = partition(spot, Scheme.EQUAL_COUNT, 8).groups
+    return _segment_sets(spot, fut, _training_segments(groups, TRAINS))
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,9 +233,7 @@ def _segment_imfs(case) -> SegmentImfs:
 def test_a_splits_outcome_does_not_depend_on_its_batch(method, case, h, order, size, scope):
     spot, fut, s_set, f_set = _legs(case)
     groups = partition(spot, Scheme.EQUAL_COUNT, 8).groups
-    # the first 20 of the 56 splits at k=3, and training on groups 0-2 only
-    trains = [train for _, train in enumerate_splits(8, 3).splits[:20]] + [(0, 1, 2)]
-    batch = [trains[i] for i in order[:size]]
+    batch = [TRAINS[i] for i in order[:size]]
     imfs = (s_set, f_set) if scope == "full" else _segment_imfs(case)
     fn = make_ratio_fn(method, spot, fut, h, imf_index=1, imfs=imfs, groups=groups)
     for train, got in zip(batch, fn(batch), strict=True):
@@ -228,7 +244,7 @@ def test_a_splits_outcome_does_not_depend_on_its_batch(method, case, h, order, s
             assert abs(got - want) <= 1e-12 * abs(want), train
 
 
-def test_a_too_short_training_segment_is_decomposed_once_and_left_out_of_its_blocks(monkeypatch):
+def test_a_too_short_training_segment_is_left_out_of_its_blocks():
     # T=30 in 5 groups of 6: a one-group training segment is shorter than
     # MIN_SAMPLES, longer ones decompose
     s0, f0 = gen_coint_pair(SynthSpec(length=100, seed=2, coint=CointSpec()))
@@ -236,31 +252,19 @@ def test_a_too_short_training_segment_is_decomposed_once_and_left_out_of_its_blo
     fut = PriceSeries(s0.timestamps[:30], f0.values[:30])
     groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
     trains = [train for _, train in enumerate_splits(5, 2).splits]
-    segments = {seg for train in trains for seg in restrict(spot, [groups[g] for g in train])}
-    calls = []
-
-    def counting_decompose_all(xs, cfg):
-        calls.append([len(x) for x in xs])
-        return decompose_all(xs, cfg)
-
-    monkeypatch.setattr(methods, "decompose_all", counting_decompose_all)
-    store = SegmentImfs(spot, fut)
+    segments = _training_segments(groups, trains)
+    # each distinct segment once, in (first group, last group) order
+    distinct = {seg for train in trains for seg in restrict(spot, [groups[g] for g in train])}
+    assert segments == sorted(distinct, key=lambda seg: (seg.start, seg.stop))
+    imfs = _segment_sets(spot, fut, segments)
+    short = [seg for seg in segments if len(seg) < MIN_SAMPLES]
+    assert len(short) == 5
+    assert all(isinstance(found, InsufficientDataError) for seg in short for found in imfs[seg])
     fns = [
-        make_ratio_fn(method, spot, fut, 1, imf_index=1, imfs=store, groups=groups)
+        make_ratio_fn(method, spot, fut, 1, imf_index=1, imfs=imfs, groups=groups)
         for method in (Method.VEMD, Method.SEMD)
     ]
     runs = [fn(trains) for fn in fns + fns]
-    # one lockstep call decomposes every (leg, segment) once; later calls decompose none
-    assert sorted(calls[0]) == sorted(len(seg) for seg in segments for _ in range(2))
-    assert all(c == [] for c in calls[1:])
-    short = [seg for seg in segments if len(seg) < MIN_SAMPLES]
-    assert len(short) == 5
-    assert {(leg, seg) for leg, seg, _ in store.decomposed()} == {
-        (leg, seg) for leg in ("spot", "futures") for seg in segments if seg not in short
-    }
-    for seg in short:
-        with pytest.raises(InsufficientDataError):
-            store[seg]
     for out in runs:
         by_train = dict(zip(trains, out))
         # groups 1-1 are left out, groups 3-4 still fitted
@@ -269,15 +273,6 @@ def test_a_too_short_training_segment_is_decomposed_once_and_left_out_of_its_blo
         assert type(err) is InsufficientDataError
         cause = f"need at least {MIN_SAMPLES} samples to decompose"
         assert str(err) == f"no training segment yields rows at horizon 1 (groups 0-0: {cause})"
-    # memoized errors re-raise with the same class and message on every lookup
+    # stored errors re-raise with the same class and message on every lookup
     for a, b in zip(runs, runs[2:]):
         assert [(type(o), str(o)) for o in a] == [(type(o), str(o)) for o in b]
-
-
-def test_a_store_of_another_series_pair_is_refused():
-    spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
-    other, _ = gen_coint_pair(SynthSpec(length=400, seed=5, coint=CointSpec()))
-    for store in (SegmentImfs(other, fut), SegmentImfs(spot, other)):
-        for method in (Method.MV, Method.VEMD):
-            with pytest.raises(ValueError, match="another series pair"):
-                make_ratio_fn(method, spot, fut, 5, imf_index=1, imfs=store)

@@ -149,6 +149,13 @@ class TestLoadCsv:
         rows[line - 2] = f"{cell},1,2"
         assert self._error(tmp_path, rows) == f":{line}: unparseable date '{cell}'"
 
+    def test_a_blank_line_counts_as_a_file_line(self, tmp_path):
+        p = tmp_path / "bl.csv"
+        p.write_text("date,spot,futures\n2020-01-01,1,2\n\n2020-01-02,1,2\nbad,1,2\n")
+        with pytest.raises(DataError) as info:
+            load_csv(p)
+        assert str(info.value) == f"{p}:5: unparseable date 'bad'"
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)
         vals_s = np.exp(rng.normal(0, 1, 50))
