@@ -716,7 +716,19 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+# subcommand -> the pipeline stages it runs
+_STAGES_OF = {
+    "decompose": ("decompose",),
+    "hedge": ("decompose", "insample"),
+    "cv": ("decompose", "cv"),
+    "analyze": ("decompose", "preliminary", "cv", "determinants"),
+    "pipeline": STAGES,
+}
+
+
+def _parser(flagged: Iterable[str]) -> _Parser:
+    """The command-line parser; of the pipeline subcommands, those in
+    ``flagged`` get the common flags."""
     parser = _Parser(prog="emdhedge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -732,22 +744,26 @@ def main(argv: list[str] | None = None) -> int:
     p_synth.add_argument("--phi", type=float, default=0.8)
     p_synth.add_argument("--basis-sigma", dest="basis_sigma", type=float, default=0.005)
 
-    stage_of = {
-        "decompose": ("decompose",),
-        "hedge": ("decompose", "insample"),
-        "cv": ("decompose", "cv"),
-        "analyze": ("decompose", "preliminary", "cv", "determinants"),
-        "pipeline": STAGES,
-    }
-    for name in stage_of:
-        _add_common_flags(sub.add_parser(name))
+    for name in _STAGES_OF:
+        p = sub.add_parser(name)
+        if name in flagged:
+            _add_common_flags(p)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the invoked subcommand needs its flags. argparse takes the first
+    # argument not starting with "-" as the subcommand (the top level has no
+    # option that takes a value); where that is not a subcommand, argparse
+    # fails at the top level, whose usage and help show no subcommand flags
+    parser = _parser(flagged=[next((a for a in argv if not a.startswith("-")), None)])
     try:
         args = parser.parse_args(argv)
         if args.command == "synth":
             return _cmd_synth(args)
         cfg = parse_config(args)
-        run_pipeline(cfg, stages=stage_of[args.command])
+        run_pipeline(cfg, stages=_STAGES_OF[args.command])
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

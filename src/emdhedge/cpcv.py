@@ -205,7 +205,8 @@ def _reduce_rows(values: np.ndarray, keep: np.ndarray, reduce) -> np.ndarray:
     count, so an excluded value must be dropped, not zero-filled or masked."""
     out = np.full(len(values), np.nan)
     counts = keep.sum(axis=1)
-    for n in np.unique(counts[counts > 0]).tolist():
+    # a set, not np.unique: its first call in a process imports numpy.ma
+    for n in sorted(set(counts[counts > 0].tolist())):
         rows = counts == n
         out[rows] = reduce(values[rows][keep[rows]].reshape(-1, n), axis=1)
     return out

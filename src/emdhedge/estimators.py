@@ -295,49 +295,59 @@ def _with_u(block: np.ndarray, a, b, include_u: bool) -> np.ndarray:
 def _eecm_select(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
     """(m, n, rms): per R factor in the stack ``r``, of [base, dS lags 1..L,
     dF lags 1..L | dS] on ``nobs`` rows, the AIC-best lag counts (m = -1
-    where no candidate can be fit); rms[m] stacks the R factors of
-    [base, m dS lags, all dF lags | dS].
+    where no candidate can be fit); rms maps each winning m to the stacked
+    R factors of [base, m dS lags, all dF lags | dS].
 
-    Candidate (m, n) uses a column subset of R: for each m, one batched QR
-    of R's columns [base, m dS lags, all dF lags, dS] gives the SSE of every
-    n as a tail sum of squares of its last column. The rank rule runs once
-    on the full design, which by singular-value interlacing covers every
-    candidate; only where it fails is each candidate checked on its own
+    Candidate (m, n) is the first p = n_base + m + n columns of R's column
+    set [base, m dS lags, all dF lags, dS]. The leading n_base + m columns
+    of that set are R's own, upper triangular with exact zeros below the
+    diagonal, so each Householder step LAPACK takes on them reflects a zero
+    sub-column (tau = 0) and changes nothing: the set's R is R's first
+    n_base + m rows stacked over the R of the trailing block R[n_base + m:,
+    dF lags + dS], bit for bit. So per m one QR of that (L+1)-column block
+    gives the SSE of every n as the tail sum of squares of its last column,
+    and one reversed cumsum gives them all. AIC is ``_aic``'s
+    n ln(SSE/n) + 2p with ``math.log``, as there: ``np.log``'s SIMD loop
+    need not round as libm does. The rank rule runs once on the full design,
+    which by singular-value interlacing covers every candidate; only where
+    it fails is each candidate that has enough rows checked on its own
     subset of R's columns (same singular values as its design). Ties break
     to smaller m+n, then m.
     """
     n_cols = n_base + 2 * max_lag
     lags = np.arange(max_lag + 1)
-    # splits whose full design fails the rank rule and that have candidates
-    deficient = ~_full_rank(np.linalg.svd(r[:, :, :n_cols], compute_uv=False), nobs, n_cols)
-    deficient &= nobs > n_base + 1
-    ds_cols = list(range(n_base, n_base + max_lag))
-    df_cols = list(range(n_base + max_lag, n_cols))
-    aic = np.full((len(r), max_lag + 1, max_lag + 1), np.nan)  # NaN: not fit
-    rms = []
-    for m in range(max_lag + 1):
-        cols = list(range(n_base)) + ds_cols[:m] + df_cols
-        rm = np.linalg.qr(r[:, :, cols + [n_cols]], mode="r")
-        rms.append(rm)
-        p = n_base + m + lags
-        fit = nobs[:, None] > p + 1
-        if deficient.any():
-            for n_ in range(max_lag + 1):
-                sv = np.linalg.svd(r[deficient][:, :, cols[: p[n_]]], compute_uv=False)
-                fit[deficient, n_] &= _full_rank(sv, nobs[deficient], p[n_])
-        # the SSE of the first p columns is the tail sum of squares of the
-        # last column (zero past its end)
-        y2 = rm[:, :, -1] ** 2
-        tails = np.append(np.cumsum(y2[:, ::-1], axis=1)[:, ::-1], np.zeros((len(r), 1)), axis=1)
-        sse = tails[:, np.minimum(p, y2.shape[1])]
-        n_b, p_b = np.broadcast_arrays(nobs[:, None], p)
-        aic[:, m][fit] = [_aic(*c) for c in zip(sse[fit].tolist(), n_b[fit].tolist(), p_b[fit].tolist())]
+    p = n_base + lags[:, None] + lags  # coefficients of candidate (m, n) at [m, n]
+    fit = nobs[:, None, None] > p + 1
+    # candidates of the splits whose full design fails the rank rule
+    check = fit & ~_full_rank(np.linalg.svd(r[:, :, :n_cols], compute_uv=False), nobs, n_cols)[:, None, None]
+    for m, n_ in zip(*np.nonzero(check.any(axis=0))):
+        s = check[:, m, n_]
+        cols = list(range(n_base + m)) + list(range(n_base + max_lag, n_base + max_lag + n_))
+        fit[s, m, n_] = _full_rank(np.linalg.svd(r[s][:, :, cols], compute_uv=False), nobs[s], p[m, n_])
+    tail = list(range(n_base + max_lag, n_cols + 1))  # dF lags 1..L, dS
+    tails = [np.linalg.qr(r[:, n_base + m :, tail], mode="r") for m in range(max_lag + 1)]
+    # y[:, m]: the trailing block's last column, zero past its end
+    y = np.zeros((len(r), max_lag + 1, max_lag + 1))
+    for m, rt in enumerate(tails):
+        y[:, m, : rt.shape[1]] = rt[:, :, -1]
+    sse = np.cumsum(y[..., ::-1] ** 2, axis=-1)[..., ::-1]
+    aic = np.where(fit, -np.inf, np.nan)  # NaN: not fit
+    pos = fit & (sse > 0.0)
+    n_pos = np.broadcast_to(nobs[:, None, None], fit.shape)[pos]
+    logs = np.array(list(map(math.log, (sse[pos] / n_pos).tolist())))
+    aic[pos] = n_pos * logs + 2 * np.broadcast_to(p, fit.shape)[pos]
     fit = ~np.isnan(aic)
     best = np.where(fit, aic, np.inf).min(axis=(1, 2))
     order = (lags[:, None] + lags) * (max_lag + 1) + lags[:, None]  # (m + n, m) at [m, n]
     key = np.where(fit & (aic == best[:, None, None]), order, order.max() + 1)
     m, n_ = np.divmod(key.reshape(len(r), order.size).argmin(axis=1), max_lag + 1)
     m[~fit.any(axis=(1, 2))] = -1
+    rms = {}
+    for w in set(m[m >= 0].tolist()):
+        k, cols = n_base + w, list(range(n_base + w)) + tail
+        rms[w] = np.zeros((len(r), min(r.shape[1], len(cols)), len(cols)))
+        rms[w][:, :k] = r[:, :k, cols]
+        rms[w][:, k:, k:] = tails[w]
     return m, n_, rms
 
 

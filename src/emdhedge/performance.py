@@ -7,6 +7,7 @@ position (n-1)*alpha + 1 so outputs are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -99,13 +100,27 @@ def he_variance(spot_ret: np.ndarray, portfolio: np.ndarray) -> Effectiveness:
 def var_quantile(returns: np.ndarray, alpha: float) -> float | np.ndarray:
     """Empirical alpha-quantile, linear interpolation between order statistics
     at 1-based position (n-1)*alpha + 1; taken along the last axis, so a
-    2-D input gives one quantile per row."""
+    2-D input gives one quantile per row, NaN for a row holding NaN.
+
+    This is ``np.quantile(..., method="linear")`` bit for bit, without its
+    wrapper: one partition on numpy's own kth set places the order
+    statistics a and b, and numpy's interpolation steps follow, a + (b - a) g,
+    or b - (b - a)(1 - g) where g >= 0.5."""
     returns = np.asarray(returns, dtype=float)
-    if returns.shape[-1] < VAR_MIN_OBS:
-        raise InsufficientDataError(f"need >= {VAR_MIN_OBS} observations, got {returns.shape[-1]}")
+    n = returns.shape[-1]
+    if n < VAR_MIN_OBS:
+        raise InsufficientDataError(f"need >= {VAR_MIN_OBS} observations, got {n}")
     if not (0.0 < alpha <= 0.5):
         raise DataError("alpha must be in (0, 0.5]")
-    q = np.quantile(returns, alpha, axis=-1, method="linear")
+    pos = (n - 1) * alpha  # below n - 1, so b is an order statistic too
+    lo = math.floor(pos)
+    g = pos - lo
+    # numpy's kth set, so equal values land where np.quantile puts them and a
+    # row's NaN in its last place
+    part = np.partition(returns, sorted({0, lo, lo + 1, n - 1}), axis=-1)
+    a, b, last = part[..., lo], part[..., lo + 1], part[..., -1]
+    q = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+    q = np.where(np.isnan(last), last, q)
     return float(q) if returns.ndim == 1 else q
 
 

@@ -961,3 +961,43 @@ def test_the_cli_contract_holds_for_drawn_configs(
             for name in ("cv_variance_reduction.csv", "cv_var.csv"):
                 assert name not in manifest["artifacts"] or _a_cell_is_finite(outdir / name)
         assert _unexplained_nans(outdir) == []
+
+
+def _parse_outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["-h", "pipeline"],
+        *([name, "--help"] for name in ("synth", *cli._STAGES_OF)),
+        ["pipeline", "-h", "--max-lag", "3"],
+        ["pipeline", "--bogus", "1"],
+        ["cv", "--max-lag"],
+        ["hedge", "--input"],
+        ["synth", "--length", "abc"],
+        ["nope", "--input", "x"],
+        ["--input", "x", "pipeline"],
+        ["-", "pipeline", "--help"],
+        ["--", "pipeline", "--help"],
+        ["", "cv", "--help"],
+        ["--bogus", "analyze", "--help"],
+        ["decompose", "--k", "3", "pipeline"],
+    ],
+)
+def test_only_the_invoked_subcommand_gets_the_common_flags(argv, capsys, monkeypatch):
+    # help, usage and errors read as from a parser that gives every
+    # subcommand its flags
+    got = _parse_outcome(argv, capsys)
+    build = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda flagged: build(cli._STAGES_OF))
+    assert got == _parse_outcome(argv, capsys)
+    assert got[0] in (1, ("exit", 0))

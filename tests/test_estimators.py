@@ -13,6 +13,9 @@ from emdhedge.errors import (
 )
 from emdhedge.estimators import (
     MIN_OBS,
+    _aic,
+    _eecm_select,
+    _full_rank,
     Method,
     aemd_ratio,
     aggregate_imfs,
@@ -305,6 +308,140 @@ class TestEecmLagSearch:
         assert est.lags == lags
         assert est.lags[1] <= 2
         assert abs(est.ratio - ratio) <= 1e-12
+
+
+# ``_eecm_select`` as it was when it QR-factored every candidate column set
+# whole, kept verbatim as the oracle of the trailing-block search
+def eecm_select_oracle(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
+    """(m, n, rms): per R factor in the stack ``r``, of [base, dS lags 1..L,
+    dF lags 1..L | dS] on ``nobs`` rows, the AIC-best lag counts (m = -1
+    where no candidate can be fit); rms[m] stacks the R factors of
+    [base, m dS lags, all dF lags | dS].
+
+    Candidate (m, n) uses a column subset of R: for each m, one batched QR
+    of R's columns [base, m dS lags, all dF lags, dS] gives the SSE of every
+    n as a tail sum of squares of its last column. The rank rule runs once
+    on the full design, which by singular-value interlacing covers every
+    candidate; only where it fails is each candidate checked on its own
+    subset of R's columns (same singular values as its design). Ties break
+    to smaller m+n, then m.
+    """
+    n_cols = n_base + 2 * max_lag
+    lags = np.arange(max_lag + 1)
+    # splits whose full design fails the rank rule and that have candidates
+    deficient = ~_full_rank(np.linalg.svd(r[:, :, :n_cols], compute_uv=False), nobs, n_cols)
+    deficient &= nobs > n_base + 1
+    ds_cols = list(range(n_base, n_base + max_lag))
+    df_cols = list(range(n_base + max_lag, n_cols))
+    aic = np.full((len(r), max_lag + 1, max_lag + 1), np.nan)  # NaN: not fit
+    rms = []
+    for m in range(max_lag + 1):
+        cols = list(range(n_base)) + ds_cols[:m] + df_cols
+        rm = np.linalg.qr(r[:, :, cols + [n_cols]], mode="r")
+        rms.append(rm)
+        p = n_base + m + lags
+        fit = nobs[:, None] > p + 1
+        if deficient.any():
+            for n_ in range(max_lag + 1):
+                sv = np.linalg.svd(r[deficient][:, :, cols[: p[n_]]], compute_uv=False)
+                fit[deficient, n_] &= _full_rank(sv, nobs[deficient], p[n_])
+        # the SSE of the first p columns is the tail sum of squares of the
+        # last column (zero past its end)
+        y2 = rm[:, :, -1] ** 2
+        tails = np.append(np.cumsum(y2[:, ::-1], axis=1)[:, ::-1], np.zeros((len(r), 1)), axis=1)
+        sse = tails[:, np.minimum(p, y2.shape[1])]
+        n_b, p_b = np.broadcast_arrays(nobs[:, None], p)
+        aic[:, m][fit] = [_aic(*c) for c in zip(sse[fit].tolist(), n_b[fit].tolist(), p_b[fit].tolist())]
+    fit = ~np.isnan(aic)
+    best = np.where(fit, aic, np.inf).min(axis=(1, 2))
+    order = (lags[:, None] + lags) * (max_lag + 1) + lags[:, None]  # (m + n, m) at [m, n]
+    key = np.where(fit & (aic == best[:, None, None]), order, order.max() + 1)
+    m, n_ = np.divmod(key.reshape(len(r), order.size).argmin(axis=1), max_lag + 1)
+    m[~fit.any(axis=(1, 2))] = -1
+    return m, n_, rms
+
+
+def _stacks(seed, splits, rows, cols, kind):
+    """R factors of (splits, rows, cols) random designs; ``kind`` repeats a
+    column, makes one nearly collinear, or leaves them random."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(splits, rows, cols))
+    if kind == "repeated" and cols > 3:
+        x[:, :, -2] = x[:, :, 1]
+    if kind == "near-collinear" and cols > 3:
+        x[:, :, 2] = x[:, :, 1] + 1e-9 * rng.normal(size=(splits, rows))
+    return np.linalg.qr(x, mode="r")
+
+
+class TestEecmTrailingBlock:
+    @pytest.mark.parametrize("kind", ["random", "repeated", "near-collinear"])
+    @pytest.mark.parametrize("max_lag, rows", [(0, 30), (1, 8), (3, 40), (10, 60), (10, 12)])
+    def test_a_column_sets_r_is_the_prefix_over_the_trailing_blocks_r(self, kind, max_lag, rows):
+        # the leading n_base + m columns are already upper triangular: LAPACK
+        # reflects only zero sub-columns there (tau = 0)
+        n_base = 3
+        r = _stacks(max_lag + rows, 5, rows, n_base + 2 * max_lag + 1, kind)
+        tail = list(range(n_base + max_lag, n_base + 2 * max_lag + 1))
+        for m in range(max_lag + 1):
+            k = n_base + m
+            cols = list(range(k)) + tail
+            whole = np.linalg.qr(r[:, :, cols], mode="r")
+            parts = np.zeros_like(whole)
+            parts[:, :k] = r[:, :k, cols]
+            parts[:, k:, k:] = np.linalg.qr(r[:, k:, tail], mode="r")
+            assert whole.tobytes() == parts.tobytes(), m
+
+    @pytest.mark.parametrize(
+        "case",
+        ["random", "repeated", "near-collinear", "few rows", "no rows", "short r", "max_lag 0", "max_lag 1"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_whole_column_set_search(self, case, seed):
+        rng = np.random.default_rng(seed)
+        max_lag = {"max_lag 0": 0, "max_lag 1": 1}.get(case, 10)
+        n_base = 3 if seed % 2 else 2
+        cols = n_base + 2 * max_lag + 1
+        # "short r": fewer rows than columns, as ``eecm_ratio`` factors a short sample
+        rows = 12 if case == "short r" else cols + 30
+        kind = case if case in ("repeated", "near-collinear") else "random"
+        r = _stacks(seed, 6, rows, cols, kind)
+        nobs = np.full(6, rows)
+        if case == "few rows":  # nobs <= p + 1 rules out most candidates of most splits
+            nobs = rng.integers(0, n_base + max_lag + 4, size=6)
+        if case == "no rows":
+            nobs[[1, 4]] = 0
+        want_m, want_n, want_rms = eecm_select_oracle(r, nobs, n_base, max_lag)
+        m, n_, rms = _eecm_select(r, nobs, n_base, max_lag)
+        assert m.tolist() == want_m.tolist() and n_.tolist() == want_n.tolist()
+        for s, w in enumerate(m.tolist()):
+            if w >= 0:
+                assert rms[w][s].tobytes() == want_rms[w][s].tobytes(), s
+
+    def test_a_deficient_design_takes_an_svd_only_per_candidate_with_enough_rows(self, monkeypatch):
+        # 10 rows at max_lag 10: only the 21 candidates with m + n <= 5 pass
+        # nobs > p + 1; a futures leg repeating every 4 days leaves the full
+        # design rank deficient too, so each of them is checked on its own
+        rng = np.random.default_rng(1)
+        lf = np.tile(4.0 + 0.02 * rng.normal(size=4), 6)[:21]
+        ls = 0.1 + 0.9 * lf + 0.005 * rng.normal(size=21)
+        spot, fut = price_series(np.exp(ls)), price_series(np.exp(lf))
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kw):
+            calls.append(args[0].shape)
+            return svd(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        est = eecm_ratio(spot, fut, 1, max_lag=10)
+        monkeypatch.undo()
+        lags, ratio, deficient = brute_force_eecm([spot.values], [fut.values], 1, 10, True)
+        assert deficient
+        assert est.lags == lags
+        assert abs(est.ratio - ratio) <= 1e-12 * abs(ratio)
+        # the cointegrating and the winner's ``ols``, the full design, then
+        # one per candidate that has enough rows
+        assert len(calls) == 2 + 1 + 21
 
 
 class TestPairImfs:

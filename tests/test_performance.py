@@ -12,6 +12,7 @@ from emdhedge.performance import (
     he_var,
     he_variance,
     moments,
+    VAR_MIN_OBS,
     var_quantile,
 )
 from emdhedge.series import log_returns
@@ -85,6 +86,31 @@ class TestVarQuantile:
         rng = np.random.default_rng(11)
         x = rng.normal(0, 1, 20_000)
         assert var_quantile(x, 0.05) == pytest.approx(-1.645, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "n, alpha",
+        [
+            (101, 0.25),  # (n-1) alpha = 25: integral, g = 0
+            (22, 0.5),  # (n-1) alpha = 10.5: g = 0.5 exactly
+            (VAR_MIN_OBS, 0.05),
+            (VAR_MIN_OBS, 0.5),
+            (250, 0.05),
+            (57, 0.013),
+        ],
+    )
+    def test_is_np_quantile_bit_for_bit(self, n, alpha):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(5, n))
+        x[1] = np.round(x[1], 1)  # ties
+        x[2, n // 3] = np.nan
+        x[3, :4] = x[3, 4:8] = 0.0
+        x[3, :4] = -0.0  # signed zero ties
+        for got, want in [
+            (var_quantile(x, alpha), np.quantile(x, alpha, axis=-1, method="linear")),
+            *((var_quantile(row, alpha), np.quantile(row, alpha, method="linear")) for row in x),
+        ]:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.isnan(var_quantile(x, alpha)[2])
 
 
 class TestHeVar:
