@@ -621,9 +621,10 @@ def _cv_partition(state: PipelineState) -> GroupPartition:
 def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
     """Run the selected stages and write the manifest; returns the out dir.
 
-    A stage that raises ends the run with a ``failed`` manifest; the error is
-    then re-raised as a ``DataError`` if it was one, else as a
-    ``NumericError``, so the CLI exits 2 or 3.
+    A stage that raises ends the run with a ``failed`` manifest (a float
+    overflow, division by zero or invalid operation raises
+    ``FloatingPointError``); the error is then re-raised as a ``DataError``
+    if it was one, else as a ``NumericError``, so the CLI exits 2 or 3.
     """
     _, n_groups = cfg.partition_scheme()
     if "cv" in stages and n_groups is not None and (why := why_too_few_paths(n_groups, cfg.k)):
@@ -640,9 +641,12 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
         "determinants": _emit_determinants,
     }
     try:
-        for stage in STAGES:
-            if stage in stages:
-                stage_fns[stage](state)
+        # float overflow, division by zero and invalid operations fail their
+        # stage; underflow does not, as paper-scale runs underflow legitimately
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for stage in STAGES:
+                if stage in stages:
+                    stage_fns[stage](state)
     except Exception as exc:  # any failure, expected or not, ends the run with a manifest
         status = "failed"
         failed_stage = stage

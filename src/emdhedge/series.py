@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+# the accepted price range: squares and products of prices stay finite and
+# normal, so a float exception in a run points at the method, not the input
+_PRICE_MIN, _PRICE_MAX = 2.0**-511, 2.0**511
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -74,11 +79,12 @@ def load_csv(
     n_dropped).
 
     Each kept row is checked in turn for a date that does not parse (a blank
-    or ``NaT`` one included), a price that does not parse, a price that is
-    not finite and positive, and a date not after the previous row's; the
-    first line with a fault is named, by its line in the file: the header is
-    line 1, blank lines count, and a row that spans lines (a quoted cell with
-    a line break) is named by its last line.
+    or ``NaT`` one included), a price that does not parse, a price outside
+    [2^-511, 2^511) (one that is not finite and positive included), and a
+    date not after the previous row's; the first line with a fault is named,
+    by its line in the file: the header is line 1, blank lines count, and a
+    row that spans lines (a quoted cell with a line break) is named by its
+    last line.
     """
     path = Path(path)
     if not path.exists():
@@ -163,7 +169,8 @@ def _parse_columns(path: Path, lines: list[int], dates: list[str], spots: list[s
     # the rows before the first unparsed one, checked for values and order
     stop = min(bad_date, bad_price)
     ts, s, f = ts[:stop], s[:stop], f[:stop]
-    bad_value = np.flatnonzero(~(np.isfinite(s) & np.isfinite(f) & (s > 0) & (f > 0)))
+    in_range = (s >= _PRICE_MIN) & (s < _PRICE_MAX) & (f >= _PRICE_MIN) & (f < _PRICE_MAX)
+    bad_value = np.flatnonzero(~in_range)  # NaN is out of range too
     bad_order = np.flatnonzero(ts[1:] <= ts[:-1]) + 1
     first = [int(rows[0]) if len(rows) else n for rows in (bad_value, bad_order)]
     # within one line a date fault comes first, then price parse, value and order
@@ -176,6 +183,8 @@ def _parse_columns(path: Path, lines: list[int], dates: list[str], spots: list[s
     if kind == 1:
         raise DataError(f"{where}: unparseable price")
     if kind == 2:
+        if all(0.0 < v < np.inf for v in (s[row], f[row])):
+            raise DataError(f"{where}: price outside [2^-511, 2^511)")
         raise DataError(f"{where}: non-positive or non-finite price")
     raise DataError(f"{where}: duplicated or out-of-order date {ts[row]}")
 

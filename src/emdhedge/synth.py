@@ -1,11 +1,15 @@
 """Seeded synthetic series with known ground truth (cycles, slopes, basis).
 
-Randomness comes from the Philox 4x64 counter-based generator with Gaussian
-draws via the inverse normal CDF, so identical specs produce bit-identical
-streams on every platform. The inverse CDF is a numpy port of the Cephes
-``ndtri`` (Moshier, *Methods and Programs for Mathematical Functions*, 1989),
-bit-identical to ``scipy.special.ndtri``. Draw order is fixed: futures-walk
-innovations first, then basis innovations, then the initial basis value.
+Randomness comes from the Philox4x64-10 counter-based generator (Salmon,
+Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
+keyed by O'Neill's seed_seq hash of the seed, with Gaussian draws via the
+inverse normal CDF, so identical specs produce bit-identical streams on every
+platform. Generator and key are ported to numpy's core, bit-identical to the
+uniforms of numpy's own ``Generator(Philox(seed))``, which is never imported.
+The inverse CDF is a numpy port of the Cephes ``ndtri`` (Moshier, *Methods
+and Programs for Mathematical Functions*, 1989), bit-identical to
+``scipy.special.ndtri``. Draw order is fixed: futures-walk innovations first,
+then basis innovations, then the initial basis value.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.length < 100:
             raise DataError("length must be >= 100")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
         for period, _ in self.tones:
             if period < 4:
                 raise DataError("tone periods must be >= 4 samples")
@@ -126,9 +132,88 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Standard normals via inverse CDF of Philox uniforms (portable)."""
-    u = rng.random(n)
+# numpy's SeedSequence (O'Neill, "PCG: A Family of Simple Fast
+# Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", HMC-CS-2014-0905): 32-bit hash constants, 4-word pool
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# Philox4x64-10: round multipliers and Weyl key increments
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_LO32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+
+
+def _philox_key(seed: int) -> tuple[int, int]:
+    """numpy's ``SeedSequence(seed).generate_state(2, np.uint64)`` for an int
+    seed >= 0: the seed's little-endian 32-bit words hashed into a 4-word
+    pool (words past the fourth mixed in afterwards), then four output words
+    drawn from it and paired into two 64-bit words."""
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    out = []
+    hash_const = _INIT_B
+    for word in pool:
+        word ^= hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const & _MASK32
+        out.append(word ^ word >> 16)
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of the 128-bit products ``m * x``, the
+    high one summed from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    ll, lh, hl = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
+    mid = (ll >> _SHIFT32) + (lh & _LO32) + (hl & _LO32)
+    hi = x_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, x * np.uint64(m)
+
+
+def _uniforms(seed: int, n: int) -> np.ndarray:
+    """The first ``n`` doubles in [0, 1) of numpy's
+    ``Generator(Philox(seed)).random``: Philox4x64-10 blocks, block b on
+    counter (b + 1, 0, 0, 0) since numpy bumps the counter before each block,
+    their four words in order, each word x giving ``(x >> 11) * 2**-53``."""
+    k0, k1 = _philox_key(seed)
+    blocks = -(-n // 4)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(blocks, dtype=np.uint64)
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
+    x = np.stack([c0, c1, c2, c3], axis=1).ravel()[:n]
+    return (x >> np.uint64(11)) * 2.0**-53
+
+
+def _normals(u: np.ndarray) -> np.ndarray:
+    """Standard normals via inverse CDF of uniforms (portable)."""
     return _ndtri(np.clip(u, 1e-15, 1.0 - 1e-16))
 
 
@@ -145,8 +230,7 @@ def gen_tones(spec: SynthSpec) -> PriceSeries:
         x += amplitude * np.sin(2.0 * math.pi * t / period)
     x += spec.trend_slope * t
     if spec.noise_sigma > 0.0:
-        rng = np.random.Generator(np.random.Philox(spec.seed))
-        x += spec.noise_sigma * _normals(rng, spec.length)
+        x += spec.noise_sigma * _normals(_uniforms(spec.seed, spec.length))
     offset = 1.0 - min(0.0, float(x.min()))
     return PriceSeries(
         timestamps=_timestamps(spec.length),
@@ -164,10 +248,8 @@ def gen_coint_pair(spec: SynthSpec) -> tuple[PriceSeries, PriceSeries]:
         raise DataError("coint parameters required")
     c = spec.coint
     n = spec.length
-    rng = np.random.Generator(np.random.Philox(spec.seed))
-    walk_z = _normals(rng, n - 1)
-    basis_z = _normals(rng, n - 1)
-    u0_z = _normals(rng, 1)[0]
+    z = _normals(_uniforms(spec.seed, 2 * n - 1))
+    walk_z, basis_z, u0_z = z[: n - 1], z[n - 1 : -1], z[-1]
 
     log_f = np.empty(n)
     log_f[0] = math.log(c.start_price)

@@ -172,6 +172,13 @@ class TestSynthCommand:
         assert f"usage error: argument {flags[-2]}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_negative_seed_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "pair.csv"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: seed must be >= 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("target", ["directory", "below a file"])
     def test_an_unwritable_out_is_a_usage_error(self, target, tmp_path, capsys):
         blocker = tmp_path / "taken"
@@ -254,13 +261,14 @@ def test_cli_import_leaves_scipy_stats_and_interpolate_unloaded():
 _NO_SCIPY_RUN = """
 import importlib.abc, sys
 
-class RefuseScipy(importlib.abc.MetaPathFinder):
+class Refuse(importlib.abc.MetaPathFinder):
+    # scipy, and numpy.random with the secrets (hashlib, OpenSSL) it loads
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError(f"scipy import refused: {name}")
+        if name.split(".")[0] == "scipy" or name.startswith("numpy.random") or name == "secrets":
+            raise ImportError(f"import refused: {name}")
         return None
 
-sys.meta_path.insert(0, RefuseScipy())
+sys.meta_path.insert(0, Refuse())
 from emdhedge.analysis import significance_stars
 from emdhedge.cli import main
 
@@ -272,7 +280,7 @@ rcs = [
 # a short pipeline has too few rows for the determinant regressions, so the
 # p-values are exercised directly, one of them at a near-tie (dof 5, p ~ 0.10)
 stars = [significance_stars(t, 5) for t in (0.5, 2.015048373333024, 4.5)]
-print(rcs, stars, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(rcs, stars, sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.random")))
 """
 
 
@@ -696,6 +704,43 @@ class TestFailedStageExitCodes:
         assert (manifest["status"], manifest["failed_stage"]) == ("failed", "insample")
         assert any("KeyError" in w for w in manifest["warnings"])
         assert "decomposition_spot.csv" in manifest["artifacts"]
+
+
+class TestFloatingPointPolicy:
+    """Prices in [2^-511, 2^511) load; a float overflow, division by zero or
+    invalid operation in a stage fails it (exit 3), never a bare warning."""
+
+    @staticmethod
+    def _scaled(tmp_path, factor):
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "400", "--seed", "0"])
+        with pair.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        scaled = [rows[0]] + [[d, repr(float(s) * factor), repr(float(f) * factor)] for d, s, f in rows[1:]]
+        path = tmp_path / "scaled.csv"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(scaled)
+        return path
+
+    @pytest.mark.parametrize("factor", [1e160, 1e-300])
+    def test_a_price_outside_the_range_is_a_data_error_naming_its_line(self, factor, tmp_path, capsys):
+        path = self._scaled(tmp_path, factor)
+        outdir = tmp_path / "out"
+        assert main(["cv", "--input", str(path), "--out", str(outdir), "--partition", "equal:5"]) == 2
+        assert capsys.readouterr().err == f"data error: {path}:2: price outside [2^-511, 2^511)\n"
+        assert not outdir.exists()
+
+    def test_an_overflow_in_a_stage_exits_3_with_a_failed_manifest(self, tmp_path, capfd):
+        # scaled by 2^502 every price stays below 2^511, but the sift's squares overflow
+        path = self._scaled(tmp_path, 2.0**502)
+        outdir = tmp_path / "out"
+        assert main(["cv", "--input", str(path), "--out", str(outdir), "--partition", "equal:5"]) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("numeric error: pipeline stage 'decompose' failed: FloatingPointError")
+        assert "Warning" not in err and "Traceback" not in err
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"]) == ("failed", "decompose")
+        assert "FloatingPointError" in manifest["warnings"][-1]
 
 
 class TestBadConfigFailsUpFront:

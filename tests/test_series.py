@@ -106,10 +106,26 @@ class TestLoadCsv:
             ("2019-12-31,x,2", "unparseable price"),
             ("2019-12-31,1,0", "non-positive or non-finite price"),
             ("2019-12-31,-inf,2", "non-positive or non-finite price"),
+            ("notadate,1e160,2", "unparseable date 'notadate'"),
+            ("2020-01-02,1e-300,y", "unparseable price"),
+            ("2019-12-31,1e160,2", "price outside [2^-511, 2^511)"),
+            ("2019-12-31,1,1e-300", "price outside [2^-511, 2^511)"),
+            ("2019-12-31,1e160,-1", "non-positive or non-finite price"),
         ],
     )
     def test_within_a_line_date_then_price_parse_then_value_then_order(self, tmp_path, line, message):
         assert self._error(tmp_path, ["2020-01-01,1,2", line]) == f":3: {message}"
+
+    def test_the_price_range_is_closed_below_and_open_above(self, tmp_path):
+        lo, hi = 2.0**-511, 2.0**511
+        below_lo, below_hi = float(np.nextafter(lo, 0.0)), float(np.nextafter(hi, 0.0))
+        p = tmp_path / "a.csv"
+        p.write_text(f"date,spot,futures\n2020-01-01,{lo!r},1\n2020-01-02,1,{below_hi!r}\n")
+        spot, fut, _ = load_csv(p)
+        assert (spot.values[0], fut.values[1]) == (lo, below_hi)
+        for bad in (below_lo, hi):
+            rows = ["2020-01-01,1,2", f"2020-01-02,{bad!r},2"]
+            assert self._error(tmp_path, rows) == ":3: price outside [2^-511, 2^511)"
 
     def test_a_row_with_a_blank_price_is_dropped_before_its_date_is_read(self, tmp_path):
         p = tmp_path / "a.csv"

@@ -4,7 +4,15 @@ import pytest
 from emdhedge.emd import decompose
 from emdhedge.errors import DataError
 from emdhedge.estimators import mv_ratio
-from emdhedge.synth import CointSpec, SynthSpec, _ndtri, _normals, gen_coint_pair, gen_tones
+from emdhedge.synth import (
+    CointSpec,
+    SynthSpec,
+    _ndtri,
+    _normals,
+    _uniforms,
+    gen_coint_pair,
+    gen_tones,
+)
 
 
 class TestGenTones:
@@ -86,15 +94,52 @@ class TestGenCointPair:
         assert np.all(deltas == 1)
 
 
+def _numpy_uniforms(seed: int, n: int) -> np.ndarray:
+    """numpy's own Philox stream, the oracle of the port (tests only)."""
+    return np.random.Generator(np.random.Philox(seed)).random(n)
+
+
+# 2^32 - 1 and 2^32 straddle the one- to two-word seed split; 2^128 + 7 and
+# 2^200 + 99 have words past the fourth, mixed into the pool afterwards
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 7, 2**200 + 99)
+
+
+class TestUniforms:
+    """The Philox4x64-10 and SeedSequence port against numpy.random."""
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_bit_identical_on_edge_seeds(self, seed):
+        for n in (*range(13), 499, 1000, 1001, 4001):
+            assert _uniforms(seed, n).tobytes() == _numpy_uniforms(seed, n).tobytes()
+
+    def test_bit_identical_on_random_63_bit_seeds(self):
+        rng = np.random.default_rng(26)
+        seeds = rng.integers(0, 2**63, 200, dtype=np.uint64).tolist()
+        counts = rng.integers(0, 4002, 200).tolist()
+        for seed, n in zip(seeds, counts):
+            assert _uniforms(seed, n).tobytes() == _numpy_uniforms(seed, n).tobytes()
+
+    def test_bit_identical_at_every_draw_count(self):
+        for n in range(4002):
+            assert _uniforms(2003, n).tobytes() == _numpy_uniforms(2003, n).tobytes()
+
+    @pytest.mark.parametrize("n", [100, 250, 4000])
+    def test_one_draw_continues_as_three(self, n):
+        # numpy's buffered stream: n - 1, n - 1 and 1 draws in a row are the
+        # 2n - 1 draws gen_coint_pair takes in one call
+        rng = np.random.Generator(np.random.Philox(11))
+        three = np.concatenate([rng.random(n - 1), rng.random(n - 1), rng.random(1)])
+        assert _uniforms(11, 2 * n - 1).tobytes() == three.tobytes()
+
+
 class TestNormals:
     """The numpy inverse normal CDF against scipy's ``ndtri`` (the oracle only)."""
 
     def test_bit_identical_to_ndtri_on_philox_uniforms_and_clip_endpoints(self):
         from scipy.special import ndtri
 
-        rng = np.random.Generator(np.random.Philox(2024))
-        got = _normals(rng, 1_000_000)
-        u = np.random.Generator(np.random.Philox(2024)).random(1_000_000)
+        got = _normals(_uniforms(2024, 1_000_000))
+        u = _numpy_uniforms(2024, 1_000_000)
         expected = ndtri(np.clip(u, 1e-15, 1.0 - 1e-16))
         assert got.tobytes() == expected.tobytes()
         ends = np.array([1e-15, 1.0 - 1e-16])  # the clip bounds
@@ -118,4 +163,4 @@ class TestNormals:
         assert _ndtri(y).tobytes() == ndtri(y).tobytes()
 
     def test_empty_draw(self):
-        assert _normals(np.random.Generator(np.random.Philox(0)), 0).shape == (0,)
+        assert _normals(_uniforms(0, 0)).shape == (0,)
