@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -131,7 +130,7 @@ def relative_performance(model_he: float, mv_he: float) -> float:
 
 _STAR_LEVELS = ((0.01, "***"), (0.05, "**"), (0.10, "*"))
 _NEAR_TIE = 1e-6  # relative distance to a star level under which p is recomputed exactly
-_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494459"
 
 
 def _beta_cf(a, b, x, tiny, eps):
@@ -188,14 +187,17 @@ def _t_pvalue(t_stat: float, dof: int) -> float:
     return _ibeta(a, 0.5, x, y, front, 1e-300, 1e-16)
 
 
-def _t_pvalue_exact(t_stat: float, dof: int) -> Decimal:
+def _t_pvalue_exact(t_stat: float, dof: int):
     """``_t_pvalue`` for dof >= 2 and t_stat != 0 in 50-digit decimal
-    arithmetic. B(dof/2, 1/2) is built up from B(1/2, 1/2) = pi or
-    B(1, 1/2) = 2 by B(k + 1, 1/2) = B(k, 1/2) k / (k + 1/2)."""
+    arithmetic, as a ``Decimal``. B(dof/2, 1/2) is built up from
+    B(1/2, 1/2) = pi or B(1, 1/2) = 2 by B(k + 1, 1/2) = B(k, 1/2) k / (k + 1/2).
+    ``decimal`` is imported here, as only a p-value near a star level needs it."""
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = 50
         a, b = Decimal(dof) / 2, Decimal("0.5")
-        beta, k = (_PI, b) if dof % 2 else (Decimal(2), Decimal(1))
+        beta, k = (Decimal(_PI_DIGITS), b) if dof % 2 else (Decimal(2), Decimal(1))
         while k < a:
             beta *= k / (k + b)
             k += 1

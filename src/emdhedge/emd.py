@@ -28,6 +28,19 @@ the systems stacked with it, and its rms is numpy's pairwise sum over its
 own slice.
 ``decompose``, ``sift``, ``find_extrema`` and ``envelope_mean`` are the
 one-series calls of the same kernels.
+
+A step's working memory, with S the samples of the batch: the extrema pass
+makes its masks, run starts and the nonzero positions (their signs taken in
+place in the gathered values). The envelope systems and their solve are
+sized by the knots; the cyclic reduction reuses four buffers across its
+strides, and the solve's arrays are freed before the evaluation. The
+evaluation makes five 2S repeats of the interval coefficients (both
+envelopes of every series) and reuses them for z, z^2, z^3 and the running
+sum. The envelope mean is formed in the first half of the sum's buffer, and
+the stop rules' squares go into that mean's buffer and the spare second
+half, so the next candidate ``h - m`` is the step's only other S-sized
+array. No step writes an array a caller passed in, nor a ``_Layout`` array:
+a batch's layout is read by every step.
 """
 
 from __future__ import annotations
@@ -153,7 +166,8 @@ def _extrema(x: np.ndarray, lay: _Layout) -> tuple[np.ndarray, np.ndarray, np.nd
     minima = mids[interior & (inner < rv[:-2]) & (inner < rv[2:])]
 
     nz = x.nonzero()[0]
-    sign = np.sign(x[nz])
+    sign = x[nz]
+    np.sign(sign, out=sign)
     flip = np.zeros(len(nz) + 1, dtype=bool)  # flip[j]: the sign changes from nz[j - 1] to nz[j]
     np.not_equal(sign[1:], sign[:-1], out=flip[1:-1])
     lo = nz.searchsorted(lay.edges)  # series s holds nz[lo[s]:lo[s + 1]]
@@ -234,13 +248,21 @@ def _pcr(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, longest: in
     diag = np.ones(n + 2 * top)
     # the couplings negated: b_i x_i = d_i + e_i x_{i-1} + f_i x_{i+1}; d + 0.0 turns -0.0 to +0.0
     e[rows], diag[rows], f[rows], r[rows] = -a, b, -c, d + 0.0
+    alpha, gamma, p, q = np.empty((4, n))  # each stride's quotients and products
     s = 1
     while s < longest:
         lo, hi = slice(top - s, top - s + n), slice(top + s, top + s + n)
-        alpha, gamma = e[rows] / diag[lo], f[rows] / diag[hi]
-        diag[rows] = diag[rows] - alpha * f[lo] - gamma * e[hi]
-        r[rows] = r[rows] + alpha * r[lo] + gamma * r[hi]
-        e[rows], f[rows] = alpha * e[lo], gamma * f[hi]
+        np.divide(e[rows], diag[lo], out=alpha)
+        np.divide(f[rows], diag[hi], out=gamma)
+        diag[rows] -= np.multiply(alpha, f[lo], out=p)
+        diag[rows] -= np.multiply(gamma, e[hi], out=q)
+        np.multiply(alpha, r[lo], out=p)
+        np.multiply(gamma, r[hi], out=q)
+        r[rows] += p
+        r[rows] += q
+        np.multiply(alpha, e[lo], out=p)
+        np.multiply(gamma, f[hi], out=q)
+        e[rows], f[rows] = p, q
         s *= 2
     return r[rows] / diag[rows]
 
@@ -265,6 +287,33 @@ def _splines(knots: np.ndarray, y: np.ndarray, size: np.ndarray, n: np.ndarray, 
     knots have ``knots[0] <= 0`` and ``knots[-1] >= n - 1``, as ``_knots``
     makes them, so each interval's points are counted rather than searched for.
     """
+    x, s, c1, c0, counts = _coefficients(knots, y, size, n)
+    # PPoly's (((0.0 + y) + s z) + c1 z^2) + c0 (z^2 z), from the constant
+    # term up, accumulated in place: each sample sees the same operations
+    z = x[:-1].repeat(counts)
+    np.subtract(t, z, out=z)
+    env = y[:-1].repeat(counts)
+    env += 0.0
+    term = s[:-1].repeat(counts)
+    term *= z
+    env += term
+    z2 = np.multiply(z, z, out=term)
+    term = c1.repeat(counts)
+    term *= z2
+    env += term
+    del term  # freed before c0's repeat is made
+    z2 *= z
+    term = c0.repeat(counts)
+    term *= z2
+    env += term
+    return env
+
+
+def _coefficients(knots: np.ndarray, y: np.ndarray, size: np.ndarray, n: np.ndarray):
+    """The knots as floats, the knot slopes s, the cubic Hermite coefficients
+    c1 and c0 of each interval, and the number of sample indices in each
+    interval, for ``_splines``; the solve's working arrays are freed on
+    return, before the evaluation makes its sample-sized ones."""
     x = knots.astype(float)
     end = size.cumsum()
     first, last = end - size, end - 1
@@ -291,22 +340,23 @@ def _splines(knots: np.ndarray, y: np.ndarray, size: np.ndarray, n: np.ndarray, 
     counts = edges[1:] - edges[:-1]
     counts[last[:-1]] = 0  # between two systems
     counts[last - 1] = n - edges[last - 1]
-    i = np.arange(len(dx)).repeat(counts)
-    z = t - x[i]
-    z2 = z * z
-    # PPoly sums from the constant term up, starting from 0.0
-    return (((0.0 + y[i]) + s[i] * z) + c1[i] * z2) + c0[i] * (z2 * z)
+    return x, s, c1, c0, counts
 
 
 def _envelope_means(lay: _Layout, e: np.ndarray, v: np.ndarray, count: np.ndarray, mirror: int):
     """Pointwise mean of the upper and lower envelopes of each series of
     ``lay``, concatenated. ``e``, ``v`` and ``count`` give each system's
     extrema (local positions and values): every series' maxima, then every
-    series' minima."""
+    series' minima. The mean is formed in the first half of the evaluation
+    buffer; its second half, free once the mean is formed, is returned
+    with it for the caller to reuse."""
     knots, values, size = _knots(e, v, count, lay.n2, mirror)
     env = _splines(knots, values, size, lay.n2, lay.t2)
     half = len(env) // 2
-    return 0.5 * (env[:half] + env[half:])
+    m, spare = env[:half], env[half:]
+    m += spare
+    m *= 0.5
+    return m, spare
 
 
 def envelope_mean(
@@ -326,7 +376,7 @@ def envelope_mean(
         return None
     e = np.concatenate([maxima, minima])
     count = np.array([len(maxima), len(minima)])
-    return _envelope_means(_Layout(np.array([len(x)])), e, x[e], count, mirror)
+    return _envelope_means(_Layout(np.array([len(x)])), e, x[e], count, mirror)[0]
 
 
 def _rms(x: np.ndarray) -> float:
@@ -408,8 +458,10 @@ def _sift_all(xs: list[np.ndarray], cfg: SiftConfig, max_imfs: int) -> list:
             e, v, count = e[rows], v[rows], count[keep + keep]
             lay, h, residue = _Layout(lay.n[keep]), h[samples], residue[samples]
 
-        m = _envelope_means(lay, e, v, count, cfg.boundary_mirror_count)
-        sq_h, sq_m, h_next = np.square(h), np.square(m), h - m
+        m, spare = _envelope_means(lay, e, v, count, cfg.boundary_mirror_count)
+        h_next = h - m
+        # m is spent: its buffer takes its squares, and env's spare half h's
+        sq_m, sq_h = np.square(m, out=m), np.square(h, out=spare)
         for s, ((a, b), i, (n_max, n_min, crossings)) in enumerate(zip(lay.bounds, ids, counts)):
             rx = _rms_of(sq_h, a, b)
             converged = abs(n_max + n_min - crossings) <= 1 and rx > 0.0 and _rms_of(sq_m, a, b) <= tol * rx

@@ -1,11 +1,14 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -277,10 +280,13 @@ rcs = [
     main(["synth", "--out", pair, "--length", "300", "--seed", "4"]),
     main(["pipeline", "--input", pair, "--out", out, "--partition", "equal:5"]),
 ]
+decimal_after_runs = "decimal" in sys.modules
 # a short pipeline has too few rows for the determinant regressions, so the
-# p-values are exercised directly, one of them at a near-tie (dof 5, p ~ 0.10)
+# p-values are exercised directly, one of them at a near-tie (dof 5, p ~ 0.10),
+# the one that loads decimal for its exact recomputation
 stars = [significance_stars(t, 5) for t in (0.5, 2.015048373333024, 4.5)]
 print(rcs, stars, sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.random")))
+print(decimal_after_runs, "decimal" in sys.modules)
 """
 
 
@@ -293,7 +299,7 @@ def test_synth_and_pipeline_run_with_scipy_imports_refused(tmp_path):
         env=env,
         check=True,
     )
-    assert out.stdout.strip() == "[0, 0] ['', '', '***'] []"
+    assert out.stdout.splitlines() == ["[0, 0] ['', '', '***'] []", "False True"]
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "ok"
     assert "determinants.csv" in manifest["artifacts"]
@@ -964,6 +970,17 @@ def test_every_missing_number_has_a_reason(command, scope, horizons, seed):
         assert _unexplained_nans(outdir) == []
 
 
+def _scale_prices(pair: Path, factor: float) -> bool:
+    """Rewrite a date,spot,futures CSV with both prices times ``factor``;
+    returns whether a written price lies outside [2^-511, 2^511)."""
+    with open(pair, newline="") as fh:
+        rows = list(csv.reader(fh))
+    prices = [[float(r[1]) * factor, float(r[2]) * factor] for r in rows[1:]]
+    with open(pair, "w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0]] + [[r[0], *map(repr, p)] for r, p in zip(rows[1:], prices)])
+    return any(not 2.0**-511 <= p < 2.0**511 for pair_prices in prices for p in pair_prices)
+
+
 def _a_cell_is_finite(table: Path) -> bool:
     """Whether any path-statistic cell of a CV table is finite."""
     with open(table, newline="") as fh:
@@ -984,19 +1001,29 @@ def _a_cell_is_finite(table: Path) -> bool:
     methods=st.lists(st.sampled_from([m.value for m in Method]), min_size=1, max_size=6, unique=True).map(",".join),
     scope=st.sampled_from(["full", "per-segment"]),
     command=st.sampled_from(["pipeline", "analyze", "cv", "hedge"]),
+    scale=st.just(0) | st.integers(-12, 12) | st.integers(-170, 170),
 )
 def test_the_cli_contract_holds_for_drawn_configs(
-    length, seed, groups, k, horizons, horizon_cap, methods, scope, command
+    length, seed, groups, k, horizons, horizon_cap, methods, scope, command, scale
 ):
     """Every run exits with a documented code, a run that exits 0 fills a
-    cell of each CV table, and every missing number has a reason."""
+    cell of each CV table, warns of nothing and writes nothing to stderr, a
+    price outside [2^-511, 2^511) is a data error, and every missing number
+    has a reason. The prices are scaled by 10^scale."""
     with tempfile.TemporaryDirectory() as tmp:
         pair, outdir = Path(tmp) / "pair.csv", Path(tmp) / "out"
         assert main(["synth", "--out", str(pair), "--length", str(length), "--seed", str(seed)]) == 0
+        outside = _scale_prices(pair, 10.0**scale) if scale else False
         argv = [command, "--input", str(pair), "--out", str(outdir), "--partition", f"equal:{groups}", "--k", str(k)]
         argv += ["--horizons", horizons, "--horizon-cap", str(horizon_cap), "--methods", methods]
-        rc = main(argv + ["--decompose-scope", scope, "--max-lag", "2"])
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("always")
+            rc = main(argv + ["--decompose-scope", scope, "--max-lag", "2"])
         assert rc in (0, 1, 2, 3)
+        if outside:
+            assert rc == 2
+        if rc == 0:
+            assert [str(w.message) for w in caught] == [] and err.getvalue() == ""
         if not (outdir / "manifest.json").exists():  # a usage or data error before the run began
             assert rc in (1, 2)
             return
