@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emd import ImfSet
-from .errors import DataError, DegenerateInputError, InsufficientDataError, NumericError
+from .errors import DataError, DegenerateInputError, EmdHedgeError, InsufficientDataError, NumericError
 from .estimators import ImfPair, OlsFit, ols
 
 __all__ = [
@@ -80,10 +80,14 @@ def variance_decomposition(logret_set: ImfSet, source: np.ndarray) -> list[Varia
 
 def matching_degree(pairs: list[ImfPair]) -> list[MatchRow]:
     """Per-pair level regression of spot IMF on futures IMF; R-squared is the
-    matching degree."""
+    matching degree. A failed fit re-raises with its pair named."""
     rows = []
     for pair in pairs:
-        fit = ols(pair.spot, pair.fut, intercept=True)
+        try:
+            fit = ols(pair.spot, pair.fut, intercept=True)
+        except EmdHedgeError as exc:
+            label = "residue" if pair.index is None else f"imf{pair.index}"
+            raise type(exc)(f"matching degree of {label}: {exc}") from None
         rows.append(
             MatchRow(
                 imf_index=pair.index,

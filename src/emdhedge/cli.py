@@ -172,7 +172,7 @@ def _read_config_file(path: str) -> dict:
     if not p.exists():
         raise UsageError(f"config file not found: {path}")
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8-sig")
     except OSError as exc:  # e.g. a directory, or no read permission
         raise UsageError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -730,9 +730,8 @@ _STAGES_OF = {
 }
 
 
-def _parser(flagged: Iterable[str]) -> _Parser:
-    """The command-line parser; of the pipeline subcommands, those in
-    ``flagged`` get the common flags."""
+def _parser() -> _Parser:
+    """The command-line parser; every pipeline subcommand gets the common flags."""
     parser = _Parser(prog="emdhedge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -749,21 +748,13 @@ def _parser(flagged: Iterable[str]) -> _Parser:
     p_synth.add_argument("--basis-sigma", dest="basis_sigma", type=float, default=0.005)
 
     for name in _STAGES_OF:
-        p = sub.add_parser(name)
-        if name in flagged:
-            _add_common_flags(p)
+        _add_common_flags(sub.add_parser(name))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # only the invoked subcommand needs its flags. argparse takes the first
-    # argument not starting with "-" as the subcommand (the top level has no
-    # option that takes a value); where that is not a subcommand, argparse
-    # fails at the top level, whose usage and help show no subcommand flags
-    parser = _parser(flagged=[next((a for a in argv if not a.startswith("-")), None)])
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "synth":
             return _cmd_synth(args)
         cfg = parse_config(args)

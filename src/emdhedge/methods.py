@@ -20,7 +20,7 @@ full scope's blocks are the runs of whole-series rows whose footprints touch
 the same groups, and a split uses those whose groups all train; the
 per-segment scope's blocks are a batch's training segments, and a split uses
 those that are exactly its own. A split stacks the R of its blocks and takes
-one QR of the stack (TSQR's stacked-R reduction; a lone R is its own); that small R gives the
+one QR of the stack (TSQR's stacked-R reduction); that small R gives the
 split's slope, rank rule and residual sums of squares, at O(N p^2) per
 split, not O(T p). QR, never X'X: ECM's log levels are nearly collinear, and
 X'X would square their condition number. All splits of a call are fitted
@@ -152,14 +152,6 @@ class _Outcomes:
             self.errors[s], self.live[s] = error(s), False
 
 
-def _qr_r(stack: np.ndarray) -> np.ndarray:
-    """The R factor of each split's stack. Where every stack is one block's
-    R (square), that is the stack itself, bit for bit: each of LAPACK's
-    Householder steps on an upper triangular matrix reflects a zero
-    sub-column (tau = 0) and changes nothing."""
-    return stack if stack.shape[1] == stack.shape[2] else np.linalg.qr(stack, mode="r")
-
-
 def _solve(r: np.ndarray, p: int, ok: np.ndarray) -> np.ndarray:
     """Coefficients of y (the last column of each R factor in ``r``) on the
     first p columns, for the factors in ``ok``; zeros elsewhere. Only those
@@ -207,13 +199,13 @@ def _fit_splits(method: Method, horizon: int, max_lag: int, rows: _Buckets, leve
     n, stack = rows.stack(use)
     if method is Method.EECM:  # the cointegrating regression comes first
         n_lv, lv = levels.stack(levels.select(train))
-        coef = _slope(out, n_lv, _qr_r(lv))
+        coef = _slope(out, n_lv, np.linalg.qr(lv, mode="r"))
         stack = _with_u(stack, coef[:, 0, None, None], coef[:, 1, None, None], include_u=True)
     if rows.left_out is not None:
         out.fail(n == 0, lambda s: InsufficientDataError(rows.why_no_rows(train[s], horizon)))
     out.check(n < MIN_OBS, lambda s: _check_rows(method, int(n[s]), horizon))
     rows.check_futures_variance(out, use)
-    r = _qr_r(stack)
+    r = np.linalg.qr(stack, mode="r")
     ratio = np.full(len(train), np.nan)
     if method is Method.EECM:
         m, n_, rms = _eecm_select(r, np.where(out.live, n, 0), 3, max_lag)  # 0 rows: no candidate

@@ -96,7 +96,7 @@ def load_csv(
     dropped = 0
     unreadable = None
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

@@ -27,6 +27,16 @@ __all__ = ["CointSpec", "SynthSpec", "gen_tones", "gen_coint_pair"]
 EPOCH = np.datetime64("2000-01-03", "D")
 
 
+def _check_finite(spec, *names: str, low: float = -math.inf) -> None:
+    """A DataError naming the first field in ``names`` that is not finite or
+    is below ``low``."""
+    for name in names:
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value >= low):
+            bound = "" if low == -math.inf else f" and >= {low:g}"
+            raise DataError(f"{name} must be finite{bound} (got {value})")
+
+
 @dataclass(frozen=True)
 class CointSpec:
     """Cointegrated pair parameters: log S = intercept + slope * log F + basis."""
@@ -42,6 +52,10 @@ class CointSpec:
     def __post_init__(self):
         if not abs(self.basis_phi) < 1.0:
             raise DataError("|basis AR coefficient| must be < 1")
+        _check_finite(self, "long_run_slope", "intercept", "walk_drift")
+        _check_finite(self, "basis_sigma", "walk_sigma", low=0.0)
+        if not 0.0 < self.start_price < math.inf:
+            raise DataError(f"start_price must be finite and > 0 (got {self.start_price})")
 
 
 @dataclass(frozen=True)
@@ -58,9 +72,13 @@ class SynthSpec:
             raise DataError("length must be >= 100")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
-        for period, _ in self.tones:
-            if period < 4:
+        for period, amplitude in self.tones:
+            if not period >= 4:
                 raise DataError("tone periods must be >= 4 samples")
+            if not math.isfinite(amplitude):
+                raise DataError(f"tone amplitudes must be finite (got {amplitude})")
+        _check_finite(self, "trend_slope")
+        _check_finite(self, "noise_sigma", low=0.0)
 
 
 # Cephes ndtri: a rational approximation in y - 1/2 on the centre

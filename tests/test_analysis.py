@@ -14,7 +14,7 @@ from emdhedge.analysis import (
     variance_decomposition,
 )
 from emdhedge.emd import decompose
-from emdhedge.errors import DataError, DegenerateInputError, InsufficientDataError
+from emdhedge.errors import DataError, DegenerateInputError, InsufficientDataError, SingularDesignError
 from emdhedge.estimators import ImfPair, pair_imfs
 
 
@@ -86,6 +86,15 @@ class TestMatchingDegree:
         )
         (row,) = matching_degree([pair])
         assert row.r_squared < 0.05
+
+    @pytest.mark.parametrize("index, label", [(2, "imf2"), (None, "residue")])
+    def test_a_failed_fit_names_its_pair(self, index, label):
+        x = np.sin(np.arange(50.0))
+        good = ImfPair(index=1, spot=x, fut=2 * x, spot_cycle=6.0, fut_cycle=6.0)
+        flat = ImfPair(index=index, spot=x, fut=np.ones(50), spot_cycle=None, fut_cycle=None)
+        with pytest.raises(SingularDesignError) as info:
+            matching_degree([good, flat])
+        assert str(info.value) == f"matching degree of {label}: regressor matrix is rank deficient"
 
 
 class TestDeterminantRegression:

@@ -65,6 +65,12 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="unknown key"):
             parse_config(ns(config=str(f)))
 
+    def test_a_utf8_bom_config_file_is_read(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_bytes(b"\xef\xbb\xbfmethods = MV\nk = 3\n")
+        cfg = parse_config(ns(config=str(f)))
+        assert (cfg.methods, cfg.k) == ("MV", 3)
+
     def test_bad_line_rejected(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("just words\n")
@@ -180,6 +186,25 @@ class TestSynthCommand:
         assert main(["synth", "--out", str(out), "--seed", "-1"]) == 2
         err = capsys.readouterr().err
         assert err == "data error: seed must be >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mode", "tones", "--tones", "20:1", "--noise", "nan"], "noise_sigma must be finite and >= 0 (got nan)"),
+            (["--mode", "tones", "--tones", "20:1", "--noise", "-1"], "noise_sigma must be finite and >= 0 (got -1.0)"),
+            (["--mode", "tones", "--tones", "20:1", "--trend", "inf"], "trend_slope must be finite (got inf)"),
+            (["--mode", "tones", "--tones", "20:inf"], "tone amplitudes must be finite (got inf)"),
+            (["--mode", "tones", "--tones", "nan:1"], "tone periods must be >= 4 samples"),
+            (["--basis-sigma", "-1"], "basis_sigma must be finite and >= 0 (got -1.0)"),
+            (["--basis-sigma", "inf"], "basis_sigma must be finite and >= 0 (got inf)"),
+            (["--b", "nan"], "long_run_slope must be finite (got nan)"),
+        ],
+    )
+    def test_an_unusable_shape_parameter_is_a_data_error_naming_it(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "pair.csv"
+        assert main(["synth", "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("target", ["directory", "below a file"])
@@ -395,6 +420,18 @@ class TestPipeline:
         outdir = run_pipeline(cfg, stages=("decompose", "cv"))
         second = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
         assert first == second
+
+    def test_a_utf8_bom_csv_writes_the_same_tables(self, pair_csv, tmp_path):
+        # as spreadsheet programs write "CSV UTF-8"
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + pair_csv.read_bytes())
+        bundles = []
+        for path in (pair_csv, bom):
+            outdir = tmp_path / path.stem
+            argv = ["cv", "--input", str(path), "--out", str(outdir), "--partition", "equal:5", "--methods", "MV,VEMD"]
+            assert main(argv) == 0
+            bundles.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir()) if p.name != "manifest.json"})
+        assert "cv_paths.json" in bundles[0] and bundles[0] == bundles[1]
 
     def test_per_segment_cv_reruns_byte_identical(self, tmp_path):
         pair, outdir = tmp_path / "pair.csv", tmp_path / "out"
@@ -717,9 +754,9 @@ class TestFloatingPointPolicy:
     invalid operation in a stage fails it (exit 3), never a bare warning."""
 
     @staticmethod
-    def _scaled(tmp_path, factor):
+    def _scaled(tmp_path, factor, length=400, seed=0):
         pair = tmp_path / "pair.csv"
-        main(["synth", "--out", str(pair), "--length", "400", "--seed", "0"])
+        main(["synth", "--out", str(pair), "--length", str(length), "--seed", str(seed)])
         with pair.open(newline="") as fh:
             rows = list(csv.reader(fh))
         scaled = [rows[0]] + [[d, repr(float(s) * factor), repr(float(f) * factor)] for d, s, f in rows[1:]]
@@ -747,6 +784,19 @@ class TestFloatingPointPolicy:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert (manifest["status"], manifest["failed_stage"]) == ("failed", "decompose")
         assert "FloatingPointError" in manifest["warnings"][-1]
+
+    def test_a_rank_deficient_matching_degree_names_its_pair(self, tmp_path, capsys):
+        # at 1e-14 times the prices the intercept column swamps the rank
+        # tolerance of the IMF level regressions
+        path = self._scaled(tmp_path, 1e-14, length=300, seed=3)
+        outdir = tmp_path / "out"
+        assert main(["pipeline", "--input", str(path), "--out", str(outdir), "--partition", "equal:5"]) == 3
+        reason = "matching degree of imf1: regressor matrix is rank deficient"
+        err = capsys.readouterr().err
+        assert err == f"numeric error: pipeline stage 'preliminary' failed: {reason} (see manifest)\n"
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "preliminary"
+        assert manifest["warnings"][-1] == f"stage preliminary failed: {reason}"
 
 
 class TestBadConfigFailsUpFront:
@@ -1065,11 +1115,8 @@ def _parse_outcome(argv, capsys):
         ["decompose", "--k", "3", "pipeline"],
     ],
 )
-def test_only_the_invoked_subcommand_gets_the_common_flags(argv, capsys, monkeypatch):
-    # help, usage and errors read as from a parser that gives every
-    # subcommand its flags
-    got = _parse_outcome(argv, capsys)
-    build = cli._parser
-    monkeypatch.setattr(cli, "_parser", lambda flagged: build(cli._STAGES_OF))
-    assert got == _parse_outcome(argv, capsys)
-    assert got[0] in (1, ("exit", 0))
+def test_help_exits_0_and_a_bad_command_line_is_a_usage_error(argv, capsys):
+    # help goes to stdout; a usage error prints the usage to stderr, nothing to stdout
+    code, out, err = _parse_outcome(argv, capsys)
+    assert code in (1, ("exit", 0))
+    assert (out, err)[code == 1].startswith("usage: emdhedge") and not (err, out)[code == 1]

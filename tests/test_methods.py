@@ -276,18 +276,3 @@ def test_a_too_short_training_segment_is_left_out_of_its_blocks():
     # stored errors re-raise with the same class and message on every lookup
     for a, b in zip(runs, runs[2:]):
         assert [(type(o), str(o)) for o in a] == [(type(o), str(o)) for o in b]
-
-
-@pytest.mark.parametrize("q", [3, 5, 24])
-def test_the_qr_of_a_stack_of_r_factors_is_the_stack(q):
-    # a split whose stack holds one block's R skips its QR (``methods._qr_r``):
-    # LAPACK reflects only zero sub-columns of an upper triangular matrix
-    rng = np.random.default_rng(q)
-    x = rng.normal(size=(6, 2 * q, q))
-    x[1, :, -1] = x[1, :, 0]  # rank deficient
-    x[2, :, 1] = 1e-9 * x[2, :, 0]
-    r = np.linalg.qr(x, mode="r")
-    r[3] = 0.0  # the zero R a split without blocks stacks
-    r[4, 0, 0] = -0.0
-    assert np.linalg.qr(r, mode="r").tobytes() == r.tobytes()
-    assert methods._qr_r(r) is r

@@ -87,6 +87,24 @@ class TestGenCointPair:
         with pytest.raises(DataError):
             CointSpec(basis_phi=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("walk_sigma", -0.01),
+            ("walk_sigma", float("nan")),
+            ("basis_sigma", -1e-300),
+            ("walk_drift", float("inf")),
+            ("intercept", float("nan")),
+            ("long_run_slope", -float("inf")),
+            ("start_price", 0.0),
+            ("start_price", float("inf")),
+            ("start_price", float("nan")),
+        ],
+    )
+    def test_an_unusable_parameter_is_rejected_by_name(self, field, value):
+        with pytest.raises(DataError, match=f"^{field} must be finite"):
+            CointSpec(**{field: value})
+
     def test_daily_timestamps_aligned(self):
         spot, fut = gen_coint_pair(SynthSpec(length=150, seed=1, coint=CointSpec()))
         assert np.array_equal(spot.timestamps, fut.timestamps)
