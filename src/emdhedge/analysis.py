@@ -17,7 +17,7 @@ import numpy as np
 
 from .emd import ImfSet
 from .errors import DataError, DegenerateInputError, EmdHedgeError, InsufficientDataError, NumericError
-from .estimators import ImfPair, OlsFit, ols
+from .estimators import ImfPair, OlsFit, _min_rows, ols
 
 __all__ = [
     "VarianceRow",
@@ -107,8 +107,9 @@ def determinant_regression(performance: np.ndarray, matching: np.ndarray) -> Det
     matching = np.asarray(matching, dtype=float)
     if len(performance) != len(matching):
         raise DataError("performance and matching must pair up")
-    if len(performance) < 4:  # the affine fit's 2 coefficients need n > 3
-        raise InsufficientDataError(f"need at least 4 paired observations, got {len(performance)}")
+    need = _min_rows(2)  # the affine fit's 2 coefficients
+    if len(performance) < need:
+        raise InsufficientDataError(f"need at least {need} paired observations, got {len(performance)}")
     origin = ols(performance, matching, intercept=False)
     affine = ols(performance, matching, intercept=True)
     return DeterminantFit(

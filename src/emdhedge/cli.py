@@ -258,6 +258,7 @@ class PipelineState:
     cv_reports: dict = field(default_factory=dict)  # (method, horizon, criterion) -> PathReport
     exclusions: list = field(default_factory=list)
     cv_failed_splits: Counter = field(default_factory=Counter)  # exception class -> failed CV splits
+    empty_tables: dict[str, str] = field(default_factory=dict)  # header-only table -> why it has no row
 
 
 def _load_state(cfg: RunConfig, stages: tuple[str, ...]) -> PipelineState:
@@ -534,9 +535,11 @@ def _emit_cv(state: PipelineState) -> None:
 def _emit_determinants(state: PipelineState) -> None:
     """Performance-vs-matching-degree regressions across (IMF, horizon) rows:
     the CV mean of each method (``determinants.csv``) and the EMD family's VaR
-    relative to MV's (``relative_performance.csv``)."""
+    relative to MV's (``relative_performance.csv``). A table left without a
+    row is named in the manifest's ``empty_tables`` with the reason."""
     methods = state.cfg.method_list()
     match_by_imf = {m.imf_index: m.r_squared for m in state.match_rows if m.imf_index}
+    failed: dict[str, None] = {}  # the distinct errors of the current table's fits, in order
 
     def fit(label: str, method: Method, crit: Criterion, y_of):
         """The regression of ``y_of(report, h)`` on the rows' matching degree,
@@ -555,7 +558,14 @@ def _emit_determinants(state: PipelineState) -> None:
             return determinant_regression(np.array(ys), np.array(xs))
         except EmdHedgeError as exc:
             state.warnings.append(f"{label}: {exc}")
+            failed[str(exc)] = None
             return None
+
+    def emit(table: str, header: list[str], rows: list, no_method: str) -> None:
+        _emit_csv(state, table, header, rows)
+        if not rows:
+            state.empty_tables[table] = f"no regression could be fitted: {'; '.join(failed)}" if failed else no_method
+        failed.clear()
 
     def affine(f) -> list:
         return [
@@ -582,7 +592,7 @@ def _emit_determinants(state: PipelineState) -> None:
                 det_rows.append([panel, method.value] + origin + affine(f))
     header = ["panel", "method", "beta_origin", "t_origin", "sig_origin", "r2_origin", "alpha", "t_alpha"]
     header += ["sig_alpha", "beta_affine", "t_affine", "sig_affine", "r2_affine", "n"]
-    _emit_csv(state, "determinants.csv", header, det_rows)
+    emit("determinants.csv", header, det_rows, "no MV or EMD-family method selected")
 
     rel_rows = []
     for method in (m for m in EMD_FAMILY if m in methods):
@@ -590,7 +600,7 @@ def _emit_determinants(state: PipelineState) -> None:
         if f is not None:
             rel_rows.append([method.value] + affine(f))
     header = ["method", "alpha", "t_alpha", "sig_alpha", "beta", "t_beta", "sig_beta", "r_squared", "n"]
-    _emit_csv(state, "relative_performance.csv", header, rel_rows)
+    emit("relative_performance.csv", header, rel_rows, "no EMD-family method selected")
 
 
 STAGES = ("decompose", "preliminary", "insample", "cv", "determinants")
@@ -664,6 +674,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
         "warnings": state.warnings,
         "exclusions": [list(e) for e in state.exclusions],
         "counters": {"cv_failed_splits": state.cv_failed_splits},
+        **({"empty_tables": state.empty_tables} if state.empty_tables else {}),
         "skipped_methods": [
             m.value for m in Method if m not in cfg.method_list()
         ],
@@ -696,17 +707,27 @@ def _tone_list(text: str) -> tuple[tuple[float, float], ...]:
         raise argparse.ArgumentTypeError(f"bad tone list '{text}' (use period:amplitude,...)") from None
 
 
+# synth --mode -> its own flags, each flag's dest -> the spec field it sets
+_SYNTH_FLAGS = {
+    "tones": {"tones": "tones", "trend": "trend_slope", "noise": "noise_sigma"},
+    "coint": {"b": "long_run_slope", "phi": "basis_phi", "basis_sigma": "basis_sigma"},
+}
+
+
 def _cmd_synth(args) -> int:
+    """A flag of the other ``--mode`` is a usage error; a flag left unset
+    takes its spec field's default."""
+    for mode, flags in _SYNTH_FLAGS.items():
+        given = [dest.replace("_", "-") for dest in flags if getattr(args, dest) is not None]
+        if mode != args.mode and given:
+            raise UsageError(f"--{given[0]} is a --mode {mode} flag, not a --mode {args.mode} one")
+    values = {name: v for dest, name in _SYNTH_FLAGS[args.mode].items() if (v := getattr(args, dest)) is not None}
     if args.mode == "tones":
-        spec = SynthSpec(
-            length=args.length, seed=args.seed, tones=args.tones, trend_slope=args.trend, noise_sigma=args.noise
-        )
-        series = gen_tones(spec)
+        series = gen_tones(SynthSpec(length=args.length, seed=args.seed, **values))
         spot_vals = fut_vals = series.values
         ts = series.timestamps
     else:
-        coint = CointSpec(long_run_slope=args.b, basis_phi=args.phi, basis_sigma=args.basis_sigma)
-        spot, fut = gen_coint_pair(SynthSpec(length=args.length, seed=args.seed, coint=coint))
+        spot, fut = gen_coint_pair(SynthSpec(length=args.length, seed=args.seed, coint=CointSpec(**values)))
         spot_vals, fut_vals, ts = spot.values, fut.values, spot.timestamps
     out = Path(args.out)
     rows = zip(map(str, ts.tolist()), spot_vals.tolist(), fut_vals.tolist())
@@ -740,12 +761,12 @@ def _parser() -> _Parser:
     p_synth.add_argument("--length", type=int, default=1000)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--mode", choices=["coint", "tones"], default="coint")
-    p_synth.add_argument("--tones", type=_tone_list, default=(), help="comma list of period:amplitude")
-    p_synth.add_argument("--trend", type=float, default=0.0)
-    p_synth.add_argument("--noise", type=float, default=0.0)
-    p_synth.add_argument("--b", type=float, default=0.9)
-    p_synth.add_argument("--phi", type=float, default=0.8)
-    p_synth.add_argument("--basis-sigma", dest="basis_sigma", type=float, default=0.005)
+    p_synth.add_argument("--tones", type=_tone_list, help="comma list of period:amplitude")
+    p_synth.add_argument("--trend", type=float)
+    p_synth.add_argument("--noise", type=float)
+    p_synth.add_argument("--b", type=float)
+    p_synth.add_argument("--phi", type=float)
+    p_synth.add_argument("--basis-sigma", dest="basis_sigma", type=float)
 
     for name in _STAGES_OF:
         _add_common_flags(sub.add_parser(name))

@@ -359,6 +359,13 @@ def _envelope_means(lay: _Layout, e: np.ndarray, v: np.ndarray, count: np.ndarra
     return m, spare
 
 
+def _envelopes_vanish(n_maxima: int, n_minima: int) -> bool:
+    """Whether a series with these extrema counts has no envelope pair: a
+    spline envelope needs 2 knots, so fewer than 2 extrema on either side
+    ends sifting (a trend) rather than failing it."""
+    return n_maxima < 2 or n_minima < 2
+
+
 def envelope_mean(
     x: np.ndarray,
     maxima: np.ndarray,
@@ -368,11 +375,10 @@ def envelope_mean(
     """Pointwise mean of the upper and lower natural cubic spline envelopes.
 
     Both envelopes come from one batched spline solve (``_splines``). Returns
-    None when either side has fewer than 2 extrema, which signals
-    decomposition termination rather than a failure.
+    None when the envelopes vanish (``_envelopes_vanish``).
     """
     x = np.asarray(x, dtype=float)
-    if len(maxima) < 2 or len(minima) < 2:
+    if _envelopes_vanish(len(maxima), len(minima)):
         return None
     e = np.concatenate([maxima, minima])
     count = np.array([len(maxima), len(minima)])
@@ -421,9 +427,9 @@ def _sift_all(xs: list[np.ndarray], cfg: SiftConfig, max_imfs: int) -> list:
     Returns, per series, its sift results and its residue: one result per
     IMF, in order, then a residue-like one if its envelopes vanished first. A candidate is one
     IMF when it is balanced and its envelope mean is small, or after
-    ``max_sifts_per_imf`` subtractions (flagged non-converged); the
-    envelopes vanish when either side has fewer than 2 extrema, which ends
-    the series: at its first sift this is the trend test of the residue.
+    ``max_sifts_per_imf`` subtractions (flagged non-converged); vanishing
+    envelopes (``_envelopes_vanish``) end the series: at its first sift this
+    is the trend test of the residue.
     The array work of a step runs once on the concatenation; the stop rules
     are a few scalar tests per series, cheaper in Python than as numpy
     masks at the batch widths the callers run.
@@ -446,7 +452,7 @@ def _sift_all(xs: list[np.ndarray], cfg: SiftConfig, max_imfs: int) -> list:
         e, v = ext - lay.start2.repeat(count), h[ext]
         counts = list(zip(count[: len(ids)].tolist(), count[len(ids) :].tolist(), crossings.tolist()))
         for s, ((a, b), i, c) in enumerate(zip(lay.bounds, ids, counts)):
-            if out[i] is None and min(c[:2]) < 2:  # the envelopes vanish
+            if out[i] is None and _envelopes_vanish(*c[:2]):
                 last = SiftResult(h[a:b].copy(), n_sifts[s], False, *c, residue_like=True)
                 out[i] = (results[i] + [last], residue[a:b].copy())
         keep = [out[i] is None for i in ids]

@@ -7,8 +7,10 @@ price-level IMFs. Each estimator takes a training sample ``segments``
 builder ``design_rows`` whose footprint (the indices a row reads) lies
 inside one segment, so no difference or lag spans a gap. The CV ratio
 functions in ``methods`` fit the same rows from per-bucket QR factors;
-they share this module's sample checks, rank rule, ECM fallback and EECM
-lag search, which read only an R factor, never X'X.
+they share this module's sample checks, the row rule (``_min_rows``) and
+rank rule with their errors, ECM's reduction order, the futures-variance
+floor with the spread that clears it, and the EECM lag search, which read
+only an R factor, never X'X.
 """
 
 from __future__ import annotations
@@ -86,6 +88,21 @@ class HedgeEstimate:
     lags: tuple[int, int] | None = None
 
 
+def _min_rows(p):
+    """The row rule of every least-squares fit: the fewest rows, p + 2, that
+    fit p coefficients (n > p + 1, so at least 2 residual degrees of freedom).
+    Broadcasts over an array of coefficient counts."""
+    return p + 2
+
+
+def _too_few_rows(n: int, p: int) -> InsufficientDataError:
+    """The error of a fit of p coefficients on n rows that break ``_min_rows``."""
+    return InsufficientDataError(f"{n} observations for {p} coefficients")
+
+
+RANK_DEFICIENT = "regressor matrix is rank deficient"
+
+
 def _full_rank(s: np.ndarray, n, p: int):
     """numpy's ``matrix_rank`` rule on singular values ``s`` of an n x p
     matrix: full column rank iff all p values exceed s[0]*max(n, p)*eps.
@@ -113,11 +130,11 @@ def ols(y: np.ndarray, X: np.ndarray, intercept: bool = True) -> OlsFit:
         raise DataError("y and X row counts differ")
     design = np.column_stack([np.ones(n), X]) if intercept else X
     p = design.shape[1]
-    if n <= p + 1:
-        raise InsufficientDataError(f"{n} observations for {p} coefficients")
+    if n < _min_rows(p):
+        raise _too_few_rows(n, p)
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if not _full_rank(s, n, p):
-        raise SingularDesignError("regressor matrix is rank deficient")
+        raise SingularDesignError(RANK_DEFICIENT)
     coef = vt.T @ ((u.T @ y) / s)
     resid = y - design @ coef
     sse = float(resid @ resid)
@@ -172,8 +189,19 @@ def _check_rows(method: Method, n: int, horizon: int) -> None:
         raise InsufficientDataError(_TOO_FEW[method].format(n=n, h=horizon))
 
 
+# Futures differences whose variance (``np.var``) is at most FUTURES_VAR_FLOOR
+# are degenerate. n values whose spread max - min is d have variance at least
+# d^2 / 2n: the squared deviations of the two extremes alone sum to at least
+# d^2 / 2, the least at a mean midway between them. So a sample of under 5e19
+# values whose spread exceeds FUTURES_SPREAD_FLOOR clears the floor, d^2 / 2n
+# > 1e-280 / 1e20 = FUTURES_VAR_FLOOR, and only a smaller spread needs the
+# variance itself.
+FUTURES_VAR_FLOOR = 1e-300
+FUTURES_SPREAD_FLOOR = 1e-140
+
+
 def _check_futures_variance(df: np.ndarray) -> None:
-    if len(df) < 2 or float(np.var(df)) <= 1e-300:
+    if len(df) < 2 or float(np.var(df)) <= FUTURES_VAR_FLOOR:
         raise DegenerateInputError("futures differences have zero variance")
 
 
@@ -266,13 +294,15 @@ def ecm_ratio(
 
 ECM_RANK_DEFICIENT = "ECM design is rank deficient in every reduction"
 NO_EECM_FIT = "no EECM candidate model could be fit"
+# ECM's reductions, as counts p of its leading design columns [1, dF, S, F]:
+# when the two level columns are collinear (e.g. identical legs), drop the
+# futures level, then both, rather than failing outright
+ECM_REDUCTIONS = (4, 3, 2)
 
 
 def _ecm_fallback(fit):
-    """``fit(p)`` on ECM's leading p design columns [1, dF, S, F]: when the
-    two level columns are collinear (e.g. identical legs), drop the futures
-    level, then both, rather than failing outright."""
-    for p in (4, 3, 2):
+    """``fit(p)`` on the first of ``ECM_REDUCTIONS`` whose design has full rank."""
+    for p in ECM_REDUCTIONS:
         try:
             return fit(p)
         except SingularDesignError:
@@ -309,21 +339,37 @@ def _eecm_select(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
     and one reversed cumsum gives them all. AIC is ``_aic``'s
     n ln(SSE/n) + 2p with ``math.log``, as there: ``np.log``'s SIMD loop
     need not round as libm does. The rank rule runs once on the full design,
-    which by singular-value interlacing covers every candidate; only where
-    it fails is each candidate that has enough rows checked on its own
-    subset of R's columns (same singular values as its design). Ties break
-    to smaller m+n, then m.
+    which by singular-value interlacing covers every candidate (a column
+    subset's smallest singular value is no smaller, its largest no larger).
+    Where it fails, per m one SVD of the largest candidate (m, top) that has
+    enough rows covers every (m, n <= top) by the same argument; only where
+    that fails too is each such candidate checked on its own subset of R's
+    columns (same singular values as its design). Ties break to smaller
+    m+n, then m.
     """
     n_cols = n_base + 2 * max_lag
     lags = np.arange(max_lag + 1)
     p = n_base + lags[:, None] + lags  # coefficients of candidate (m, n) at [m, n]
-    fit = nobs[:, None, None] > p + 1
-    # candidates of the splits whose full design fails the rank rule
-    check = fit & ~_full_rank(np.linalg.svd(r[:, :, :n_cols], compute_uv=False), nobs, n_cols)[:, None, None]
+    fit = nobs[:, None, None] >= _min_rows(p)
+
+    def full_rank(s: np.ndarray, m: int, n_: int) -> np.ndarray:
+        """The rank rule on candidate (m, n_) of the splits in ``s``."""
+        cols = list(range(n_base + m)) + list(range(n_base + max_lag, n_base + max_lag + n_))
+        return _full_rank(np.linalg.svd(r[s][:, :, cols], compute_uv=False), nobs[s], p[m, n_])
+
+    # per m, each split's largest n with enough rows (-1: none), tested first
+    # where the split's full design fails the rank rule
+    top = fit.sum(axis=2) - 1
+    deficient = ~_full_rank(np.linalg.svd(r[:, :, :n_cols], compute_uv=False), nobs, n_cols)[:, None] & (top >= 0)
+    check = np.zeros_like(fit)  # candidates checked on their own
+    for m, t in sorted(set(zip(np.nonzero(deficient)[1].tolist(), top[deficient].tolist()))):
+        s = deficient[:, m] & (top[:, m] == t)
+        s[s] = ~full_rank(s, m, t)
+        fit[s, m, t] = False
+        check[s, m, :t] = True
     for m, n_ in zip(*np.nonzero(check.any(axis=0))):
         s = check[:, m, n_]
-        cols = list(range(n_base + m)) + list(range(n_base + max_lag, n_base + max_lag + n_))
-        fit[s, m, n_] = _full_rank(np.linalg.svd(r[s][:, :, cols], compute_uv=False), nobs[s], p[m, n_])
+        fit[s, m, n_] = full_rank(s, m, n_)
     tail = list(range(n_base + max_lag, n_cols + 1))  # dF lags 1..L, dS
     tails = [np.linalg.qr(r[:, n_base + m :, tail], mode="r") for m in range(max_lag + 1)]
     # y[:, m]: the trailing block's last column, zero past its end

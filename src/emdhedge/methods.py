@@ -39,13 +39,18 @@ from .emd import ImfSet
 from .errors import DataError, EmdHedgeError, InsufficientDataError, NumericError, SingularDesignError
 from .estimators import (
     ECM_RANK_DEFICIENT,
+    ECM_REDUCTIONS,
+    FUTURES_SPREAD_FLOOR,
     MIN_OBS,
     NO_EECM_FIT,
+    RANK_DEFICIENT,
     Method,
     _check_futures_variance,
     _check_rows,
     _eecm_select,
     _full_rank,
+    _min_rows,
+    _too_few_rows,
     _with_u,
     aggregate_imfs,
     design_rows,
@@ -119,15 +124,15 @@ class _Buckets:
 
     def check_futures_variance(self, out: _Outcomes, use: np.ndarray) -> None:
         """``_check_futures_variance`` on each split's used rows. Only splits
-        whose futures spread by at most 1e-140 can fail it: a larger spread
-        bounds the variance above spread^2 / 4n > 1e-300."""
+        whose futures spread by at most ``FUTURES_SPREAD_FLOOR`` can fail it
+        (see there)."""
         def check(s: int) -> None:
             spans = zip(self.start[use[s]], self.count[use[s]])
             _check_futures_variance(np.concatenate([self.rows[a : a + c, 1] for a, c in spans]))
 
         hi = np.where(use, self.x_max, -np.inf).max(axis=1, initial=-np.inf)
         lo = np.where(use, self.x_min, np.inf).min(axis=1, initial=np.inf)
-        out.check(hi - lo <= 1e-140, check)
+        out.check(hi - lo <= FUTURES_SPREAD_FLOOR, check)
 
 
 class _Outcomes:
@@ -166,7 +171,7 @@ def _coef(out: _Outcomes, n: np.ndarray, r: np.ndarray, p: int, fit: np.ndarray)
     """``ols``'s checks for y on the first p columns of the R factors in
     ``r`` (of n rows) of the splits in ``fit``: too few rows fail the split
     in ``out``; returns (full-rank mask, coefficients of those splits)."""
-    out.fail(fit & (n <= p + 1), lambda s: InsufficientDataError(f"{n[s]} observations for {p} coefficients"))
+    out.fail(fit & (n < _min_rows(p)), lambda s: _too_few_rows(n[s], p))
     ok = fit & out.live
     ok[ok] = _full_rank(np.linalg.svd(r[ok, :p, :p], compute_uv=False), n[ok], p)
     return ok, _solve(r, p, ok)
@@ -175,7 +180,7 @@ def _coef(out: _Outcomes, n: np.ndarray, r: np.ndarray, p: int, fit: np.ndarray)
 def _slope(out: _Outcomes, n: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``ols`` of y on [1, x] for every live split; a rank-deficient split fails."""
     ok, coef = _coef(out, n, r, 2, out.live)
-    out.fail(~ok, lambda s: SingularDesignError("regressor matrix is rank deficient"))
+    out.fail(~ok, lambda s: SingularDesignError(RANK_DEFICIENT))
     return coef
 
 
@@ -215,7 +220,7 @@ def _fit_splits(method: Method, horizon: int, max_lag: int, rows: _Buckets, leve
             ratio[won] = _solve(rms[mi], 3 + mi + ni, won)[won, 1]
     elif method is Method.ECM:  # ``_ecm_fallback``: each p fits the splits p + 1 left
         pending = out.live.copy()
-        for p in (4, 3, 2):
+        for p in ECM_REDUCTIONS:
             ok, coef = _coef(out, n, r, p, pending)
             ratio[ok] = coef[ok, 1]
             pending &= out.live & ~ok

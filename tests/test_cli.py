@@ -207,6 +207,35 @@ class TestSynthCommand:
         assert capsys.readouterr().err == f"data error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trend", "inf", "--noise", "nan", "--tones", "20:1"], "--tones is a --mode tones flag"),
+            (["--noise", "0"], "--noise is a --mode tones flag"),
+            (["--mode", "tones", "--tones", "20:1", "--b", "nan", "--basis-sigma", "-1"], "--b is a --mode coint flag"),
+            (["--mode", "tones", "--basis-sigma", "0.005"], "--basis-sigma is a --mode coint flag"),
+        ],
+    )
+    def test_a_flag_of_the_other_mode_is_a_usage_error_naming_it(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "pair.csv"
+        assert main(["synth", "--out", str(out), *flags]) == 1
+        mode = "tones" if "tones" in flags else "coint"
+        assert capsys.readouterr().err == f"usage error: {message}, not a --mode {mode} one\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, defaults",
+        [
+            (["--mode", "coint"], ["--b", "0.9", "--phi", "0.8", "--basis-sigma", "0.005"]),
+            (["--mode", "tones", "--tones", "20:1"], ["--trend", "0", "--noise", "0"]),
+        ],
+    )
+    def test_an_unset_mode_flag_takes_its_spec_default(self, mode, defaults, tmp_path):
+        plain, explicit = tmp_path / "plain.csv", tmp_path / "explicit.csv"
+        assert main(["synth", "--out", str(plain), "--length", "200", *mode]) == 0
+        assert main(["synth", "--out", str(explicit), "--length", "200", *mode, *defaults]) == 0
+        assert plain.read_bytes() == explicit.read_bytes()
+
     @pytest.mark.parametrize("target", ["directory", "below a file"])
     def test_an_unwritable_out_is_a_usage_error(self, target, tmp_path, capsys):
         blocker = tmp_path / "taken"
@@ -255,6 +284,97 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "unreadable CSV" in err
         assert not outdir.exists()
+
+
+class TestCommandLineEdges:
+    """Flag and ingestion edges: each exits with its documented code and
+    message; one raised before ``--out`` exists writes nothing, one raised
+    after it leaves a lone ``failed`` manifest."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--horizon-cap", "0"], "horizon_cap must be >= 1"),
+            (["--methods", ""], "empty method list"),
+            (["--methods", " , "], "empty method list"),
+            (["--config", "{tmp}/missing.cfg"], "config file not found: {tmp}/missing.cfg"),
+            (["--k", "two"], "bad value for 'k': two"),
+            (["--alpha", "5%"], "bad value for 'alpha': 5%"),
+        ],
+    )
+    def test_a_bad_flag_is_a_usage_error_before_anything_is_written(self, flags, message, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        assert main(["cv", "--input", str(tmp_path / "pair.csv"), "--out", str(outdir), *flags]) == 1
+        assert capsys.readouterr().err == f"usage error: {message.format(tmp=tmp_path)}\n"
+        assert not outdir.exists()
+
+    def test_no_input_is_a_usage_error(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        assert main(["hedge", "--out", str(outdir)]) == 1
+        assert capsys.readouterr().err == "usage error: --input is required\n"
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("", "empty file"),
+            ("date,spot\n2000-01-03,100\n", "missing column 'futures' (have ['date', 'spot'])"),
+            ("date,price,futures\n2000-01-03,100,99\n", "missing column 'spot' (have ['date', 'price', 'futures'])"),
+        ],
+    )
+    def test_an_unusable_input_file_is_a_data_error_before_anything_is_written(self, text, problem, tmp_path, capsys):
+        pair, outdir = tmp_path / "pair.csv", tmp_path / "out"
+        pair.write_text(text)
+        assert main(["decompose", "--input", str(pair), "--out", str(outdir)]) == 2
+        assert capsys.readouterr().err == f"data error: {pair}: {problem}\n"
+        assert not outdir.exists()
+
+    def test_a_one_year_input_under_a_year_partition_fails_the_decompose_stage(self, tmp_path, capsys):
+        # 300 days from 2000-01-03 end in October 2000; the partition rules
+        # bind only a run with a CV stage
+        pair, outdir = tmp_path / "pair.csv", tmp_path / "out"
+        assert main(["synth", "--out", str(pair), "--length", "300"]) == 0
+        assert main(["cv", "--input", str(pair), "--out", str(outdir), "--partition", "year"]) == 2
+        why = "need at least 2 distinct calendar years"
+        assert capsys.readouterr().err == f"data error: pipeline stage 'decompose' failed: {why} (see manifest)\n"
+        assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"], manifest["artifacts"]) == ("failed", "decompose", [])
+        assert manifest["warnings"] == [f"stage decompose failed: {why}"]
+        argv = ["hedge", "--input", str(pair), "--out", str(tmp_path / "hedge"), "--partition", "year"]
+        assert main(argv + ["--methods", "MV"]) == 0
+
+
+class TestEmptyTables:
+    def test_header_only_determinant_tables_are_named_with_their_reason(self, tmp_path):
+        # T=300 in 5 groups leaves 3 rows with a CV mean, one short of a determinant regression
+        pair, outdir = tmp_path / "pair.csv", tmp_path / "out"
+        assert main(["synth", "--out", str(pair), "--length", "300"]) == 0
+        assert main(["pipeline", "--input", str(pair), "--out", str(outdir), "--partition", "equal:5"]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        why = "no regression could be fitted: need at least 4 paired observations, got 3"
+        assert manifest["empty_tables"] == {"determinants.csv": why, "relative_performance.csv": why}
+        for name in manifest["empty_tables"]:
+            assert len((outdir / name).read_text().splitlines()) == 1
+
+    def test_a_table_without_a_method_to_fit_is_named(self, tmp_path):
+        pair, outdir = tmp_path / "pair.csv", tmp_path / "out"
+        assert main(["synth", "--out", str(pair), "--length", "300"]) == 0
+        argv = ["analyze", "--input", str(pair), "--out", str(outdir), "--partition", "equal:5", "--methods", "ECM"]
+        assert main(argv) == 0
+        assert json.loads((outdir / "manifest.json").read_text())["empty_tables"] == {
+            "determinants.csv": "no MV or EMD-family method selected",
+            "relative_performance.csv": "no EMD-family method selected",
+        }
+
+    def test_a_run_whose_tables_all_have_rows_names_none(self, tmp_path):
+        pair, outdir = tmp_path / "pair.csv", tmp_path / "out"
+        assert main(["synth", "--out", str(pair), "--length", "2000", "--seed", "1"]) == 0
+        assert main(["pipeline", "--input", str(pair), "--out", str(outdir), "--methods", "MV,SEMD"]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert "empty_tables" not in manifest
+        assert len((outdir / "determinants.csv").read_text().splitlines()) == 1 + 4
 
 
 def _imf_set(cycles, n=50):
@@ -1032,10 +1152,19 @@ def _scale_prices(pair: Path, factor: float) -> bool:
 
 
 def _a_cell_is_finite(table: Path) -> bool:
-    """Whether any path-statistic cell of a CV table is finite."""
+    """Whether any cell of a CSV table outside its index columns (a CV
+    table's horizon and path, a decomposition's t, a regression's n) is a
+    finite number."""
     with open(table, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    return any(np.isfinite(float(v)) for row in rows for col, v in row.items() if col not in ("horizon", "path"))
+
+    def finite(cell: str) -> bool:
+        try:
+            return bool(np.isfinite(float(cell)))
+        except ValueError:  # a label, a star or an empty cell
+            return False
+
+    return any(finite(v) for row in rows for col, v in row.items() if col not in ("horizon", "path", "t", "n"))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1057,9 +1186,10 @@ def test_the_cli_contract_holds_for_drawn_configs(
     length, seed, groups, k, horizons, horizon_cap, methods, scope, command, scale
 ):
     """Every run exits with a documented code, a run that exits 0 fills a
-    cell of each CV table, warns of nothing and writes nothing to stderr, a
-    price outside [2^-511, 2^511) is a data error, and every missing number
-    has a reason. The prices are scaled by 10^scale."""
+    cell of each table it writes or names the table in ``empty_tables``,
+    warns of nothing and writes nothing to stderr, a price outside
+    [2^-511, 2^511) is a data error, and every missing number has a reason.
+    The prices are scaled by 10^scale."""
     with tempfile.TemporaryDirectory() as tmp:
         pair, outdir = Path(tmp) / "pair.csv", Path(tmp) / "out"
         assert main(["synth", "--out", str(pair), "--length", str(length), "--seed", str(seed)]) == 0
@@ -1080,8 +1210,12 @@ def test_the_cli_contract_holds_for_drawn_configs(
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert (manifest["status"] == "ok") == (rc == 0)
         if rc == 0:
-            for name in ("cv_variance_reduction.csv", "cv_var.csv"):
-                assert name not in manifest["artifacts"] or _a_cell_is_finite(outdir / name)
+            empty = manifest.get("empty_tables", {})
+            assert "empty_tables" not in manifest or (empty and all(empty.values()))
+            for name in (a for a in manifest["artifacts"] if a.endswith(".csv")):
+                assert (name in empty) != _a_cell_is_finite(outdir / name), name
+                if name in empty:  # header-only
+                    assert len((outdir / name).read_text().splitlines()) == 1, name
         assert _unexplained_nans(outdir) == []
 
 

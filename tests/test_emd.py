@@ -170,6 +170,20 @@ class TestEnvelopeMean:
         x = np.arange(10.0)
         assert envelope_mean(x, np.array([], dtype=int), np.array([], dtype=int)) is None
 
+    @pytest.mark.parametrize("kinds", ["+", "-+", "+-", "-+-", "+-+", "+-+-", "-+-+-"])
+    def test_envelope_mean_and_the_sift_vanish_at_the_same_extrema_counts(self, kinds):
+        # a zigzag with a maximum at each "+" and a minimum at each "-": the
+        # envelopes vanish below 2 extrema on either side, in ``envelope_mean``
+        # and at the lockstep sift's first step alike
+        knots = [0.5] + [1.0 if k == "+" else 0.0 for k in kinds] + [0.5]
+        x = np.interp(np.arange(10 * (len(knots) - 1) + 1), np.arange(0, 10 * len(knots), 10), knots)
+        maxima, minima, _ = find_extrema(x)
+        assert (len(maxima), len(minima)) == (kinds.count("+"), kinds.count("-"))
+        vanish = min(len(maxima), len(minima)) < 2
+        assert (envelope_mean(x, maxima, minima) is None) == vanish
+        r = sift(x)
+        assert (r.residue_like and r.n_sifts == 0) == vanish
+
     @pytest.mark.parametrize("mirror", [1, 2, 3])
     def test_matches_scipy_natural_cubic_spline(self, mirror):
         from scipy.interpolate import CubicSpline

@@ -11,14 +11,22 @@ from emdhedge.errors import (
     NumericError,
     SingularDesignError,
 )
+from emdhedge import methods
 from emdhedge.estimators import (
+    ECM_RANK_DEFICIENT,
+    FUTURES_SPREAD_FLOOR,
+    FUTURES_VAR_FLOOR,
     MIN_OBS,
+    RANK_DEFICIENT,
     _aic,
+    _check_futures_variance,
     _eecm_select,
     _full_rank,
+    _min_rows,
     Method,
     aemd_ratio,
     aggregate_imfs,
+    design_rows,
     ecm_ratio,
     eecm_ratio,
     horizon_of,
@@ -29,6 +37,7 @@ from emdhedge.estimators import (
     vemd_ratio,
     ImfPair,
 )
+from emdhedge.methods import make_ratio_fn
 from emdhedge.series import PriceSeries, log_returns, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
@@ -363,11 +372,14 @@ def eecm_select_oracle(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: in
 
 def _stacks(seed, splits, rows, cols, kind):
     """R factors of (splits, rows, cols) random designs; ``kind`` repeats a
-    column, makes one nearly collinear, or leaves them random."""
+    column, copies a late dF lag into column 4 (a dS lag of a grid with a
+    large max_lag), makes one nearly collinear, or leaves them random."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(splits, rows, cols))
     if kind == "repeated" and cols > 3:
         x[:, :, -2] = x[:, :, 1]
+    if kind == "repeated lags":
+        x[:, :, 4] = x[:, :, -4]
     if kind == "near-collinear" and cols > 3:
         x[:, :, 2] = x[:, :, 1] + 1e-9 * rng.normal(size=(splits, rows))
     return np.linalg.qr(x, mode="r")
@@ -393,7 +405,10 @@ class TestEecmTrailingBlock:
 
     @pytest.mark.parametrize(
         "case",
-        ["random", "repeated", "near-collinear", "few rows", "no rows", "short r", "max_lag 0", "max_lag 1"],
+        [
+            "random", "repeated", "near-collinear", "repeated lags", "repeated lags, few rows", "few rows",
+            "no rows", "short r", "max_lag 0", "max_lag 1",
+        ],
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_the_whole_column_set_search(self, case, seed):
@@ -403,10 +418,12 @@ class TestEecmTrailingBlock:
         cols = n_base + 2 * max_lag + 1
         # "short r": fewer rows than columns, as ``eecm_ratio`` factors a short sample
         rows = 12 if case == "short r" else cols + 30
-        kind = case if case in ("repeated", "near-collinear") else "random"
+        # "repeated lags": only the candidates holding both copies are deficient,
+        # so the largest candidate of each small m passes and of each large m fails
+        kind = case.split(",")[0] if case.startswith(("repeated", "near-collinear")) else "random"
         r = _stacks(seed, 6, rows, cols, kind)
         nobs = np.full(6, rows)
-        if case == "few rows":  # nobs <= p + 1 rules out most candidates of most splits
+        if case.endswith("few rows"):  # nobs <= p + 1 rules out most candidates of most splits
             nobs = rng.integers(0, n_base + max_lag + 4, size=6)
         if case == "no rows":
             nobs[[1, 4]] = 0
@@ -419,8 +436,9 @@ class TestEecmTrailingBlock:
 
     def test_a_deficient_design_takes_an_svd_only_per_candidate_with_enough_rows(self, monkeypatch):
         # 10 rows at max_lag 10: only the 21 candidates with m + n <= 5 pass
-        # nobs > p + 1; a futures leg repeating every 4 days leaves the full
-        # design rank deficient too, so each of them is checked on its own
+        # nobs > p + 1; a futures leg repeating every 4 days makes dF and its
+        # lags 1..3 sum to zero, so the full design and every candidate with
+        # n >= 3 are rank deficient
         rng = np.random.default_rng(1)
         lf = np.tile(4.0 + 0.02 * rng.normal(size=4), 6)[:21]
         ls = 0.1 + 0.9 * lf + 0.005 * rng.normal(size=21)
@@ -439,9 +457,11 @@ class TestEecmTrailingBlock:
         assert deficient
         assert est.lags == lags
         assert abs(est.ratio - ratio) <= 1e-12 * abs(ratio)
-        # the cointegrating and the winner's ``ols``, the full design, then
-        # one per candidate that has enough rows
-        assert len(calls) == 2 + 1 + 21
+        # the cointegrating and the winner's ``ols``, the full design, the
+        # largest candidate (m, 5 - m) of each m, then, below the three of
+        # those that fail (m = 0, 1, 2), each candidate on its own
+        assert len(calls) == 2 + 1 + 6 + (5 + 4 + 3)
+        assert [shape[2] for shape in calls[2:8]] == [3 + 5] * 6
 
 
 class TestPairImfs:
@@ -651,3 +671,120 @@ def test_segments_that_are_not_a_training_sample_are_rejected(taker, case):
     SEGMENT_TAKERS[taker]((range(0, 50), range(100, 200)))  # a valid sample is accepted
     with pytest.raises(DataError, match=words):
         SEGMENT_TAKERS[taker](segs)
+
+
+def _raised(call):
+    """(class name, message) of the error ``call`` raises or returns, else None."""
+    try:
+        got = call()
+    except (DataError, NumericError) as exc:
+        got = exc
+    return (type(got).__name__, str(got)) if isinstance(got, Exception) else None
+
+
+class TestFitBoundaries:
+    """Each estimator boundary at its edge, on the scalar estimator and on the
+    batched ratio function that shares its definition."""
+
+    @pytest.mark.parametrize(
+        "method, horizon, max_lag, message",
+        [
+            (Method.ECM, 30, 0, "no segment long enough for the horizon"),
+            (Method.EECM, 20, 10, "no segment long enough for horizon + max_lag"),
+            (Method.EECM, 29, 1, "no segment long enough for horizon + max_lag"),
+        ],
+    )
+    def test_ecm_and_eecm_without_a_row_name_their_footprint(self, method, horizon, max_lag, message):
+        spot, fut = price_series(_walk(30, 1)), price_series(_walk(30, 2))
+        estimate = {Method.ECM: ecm_ratio, Method.EECM: lambda *a: eecm_ratio(*a, max_lag=max_lag)}[method]
+        want = ("InsufficientDataError", message)
+        assert _raised(lambda: estimate(spot, fut, horizon)) == want
+        whole = make_ratio_fn(method, spot, fut, horizon, max_lag=max_lag)
+        halves = make_ratio_fn(method, spot, fut, horizon, max_lag=max_lag, groups=(range(15), range(15, 30)))
+        assert [_raised(lambda: got) for got in whole([(0,)]) + halves([(0,), (0, 1)])] == [want] * 3
+
+    @pytest.mark.parametrize("max_lag, n_rows", [(8, 2), (9, 1), (10, 0), (11, 0), (25, 0)])
+    def test_an_eecm_sample_shorter_than_its_footprint_has_no_row(self, max_lag, n_rows):
+        # 30 prices give 10 horizon-20 differences, of which max_lag go to the lags
+        s, f = _walk(30, 1), _walk(30, 2)
+        rows, back = design_rows(Method.EECM, s, f, 20, max_lag)
+        assert rows.shape == (n_rows, 5 + 2 * max_lag) and back == 20 + max_lag
+
+    def test_ecm_fails_when_every_reduction_is_rank_deficient(self):
+        # log futures linear in time: dF takes two values one ulp apart, so its
+        # variance clears the floor but [1, dF], the smallest reduction, is deficient
+        spot = price_series(np.exp(4.0 + 0.01 * np.random.default_rng(0).normal(size=40).cumsum()))
+        fut = price_series(np.exp(4.0 + 0.01 * np.arange(40)))
+        rows, _ = design_rows(Method.ECM, spot.values, fut.values, 1)
+        _check_futures_variance(rows[:, 1])
+        assert len(set(rows[:, 1].tolist())) == 2
+        want = ("SingularDesignError", ECM_RANK_DEFICIENT)
+        assert _raised(lambda: ecm_ratio(spot, fut, 1)) == want
+        assert _raised(lambda: make_ratio_fn(Method.ECM, spot, fut, 1)([(0,)])[0]) == want
+        # MV's one design is that reduction
+        want = ("SingularDesignError", RANK_DEFICIENT)
+        assert _raised(lambda: mv_ratio(spot, fut, 1)) == want
+        assert _raised(lambda: make_ratio_fn(Method.MV, spot, fut, 1)([(0,)])[0]) == want
+
+    @pytest.mark.parametrize("case, p", [("walks", 4), ("identical legs", 3), ("constant spot", 2)])
+    def test_ecm_takes_the_first_reduction_of_full_rank(self, case, p):
+        # identical legs make S and F collinear; a constant spot makes S a
+        # multiple of the intercept, leaving only [1, dF]
+        s, f = _walk(60, 1), _walk(60, 2)
+        s = {"walks": s, "identical legs": f, "constant spot": np.full(60, 100.0)}[case]
+        est = ecm_ratio(price_series(s), price_series(f), 1)
+        assert len(est.fit.t_stats) == p
+        (got,) = make_ratio_fn(Method.ECM, price_series(s), price_series(f), 1)([(0,)])
+        assert got == pytest.approx(est.ratio, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("c", [0.0, 2.0, -0.5])
+    def test_ols_on_a_constant_y(self, c):
+        # the mean of these constants is exact, so the total sum of squares is
+        # 0: R-squared is 1 for an exact zero residual, else 0
+        fit = ols(np.full(20, c), np.arange(20.0))
+        assert fit.alpha == pytest.approx(c, abs=1e-14) and fit.slope == pytest.approx(0.0, abs=1e-15)
+        assert fit.r_squared == (1.0 if c == 0.0 else 0.0)
+        assert (fit.aic == -math.inf) == (c == 0.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_the_row_rule_and_its_error_are_shared(self, p):
+        # ``ols`` and the batched fits reject n = p + 1 rows of p coefficients with one message
+        rng = np.random.default_rng(p)
+        n = _min_rows(p)
+        X, y = rng.normal(size=(n, p - 1)), rng.normal(size=n)
+        assert ols(y, X).n_obs == n
+        want = ("InsufficientDataError", f"{n - 1} observations for {p} coefficients")
+        assert _raised(lambda: ols(y[:-1], X[:-1])) == want
+        out = methods._Outcomes(2)
+        r = np.linalg.qr(np.column_stack([np.ones(n), X, y])[None].repeat(2, axis=0), mode="r")
+        ok, _ = methods._coef(out, np.array([n, n - 1]), r, p, out.live.copy())
+        assert ok.tolist() == [True, False] and _raised(lambda: out.errors[1]) == want
+
+    @pytest.mark.parametrize("n_base", [2, 3])
+    def test_eecm_candidates_follow_the_row_rule(self, n_base):
+        # _min_rows(n_base) rows fit only the lagless candidate; one fewer fits none
+        r = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 40, n_base + 2 * 3 + 1)), mode="r")
+        m, n_, _ = _eecm_select(r, np.array([_min_rows(n_base), _min_rows(n_base) - 1]), n_base, 3)
+        assert m.tolist() == [0, -1] and n_[0] == 0
+
+    def test_the_spread_bound_clears_the_variance_floor(self):
+        # the worst case of the bound: two extremes d apart, every other value midway
+        n = 10**5
+        d = FUTURES_SPREAD_FLOOR * (1 + 1e-12)
+        x = np.full(n, d / 2)
+        x[0], x[-1] = 0.0, d
+        assert float(np.var(x)) >= d * d / (2 * n) * (1 - 1e-9) > FUTURES_VAR_FLOOR
+
+    @pytest.mark.parametrize("step", [1e-150, 3e-150, 2e-140])
+    def test_a_batched_split_meets_the_variance_floor_as_the_estimator_does(self, step):
+        # futures alternating 0, step: variance step^2 / 4, under the floor at
+        # 1e-150 and over it at 3e-150 (both spreads under FUTURES_SPREAD_FLOOR,
+        # so checked exactly), and far over it at 2e-140
+        x = step * (np.arange(30) % 2)
+        rows = np.column_stack([np.ones(30), x, np.arange(30.0)])
+        blocks = methods._Buckets(rows, np.zeros(30, dtype=int), np.zeros(30, dtype=int))
+        out = methods._Outcomes(1)
+        blocks.check_futures_variance(out, np.ones((1, 1), dtype=bool))
+        want = _raised(lambda: _check_futures_variance(x))
+        assert _raised(lambda: out.errors[0]) == want
+        assert want == (("DegenerateInputError", "futures differences have zero variance") if step == 1e-150 else None)

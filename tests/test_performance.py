@@ -9,6 +9,7 @@ from emdhedge.errors import DataError, InsufficientDataError
 from emdhedge.estimators import mv_ratio
 from emdhedge.performance import (
     Criterion,
+    effectiveness_rows,
     he_var,
     he_variance,
     moments,
@@ -55,6 +56,15 @@ class TestHeVariance:
         p = s - 0.8 * rng.normal(0, 0.02, 200)
         base = he_variance(s, p).value
         assert he_variance(7.0 * s, 7.0 * p).value == pytest.approx(base, abs=1e-12)
+
+
+@pytest.mark.parametrize("spot_n, portfolio_n", [(1, 5), (5, 1), (1, 1), (0, 3)])
+def test_variance_reduction_needs_2_observations_a_side(spot_n, portfolio_n):
+    rng = np.random.default_rng(0)
+    with pytest.raises(InsufficientDataError, match="^need at least 2 observations per side$"):
+        effectiveness_rows(Criterion.VARIANCE_REDUCTION, rng.normal(size=spot_n), rng.normal(size=(2, portfolio_n)))
+    values, degenerate, _ = effectiveness_rows(Criterion.VARIANCE_REDUCTION, np.array([1.0, 2.0]), np.ones((2, 2)))
+    assert values.tolist() == [1.0, 1.0] and not degenerate
 
 
 class TestVarQuantile:
