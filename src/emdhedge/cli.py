@@ -42,9 +42,6 @@ from .performance import effectiveness_rows
 from .series import PriceSeries, load_csv, log_returns
 from .synth import CointSpec, SynthSpec, gen_coint_pair, gen_tones
 
-CV_CRITERIA = (Criterion.VARIANCE_REDUCTION, Criterion.VAR)
-
-
 @dataclass(frozen=True)  # checked once, at construction
 class RunConfig:
     input: str | None = None
@@ -347,7 +344,7 @@ def _emit_decomposition(state: PipelineState) -> None:
             raise DataError(f"no usable (imf, horizon) rows under the horizon cap {cfg.horizon_cap}")
         state.warnings.append("no usable (imf, horizon) rows under the horizon cap")
     # the explicit-horizon rule of _cv_partition, for the rows as a whole
-    elif part is not None and all(_excludes_every_group(part, h, cfg.min_obs) for _, h in rows):
+    elif part is not None and all(len(excluded_groups(part, h, cfg.min_obs)) == part.n_groups for _, h in rows):
         raise DataError(
             f"horizons {', '.join(str(h) for _, h in rows)} each exclude every partition group "
             f"(largest group: {max(part.sizes)} observations)"
@@ -426,7 +423,7 @@ def _emit_insample(state: PipelineState) -> None:
     """In-sample tables: full sample as both training and testing set."""
     cfg = state.cfg
     methods = cfg.method_list()
-    ratio_rows, score_rows = [], {crit: [] for crit in CV_CRITERIA}
+    ratio_rows, score_rows = [], {crit: [] for crit in Criterion}
     for imf_index, h in state.rows:
         ds, df = log_returns(state.spot.values, h), log_returns(state.fut.values, h)
         ratios = []
@@ -440,7 +437,7 @@ def _emit_insample(state: PipelineState) -> None:
         ok = [i for i, r in enumerate(ratios) if not math.isnan(r)]
         # the row's portfolios, scored by one call per criterion
         portfolios = ds[None, :] - np.array([ratios[i] for i in ok])[:, None] * df[None, :]
-        for crit in CV_CRITERIA:
+        for crit in Criterion:
             values = [float("nan")] * len(methods)
             if ok:
                 try:
@@ -459,33 +456,36 @@ def _emit_insample(state: PipelineState) -> None:
         raise DataError("no in-sample hedge ratio for any method and horizon")
     header = ["imf", "horizon"] + [m.value for m in methods]
     _emit_csv(state, "insample_ratios.csv", header, ratio_rows)
-    for crit in CV_CRITERIA:  # insample_variance_reduction.csv, insample_var.csv
+    for crit in Criterion:  # insample_variance_reduction.csv, insample_var.csv
         _emit_csv(state, f"insample_{crit.value}.csv", header, score_rows[crit])
 
 
 def _emit_cv(state: PipelineState) -> None:
-    """Cross-validated path statistics plus a JSON sidecar with per-path values."""
+    """Cross-validated path statistics plus a JSON sidecar with per-path
+    values: each entry is a ``PathReport``'s fields but ``stats``, with the
+    row's ``imf_index`` and the run's ``decompose_scope``."""
     cfg = state.cfg
     methods = cfg.method_list()
     part = state.part
-    criteria = CV_CRITERIA
     sidecar: dict = {}
-    tables: dict = {crit: [] for crit in criteria}  # criterion -> one row per horizon
+    tables: dict = {crit: [] for crit in Criterion}  # criterion -> one row per horizon
     imfs = state.segment_sets if cfg.decompose_scope == "per-segment" else None
+    keys = [f.name for f in fields(PathReport) if f.name != "stats"]
     for imf_index, h in state.rows:
         try:
             fns = {m.value: _ratio_fn(state, m, imf_index, h, imfs, part.groups) for m in methods}
-            row = run_cv(state.spot, state.fut, fns, h, criteria, part, cfg.k, min_obs=cfg.min_obs, alpha=cfg.alpha)
+            row = run_cv(state.spot, state.fut, fns, h, part, cfg.k, min_obs=cfg.min_obs, alpha=cfg.alpha)
         except EmdHedgeError as exc:  # holds for the whole horizon, e.g. all groups excluded
             state.warnings.extend(f"cv {m.value} imf{imf_index} h={h}: {exc}" for m in methods)
-            for crit in criteria:
+            for crit in Criterion:
                 tables[crit].append([h, 0] + [float("nan")] * (4 * len(methods)))
             continue
         # every report of a horizon holds the same excluded groups
-        state.exclusions.extend((h, g, reason) for g, reason in row[methods[0].value, criteria[0]].excluded_groups)
+        state.exclusions.extend((h, g, reason) for g, reason in next(iter(row.values())).excluded_groups)
+        cv_rows = {crit: [h, 0] for crit in Criterion}  # criterion -> horizon, paths, then each method's moments
         for method in methods:
-            reports = {c: row[method.value, c] for c in criteria}
-            failed = Counter(cls for cls, _ in reports[criteria[0]].failed_reasons)
+            reports = {c: row[method.value, c] for c in Criterion}
+            failed = Counter(cls for cls, _ in reports[Criterion.VARIANCE_REDUCTION].failed_reasons)
             state.cv_failed_splits.update(failed)
             missing = [(c, r) for c, r in reports.items() if r.stats is None]
             voided = [f"{r.n_paths_voided} of {r.n_paths_total} {c.value} paths voided" for c, r in missing]
@@ -497,36 +497,26 @@ def _emit_cv(state: PipelineState) -> None:
                 )
             for crit, rep in reports.items():
                 state.cv_reports[(method, h, crit)] = rep
-                sidecar[f"{method.value}:h{h}:{crit.value}"] = {
-                    "imf_index": imf_index,
-                    "per_path_values": list(rep.per_path_values),
-                    "per_split_values": list(rep.per_split_values),
-                    "excluded_groups": [list(e) for e in rep.excluded_groups],
-                    "n_paths_total": rep.n_paths_total,
-                    "n_paths_voided": rep.n_paths_voided,
-                    "failed_splits": list(rep.failed_splits),
-                    "failed_reasons": [list(r) for r in rep.failed_reasons],
-                    "decompose_scope": cfg.decompose_scope,
+                sidecar[f"{method.value}:h{h}:{crit.value}"] = {key: getattr(rep, key) for key in keys} | {
+                    "imf_index": imf_index, "decompose_scope": cfg.decompose_scope,
                 }
-        for crit in criteria:
-            n_paths, cells = 0, []
-            for rep in (row[m.value, crit] for m in methods):
                 if rep.stats is None:
-                    cells += [float("nan")] * 4
+                    cv_rows[crit] += [float("nan")] * 4
                 else:
-                    n_paths = max(n_paths, len(rep.per_path_values))
-                    cells += [rep.stats.mean, rep.stats.std, rep.stats.skew, rep.stats.kurt]
-            tables[crit].append([h, n_paths] + cells)
+                    cv_rows[crit][1] = max(cv_rows[crit][1], len(rep.per_path_values))
+                    cv_rows[crit] += [rep.stats.mean, rep.stats.std, rep.stats.skew, rep.stats.kurt]
+        for crit, cv_row in cv_rows.items():
+            tables[crit].append(cv_row)
 
     for seg, sets in state.segment_sets.items():
         for leg, s in zip(("spot", "futures"), sets):
             if isinstance(s, ImfSet):
                 _warn_unconverged(state, f"{leg} training segment [{seg.start}, {seg.stop})", s)
-    for crit in criteria:  # a table of NaN alone is a failed stage, not a result
+    for crit in Criterion:  # a table of NaN alone is a failed stage, not a result
         if not any(math.isfinite(v) for row in tables[crit] for v in row[2:]):
             raise DataError(f"no {crit.value} path statistics for any method and horizon")
     header = ["horizon", "path"] + [f"{m.value}_{c}" for m in methods for c in ("mean", "std", "skew", "kurt")]
-    for crit in criteria:  # cv_variance_reduction.csv, cv_var.csv
+    for crit in Criterion:  # cv_variance_reduction.csv, cv_var.csv
         _emit_csv(state, f"cv_{crit.value}.csv", header, tables[crit])
     _write_json(state.outdir / "cv_paths.json", sidecar)
     state.artifacts.append("cv_paths.json")
@@ -584,12 +574,12 @@ def _emit_determinants(state: PipelineState) -> None:
             return None
 
     det_rows = []
-    for crit, panel in ((Criterion.VARIANCE_REDUCTION, "variance_reduction"), (Criterion.VAR, "var")):
+    for crit in Criterion:
         for method in (m for m in methods if m in (Method.MV, *EMD_FAMILY)):
-            f = fit(f"determinants {panel}/{method.value}", method, crit, lambda rep, h: rep.stats.mean)
+            f = fit(f"determinants {crit.value}/{method.value}", method, crit, lambda rep, h: rep.stats.mean)
             if f is not None:
                 origin = [f.beta_origin, f.t_origin, significance_stars(f.t_origin, f.n_obs - 1), f.r2_origin]
-                det_rows.append([panel, method.value] + origin + affine(f))
+                det_rows.append([crit.value, method.value] + origin + affine(f))
     header = ["panel", "method", "beta_origin", "t_origin", "sig_origin", "r2_origin", "alpha", "t_alpha"]
     header += ["sig_alpha", "beta_affine", "t_affine", "sig_affine", "r2_affine", "n"]
     emit("determinants.csv", header, det_rows, "no MV or EMD-family method selected")
@@ -606,10 +596,6 @@ def _emit_determinants(state: PipelineState) -> None:
 STAGES = ("decompose", "preliminary", "insample", "cv", "determinants")
 
 
-def _excludes_every_group(part: GroupPartition, h: int, min_obs: int | None) -> bool:
-    return len(excluded_groups(part, h, CV_CRITERIA, min_obs)) == part.n_groups
-
-
 def _cv_partition(state: PipelineState) -> GroupPartition:
     """The CV partition of the loaded data; a data error when it cannot serve
     the CV stage: a calendar-year partition whose groups cannot give path
@@ -620,7 +606,7 @@ def _cv_partition(state: PipelineState) -> GroupPartition:
     if why := why_too_few_paths(part.n_groups, cfg.k):
         raise DataError(why)
     for h in cfg.horizon_list() or ():
-        if _excludes_every_group(part, h, cfg.min_obs):
+        if len(excluded_groups(part, h, cfg.min_obs)) == part.n_groups:
             raise DataError(
                 f"horizon {h} excludes every partition group "
                 f"(largest group: {max(part.sizes)} observations)"

@@ -7,11 +7,11 @@ path ids 1..C(N-1,k-1); a path is a chronological reassembly with exactly one
 test cell per group. Path scores are the mean of cell scores for variance
 reduction and the minimum for VaR.
 
-``run_cv`` scores every method of one horizon in one call: the group
-returns and the spot side of each test group are computed once, and each
-criterion's scores are one (method, path, group) array, with failed and
-excluded cells as masks, aggregated by the same kernel as
-``path_statistics``.
+``run_cv`` scores every method of one horizon on every ``Criterion`` in
+one call: the group returns and the spot side of each test group are
+computed once, and each criterion's scores are one (method, path, group)
+array, with failed and excluded cells as masks, aggregated by the same
+kernel as ``path_statistics``.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ FAILED = "failed"
 
 @dataclass(frozen=True)
 class PathReport:
-    method: str
     per_split_values: tuple[float | None, ...]
     per_path_values: tuple[float, ...]
     stats: Moments | None
@@ -235,22 +234,16 @@ or the ``DataError`` or ``NumericError`` its fit raises. Any other exception
 ends the call. A split's outcome does not depend on the rest of its batch."""
 
 
-def excluded_groups(
-    part: GroupPartition,
-    horizon: int,
-    criteria: tuple[Criterion, ...],
-    min_obs: int | None = None,
-) -> list[tuple[int, str]]:
+def excluded_groups(part: GroupPartition, horizon: int, min_obs: int | None = None) -> list[tuple[int, str]]:
     """(group index, reason) of each group too short to score at ``horizon``.
 
     A group needs ``min_obs`` within-group horizon differences (default
-    max(10, 2 * horizon)), and at least ``VAR_MIN_OBS`` when VaR is among the
-    criteria.
+    max(10, 2 * horizon)), and at least ``VAR_MIN_OBS``, the VaR quantile's
+    floor.
     """
     if min_obs is None:
         min_obs = max(10, 2 * horizon)
-    if Criterion.VAR in criteria:
-        min_obs = max(min_obs, VAR_MIN_OBS)  # empirical quantile floor
+    min_obs = max(min_obs, VAR_MIN_OBS)  # empirical quantile floor
     return [
         (gi, f"{max(len(g) - horizon, 0)} observations at horizon {horizon} < {min_obs}")
         for gi, g in enumerate(part.groups)
@@ -263,7 +256,6 @@ def run_cv(
     fut: PriceSeries,
     ratio_fns: dict[str, RatioFn],
     horizon: int,
-    criteria: tuple[Criterion, ...],
     part: GroupPartition,
     k: int,
     min_obs: int | None = None,
@@ -272,10 +264,11 @@ def run_cv(
     """Run the full combinatorial CV of every method of one horizon.
 
     ``ratio_fns`` maps each method label to its ratio function; the result
-    maps each (label, criterion) to its report, labels in dict order. Each
-    test group is scored separately on within-group horizon differences;
-    groups too short for ``min_obs`` of them are excluded at this horizon
-    (``excluded_groups``). If every group is excluded, no fit is made.
+    maps each (label, criterion) to its report, labels in dict order, every
+    ``Criterion`` in enum order. Each test group is scored separately on
+    within-group horizon differences; groups too short for ``min_obs`` of
+    them are excluded at this horizon (``excluded_groups``). If every group
+    is excluded, no fit is made.
 
     Each ratio function is called once, in dict order, with every split's
     training groups (indices into ``part.groups``) in split order. A split
@@ -294,7 +287,7 @@ def run_cv(
         raise DataError("spot and futures series must be aligned")
     splits = enumerate_splits(part.n_groups, k)
     assignment = assign_paths(splits)
-    excluded = excluded_groups(part, horizon, criteria, min_obs)
+    excluded = excluded_groups(part, horizon, min_obs)
     if len(excluded) == part.n_groups:
         raise InsufficientDataError(f"all groups excluded at horizon {horizon}")
     skip = {g for g, _ in excluded}
@@ -318,30 +311,29 @@ def run_cv(
 
     # each included test group once, for every (method, split) it tests
     split_of = np.array([[s for _, s in path] for path in assignment.paths])  # (path, group) -> split
-    scores = {c: np.full((len(ratio_fns), assignment.n_paths, part.n_groups), np.nan) for c in criteria}
+    scores = {c: np.full((len(ratio_fns), assignment.n_paths, part.n_groups), np.nan) for c in Criterion}
     for g, rg in enumerate(part.groups):
         ok = ~failed[:, split_of[:, g]]  # (method, path)
         if g in skip or not ok.any():
             continue
         ds, df = (log_returns(leg.values[rg.start : rg.stop], horizon) for leg in (spot, fut))
         portfolios = ds[None, :] - ratios[:, split_of[:, g]][ok][:, None] * df[None, :]
-        for c in criteria:
+        for c in Criterion:
             scores[c][:, :, g][ok] = effectiveness_rows(c, ds, portfolios, alpha)[0]
 
     # per-split and per-path values through index arrays
     tests = np.array([test for test, _ in splits.splits])  # (split, test slot) -> group
     test_paths = np.array([[assignment.cells[g, s] - 1 for g in test] for s, test in enumerate(tests.tolist())])
     per_split, per_path = {}, {}
-    for c in criteria:
+    for c in Criterion:
         cells = scores[c][:, test_paths, tests].reshape(-1, k)
         per_split[c] = _reduce_rows(cells, np.isfinite(cells), np.mean).reshape(len(ratio_fns), len(batch)).tolist()
         per_path[c] = _path_statistics(scores[c], np.isfinite(scores[c]), failed[:, split_of], c)
     reports: dict[tuple[str, Criterion], PathReport] = {}
     for m, label in enumerate(ratio_fns):
-        for c in criteria:
+        for c in Criterion:
             path_vals, stats, voided = per_path[c][m]
             reports[label, c] = PathReport(
-                method=label,
                 per_split_values=tuple(None if math.isnan(v) else v for v in per_split[c][m]),
                 per_path_values=path_vals, stats=stats, excluded_groups=tuple(excluded),
                 n_paths_total=assignment.n_paths, n_paths_voided=voided,

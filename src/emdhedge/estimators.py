@@ -138,8 +138,8 @@ def ols(y: np.ndarray, X: np.ndarray, intercept: bool = True) -> OlsFit:
     coef = vt.T @ ((u.T @ y) / s)
     resid = y - design @ coef
     sse = float(resid @ resid)
-    if intercept:
-        tss = float(np.sum((y - y.mean()) ** 2))
+    if intercept:  # a constant y has tss 0, also where its mean is inexact
+        tss = float(np.sum((y - y.mean()) ** 2)) if np.any(y != y[0]) else 0.0
     else:
         tss = float(y @ y)
     if tss > 0.0:

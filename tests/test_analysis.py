@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
+from emdhedge import synth
 from emdhedge.analysis import (
     _t_pvalue,
     _t_pvalue_exact,
@@ -21,6 +22,20 @@ from emdhedge.estimators import ImfPair, pair_imfs
 def two_tone(n=1200, scale=1.0):
     t = np.arange(float(n))
     return scale * (np.sin(2 * np.pi * t / 12) + np.sin(2 * np.pi * t / 90) + 3.0)
+
+
+PLANTED_PERIODS = (5, 17, 55, 180)
+
+
+def planted_leg(n, seed, shifted=None):
+    """A level of 100 plus four tones (the periods above, amplitudes 0.4 to
+    3.2) and N(0, 0.02^2) noise from synth's own Philox stream; the tone of
+    period ``shifted`` is moved by pi/2."""
+    t = np.arange(float(n))
+    x = 100.0 + 0.02 * synth._normals(synth._uniforms(seed, n))
+    for period, amplitude in zip(PLANTED_PERIODS, (0.4, 0.8, 1.6, 3.2)):
+        x += amplitude * np.sin(2 * np.pi * t / period + (np.pi / 2 if period == shifted else 0.0))
+    return x
 
 
 class TestVarianceDecomposition:
@@ -95,6 +110,20 @@ class TestMatchingDegree:
         with pytest.raises(SingularDesignError) as info:
             matching_degree([good, flat])
         assert str(info.value) == f"matching degree of {label}: regressor matrix is rank deficient"
+
+    @pytest.mark.parametrize("shifted", PLANTED_PERIODS)
+    def test_a_planted_pair_recovers_its_mismatched_tone(self, shifted):
+        # the spot IMF of each planted tone sits at its period; the futures
+        # leg's copy of one tone is a quarter period out of phase
+        n = 3000
+        pairs, _ = pair_imfs(decompose(planted_leg(n, 1)), decompose(planted_leg(n, 2, shifted)))
+        rows = matching_degree(pairs)[: len(PLANTED_PERIODS)]
+        for row, period in zip(rows, PLANTED_PERIODS):
+            assert row.cycle_spot == pytest.approx(period, rel=0.05)
+            if period == shifted:
+                assert row.r_squared < 0.01
+            else:
+                assert row.r_squared > 0.8
 
 
 class TestDeterminantRegression:

@@ -1,0 +1,65 @@
+"""The bundle comparison of tools/bundles.py on hand-made bundle directories."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bundles.py"
+_spec = importlib.util.spec_from_file_location("bundles", TOOL)
+bundles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bundles)
+
+RATIO = 0.9123456789012345
+WARNINGS = ["cv MV imf4 h=50: all groups excluded at horizon 50", "in-sample AEMD imf1 h=2: no spot IMF"]
+
+
+def write_bundle(root: Path, ratio: float = RATIO, warnings=WARNINGS) -> Path:
+    out = root / "out"
+    out.mkdir(parents=True)
+    (out / "insample_ratios.csv").write_text(f"imf,horizon,MV,AEMD\nimf1,2,{ratio!r},nan\nimf2,6,1.5,0.25\n")
+    (out / "manifest.json").write_text(json.dumps({"status": "ok", "warnings": warnings}, indent=2, sort_keys=True))
+    return root
+
+
+def test_identical_bundles_have_no_difference(tmp_path):
+    assert bundles.diff_dirs(write_bundle(tmp_path / "a"), write_bundle(tmp_path / "b")) == []
+
+
+def test_a_one_ulp_change_in_one_ratio_cell_is_flagged(tmp_path):
+    moved = float(np.nextafter(RATIO, 1.0))
+    found = bundles.diff_dirs(write_bundle(tmp_path / "a"), write_bundle(tmp_path / "b", ratio=moved))
+    move = (moved - RATIO) / moved
+    assert found == [
+        "first differing file: out/insample_ratios.csv",
+        f"out/insample_ratios.csv: largest relative cell move {move:.3g} at row 1, column MV",
+    ]
+
+
+def test_a_reordered_manifest_warning_is_flagged(tmp_path):
+    found = bundles.diff_dirs(write_bundle(tmp_path / "a"), write_bundle(tmp_path / "b", warnings=WARNINGS[::-1]))
+    assert found == ["first differing file: out/manifest.json"]
+
+
+def test_a_file_on_one_side_only_is_flagged(tmp_path):
+    a, b = write_bundle(tmp_path / "a"), write_bundle(tmp_path / "b")
+    (b / "out" / "cv_paths.json").write_text("{}\n")
+    assert bundles.diff_dirs(a, b) == ["first differing file: out/cv_paths.json (only under the second tree)"]
+
+
+@pytest.mark.parametrize(
+    "a, b, move", [("1.0", "1", 0.0), ("nan", "nan", 0.0), ("nan", "0.5", np.inf), ("MV", "ECM", np.inf)]
+)
+def test_cell_moves(a, b, move):
+    assert bundles._cell_move(a, b) == move
+
+
+def test_a_run_with_another_exit_code_or_stderr_is_flagged(tmp_path):
+    a, b = write_bundle(tmp_path / "a"), write_bundle(tmp_path / "b")
+    ok = subprocess.CompletedProcess([], 0, "", "")
+    failed = subprocess.CompletedProcess([], 2, "", "data error: x\n")
+    assert bundles.diff_runs(ok, ok, a, b) == []
+    assert bundles.diff_runs(ok, failed, a, b) == ["exit code 0 -> 2", "stderr differs: '' -> 'data error: x\\n'"]

@@ -184,7 +184,7 @@ class TestRunCv:
         fut = price_series(vals)
         part = partition(400, Scheme.EQUAL_COUNT, 5)
         fn = batched(lambda segs: 1.0, spot, part)
-        reports = run_one(spot, fut, fn, 1, (Criterion.VARIANCE_REDUCTION,), part, 2)
+        reports = run_one(spot, fut, fn, 1, part, 2)
         rep = reports[Criterion.VARIANCE_REDUCTION]
         assert rep.n_paths_total == 4
         assert rep.n_paths_voided == 0
@@ -198,8 +198,8 @@ class TestRunCv:
             lengths = sum(len(s) for s in segs)
             return 0.9 + 1e-6 * lengths
 
-        a = run_one(spot, fut, batched(fn, spot, part), 3, tuple(Criterion), part, 2)
-        b = run_one(spot, fut, batched(fn, spot, part), 3, tuple(Criterion), part, 2)
+        a = run_one(spot, fut, batched(fn, spot, part), 3, part, 2)
+        b = run_one(spot, fut, batched(fn, spot, part), 3, part, 2)
         for c in Criterion:
             assert a[c].per_path_values == b[c].per_path_values
             assert a[c].per_split_values == b[c].per_split_values
@@ -210,9 +210,7 @@ class TestRunCv:
         # both count every cell exactly once
         spot, fut = coint_series(seed=9, n=1000)
         part = partition(1000, Scheme.EQUAL_COUNT, 5)
-        rep = run_one(
-            spot, fut, batched(lambda segs: 0.9, spot, part), 2, (Criterion.VARIANCE_REDUCTION,), part, 2
-        )[Criterion.VARIANCE_REDUCTION]
+        rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 2, part, 2)[Criterion.VARIANCE_REDUCTION]
         assert not rep.excluded_groups and not rep.failed_splits
         path_mean = np.mean(rep.per_path_values)
         split_mean = np.mean([v for v in rep.per_split_values])
@@ -221,9 +219,7 @@ class TestRunCv:
     def test_short_groups_excluded_at_long_horizon(self):
         spot, fut = coint_series(seed=3, n=149)
         part = partition(149, Scheme.EQUAL_COUNT, 5)  # sizes (29,29,29,29,33)
-        rep = run_one(
-            spot, fut, batched(lambda segs: 0.9, spot, part), 10, (Criterion.VARIANCE_REDUCTION,), part, 2
-        )[Criterion.VARIANCE_REDUCTION]
+        rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 10, part, 2)[Criterion.VARIANCE_REDUCTION]
         # min_obs = max(10, 2*10) = 20: groups of 29 have 19 diffs and drop,
         # the 33-sample remainder group has 23 and stays
         assert sorted(g for g, _ in rep.excluded_groups) == [0, 1, 2, 3]
@@ -233,7 +229,7 @@ class TestRunCv:
         part = partition(520, Scheme.EQUAL_COUNT, 5)
         with pytest.raises(InsufficientDataError):
             fn = batched(lambda segs: 0.9, spot, part)
-            run_one(spot, fut, fn, 100, (Criterion.VARIANCE_REDUCTION,), part, 2)
+            run_one(spot, fut, fn, 100, part, 2)
 
     def test_failed_split_voids_touching_paths(self):
         spot, fut = coint_series(seed=5, n=600)
@@ -246,9 +242,7 @@ class TestRunCv:
                 raise InsufficientDataError("synthetic failure")
             return 0.9
 
-        rep = run_one(spot, fut, batched(flaky, spot, part), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
-            Criterion.VARIANCE_REDUCTION
-        ]
+        rep = run_one(spot, fut, batched(flaky, spot, part), 1, part, 2)[Criterion.VARIANCE_REDUCTION]
         assert rep.failed_splits == (0,)
         # split 0 carries path 1 for groups 0 and 1 -> exactly one path voided
         assert rep.n_paths_voided == 1
@@ -258,7 +252,7 @@ class TestRunCv:
     def test_var_criterion_uses_min_rule(self):
         spot, fut = coint_series(seed=11, n=1500)
         part = partition(1500, Scheme.EQUAL_COUNT, 5)
-        reports = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 1, tuple(Criterion), part, 2)
+        reports = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 1, part, 2)
         var_rep = reports[Criterion.VAR]
         vr_rep = reports[Criterion.VARIANCE_REDUCTION]
         assert var_rep.n_paths_total == vr_rep.n_paths_total == 4
@@ -269,9 +263,7 @@ class TestRunCv:
         bounds = (0, 21, 41, 101, 161, 221)  # 20 and 19 one-day differences in groups 0 and 1
         groups = tuple(range(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
         part = GroupPartition(groups, tuple(map(len, groups)))
-        rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 1, (Criterion.VAR,), part, 2, min_obs=1)[
-            Criterion.VAR
-        ]
+        rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 1, part, 2, min_obs=1)[Criterion.VAR]
         assert rep.excluded_groups == ((1, "19 observations at horizon 1 < 20"),)
         # split 0 tests groups (0, 1): its value is group 0's VaR on 20 differences
         assert math.isfinite(rep.per_split_values[0])
@@ -285,9 +277,7 @@ class TestRunCv:
                 raise InsufficientDataError("synthetic failure")
             return float("nan") if len(segs) == 1 else 0.9
 
-        rep = run_one(spot, fut, batched(fn, spot, part), 1, (Criterion.VARIANCE_REDUCTION,), part, 2)[
-            Criterion.VARIANCE_REDUCTION
-        ]
+        rep = run_one(spot, fut, batched(fn, spot, part), 1, part, 2)[Criterion.VARIANCE_REDUCTION]
         # splits 0-3 test group 0; split 9 tests (3, 4) and trains on one block
         assert rep.failed_splits == (0, 1, 2, 3, 9)
         assert rep.failed_reasons == (("InsufficientDataError", "synthetic failure"),) * 4 + (
@@ -318,20 +308,21 @@ def reference_paths(cell_scores, assignment, criterion):
     return tuple(per_path), stats, voided
 
 
-def reference_cv(spot, fut, ratio_fn, h, criteria, part, k, min_obs, alpha):
+def reference_cv(spot, fut, ratio_fn, h, part, k, min_obs, alpha):
     """run_cv written per cell: one portfolio and one 1-D criterion per
-    (test group, split)."""
+    (test group, split), for every criterion. A group is excluded below
+    ``min_obs`` differences or the VaR quantile's floor of 20."""
     splits = enumerate_splits(part.n_groups, k)
     rets, excluded = {}, []
     for g, rg in enumerate(part.groups):
-        if len(rg) - h < min_obs:
+        if len(rg) - h < max(min_obs, 20):
             excluded.append(g)
             continue
         sv = np.log(spot.values[rg.start : rg.stop])
         fv = np.log(fut.values[rg.start : rg.stop])
         rets[g] = (sv[h:] - sv[:-h], fv[h:] - fv[:-h])
-    cells = {c: {} for c in criteria}
-    per_split = {c: [] for c in criteria}
+    cells = {c: {} for c in Criterion}
+    per_split = {c: [] for c in Criterion}
     failed = []
     degenerate = 0
     for s, (test, train) in enumerate(splits.splits):
@@ -341,12 +332,12 @@ def reference_cv(spot, fut, ratio_fn, h, criteria, part, k, min_obs, alpha):
                 raise NumericError("non-finite hedge ratio")
         except (NumericError, InsufficientDataError, DataError):
             failed.append(s)
-            for c in criteria:
+            for c in Criterion:
                 per_split[c].append(None)
                 for g in test:
                     cells[c][(g, s)] = FAILED
             continue
-        for c in criteria:
+        for c in Criterion:
             vals = []
             for g in test:
                 if g not in rets:
@@ -366,7 +357,7 @@ def reference_cv(spot, fut, ratio_fn, h, criteria, part, k, min_obs, alpha):
                 vals.append(eff.value)
             per_split[c].append(float(np.mean(vals)) if vals else None)
     assignment = assign_paths(splits)
-    out = {c: (tuple(per_split[c]),) + reference_paths(cells[c], assignment, c) for c in criteria}
+    out = {c: (tuple(per_split[c]),) + reference_paths(cells[c], assignment, c) for c in Criterion}
     return out, tuple(failed), excluded, degenerate
 
 
@@ -400,23 +391,16 @@ class TestRunCvMatchesPerCellReference:
 
         return spot, fut, part, ratio_fn
 
-    @pytest.mark.parametrize(
-        "criteria",
-        [(Criterion.VARIANCE_REDUCTION,), (Criterion.VAR,), (Criterion.VARIANCE_REDUCTION, Criterion.VAR)],
-        ids=["vr", "var", "both"],
-    )
     @pytest.mark.parametrize("h", [1, 4])
-    def test_equals_reference(self, criteria, h):
+    def test_equals_reference(self, h):
         spot, fut, part, ratio_fn = self.scenario()
         min_obs, alpha = 25, 0.05
         fn = batched(ratio_fn, spot, part)
-        got = run_one(spot, fut, fn, h, criteria, part, 3, min_obs=min_obs, alpha=alpha)
-        want, failed, excluded, degenerate = reference_cv(
-            spot, fut, ratio_fn, h, criteria, part, 3, min_obs, alpha
-        )
+        got = run_one(spot, fut, fn, h, part, 3, min_obs=min_obs, alpha=alpha)
+        want, failed, excluded, degenerate = reference_cv(spot, fut, ratio_fn, h, part, 3, min_obs, alpha)
         # the scenario reaches every cell status
         assert failed and excluded == [2] and degenerate
-        for c in criteria:
+        for c in Criterion:
             per_split, per_path, stats, voided = want[c]
             rep = got[c]
             assert stats is not None
@@ -475,7 +459,6 @@ def multi_method_scenarios(draw):
         draw(st.integers(5, min_obs + h - 1) if g in short else st.integers(min_obs + h, 60)) for g in range(n_groups)
     )
     flat = draw(st.none() | st.integers(0, n_groups - 1))  # a degenerate spot side
-    criteria = draw(st.sampled_from([(Criterion.VARIANCE_REDUCTION,), (Criterion.VAR,), tuple(Criterion)]))
     trains = [train for _, train in enumerate_splits(n_groups, k).splits]
     labels = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True))
     outcomes = {}
@@ -484,7 +467,7 @@ def multi_method_scenarios(draw):
         for s in draw(st.lists(st.integers(0, len(trains) - 1), max_size=3)):  # failing splits
             outcomes[m][trains[s]] = draw(st.sampled_from(FAILURES))
     seed = draw(st.integers(0, 50))
-    return sizes, k, h, min_obs, flat, criteria, outcomes, seed, draw(st.randoms())
+    return sizes, k, h, min_obs, flat, outcomes, seed, draw(st.randoms())
 
 
 def same_report(rep, per_split, per_path, stats, voided, failed, excluded):
@@ -502,7 +485,7 @@ class TestMultiMethodRunCv:
     @settings(max_examples=40, deadline=None)
     @given(multi_method_scenarios())
     def test_each_method_equals_the_per_cell_reference(self, scenario):
-        sizes, k, h, min_obs, flat, criteria, outcomes, seed, rnd = scenario
+        sizes, k, h, min_obs, flat, outcomes, seed, rnd = scenario
         n = sum(sizes)
         spot, fut = coint_series(seed=seed, n=max(n, 100))  # synth makes at least 100 samples
         bounds = np.cumsum((0,) + sizes)
@@ -513,13 +496,12 @@ class TestMultiMethodRunCv:
             values[groups[flat].start : groups[flat].stop] = values[groups[flat].start]
         spot, fut = price_series(values), price_series(fut.values[:n])
         fns = {m: table_fn(groups, table) for m, table in outcomes.items()}
-        args = (h, criteria, part, k)
+        args = (h, part, k)
         got = run_cv(spot, fut, {m: batched(fn, spot, part) for m, fn in fns.items()}, *args, min_obs=min_obs)
-        assert list(got) == [(m, c) for m in fns for c in criteria]
+        assert list(got) == [(m, c) for m in fns for c in Criterion]
         for m, fn in fns.items():
-            want, failed, excluded, _ = reference_cv(spot, fut, fn, h, criteria, part, k, min_obs, 0.05)
-            for c in criteria:
-                assert got[m, c].method == m
+            want, failed, excluded, _ = reference_cv(spot, fut, fn, h, part, k, min_obs, 0.05)
+            for c in Criterion:
                 same_report(got[m, c], *want[c], failed, excluded)
         # a method's reports do not depend on the other methods or their order
         others = rnd.sample(list(fns), rnd.randint(1, len(fns)))

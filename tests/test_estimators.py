@@ -37,6 +37,7 @@ from emdhedge.estimators import (
     vemd_ratio,
     ImfPair,
 )
+from emdhedge.cpcv import enumerate_splits
 from emdhedge.methods import make_ratio_fn
 from emdhedge.series import PriceSeries, log_returns, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
@@ -614,6 +615,11 @@ def _imf_set(values):
     return ImfSet((imf,), np.zeros(len(values)), len(values))
 
 
+def _emd_sets(n):
+    """One-IMF (spot, futures) decompositions of n log prices."""
+    return _imf_set(np.log(_walk(n, 1))), _imf_set(np.log(_walk(n, 2)))
+
+
 # each builder yields an estimate from exactly n_obs regression observations
 BOUNDARY_CASES = {
     "MV": lambda n: mv_ratio(price_series(_walk(n + 1, 1)), price_series(_walk(n + 1, 2)), 1),
@@ -625,9 +631,23 @@ BOUNDARY_CASES = {
         ImfPair(1, np.log(_walk(n + 1, 1)), np.log(_walk(n + 1, 2)), 2.0, 2.0), 1
     ),
     "SEMD": lambda n: semd_ratio(ImfPair(1, np.log(_walk(n, 1)), np.log(_walk(n, 2)), 2.0, 2.0)),
-    "AEMD": lambda n: aemd_ratio(
-        _imf_set(np.log(_walk(n, 1))), _imf_set(np.log(_walk(n, 2))), 5
-    ),
+    "AEMD": lambda n: aemd_ratio(*_emd_sets(n), 5),
+}
+
+
+def _prices(n):
+    """The (spot, futures) price series of n prices the cases above regress."""
+    return price_series(_walk(n, 1)), price_series(_walk(n, 2))
+
+
+# the batched ratio function of each case, on the same data: its one split trains on the whole series
+BATCHED_BOUNDARY_CASES = {
+    "MV": lambda n: make_ratio_fn(Method.MV, *_prices(n + 1), 1),
+    "ECM": lambda n: make_ratio_fn(Method.ECM, *_prices(n + 1), 1),
+    "EECM": lambda n: make_ratio_fn(Method.EECM, *_prices(n + 1), 1, max_lag=0),
+    "VEMD": lambda n: make_ratio_fn(Method.VEMD, *_prices(n + 1), 1, 1, _emd_sets(n + 1)),
+    "SEMD": lambda n: make_ratio_fn(Method.SEMD, *_prices(n), 1, 1, _emd_sets(n)),
+    "AEMD": lambda n: make_ratio_fn(Method.AEMD, *_prices(n), 5, None, _emd_sets(n)),
 }
 
 
@@ -641,6 +661,16 @@ class TestMinObsBoundary:
         est = BOUNDARY_CASES[method](MIN_OBS)
         assert est.fit.n_obs == MIN_OBS
         assert np.isfinite(est.ratio)
+
+    def test_batched_one_below_minimum_gives_the_same_error(self, method):
+        want = _raised(lambda: BOUNDARY_CASES[method](MIN_OBS - 1))
+        assert want[0] == "InsufficientDataError"
+        (got,) = BATCHED_BOUNDARY_CASES[method](MIN_OBS - 1)([(0,)])
+        assert _raised(lambda: got) == want
+
+    def test_batched_minimum_gives_the_same_ratio(self, method):
+        (got,) = BATCHED_BOUNDARY_CASES[method](MIN_OBS)([(0,)])
+        assert got == pytest.approx(BOUNDARY_CASES[method](MIN_OBS).ratio, rel=1e-12, abs=0.0)
 
 
 # segments that are not a training sample of a 200-observation series, and
@@ -737,10 +767,20 @@ class TestFitBoundaries:
         (got,) = make_ratio_fn(Method.ECM, price_series(s), price_series(f), 1)([(0,)])
         assert got == pytest.approx(est.ratio, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("c", [0.0, 2.0, -0.5])
+    def test_full_scope_aemd_without_an_imf_under_the_horizon_fails_every_split(self):
+        # each leg's one IMF has cycle 2, so horizon_of puts it above horizon 1
+        sets = _emd_sets(60)
+        want = ("DataError", "no spot IMF with cycle <= horizon 1")
+        assert _raised(lambda: aemd_ratio(*sets, 1)) == want
+        groups = tuple(range(a, a + 12) for a in range(0, 60, 12))
+        fn = make_ratio_fn(Method.AEMD, *_prices(60), 1, imfs=sets, groups=groups)
+        batch = [train for _, train in enumerate_splits(len(groups), 2).splits]
+        assert [_raised(lambda: got) for got in fn(batch)] == [want] * 10
+
+    @pytest.mark.parametrize("c", [0.0, 2.0, -0.5, 0.1, -3.7])
     def test_ols_on_a_constant_y(self, c):
-        # the mean of these constants is exact, so the total sum of squares is
-        # 0: R-squared is 1 for an exact zero residual, else 0
+        # a constant y has a total sum of squares of 0, also where its mean is
+        # inexact (0.1, -3.7): R-squared is 1 for an exact zero residual, else 0
         fit = ols(np.full(20, c), np.arange(20.0))
         assert fit.alpha == pytest.approx(c, abs=1e-14) and fit.slope == pytest.approx(0.0, abs=1e-15)
         assert fit.r_squared == (1.0 if c == 0.0 else 0.0)
