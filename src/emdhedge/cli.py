@@ -31,7 +31,7 @@ from .analysis import (
     variance_decomposition,
 )
 from .cpcv import (
-    MIN_PATHS, Criterion, GroupPartition, PathReport, Scheme, enumerate_splits, excluded_groups, partition, run_cv,
+    MIN_PATHS, Criterion, GroupPartition, PathReport, Scheme, enumerate_splits, excludes_every_group, partition, run_cv,
     why_too_few_paths,
 )
 from .emd import ImfSet, SiftConfig, decompose_all
@@ -41,6 +41,7 @@ from .methods import EMD_FAMILY, make_ratio_fn, training_segments
 from .performance import effectiveness_rows
 from .series import PriceSeries, load_csv, log_returns
 from .synth import CointSpec, SynthSpec, gen_coint_pair, gen_tones
+
 
 @dataclass(frozen=True)  # checked once, at construction
 class RunConfig:
@@ -344,7 +345,7 @@ def _emit_decomposition(state: PipelineState) -> None:
             raise DataError(f"no usable (imf, horizon) rows under the horizon cap {cfg.horizon_cap}")
         state.warnings.append("no usable (imf, horizon) rows under the horizon cap")
     # the explicit-horizon rule of _cv_partition, for the rows as a whole
-    elif part is not None and all(len(excluded_groups(part, h, cfg.min_obs)) == part.n_groups for _, h in rows):
+    elif part is not None and all(excludes_every_group(part, h, cfg.min_obs) for _, h in rows):
         raise DataError(
             f"horizons {', '.join(str(h) for _, h in rows)} each exclude every partition group "
             f"(largest group: {max(part.sizes)} observations)"
@@ -606,7 +607,7 @@ def _cv_partition(state: PipelineState) -> GroupPartition:
     if why := why_too_few_paths(part.n_groups, cfg.k):
         raise DataError(why)
     for h in cfg.horizon_list() or ():
-        if len(excluded_groups(part, h, cfg.min_obs)) == part.n_groups:
+        if excludes_every_group(part, h, cfg.min_obs):
             raise DataError(
                 f"horizon {h} excludes every partition group "
                 f"(largest group: {max(part.sizes)} observations)"

@@ -39,6 +39,7 @@ __all__ = [
     "assign_paths",
     "path_statistics",
     "excluded_groups",
+    "excludes_every_group",
     "MIN_PATHS",
     "why_too_few_paths",
     "RatioFn",
@@ -238,17 +239,19 @@ def excluded_groups(part: GroupPartition, horizon: int, min_obs: int | None = No
     """(group index, reason) of each group too short to score at ``horizon``.
 
     A group needs ``min_obs`` within-group horizon differences (default
-    max(10, 2 * horizon)), and at least ``VAR_MIN_OBS``, the VaR quantile's
-    floor.
+    2 * horizon), and at least ``VAR_MIN_OBS``, the VaR quantile's floor.
     """
-    if min_obs is None:
-        min_obs = max(10, 2 * horizon)
-    min_obs = max(min_obs, VAR_MIN_OBS)  # empirical quantile floor
+    min_obs = max(2 * horizon if min_obs is None else min_obs, VAR_MIN_OBS)
     return [
         (gi, f"{max(len(g) - horizon, 0)} observations at horizon {horizon} < {min_obs}")
         for gi, g in enumerate(part.groups)
         if len(g) - horizon < min_obs
     ]
+
+
+def excludes_every_group(part: GroupPartition, horizon: int, min_obs: int | None = None) -> bool:
+    """Whether ``excluded_groups`` excludes every group of ``part`` at ``horizon``."""
+    return len(excluded_groups(part, horizon, min_obs)) == part.n_groups
 
 
 def run_cv(
@@ -287,26 +290,23 @@ def run_cv(
         raise DataError("spot and futures series must be aligned")
     splits = enumerate_splits(part.n_groups, k)
     assignment = assign_paths(splits)
-    excluded = excluded_groups(part, horizon, min_obs)
-    if len(excluded) == part.n_groups:
+    if excludes_every_group(part, horizon, min_obs):
         raise InsufficientDataError(f"all groups excluded at horizon {horizon}")
+    excluded = excluded_groups(part, horizon, min_obs)
     skip = {g for g, _ in excluded}
 
     # one hedge ratio per (method, split); NaN marks a failed split
     batch = [train for _, train in splits.splits]
     ratios = np.full((len(ratio_fns), len(batch)), np.nan)
-    failures = []  # per method: (failed splits, their reasons)
+    failures = [{} for _ in ratio_fns]  # per method: failed split -> (exception class, message)
     for m, ratio_fn in enumerate(ratio_fns.values()):
-        failed_splits, reasons = [], []
         for s_idx, (_, ratio) in enumerate(zip(batch, ratio_fn(batch), strict=True)):
             if not isinstance(ratio, (NumericError, DataError)) and not math.isfinite(ratio):
                 ratio = NumericError("non-finite hedge ratio")
             if isinstance(ratio, (NumericError, DataError)):
-                failed_splits.append(s_idx)
-                reasons.append((type(ratio).__name__, str(ratio)))
+                failures[m][s_idx] = (type(ratio).__name__, str(ratio))
             else:
                 ratios[m, s_idx] = ratio
-        failures.append((tuple(failed_splits), tuple(reasons)))
     failed = np.isnan(ratios)
 
     # each included test group once, for every (method, split) it tests
@@ -324,19 +324,17 @@ def run_cv(
     # per-split and per-path values through index arrays
     tests = np.array([test for test, _ in splits.splits])  # (split, test slot) -> group
     test_paths = np.array([[assignment.cells[g, s] - 1 for g in test] for s, test in enumerate(tests.tolist())])
-    per_split, per_path = {}, {}
+    reports: dict[tuple[str, Criterion], PathReport] = {}
     for c in Criterion:
         cells = scores[c][:, test_paths, tests].reshape(-1, k)
-        per_split[c] = _reduce_rows(cells, np.isfinite(cells), np.mean).reshape(len(ratio_fns), len(batch)).tolist()
-        per_path[c] = _path_statistics(scores[c], np.isfinite(scores[c]), failed[:, split_of], c)
-    reports: dict[tuple[str, Criterion], PathReport] = {}
-    for m, label in enumerate(ratio_fns):
-        for c in Criterion:
-            path_vals, stats, voided = per_path[c][m]
+        per_split = _reduce_rows(cells, np.isfinite(cells), np.mean).reshape(len(ratio_fns), len(batch)).tolist()
+        per_path = _path_statistics(scores[c], np.isfinite(scores[c]), failed[:, split_of], c)
+        for m, label in enumerate(ratio_fns):
+            path_vals, stats, voided = per_path[m]
             reports[label, c] = PathReport(
-                per_split_values=tuple(None if math.isnan(v) else v for v in per_split[c][m]),
+                per_split_values=tuple(None if math.isnan(v) else v for v in per_split[m]),
                 per_path_values=path_vals, stats=stats, excluded_groups=tuple(excluded),
                 n_paths_total=assignment.n_paths, n_paths_voided=voided,
-                failed_splits=failures[m][0], failed_reasons=failures[m][1],
+                failed_splits=tuple(failures[m]), failed_reasons=tuple(failures[m].values()),
             )
-    return reports
+    return {(label, c): reports[label, c] for label in ratio_fns for c in Criterion}

@@ -13,6 +13,7 @@ from emdhedge.cpcv import (
     Scheme,
     assign_paths,
     enumerate_splits,
+    excludes_every_group,
     partition,
     path_statistics,
     run_cv,
@@ -220,7 +221,7 @@ class TestRunCv:
         spot, fut = coint_series(seed=3, n=149)
         part = partition(149, Scheme.EQUAL_COUNT, 5)  # sizes (29,29,29,29,33)
         rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 10, part, 2)[Criterion.VARIANCE_REDUCTION]
-        # min_obs = max(10, 2*10) = 20: groups of 29 have 19 diffs and drop,
+        # min_obs = max(2*10, 20) = 20: groups of 29 have 19 diffs and drop,
         # the 33-sample remainder group has 23 and stays
         assert sorted(g for g, _ in rep.excluded_groups) == [0, 1, 2, 3]
 
@@ -230,6 +231,17 @@ class TestRunCv:
         with pytest.raises(InsufficientDataError):
             fn = batched(lambda segs: 0.9, spot, part)
             run_one(spot, fut, fn, 100, part, 2)
+
+    def test_excludes_every_group_at_its_edge(self):
+        part = partition(520, Scheme.EQUAL_COUNT, 5)  # five groups of 104
+        # default min_obs 2h: 104 - 34 = 70 >= 68 differences, 104 - 35 = 69 < 70
+        assert not excludes_every_group(part, 34) and excludes_every_group(part, 35)
+        small = partition(125, Scheme.EQUAL_COUNT, 5)  # five groups of 25
+        # the VaR floor of 20 differences holds under the default and under any smaller min_obs
+        assert not excludes_every_group(small, 5) and excludes_every_group(small, 6)
+        assert not excludes_every_group(small, 5, min_obs=1) and excludes_every_group(small, 6, min_obs=1)
+        uneven = partition(149, Scheme.EQUAL_COUNT, 5)  # sizes (29, 29, 29, 29, 33)
+        assert not excludes_every_group(uneven, 10)  # the last group keeps 23 of 20 differences
 
     def test_failed_split_voids_touching_paths(self):
         spot, fut = coint_series(seed=5, n=600)

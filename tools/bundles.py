@@ -2,7 +2,7 @@
 git revision and under this checkout's, and compare what they write byte for
 byte.
 
-    python tools/bundles.py compare REF [--work DIR]
+    python tools/bundles.py compare REF
 
 REF is any git revision of this repository; its ``src/`` is extracted with
 ``git archive``. The corpus inputs are generated once, by this checkout's
@@ -14,10 +14,10 @@ match; otherwise its first difference is printed, with each differing CSV's
 largest relative cell move. In a clean checkout ``compare HEAD`` runs every
 config of one commit twice, so it checks that reruns are byte-identical.
 
-Exits 0 when every config is identical and 1 otherwise. The work directory
-(default: a temporary one) keeps the inputs under ``inputs/`` and each
-tree's runs under ``ref/`` and ``new/``; a temporary one is removed at the
-end.
+The three benchmark workloads' configs are built from
+``perfbench/worker.py``'s ``WORKLOADS``, on inputs 0 and 1 of the reference
+seed and of hold-out seed 11. Everything runs in a temporary directory,
+removed at the end. Exits 0 when every config is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -33,20 +33,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from worker import REFERENCE_SEED, WORKLOADS, input_seeds  # noqa: E402  (perfbench is not a package)
 
-# the benchmark workloads (perfbench/worker.py) on its inputs 0 and 1 of seeds 3 and 11:
-# name -> (length, CLI flags)
-WORKLOADS = {
-    "full_eecm": (600, ["pipeline", "--partition", "equal:6", "--k", "2", "--horizon-cap", "30"]),
-    "segment_emd": (250, [
-        "cv", "--partition", "equal:5", "--k", "2", "--decompose-scope", "per-segment",
-        "--methods", "VEMD,SEMD,AEMD", "--horizon-cap", "5",
-    ]),
-    "full_scoring": (2000, [
-        "pipeline", "--partition", "equal:8", "--k", "3", "--methods", "MV,ECM,VEMD,SEMD,AEMD", "--horizon-cap", "70",
-    ]),
-}
-WORKLOAD_SEEDS = (3, 1003, 11, 1011)  # input i of seed s is synth seed s + 1000 * i
+# synth seeds of the workload inputs: inputs 0 and 1 of the reference seed and of hold-out seed 11
+WORKLOAD_SEEDS = [seed for s in (REFERENCE_SEED, 11) for seed in input_seeds(s, 2)]
 # the seeded pairs the configs read, by name: synth flags (this checkout's synth)
 SYNTH_INPUTS = {
     "pair300": ["--length", "300", "--seed", "0"],
@@ -56,8 +47,8 @@ SYNTH_INPUTS = {
     # identical legs of four tones
     "tones1000": ["--length", "1000", "--mode", "tones", "--tones", "5:0.4,17:0.8,55:1.6,180:3.2", "--noise", "0.02"],
 } | {
-    f"pair{length}_{seed}": ["--length", str(length), "--seed", str(seed)]
-    for length, _ in WORKLOADS.values()
+    f"pair{wl.length}_{seed}": ["--length", str(wl.length), "--seed", str(seed)]
+    for wl in WORKLOADS.values()
     for seed in WORKLOAD_SEEDS
 }
 
@@ -85,11 +76,6 @@ def _corpus() -> dict[str, list[str]]:
     eq5 = ["--partition", "equal:5"]
     per_seg = ["--decompose-scope", "per-segment"]
     runs = {  # name -> (subcommand, input, flags)
-        f"{wl}_{seed}": [flags[0], f"pair{length}_{seed}", *flags[1:]]
-        for wl, (length, flags) in WORKLOADS.items()
-        for seed in WORKLOAD_SEEDS
-    }
-    runs |= {
         "pipeline_full": ["pipeline", "pair300", *eq5],
         "pipeline_segment": ["pipeline", "pair300", *eq5, *per_seg],
         "pipeline_k3": ["pipeline", "pair300", "--partition", "equal:6", "--k", "3"],
@@ -121,6 +107,10 @@ def _corpus() -> dict[str, list[str]]:
     return {
         "synth_coint": ["synth", "--out", "pair.csv", "--length", "300"],
         "synth_tones": ["synth", "--out", "tones.csv", "--length", "300", "--mode", "tones"],
+    } | {
+        f"{name}_{seed}": wl.argv(Path(f"../../inputs/pair{wl.length}_{seed}.csv"), Path("out"))
+        for name, wl in WORKLOADS.items()
+        for seed in WORKLOAD_SEEDS
     } | {
         name: [cmd, "--input", f"../../inputs/{source}.csv", "--out", "out", *flags]
         for name, (cmd, source, *flags) in runs.items()
@@ -225,12 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = p.add_subparsers(dest="command", required=True)
     c = sub.add_parser("compare", help="run the corpus under REF and this checkout and compare the outputs")
     c.add_argument("ref", metavar="REF", help="a git revision, e.g. HEAD or a commit id")
-    c.add_argument("--work", help="work directory to create and keep (default: a temporary one)")
     args = p.parse_args(argv)
-    if args.work:
-        if Path(args.work).exists():
-            p.error(f"--work {args.work} already exists")
-        return compare(args.ref, Path(args.work))
     with tempfile.TemporaryDirectory(prefix="bundles-") as tmp:
         return compare(args.ref, Path(tmp))
 
