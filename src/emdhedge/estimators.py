@@ -449,10 +449,6 @@ class ImfPair:
     spot_cycle: float | None
     fut_cycle: float | None
 
-    @property
-    def is_residue(self) -> bool:
-        return self.index is None
-
 
 def pair_imfs(spot_set: ImfSet, fut_set: ImfSet) -> tuple[list[ImfPair], list[str]]:
     """Pair i-th spot IMF with i-th futures IMF; residues pair with each other.

@@ -28,11 +28,6 @@ __all__ = [
 ]
 
 
-# the accepted price range: squares and products of prices stay finite and
-# normal, so a float exception in a run points at the method, not the input
-_PRICE_MIN, _PRICE_MAX = 2.0**-511, 2.0**511
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -121,72 +116,51 @@ def load_csv(
         unreadable = DataError(f"{path}: unreadable CSV: {exc}")
     except OSError as exc:  # e.g. a directory, or no read permission
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    ts, spot_vals, fut_vals = _parse_columns(path, lines, dates, spots, futs)
+    if unreadable is None:
+        try:
+            ts = np.array(dates, dtype="datetime64[D]")
+            s, f = (np.array([float(v) for v in cells]) for cells in (spots, futs))
+            if not np.isnat(ts).any() and _in_range(s).all() and _in_range(f).all():
+                return PriceSeries(ts, s), PriceSeries(ts, f), dropped
+        except (ValueError, DataError):  # its line is named by the rescan below
+            pass
+    _first_fault(path, zip(lines, dates, spots, futs))
     if unreadable is not None:
         raise unreadable
-    if len(ts) < 2:
-        raise InsufficientDataError(f"{path}: fewer than 2 usable rows")
-    return PriceSeries(ts, spot_vals), PriceSeries(ts, fut_vals), dropped
+    raise InsufficientDataError(f"{path}: fewer than 2 usable rows")
 
 
-def _parse_date(raw: str) -> np.datetime64:
-    d = np.datetime64(raw, "D")
-    if np.isnat(d):
-        raise ValueError(f"not a date: '{raw}'")
-    return d
+def _in_range(v):
+    """Whether a price, or each of an array's, is in the accepted range
+    [2^-511, 2^511) (NaN is not): squares and products of prices stay finite
+    and normal, so a float exception in a run points at the method, not the input."""
+    return (v >= 2.0**-511) & (v < 2.0**511)
 
 
-def _first_unparsed(cells: list[str], parse) -> int:
-    """The index of the first cell that ``parse`` rejects, or ``len(cells)``."""
-    for i, cell in enumerate(cells):
+def _first_fault(path: Path, rows) -> None:
+    """Raise the DataError of the first faulty one of ``rows`` (line, date,
+    spot and futures cells), in file order; within a row a date fault comes
+    first, then a price that does not parse, one out of range, and the order."""
+    last = None
+    for line, raw_d, raw_s, raw_f in rows:
+        where = f"{path}:{line}"
         try:
-            parse(cell)
+            d = np.datetime64(raw_d, "D")
         except ValueError:
-            return i
-    return len(cells)
-
-
-def _parse_columns(path: Path, lines: list[int], dates: list[str], spots: list[str], futs: list[str]):
-    """The date, spot and futures columns of the kept rows, or the DataError
-    of the first faulty line. Each column is parsed in one pass; only a
-    column that fails is parsed again cell by cell, to find its first fault."""
-    n = len(lines)
-    try:
-        ts = np.array(dates, dtype="datetime64[D]")
-    except ValueError:
-        bad_date = _first_unparsed(dates, _parse_date)
-        ts = np.array(dates[:bad_date], dtype="datetime64[D]")
-    else:
-        nat = np.flatnonzero(np.isnat(ts))
-        bad_date = int(nat[0]) if len(nat) else n
-    try:
-        s, f = (np.array([float(v) for v in cells]) for cells in (spots, futs))
-    except ValueError:
-        bad_price = min(_first_unparsed(spots, float), _first_unparsed(futs, float))
-        s, f = (np.array([float(v) for v in cells[:bad_price]]) for cells in (spots, futs))
-    else:
-        bad_price = n
-    # the rows before the first unparsed one, checked for values and order
-    stop = min(bad_date, bad_price)
-    ts, s, f = ts[:stop], s[:stop], f[:stop]
-    in_range = (s >= _PRICE_MIN) & (s < _PRICE_MAX) & (f >= _PRICE_MIN) & (f < _PRICE_MAX)
-    bad_value = np.flatnonzero(~in_range)  # NaN is out of range too
-    bad_order = np.flatnonzero(ts[1:] <= ts[:-1]) + 1
-    first = [int(rows[0]) if len(rows) else n for rows in (bad_value, bad_order)]
-    # within one line a date fault comes first, then price parse, value and order
-    row, kind = min((row, kind) for kind, row in enumerate([bad_date, bad_price, *first]))
-    if row == n:
-        return ts, s, f
-    where = f"{path}:{lines[row]}"
-    if kind == 0:
-        raise DataError(f"{where}: unparseable date '{dates[row]}'")
-    if kind == 1:
-        raise DataError(f"{where}: unparseable price")
-    if kind == 2:
-        if all(0.0 < v < np.inf for v in (s[row], f[row])):
-            raise DataError(f"{where}: price outside [2^-511, 2^511)")
-        raise DataError(f"{where}: non-positive or non-finite price")
-    raise DataError(f"{where}: duplicated or out-of-order date {ts[row]}")
+            d = np.datetime64("NaT")
+        if np.isnat(d):
+            raise DataError(f"{where}: unparseable date '{raw_d}'")
+        try:
+            s, f = float(raw_s), float(raw_f)
+        except ValueError:
+            raise DataError(f"{where}: unparseable price") from None
+        if not (_in_range(s) and _in_range(f)):
+            if all(0.0 < v < np.inf for v in (s, f)):
+                raise DataError(f"{where}: price outside [2^-511, 2^511)")
+            raise DataError(f"{where}: non-positive or non-finite price")
+        if last is not None and d <= last:
+            raise DataError(f"{where}: duplicated or out-of-order date {d}")
+        last = d
 
 
 def log_returns(values: np.ndarray, horizon: int) -> np.ndarray:

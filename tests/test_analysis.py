@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from emdhedge.analysis import (
     significance_stars,
     variance_decomposition,
 )
+from emdhedge.cli import main
 from emdhedge.emd import decompose
 from emdhedge.errors import DataError, DegenerateInputError, InsufficientDataError, SingularDesignError
 from emdhedge.estimators import ImfPair, pair_imfs
@@ -27,13 +29,13 @@ def two_tone(n=1200, scale=1.0):
 PLANTED_PERIODS = (5, 17, 55, 180)
 
 
-def planted_leg(n, seed, shifted=None):
-    """A level of 100 plus four tones (the periods above, amplitudes 0.4 to
-    3.2) and N(0, 0.02^2) noise from synth's own Philox stream; the tone of
-    period ``shifted`` is moved by pi/2."""
+def planted_leg(n, seed, shifted=None, periods=PLANTED_PERIODS, amplitudes=(0.4, 0.8, 1.6, 3.2)):
+    """A level of 100 plus tones (by default the four periods above, with
+    amplitudes 0.4 to 3.2) and N(0, 0.02^2) noise from synth's own Philox
+    stream; the tone of period ``shifted`` is moved by pi/2."""
     t = np.arange(float(n))
     x = 100.0 + 0.02 * synth._normals(synth._uniforms(seed, n))
-    for period, amplitude in zip(PLANTED_PERIODS, (0.4, 0.8, 1.6, 3.2)):
+    for period, amplitude in zip(periods, amplitudes):
         x += amplitude * np.sin(2 * np.pi * t / period + (np.pi / 2 if period == shifted else 0.0))
     return x
 
@@ -124,6 +126,47 @@ class TestMatchingDegree:
                 assert row.r_squared < 0.01
             else:
                 assert row.r_squared > 0.8
+
+
+class TestPlantedPairPipeline:
+    """A characterization of today's horizon rule: a planted pair of five
+    tones whose period-9 tone is a quarter period out of phase in the futures
+    leg, through ``pipeline --partition equal:8 --horizon-cap 100`` at T=3000."""
+
+    PERIODS, SHIFTED = (4, 9, 19, 40, 90), 9
+
+    @pytest.fixture(scope="class")
+    def tables(self, tmp_path_factory):
+        n, root = 3000, tmp_path_factory.mktemp("planted")
+        amplitudes = (0.3, 0.6, 1.2, 2.4, 4.8)
+        legs = [planted_leg(n, seed, shifted, self.PERIODS, amplitudes) for seed, shifted in ((1, None), (2, self.SHIFTED))]
+        dates = np.datetime64("2000-01-01") + np.arange(n)
+        rows = "".join(f"{d},{float(s)!r},{float(f)!r}\n" for d, s, f in zip(dates, *legs))
+        (root / "pair.csv").write_text("date,spot,futures\n" + rows)
+        args = ["pipeline", "--input", str(root / "pair.csv"), "--out", str(root / "out")]
+        assert main([*args, "--partition", "equal:8", "--horizon-cap", "100"]) == 0
+        return lambda name: list(csv.DictReader((root / "out" / name).read_text().splitlines()))
+
+    def test_one_cv_row_per_tone_at_its_period(self, tables):
+        for name in ("cv_variance_reduction.csv", "cv_var.csv"):
+            horizons = [int(row["horizon"]) for row in tables(name)]
+            assert horizons == pytest.approx(self.PERIODS, rel=0.05)
+
+    def test_the_shifted_tone_is_the_one_mismatched_imf(self, tables):
+        rows = tables("matching_degree.csv")[: len(self.PERIODS)]
+        for row, period in zip(rows, self.PERIODS):
+            assert float(row["cycle_spot"]) == pytest.approx(period, rel=0.05)
+            if period == self.SHIFTED:
+                assert float(row["r_squared"]) < 0.01
+            else:
+                assert float(row["r_squared"]) > 0.7
+
+    def test_emd_performance_rises_with_the_matching_degree(self, tables):
+        rows = tables("determinants.csv")
+        assert [(r["panel"], r["method"]) for r in rows] == [
+            (panel, method) for panel in ("variance_reduction", "var") for method in ("MV", "VEMD", "SEMD", "AEMD")
+        ]
+        assert all(float(r["beta_affine"]) > 0 for r in rows if r["method"] != "MV")
 
 
 class TestDeterminantRegression:

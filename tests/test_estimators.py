@@ -474,7 +474,7 @@ class TestPairImfs:
         pairs, surplus = pair_imfs(a, b)
         if len(a.imfs) == len(b.imfs):
             assert not surplus
-        assert pairs[-1].is_residue
+        assert pairs[-1].index is None
         assert len(pairs) == min(len(a.imfs), len(b.imfs)) + 1
 
     def test_unequal_counts_reports_surplus(self):

@@ -1,7 +1,10 @@
 import math
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emdhedge.errors import DataError, InsufficientDataError
 from emdhedge.series import (
@@ -185,6 +188,102 @@ class TestLoadCsv:
         spot, fut, _ = load_csv(p)
         assert np.array_equal(spot.values, vals_s)
         assert np.array_equal(fut.values, vals_f)
+
+
+# the differential property: load_csv against a plain row-by-row oracle on
+# small CSVs, each a clean pair with up to two cells edited
+FIRST_DAY = date(2020, 1, 1)
+DATE_EDITS = {"repeated": -2, "earlier": -3, "blank": "", "nat": "NaT", "notadate": "notadate"}
+PRICE_CELLS = ["", "x", "-1", "0", "inf", "nan", "1e160", "1e-300"]
+# blank lines longer than the text reader's buffer, so the rows before them
+# are read, and checked, before the undecodable bytes after them
+BUFFER_PAD = "\n" * (3 * 8192)
+
+
+@st.composite
+def edited_csvs(draw):
+    """(rows, undecodable): the data lines of a CSV (None for a blank line),
+    and where undecodable bytes follow them: None, "at once" (right after the
+    rows, in the reader's first buffer) or "after the rows" (past BUFFER_PAD)."""
+    n = draw(st.integers(2, 8))
+    # row i's clean date is 2i days after FIRST_DAY: a repeated date is the row
+    # before's, an earlier one a day before that
+    rows = [
+        [str(FIRST_DAY + timedelta(days=2 * i)), draw(st.sampled_from(["1", "2.5"])), draw(st.sampled_from(["1", "2.5"]))]
+        for i in range(n)
+    ]
+    for i, col in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2)), max_size=2)):
+        if col == 0:
+            edit = DATE_EDITS[draw(st.sampled_from(sorted(DATE_EDITS)))]
+            rows[i][0] = str(FIRST_DAY + timedelta(days=2 * i + edit)) if isinstance(edit, int) else edit
+        else:
+            rows[i][col] = draw(st.sampled_from(PRICE_CELLS))
+    blank = draw(st.none() | st.integers(0, n))
+    if blank is not None:
+        rows.insert(blank, None)
+    return rows, draw(st.sampled_from([None, None, None, "at once", "after the rows"]))
+
+
+def oracle(path, rows, undecodable):
+    """What load_csv gives for ``rows``, read one row at a time: the message of
+    its error, or the kept (date, spot, futures) rows and the dropped count."""
+    if undecodable == "at once":
+        return f"{path}: unreadable CSV: 'utf-8' codec can't decode byte 0xff"
+    kept, dropped = [], 0
+    for line, row in enumerate(rows, start=2):  # the header is line 1
+        if row is None:
+            continue
+        cell_d, cell_s, cell_f = row
+        if not cell_s or not cell_f:
+            dropped += 1
+            continue
+        where = f"{path}:{line}"
+        try:
+            day = date.fromisoformat(cell_d)
+        except ValueError:
+            return f"{where}: unparseable date '{cell_d}'"
+        try:
+            s, f = float(cell_s), float(cell_f)
+        except ValueError:
+            return f"{where}: unparseable price"
+        if not all(0.0 < v < math.inf for v in (s, f)):
+            return f"{where}: non-positive or non-finite price"
+        if not all(2.0**-511 <= v < 2.0**511 for v in (s, f)):
+            return f"{where}: price outside [2^-511, 2^511)"
+        if kept and day <= kept[-1][0]:
+            return f"{where}: duplicated or out-of-order date {day}"
+        kept.append((day, s, f))
+    if undecodable:
+        return f"{path}: unreadable CSV: 'utf-8' codec can't decode byte 0xff"
+    if len(kept) < 2:
+        return f"{path}: fewer than 2 usable rows"
+    return kept, dropped
+
+
+@settings(max_examples=500, deadline=None)
+@given(edited_csvs())
+def test_load_csv_agrees_with_a_row_by_row_oracle(tmp_path_factory, drawn):
+    rows, undecodable = drawn
+    p = tmp_path_factory.mktemp("oracle") / "pair.csv"
+    text = "date,spot,futures\n" + "".join("\n" if r is None else ",".join(r) + "\n" for r in rows)
+    if undecodable == "after the rows":
+        text += BUFFER_PAD
+    p.write_bytes(text.encode() + (b"\xff\xfe,1,2\n" if undecodable else b""))
+    expected = oracle(p, rows, undecodable)
+    try:
+        spot, fut, dropped = load_csv(p)
+    except DataError as exc:
+        assert isinstance(expected, str)
+        # a decoder's message ends with the byte's position in its buffer
+        assert str(exc).startswith(expected) if "unreadable" in expected else str(exc) == expected
+        return
+    assert not isinstance(expected, str), expected
+    kept, expected_dropped = expected
+    days = np.array([np.datetime64(day) for day, _, _ in kept], dtype="datetime64[D]")
+    assert dropped == expected_dropped
+    assert np.array_equal(spot.timestamps, days) and np.array_equal(fut.timestamps, days)
+    for series, column in ((spot, 1), (fut, 2)):
+        assert series.values.tobytes() == np.array([row[column] for row in kept]).tobytes()
 
 
 class TestLogReturns:

@@ -54,19 +54,44 @@ SYNTH_INPUTS = {
 
 
 def _derived_inputs(inputs: Path) -> None:
-    """Inputs edited from pair300: a UTF-8 byte order mark, prices scaled
-    past 2^511, a linear spot leg, and a blank date cell."""
+    """Inputs edited from pair300, whose row i is at file line i + 2: a UTF-8
+    byte order mark; prices scaled past 2^511; a linear spot leg; the
+    loader's faults (a blank or NaT date, a repeated date, an unparseable or
+    negative price, a blank line before a fault, and undecodable bytes after
+    the rows, with and without a faulty row before them); a repeated spot
+    column; a row with a blank price; and ``run.cfg``, a whole pipeline run
+    as a config file."""
     text = (inputs / "pair300.csv").read_text()
     (inputs / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
     header, *rows = [line.split(",") for line in text.splitlines()]
-    edits = {
-        "huge": lambda i, r: [r[0], repr(float(r[1]) * 1e160), repr(float(r[2]) * 1e160)],
-        "mono": lambda i, r: [r[0], repr(100 + 0.1 * i), r[2]],
-        "nodate": lambda i, r: [""] + r[1:] if i == 2 else r,
+
+    def put(i: int, col: int, value: str) -> list[list[str]]:
+        """The rows with row i's cell ``col`` set to ``value``."""
+        return rows[:i] + [rows[i][:col] + [value] + rows[i][col + 1:]] + rows[i + 1:]
+
+    # past the reader's first buffer (pair300 is ~12 kB), so the rows before it are read and checked first
+    undecodable = b"\xff\xfe,1,2\n"
+    edits = {  # name -> (header, rows ([] is a blank line), bytes after them)
+        "huge": (header, [[r[0], repr(float(r[1]) * 1e160), repr(float(r[2]) * 1e160)] for r in rows], b""),
+        "mono": (header, [[r[0], repr(100 + 0.1 * i), r[2]] for i, r in enumerate(rows)], b""),
+        "nodate": (header, put(2, 0, ""), b""),
+        "natdate": (header, put(4, 0, "NaT"), b""),
+        "order": (header, put(5, 0, rows[4][0]), b""),
+        "badprice": (header, put(7, 1, "x"), b""),
+        "negprice": (header, put(9, 2, "-1"), b""),
+        "blankline": (header, [*rows[:3], [], *put(10, 0, "notadate")[3:]], b""),
+        "undecodable": (header, rows, undecodable),
+        "undecodable_fault": (header, put(3, 2, "0"), undecodable),
+        "twospot": (header + ["spot"], [r + [repr(2 * float(r[1]))] for r in rows], b""),
+        "blankprice": (header, put(6, 1, ""), b""),
     }
-    for name, edit in edits.items():
-        lines = [header] + [edit(i, r) for i, r in enumerate(rows)]
-        (inputs / f"{name}.csv").write_text("".join(",".join(r) + "\n" for r in lines))
+    for name, (head, body, tail) in edits.items():
+        (inputs / f"{name}.csv").write_bytes("".join(",".join(r) + "\n" for r in [head, *body]).encode() + tail)
+    (inputs / "run.cfg").write_text(
+        "# a whole run from the file; paths are relative to the run's directory\n"
+        "input = ../../inputs/pair300.csv\nout = out\npartition = equal:5\n"
+        "methods = MV,EECM,SEMD,AEMD  # no ECM\nmax_lag = 3\nhorizon_cap = 60\n"
+    )
 
 
 def _corpus() -> dict[str, list[str]]:
@@ -98,8 +123,10 @@ def _corpus() -> dict[str, list[str]]:
         "hedge_aemd_short": ["hedge", "short101", "--horizons", "1", "--methods", "AEMD"],
         "cv_all_excluded": ["cv", "short100", *eq5],
         "cv_no_row": ["cv", "pair600_3", "--partition", "equal:6", "--horizon-cap", "1", "--methods", "MV"],
-        "decompose_nodate": ["decompose", "nodate"],
     }
+    for source in ("nodate", "natdate", "order", "badprice", "negprice", "blankline", "undecodable",
+                   "undecodable_fault", "twospot", "blankprice"):
+        runs[f"decompose_{source}"] = ["decompose", source]
     for max_lag in (0, 1, 3, 40, 60, 80):
         runs[f"pipeline_max_lag_{max_lag}"] = [
             "pipeline", "pair300", *eq5, "--methods", "EECM,MV", "--max-lag", str(max_lag),
@@ -107,6 +134,7 @@ def _corpus() -> dict[str, list[str]]:
     return {
         "synth_coint": ["synth", "--out", "pair.csv", "--length", "300"],
         "synth_tones": ["synth", "--out", "tones.csv", "--length", "300", "--mode", "tones"],
+        "pipeline_config": ["pipeline", "--config", "../../inputs/run.cfg"],
     } | {
         f"{name}_{seed}": wl.argv(Path(f"../../inputs/pair{wl.length}_{seed}.csv"), Path("out"))
         for name, wl in WORKLOADS.items()
