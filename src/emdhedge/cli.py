@@ -189,8 +189,6 @@ def _read_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
     try:
         return _CONFIG_TYPES[key](value)
     except ValueError:

@@ -63,3 +63,32 @@ def test_a_run_with_another_exit_code_or_stderr_is_flagged(tmp_path):
     failed = subprocess.CompletedProcess([], 2, "", "data error: x\n")
     assert bundles.diff_runs(ok, ok, a, b) == []
     assert bundles.diff_runs(ok, failed, a, b) == ["exit code 0 -> 2", "stderr differs: '' -> 'data error: x\\n'"]
+
+
+EQ5, PER_SEGMENT = ["--partition", "equal:5"], ["--decompose-scope", "per-segment"]
+
+
+# the corpus holds the only fresh-process rerun of each of these runs, on a seed-0 pair of the given length
+@pytest.mark.parametrize(
+    "command, length, flags",
+    [
+        ("pipeline", 300, [*EQ5, *PER_SEGMENT]),
+        ("analyze", 300, [*EQ5, *PER_SEGMENT]),
+        ("analyze", 300, EQ5),
+        ("cv", 4000, ["--partition", "year", *PER_SEGMENT]),
+        ("pipeline", 2000, ["--partition", "equal:8", "--k", "3"]),
+    ],
+    ids=["pipeline per-segment", "analyze per-segment", "analyze full", "cv year per-segment", "pipeline equal:8 k=3"],
+)
+def test_the_corpus_holds_each_run_only_it_reruns(command, length, flags):
+    sources = [name for name, synth in bundles.SYNTH_INPUTS.items() if synth == ["--length", str(length), "--seed", "0"]]
+    runs = [[command, "--input", f"../../inputs/{name}.csv", "--out", "out", *flags] for name in sources]
+    assert any(argv in bundles._corpus().values() for argv in runs)
+
+
+def test_a_run_exiting_with_another_code_than_its_configs_is_flagged():
+    ok, failed = subprocess.CompletedProcess([], 0, "", ""), subprocess.CompletedProcess([], 2, "", "")
+    assert bundles.unexpected_exit("pipeline_scoring", ok) == bundles.unexpected_exit("cv_huge", failed) == []
+    assert bundles.unexpected_exit("pipeline_scoring", failed) == ["exit code 2, expected 0"]
+    assert bundles.unexpected_exit("cv_huge", ok) == ["exit code 0, expected 2"]
+    assert set(bundles.NONZERO_EXITS) <= set(bundles._corpus())

@@ -54,7 +54,7 @@ class TestParseConfig:
 
     def test_config_file_then_flag_precedence(self, tmp_path):
         f = tmp_path / "run.cfg"
-        f.write_text("k = 4  # test groups\nalpha = 0.1\n")
+        f.write_text("# a comment-only line, then a blank one\n\nk = 4  # test groups\nalpha = 0.1\n")
         cfg = parse_config(ns(config=str(f), alpha="0.02"))
         assert cfg.k == 4  # from file
         assert cfg.alpha == 0.02  # flag wins
@@ -199,6 +199,7 @@ class TestSynthCommand:
             (["--basis-sigma", "-1"], "basis_sigma must be finite and >= 0 (got -1.0)"),
             (["--basis-sigma", "inf"], "basis_sigma must be finite and >= 0 (got inf)"),
             (["--b", "nan"], "long_run_slope must be finite (got nan)"),
+            (["--length", "99"], "length must be >= 100"),
         ],
     )
     def test_an_unusable_shape_parameter_is_a_data_error_naming_it(self, flags, message, tmp_path, capsys):
@@ -257,6 +258,8 @@ class TestExitCodes:
     def test_missing_input_file_is_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         assert main(["cv", "--input", str(missing), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"data error: input file not found: {missing}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_a_directory_as_input_is_a_data_error(self, tmp_path, capsys):
         outdir = tmp_path / "o"
@@ -300,6 +303,9 @@ class TestCommandLineEdges:
             (["--config", "{tmp}/missing.cfg"], "config file not found: {tmp}/missing.cfg"),
             (["--k", "two"], "bad value for 'k': two"),
             (["--alpha", "5%"], "bad value for 'alpha': 5%"),
+            (["--horizons", "0"], "bad horizon '0'"),
+            (["--partition", "equal:x"], "bad partition spec 'equal:x'"),
+            (["--max-imfs", "0"], "sift config counts must be positive"),
         ],
     )
     def test_a_bad_flag_is_a_usage_error_before_anything_is_written(self, flags, message, tmp_path, capsys):

@@ -11,13 +11,16 @@ process with one BLAS thread, from directories of the same relative path, so
 whole manifests (their ``input`` and ``out`` included) compare. A config is
 ``identical`` when the exit codes, stdout, stderr and every file it wrote
 match; otherwise its first difference is printed, with each differing CSV's
-largest relative cell move. In a clean checkout ``compare HEAD`` runs every
-config of one commit twice, so it checks that reruns are byte-identical.
+largest relative cell move. A config whose run under this checkout's tree
+exits with another code than its own (``NONZERO_EXITS``, else 0) is reported
+too. In a clean checkout ``compare HEAD`` runs every config of one commit
+twice, so it checks that reruns are byte-identical and exit as documented.
 
 The three benchmark workloads' configs are built from
-``perfbench/worker.py``'s ``WORKLOADS``, on inputs 0 and 1 of the reference
-seed and of hold-out seed 11. Everything runs in a temporary directory,
-removed at the end. Exits 0 when every config is identical and 1 otherwise.
+``perfbench/worker.py``'s ``WORKLOADS``, on inputs 0-3 of the reference seed
+and of hold-out seed 11. Everything runs in a temporary directory,
+removed at the end. Exits 0 when every config is identical and exits with its
+own code, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -36,11 +39,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from worker import REFERENCE_SEED, WORKLOADS, input_seeds  # noqa: E402  (perfbench is not a package)
 
-# synth seeds of the workload inputs: inputs 0 and 1 of the reference seed and of hold-out seed 11
-WORKLOAD_SEEDS = [seed for s in (REFERENCE_SEED, 11) for seed in input_seeds(s, 2)]
+# synth seeds of the workload inputs: inputs 0-3 of the reference seed and of hold-out seed 11
+WORKLOAD_SEEDS = [seed for s in (REFERENCE_SEED, 11) for seed in input_seeds(s, 4)]
 # the seeded pairs the configs read, by name: synth flags (this checkout's synth)
 SYNTH_INPUTS = {
     "pair300": ["--length", "300", "--seed", "0"],
+    "long2000": ["--length", "2000", "--seed", "0"],
     "long4000": ["--length", "4000", "--seed", "0"],
     "short100": ["--length", "100", "--seed", "3"],
     "short101": ["--length", "101", "--seed", "0"],
@@ -55,12 +59,12 @@ SYNTH_INPUTS = {
 
 def _derived_inputs(inputs: Path) -> None:
     """Inputs edited from pair300, whose row i is at file line i + 2: a UTF-8
-    byte order mark; prices scaled past 2^511; a linear spot leg; the
-    loader's faults (a blank or NaT date, a repeated date, an unparseable or
-    negative price, a blank line before a fault, and undecodable bytes after
-    the rows, with and without a faulty row before them); a repeated spot
-    column; a row with a blank price; and ``run.cfg``, a whole pipeline run
-    as a config file."""
+    byte order mark; prices scaled past 2^511, and by 1e-14 and 1e14; a
+    linear spot leg; the loader's faults (a blank or NaT date, a repeated
+    date, an unparseable or negative price, a blank line before a fault, and
+    undecodable bytes after the rows, with and without a faulty row before
+    them); a repeated spot column; a row with a blank price; and ``run.cfg``,
+    a whole pipeline run as a config file."""
     text = (inputs / "pair300.csv").read_text()
     (inputs / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
     header, *rows = [line.split(",") for line in text.splitlines()]
@@ -69,10 +73,16 @@ def _derived_inputs(inputs: Path) -> None:
         """The rows with row i's cell ``col`` set to ``value``."""
         return rows[:i] + [rows[i][:col] + [value] + rows[i][col + 1:]] + rows[i + 1:]
 
+    def scaled(factor: float) -> list[list[str]]:
+        """The rows with both prices times ``factor``."""
+        return [[r[0], repr(float(r[1]) * factor), repr(float(r[2]) * factor)] for r in rows]
+
     # past the reader's first buffer (pair300 is ~12 kB), so the rows before it are read and checked first
     undecodable = b"\xff\xfe,1,2\n"
     edits = {  # name -> (header, rows ([] is a blank line), bytes after them)
-        "huge": (header, [[r[0], repr(float(r[1]) * 1e160), repr(float(r[2]) * 1e160)] for r in rows], b""),
+        "huge": (header, scaled(1e160), b""),
+        "scaled_down": (header, scaled(1e-14), b""),
+        "scaled_up": (header, scaled(1e14), b""),
         "mono": (header, [[r[0], repr(100 + 0.1 * i), r[2]] for i, r in enumerate(rows)], b""),
         "nodate": (header, put(2, 0, ""), b""),
         "natdate": (header, put(4, 0, "NaT"), b""),
@@ -94,6 +104,17 @@ def _derived_inputs(inputs: Path) -> None:
     )
 
 
+# the derived inputs with a loader fault, on each of which decompose is a data error
+LOADER_FAULTS = ("nodate", "natdate", "order", "badprice", "negprice", "blankline", "undecodable", "undecodable_fault")
+# the exit code of each corpus config that does not exit 0: the data errors, and the scaled pipelines,
+# whose matching-degree regressions fail the rank rule at either scale
+NONZERO_EXITS = dict.fromkeys(
+    ["cv_horizon_90", "cv_huge", "hedge_mono", "hedge_whole", "hedge_aemd_short", "cv_all_excluded", "cv_no_row",
+     *(f"decompose_{source}" for source in LOADER_FAULTS)],
+    2,
+) | {"pipeline_scaled_down": 3, "pipeline_scaled_up": 3}
+
+
 def _corpus() -> dict[str, list[str]]:
     """Config name -> CLI arguments. Every run writes into its own directory;
     the pipeline subcommands read an input by its path from there and write
@@ -104,6 +125,8 @@ def _corpus() -> dict[str, list[str]]:
         "pipeline_full": ["pipeline", "pair300", *eq5],
         "pipeline_segment": ["pipeline", "pair300", *eq5, *per_seg],
         "pipeline_k3": ["pipeline", "pair300", "--partition", "equal:6", "--k", "3"],
+        # full-scope scoring of all six methods on 8-group paths, uncapped (the full_scoring workload drops EECM)
+        "pipeline_scoring": ["pipeline", "long2000", "--partition", "equal:8", "--k", "3"],
         "pipeline_raw_levels": ["pipeline", "pair300", *eq5, "--levels", "raw"],
         "pipeline_segment_max_sifts_1": ["pipeline", "pair300", *eq5, *per_seg, "--max-sifts", "1"],
         "pipeline_tones": ["pipeline", "tones1000", *eq5],
@@ -123,9 +146,10 @@ def _corpus() -> dict[str, list[str]]:
         "hedge_aemd_short": ["hedge", "short101", "--horizons", "1", "--methods", "AEMD"],
         "cv_all_excluded": ["cv", "short100", *eq5],
         "cv_no_row": ["cv", "pair600_3", "--partition", "equal:6", "--horizon-cap", "1", "--methods", "MV"],
+        "pipeline_scaled_down": ["pipeline", "scaled_down", *eq5],
+        "pipeline_scaled_up": ["pipeline", "scaled_up", *eq5],
     }
-    for source in ("nodate", "natdate", "order", "badprice", "negprice", "blankline", "undecodable",
-                   "undecodable_fault", "twospot", "blankprice"):
+    for source in (*LOADER_FAULTS, "twospot", "blankprice"):
         runs[f"decompose_{source}"] = ["decompose", source]
     for max_lag in (0, 1, 3, 40, 60, 80):
         runs[f"pipeline_max_lag_{max_lag}"] = [
@@ -199,6 +223,13 @@ def diff_dirs(a: Path, b: Path) -> list[str]:
     return out
 
 
+def unexpected_exit(name: str, run: subprocess.CompletedProcess) -> list[str]:
+    """Config ``name``'s ``run`` exit code, unless it is the config's own
+    (``NONZERO_EXITS``, else 0)."""
+    expected = NONZERO_EXITS.get(name, 0)
+    return [] if run.returncode == expected else [f"exit code {run.returncode}, expected {expected}"]
+
+
 def diff_runs(ref: subprocess.CompletedProcess, new: subprocess.CompletedProcess, a: Path, b: Path) -> list[str]:
     """How run ``new`` (writing under ``b``) differs from run ``ref`` (under ``a``)."""
     out = [f"exit code {ref.returncode} -> {new.returncode}"] if ref.returncode != new.returncode else []
@@ -228,7 +259,8 @@ def compare(ref: str, work: Path) -> int:
     start = time.perf_counter()
     for name, args in corpus.items():
         a, b = work / "ref" / name, work / "new" / name
-        found = diff_runs(_run(ref_src / "src", a, args), _run(ROOT / "src", b, args), a, b)
+        ref_run, new = _run(ref_src / "src", a, args), _run(ROOT / "src", b, args)
+        found = unexpected_exit(name, new) + diff_runs(ref_run, new, a, b)
         differing += bool(found)
         print(f"{name}: {'DIFFERS' if found else 'identical'}", flush=True)
         for line in found:
