@@ -2,15 +2,17 @@
 
 Conventional estimators (MV, ECM, EECM) regress horizon-h log-price
 differences; the EMD family (vanilla, sample-saving, aggregate) regresses
-price-level IMFs. Each estimator takes a training sample ``segments``
-(index ranges; default: the whole series) and fits the rows of the row
-builder ``design_rows`` whose footprint (the indices a row reads) lies
-inside one segment, so no difference or lag spans a gap. The CV ratio
-functions in ``methods`` fit the same rows from per-bucket QR factors;
-they share this module's sample checks, the row rule (``_min_rows``) and
-rank rule with their errors, ECM's reduction order, the futures-variance
-floor with the spread that clears it, and the EECM lag search, which read
-only an R factor, never X'X.
+price-level IMFs. The four reference estimators, ``mv_ratio``,
+``ecm_ratio``, ``eecm_ratio`` and ``emd_ratio`` (all three EMD methods),
+each take a training sample ``segments`` (index ranges; default: the whole
+series) and fit the rows of the row builder ``design_rows`` whose footprint
+(the indices a row reads) lies inside one segment, so no difference or lag
+spans a gap. ``_legs`` is the one rule for which series an EMD method
+regresses. The CV ratio functions in ``methods`` fit the same rows from
+per-bucket QR factors; they share ``_legs``, this module's sample checks,
+the row rule (``_min_rows``) and rank rule with their errors, ECM's
+reduction order, the futures-variance floor with the spread that clears
+it, and the EECM lag search, which read only an R factor, never X'X.
 """
 
 from __future__ import annotations
@@ -43,9 +45,7 @@ __all__ = [
     "eecm_ratio",
     "pair_imfs",
     "horizon_of",
-    "vemd_ratio",
-    "semd_ratio",
-    "aemd_ratio",
+    "emd_ratio",
 ]
 
 MIN_OBS = 10
@@ -84,7 +84,6 @@ class OlsFit:
 class HedgeEstimate:
     ratio: float
     fit: OlsFit
-    imf_index: int | None = None
     lags: tuple[int, int] | None = None
 
 
@@ -484,29 +483,6 @@ def pair_imfs(spot_set: ImfSet, fut_set: ImfSet) -> tuple[list[ImfPair], list[st
     return pairs, surplus
 
 
-def vemd_ratio(
-    pair: ImfPair,
-    horizon: int,
-    segments: tuple[range, ...] | None = None,
-) -> HedgeEstimate:
-    """Vanilla EMD ratio: regression of horizon-h level differences of the
-    paired IMFs (the IMFs themselves, not log returns)."""
-    rows = _sample(Method.VEMD, pair.spot, pair.fut, segments, horizon)
-    fit = _fit(Method.VEMD, rows, horizon)
-    return HedgeEstimate(fit.slope, fit, imf_index=pair.index)
-
-
-def semd_ratio(
-    pair: ImfPair,
-    horizon: int = 1,
-    segments: tuple[range, ...] | None = None,
-) -> HedgeEstimate:
-    """Sample-saving EMD ratio: regression on IMF levels, no differencing."""
-    rows = _sample(Method.SEMD, pair.spot, pair.fut, segments, horizon)
-    fit = _fit(Method.SEMD, rows, horizon)
-    return HedgeEstimate(fit.slope, fit, imf_index=pair.index)
-
-
 def horizon_of(cycle: float) -> int:
     """The hedging horizon, in days, of an IMF with mean cycle ``cycle``: the
     cycle rounded to the nearest day (halves to even), at least 1. Auto
@@ -527,14 +503,29 @@ def aggregate_imfs(spot_set: ImfSet, fut_set: ImfSet, horizon: int):
     return np.sum(spot_sel, axis=0), np.sum(fut_sel, axis=0)
 
 
-def aemd_ratio(
+def _legs(method: Method, spot_set: ImfSet, fut_set: ImfSet, horizon: int, imf_index: int | None):
+    """The (spot, futures) series an EMD method regresses: AEMD's
+    ``aggregate_imfs``, else IMF pair ``imf_index``."""
+    if method is Method.AEMD:
+        return aggregate_imfs(spot_set, fut_set, horizon)
+    pairs, _ = pair_imfs(spot_set, fut_set)
+    if imf_index is None or imf_index >= len(pairs):  # the last pair is the residues'
+        raise DataError(f"spot IMF{imf_index} has no futures IMF to pair with")
+    return pairs[imf_index - 1].spot, pairs[imf_index - 1].fut
+
+
+def emd_ratio(
+    method: Method,
     spot_set: ImfSet,
     fut_set: ImfSet,
     horizon: int,
+    imf_index: int | None = None,
     segments: tuple[range, ...] | None = None,
 ) -> HedgeEstimate:
-    """Aggregate EMD ratio: regression on the ``aggregate_imfs`` sums."""
-    s, f = aggregate_imfs(spot_set, fut_set, horizon)
-    rows = _sample(Method.AEMD, s, f, segments, horizon)
-    fit = _fit(Method.AEMD, rows, horizon)
+    """EMD-family ratio (VEMD, SEMD or AEMD) on the series ``_legs`` picks:
+    VEMD regresses horizon-h level differences of IMF pair ``imf_index``
+    (the IMFs themselves, not log returns), SEMD that pair's levels, AEMD
+    the levels of the ``aggregate_imfs`` sums."""
+    s, f = _legs(method, spot_set, fut_set, horizon, imf_index)
+    fit = _fit(method, _sample(method, s, f, segments, horizon), horizon)
     return HedgeEstimate(fit.slope, fit)

@@ -49,12 +49,11 @@ from .estimators import (
     _check_rows,
     _eecm_select,
     _full_rank,
+    _legs,
     _min_rows,
     _too_few_rows,
     _with_u,
-    aggregate_imfs,
     design_rows,
-    pair_imfs,
 )
 from .series import PriceSeries
 
@@ -184,17 +183,6 @@ def _slope(out: _Outcomes, n: np.ndarray, r: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _legs(method: Method, spot_set: ImfSet, fut_set: ImfSet, horizon: int, imf_index: int | None):
-    """The (spot, futures) series an EMD method regresses: AEMD's
-    ``aggregate_imfs``, else IMF pair ``imf_index``."""
-    if method is Method.AEMD:
-        return aggregate_imfs(spot_set, fut_set, horizon)
-    pairs, _ = pair_imfs(spot_set, fut_set)
-    if imf_index is None or imf_index >= len(pairs):  # the last pair is the residues'
-        raise DataError(f"spot IMF{imf_index} has no futures IMF to pair with")
-    return pairs[imf_index - 1].spot, pairs[imf_index - 1].fut
-
-
 def _fit_splits(method: Method, horizon: int, max_lag: int, rows: _Buckets, levels, train: np.ndarray) -> list:
     """The estimator's ratio, or the exception it raises, on each split's
     rows inside its training groups ``train`` (splits, groups), from bucket
@@ -210,6 +198,8 @@ def _fit_splits(method: Method, horizon: int, max_lag: int, rows: _Buckets, leve
         out.fail(n == 0, lambda s: InsufficientDataError(rows.why_no_rows(train[s], horizon)))
     out.check(n < MIN_OBS, lambda s: _check_rows(method, int(n[s]), horizon))
     rows.check_futures_variance(out, use)
+    if not out.live.any():  # every split has failed: nothing left to fit
+        return list(out.errors)
     r = np.linalg.qr(stack, mode="r")
     ratio = np.full(len(train), np.nan)
     if method is Method.EECM:

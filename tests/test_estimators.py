@@ -22,20 +22,18 @@ from emdhedge.estimators import (
     _check_futures_variance,
     _eecm_select,
     _full_rank,
+    _legs,
     _min_rows,
     Method,
-    aemd_ratio,
     aggregate_imfs,
     design_rows,
     ecm_ratio,
     eecm_ratio,
+    emd_ratio,
     horizon_of,
     mv_ratio,
     ols,
     pair_imfs,
-    semd_ratio,
-    vemd_ratio,
-    ImfPair,
 )
 from emdhedge.cpcv import enumerate_splits
 from emdhedge.methods import make_ratio_fn
@@ -509,15 +507,13 @@ def synthetic_pair_sets():
 class TestVemdRatio:
     def test_half_amplitude_futures(self):
         spot_set, fut_set = synthetic_pair_sets()
-        pairs, _ = pair_imfs(spot_set, fut_set)
         for h in (1, 5):
-            est = vemd_ratio(pairs[0], h)
+            est = emd_ratio(Method.VEMD, spot_set, fut_set, h, 1)
             assert est.ratio == pytest.approx(2.0, abs=1e-9)
 
     def test_self_pair(self):
         spot_set, _ = synthetic_pair_sets()
-        pairs, _ = pair_imfs(spot_set, spot_set)
-        est = vemd_ratio(pairs[0], 3)
+        est = emd_ratio(Method.VEMD, spot_set, spot_set, 3, 1)
         assert est.ratio == pytest.approx(1.0)
         assert est.fit.r_squared == pytest.approx(1.0)
 
@@ -525,52 +521,34 @@ class TestVemdRatio:
         # differencing a pure tone at exactly its period yields all zeros
         t = np.arange(400.0)
         x = np.sin(2 * np.pi * t / 20)
-        pair = ImfPair(index=1, spot=x, fut=x, spot_cycle=20.0, fut_cycle=20.0)
         with pytest.raises(NumericError):
-            vemd_ratio(pair, 20)
+            emd_ratio(Method.VEMD, _imf_set(x), _imf_set(x), 20, 1)
 
     def test_segment_restriction_changes_sample(self):
         spot_set, fut_set = synthetic_pair_sets()
-        pairs, _ = pair_imfs(spot_set, fut_set)
-        full = vemd_ratio(pairs[0], 2)
-        part = vemd_ratio(pairs[0], 2, segments=(range(0, 300), range(600, 900)))
+        full = emd_ratio(Method.VEMD, spot_set, fut_set, 2, 1)
+        part = emd_ratio(Method.VEMD, spot_set, fut_set, 2, 1, segments=(range(0, 300), range(600, 900)))
         assert part.fit.n_obs == 2 * (300 - 2)
         assert full.fit.n_obs == 1200 - 2
 
     def test_scale_invariance(self):
         spot_set, fut_set = synthetic_pair_sets()
-        pairs, _ = pair_imfs(spot_set, fut_set)
-        base = vemd_ratio(pairs[0], 2).ratio
-        scaled = ImfPair(
-            index=1,
-            spot=pairs[0].spot,
-            fut=pairs[0].fut * 100.0,
-            spot_cycle=pairs[0].spot_cycle,
-            fut_cycle=pairs[0].fut_cycle,
-        )
-        assert vemd_ratio(scaled, 2).ratio * 100.0 == pytest.approx(base, abs=1e-12)
+        base = emd_ratio(Method.VEMD, spot_set, fut_set, 2, 1).ratio
+        spot, scaled = _imf_set(spot_set.imfs[0].values), _imf_set(fut_set.imfs[0].values * 100.0)
+        assert emd_ratio(Method.VEMD, spot, scaled, 2, 1).ratio * 100.0 == pytest.approx(base, abs=1e-12)
 
 
 class TestSemdRatio:
     def test_half_amplitude_futures(self):
         spot_set, fut_set = synthetic_pair_sets()
-        pairs, _ = pair_imfs(spot_set, fut_set)
-        est = semd_ratio(pairs[0])
+        est = emd_ratio(Method.SEMD, spot_set, fut_set, 1, 1)
         assert est.ratio == pytest.approx(2.0, abs=1e-9)
 
     def test_uses_levels_not_differences(self):
         spot_set, fut_set = synthetic_pair_sets()
-        pairs, _ = pair_imfs(spot_set, fut_set)
-        est = semd_ratio(pairs[0], horizon=5)
+        est = emd_ratio(Method.SEMD, spot_set, fut_set, 5, 1)
         # sample size is the full IMF length regardless of horizon
         assert est.fit.n_obs == 1200
-
-    def test_residue_pair_allowed(self):
-        spot_set, fut_set = synthetic_pair_sets()
-        pairs, _ = pair_imfs(spot_set, fut_set)
-        est = semd_ratio(pairs[-1])
-        assert est.imf_index is None
-        assert np.isfinite(est.ratio)
 
 
 class TestAemdRatio:
@@ -579,18 +557,17 @@ class TestAemdRatio:
         cycles = [i.cycle for i in spot_set.imfs]
         h = int(np.ceil(cycles[0])) + 1
         assert sum(c <= h for c in cycles) == 1
-        pairs, _ = pair_imfs(spot_set, fut_set)
-        agg = aemd_ratio(spot_set, fut_set, h)
-        assert agg.ratio == pytest.approx(semd_ratio(pairs[0]).ratio, abs=1e-12)
+        agg = emd_ratio(Method.AEMD, spot_set, fut_set, h)
+        assert agg.ratio == pytest.approx(emd_ratio(Method.SEMD, spot_set, fut_set, 1, 1).ratio, abs=1e-12)
 
     def test_no_qualifying_imf_raises(self):
         spot_set, fut_set = synthetic_pair_sets()
         with pytest.raises(DataError):
-            aemd_ratio(spot_set, fut_set, 1)
+            emd_ratio(Method.AEMD, spot_set, fut_set, 1)
 
     def test_large_horizon_includes_all(self):
         spot_set, fut_set = synthetic_pair_sets()
-        est = aemd_ratio(spot_set, fut_set, 10_000)
+        est = emd_ratio(Method.AEMD, spot_set, fut_set, 10_000)
         assert est.ratio == pytest.approx(2.0, abs=1e-6)
 
     def test_an_imf_counts_at_the_horizon_of_its_own_cycle(self):
@@ -603,6 +580,32 @@ class TestAemdRatio:
         assert [horizon_of(c) for c in (0.2, 1.4, 2.5, 3.3, 3.5, 9.0)] == [1, 1, 2, 3, 4, 9]
         spot, fut = aggregate_imfs(imf_set, imf_set, 3)
         assert np.array_equal(spot, vals[0] + vals[1]) and np.array_equal(fut, spot)
+
+
+@pytest.mark.parametrize(
+    "method, imf_index",
+    [
+        (Method.VEMD, 1),
+        (Method.SEMD, 2),
+        (Method.AEMD, None),
+        (Method.VEMD, None),
+        (Method.SEMD, 3),  # the residue pair
+        (Method.VEMD, 4),
+    ],
+)
+def test_legs_is_the_series_an_emd_method_regresses(method, imf_index):
+    # the batched ratio functions and ``emd_ratio`` both take their series from ``_legs``
+    spot_set, fut_set = synthetic_pair_sets()
+    assert len(spot_set.imfs) == len(fut_set.imfs) == 2
+    if method is Method.AEMD:
+        got, want = _legs(method, spot_set, fut_set, 20, imf_index), aggregate_imfs(spot_set, fut_set, 20)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    elif imf_index is None or imf_index > 2:
+        with pytest.raises(DataError, match=f"^spot IMF{imf_index} has no futures IMF to pair with$"):
+            _legs(method, spot_set, fut_set, 20, imf_index)
+    else:
+        s, f = _legs(method, spot_set, fut_set, 20, imf_index)
+        assert s is spot_set.imfs[imf_index - 1].values and f is fut_set.imfs[imf_index - 1].values
 
 
 def _walk(n, seed):
@@ -627,11 +630,9 @@ BOUNDARY_CASES = {
     "EECM": lambda n: eecm_ratio(
         price_series(_walk(n + 1, 1)), price_series(_walk(n + 1, 2)), 1, max_lag=0
     ),
-    "VEMD": lambda n: vemd_ratio(
-        ImfPair(1, np.log(_walk(n + 1, 1)), np.log(_walk(n + 1, 2)), 2.0, 2.0), 1
-    ),
-    "SEMD": lambda n: semd_ratio(ImfPair(1, np.log(_walk(n, 1)), np.log(_walk(n, 2)), 2.0, 2.0)),
-    "AEMD": lambda n: aemd_ratio(*_emd_sets(n), 5),
+    "VEMD": lambda n: emd_ratio(Method.VEMD, *_emd_sets(n + 1), 1, 1),
+    "SEMD": lambda n: emd_ratio(Method.SEMD, *_emd_sets(n), 1, 1),
+    "AEMD": lambda n: emd_ratio(Method.AEMD, *_emd_sets(n), 5),
 }
 
 
@@ -682,15 +683,15 @@ BAD_SEGMENTS = {
     "step 2": ((range(0, 100, 2),), "step 2"),
 }
 _S, _F = price_series(_walk(200, 1)), price_series(_walk(200, 2))
-_PAIR = ImfPair(1, np.log(_S.values), np.log(_F.values), 2.0, 2.0)
+_SETS = _imf_set(np.log(_S.values)), _imf_set(np.log(_F.values))
 SEGMENT_TAKERS = {
     "restrict": lambda segs: restrict(_S, segs),
     "MV": lambda segs: mv_ratio(_S, _F, 3, segments=segs),
     "ECM": lambda segs: ecm_ratio(_S, _F, 3, segments=segs),
     "EECM": lambda segs: eecm_ratio(_S, _F, 3, max_lag=2, segments=segs),
-    "VEMD": lambda segs: vemd_ratio(_PAIR, 3, segments=segs),
-    "SEMD": lambda segs: semd_ratio(_PAIR, segments=segs),
-    "AEMD": lambda segs: aemd_ratio(_imf_set(_PAIR.spot), _imf_set(_PAIR.fut), 5, segments=segs),
+    "VEMD": lambda segs: emd_ratio(Method.VEMD, *_SETS, 3, 1, segs),
+    "SEMD": lambda segs: emd_ratio(Method.SEMD, *_SETS, 1, 1, segs),
+    "AEMD": lambda segs: emd_ratio(Method.AEMD, *_SETS, 5, segments=segs),
 }
 
 
@@ -733,6 +734,18 @@ class TestFitBoundaries:
         halves = make_ratio_fn(method, spot, fut, horizon, max_lag=max_lag, groups=(range(15), range(15, 30)))
         assert [_raised(lambda: got) for got in whole([(0,)]) + halves([(0,), (0, 1)])] == [want] * 3
 
+    def test_an_eecm_batch_whose_every_split_has_failed_skips_the_lag_search(self, monkeypatch):
+        # 59 differences, all taken by 60 lags: every split fails its row check before any fit
+        def unreachable(*args):
+            raise AssertionError("_eecm_select ran on a batch with no live split")
+
+        monkeypatch.setattr(methods, "_eecm_select", unreachable)
+        groups = tuple(range(a, a + 12) for a in range(0, 60, 12))
+        fn = make_ratio_fn(Method.EECM, *_prices(60), 1, max_lag=60, groups=groups)
+        batch = [train for _, train in enumerate_splits(len(groups), 2).splits]
+        want = ("InsufficientDataError", "no segment long enough for horizon + max_lag")
+        assert [_raised(lambda: got) for got in fn(batch)] == [want] * 10
+
     @pytest.mark.parametrize("max_lag, n_rows", [(8, 2), (9, 1), (10, 0), (11, 0), (25, 0)])
     def test_an_eecm_sample_shorter_than_its_footprint_has_no_row(self, max_lag, n_rows):
         # 30 prices give 10 horizon-20 differences, of which max_lag go to the lags
@@ -771,7 +784,7 @@ class TestFitBoundaries:
         # each leg's one IMF has cycle 2, so horizon_of puts it above horizon 1
         sets = _emd_sets(60)
         want = ("DataError", "no spot IMF with cycle <= horizon 1")
-        assert _raised(lambda: aemd_ratio(*sets, 1)) == want
+        assert _raised(lambda: emd_ratio(Method.AEMD, *sets, 1)) == want
         groups = tuple(range(a, a + 12) for a in range(0, 60, 12))
         fn = make_ratio_fn(Method.AEMD, *_prices(60), 1, imfs=sets, groups=groups)
         batch = [train for _, train in enumerate_splits(len(groups), 2).splits]

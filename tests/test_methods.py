@@ -12,17 +12,14 @@ from emdhedge.emd import MIN_SAMPLES, ImfSet, SiftConfig, decompose, decompose_a
 from emdhedge.errors import DataError, EmdHedgeError, InsufficientDataError
 from emdhedge.estimators import (
     Method,
-    aemd_ratio,
     aggregate_imfs,
     design_rows,
     ecm_ratio,
     eecm_ratio,
+    emd_ratio,
     mv_ratio,
     ols,
-    pair_imfs,
     pool,
-    semd_ratio,
-    vemd_ratio,
 )
 from emdhedge.methods import make_ratio_fn, training_segments
 from emdhedge.series import PriceSeries, restrict
@@ -166,7 +163,6 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
     spot, fut, s_set, f_set = _legs(case)
     groups = _groups(spot, scheme)
     splits = enumerate_splits(len(groups), 1 if scheme == "year" else 2).splits
-    pair = pair_imfs(s_set, f_set)[0][0]
     lags = []
     select = methods._eecm_select
 
@@ -181,10 +177,7 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
             Method.MV: lambda segs: mv_ratio(spot, fut, h, segments=segs),
             Method.ECM: lambda segs: ecm_ratio(spot, fut, h, segments=segs),
             Method.EECM: lambda segs: eecm_ratio(spot, fut, h, segments=segs),
-            Method.VEMD: lambda segs: vemd_ratio(pair, h, segments=segs),
-            Method.SEMD: lambda segs: semd_ratio(pair, h, segments=segs),
-            Method.AEMD: lambda segs: aemd_ratio(s_set, f_set, h, segments=segs),
-        }
+        } | {m: lambda segs, m=m: emd_ratio(m, s_set, f_set, h, 1, segs) for m in methods.EMD_FAMILY}
         for method, estimate in estimators.items():
             fn = make_ratio_fn(method, spot, fut, h, imf_index=1, imfs=(s_set, f_set), groups=groups)
             for _, train in splits:

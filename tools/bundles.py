@@ -155,6 +155,8 @@ def _corpus() -> dict[str, list[str]]:
         runs[f"pipeline_max_lag_{max_lag}"] = [
             "pipeline", "pair300", *eq5, "--methods", "EECM,MV", "--max-lag", str(max_lag),
         ]
+    # every EECM split fails its row check, so no batch reaches the lag search
+    runs["cv_max_lag_180"] = ["cv", "pair300", *eq5, "--methods", "EECM,MV", "--max-lag", "180"]
     return {
         "synth_coint": ["synth", "--out", "pair.csv", "--length", "300"],
         "synth_tones": ["synth", "--out", "tones.csv", "--length", "300", "--mode", "tones"],
