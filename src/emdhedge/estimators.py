@@ -324,8 +324,8 @@ def _with_u(block: np.ndarray, a, b, include_u: bool) -> np.ndarray:
 def _eecm_select(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
     """(m, n, rms): per R factor in the stack ``r``, of [base, dS lags 1..L,
     dF lags 1..L | dS] on ``nobs`` rows, the AIC-best lag counts (m = -1
-    where no candidate can be fit); rms maps each winning m to the stacked
-    R factors of [base, m dS lags, all dF lags | dS].
+    where no candidate can be fit); rms maps each winning m to the stacked R
+    factors of [base, m dS lags, all dF lags | dS] of the splits m won.
 
     Candidate (m, n) is the first p = n_base + m + n columns of R's column
     set [base, m dS lags, all dF lags, dS]. The leading n_base + m columns
@@ -335,7 +335,8 @@ def _eecm_select(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
     n_base + m rows stacked over the R of the trailing block R[n_base + m:,
     dF lags + dS], bit for bit. So per m one QR of that (L+1)-column block
     gives the SSE of every n as the tail sum of squares of its last column,
-    and one reversed cumsum gives them all. AIC is ``_aic``'s
+    and one reversed cumsum gives them all; rms factors it again only per
+    winning m, on its splits. AIC is ``_aic``'s
     n ln(SSE/n) + 2p with ``math.log``, as there: ``np.log``'s SIMD loop
     need not round as libm does. The rank rule runs once on the full design,
     which by singular-value interlacing covers every candidate (a column
@@ -370,10 +371,10 @@ def _eecm_select(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
         s = check[:, m, n_]
         fit[s, m, n_] = full_rank(s, m, n_)
     tail = list(range(n_base + max_lag, n_cols + 1))  # dF lags 1..L, dS
-    tails = [np.linalg.qr(r[:, n_base + m :, tail], mode="r") for m in range(max_lag + 1)]
-    # y[:, m]: the trailing block's last column, zero past its end
+    # y[:, m]: the last column of the trailing block's R, zero past its end
     y = np.zeros((len(r), max_lag + 1, max_lag + 1))
-    for m, rt in enumerate(tails):
+    for m in range(max_lag + 1):
+        rt = np.linalg.qr(r[:, n_base + m :, tail], mode="r")
         y[:, m, : rt.shape[1]] = rt[:, :, -1]
     sse = np.cumsum(y[..., ::-1] ** 2, axis=-1)[..., ::-1]
     aic = np.where(fit, -np.inf, np.nan)  # NaN: not fit
@@ -389,10 +390,10 @@ def _eecm_select(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
     m[~fit.any(axis=(1, 2))] = -1
     rms = {}
     for w in set(m[m >= 0].tolist()):
-        k, cols = n_base + w, list(range(n_base + w)) + tail
+        k, cols, won = n_base + w, list(range(n_base + w)) + tail, m == w
         rms[w] = np.zeros((len(r), min(r.shape[1], len(cols)), len(cols)))
-        rms[w][:, :k] = r[:, :k, cols]
-        rms[w][:, k:, k:] = tails[w]
+        rms[w][won, :k] = r[won][:, :k, cols]
+        rms[w][won, k:, k:] = np.linalg.qr(r[won][:, k:, tail], mode="r")
     return m, n_, rms
 
 
@@ -509,7 +510,7 @@ def _legs(method: Method, spot_set: ImfSet, fut_set: ImfSet, horizon: int, imf_i
     if method is Method.AEMD:
         return aggregate_imfs(spot_set, fut_set, horizon)
     pairs, _ = pair_imfs(spot_set, fut_set)
-    if imf_index is None or imf_index >= len(pairs):  # the last pair is the residues'
+    if imf_index is None or not 1 <= imf_index < len(pairs):  # the last pair is the residues'
         raise DataError(f"spot IMF{imf_index} has no futures IMF to pair with")
     return pairs[imf_index - 1].spot, pairs[imf_index - 1].fut
 

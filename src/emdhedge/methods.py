@@ -24,10 +24,10 @@ one QR of the stack (TSQR's stacked-R reduction); that small R gives the
 split's slope, rank rule and residual sums of squares, at O(N p^2) per
 split, not O(T p). QR, never X'X: ECM's log levels are nearly collinear, and
 X'X would square their condition number. All splits of a call are fitted
-together: their stacks, zero-padded to one array, take one batched QR, and
-the estimator's checks, rank rule, solve, ECM fallback and EECM lag search
-each run once over the batch as array masks, so numpy's per-call overhead is
-paid per call, not per split.
+together: their stacks, zero-padded to the widest, take a batched QR (EECM's
+in chunks of splits), and the checks, rank rule, solve, ECM fallback and EECM
+lag search each run once over the batch as array masks, so numpy's per-call
+overhead is paid per call, not per split.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ from .series import PriceSeries
 __all__ = ["make_ratio_fn", "training_segments"]
 
 EMD_FAMILY = (Method.VEMD, Method.SEMD, Method.AEMD)
+# most floats of EECM split stacks built and factored at once (256 KB, as the
+# sift's lockstep arrays); every chunk keeps the batch's zero padding, as above
+# 128 columns LAPACK's blocked QR changes bits with the number of zero rows
+_STACK_FLOATS = 1 << 15
 
 
 def training_segments(groups: tuple[range, ...], train: np.ndarray) -> dict[tuple[int, int], range]:
@@ -114,12 +118,17 @@ class _Buckets:
         return f"no training segment yields rows at horizon {horizon} ({self.left_out[a, b]})"
 
     def stack(self, use: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(row counts, R stacks): per split, the used buckets' R factors in
-        bucket order, zero-padded to one (splits, kmax * q, q) array."""
+        """(row counts, slots): per split, the indices into ``r`` of the used
+        buckets' R factors in bucket order, padded with the zero R's to one
+        (splits, kmax) array; ``r[slots]`` gives the R stacks."""
         slot = np.full((len(use), max(int(use.sum(axis=1).max(initial=0)), 1)), len(self.count))
         s, b = np.nonzero(use)
         slot[s, (np.cumsum(use, axis=1) - 1)[s, b]] = b
-        return use @ self.count, self.r[slot].reshape(len(use), -1, self.r.shape[2])
+        return use @ self.count, slot
+
+    def stacks(self, slot: np.ndarray) -> np.ndarray:
+        """The R stacks of ``slot``'s splits, as one (splits, kmax * q, q) array."""
+        return self.r[slot].reshape(len(slot), -1, self.r.shape[2])
 
     def check_futures_variance(self, out: _Outcomes, use: np.ndarray) -> None:
         """``_check_futures_variance`` on each split's used rows. Only splits
@@ -189,18 +198,26 @@ def _fit_splits(method: Method, horizon: int, max_lag: int, rows: _Buckets, leve
     Rs: the same checks in the same order, each as a mask over the batch."""
     out = _Outcomes(len(train))
     use = rows.select(train)
-    n, stack = rows.stack(use)
+    n, slot = rows.stack(use)
     if method is Method.EECM:  # the cointegrating regression comes first
         n_lv, lv = levels.stack(levels.select(train))
-        coef = _slope(out, n_lv, np.linalg.qr(lv, mode="r"))
-        stack = _with_u(stack, coef[:, 0, None, None], coef[:, 1, None, None], include_u=True)
+        coef = _slope(out, n_lv, np.linalg.qr(levels.stacks(lv), mode="r"))
     if rows.left_out is not None:
         out.fail(n == 0, lambda s: InsufficientDataError(rows.why_no_rows(train[s], horizon)))
     out.check(n < MIN_OBS, lambda s: _check_rows(method, int(n[s]), horizon))
     rows.check_futures_variance(out, use)
     if not out.live.any():  # every split has failed: nothing left to fit
         return list(out.errors)
-    r = np.linalg.qr(stack, mode="r")
+
+    def factor(s: slice) -> np.ndarray:
+        """The R factors of the stacks of splits ``s``, EECM's after ``_with_u``."""
+        stack = rows.stacks(slot[s])
+        if method is Method.EECM:
+            stack = _with_u(stack, coef[s, 0, None, None], coef[s, 1, None, None], include_u=True)
+        return np.linalg.qr(stack, mode="r")
+
+    step = max(1, _STACK_FLOATS // slot[0].size // rows.r[0].size) if method is Method.EECM else len(slot)
+    r = np.concatenate([factor(slice(i, i + step)) for i in range(0, len(slot), step)])
     ratio = np.full(len(train), np.nan)
     if method is Method.EECM:
         m, n_, rms = _eecm_select(r, np.where(out.live, n, 0), 3, max_lag)  # 0 rows: no candidate

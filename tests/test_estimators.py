@@ -591,6 +591,8 @@ class TestAemdRatio:
         (Method.VEMD, None),
         (Method.SEMD, 3),  # the residue pair
         (Method.VEMD, 4),
+        (Method.SEMD, 0),  # not the residue pair through pairs[-1]
+        (Method.VEMD, -1),
     ],
 )
 def test_legs_is_the_series_an_emd_method_regresses(method, imf_index):
@@ -600,7 +602,7 @@ def test_legs_is_the_series_an_emd_method_regresses(method, imf_index):
     if method is Method.AEMD:
         got, want = _legs(method, spot_set, fut_set, 20, imf_index), aggregate_imfs(spot_set, fut_set, 20)
         assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
-    elif imf_index is None or imf_index > 2:
+    elif imf_index is None or not 1 <= imf_index <= 2:
         with pytest.raises(DataError, match=f"^spot IMF{imf_index} has no futures IMF to pair with$"):
             _legs(method, spot_set, fut_set, 20, imf_index)
     else:
@@ -702,6 +704,24 @@ def test_segments_that_are_not_a_training_sample_are_rejected(taker, case):
     SEGMENT_TAKERS[taker]((range(0, 50), range(100, 200)))  # a valid sample is accepted
     with pytest.raises(DataError, match=words):
         SEGMENT_TAKERS[taker](segs)
+
+
+_PRICES = np.linspace(1.0, 2.0, 12) ** 2
+
+
+@pytest.mark.parametrize(
+    "call, bad, good, message",
+    [
+        (lambda k: ols(_PRICES, np.arange(float(k))), 11, 12, "y and X row counts differ"),
+        (lambda h: design_rows(Method.MV, _PRICES, _PRICES, h), 0, 1, "horizon must be >= 1"),
+        (lambda lag: design_rows(Method.EECM, _PRICES, _PRICES, 1, lag), -1, 0, "max_lag must be >= 0"),
+    ],
+)
+def test_a_library_callers_argument_is_checked_at_its_edge(call, bad, good, message):
+    # the CLI never passes these arguments this way
+    call(good)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        call(bad)
 
 
 def _raised(call):

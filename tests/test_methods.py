@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -191,6 +192,52 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
                 assert abs(got - want.ratio) <= 1e-12 * abs(want.ratio), (method, h, train)
                 if method is Method.EECM:
                     assert lags == [want.lags], (h, train)
+
+
+def _eecm_batch(max_lag: int) -> list:
+    """The outcomes of one EECM batch at horizon 1 on the T=2000 seed-0
+    synth in 6 equal groups: its 15 splits at k=2."""
+    spot, fut = _long_pair()
+    groups = partition(spot, Scheme.EQUAL_COUNT, 6).groups
+    fn = make_ratio_fn(Method.EECM, spot, fut, 1, max_lag=max_lag, groups=groups)
+    return fn([train for _, train in enumerate_splits(6, 2).splits])
+
+
+@lru_cache(maxsize=None)
+def _long_pair():
+    return gen_coint_pair(SynthSpec(length=2000, seed=0, coint=CointSpec()))
+
+
+def test_an_eecm_batch_working_set_grows_with_splits_times_q_squared():
+    # at max_lag 80 a stack has q = 2L + 5 = 165 columns; holding every
+    # split's whole stack and every m's trailing factors read 32 times
+    # splits q^2 floats
+    _long_pair()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ratios = _eecm_batch(80)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert all(isinstance(r, float) for r in ratios)
+    assert peak <= 20 * len(ratios) * 165**2 * 8
+
+
+def test_eecm_split_stacks_factor_alike_in_any_chunks(monkeypatch):
+    # at max_lag 80 a stack has 165 columns, past the 128 where LAPACK's
+    # blocked QR gives other bits for another number of zero rows: every
+    # chunk is padded to the batch's widest stack (padded to its own, one
+    # split's ratio moved by an ulp)
+    monkeypatch.setattr(methods, "_STACK_FLOATS", 1)  # one split per chunk
+    chunked = _eecm_batch(80)
+    monkeypatch.setattr(methods, "_STACK_FLOATS", 2**40)  # one chunk
+    whole = _eecm_batch(80)
+    assert all(isinstance(r, float) for r in whole)
+    assert np.array(chunked).tobytes() == np.array(whole).tobytes()
 
 
 # the first 20 of the 56 splits of 8 groups at k=3, and training on groups 0-2 only

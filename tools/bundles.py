@@ -157,6 +157,8 @@ def _corpus() -> dict[str, list[str]]:
         ]
     # every EECM split fails its row check, so no batch reaches the lag search
     runs["cv_max_lag_180"] = ["cv", "pair300", *eq5, "--methods", "EECM,MV", "--max-lag", "180"]
+    # EECM split stacks of 165 columns, past LAPACK's 128-column switch, factored in several chunks per batch
+    runs["cv_eecm_max_lag_80"] = ["cv", "long2000", "--partition", "equal:10", "--methods", "EECM", "--max-lag", "80"]
     return {
         "synth_coint": ["synth", "--out", "pair.csv", "--length", "300"],
         "synth_tones": ["synth", "--out", "tones.csv", "--length", "300", "--mode", "tones"],
