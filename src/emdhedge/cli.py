@@ -34,7 +34,7 @@ from .cpcv import (
     MIN_PATHS, Criterion, GroupPartition, PathReport, Scheme, enumerate_splits, excludes_every_group, partition, run_cv,
     why_too_few_paths,
 )
-from .emd import ImfSet, SiftConfig, decompose_all
+from .emd import ImfSet, SiftConfig, _decomposed, decompose_all
 from .errors import DataError, EmdHedgeError, NumericError
 from .estimators import Method, horizon_of, pair_imfs
 from .methods import EMD_FAMILY, make_ratio_fn, training_segments
@@ -294,13 +294,6 @@ def _warn_unconverged(state: PipelineState, what: str, s: ImfSet) -> None:
     """One manifest warning for a decomposition with IMFs left at the sift cap."""
     if n := sum(not imf.converged for imf in s.imfs):
         state.warnings.append(f"decomposition of {what}: {n} of {len(s.imfs)} IMFs stopped unconverged at the sift cap")
-
-
-def _decomposed(result: ImfSet | EmdHedgeError) -> ImfSet:
-    """One series' ``decompose_all`` result: its ImfSet, or its error raised."""
-    if isinstance(result, EmdHedgeError):
-        raise result
-    return result
 
 
 def _emit_decomposition(state: PipelineState) -> None:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InsufficientDataError
+from .errors import DataError, EmdHedgeError, InsufficientDataError
 
 MIN_SAMPLES = 8  # shortest series ``decompose`` accepts
 # most samples sifted in one lockstep batch: bounds the batch's working arrays
@@ -527,6 +527,14 @@ def decompose_all(xs: list[np.ndarray], cfg: SiftConfig = SiftConfig()) -> list[
     return out
 
 
+def _decomposed(result: ImfSet | EmdHedgeError) -> ImfSet:
+    """One series' ``decompose_all`` result: its ImfSet, or its error raised
+    without an earlier raise's traceback (a stored error is raised again)."""
+    if isinstance(result, EmdHedgeError):
+        raise result.with_traceback(None)
+    return result
+
+
 def _imf_set(sifted: list[SiftResult], residue: np.ndarray, n: int) -> ImfSet:
     """The decomposition of a series of n samples from its sift results and residue."""
     imfs = []
@@ -542,7 +550,4 @@ def decompose(x: np.ndarray, cfg: SiftConfig = SiftConfig()) -> ImfSet:
     Reconstruction is exact up to float error because sifting is pure
     subtraction. Each emitted IMF carries its extrema counts and cycle.
     """
-    (result,) = decompose_all([x], cfg)
-    if isinstance(result, InsufficientDataError):
-        raise result
-    return result
+    return _decomposed(*decompose_all([x], cfg))

@@ -322,10 +322,9 @@ def _with_u(block: np.ndarray, a, b, include_u: bool) -> np.ndarray:
 
 
 def _eecm_select(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
-    """(m, n, rms): per R factor in the stack ``r``, of [base, dS lags 1..L,
+    """(m, n): per R factor in the stack ``r``, of [base, dS lags 1..L,
     dF lags 1..L | dS] on ``nobs`` rows, the AIC-best lag counts (m = -1
-    where no candidate can be fit); rms maps each winning m to the stacked R
-    factors of [base, m dS lags, all dF lags | dS] of the splits m won.
+    where no candidate can be fit).
 
     Candidate (m, n) is the first p = n_base + m + n columns of R's column
     set [base, m dS lags, all dF lags, dS]. The leading n_base + m columns
@@ -335,8 +334,8 @@ def _eecm_select(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
     n_base + m rows stacked over the R of the trailing block R[n_base + m:,
     dF lags + dS], bit for bit. So per m one QR of that (L+1)-column block
     gives the SSE of every n as the tail sum of squares of its last column,
-    and one reversed cumsum gives them all; rms factors it again only per
-    winning m, on its splits. AIC is ``_aic``'s
+    and one reversed cumsum gives them all; ``_eecm_factor`` builds a
+    winner's whole factor the same way. AIC is ``_aic``'s
     n ln(SSE/n) + 2p with ``math.log``, as there: ``np.log``'s SIMD loop
     need not round as libm does. The rank rule runs once on the full design,
     which by singular-value interlacing covers every candidate (a column
@@ -388,13 +387,17 @@ def _eecm_select(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
     key = np.where(fit & (aic == best[:, None, None]), order, order.max() + 1)
     m, n_ = np.divmod(key.reshape(len(r), order.size).argmin(axis=1), max_lag + 1)
     m[~fit.any(axis=(1, 2))] = -1
-    rms = {}
-    for w in set(m[m >= 0].tolist()):
-        k, cols, won = n_base + w, list(range(n_base + w)) + tail, m == w
-        rms[w] = np.zeros((len(r), min(r.shape[1], len(cols)), len(cols)))
-        rms[w][won, :k] = r[won][:, :k, cols]
-        rms[w][won, k:, k:] = np.linalg.qr(r[won][:, k:, tail], mode="r")
-    return m, n_, rms
+    return m, n_
+
+
+def _eecm_factor(r: np.ndarray, m: int, n_base: int, max_lag: int) -> np.ndarray:
+    """The R factors of [base, m dS lags, all dF lags | dS] from the stack ``r``
+    ``_eecm_select`` scores: r's first k rows over the QR of the trailing block."""
+    k, tail = n_base + m, list(range(n_base + max_lag, n_base + 2 * max_lag + 1))
+    rm = np.zeros((len(r), min(r.shape[1], k + len(tail)), k + len(tail)))
+    rm[:, :k] = r[:, :k, list(range(k)) + tail]
+    rm[:, k:, k:] = np.linalg.qr(r[:, k:, tail], mode="r")
+    return rm
 
 
 def eecm_ratio(
@@ -426,7 +429,7 @@ def eecm_ratio(
     rows = _with_u(raw, coint.alpha, coint.slope, include_u)
     n_base = 3 if include_u else 2
     r = np.linalg.qr(rows, mode="r")
-    m, n_, _ = _eecm_select(r[None], np.array([len(rows)]), n_base, max_lag)
+    m, n_ = _eecm_select(r[None], np.array([len(rows)]), n_base, max_lag)
     if m[0] < 0:
         raise SingularDesignError(NO_EECM_FIT)
     m, n_ = int(m[0]), int(n_[0])

@@ -24,8 +24,8 @@ one QR of the stack (TSQR's stacked-R reduction); that small R gives the
 split's slope, rank rule and residual sums of squares, at O(N p^2) per
 split, not O(T p). QR, never X'X: ECM's log levels are nearly collinear, and
 X'X would square their condition number. All splits of a call are fitted
-together: their stacks, zero-padded to the widest, take a batched QR (EECM's
-in chunks of splits), and the checks, rank rule, solve, ECM fallback and EECM
+together: their stacks, zero-padded to the widest, take a batched QR in
+chunks of splits, and the checks, rank rule, solve, ECM fallback and EECM
 lag search each run once over the batch as array masks, so numpy's per-call
 overhead is paid per call, not per split.
 """
@@ -35,8 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 from .cpcv import RatioFn
-from .emd import ImfSet
-from .errors import DataError, EmdHedgeError, InsufficientDataError, NumericError, SingularDesignError
+from .emd import ImfSet, _decomposed
+from .errors import DataError, InsufficientDataError, NumericError, SingularDesignError
 from .estimators import (
     ECM_RANK_DEFICIENT,
     ECM_REDUCTIONS,
@@ -47,6 +47,7 @@ from .estimators import (
     Method,
     _check_futures_variance,
     _check_rows,
+    _eecm_factor,
     _eecm_select,
     _full_rank,
     _legs,
@@ -60,9 +61,9 @@ from .series import PriceSeries
 __all__ = ["make_ratio_fn", "training_segments"]
 
 EMD_FAMILY = (Method.VEMD, Method.SEMD, Method.AEMD)
-# most floats of EECM split stacks built and factored at once (256 KB, as the
-# sift's lockstep arrays); every chunk keeps the batch's zero padding, as above
-# 128 columns LAPACK's blocked QR changes bits with the number of zero rows
+# most floats of split stacks built and factored at once (256 KB, as the sift's
+# lockstep arrays); every chunk keeps the batch's zero padding: past 128 columns
+# (EECM's 2L + 5) LAPACK's blocked QR changes bits with the number of zero rows
 _STACK_FLOATS = 1 << 15
 
 
@@ -216,15 +217,15 @@ def _fit_splits(method: Method, horizon: int, max_lag: int, rows: _Buckets, leve
             stack = _with_u(stack, coef[s, 0, None, None], coef[s, 1, None, None], include_u=True)
         return np.linalg.qr(stack, mode="r")
 
-    step = max(1, _STACK_FLOATS // slot[0].size // rows.r[0].size) if method is Method.EECM else len(slot)
+    step = max(1, _STACK_FLOATS // slot[0].size // rows.r[0].size)
     r = np.concatenate([factor(slice(i, i + step)) for i in range(0, len(slot), step)])
     ratio = np.full(len(train), np.nan)
     if method is Method.EECM:
-        m, n_, rms = _eecm_select(r, np.where(out.live, n, 0), 3, max_lag)  # 0 rows: no candidate
+        m, n_ = _eecm_select(r, np.where(out.live, n, 0), 3, max_lag)  # 0 rows: no candidate
         out.fail(m < 0, lambda s: SingularDesignError(NO_EECM_FIT))
         for mi, ni in set(zip(m[out.live].tolist(), n_[out.live].tolist())):
             won = out.live & (m == mi) & (n_ == ni)
-            ratio[won] = _solve(rms[mi], 3 + mi + ni, won)[won, 1]
+            ratio[won] = _solve(_eecm_factor(r[won], mi, 3, max_lag), 3 + mi + ni, won[won])[:, 1]
     elif method is Method.ECM:  # ``_ecm_fallback``: each p fits the splits p + 1 left
         pending = out.live.copy()
         for p in ECM_REDUCTIONS:
@@ -272,10 +273,8 @@ def make_ratio_fn(
         blocks, left_out = {}, {}
         for (a, b), seg in training_segments(groups, train).items():
             try:
-                for found in imfs[seg]:  # the error of the first leg that failed to decompose
-                    if isinstance(found, EmdHedgeError):
-                        raise found.with_traceback(None)
-                s, f = _legs(method, *imfs[seg], horizon, imf_index)
+                s_set, f_set = map(_decomposed, imfs[seg])  # spot first
+                s, f = _legs(method, s_set, f_set, horizon, imf_index)
                 rows, _ = design_rows(method, s, f, horizon)
                 if not len(rows):
                     _check_rows(method, 0, horizon)

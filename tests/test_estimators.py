@@ -20,6 +20,7 @@ from emdhedge.estimators import (
     RANK_DEFICIENT,
     _aic,
     _check_futures_variance,
+    _eecm_factor,
     _eecm_select,
     _full_rank,
     _legs,
@@ -35,7 +36,7 @@ from emdhedge.estimators import (
     ols,
     pair_imfs,
 )
-from emdhedge.cpcv import enumerate_splits
+from emdhedge.cpcv import Scheme, enumerate_splits, partition, run_cv
 from emdhedge.methods import make_ratio_fn
 from emdhedge.series import PriceSeries, log_returns, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
@@ -237,15 +238,16 @@ class TestEecmRatio:
         assert est.lags == (0, 0)
 
 
-def brute_force_eecm(spot_segs, fut_segs, h, max_lag, include_u):
+def brute_force_eecm(spot_segs, fut_segs, h, max_lag, include_u, log_levels=True):
     """Every (m, n) candidate fitted with lstsq; same sample, AIC and
-    tie-break as eecm_ratio. Returns (lags, slope on dF, full-design rank
-    deficiency)."""
+    tie-break as eecm_ratio, the cointegration residual on log or raw
+    levels. Returns (lags, slope on dF, full-design rank deficiency)."""
     ls = [np.log(v) for v in spot_segs]
     lf = [np.log(v) for v in fut_segs]
-    levels = np.column_stack([np.ones(sum(map(len, lf))), np.concatenate(lf)])
-    c, *_ = np.linalg.lstsq(levels, np.concatenate(ls), rcond=None)
-    u_all = np.concatenate(ls) - levels @ c
+    vs, vf = (ls, lf) if log_levels else (spot_segs, fut_segs)
+    levels = np.column_stack([np.ones(sum(map(len, vf))), np.concatenate(vf)])
+    c, *_ = np.linalg.lstsq(levels, np.concatenate(vs), rcond=None)
+    u_all = np.concatenate(vs) - levels @ c
     rows, pos = [], 0
     for s, f in zip(ls, lf):
         u = u_all[pos : pos + len(s)]
@@ -293,9 +295,10 @@ class TestEecmLagSearch:
                 else:
                     s_vals = [spot.values[r.start : r.stop] for r in segs]
                     f_vals = [fut.values[r.start : r.stop] for r in segs]
-                for include_u in (True, False):
-                    est = eecm_ratio(spot, fut, h, include_u=include_u, segments=segs)
-                    lags, ratio, _ = brute_force_eecm(s_vals, f_vals, h, 10, include_u)
+                # log_levels=False is ``--levels raw``; without u the levels go unused
+                for include_u, log_levels in ((True, True), (True, False), (False, True)):
+                    est = eecm_ratio(spot, fut, h, include_u=include_u, log_levels=log_levels, segments=segs)
+                    lags, ratio, _ = brute_force_eecm(s_vals, f_vals, h, 10, include_u, log_levels)
                     assert est.lags == lags
                     assert abs(est.ratio - ratio) <= 1e-12
 
@@ -427,11 +430,12 @@ class TestEecmTrailingBlock:
         if case == "no rows":
             nobs[[1, 4]] = 0
         want_m, want_n, want_rms = eecm_select_oracle(r, nobs, n_base, max_lag)
-        m, n_, rms = _eecm_select(r, nobs, n_base, max_lag)
+        m, n_ = _eecm_select(r, nobs, n_base, max_lag)
         assert m.tolist() == want_m.tolist() and n_.tolist() == want_n.tolist()
-        for s, w in enumerate(m.tolist()):
-            if w >= 0:
-                assert rms[w][s].tobytes() == want_rms[w][s].tobytes(), s
+        # the factor ``methods._fit_splits`` solves, built on each winning (m, n)'s splits
+        for w, v in set(zip(m[m >= 0].tolist(), n_[m >= 0].tolist())):
+            won = (m == w) & (n_ == v)
+            assert _eecm_factor(r[won], w, n_base, max_lag).tobytes() == want_rms[w][won].tobytes(), (w, v)
 
     def test_a_deficient_design_takes_an_svd_only_per_candidate_with_enough_rows(self, monkeypatch):
         # 10 rows at max_lag 10: only the 21 candidates with m + n <= 5 pass
@@ -683,6 +687,7 @@ BAD_SEGMENTS = {
     "empty": ((range(0, 50), range(60, 60)), "empty segment"),
     "overlapping": ((range(0, 50), range(40, 90)), "overlaps"),
     "step 2": ((range(0, 100, 2),), "step 2"),
+    "no segment": ((), "at least one segment"),
 }
 _S, _F = price_series(_walk(200, 1)), price_series(_walk(200, 2))
 _SETS = _imf_set(np.log(_S.values)), _imf_set(np.log(_F.values))
@@ -715,6 +720,16 @@ _PRICES = np.linspace(1.0, 2.0, 12) ** 2
         (lambda k: ols(_PRICES, np.arange(float(k))), 11, 12, "y and X row counts differ"),
         (lambda h: design_rows(Method.MV, _PRICES, _PRICES, h), 0, 1, "horizon must be >= 1"),
         (lambda lag: design_rows(Method.EECM, _PRICES, _PRICES, 1, lag), -1, 0, "max_lag must be >= 0"),
+        (lambda n: PriceSeries(price_series(_PRICES).timestamps[:n], _PRICES), 11, 12,
+         "timestamps and values must have equal length"),
+        (lambda x: price_series(np.append(_PRICES, x)), np.inf, np.finfo(float).max, "price values must be finite"),
+        (lambda n: partition(100, Scheme.EQUAL_COUNT, n), 1, 2, "need at least 2 groups"),
+        (lambda s: partition(s, Scheme.CALENDAR_YEAR), 400, _prices(400)[0],  # 2015-01-01 to 2016-02-04
+         "calendar-year partition needs a timestamped series"),
+        (lambda scheme: partition(100, scheme), "equal", Scheme.EQUAL_COUNT, "unknown partition scheme equal"),
+        (lambda n: run_cv(_prices(400)[0], price_series(_walk(n, 2)), {"MV": lambda b: [1.0] * len(b)}, 1,
+                          partition(400, Scheme.EQUAL_COUNT, 4), 2), 399, 400,
+         "spot and futures series must be aligned"),
     ],
 )
 def test_a_library_callers_argument_is_checked_at_its_edge(call, bad, good, message):
@@ -837,7 +852,7 @@ class TestFitBoundaries:
     def test_eecm_candidates_follow_the_row_rule(self, n_base):
         # _min_rows(n_base) rows fit only the lagless candidate; one fewer fits none
         r = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 40, n_base + 2 * 3 + 1)), mode="r")
-        m, n_, _ = _eecm_select(r, np.array([_min_rows(n_base), _min_rows(n_base) - 1]), n_base, 3)
+        m, n_ = _eecm_select(r, np.array([_min_rows(n_base), _min_rows(n_base) - 1]), n_base, 3)
         assert m.tolist() == [0, -1] and n_[0] == 0
 
     def test_the_spread_bound_clears_the_variance_floor(self):

@@ -105,6 +105,14 @@ def test_a_spot_imf_without_a_futures_partner_fails_every_split(method):
             assert isinstance(outcome, DataError) and f"spot IMF{imf_index} has no futures IMF" in str(outcome)
 
 
+def test_an_emd_ratio_function_without_decompositions_is_refused():
+    # the CLI always passes them
+    spot, fut, s_set, f_set = _legs("cointegrated")
+    make_ratio_fn(Method.VEMD, spot, fut, 5, imf_index=1, imfs=(s_set, f_set))
+    with pytest.raises(ValueError, match="^EMD methods need decompositions$"):
+        make_ratio_fn(Method.VEMD, spot, fut, 5, imf_index=1, imfs=None)
+
+
 class TestPool:
     def test_observation_count(self):
         vals = np.arange(1.0, 31.0)
@@ -150,6 +158,19 @@ def _outcome(call):
     return (type(got).__name__, str(got)) if isinstance(got, EmdHedgeError) else got
 
 
+def _recorded_lags(monkeypatch) -> list:
+    """The (m, n) of each split that ``methods._eecm_select`` scores from now on."""
+    lags, select = [], methods._eecm_select
+
+    def recording(*args):
+        m, n_ = select(*args)
+        lags.extend(zip(m.tolist(), n_.tolist()))
+        return m, n_
+
+    monkeypatch.setattr(methods, "_eecm_select", recording)
+    return lags
+
+
 @pytest.mark.parametrize(
     "case, scheme",
     [
@@ -164,15 +185,7 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
     spot, fut, s_set, f_set = _legs(case)
     groups = _groups(spot, scheme)
     splits = enumerate_splits(len(groups), 1 if scheme == "year" else 2).splits
-    lags = []
-    select = methods._eecm_select
-
-    def recording(*args):
-        best = select(*args)
-        lags.extend(zip(*best[:2]))
-        return best
-
-    monkeypatch.setattr(methods, "_eecm_select", recording)
+    lags = _recorded_lags(monkeypatch)
     for h in (3, 17):
         estimators = {
             Method.MV: lambda segs: mv_ratio(spot, fut, h, segments=segs),
@@ -194,12 +207,28 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
                     assert lags == [want.lags], (h, train)
 
 
-def _eecm_batch(max_lag: int) -> list:
-    """The outcomes of one EECM batch at horizon 1 on the T=2000 seed-0
-    synth in 6 equal groups: its 15 splits at k=2."""
+def test_a_raw_levels_eecm_batch_equals_the_estimator_on_each_split(monkeypatch):
+    # ``--levels raw``: the same lags and ratios within 1e-12, the splits fitted as one batch
+    spot, fut, _, _ = _legs("cointegrated")
+    groups = _groups(spot, "equal")
+    splits = [train for _, train in enumerate_splits(len(groups), 2).splits]
+    lags = _recorded_lags(monkeypatch)
+    for h in (3, 17):
+        got = make_ratio_fn(Method.EECM, spot, fut, h, log_levels=False, groups=groups)(splits)
+        assert len(lags) == len(splits)
+        for train, ratio, lag in zip(splits, got, lags):
+            want = eecm_ratio(spot, fut, h, log_levels=False, segments=restrict(spot, [groups[g] for g in train]))
+            assert lag == want.lags and abs(ratio - want.ratio) <= 1e-12 * abs(want.ratio), (h, train)
+        del lags[:]
+
+
+def _long_batch(max_lag: int, method: Method = Method.EECM) -> list:
+    """The outcomes of one batch of ``method`` (EECM's lag grid 0..max_lag)
+    at horizon 1 on the T=2000 seed-0 synth in 6 equal groups: its 15
+    splits at k=2."""
     spot, fut = _long_pair()
     groups = partition(spot, Scheme.EQUAL_COUNT, 6).groups
-    fn = make_ratio_fn(Method.EECM, spot, fut, 1, max_lag=max_lag, groups=groups)
+    fn = make_ratio_fn(method, spot, fut, 1, max_lag=max_lag, groups=groups)
     return fn([train for _, train in enumerate_splits(6, 2).splits])
 
 
@@ -218,7 +247,7 @@ def test_an_eecm_batch_working_set_grows_with_splits_times_q_squared():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        ratios = _eecm_batch(80)
+        ratios = _long_batch(80)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
@@ -231,13 +260,15 @@ def test_eecm_split_stacks_factor_alike_in_any_chunks(monkeypatch):
     # at max_lag 80 a stack has 165 columns, past the 128 where LAPACK's
     # blocked QR gives other bits for another number of zero rows: every
     # chunk is padded to the batch's widest stack (padded to its own, one
-    # split's ratio moved by an ulp)
-    monkeypatch.setattr(methods, "_STACK_FLOATS", 1)  # one split per chunk
-    chunked = _eecm_batch(80)
-    monkeypatch.setattr(methods, "_STACK_FLOATS", 2**40)  # one chunk
-    whole = _eecm_batch(80)
-    assert all(isinstance(r, float) for r in whole)
-    assert np.array(chunked).tobytes() == np.array(whole).tobytes()
+    # split's ratio moved by an ulp); MV's and ECM's stacks (3 and 5
+    # columns) take the same chunk rule
+    for method in (Method.EECM, Method.MV, Method.ECM):
+        monkeypatch.setattr(methods, "_STACK_FLOATS", 1)  # one split per chunk
+        chunked = _long_batch(80, method)
+        monkeypatch.setattr(methods, "_STACK_FLOATS", 2**40)  # one chunk
+        whole = _long_batch(80, method)
+        assert all(isinstance(r, float) for r in whole), method
+        assert np.array(chunked).tobytes() == np.array(whole).tobytes(), method
 
 
 # the first 20 of the 56 splits of 8 groups at k=3, and training on groups 0-2 only
