@@ -316,7 +316,7 @@ def _emit_decomposition(state: PipelineState) -> None:
     returns = [log_returns(values, 1) for values in prices] if "preliminary" in state.stages else []
     segments = []
     if part is not None and cfg.decompose_scope == "per-segment" and set(EMD_FAMILY) & set(cfg.method_list()):
-        splits = enumerate_splits(part.n_groups, cfg.k).splits
+        splits = enumerate_splits(part.n_groups, cfg.k)
         train = np.array([np.isin(range(part.n_groups), groups) for _, groups in splits])
         segments = list(training_segments(part.groups, train).values())
     pieces = [leg.values[seg.start : seg.stop] for seg in segments for leg in (state.spot, state.fut)]
@@ -433,7 +433,7 @@ def _emit_insample(state: PipelineState) -> None:
             values = [float("nan")] * len(methods)
             if ok:
                 try:
-                    got, _, _ = effectiveness_rows(crit, ds, portfolios, cfg.alpha)
+                    got = effectiveness_rows(crit, ds, portfolios, cfg.alpha)
                     why = "degenerate spot returns"  # the only NaN a score can return
                 except EmdHedgeError as exc:  # e.g. too few observations for the VaR quantile
                     got, why = np.full(len(ok), np.nan), str(exc)
@@ -556,13 +556,14 @@ def _emit_determinants(state: PipelineState) -> None:
             f.r2_affine, f.n_obs,
         ]
 
-    def relative_to_mv(rep: PathReport, h: int) -> float | None:
+    def relative_to_mv(label: str, rep: PathReport, h: int) -> float | None:
         mv = state.cv_reports.get((Method.MV, h, Criterion.VAR))
         if mv is None or mv.stats is None:
             return None
         try:
             return relative_performance(rep.stats.mean, mv.stats.mean)
-        except EmdHedgeError:
+        except EmdHedgeError as exc:  # the row leaves the regression; the warning names it
+            state.warnings.append(f"{label} h={h}: {exc}")
             return None
 
     det_rows = []
@@ -578,7 +579,8 @@ def _emit_determinants(state: PipelineState) -> None:
 
     rel_rows = []
     for method in (m for m in EMD_FAMILY if m in methods):
-        f = fit(f"relative performance {method.value}", method, Criterion.VAR, relative_to_mv)
+        label = f"relative performance {method.value}"
+        f = fit(label, method, Criterion.VAR, lambda rep, h: relative_to_mv(label, rep, h))
         if f is not None:
             rel_rows.append([method.value] + affine(f))
     header = ["method", "alpha", "t_alpha", "sig_alpha", "beta", "t_beta", "sig_beta", "r_squared", "n"]

@@ -31,7 +31,6 @@ from .series import PriceSeries, log_returns
 __all__ = [
     "Scheme",
     "GroupPartition",
-    "SplitSet",
     "PathAssignment",
     "PathReport",
     "partition",
@@ -63,25 +62,12 @@ class GroupPartition:
 
 
 @dataclass(frozen=True)
-class SplitSet:
-    n_groups: int
-    k: int
-    splits: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (test, train)
-
-    def __len__(self) -> int:
-        return len(self.splits)
-
-
-@dataclass(frozen=True)
 class PathAssignment:
     n_paths: int
     # (group index, split index) -> 1-based path id
     cells: dict[tuple[int, int], int]
     # path id - 1 -> that path's (group index, split index) cells, by group
     paths: tuple[tuple[tuple[int, int], ...], ...]
-
-    def cells_of_path(self, path_id: int) -> list[tuple[int, int]]:
-        return list(self.paths[path_id - 1]) if 1 <= path_id <= self.n_paths else []
 
 
 MIN_PATHS = MOMENTS_MIN_OBS  # the fewest paths whose distribution gets moments
@@ -146,30 +132,30 @@ def partition(series: PriceSeries | int, scheme: Scheme, n_groups: int = 10) -> 
     return GroupPartition(groups=groups, sizes=tuple(len(g) for g in groups))
 
 
-def enumerate_splits(n_groups: int, k: int) -> SplitSet:
-    """All C(N,k) train/test splits, test sets in lexicographic order."""
+def enumerate_splits(n_groups: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """All C(N,k) (test, train) splits, test sets in lexicographic order."""
     if not (1 <= k < n_groups):
         raise DataError(f"k must satisfy 1 <= k < N, got k={k}, N={n_groups}")
     all_groups = set(range(n_groups))
-    splits = tuple(
+    return tuple(
         (test, tuple(sorted(all_groups - set(test))))
         for test in combinations(range(n_groups), k)
     )
-    return SplitSet(n_groups=n_groups, k=k, splits=splits)
 
 
-def assign_paths(splits: SplitSet) -> PathAssignment:
-    """Assign each (group, split) test cell a path id.
+def assign_paths(n_groups: int, k: int) -> PathAssignment:
+    """Assign each (group, split) test cell of ``enumerate_splits(n_groups, k)`` a path id.
 
     Each group's test appearances, in split order, get ids 1, 2, ...; every
     group appears in exactly C(N-1, k-1) splits so the ids line up into that
     many complete paths.
     """
-    n_paths = math.comb(splits.n_groups - 1, splits.k - 1)
+    splits = enumerate_splits(n_groups, k)  # checks (N, k) before math.comb
+    n_paths = math.comb(n_groups - 1, k - 1)
     cells: dict[tuple[int, int], int] = {}
-    paths = [[None] * splits.n_groups for _ in range(n_paths)]
-    counters = [0] * splits.n_groups
-    for s_idx, (test, _) in enumerate(splits.splits):
+    paths = [[None] * n_groups for _ in range(n_paths)]
+    counters = [0] * n_groups
+    for s_idx, (test, _) in enumerate(splits):
         for g in test:
             counters[g] += 1
             cells[(g, s_idx)] = counters[g]
@@ -289,14 +275,14 @@ def run_cv(
     if len(spot) != len(fut):
         raise DataError("spot and futures series must be aligned")
     splits = enumerate_splits(part.n_groups, k)
-    assignment = assign_paths(splits)
+    assignment = assign_paths(part.n_groups, k)
     if excludes_every_group(part, horizon, min_obs):
         raise InsufficientDataError(f"all groups excluded at horizon {horizon}")
     excluded = excluded_groups(part, horizon, min_obs)
     skip = {g for g, _ in excluded}
 
     # one hedge ratio per (method, split); NaN marks a failed split
-    batch = [train for _, train in splits.splits]
+    batch = [train for _, train in splits]
     ratios = np.full((len(ratio_fns), len(batch)), np.nan)
     failures = [{} for _ in ratio_fns]  # per method: failed split -> (exception class, message)
     for m, ratio_fn in enumerate(ratio_fns.values()):
@@ -319,10 +305,10 @@ def run_cv(
         ds, df = (log_returns(leg.values[rg.start : rg.stop], horizon) for leg in (spot, fut))
         portfolios = ds[None, :] - ratios[:, split_of[:, g]][ok][:, None] * df[None, :]
         for c in Criterion:
-            scores[c][:, :, g][ok] = effectiveness_rows(c, ds, portfolios, alpha)[0]
+            scores[c][:, :, g][ok] = effectiveness_rows(c, ds, portfolios, alpha)
 
     # per-split and per-path values through index arrays
-    tests = np.array([test for test, _ in splits.splits])  # (split, test slot) -> group
+    tests = np.array([test for test, _ in splits])  # (split, test slot) -> group
     test_paths = np.array([[assignment.cells[g, s] - 1 for g in test] for s, test in enumerate(tests.tolist())])
     reports: dict[tuple[str, Criterion], PathReport] = {}
     for c in Criterion:

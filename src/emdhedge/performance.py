@@ -17,7 +17,6 @@ from .errors import DataError, InsufficientDataError
 
 __all__ = [
     "Criterion",
-    "Effectiveness",
     "Moments",
     "effectiveness_rows",
     "he_variance",
@@ -37,20 +36,11 @@ class Criterion(Enum):
 
 
 @dataclass(frozen=True)
-class Effectiveness:
-    criterion: Criterion
-    value: float
-    degenerate: bool = False
-    sign_anomaly: bool = False
-
-
-@dataclass(frozen=True)
 class Moments:
     mean: float
     std: float
     skew: float
     kurt: float  # excess
-    degenerate: bool = False
 
 
 def effectiveness_rows(
@@ -58,16 +48,15 @@ def effectiveness_rows(
     spot_ret: np.ndarray,
     portfolios: np.ndarray,
     alpha: float = 0.05,
-) -> tuple[np.ndarray, bool, bool]:
+) -> np.ndarray:
     """One criterion for every row of ``portfolios`` (m x n) against one
     spot return series.
 
     The spot side (its variance and degeneracy floor, or its alpha-quantile)
     is computed once. Each portfolio variance or quantile is one reduction
     along the contiguous last axis, so row i gives the same bits as the 1-D
-    call on ``portfolios[i]``. Returns (values, degenerate, sign_anomaly):
-    values are all NaN when the spot side is degenerate; sign_anomaly (VaR
-    only) flags a positive spot quantile.
+    call on ``portfolios[i]``. The values are all NaN when the spot side is
+    degenerate.
     """
     spot_ret = np.asarray(spot_ret, dtype=float)
     portfolios = np.asarray(portfolios, dtype=float)
@@ -80,21 +69,21 @@ def effectiveness_rows(
         # round-off in the mean subtraction
         floor = (DEGENERACY_THRESHOLD * max(1.0, float(np.max(np.abs(spot_ret))))) ** 2
         if vs <= floor:
-            return np.full(len(portfolios), np.nan), True, False
-        return 1.0 - np.var(portfolios, axis=1, ddof=1) / vs, False, False
+            return np.full(len(portfolios), np.nan)
+        return 1.0 - np.var(portfolios, axis=1, ddof=1) / vs
     # 1 - q_alpha(portfolio)/q_alpha(spot) on signed returns
     qs = var_quantile(spot_ret, alpha)
     qp = var_quantile(portfolios, alpha)
     if abs(qs) < DEGENERACY_THRESHOLD:
-        return np.full(len(portfolios), np.nan), True, False
-    return 1.0 - qp / qs, False, qs > 0.0
+        return np.full(len(portfolios), np.nan)
+    return 1.0 - qp / qs
 
 
-def he_variance(spot_ret: np.ndarray, portfolio: np.ndarray) -> Effectiveness:
-    """Variance reduction: 1 - var(portfolio)/var(spot), n-1 denominators."""
+def he_variance(spot_ret: np.ndarray, portfolio: np.ndarray) -> float:
+    """Variance reduction: 1 - var(portfolio)/var(spot), n-1 denominators;
+    NaN for a degenerate spot side."""
     portfolio = np.asarray(portfolio, dtype=float)
-    values, degenerate, _ = effectiveness_rows(Criterion.VARIANCE_REDUCTION, spot_ret, portfolio[None, :])
-    return Effectiveness(Criterion.VARIANCE_REDUCTION, float(values[0]), degenerate=degenerate)
+    return float(effectiveness_rows(Criterion.VARIANCE_REDUCTION, spot_ret, portfolio[None, :])[0])
 
 
 def var_quantile(returns: np.ndarray, alpha: float) -> float | np.ndarray:
@@ -127,16 +116,11 @@ def var_quantile(returns: np.ndarray, alpha: float) -> float | np.ndarray:
     return float(q) if returns.ndim == 1 else q
 
 
-def he_var(spot_ret: np.ndarray, portfolio: np.ndarray, alpha: float = 0.05) -> Effectiveness:
-    """VaR effectiveness: 1 - q_alpha(portfolio)/q_alpha(spot) on signed returns."""
+def he_var(spot_ret: np.ndarray, portfolio: np.ndarray, alpha: float = 0.05) -> float:
+    """VaR effectiveness: 1 - q_alpha(portfolio)/q_alpha(spot) on signed
+    returns; NaN for a degenerate spot side."""
     portfolio = np.asarray(portfolio, dtype=float)
-    values, degenerate, sign_anomaly = effectiveness_rows(Criterion.VAR, spot_ret, portfolio[None, :], alpha)
-    return Effectiveness(
-        Criterion.VAR,
-        float(values[0]),
-        degenerate=degenerate,
-        sign_anomaly=sign_anomaly,
-    )
+    return float(effectiveness_rows(Criterion.VAR, spot_ret, portfolio[None, :], alpha)[0])
 
 
 def moments(values: np.ndarray) -> Moments:
@@ -153,7 +137,7 @@ def moments(values: np.ndarray) -> Moments:
         raise InsufficientDataError(f"need at least {MOMENTS_MIN_OBS} observations for moments")
     std = float(np.std(values, ddof=1))
     if std <= 0.0:
-        return Moments(float(values.mean()), 0.0, float("nan"), float("nan"), degenerate=True)
+        return Moments(float(values.mean()), 0.0, float("nan"), float("nan"))
     mean = values.mean()
     d = values - mean
     d2 = d**2

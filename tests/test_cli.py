@@ -382,6 +382,29 @@ class TestEmptyTables:
         assert "empty_tables" not in manifest
         assert len((outdir / "determinants.csv").read_text().splitlines()) == 1 + 4
 
+    def test_a_row_without_a_relative_performance_is_named_in_the_warnings(self, tmp_path, monkeypatch):
+        pair = tmp_path / "pair.csv"
+        assert main(["synth", "--out", str(pair), "--length", "2000", "--seed", "1"]) == 0
+        argv = ["pipeline", "--input", str(pair), "--partition", "equal:5", "--methods", "MV,VEMD"]
+        argv += ["--horizons", "1,2,3,5,8,13"]
+
+        def run(outdir):
+            assert main(argv + ["--out", str(outdir)]) == 0
+            with open(outdir / "relative_performance.csv") as fh:
+                (row,) = csv.DictReader(fh)
+            return int(row["n"]), json.loads((outdir / "manifest.json").read_text())["warnings"]
+
+        n, notes = run(tmp_path / "plain")
+        with open(tmp_path / "plain" / "cv_var.csv") as fh:
+            mv_at_5 = next(float(r["MV_mean"]) for r in csv.DictReader(fh) if r["horizon"] == "5")
+        # MV's VaR CV mean at h=5 reads as zero, so that row has no relative performance
+        real = cli.relative_performance
+        monkeypatch.setattr(cli, "relative_performance", lambda model, mv: real(model, 0.0 if mv == mv_at_5 else mv))
+        assert run(tmp_path / "patched") == (
+            n - 1,
+            notes + ["relative performance VEMD h=5: MV performance too close to zero"],
+        )
+
 
 def _imf_set(cycles, n=50):
     imfs = tuple(Imf(np.zeros(n), i + 1, c, 1, 1, 1, 1, True) for i, c in enumerate(cycles))
@@ -416,9 +439,11 @@ _NO_SCIPY_RUN = """
 import importlib.abc, sys
 
 class Refuse(importlib.abc.MetaPathFinder):
-    # scipy, and numpy.random with the secrets (hashlib, OpenSSL) it loads
+    # scipy, numpy.random with the secrets (hashlib, OpenSSL) it loads, and
+    # numpy.ma, which np.quantile and np.unique load on their first call
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy" or name.startswith("numpy.random") or name == "secrets":
+        parts = name.split(".")
+        if parts[0] == "scipy" or parts[:2] in (["numpy", "random"], ["numpy", "ma"]) or name == "secrets":
             raise ImportError(f"import refused: {name}")
         return None
 
@@ -583,7 +608,7 @@ class TestPipeline:
         spot, fut, _ = load_csv(pair)
         cfg = RunConfig(max_sifts=1).sift_config()
         groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
-        splits = enumerate_splits(5, 2).splits
+        splits = enumerate_splits(5, 2)
         segments = {seg for _, train in splits for seg in restrict(spot, [groups[g] for g in train])}
         ranges = [("prices", range(0, len(spot)))] + [("training segment", seg) for seg in segments]
         expected = set()
@@ -654,7 +679,7 @@ class TestPipeline:
         groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
         spans = sorted({
             (seg.start, seg.stop)
-            for _, train in enumerate_splits(5, 2).splits
+            for _, train in enumerate_splits(5, 2)
             for seg in restrict(spot, [groups[g] for g in train])
         })
         # one lockstep call of the run: the prices, their 1-day log returns

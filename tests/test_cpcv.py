@@ -94,11 +94,11 @@ class TestEnumerateSplits:
         assert len(enumerate_splits(6, 3)) == 20
 
     def test_lexicographic_test_sets(self):
-        tests = [t for t, _ in enumerate_splits(4, 2).splits]
+        tests = [t for t, _ in enumerate_splits(4, 2)]
         assert tests == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
     def test_train_complements_test(self):
-        for test, train in enumerate_splits(6, 2).splits:
+        for test, train in enumerate_splits(6, 2):
             assert sorted(test + train) == list(range(6))
 
     def test_k_bounds(self):
@@ -110,23 +110,32 @@ class TestEnumerateSplits:
 
 class TestAssignPaths:
     def test_five_groups_two_test(self):
-        a = assign_paths(enumerate_splits(5, 2))
+        a = assign_paths(5, 2)
         assert a.n_paths == 4
         # the first path reassembles the earliest test appearance of each group
-        assert a.cells_of_path(1) == [(0, 0), (1, 0), (2, 1), (3, 2), (4, 3)]
-        assert a.cells_of_path(3) == [(0, 2), (1, 5), (2, 7), (3, 7), (4, 8)]
+        assert list(a.paths[0]) == [(0, 0), (1, 0), (2, 1), (3, 2), (4, 3)]
+        assert list(a.paths[2]) == [(0, 2), (1, 5), (2, 7), (3, 7), (4, 8)]
 
     def test_each_path_covers_every_group_once(self):
         for N, k in [(5, 2), (6, 2), (7, 3), (10, 2)]:
-            a = assign_paths(enumerate_splits(N, k))
+            a = assign_paths(N, k)
             for p in range(1, a.n_paths + 1):
-                groups = [g for g, _ in a.cells_of_path(p)]
+                groups = [g for g, _ in a.paths[p - 1]]
                 assert groups == list(range(N))
+
+    @pytest.mark.parametrize("n_groups", [2, 5, 10])
+    def test_k_is_checked_before_the_path_count(self, n_groups):
+        # math.comb would raise its own ValueError for k=0; k=N would give 1 path
+        for k in (0, n_groups):
+            with pytest.raises(DataError, match=rf"^k must satisfy 1 <= k < N, got k={k}, N={n_groups}$"):
+                assign_paths(n_groups, k)
+        assert assign_paths(n_groups, 1).n_paths == 1
+        assert assign_paths(n_groups, n_groups - 1).n_paths == n_groups - 1
 
     def test_path_count_law(self):
         for N in range(3, 13):
             for k in range(1, N):
-                a = assign_paths(enumerate_splits(N, k))
+                a = assign_paths(N, k)
                 assert a.n_paths == math.comb(N - 1, k - 1)
                 assert len(a.cells) == math.comb(N, k) * k
 
@@ -136,7 +145,7 @@ class TestPathStatistics:
         agg = np.mean if criterion is Criterion.VARIANCE_REDUCTION else np.min
         out = []
         for p in range(1, assignment.n_paths + 1):
-            vals = [scores[c] for c in assignment.cells_of_path(p)]
+            vals = [scores[c] for c in assignment.paths[p - 1]]
             if any(v == FAILED for v in vals):
                 continue
             vals = [v for v in vals if not isinstance(v, str)]
@@ -149,7 +158,7 @@ class TestPathStatistics:
         for trial in range(50):
             N = int(rng.integers(4, 8))
             k = int(rng.integers(1, N - 1))
-            a = assign_paths(enumerate_splits(N, k))
+            a = assign_paths(N, k)
             scores = {}
             for cell in a.cells:
                 r = rng.random()
@@ -166,11 +175,11 @@ class TestPathStatistics:
                 assert voided == a.n_paths - len(expect)
 
     def test_moments_only_with_enough_paths(self):
-        a = assign_paths(enumerate_splits(5, 2))  # 4 paths
+        a = assign_paths(5, 2)  # 4 paths
         scores = {cell: 1.0 for cell in a.cells}
         vals, stats, _ = path_statistics(scores, a, Criterion.VARIANCE_REDUCTION)
         assert len(vals) == 4
-        assert stats is not None and stats.degenerate
+        assert stats is not None and stats.std == 0.0
 
 
 def coint_series(seed=0, n=1200):
@@ -298,11 +307,11 @@ class TestRunCv:
 
 
 class TestAssignPathsLookup:
-    def test_cells_of_path_matches_a_scan_of_cells(self):
+    def test_paths_match_a_scan_of_cells(self):
         for N, k in [(3, 1), (5, 2), (6, 3), (8, 3), (10, 2)]:
-            a = assign_paths(enumerate_splits(N, k))
-            for p in range(0, a.n_paths + 2):
-                assert a.cells_of_path(p) == sorted(c for c, q in a.cells.items() if q == p)
+            a = assign_paths(N, k)
+            for p in range(1, a.n_paths + 1):
+                assert list(a.paths[p - 1]) == sorted(c for c, q in a.cells.items() if q == p)
 
 
 def reference_paths(cell_scores, assignment, criterion):
@@ -310,7 +319,7 @@ def reference_paths(cell_scores, assignment, criterion):
     Python list of each path's included cells, in group order."""
     per_path, voided = [], 0
     for p in range(1, assignment.n_paths + 1):
-        scores = [cell_scores[c] for c in assignment.cells_of_path(p)]
+        scores = [cell_scores[c] for c in assignment.paths[p - 1]]
         vals = [s for s in scores if not isinstance(s, str)]
         if any(s == FAILED for s in scores if isinstance(s, str)) or not vals:
             voided += 1
@@ -337,7 +346,7 @@ def reference_cv(spot, fut, ratio_fn, h, part, k, min_obs, alpha):
     per_split = {c: [] for c in Criterion}
     failed = []
     degenerate = 0
-    for s, (test, train) in enumerate(splits.splits):
+    for s, (test, train) in enumerate(splits):
         try:
             ratio = float(ratio_fn(restrict(spot, [part.groups[g] for g in train])))
             if not math.isfinite(ratio):
@@ -361,14 +370,14 @@ def reference_cv(spot, fut, ratio_fn, h, part, k, min_obs, alpha):
                     eff = he_variance(ds, port)
                 else:
                     eff = he_var(ds, port, alpha)
-                degenerate += eff.degenerate
-                if eff.degenerate or not math.isfinite(eff.value):
+                degenerate += math.isnan(eff)
+                if not math.isfinite(eff):
                     cells[c][(g, s)] = EXCLUDED
                     continue
-                cells[c][(g, s)] = eff.value
-                vals.append(eff.value)
+                cells[c][(g, s)] = eff
+                vals.append(eff)
             per_split[c].append(float(np.mean(vals)) if vals else None)
-    assignment = assign_paths(splits)
+    assignment = assign_paths(part.n_groups, k)
     out = {c: (tuple(per_split[c]),) + reference_paths(cells[c], assignment, c) for c in Criterion}
     return out, tuple(failed), excluded, degenerate
 
@@ -432,15 +441,15 @@ class TestRunCvMatchesPerCellReference:
         portfolios = ds[None, :] - r[:, None] * df[None, :]
         var_rows = np.var(portfolios, axis=1, ddof=1)
         q_rows = np.quantile(portfolios, 0.05, axis=1, method="linear")
-        vr_rows, _, _ = effectiveness_rows(Criterion.VARIANCE_REDUCTION, ds, portfolios)
-        var_eff_rows, _, _ = effectiveness_rows(Criterion.VAR, ds, portfolios, 0.05)
+        vr_rows = effectiveness_rows(Criterion.VARIANCE_REDUCTION, ds, portfolios)
+        var_eff_rows = effectiveness_rows(Criterion.VAR, ds, portfolios, 0.05)
         for i, ratio in enumerate(r):
             port = ds - ratio * df
             assert port.tobytes() == portfolios[i].tobytes()
             assert np.var(port, ddof=1).tobytes() == var_rows[i].tobytes()
             assert np.quantile(port, 0.05, method="linear").tobytes() == q_rows[i].tobytes()
-            assert vr_rows[i] == he_variance(ds, port).value
-            assert var_eff_rows[i] == he_var(ds, port, 0.05).value
+            assert vr_rows[i] == he_variance(ds, port)
+            assert var_eff_rows[i] == he_var(ds, port, 0.05)
 
 
 def table_fn(groups, outcomes):
@@ -471,7 +480,7 @@ def multi_method_scenarios(draw):
         draw(st.integers(5, min_obs + h - 1) if g in short else st.integers(min_obs + h, 60)) for g in range(n_groups)
     )
     flat = draw(st.none() | st.integers(0, n_groups - 1))  # a degenerate spot side
-    trains = [train for _, train in enumerate_splits(n_groups, k).splits]
+    trains = [train for _, train in enumerate_splits(n_groups, k)]
     labels = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True))
     outcomes = {}
     for m in labels:
@@ -527,7 +536,7 @@ def test_path_statistics_equals_the_per_path_loop_bit_for_bit():
     for trial in range(60):
         N = int(rng.integers(5, 10))
         k = int(rng.integers(1, 4))
-        a = assign_paths(enumerate_splits(N, k))
+        a = assign_paths(N, k)
         marks = rng.choice([FAILED, EXCLUDED, "score"], size=len(a.cells), p=[0.02, 0.1, 0.88])
         scores = {cell: float(rng.normal()) if m == "score" else str(m) for cell, m in zip(a.cells, marks)}
         for crit in Criterion:

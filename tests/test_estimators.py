@@ -777,7 +777,7 @@ class TestFitBoundaries:
         monkeypatch.setattr(methods, "_eecm_select", unreachable)
         groups = tuple(range(a, a + 12) for a in range(0, 60, 12))
         fn = make_ratio_fn(Method.EECM, *_prices(60), 1, max_lag=60, groups=groups)
-        batch = [train for _, train in enumerate_splits(len(groups), 2).splits]
+        batch = [train for _, train in enumerate_splits(len(groups), 2)]
         want = ("InsufficientDataError", "no segment long enough for horizon + max_lag")
         assert [_raised(lambda: got) for got in fn(batch)] == [want] * 10
 
@@ -822,7 +822,7 @@ class TestFitBoundaries:
         assert _raised(lambda: emd_ratio(Method.AEMD, *sets, 1)) == want
         groups = tuple(range(a, a + 12) for a in range(0, 60, 12))
         fn = make_ratio_fn(Method.AEMD, *_prices(60), 1, imfs=sets, groups=groups)
-        batch = [train for _, train in enumerate_splits(len(groups), 2).splits]
+        batch = [train for _, train in enumerate_splits(len(groups), 2)]
         assert [_raised(lambda: got) for got in fn(batch)] == [want] * 10
 
     @pytest.mark.parametrize("c", [0.0, 2.0, -0.5, 0.1, -3.7])

@@ -44,15 +44,15 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
     spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
     cfg = SiftConfig()
     groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
-    _, train = enumerate_splits(5, 2).splits[3]  # test groups (0, 4): one training segment
+    _, train = enumerate_splits(5, 2)[3]  # test groups (0, 4): one training segment
     segments = restrict(spot, [groups[g] for g in train])
-    _, train_2 = enumerate_splits(5, 2).splits[1]  # test groups (0, 2): two training segments
+    _, train_2 = enumerate_splits(5, 2)[1]  # test groups (0, 2): two training segments
     segments_2 = restrict(spot, [groups[g] for g in train_2])
     assert len(segments) == 1 and len(segments_2) == 2
 
     h = 5
     # every training segment of the partition's splits, or only the split's own
-    every = _segment_sets(spot, fut, _training_segments(groups, [t for _, t in enumerate_splits(5, 2).splits]), cfg)
+    every = _segment_sets(spot, fut, _training_segments(groups, [t for _, t in enumerate_splits(5, 2)]), cfg)
     for method in methods.EMD_FAMILY:
         for split_groups, segs in ((train, segments), (train_2, segments_2)):
             pooled = []
@@ -184,7 +184,7 @@ def _recorded_lags(monkeypatch) -> list:
 def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeypatch):
     spot, fut, s_set, f_set = _legs(case)
     groups = _groups(spot, scheme)
-    splits = enumerate_splits(len(groups), 1 if scheme == "year" else 2).splits
+    splits = enumerate_splits(len(groups), 1 if scheme == "year" else 2)
     lags = _recorded_lags(monkeypatch)
     for h in (3, 17):
         estimators = {
@@ -211,7 +211,7 @@ def test_a_raw_levels_eecm_batch_equals_the_estimator_on_each_split(monkeypatch)
     # ``--levels raw``: the same lags and ratios within 1e-12, the splits fitted as one batch
     spot, fut, _, _ = _legs("cointegrated")
     groups = _groups(spot, "equal")
-    splits = [train for _, train in enumerate_splits(len(groups), 2).splits]
+    splits = [train for _, train in enumerate_splits(len(groups), 2)]
     lags = _recorded_lags(monkeypatch)
     for h in (3, 17):
         got = make_ratio_fn(Method.EECM, spot, fut, h, log_levels=False, groups=groups)(splits)
@@ -229,7 +229,7 @@ def _long_batch(max_lag: int, method: Method = Method.EECM) -> list:
     spot, fut = _long_pair()
     groups = partition(spot, Scheme.EQUAL_COUNT, 6).groups
     fn = make_ratio_fn(method, spot, fut, 1, max_lag=max_lag, groups=groups)
-    return fn([train for _, train in enumerate_splits(6, 2).splits])
+    return fn([train for _, train in enumerate_splits(6, 2)])
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +272,7 @@ def test_eecm_split_stacks_factor_alike_in_any_chunks(monkeypatch):
 
 
 # the first 20 of the 56 splits of 8 groups at k=3, and training on groups 0-2 only
-TRAINS = [train for _, train in enumerate_splits(8, 3).splits[:20]] + [(0, 1, 2)]
+TRAINS = [train for _, train in enumerate_splits(8, 3)[:20]] + [(0, 1, 2)]
 
 
 @lru_cache(maxsize=None)
@@ -322,7 +322,7 @@ def test_a_too_short_training_segment_is_left_out_of_its_blocks():
     spot = PriceSeries(s0.timestamps[:30], s0.values[:30])
     fut = PriceSeries(s0.timestamps[:30], f0.values[:30])
     groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
-    trains = [train for _, train in enumerate_splits(5, 2).splits]
+    trains = [train for _, train in enumerate_splits(5, 2)]
     segments = _training_segments(groups, trains)
     # each distinct segment once, in (first group, last group) order
     distinct = {seg for train in trains for seg in restrict(spot, [groups[g] for g in train])}

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -23,21 +24,18 @@ from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 class TestHeVariance:
     def test_perfect_hedge_is_one(self):
         s = np.array([0.1, -0.2, 0.05, 0.3])
-        eff = he_variance(s, np.zeros(4))
-        assert eff.value == pytest.approx(1.0)
+        assert he_variance(s, np.zeros(4)) == pytest.approx(1.0)
 
     def test_unhedged_is_zero(self):
         s = np.array([0.1, -0.2, 0.05, 0.3])
-        assert he_variance(s, s).value == pytest.approx(0.0)
+        assert he_variance(s, s) == pytest.approx(0.0)
 
     def test_harmful_hedge_negative(self):
         s = np.array([0.1, -0.2, 0.05, 0.3])
-        assert he_variance(s, 2 * s).value == pytest.approx(-3.0)
+        assert he_variance(s, 2 * s) == pytest.approx(-3.0)
 
     def test_constant_spot_degenerate(self):
-        eff = he_variance(np.full(10, 0.01), np.zeros(10))
-        assert eff.degenerate
-        assert np.isnan(eff.value)
+        assert math.isnan(he_variance(np.full(10, 0.01), np.zeros(10)))
 
     def test_matches_regression_r_squared(self):
         # at the minimum-variance ratio with intercept-corrected returns,
@@ -47,15 +45,14 @@ class TestHeVariance:
         ds = log_returns(spot.values, 1)
         df = log_returns(fut.values, 1)
         port = ds - est.ratio * df
-        eff = he_variance(ds, port)
-        assert eff.value == pytest.approx(est.fit.r_squared, abs=1e-8)
+        assert he_variance(ds, port) == pytest.approx(est.fit.r_squared, abs=1e-8)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
         s = rng.normal(0, 0.02, 200)
         p = s - 0.8 * rng.normal(0, 0.02, 200)
-        base = he_variance(s, p).value
-        assert he_variance(7.0 * s, 7.0 * p).value == pytest.approx(base, abs=1e-12)
+        base = he_variance(s, p)
+        assert he_variance(7.0 * s, 7.0 * p) == pytest.approx(base, abs=1e-12)
 
 
 @pytest.mark.parametrize("spot_n, portfolio_n", [(1, 5), (5, 1), (1, 1), (0, 3)])
@@ -63,8 +60,8 @@ def test_variance_reduction_needs_2_observations_a_side(spot_n, portfolio_n):
     rng = np.random.default_rng(0)
     with pytest.raises(InsufficientDataError, match="^need at least 2 observations per side$"):
         effectiveness_rows(Criterion.VARIANCE_REDUCTION, rng.normal(size=spot_n), rng.normal(size=(2, portfolio_n)))
-    values, degenerate, _ = effectiveness_rows(Criterion.VARIANCE_REDUCTION, np.array([1.0, 2.0]), np.ones((2, 2)))
-    assert values.tolist() == [1.0, 1.0] and not degenerate
+    values = effectiveness_rows(Criterion.VARIANCE_REDUCTION, np.array([1.0, 2.0]), np.ones((2, 2)))
+    assert values.tolist() == [1.0, 1.0]
 
 
 class TestVarQuantile:
@@ -127,28 +124,18 @@ class TestHeVar:
     def test_scaled_down_losses(self):
         rng = np.random.default_rng(5)
         s = rng.normal(-0.001, 0.02, 500)
-        eff = he_var(s, 0.25 * s, alpha=0.05)
-        assert eff.value == pytest.approx(0.75)
-        assert eff.criterion is Criterion.VAR
-        assert not eff.sign_anomaly
+        assert he_var(s, 0.25 * s, alpha=0.05) == pytest.approx(0.75)
 
     def test_degenerate_spot_quantile(self):
         s = np.concatenate([np.zeros(30), np.ones(10)])  # q_0.05 = 0
-        eff = he_var(s, s, alpha=0.05)
-        assert eff.degenerate
-        assert np.isnan(eff.value)
-
-    def test_sign_anomaly_flagged(self):
-        s = np.linspace(0.01, 0.5, 100)  # all positive: q_alpha > 0
-        eff = he_var(s, 0.5 * s, alpha=0.05)
-        assert eff.sign_anomaly
+        assert math.isnan(he_var(s, s, alpha=0.05))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)
         s = rng.normal(0, 0.02, 400)
         p = 0.3 * rng.normal(0, 0.02, 400)
-        base = he_var(s, p).value
-        assert he_var(3.0 * s, 3.0 * p).value == pytest.approx(base, abs=1e-12)
+        base = he_var(s, p)
+        assert he_var(3.0 * s, 3.0 * p) == pytest.approx(base, abs=1e-12)
 
 
 class TestMoments:
@@ -161,7 +148,6 @@ class TestMoments:
 
     def test_constant_degenerate(self):
         m = moments(np.full(8, 3.0))
-        assert m.degenerate
         assert m.std == 0.0
         assert np.isnan(m.skew) and np.isnan(m.kurt)
 
@@ -234,6 +220,6 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         s = rng.normal(0, 0.02, 100)
         p = s - rng.normal(0, 0.02, 100)
-        assert he_variance(lam * s, lam * p).value == pytest.approx(
-            he_variance(s, p).value, abs=1e-10
+        assert he_variance(lam * s, lam * p) == pytest.approx(
+            he_variance(s, p), abs=1e-10
         )

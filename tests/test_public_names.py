@@ -17,8 +17,8 @@ READ_OUTSIDE_THE_PACKAGE = {
     "restrict": "perfbench tracer",
     "eecm_ratio": "perfbench tracer; reference estimator of the tests",
     "path_statistics": "perfbench tracer",
-    "he_var": "perfbench tracer",
-    "he_variance": "perfbench tracer",
+    "he_var": "perfbench tracer; 1-D VaR reference of the tests' reference_cv",
+    "he_variance": "perfbench tracer; 1-D variance-reduction reference of the tests' reference_cv",
     # the references that the tests check the package's batched paths against
     "is_imf": "reference of the IMF definition in the tests",
     "mv_ratio": "reference estimator of the tests",
