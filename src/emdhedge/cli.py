@@ -234,11 +234,11 @@ def _emit_csv(state: PipelineState, name: str, header: list[str], rows: Iterable
 @dataclass
 class PipelineState:
     cfg: RunConfig
-    spot: PriceSeries
-    fut: PriceSeries
-    dropped_rows: int
     outdir: Path
     stages: tuple[str, ...] = ()  # the stages this run selects
+    spot: PriceSeries | None = None  # the input's legs, set by the load stage
+    fut: PriceSeries | None = None
+    dropped_rows: int | None = None  # the input's rows with a blank price
     part: GroupPartition | None = None  # the CV partition; None for runs without a CV stage
     warnings: list[str] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
@@ -255,20 +255,6 @@ class PipelineState:
     exclusions: list = field(default_factory=list)
     cv_failed_splits: Counter = field(default_factory=Counter)  # exception class -> failed CV splits
     empty_tables: dict[str, str] = field(default_factory=dict)  # header-only table -> why it has no row
-
-
-def _load_state(cfg: RunConfig, stages: tuple[str, ...]) -> PipelineState:
-    if not cfg.input:
-        raise UsageError("--input is required")
-    spot, fut, dropped = load_csv(
-        cfg.input, cfg.date_col, cfg.spot_col, cfg.futures_col
-    )
-    outdir = Path(cfg.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file at --out or above it
-        raise UsageError(f"cannot create out directory {cfg.out}: {exc.strerror or exc}") from None
-    return PipelineState(cfg=cfg, spot=spot, fut=fut, dropped_rows=dropped, outdir=outdir, stages=stages)
 
 
 def _imfset_payload(s: ImfSet, sift_cfg: SiftConfig) -> dict:
@@ -609,17 +595,25 @@ def _cv_partition(state: PipelineState) -> GroupPartition:
 
 
 def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
-    """Run the selected stages and write the manifest; returns the out dir.
+    """Run the selected stages on the loaded input and write the manifest;
+    returns the out dir.
 
-    A stage that raises ends the run with a ``failed`` manifest (a float
-    overflow, division by zero or invalid operation raises
-    ``FloatingPointError``); the error is then re-raised as a ``DataError``
-    if it was one, else as a ``NumericError``, so the CLI exits 2 or 3.
+    A stage that raises, loading (``load``) included, ends the run with a
+    ``failed`` manifest (a float overflow, division by zero or invalid
+    operation raises ``FloatingPointError``); the error is then re-raised
+    as a ``DataError`` if it was one (the loader's as it is), else as a
+    ``NumericError``, so the CLI exits 2 or 3.
     """
     _, n_groups = cfg.partition_scheme()
     if "cv" in stages and n_groups is not None and (why := why_too_few_paths(n_groups, cfg.k)):
         raise UsageError(why)  # equal:N: a config error, before loading
-    state = _load_state(cfg, stages)
+    if not cfg.input:
+        raise UsageError("--input is required")
+    state = PipelineState(cfg=cfg, outdir=Path(cfg.out), stages=stages)
+    try:
+        state.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at --out or above it
+        raise UsageError(f"cannot create out directory {cfg.out}: {exc.strerror or exc}") from None
     status = "ok"
     failed_stage = None
     error: Exception | None = None
@@ -630,7 +624,9 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
         "cv": _emit_cv,
         "determinants": _emit_determinants,
     }
+    stage = "load"
     try:
+        state.spot, state.fut, state.dropped_rows = load_csv(cfg.input, cfg.date_col, cfg.spot_col, cfg.futures_col)
         # float overflow, division by zero and invalid operations fail their
         # stage; underflow does not, as paper-scale runs underflow legitimately
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -661,6 +657,8 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
     }
     _write_json(state.outdir / "manifest.json", manifest)
     if error is not None:
+        if failed_stage == "load" and isinstance(error, DataError):
+            raise error
         cls = DataError if isinstance(error, DataError) else NumericError
         raise cls(f"pipeline stage '{failed_stage}' failed: {reason} (see manifest)") from error
     return state.outdir
@@ -703,14 +701,11 @@ def _cmd_synth(args) -> int:
             raise UsageError(f"--{given[0]} is a --mode {mode} flag, not a --mode {args.mode} one")
     values = {name: v for dest, name in _SYNTH_FLAGS[args.mode].items() if (v := getattr(args, dest)) is not None}
     if args.mode == "tones":
-        series = gen_tones(SynthSpec(length=args.length, seed=args.seed, **values))
-        spot_vals = fut_vals = series.values
-        ts = series.timestamps
+        spot = fut = gen_tones(SynthSpec(length=args.length, seed=args.seed, **values))
     else:
         spot, fut = gen_coint_pair(SynthSpec(length=args.length, seed=args.seed, coint=CointSpec(**values)))
-        spot_vals, fut_vals, ts = spot.values, fut.values, spot.timestamps
     out = Path(args.out)
-    rows = zip(map(str, ts.tolist()), spot_vals.tolist(), fut_vals.tolist())
+    rows = zip(map(str, spot.timestamps.tolist()), spot.values.tolist(), fut.values.tolist())
     if out.parent.exists() and not out.parent.is_dir():
         raise UsageError(f"cannot write {args.out}: {out.parent} is not a directory")
     try:

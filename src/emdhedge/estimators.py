@@ -73,7 +73,6 @@ class OlsFit:
     r_squared: float
     t_stats: np.ndarray
     n_obs: int
-    aic: float
 
     @property
     def slope(self) -> float:
@@ -118,7 +117,6 @@ def ols(y: np.ndarray, X: np.ndarray, intercept: bool = True) -> OlsFit:
     the column norms of V'/s (the square roots of diag((X'X)^-1)), so no
     normal-equations inverse is formed.
     R-squared is centered when an intercept is present, uncentered otherwise.
-    AIC = n*ln(SSE/n) + 2p with p the number of fitted coefficients.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -150,7 +148,6 @@ def ols(y: np.ndarray, X: np.ndarray, intercept: bool = True) -> OlsFit:
     se = np.sqrt(sigma2) * np.linalg.norm(vt / s[:, None], axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0.0, coef / se, np.sign(coef) * np.inf)
-    aic = _aic(sse, n, p)
     alpha = float(coef[0]) if intercept else 0.0
     beta = coef[1:] if intercept else coef
     return OlsFit(
@@ -159,12 +156,7 @@ def ols(y: np.ndarray, X: np.ndarray, intercept: bool = True) -> OlsFit:
         r_squared=r2,
         t_stats=t_stats,
         n_obs=n,
-        aic=aic,
     )
-
-
-def _aic(sse: float, n: int, p: int) -> float:
-    return n * math.log(sse / n) + 2 * p if sse > 0.0 else -math.inf
 
 
 # too-few-rows message of each method, by row count n and horizon h
@@ -335,11 +327,11 @@ def _eecm_select(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
     dF lags + dS], bit for bit. So per m one QR of that (L+1)-column block
     gives the SSE of every n as the tail sum of squares of its last column,
     and one reversed cumsum gives them all; ``_eecm_factor`` builds a
-    winner's whole factor the same way. AIC is ``_aic``'s
-    n ln(SSE/n) + 2p with ``math.log``, as there: ``np.log``'s SIMD loop
-    need not round as libm does. The rank rule runs once on the full design,
-    which by singular-value interlacing covers every candidate (a column
-    subset's smallest singular value is no smaller, its largest no larger).
+    winner's whole factor the same way. AIC is n ln(SSE/n) + 2p, -inf at
+    SSE 0, with ``math.log``: ``np.log``'s SIMD loop need not round as libm
+    does. The rank rule runs once on the full design, which by
+    singular-value interlacing covers every candidate (a column subset's
+    smallest singular value is no smaller, its largest no larger).
     Where it fails, per m one SVD of the largest candidate (m, top) that has
     enough rows covers every (m, n <= top) by the same argument; only where
     that fails too is each such candidate checked on its own subset of R's

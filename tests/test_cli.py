@@ -30,7 +30,7 @@ from emdhedge.cpcv import Scheme, enumerate_splits, partition
 from emdhedge.emd import Imf, ImfSet, decompose
 from emdhedge.errors import DataError, SingularDesignError
 from emdhedge.estimators import Method
-from emdhedge.series import PriceSeries, load_csv, log_returns, restrict
+from emdhedge.series import load_csv, log_returns, restrict
 
 
 def ns(**kwargs):
@@ -250,6 +250,17 @@ class TestSynthCommand:
         assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
 
 
+def _assert_a_lone_load_failure(outdir: Path, err: str) -> None:
+    """A run whose input file fails to load leaves only a ``failed`` manifest
+    naming the ``load`` stage, whose warning is the message on stderr."""
+    assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert (manifest["status"], manifest["failed_stage"], manifest["artifacts"]) == ("failed", "load", [])
+    assert manifest["dropped_rows"] is None
+    message = err.removeprefix("data error: ").removesuffix("\n")
+    assert manifest["warnings"] == [f"stage load failed: {message}"]
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["cv", "--input", "x.csv", "--k", "0"]) == 1
@@ -258,14 +269,16 @@ class TestExitCodes:
     def test_missing_input_file_is_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         assert main(["cv", "--input", str(missing), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"data error: input file not found: {missing}\n"
-        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert err == f"data error: input file not found: {missing}\n"
+        _assert_a_lone_load_failure(tmp_path / "o", err)
 
     def test_a_directory_as_input_is_a_data_error(self, tmp_path, capsys):
         outdir = tmp_path / "o"
         assert main(["cv", "--input", str(tmp_path), "--out", str(outdir)]) == 2
-        assert capsys.readouterr().err.startswith(f"data error: {tmp_path}: cannot read")
-        assert not outdir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path}: cannot read")
+        _assert_a_lone_load_failure(outdir, err)
 
     @pytest.mark.parametrize("below", [False, True])
     def test_an_out_path_at_or_below_a_file_is_a_usage_error(self, below, pair_csv, tmp_path, capsys):
@@ -275,6 +288,26 @@ class TestExitCodes:
         assert main(["cv", "--input", str(pair_csv), "--out", str(outdir)]) == 1
         assert capsys.readouterr().err.startswith(f"usage error: cannot create out directory {outdir}")
         assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
+    def test_an_out_path_at_a_file_is_a_usage_error_before_the_input_is_read(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert main(["cv", "--input", str(tmp_path / "nope.csv"), "--out", str(blocker)]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: cannot create out directory {blocker}")
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
+    def test_an_unexpected_load_exception_exits_3_with_a_failed_manifest(self, pair_csv, tmp_path, monkeypatch, capsys):
+        def load_csv(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "load_csv", load_csv)
+        outdir = tmp_path / "o"
+        assert main(["decompose", "--input", str(pair_csv), "--out", str(outdir)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric error: pipeline stage 'load' failed: ValueError: boom (see manifest)\n"
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"], manifest["artifacts"]) == ("failed", "load", [])
+        assert manifest["warnings"] == ["stage load failed: ValueError: boom"]
 
     def test_bad_subcommand_is_1(self):
         assert main(["frobnicate"]) == 1
@@ -286,13 +319,13 @@ class TestExitCodes:
         assert main(["decompose", "--input", str(noise), "--out", str(outdir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "unreadable CSV" in err
-        assert not outdir.exists()
+        _assert_a_lone_load_failure(outdir, err)
 
 
 class TestCommandLineEdges:
     """Flag and ingestion edges: each exits with its documented code and
-    message; one raised before ``--out`` exists writes nothing, one raised
-    after it leaves a lone ``failed`` manifest."""
+    message; a usage error writes nothing, a data error leaves a lone
+    ``failed`` manifest."""
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -329,12 +362,13 @@ class TestCommandLineEdges:
             ("date,price,futures\n2000-01-03,100,99\n", "missing column 'spot' (have ['date', 'price', 'futures'])"),
         ],
     )
-    def test_an_unusable_input_file_is_a_data_error_before_anything_is_written(self, text, problem, tmp_path, capsys):
+    def test_an_unusable_input_file_is_a_data_error_with_a_failed_load_manifest(self, text, problem, tmp_path, capsys):
         pair, outdir = tmp_path / "pair.csv", tmp_path / "out"
         pair.write_text(text)
         assert main(["decompose", "--input", str(pair), "--out", str(outdir)]) == 2
-        assert capsys.readouterr().err == f"data error: {pair}: {problem}\n"
-        assert not outdir.exists()
+        err = capsys.readouterr().err
+        assert err == f"data error: {pair}: {problem}\n"
+        _assert_a_lone_load_failure(outdir, err)
 
     def test_a_one_year_input_under_a_year_partition_fails_the_decompose_stage(self, tmp_path, capsys):
         # 300 days from 2000-01-03 end in October 2000; the partition rules
@@ -412,9 +446,7 @@ def _imf_set(cycles, n=50):
 
 
 def test_auto_rows_keep_the_first_imf_of_each_horizon(tmp_path):
-    ts = np.datetime64("2020-01-01") + np.arange(50)
-    leg = PriceSeries(ts, np.ones(50))
-    state = cli.PipelineState(RunConfig(horizon_cap=10), leg, leg, 0, tmp_path)
+    state = cli.PipelineState(RunConfig(horizon_cap=10), tmp_path)
     state.spot_set = _imf_set([1.2, 1.4, 2.6, 3.4, 12.0])
     assert cli._select_rows(state) == [(1, 1), (3, 3)]
     assert state.warnings == [
@@ -921,8 +953,9 @@ class TestFloatingPointPolicy:
         path = self._scaled(tmp_path, factor)
         outdir = tmp_path / "out"
         assert main(["cv", "--input", str(path), "--out", str(outdir), "--partition", "equal:5"]) == 2
-        assert capsys.readouterr().err == f"data error: {path}:2: price outside [2^-511, 2^511)\n"
-        assert not outdir.exists()
+        err = capsys.readouterr().err
+        assert err == f"data error: {path}:2: price outside [2^-511, 2^511)\n"
+        _assert_a_lone_load_failure(outdir, err)
 
     def test_an_overflow_in_a_stage_exits_3_with_a_failed_manifest(self, tmp_path, capfd):
         # scaled by 2^502 every price stays below 2^511, but the sift's squares overflow
@@ -1235,8 +1268,8 @@ def test_the_cli_contract_holds_for_drawn_configs(
             assert rc == 2
         if rc == 0:
             assert [str(w.message) for w in caught] == [] and err.getvalue() == ""
-        if not (outdir / "manifest.json").exists():  # a usage or data error before the run began
-            assert rc in (1, 2)
+        if not (outdir / "manifest.json").exists():  # a usage error, before the run began
+            assert rc == 1
             return
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert (manifest["status"] == "ok") == (rc == 0)

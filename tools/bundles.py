@@ -110,7 +110,7 @@ LOADER_FAULTS = ("nodate", "natdate", "order", "badprice", "negprice", "blanklin
 # whose matching-degree regressions fail the rank rule at either scale
 NONZERO_EXITS = dict.fromkeys(
     ["cv_horizon_90", "cv_huge", "hedge_mono", "hedge_whole", "hedge_aemd_short", "cv_all_excluded", "cv_no_row",
-     *(f"decompose_{source}" for source in LOADER_FAULTS)],
+     "decompose_missing", *(f"decompose_{source}" for source in LOADER_FAULTS)],
     2,
 ) | {"pipeline_scaled_down": 3, "pipeline_scaled_up": 3}
 
@@ -138,9 +138,10 @@ def _corpus() -> dict[str, list[str]]:
         "cv_bom": ["cv", "bom", *eq5],
         "pipeline_year": ["pipeline", "long4000", "--partition", "year"],
         "cv_year_segment": ["cv", "long4000", "--partition", "year", *per_seg],
-        # data errors: exit 2 with a failed manifest, or no file at all
+        # data errors: exit 2 with a failed manifest
         "cv_horizon_90": ["cv", "pair300", *eq5, "--horizons", "1,90"],
         "cv_huge": ["cv", "huge", *eq5],
+        "decompose_missing": ["decompose", "missing"],  # no input is named missing.csv
         "hedge_mono": ["hedge", "mono", "--methods", "MV", "--horizons", "1,5"],
         "hedge_whole": ["hedge", "pair300", "--horizons", "300"],
         "hedge_aemd_short": ["hedge", "short101", "--horizons", "1", "--methods", "AEMD"],
