@@ -90,13 +90,14 @@ class _Buckets:
         self.first, self.last = first[self.start], last[self.start]
         self.count = np.diff(np.append(self.start, len(rows)))
         # one batched QR of the zero-padded blocks (zero rows leave R as it
-        # is), plus a zero R that pads the split stacks
+        # is), plus a zero R that pads the split stacks; no rows build neither
         q = rows.shape[1]
-        offset = np.arange(max(q, int(self.count.max(initial=0))))
+        offset = np.arange(max(q, int(self.count.max(initial=0))) if len(rows) else 0)
         inside = offset < self.count[:, None]
         blocks = np.zeros((len(self.start), len(offset), q))
         blocks[inside] = rows[(self.start[:, None] + offset)[inside]]
-        self.r = np.concatenate([np.linalg.qr(blocks, mode="r"), np.zeros((1, q, q))])
+        r = np.linalg.qr(blocks, mode="r")
+        self.r = np.concatenate([r, np.zeros_like(r[:1])])
         x = rows[:, 1]  # the futures column
         self.x_min, self.x_max = np.minimum.reduceat(x, self.start), np.maximum.reduceat(x, self.start)
 

@@ -36,10 +36,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """A timestamped level series for one contract leg."""
+    """A timestamped level series for one contract leg, and the one rule for
+    which legs are accepted: dates strictly increasing, prices in ``_in_range``."""
 
     timestamps: np.ndarray  # datetime64[D]
-    values: np.ndarray  # float64, strictly positive
+    values: np.ndarray  # float64, each in [2^-511, 2^511) (``_in_range``)
 
     def __post_init__(self):
         ts = _readonly(np.asarray(self.timestamps, dtype="datetime64[D]"))
@@ -50,11 +51,9 @@ class PriceSeries:
             raise DataError("timestamps and values must have equal length")
         if len(vals) < 2:
             raise InsufficientDataError("price series needs at least 2 rows")
-        if not np.all(np.isfinite(vals)):
-            raise DataError("price values must be finite")
-        if np.any(vals <= 0.0):
-            raise DataError("price values must be strictly positive")
-        if np.any(np.diff(ts).astype(int) <= 0):
+        if not _in_range(vals).all():
+            raise DataError("price values must be in [2^-511, 2^511)")
+        if not (np.diff(ts) > 0).all():  # a NaT date compares false
             raise DataError("timestamps must be strictly increasing")
 
     def __len__(self) -> int:
@@ -73,13 +72,13 @@ def load_csv(
     legs stay aligned, before their date is read. Returns (spot, futures,
     n_dropped).
 
-    Each kept row is checked in turn for a date that does not parse (a blank
-    or ``NaT`` one included), a price that does not parse, a price outside
-    [2^-511, 2^511) (one that is not finite and positive included), and a
-    date not after the previous row's; the first line with a fault is named,
-    by its line in the file: the header is line 1, blank lines count, and a
-    row that spans lines (a quoted cell with a line break) is named by its
-    last line.
+    The kept rows only build the two legs; ``PriceSeries`` accepts them. If a
+    parse or it refuses, each kept row is checked in turn for a date that does
+    not parse (a blank or ``NaT`` one included), a price that does not parse
+    or is outside [2^-511, 2^511), and a date not after the previous row's;
+    the first line with a fault is named, by its line in the file: the header
+    is line 1, blank lines count, and a row that spans lines (a quoted cell
+    with a line break) is named by its last line.
     """
     path = Path(path)
     if not path.exists():
@@ -120,8 +119,7 @@ def load_csv(
         try:
             ts = np.array(dates, dtype="datetime64[D]")
             s, f = (np.array([float(v) for v in cells]) for cells in (spots, futs))
-            if not np.isnat(ts).any() and _in_range(s).all() and _in_range(f).all():
-                return PriceSeries(ts, s), PriceSeries(ts, f), dropped
+            return PriceSeries(ts, s), PriceSeries(ts, f), dropped
         except (ValueError, DataError):  # its line is named by the rescan below
             pass
     _first_fault(path, zip(lines, dates, spots, futs))
@@ -131,7 +129,7 @@ def load_csv(
 
 
 def _in_range(v):
-    """Whether a price, or each of an array's, is in the accepted range
+    """Whether a price, or each of an array's, is in ``PriceSeries``'s range
     [2^-511, 2^511) (NaN is not): squares and products of prices stay finite
     and normal, so a float exception in a run points at the method, not the input."""
     return (v >= 2.0**-511) & (v < 2.0**511)

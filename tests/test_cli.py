@@ -200,6 +200,9 @@ class TestSynthCommand:
             (["--basis-sigma", "inf"], "basis_sigma must be finite and >= 0 (got inf)"),
             (["--b", "nan"], "long_run_slope must be finite (got nan)"),
             (["--length", "99"], "length must be >= 100"),
+            # a spot leg near 1e200, and tones near 1e200: prices outside the range every leg is held to
+            (["--length", "300", "--b", "100"], "price values must be in [2^-511, 2^511)"),
+            (["--mode", "tones", "--tones", "20:1e200"], "price values must be in [2^-511, 2^511)"),
         ],
     )
     def test_an_unusable_shape_parameter_is_a_data_error_naming_it(self, flags, message, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -723,7 +724,11 @@ _PRICES = np.linspace(1.0, 2.0, 12) ** 2
         (lambda lag: design_rows(Method.EECM, _PRICES, _PRICES, 1, lag), -1, 0, "max_lag must be >= 0"),
         (lambda n: PriceSeries(price_series(_PRICES).timestamps[:n], _PRICES), 11, 12,
          "timestamps and values must have equal length"),
-        (lambda x: price_series(np.append(_PRICES, x)), np.inf, np.finfo(float).max, "price values must be finite"),
+        # the price range is open above and closed below
+        (lambda x: price_series(np.append(_PRICES, x)), 2.0**511, np.nextafter(2.0**511, 0.0),
+         re.escape("price values must be in [2^-511, 2^511)")),
+        (lambda x: price_series(np.append(_PRICES, x)), np.nextafter(2.0**-511, 0.0), 2.0**-511,
+         re.escape("price values must be in [2^-511, 2^511)")),
         (lambda n: partition(100, Scheme.EQUAL_COUNT, n), 1, 2, "need at least 2 groups"),
         (lambda s: partition(s, Scheme.CALENDAR_YEAR), 400, _prices(400)[0],  # 2015-01-01 to 2016-02-04
          "calendar-year partition needs a timestamped series"),

@@ -256,6 +256,29 @@ def test_an_eecm_batch_working_set_grows_with_splits_times_q_squared():
     assert peak <= 20 * len(ratios) * 165**2 * 8
 
 
+def test_an_eecm_design_with_no_row_builds_no_factor():
+    # 299 differences, all taken by 1000 lags: a q = 2005 column zero pad
+    # alone would be 32 MB, and a QR of no block asks LAPACK for a workspace
+    spot, fut = gen_coint_pair(SynthSpec(length=300, seed=0, coint=CointSpec()))
+    groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
+    fn = make_ratio_fn(Method.EECM, spot, fut, 1, max_lag=1000, groups=groups)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        outcomes = fn([train for _, train in enumerate_splits(5, 2)])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(outcomes) == 10
+    for got in outcomes:
+        assert isinstance(got, InsufficientDataError)
+        assert str(got) == "no segment long enough for horizon + max_lag"
+    assert peak <= 1 << 20
+
+
 def test_eecm_split_stacks_factor_alike_in_any_chunks(monkeypatch):
     # at max_lag 80 a stack has 165 columns, past the 128 where LAPACK's
     # blocked QR gives other bits for another number of zero rows: every

@@ -130,6 +130,26 @@ class TestLoadCsv:
             rows = ["2020-01-01,1,2", f"2020-01-02,{bad!r},2"]
             assert self._error(tmp_path, rows) == ":3: price outside [2^-511, 2^511)"
 
+    @pytest.mark.parametrize(
+        "price",
+        [
+            *(edge for e in (2.0**-511, 2.0**511) for edge in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))),
+            0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e200,
+        ],
+    )
+    def test_the_loader_accepts_exactly_the_prices_a_price_series_does(self, tmp_path, price):
+        def accepts(build) -> bool:
+            try:
+                build()
+            except DataError:
+                return False
+            return True
+
+        p = tmp_path / "a.csv"
+        p.write_text(f"date,spot,futures\n2020-01-01,1,2\n2020-01-02,{float(price)!r},2\n")
+        in_range = bool(2.0**-511 <= price < 2.0**511)
+        assert accepts(lambda: load_csv(p)) == accepts(lambda: make_series([1.0, price])) == in_range
+
     def test_a_row_with_a_blank_price_is_dropped_before_its_date_is_read(self, tmp_path):
         p = tmp_path / "a.csv"
         rows = ["2020-01-01,1,2", "notadate,,2", "2019-12-31,1,", "2020-01-01, ,2", "2020-01-02,1.5,2.5"]

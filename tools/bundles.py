@@ -109,8 +109,8 @@ LOADER_FAULTS = ("nodate", "natdate", "order", "badprice", "negprice", "blanklin
 # the exit code of each corpus config that does not exit 0: the data errors, and the scaled pipelines,
 # whose matching-degree regressions fail the rank rule at either scale
 NONZERO_EXITS = dict.fromkeys(
-    ["cv_horizon_90", "cv_huge", "hedge_mono", "hedge_whole", "hedge_aemd_short", "cv_all_excluded", "cv_no_row",
-     "decompose_missing", *(f"decompose_{source}" for source in LOADER_FAULTS)],
+    ["synth_out_of_range", "cv_horizon_90", "cv_huge", "hedge_mono", "hedge_whole", "hedge_aemd_short",
+     "cv_all_excluded", "cv_no_row", "decompose_missing", *(f"decompose_{source}" for source in LOADER_FAULTS)],
     2,
 ) | {"pipeline_scaled_down": 3, "pipeline_scaled_up": 3}
 
@@ -158,11 +158,15 @@ def _corpus() -> dict[str, list[str]]:
         ]
     # every EECM split fails its row check, so no batch reaches the lag search
     runs["cv_max_lag_180"] = ["cv", "pair300", *eq5, "--methods", "EECM,MV", "--max-lag", "180"]
+    # more lags than differences: EECM's design has no row, so no block or 2005-column pad is built
+    runs["hedge_max_lag_1000"] = ["hedge", "pair300", "--methods", "EECM,MV", "--max-lag", "1000"]
     # EECM split stacks of 165 columns, past LAPACK's 128-column switch, factored in several chunks per batch
     runs["cv_eecm_max_lag_80"] = ["cv", "long2000", "--partition", "equal:10", "--methods", "EECM", "--max-lag", "80"]
     return {
         "synth_coint": ["synth", "--out", "pair.csv", "--length", "300"],
         "synth_tones": ["synth", "--out", "tones.csv", "--length", "300", "--mode", "tones"],
+        # a spot leg near 1e200, outside the price range: a data error, and no file
+        "synth_out_of_range": ["synth", "--out", "big.csv", "--length", "300", "--b", "100"],
         "pipeline_config": ["pipeline", "--config", "../../inputs/run.cfg"],
     } | {
         f"{name}_{seed}": wl.argv(Path(f"../../inputs/pair{wl.length}_{seed}.csv"), Path("out"))
