@@ -40,7 +40,7 @@ class PriceSeries:
     which legs are accepted: dates strictly increasing, prices in ``_in_range``."""
 
     timestamps: np.ndarray  # datetime64[D]
-    values: np.ndarray  # float64, each in [2^-511, 2^511) (``_in_range``)
+    values: np.ndarray  # float64, each in [2^-511, 2^511)
 
     def __post_init__(self):
         ts = _readonly(np.asarray(self.timestamps, dtype="datetime64[D]"))
