@@ -31,7 +31,7 @@ from .analysis import (
     variance_decomposition,
 )
 from .cpcv import (
-    MIN_PATHS, Criterion, GroupPartition, PathReport, Scheme, enumerate_splits, excludes_every_group, partition, run_cv,
+    MIN_PATHS, Criterion, GroupPartition, PathReport, Scheme, excludes_every_group, partition, run_cv, split_table,
     why_too_few_paths,
 )
 from .emd import ImfSet, SiftConfig, _decomposed, decompose_all
@@ -302,9 +302,7 @@ def _emit_decomposition(state: PipelineState) -> None:
     returns = [log_returns(values, 1) for values in prices] if "preliminary" in state.stages else []
     segments = []
     if part is not None and cfg.decompose_scope == "per-segment" and set(EMD_FAMILY) & set(cfg.method_list()):
-        splits = enumerate_splits(part.n_groups, cfg.k)
-        train = np.array([np.isin(range(part.n_groups), groups) for _, groups in splits])
-        segments = list(training_segments(part.groups, train).values())
+        segments = list(training_segments(part.groups, split_table(part.n_groups, cfg.k)[1]).values())
     pieces = [leg.values[seg.start : seg.stop] for seg in segments for leg in (state.spot, state.fut)]
     results = decompose_all(prices + returns + pieces, sift_cfg)
     state.spot_set, state.fut_set = map(_decomposed, results[:2])
@@ -322,11 +320,8 @@ def _emit_decomposition(state: PipelineState) -> None:
             raise DataError(f"no usable (imf, horizon) rows under the horizon cap {cfg.horizon_cap}")
         state.warnings.append("no usable (imf, horizon) rows under the horizon cap")
     # the explicit-horizon rule of _cv_partition, for the rows as a whole
-    elif part is not None and all(excludes_every_group(part, h, cfg.min_obs) for _, h in rows):
-        raise DataError(
-            f"horizons {', '.join(str(h) for _, h in rows)} each exclude every partition group "
-            f"(largest group: {max(part.sizes)} observations)"
-        )
+    elif part is not None:
+        _check_served(part, [h for _, h in rows], cfg.min_obs)
 
     for name, s in legs:
         header = ["t"] + [f"imf{i + 1}" for i in range(len(s.imfs))] + ["residue"]
@@ -406,7 +401,7 @@ def _emit_insample(state: PipelineState) -> None:
         ds, df = log_returns(state.spot.values, h), log_returns(state.fut.values, h)
         ratios = []
         for method in methods:
-            (ratio,) = _ratio_fn(state, method, imf_index, h)([(0,)])
+            (ratio,) = _ratio_fn(state, method, imf_index, h)(np.ones((1, 1), dtype=bool))
             if isinstance(ratio, EmdHedgeError):
                 state.warnings.append(f"in-sample {method.value} imf{imf_index} h={h}: {ratio}")
                 ratio = float("nan")
@@ -586,12 +581,16 @@ def _cv_partition(state: PipelineState) -> GroupPartition:
     if why := why_too_few_paths(part.n_groups, cfg.k):
         raise DataError(why)
     for h in cfg.horizon_list() or ():
-        if excludes_every_group(part, h, cfg.min_obs):
-            raise DataError(
-                f"horizon {h} excludes every partition group "
-                f"(largest group: {max(part.sizes)} observations)"
-            )
+        _check_served(part, [h], cfg.min_obs)
     return part
+
+
+def _check_served(part: GroupPartition, horizons: list[int], min_obs: int | None) -> None:
+    """A data error when each of ``horizons`` excludes every group of ``part``."""
+    if all(excludes_every_group(part, h, min_obs) for h in horizons):
+        named = ", ".join(map(str, horizons))
+        verb = f"horizon {named} excludes" if len(horizons) == 1 else f"horizons {named} each exclude"
+        raise DataError(f"{verb} every partition group (largest group: {max(part.sizes)} observations)")
 
 
 def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:

@@ -2,16 +2,17 @@
 
 The sample is split chronologically into N groups; every choice of k test
 groups gives one train/test split (C(N,k) of them, test sets in lexicographic
-order). Each group's test appearances, taken in split order, are assigned
-path ids 1..C(N-1,k-1); a path is a chronological reassembly with exactly one
-test cell per group. Path scores are the mean of cell scores for variance
-reduction and the minimum for VaR.
+order), all made as arrays by ``split_table``. Each group's test appearances,
+taken in split order, are assigned paths 0..C(N-1,k-1)-1 (``path_table``); a
+path is a chronological reassembly with exactly one test cell per group. Path
+scores are the mean of cell scores for variance reduction and the minimum for
+VaR.
 
 ``run_cv`` scores every method of one horizon on every ``Criterion`` in
 one call: the group returns and the spot side of each test group are
 computed once, and each criterion's scores are one (method, path, group)
-array, with failed and excluded cells as masks, aggregated by the same
-kernel as ``path_statistics``.
+array, with failed and excluded cells as masks, aggregated by
+``path_statistics``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import chain, combinations
+from typing import Callable
 
 import numpy as np
 
@@ -31,11 +32,10 @@ from .series import PriceSeries, log_returns
 __all__ = [
     "Scheme",
     "GroupPartition",
-    "PathAssignment",
     "PathReport",
     "partition",
-    "enumerate_splits",
-    "assign_paths",
+    "split_table",
+    "path_table",
     "path_statistics",
     "excluded_groups",
     "excludes_every_group",
@@ -61,33 +61,24 @@ class GroupPartition:
         return len(self.groups)
 
 
-@dataclass(frozen=True)
-class PathAssignment:
-    n_paths: int
-    # (group index, split index) -> 1-based path id
-    cells: dict[tuple[int, int], int]
-    # path id - 1 -> that path's (group index, split index) cells, by group
-    paths: tuple[tuple[tuple[int, int], ...], ...]
-
-
 MIN_PATHS = MOMENTS_MIN_OBS  # the fewest paths whose distribution gets moments
+
+
+def _why_bad_k(n_groups: int, k: int) -> str | None:
+    """Why N partition groups cannot be split with k test groups, or None."""
+    return None if 1 <= k < n_groups else f"k must satisfy 1 <= k < N, got k={k}, N={n_groups}"
 
 
 def why_too_few_paths(n_groups: int, k: int) -> str | None:
     """Why N partition groups with k test groups cannot give path
-    statistics, or None: k must be below N, and the C(N-1, k-1) paths at
-    least ``MIN_PATHS``."""
-    if k >= n_groups:
-        return f"k must be < N, got k={k} with N={n_groups} partition groups"
+    statistics, or None: ``split_table``'s k rule, then at least
+    ``MIN_PATHS`` of the C(N-1, k-1) paths."""
+    if why := _why_bad_k(n_groups, k):
+        return why
     n_paths = math.comb(n_groups - 1, k - 1)
     if n_paths < MIN_PATHS:
         return f"N={n_groups} groups with k={k} give {n_paths} CV paths; path statistics need {MIN_PATHS}"
     return None
-
-
-# cell status markers in the score table
-EXCLUDED = "excluded"
-FAILED = "failed"
 
 
 @dataclass(frozen=True)
@@ -132,55 +123,24 @@ def partition(series: PriceSeries | int, scheme: Scheme, n_groups: int = 10) -> 
     return GroupPartition(groups=groups, sizes=tuple(len(g) for g in groups))
 
 
-def enumerate_splits(n_groups: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All C(N,k) (test, train) splits, test sets in lexicographic order."""
-    if not (1 <= k < n_groups):
-        raise DataError(f"k must satisfy 1 <= k < N, got k={k}, N={n_groups}")
-    all_groups = set(range(n_groups))
-    return tuple(
-        (test, tuple(sorted(all_groups - set(test))))
-        for test in combinations(range(n_groups), k)
-    )
+def split_table(n_groups: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All C(N,k) splits, test sets in lexicographic order: (tests, train),
+    each split's ascending test groups (splits, k) and its training mask
+    (splits, N)."""
+    if why := _why_bad_k(n_groups, k):
+        raise DataError(why)
+    tests = np.fromiter(chain.from_iterable(combinations(range(n_groups), k)), dtype=np.intp).reshape(-1, k)
+    train = np.ones((len(tests), n_groups), dtype=bool)
+    np.put_along_axis(train, tests, False, axis=1)
+    return tests, train
 
 
-def assign_paths(n_groups: int, k: int) -> PathAssignment:
-    """Assign each (group, split) test cell of ``enumerate_splits(n_groups, k)`` a path id.
-
-    Each group's test appearances, in split order, get ids 1, 2, ...; every
-    group appears in exactly C(N-1, k-1) splits so the ids line up into that
-    many complete paths.
-    """
-    splits = enumerate_splits(n_groups, k)  # checks (N, k) before math.comb
-    n_paths = math.comb(n_groups - 1, k - 1)
-    cells: dict[tuple[int, int], int] = {}
-    paths = [[None] * n_groups for _ in range(n_paths)]
-    counters = [0] * n_groups
-    for s_idx, (test, _) in enumerate(splits):
-        for g in test:
-            counters[g] += 1
-            cells[(g, s_idx)] = counters[g]
-            paths[counters[g] - 1][g] = (g, s_idx)
-    assert all(c == n_paths for c in counters)
-    return PathAssignment(n_paths=n_paths, cells=cells, paths=tuple(map(tuple, paths)))
-
-
-def path_statistics(
-    cell_scores: dict[tuple[int, int], float | str],
-    assignment: PathAssignment,
-    criterion: Criterion,
-) -> tuple[tuple[float, ...], Moments | None, int]:
-    """Aggregate cell scores into path values and their moments.
-
-    Variance-reduction paths take the mean of their included cells, VaR paths
-    the minimum (minmax rule). A path touching a failed split is voided; a
-    path with every cell excluded is dropped. Returns
-    (path values, moments, n voided/dropped).
-    """
-    marks = [[cell_scores[c] for c in path] for path in assignment.paths]
-    scores = np.array([[math.nan if isinstance(s, str) else s for s in row] for row in marks])
-    included = np.array([[not isinstance(s, str) for s in row] for row in marks])
-    failed = np.array([[isinstance(s, str) and s == FAILED for s in row] for row in marks])
-    return _path_statistics(scores[None], included[None], failed[None], criterion)[0]
+def path_table(train: np.ndarray) -> np.ndarray:
+    """(path, group) -> split, from the training mask (splits, N) of
+    ``split_table``: each group's test appearances, in split order, are its
+    paths 0, 1, ...; every group is tested in C(N-1, k-1) splits, so each
+    path has one test cell per group."""
+    return np.nonzero(~train.T)[1].reshape(train.shape[1], -1).T
 
 
 def _reduce_rows(values: np.ndarray, keep: np.ndarray, reduce) -> np.ndarray:
@@ -198,10 +158,17 @@ def _reduce_rows(values: np.ndarray, keep: np.ndarray, reduce) -> np.ndarray:
     return out
 
 
-def _path_statistics(
+def path_statistics(
     scores: np.ndarray, included: np.ndarray, failed: np.ndarray, criterion: Criterion
 ) -> list[tuple[tuple[float, ...], Moments | None, int]]:
-    """``path_statistics`` of each row of (row, path, group) cell arrays."""
+    """Aggregate each row of (row, path, group) cell arrays into path values
+    and their moments.
+
+    Variance-reduction paths take the mean of their included cells, VaR paths
+    the minimum (minmax rule). A path touching a failed cell is voided; a
+    path with every cell excluded (not ``included``) is dropped. Returns per
+    row (path values, moments, n voided/dropped).
+    """
     reduce = np.mean if criterion is Criterion.VARIANCE_REDUCTION else np.min
     rows, n_paths, n_groups = scores.shape
     values = _reduce_rows(scores.reshape(-1, n_groups), included.reshape(-1, n_groups), reduce)
@@ -213,12 +180,12 @@ def _path_statistics(
     return out
 
 
-RatioFn = Callable[[Sequence[tuple[int, ...]]], list]
-"""A batched ratio function: given the training groups (ascending indices
-into the partition's groups, as ``enumerate_splits`` yields them) of a batch
-of splits, in split order, it returns one outcome per split, the hedge ratio
-or the ``DataError`` or ``NumericError`` its fit raises. Any other exception
-ends the call. A split's outcome does not depend on the rest of its batch."""
+RatioFn = Callable[[np.ndarray], list]
+"""A batched ratio function: given the training mask (splits, partition
+groups) of a batch of splits, as ``split_table`` gives it, it returns one
+outcome per split, the hedge ratio or the ``DataError`` or ``NumericError``
+its fit raises. Any other exception ends the call. A split's outcome does
+not depend on the rest of its batch."""
 
 
 def excluded_groups(part: GroupPartition, horizon: int, min_obs: int | None = None) -> list[tuple[int, str]]:
@@ -259,10 +226,10 @@ def run_cv(
     them are excluded at this horizon (``excluded_groups``). If every group
     is excluded, no fit is made.
 
-    Each ratio function is called once, in dict order, with every split's
-    training groups (indices into ``part.groups``) in split order. A split
-    whose outcome is a ``NumericError`` or ``DataError``, or a non-finite
-    ratio, fails for that method, its exception class and message going to
+    Each ratio function is called once, in dict order, with the training
+    mask of ``split_table`` (splits, ``part.groups``). A split whose outcome
+    is a ``NumericError`` or ``DataError``, or a non-finite ratio, fails for
+    that method, its exception class and message going to
     ``PathReport.failed_reasons``. Each included test group is then scored
     once: the ratios of every (method, split) cell it tests that did not
     fail form one portfolio per row, and ``effectiveness_rows`` scores all
@@ -274,19 +241,17 @@ def run_cv(
     """
     if len(spot) != len(fut):
         raise DataError("spot and futures series must be aligned")
-    splits = enumerate_splits(part.n_groups, k)
-    assignment = assign_paths(part.n_groups, k)
+    tests, train = split_table(part.n_groups, k)
     if excludes_every_group(part, horizon, min_obs):
         raise InsufficientDataError(f"all groups excluded at horizon {horizon}")
     excluded = excluded_groups(part, horizon, min_obs)
     skip = {g for g, _ in excluded}
 
     # one hedge ratio per (method, split); NaN marks a failed split
-    batch = [train for _, train in splits]
-    ratios = np.full((len(ratio_fns), len(batch)), np.nan)
+    ratios = np.full((len(ratio_fns), len(train)), np.nan)
     failures = [{} for _ in ratio_fns]  # per method: failed split -> (exception class, message)
     for m, ratio_fn in enumerate(ratio_fns.values()):
-        for s_idx, (_, ratio) in enumerate(zip(batch, ratio_fn(batch), strict=True)):
+        for s_idx, ratio in zip(range(len(train)), ratio_fn(train), strict=True):
             if not isinstance(ratio, (NumericError, DataError)) and not math.isfinite(ratio):
                 ratio = NumericError("non-finite hedge ratio")
             if isinstance(ratio, (NumericError, DataError)):
@@ -296,8 +261,8 @@ def run_cv(
     failed = np.isnan(ratios)
 
     # each included test group once, for every (method, split) it tests
-    split_of = np.array([[s for _, s in path] for path in assignment.paths])  # (path, group) -> split
-    scores = {c: np.full((len(ratio_fns), assignment.n_paths, part.n_groups), np.nan) for c in Criterion}
+    split_of = path_table(train)  # (path, group) -> split
+    scores = {c: np.full((len(ratio_fns), len(split_of), part.n_groups), np.nan) for c in Criterion}
     for g, rg in enumerate(part.groups):
         ok = ~failed[:, split_of[:, g]]  # (method, path)
         if g in skip or not ok.any():
@@ -307,20 +272,20 @@ def run_cv(
         for c in Criterion:
             scores[c][:, :, g][ok] = effectiveness_rows(c, ds, portfolios, alpha)
 
-    # per-split and per-path values through index arrays
-    tests = np.array([test for test, _ in splits])  # (split, test slot) -> group
-    test_paths = np.array([[assignment.cells[g, s] - 1 for g in test] for s, test in enumerate(tests.tolist())])
-    reports: dict[tuple[str, Criterion], PathReport] = {}
+    # per-split values through the (split, test slot) -> path table
+    path_of = np.empty(train.shape, dtype=np.intp)  # (split, group) -> path, at test cells
+    path_of[split_of, np.arange(part.n_groups)] = np.arange(len(split_of))[:, None]
+    test_paths = np.take_along_axis(path_of, tests, axis=1)
+    reports = {}
     for c in Criterion:
         cells = scores[c][:, test_paths, tests].reshape(-1, k)
-        per_split = _reduce_rows(cells, np.isfinite(cells), np.mean).reshape(len(ratio_fns), len(batch)).tolist()
-        per_path = _path_statistics(scores[c], np.isfinite(scores[c]), failed[:, split_of], c)
-        for m, label in enumerate(ratio_fns):
-            path_vals, stats, voided = per_path[m]
+        per_split = _reduce_rows(cells, np.isfinite(cells), np.mean).reshape(len(ratio_fns), len(train)).tolist()
+        per_path = path_statistics(scores[c], np.isfinite(scores[c]), failed[:, split_of], c)
+        for label, values, (path_vals, stats, voided), fails in zip(ratio_fns, per_split, per_path, failures):
             reports[label, c] = PathReport(
-                per_split_values=tuple(None if math.isnan(v) else v for v in per_split[m]),
+                per_split_values=tuple(None if math.isnan(v) else v for v in values),
                 per_path_values=path_vals, stats=stats, excluded_groups=tuple(excluded),
-                n_paths_total=assignment.n_paths, n_paths_voided=voided,
-                failed_splits=tuple(failures[m]), failed_reasons=tuple(failures[m].values()),
+                n_paths_total=len(split_of), n_paths_voided=voided,
+                failed_splits=tuple(fails), failed_reasons=tuple(fails.values()),
             )
     return {(label, c): reports[label, c] for label in ratio_fns for c in Criterion}

@@ -1,9 +1,9 @@
 """Bridges the six estimators into the cross-validation harness.
 
-A ratio function (``cpcv.RatioFn``) takes the training groups (indices
-into the partition's groups) of a batch of CV splits and returns each
-split's hedge ratio, or the error its fit raises. EMD methods support two
-decomposition scopes:
+A ratio function (``cpcv.RatioFn``) takes the training mask (splits,
+partition groups) of a batch of CV splits and returns each split's hedge
+ratio, or the error its fit raises. EMD methods support two decomposition
+scopes:
 
 - ``full``: decompose the whole series once and restrict regression samples
   to the training indices (matches single-decomposition reporting, but the
@@ -253,17 +253,16 @@ def make_ratio_fn(
     """Batched ratio function (``cpcv.RatioFn``) of one (method, horizon) on
     the given series pair.
 
-    A batch names each split's training groups by index into ``groups``,
-    the CV partition's groups (default: the whole series as group 0). Each
-    call builds its row blocks and fits the batch from them at once. An EMD
-    method's ``imfs`` sets its decomposition scope: the whole-series (spot,
-    futures) decompositions give the full scope, blocks from the whole
-    series; a dict of each training segment's (spot, futures) decompositions,
-    each an ImfSet or the error decomposing it raised, gives the per-segment
-    scope, blocks from the batch's training segments. The other methods take
-    their blocks from the whole series and read no ``imfs``.
+    A batch is a training mask (splits, ``groups``) over the CV partition's
+    groups (default: the whole series as group 0). Each call builds its row
+    blocks and fits the batch from them at once. An EMD method's ``imfs``
+    sets its decomposition scope: the whole-series (spot, futures)
+    decompositions give the full scope, blocks from the whole series; a dict
+    of each training segment's (spot, futures) decompositions, each an
+    ImfSet or the error decomposing it raised, gives the per-segment scope,
+    blocks from the batch's training segments. The other methods take their
+    blocks from the whole series and read no ``imfs``.
     """
-    per_segment = isinstance(imfs, dict)
     if method in EMD_FAMILY and imfs is None:
         raise ValueError("EMD methods need decompositions")
     groups = groups or (range(0, len(spot)),)
@@ -302,16 +301,13 @@ def make_ratio_fn(
         lv, _ = design_rows(Method.SEMD, level(s), level(f), 0)
         return rows, _Buckets(lv, gid[: len(lv)], gid[: len(lv)])
 
-    def fn(batch) -> list:
-        train = np.zeros((len(batch), len(groups)), dtype=bool)
-        for s, split_groups in enumerate(batch):
-            train[s, list(split_groups)] = True
-        if method in EMD_FAMILY and per_segment:
+    def fn(train: np.ndarray) -> list:
+        if method in EMD_FAMILY and isinstance(imfs, dict):  # the per-segment scope
             return _fit_splits(method, horizon, max_lag, segment_buckets(train), None, train)
         try:
             rows, levels = buckets()
         except (DataError, NumericError) as exc:  # no sample (AEMD with no IMF under the horizon)
-            return [exc] * len(batch)  # fails every split, as the estimator does
+            return [exc] * len(train)  # fails every split, as the estimator does
         return _fit_splits(method, horizon, max_lag, rows, levels, train)
 
     return fn

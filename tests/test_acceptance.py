@@ -15,13 +15,7 @@ from emdhedge.analysis import (
     relative_performance,
 )
 from emdhedge.cli import RunConfig, run_pipeline
-from emdhedge.cpcv import (
-    EXCLUDED,
-    FAILED,
-    assign_paths,
-    enumerate_splits,
-    path_statistics,
-)
+from emdhedge.cpcv import path_statistics, path_table, split_table
 from emdhedge.emd import SiftConfig, decompose, is_imf
 from emdhedge.estimators import ecm_ratio, eecm_ratio, mv_ratio, pair_imfs
 from emdhedge.performance import (
@@ -55,9 +49,10 @@ class _budget:
 
 def test_criterion_01_figure1_fixture():
     with _budget(1, 1.0, "5-group/2-test split and path assignment fixture"):
-        assert len(enumerate_splits(5, 2)) == 10
-        a = assign_paths(5, 2)
-        assert a.n_paths == 4
+        tests, train = split_table(5, 2)
+        assert len(tests) == 10
+        split_of = path_table(train)
+        assert len(split_of) == 4
         # published assignment, converted to 0-based (group, split) cells
         expected = {
             1: [(0, 0), (1, 0), (2, 1), (3, 2), (4, 3)],
@@ -66,22 +61,23 @@ def test_criterion_01_figure1_fixture():
             4: [(0, 3), (1, 6), (2, 8), (3, 9), (4, 9)],
         }
         for path_id, cells in expected.items():
-            assert list(a.paths[path_id - 1]) == cells
+            assert list(enumerate(split_of[path_id - 1].tolist())) == cells
 
 
 def test_criterion_02_path_count_law():
     with _budget(2, 5.0, "path count C(N-1,k-1) and path invariants, N <= 12"):
         for N in range(2, 13):
             for k in range(1, N):
-                a = assign_paths(N, k)
-                assert a.n_paths == math.comb(N - 1, k - 1)
-                assert a.n_paths * N == k * math.comb(N, k)  # (k/N)C(N,k) paths
-                seen = set()
-                for p in range(1, a.n_paths + 1):
-                    cells = list(a.paths[p - 1])
-                    assert [g for g, _ in cells] == list(range(N))
-                    seen.update(cells)
-                assert len(seen) == len(a.cells) == math.comb(N, k) * k
+                tests, train = split_table(N, k)
+                split_of = path_table(train)
+                n_paths = len(split_of)
+                assert n_paths == math.comb(N - 1, k - 1)
+                assert n_paths * N == k * math.comb(N, k)  # (k/N)C(N,k) paths
+                # each path holds one cell of every group, each a split testing that group
+                assert split_of.shape == (n_paths, N)
+                assert (~train[split_of, np.arange(N)]).all()
+                seen = {(g, s) for row in split_of.tolist() for g, s in enumerate(row)}
+                assert len(seen) == tests.size == math.comb(N, k) * k
 
 
 def test_criterion_03_emd_reconstruction():
@@ -209,34 +205,29 @@ def test_criterion_09_path_statistics():
         for trial in range(50):
             N = int(rng.integers(3, 9))
             k = int(rng.integers(1, N))
-            a = assign_paths(N, k)
-            scores = {}
-            for cell in a.cells:
-                r = rng.random()
-                if r < 0.04:
-                    scores[cell] = FAILED
-                elif r < 0.10:
-                    scores[cell] = EXCLUDED
-                else:
-                    scores[cell] = float(rng.normal())
+            n_paths = len(path_table(split_table(N, k)[1]))
+            # each (path, group) cell: failed, excluded or a score
+            r = rng.random((n_paths, N))
+            failed, included = r < 0.04, r >= 0.10
+            scores = np.where(included, rng.normal(size=(n_paths, N)), np.nan)
             for crit in Criterion:
-                vals, _, voided = path_statistics(scores, a, crit)
+                ((vals, _, voided),) = path_statistics(scores[None], included[None], failed[None], crit)
                 agg = np.mean if crit is Criterion.VARIANCE_REDUCTION else np.min
                 expect = []
-                for p in range(1, a.n_paths + 1):
-                    cell_vals = [scores[c] for c in a.paths[p - 1]]
-                    if any(v == FAILED for v in cell_vals):
+                for p in range(n_paths):
+                    if failed[p].any():
                         continue
-                    nums = [v for v in cell_vals if not isinstance(v, str)]
+                    nums = [v for v, keep in zip(scores[p].tolist(), included[p]) if keep]
                     if nums:
                         expect.append(float(agg(nums)))
                 assert list(vals) == pytest.approx(expect)
-                assert voided == a.n_paths - len(expect)
+                assert voided == n_paths - len(expect)
 
             # double-counting identity with a clean score table
-            clean = {cell: float(rng.normal()) for cell in a.cells}
-            vals, _, _ = path_statistics(clean, a, Criterion.VARIANCE_REDUCTION)
-            assert abs(np.mean(vals) - np.mean(list(clean.values()))) <= 1e-12
+            clean = rng.normal(size=(1, n_paths, N))
+            every, none = np.ones(clean.shape, dtype=bool), np.zeros(clean.shape, dtype=bool)
+            ((vals, _, _),) = path_statistics(clean, every, none, Criterion.VARIANCE_REDUCTION)
+            assert abs(np.mean(vals) - np.mean(clean)) <= 1e-12
 
 
 def test_criterion_10_pipeline_determinism(tmp_path):

@@ -26,7 +26,7 @@ from emdhedge.cli import (
     parse_config,
     run_pipeline,
 )
-from emdhedge.cpcv import Scheme, enumerate_splits, partition
+from emdhedge.cpcv import Scheme, partition, split_table
 from emdhedge.emd import Imf, ImfSet, decompose
 from emdhedge.errors import DataError, SingularDesignError
 from emdhedge.estimators import Method
@@ -643,8 +643,8 @@ class TestPipeline:
         spot, fut, _ = load_csv(pair)
         cfg = RunConfig(max_sifts=1).sift_config()
         groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
-        splits = enumerate_splits(5, 2)
-        segments = {seg for _, train in splits for seg in restrict(spot, [groups[g] for g in train])}
+        _, train = split_table(5, 2)
+        segments = {seg for mask in train for seg in restrict(spot, [groups[g] for g in np.flatnonzero(mask)])}
         ranges = [("prices", range(0, len(spot)))] + [("training segment", seg) for seg in segments]
         expected = set()
         for leg, series in (("spot", spot), ("futures", fut)):
@@ -714,8 +714,8 @@ class TestPipeline:
         groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
         spans = sorted({
             (seg.start, seg.stop)
-            for _, train in enumerate_splits(5, 2)
-            for seg in restrict(spot, [groups[g] for g in train])
+            for mask in split_table(5, 2)[1]
+            for seg in restrict(spot, [groups[g] for g in np.flatnonzero(mask)])
         })
         # one lockstep call of the run: the prices, their 1-day log returns
         # with a preliminary stage, then a spot and a futures piece per
@@ -1118,6 +1118,14 @@ class TestBadConfigFailsUpFront:
         self._assert_a_lone_failed_manifest(outdir)
         # without a CV stage the same rows are served
         assert main(["hedge", "--input", str(pair), "--out", str(tmp_path / "hedge"), "--partition", "equal:5"]) == 0
+        # a lone auto row (h=3 in 8 groups of 12 to 16) reads as the one explicit horizon does
+        main(["synth", "--out", str(pair), "--length", "100", "--seed", "1"])
+        argv = [command, "--input", str(pair), "--partition", "equal:8", "--k", "3"]
+        for flags in (["--horizon-cap", "10"], ["--horizons", "3"]):
+            capsys.readouterr()
+            assert main(argv + ["--out", str(tmp_path / flags[0]), *flags]) == 2
+            err = capsys.readouterr().err
+            assert "horizon 3 excludes every partition group (largest group: 16 observations)" in err
 
     @pytest.mark.parametrize("command", ["cv", "hedge", "decompose"])
     def test_no_row_under_the_horizon_cap_is_a_data_error_for_runs_that_fill_tables(self, tmp_path, capsys, command):

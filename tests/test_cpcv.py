@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,17 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emdhedge.cpcv import (
-    EXCLUDED,
-    FAILED,
     MIN_PATHS,
     GroupPartition,
     Scheme,
-    assign_paths,
-    enumerate_splits,
     excludes_every_group,
     partition,
     path_statistics,
+    path_table,
     run_cv,
+    split_table,
+    why_too_few_paths,
 )
 from emdhedge.errors import DataError, InsufficientDataError, NumericError
 from emdhedge.performance import (
@@ -29,17 +30,21 @@ from emdhedge.performance import (
 from emdhedge.series import PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
+# cell status markers of the reference score tables
+EXCLUDED = "excluded"
+FAILED = "failed"
+
 
 def batched(fn, spot, part):
     """The batched ratio function of a per-split one: each split's ratio, or
     the DataError or NumericError it raises, calling ``fn`` on each split's
     training segments (its training groups, merged) in split order."""
 
-    def run(batch):
+    def run(train):
         out = []
-        for train in batch:
+        for row in train:
             try:
-                out.append(fn(restrict(spot, [part.groups[g] for g in train])))
+                out.append(fn(restrict(spot, [part.groups[g] for g in np.flatnonzero(row)])))
             except (DataError, NumericError) as exc:
                 out.append(exc)
         return out
@@ -87,65 +92,121 @@ class TestPartition:
             partition(15, Scheme.EQUAL_COUNT, 10)
 
 
-class TestEnumerateSplits:
+def reference_splits(n_groups, k):
+    """The split and path law written out: each split's (test, train) groups,
+    test sets from ``itertools.combinations``, and each (group, split) test
+    cell's 0-based path, from a counter per group over its test appearances
+    in split order."""
+    splits, path_of, counters = [], {}, [0] * n_groups
+    for s, test in enumerate(combinations(range(n_groups), k)):
+        splits.append((test, tuple(g for g in range(n_groups) if g not in test)))
+        for g in test:
+            path_of[g, s] = counters[g]
+            counters[g] += 1
+    return splits, path_of
+
+
+def reference_path_cells(path_of):
+    """Each path's (group, split) cells, in group order."""
+    n_paths = max(path_of.values()) + 1
+    return [sorted(cell for cell, q in path_of.items() if q == p) for p in range(n_paths)]
+
+
+class TestSplitTable:
     def test_counts(self):
-        assert len(enumerate_splits(5, 2)) == 10
-        assert len(enumerate_splits(10, 2)) == 45
-        assert len(enumerate_splits(6, 3)) == 20
+        assert split_table(5, 2)[0].shape == (10, 2)
+        assert split_table(10, 2)[1].shape == (45, 10)
+        assert split_table(6, 3)[0].shape == (20, 3)
 
     def test_lexicographic_test_sets(self):
-        tests = [t for t, _ in enumerate_splits(4, 2)]
-        assert tests == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        tests, _ = split_table(4, 2)
+        assert tests.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
     def test_train_complements_test(self):
-        for test, train in enumerate_splits(6, 2):
-            assert sorted(test + train) == list(range(6))
+        for N, k in [(6, 2), (7, 3), (5, 4)]:
+            tests, train = split_table(N, k)
+            assert train.sum(axis=1).tolist() == [N - k] * len(tests)
+            for test, mask in zip(tests.tolist(), train):
+                assert sorted(test + np.flatnonzero(mask).tolist()) == list(range(N))
 
-    def test_k_bounds(self):
-        with pytest.raises(DataError):
-            enumerate_splits(5, 5)
-        with pytest.raises(DataError):
-            enumerate_splits(5, 0)
+    def test_equals_the_reference_law(self):
+        for N, k in [(3, 1), (5, 2), (6, 3), (8, 3), (10, 2)]:
+            splits, _ = reference_splits(N, k)
+            tests, train = split_table(N, k)
+            assert [tuple(t) for t in tests.tolist()] == [test for test, _ in splits]
+            assert [tuple(np.flatnonzero(m).tolist()) for m in train] == [train for _, train in splits]
+
+    @pytest.mark.parametrize("n_groups", [2, 5, 10])
+    def test_k_bounds_and_their_one_message(self, n_groups):
+        # the k rule comes before the path count: math.comb(N - 1, k - 1) raises its own ValueError for k < 1
+        for k in (-1, 0, n_groups):
+            message = f"k must satisfy 1 <= k < N, got k={k}, N={n_groups}"
+            with pytest.raises(DataError, match=rf"^{message}$"):
+                split_table(n_groups, k)
+            assert why_too_few_paths(n_groups, k) == message
+        assert len(split_table(n_groups, n_groups - 1)[0]) == n_groups
+        # N-1 test groups give N-1 paths: enough for path statistics from N = MIN_PATHS + 1
+        enough = why_too_few_paths(n_groups, n_groups - 1)
+        assert (enough is None) == (n_groups - 1 >= MIN_PATHS)
+        if enough is not None:
+            assert enough.endswith(f"give {n_groups - 1} CV paths; path statistics need {MIN_PATHS}")
 
 
-class TestAssignPaths:
+class TestPathTable:
     def test_five_groups_two_test(self):
-        a = assign_paths(5, 2)
-        assert a.n_paths == 4
+        split_of = path_table(split_table(5, 2)[1])
+        assert split_of.shape == (4, 5)
         # the first path reassembles the earliest test appearance of each group
-        assert list(a.paths[0]) == [(0, 0), (1, 0), (2, 1), (3, 2), (4, 3)]
-        assert list(a.paths[2]) == [(0, 2), (1, 5), (2, 7), (3, 7), (4, 8)]
+        assert split_of[0].tolist() == [0, 0, 1, 2, 3]
+        assert split_of[2].tolist() == [2, 5, 7, 7, 8]
 
     def test_each_path_covers_every_group_once(self):
         for N, k in [(5, 2), (6, 2), (7, 3), (10, 2)]:
-            a = assign_paths(N, k)
-            for p in range(1, a.n_paths + 1):
-                groups = [g for g, _ in a.paths[p - 1]]
-                assert groups == list(range(N))
-
-    @pytest.mark.parametrize("n_groups", [2, 5, 10])
-    def test_k_is_checked_before_the_path_count(self, n_groups):
-        # math.comb would raise its own ValueError for k=0; k=N would give 1 path
-        for k in (0, n_groups):
-            with pytest.raises(DataError, match=rf"^k must satisfy 1 <= k < N, got k={k}, N={n_groups}$"):
-                assign_paths(n_groups, k)
-        assert assign_paths(n_groups, 1).n_paths == 1
-        assert assign_paths(n_groups, n_groups - 1).n_paths == n_groups - 1
+            tests, train = split_table(N, k)
+            split_of = path_table(train)
+            # a path's cell of group g is a split testing g
+            assert (~train[split_of, np.arange(N)]).all()
+            # and every test cell is on exactly one path
+            cells = sorted(zip(split_of.ravel().tolist(), np.tile(np.arange(N), len(split_of)).tolist()))
+            assert cells == sorted((s, g) for s, test in enumerate(tests.tolist()) for g in test)
 
     def test_path_count_law(self):
         for N in range(3, 13):
             for k in range(1, N):
-                a = assign_paths(N, k)
-                assert a.n_paths == math.comb(N - 1, k - 1)
-                assert len(a.cells) == math.comb(N, k) * k
+                tests, train = split_table(N, k)
+                assert path_table(train).shape == (math.comb(N - 1, k - 1), N)
+                assert tests.size == math.comb(N, k) * k
+
+    def test_paths_equal_the_reference_counter(self):
+        for N, k in [(3, 1), (5, 2), (6, 3), (8, 3), (10, 2)]:
+            _, path_of = reference_splits(N, k)
+            split_of = path_table(split_table(N, k)[1])
+            assert [[(g, s) for g, s in enumerate(row)] for row in split_of.tolist()] == reference_path_cells(path_of)
+
+
+def random_cells(rng, N, k, p_failed, p_excluded):
+    """A random (path, group) score table of ``split_table(N, k)``: a score
+    array, its included mask and its failed mask, each failed or excluded
+    cell NaN in the scores, and the same table as a (group, split) -> score
+    or marker dict."""
+    split_of = path_table(split_table(N, k)[1])
+    weights = [p_failed, p_excluded, 1 - p_failed - p_excluded]
+    marks = rng.choice([FAILED, EXCLUDED, "score"], size=split_of.shape, p=weights)
+    scores = np.where(marks == "score", rng.normal(size=split_of.shape), np.nan)
+    cells = {
+        (g, s): float(scores[p, g]) if marks[p, g] == "score" else str(marks[p, g])
+        for p, row in enumerate(split_of.tolist())
+        for g, s in enumerate(row)
+    }
+    return scores, marks == "score", marks == FAILED, cells
 
 
 class TestPathStatistics:
-    def brute_force(self, scores, assignment, criterion):
+    def brute_force(self, cells, path_of, criterion):
         agg = np.mean if criterion is Criterion.VARIANCE_REDUCTION else np.min
         out = []
-        for p in range(1, assignment.n_paths + 1):
-            vals = [scores[c] for c in assignment.paths[p - 1]]
+        for path in reference_path_cells(path_of):
+            vals = [cells[c] for c in path]
             if any(v == FAILED for v in vals):
                 continue
             vals = [v for v in vals if not isinstance(v, str)]
@@ -158,26 +219,17 @@ class TestPathStatistics:
         for trial in range(50):
             N = int(rng.integers(4, 8))
             k = int(rng.integers(1, N - 1))
-            a = assign_paths(N, k)
-            scores = {}
-            for cell in a.cells:
-                r = rng.random()
-                if r < 0.05:
-                    scores[cell] = FAILED
-                elif r < 0.15:
-                    scores[cell] = EXCLUDED
-                else:
-                    scores[cell] = float(rng.normal())
+            _, path_of = reference_splits(N, k)
+            scores, included, failed, cells = random_cells(rng, N, k, 0.05, 0.10)
             for crit in Criterion:
-                vals, _, voided = path_statistics(scores, a, crit)
-                expect = self.brute_force(scores, a, crit)
+                ((vals, _, voided),) = path_statistics(scores[None], included[None], failed[None], crit)
+                expect = self.brute_force(cells, path_of, crit)
                 assert list(vals) == pytest.approx(expect)
-                assert voided == a.n_paths - len(expect)
+                assert voided == len(scores) - len(expect)
 
     def test_moments_only_with_enough_paths(self):
-        a = assign_paths(5, 2)  # 4 paths
-        scores = {cell: 1.0 for cell in a.cells}
-        vals, stats, _ = path_statistics(scores, a, Criterion.VARIANCE_REDUCTION)
+        ones = np.ones((1, 4, 5))  # 5 groups at k=2: 4 paths
+        ((vals, stats, _),) = path_statistics(ones, ones > 0, ones < 0, Criterion.VARIANCE_REDUCTION)
         assert len(vals) == 4
         assert stats is not None and stats.std == 0.0
 
@@ -289,6 +341,25 @@ class TestRunCv:
         # split 0 tests groups (0, 1): its value is group 0's VaR on 20 differences
         assert math.isfinite(rep.per_split_values[0])
 
+    def test_the_split_bookkeeping_of_15504_splits_stays_small(self):
+        # equal:20 at k=5 on T=4000: 15,504 splits and 3,876 paths. A dict
+        # per test cell and a tuple per split read 38 MB; the split and path
+        # tables, the scores and one group's portfolios read 22 MB
+        spot, fut = coint_series(seed=3, n=4000)
+        part = partition(spot, Scheme.EQUAL_COUNT, 20)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rep = run_one(spot, fut, lambda train: [0.9] * len(train), 1, part, 5)[Criterion.VAR]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(rep.per_split_values) == 15504 and rep.n_paths_total == 3876
+        assert peak <= 28 * 10**6
+
     def test_failed_split_keeps_exception_class_and_message(self):
         spot, fut = coint_series(seed=5, n=600)
         part = partition(600, Scheme.EQUAL_COUNT, 5)
@@ -306,20 +377,12 @@ class TestRunCv:
         )
 
 
-class TestAssignPathsLookup:
-    def test_paths_match_a_scan_of_cells(self):
-        for N, k in [(3, 1), (5, 2), (6, 3), (8, 3), (10, 2)]:
-            a = assign_paths(N, k)
-            for p in range(1, a.n_paths + 1):
-                assert list(a.paths[p - 1]) == sorted(c for c, q in a.cells.items() if q == p)
-
-
-def reference_paths(cell_scores, assignment, criterion):
+def reference_paths(cell_scores, path_of, criterion):
     """path_statistics written per path: one 1-D mean or minimum over a
     Python list of each path's included cells, in group order."""
     per_path, voided = [], 0
-    for p in range(1, assignment.n_paths + 1):
-        scores = [cell_scores[c] for c in assignment.paths[p - 1]]
+    for path in reference_path_cells(path_of):
+        scores = [cell_scores[c] for c in path]
         vals = [s for s in scores if not isinstance(s, str)]
         if any(s == FAILED for s in scores if isinstance(s, str)) or not vals:
             voided += 1
@@ -333,7 +396,7 @@ def reference_cv(spot, fut, ratio_fn, h, part, k, min_obs, alpha):
     """run_cv written per cell: one portfolio and one 1-D criterion per
     (test group, split), for every criterion. A group is excluded below
     ``min_obs`` differences or the VaR quantile's floor of 20."""
-    splits = enumerate_splits(part.n_groups, k)
+    splits, path_of = reference_splits(part.n_groups, k)
     rets, excluded = {}, []
     for g, rg in enumerate(part.groups):
         if len(rg) - h < max(min_obs, 20):
@@ -377,8 +440,7 @@ def reference_cv(spot, fut, ratio_fn, h, part, k, min_obs, alpha):
                 cells[c][(g, s)] = eff
                 vals.append(eff)
             per_split[c].append(float(np.mean(vals)) if vals else None)
-    assignment = assign_paths(part.n_groups, k)
-    out = {c: (tuple(per_split[c]),) + reference_paths(cells[c], assignment, c) for c in Criterion}
+    out = {c: (tuple(per_split[c]),) + reference_paths(cells[c], path_of, c) for c in Criterion}
     return out, tuple(failed), excluded, degenerate
 
 
@@ -480,7 +542,7 @@ def multi_method_scenarios(draw):
         draw(st.integers(5, min_obs + h - 1) if g in short else st.integers(min_obs + h, 60)) for g in range(n_groups)
     )
     flat = draw(st.none() | st.integers(0, n_groups - 1))  # a degenerate spot side
-    trains = [train for _, train in enumerate_splits(n_groups, k)]
+    trains = [train for _, train in reference_splits(n_groups, k)[0]]
     labels = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True))
     outcomes = {}
     for m in labels:
@@ -536,8 +598,8 @@ def test_path_statistics_equals_the_per_path_loop_bit_for_bit():
     for trial in range(60):
         N = int(rng.integers(5, 10))
         k = int(rng.integers(1, 4))
-        a = assign_paths(N, k)
-        marks = rng.choice([FAILED, EXCLUDED, "score"], size=len(a.cells), p=[0.02, 0.1, 0.88])
-        scores = {cell: float(rng.normal()) if m == "score" else str(m) for cell, m in zip(a.cells, marks)}
+        _, path_of = reference_splits(N, k)
+        scores, included, failed, cells = random_cells(rng, N, k, 0.02, 0.1)
         for crit in Criterion:
-            assert repr(path_statistics(scores, a, crit)) == repr(reference_paths(scores, a, crit))
+            (got,) = path_statistics(scores[None], included[None], failed[None], crit)
+            assert repr(got) == repr(reference_paths(cells, path_of, crit))

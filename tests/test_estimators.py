@@ -36,7 +36,7 @@ from emdhedge.estimators import (
     ols,
     pair_imfs,
 )
-from emdhedge.cpcv import Scheme, enumerate_splits, partition, run_cv
+from emdhedge.cpcv import Scheme, partition, run_cv, split_table
 from emdhedge.methods import make_ratio_fn
 from emdhedge.series import PriceSeries, log_returns, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
@@ -649,6 +649,8 @@ def _prices(n):
     return price_series(_walk(n, 1)), price_series(_walk(n, 2))
 
 
+# the training mask of one split training on the whole series as its one group
+WHOLE = np.ones((1, 1), dtype=bool)
 # the batched ratio function of each case, on the same data: its one split trains on the whole series
 BATCHED_BOUNDARY_CASES = {
     "MV": lambda n: make_ratio_fn(Method.MV, *_prices(n + 1), 1),
@@ -674,11 +676,11 @@ class TestMinObsBoundary:
     def test_batched_one_below_minimum_gives_the_same_error(self, method):
         want = _raised(lambda: BOUNDARY_CASES[method](MIN_OBS - 1))
         assert want[0] == "InsufficientDataError"
-        (got,) = BATCHED_BOUNDARY_CASES[method](MIN_OBS - 1)([(0,)])
+        (got,) = BATCHED_BOUNDARY_CASES[method](MIN_OBS - 1)(WHOLE)
         assert _raised(lambda: got) == want
 
     def test_batched_minimum_gives_the_same_ratio(self, method):
-        (got,) = BATCHED_BOUNDARY_CASES[method](MIN_OBS)([(0,)])
+        (got,) = BATCHED_BOUNDARY_CASES[method](MIN_OBS)(WHOLE)
         assert got == pytest.approx(BOUNDARY_CASES[method](MIN_OBS).ratio, rel=1e-12, abs=0.0)
 
 
@@ -773,7 +775,8 @@ class TestFitBoundaries:
         assert _raised(lambda: estimate(spot, fut, horizon)) == want
         whole = make_ratio_fn(method, spot, fut, horizon, max_lag=max_lag)
         halves = make_ratio_fn(method, spot, fut, horizon, max_lag=max_lag, groups=(range(15), range(15, 30)))
-        assert [_raised(lambda: got) for got in whole([(0,)]) + halves([(0,), (0, 1)])] == [want] * 3
+        outcomes = whole(WHOLE) + halves(np.array([[True, False], [True, True]]))  # splits training on 0, then 0-1
+        assert [_raised(lambda: got) for got in outcomes] == [want] * 3
 
     def test_an_eecm_batch_whose_every_split_has_failed_skips_the_lag_search(self, monkeypatch):
         # 59 differences, all taken by 60 lags: every split fails its row check before any fit
@@ -783,7 +786,7 @@ class TestFitBoundaries:
         monkeypatch.setattr(methods, "_eecm_select", unreachable)
         groups = tuple(range(a, a + 12) for a in range(0, 60, 12))
         fn = make_ratio_fn(Method.EECM, *_prices(60), 1, max_lag=60, groups=groups)
-        batch = [train for _, train in enumerate_splits(len(groups), 2)]
+        batch = split_table(len(groups), 2)[1]
         want = ("InsufficientDataError", "no segment long enough for horizon + max_lag")
         assert [_raised(lambda: got) for got in fn(batch)] == [want] * 10
 
@@ -804,11 +807,11 @@ class TestFitBoundaries:
         assert len(set(rows[:, 1].tolist())) == 2
         want = ("SingularDesignError", ECM_RANK_DEFICIENT)
         assert _raised(lambda: ecm_ratio(spot, fut, 1)) == want
-        assert _raised(lambda: make_ratio_fn(Method.ECM, spot, fut, 1)([(0,)])[0]) == want
+        assert _raised(lambda: make_ratio_fn(Method.ECM, spot, fut, 1)(WHOLE)[0]) == want
         # MV's one design is that reduction
         want = ("SingularDesignError", RANK_DEFICIENT)
         assert _raised(lambda: mv_ratio(spot, fut, 1)) == want
-        assert _raised(lambda: make_ratio_fn(Method.MV, spot, fut, 1)([(0,)])[0]) == want
+        assert _raised(lambda: make_ratio_fn(Method.MV, spot, fut, 1)(WHOLE)[0]) == want
 
     @pytest.mark.parametrize("case, p", [("walks", 4), ("identical legs", 3), ("constant spot", 2)])
     def test_ecm_takes_the_first_reduction_of_full_rank(self, case, p):
@@ -818,7 +821,7 @@ class TestFitBoundaries:
         s = {"walks": s, "identical legs": f, "constant spot": np.full(60, 100.0)}[case]
         est = ecm_ratio(price_series(s), price_series(f), 1)
         assert len(est.fit.t_stats) == p
-        (got,) = make_ratio_fn(Method.ECM, price_series(s), price_series(f), 1)([(0,)])
+        (got,) = make_ratio_fn(Method.ECM, price_series(s), price_series(f), 1)(WHOLE)
         assert got == pytest.approx(est.ratio, rel=1e-12, abs=1e-15)
 
     def test_full_scope_aemd_without_an_imf_under_the_horizon_fails_every_split(self):
@@ -828,7 +831,7 @@ class TestFitBoundaries:
         assert _raised(lambda: emd_ratio(Method.AEMD, *sets, 1)) == want
         groups = tuple(range(a, a + 12) for a in range(0, 60, 12))
         fn = make_ratio_fn(Method.AEMD, *_prices(60), 1, imfs=sets, groups=groups)
-        batch = [train for _, train in enumerate_splits(len(groups), 2)]
+        batch = split_table(len(groups), 2)[1]
         assert [_raised(lambda: got) for got in fn(batch)] == [want] * 10
 
     @pytest.mark.parametrize("c", [0.0, 2.0, -0.5, 0.1, -3.7])

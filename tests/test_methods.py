@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emdhedge import methods
-from emdhedge.cpcv import Scheme, enumerate_splits, partition
+from emdhedge.cpcv import Scheme, partition, split_table
 from emdhedge.emd import MIN_SAMPLES, ImfSet, SiftConfig, decompose, decompose_all
 from emdhedge.errors import DataError, EmdHedgeError, InsufficientDataError
 from emdhedge.estimators import (
@@ -27,10 +27,22 @@ from emdhedge.series import PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 
 
+def _trains(n_groups, k) -> list[tuple[int, ...]]:
+    """Each split's training groups, in split order."""
+    return [tuple(np.flatnonzero(row).tolist()) for row in split_table(n_groups, k)[1]]
+
+
+def _mask(n_groups, trains) -> np.ndarray:
+    """The training mask (splits, groups) of splits training on ``trains``."""
+    mask = np.zeros((len(trains), n_groups), dtype=bool)
+    for s, train in enumerate(trains):
+        mask[s, list(train)] = True
+    return mask
+
+
 def _training_segments(groups, trains) -> list[range]:
     """The distinct training segments of splits training on ``trains``."""
-    train = np.array([np.isin(range(len(groups)), groups_of_split) for groups_of_split in trains])
-    return list(training_segments(groups, train).values())
+    return list(training_segments(groups, _mask(len(groups), trains)).values())
 
 
 def _segment_sets(spot, fut, segments, cfg=SiftConfig()) -> dict:
@@ -44,15 +56,15 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
     spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
     cfg = SiftConfig()
     groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
-    _, train = enumerate_splits(5, 2)[3]  # test groups (0, 4): one training segment
+    train = _trains(5, 2)[3]  # test groups (0, 4): one training segment
     segments = restrict(spot, [groups[g] for g in train])
-    _, train_2 = enumerate_splits(5, 2)[1]  # test groups (0, 2): two training segments
+    train_2 = _trains(5, 2)[1]  # test groups (0, 2): two training segments
     segments_2 = restrict(spot, [groups[g] for g in train_2])
     assert len(segments) == 1 and len(segments_2) == 2
 
     h = 5
     # every training segment of the partition's splits, or only the split's own
-    every = _segment_sets(spot, fut, _training_segments(groups, [t for _, t in enumerate_splits(5, 2)]), cfg)
+    every = _segment_sets(spot, fut, _training_segments(groups, _trains(5, 2)), cfg)
     for method in methods.EMD_FAMILY:
         for split_groups, segs in ((train, segments), (train_2, segments_2)):
             pooled = []
@@ -67,7 +79,7 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
             expected = ols(rows[:, -1], rows[:, 1], intercept=True).slope
             for imfs in (every, _segment_sets(spot, fut, list(segs), cfg)):
                 fn = make_ratio_fn(method, spot, fut, h, imf_index=1, imfs=imfs, groups=groups)
-                (got,) = fn([split_groups])
+                (got,) = fn(_mask(5, [split_groups]))
                 assert abs(got - expected) <= 1e-12 * abs(expected), (method, split_groups)
 
 
@@ -86,7 +98,7 @@ def test_a_per_segment_split_without_rows_names_its_first_segments_cause(method,
     imfs = _segment_sets(spot, fut, list(groups))
     fn = make_ratio_fn(method, spot, fut, h, imf_index=imf_index, imfs=imfs, groups=groups)
     for train, first in (((1, 3), "1-1"), ((0, 2, 4), "0-0"), ((3,), "3-3")):
-        (got,) = fn([train])
+        (got,) = fn(_mask(5, [train]))
         assert isinstance(got, InsufficientDataError)
         assert str(got) == f"no training segment yields rows at horizon {h} (groups {first}: {cause})"
 
@@ -101,7 +113,7 @@ def test_a_spot_imf_without_a_futures_partner_fails_every_split(method):
     groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
     for imf_index in (3, 4):
         fn = make_ratio_fn(method, spot, fut, 5, imf_index=imf_index, imfs=(s_set, few), groups=groups)
-        for outcome in fn([(0, 1, 2), (2, 3, 4)]):
+        for outcome in fn(_mask(5, [(0, 1, 2), (2, 3, 4)])):
             assert isinstance(outcome, DataError) and f"spot IMF{imf_index} has no futures IMF" in str(outcome)
 
 
@@ -184,7 +196,7 @@ def _recorded_lags(monkeypatch) -> list:
 def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeypatch):
     spot, fut, s_set, f_set = _legs(case)
     groups = _groups(spot, scheme)
-    splits = enumerate_splits(len(groups), 1 if scheme == "year" else 2)
+    trains = _trains(len(groups), 1 if scheme == "year" else 2)
     lags = _recorded_lags(monkeypatch)
     for h in (3, 17):
         estimators = {
@@ -194,10 +206,10 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
         } | {m: lambda segs, m=m: emd_ratio(m, s_set, f_set, h, 1, segs) for m in methods.EMD_FAMILY}
         for method, estimate in estimators.items():
             fn = make_ratio_fn(method, spot, fut, h, imf_index=1, imfs=(s_set, f_set), groups=groups)
-            for _, train in splits:
+            for train in trains:
                 segs = restrict(spot, [groups[g] for g in train])
                 del lags[:]
-                got = _outcome(lambda: fn([train])[0])
+                got = _outcome(lambda: fn(_mask(len(groups), [train]))[0])
                 want = _outcome(lambda: estimate(segs))
                 if isinstance(want, tuple):
                     assert got == want, (method, h, train)
@@ -211,10 +223,10 @@ def test_a_raw_levels_eecm_batch_equals_the_estimator_on_each_split(monkeypatch)
     # ``--levels raw``: the same lags and ratios within 1e-12, the splits fitted as one batch
     spot, fut, _, _ = _legs("cointegrated")
     groups = _groups(spot, "equal")
-    splits = [train for _, train in enumerate_splits(len(groups), 2)]
+    splits = _trains(len(groups), 2)
     lags = _recorded_lags(monkeypatch)
     for h in (3, 17):
-        got = make_ratio_fn(Method.EECM, spot, fut, h, log_levels=False, groups=groups)(splits)
+        got = make_ratio_fn(Method.EECM, spot, fut, h, log_levels=False, groups=groups)(_mask(len(groups), splits))
         assert len(lags) == len(splits)
         for train, ratio, lag in zip(splits, got, lags):
             want = eecm_ratio(spot, fut, h, log_levels=False, segments=restrict(spot, [groups[g] for g in train]))
@@ -229,7 +241,7 @@ def _long_batch(max_lag: int, method: Method = Method.EECM) -> list:
     spot, fut = _long_pair()
     groups = partition(spot, Scheme.EQUAL_COUNT, 6).groups
     fn = make_ratio_fn(method, spot, fut, 1, max_lag=max_lag, groups=groups)
-    return fn([train for _, train in enumerate_splits(6, 2)])
+    return fn(split_table(6, 2)[1])
 
 
 @lru_cache(maxsize=None)
@@ -267,7 +279,7 @@ def test_an_eecm_design_with_no_row_builds_no_factor():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        outcomes = fn([train for _, train in enumerate_splits(5, 2)])
+        outcomes = fn(split_table(5, 2)[1])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
@@ -295,7 +307,7 @@ def test_eecm_split_stacks_factor_alike_in_any_chunks(monkeypatch):
 
 
 # the first 20 of the 56 splits of 8 groups at k=3, and training on groups 0-2 only
-TRAINS = [train for _, train in enumerate_splits(8, 3)[:20]] + [(0, 1, 2)]
+TRAINS = _trains(8, 3)[:20] + [(0, 1, 2)]
 
 
 @lru_cache(maxsize=None)
@@ -330,8 +342,8 @@ def test_a_splits_outcome_does_not_depend_on_its_batch(method, case, h, order, s
     batch = [TRAINS[i] for i in order[:size]]
     imfs = (s_set, f_set) if scope == "full" else _segment_imfs(case)
     fn = make_ratio_fn(method, spot, fut, h, imf_index=1, imfs=imfs, groups=groups)
-    for train, got in zip(batch, fn(batch), strict=True):
-        (want,) = fn([train])
+    for train, got in zip(batch, fn(_mask(8, batch)), strict=True):
+        (want,) = fn(_mask(8, [train]))
         if isinstance(want, EmdHedgeError):
             assert (type(got), str(got)) == (type(want), str(want)), train
         else:
@@ -345,7 +357,7 @@ def test_a_too_short_training_segment_is_left_out_of_its_blocks():
     spot = PriceSeries(s0.timestamps[:30], s0.values[:30])
     fut = PriceSeries(s0.timestamps[:30], f0.values[:30])
     groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
-    trains = [train for _, train in enumerate_splits(5, 2)]
+    trains = _trains(5, 2)
     segments = _training_segments(groups, trains)
     # each distinct segment once, in (first group, last group) order
     distinct = {seg for train in trains for seg in restrict(spot, [groups[g] for g in train])}
@@ -358,7 +370,7 @@ def test_a_too_short_training_segment_is_left_out_of_its_blocks():
         make_ratio_fn(method, spot, fut, 1, imf_index=1, imfs=imfs, groups=groups)
         for method in (Method.VEMD, Method.SEMD)
     ]
-    runs = [fn(trains) for fn in fns + fns]
+    runs = [fn(_mask(5, trains)) for fn in fns + fns]
     for out in runs:
         by_train = dict(zip(trains, out))
         # groups 1-1 are left out, groups 3-4 still fitted

@@ -16,7 +16,6 @@ READ_OUTSIDE_THE_PACKAGE = {
     "decompose": "perfbench tracer",
     "restrict": "perfbench tracer",
     "eecm_ratio": "perfbench tracer; reference estimator of the tests",
-    "path_statistics": "perfbench tracer",
     "he_var": "perfbench tracer; 1-D VaR reference of the tests' reference_cv",
     "he_variance": "perfbench tracer; 1-D variance-reduction reference of the tests' reference_cv",
     # the references that the tests check the package's batched paths against

@@ -127,6 +127,8 @@ def _corpus() -> dict[str, list[str]]:
         "pipeline_k3": ["pipeline", "pair300", "--partition", "equal:6", "--k", "3"],
         # full-scope scoring of all six methods on 8-group paths, uncapped (the full_scoring workload drops EECM)
         "pipeline_scoring": ["pipeline", "long2000", "--partition", "equal:8", "--k", "3"],
+        # a large split table: 495 splits and 165 paths for each of the six methods
+        "pipeline_many_splits": ["pipeline", "long2000", "--partition", "equal:12", "--k", "4"],
         "pipeline_raw_levels": ["pipeline", "pair300", *eq5, "--levels", "raw"],
         "pipeline_segment_max_sifts_1": ["pipeline", "pair300", *eq5, *per_seg, "--max-sifts", "1"],
         "pipeline_tones": ["pipeline", "tones1000", *eq5],
