@@ -31,8 +31,7 @@ from .analysis import (
     variance_decomposition,
 )
 from .cpcv import (
-    MIN_PATHS, Criterion, GroupPartition, PathReport, Scheme, excludes_every_group, partition, run_cv, split_table,
-    why_too_few_paths,
+    MIN_PATHS, Criterion, PathReport, Scheme, excludes_every_group, partition, run_cv, split_table, why_too_few_paths,
 )
 from .emd import ImfSet, SiftConfig, _decomposed, decompose_all
 from .errors import DataError, EmdHedgeError, NumericError
@@ -239,7 +238,7 @@ class PipelineState:
     spot: PriceSeries | None = None  # the input's legs, set by the load stage
     fut: PriceSeries | None = None
     dropped_rows: int | None = None  # the input's rows with a blank price
-    part: GroupPartition | None = None  # the CV partition; None for runs without a CV stage
+    groups: tuple[range, ...] | None = None  # the CV partition's groups; None for runs without a CV stage
     warnings: list[str] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
     spot_set: ImfSet | None = None
@@ -293,7 +292,7 @@ def _emit_decomposition(state: PipelineState) -> None:
     stage with an EMD method, both legs of each training segment of the
     partition's splits."""
     cfg = state.cfg
-    part = state.part = _cv_partition(state) if "cv" in state.stages else None
+    groups = state.groups = _cv_partition(state) if "cv" in state.stages else None
     if "insample" in state.stages:  # an explicit horizon with no in-sample returns raises here
         for h in cfg.horizon_list() or ():
             log_returns(state.spot.values, h)
@@ -301,8 +300,8 @@ def _emit_decomposition(state: PipelineState) -> None:
     prices = [state.spot.values, state.fut.values]
     returns = [log_returns(values, 1) for values in prices] if "preliminary" in state.stages else []
     segments = []
-    if part is not None and cfg.decompose_scope == "per-segment" and set(EMD_FAMILY) & set(cfg.method_list()):
-        segments = list(training_segments(part.groups, split_table(part.n_groups, cfg.k)[1]).values())
+    if groups is not None and cfg.decompose_scope == "per-segment" and set(EMD_FAMILY) & set(cfg.method_list()):
+        segments = list(training_segments(groups, split_table(len(groups), cfg.k)[1]).values())
     pieces = [leg.values[seg.start : seg.stop] for seg in segments for leg in (state.spot, state.fut)]
     results = decompose_all(prices + returns + pieces, sift_cfg)
     state.spot_set, state.fut_set = map(_decomposed, results[:2])
@@ -320,8 +319,8 @@ def _emit_decomposition(state: PipelineState) -> None:
             raise DataError(f"no usable (imf, horizon) rows under the horizon cap {cfg.horizon_cap}")
         state.warnings.append("no usable (imf, horizon) rows under the horizon cap")
     # the explicit-horizon rule of _cv_partition, for the rows as a whole
-    elif part is not None:
-        _check_served(part, [h for _, h in rows], cfg.min_obs)
+    elif groups is not None:
+        _check_served(groups, [h for _, h in rows], cfg.min_obs)
 
     for name, s in legs:
         header = ["t"] + [f"imf{i + 1}" for i in range(len(s.imfs))] + ["residue"]
@@ -439,15 +438,14 @@ def _emit_cv(state: PipelineState) -> None:
     row's ``imf_index`` and the run's ``decompose_scope``."""
     cfg = state.cfg
     methods = cfg.method_list()
-    part = state.part
     sidecar: dict = {}
     tables: dict = {crit: [] for crit in Criterion}  # criterion -> one row per horizon
     imfs = state.segment_sets if cfg.decompose_scope == "per-segment" else None
     keys = [f.name for f in fields(PathReport) if f.name != "stats"]
     for imf_index, h in state.rows:
         try:
-            fns = {m.value: _ratio_fn(state, m, imf_index, h, imfs, part.groups) for m in methods}
-            row = run_cv(state.spot, state.fut, fns, h, part, cfg.k, min_obs=cfg.min_obs, alpha=cfg.alpha)
+            fns = {m.value: _ratio_fn(state, m, imf_index, h, imfs, state.groups) for m in methods}
+            row = run_cv(state.spot, state.fut, fns, h, state.groups, cfg.k, min_obs=cfg.min_obs, alpha=cfg.alpha)
         except EmdHedgeError as exc:  # holds for the whole horizon, e.g. all groups excluded
             state.warnings.extend(f"cv {m.value} imf{imf_index} h={h}: {exc}" for m in methods)
             for crit in Criterion:
@@ -571,26 +569,26 @@ def _emit_determinants(state: PipelineState) -> None:
 STAGES = ("decompose", "preliminary", "insample", "cv", "determinants")
 
 
-def _cv_partition(state: PipelineState) -> GroupPartition:
-    """The CV partition of the loaded data; a data error when it cannot serve
-    the CV stage: a calendar-year partition whose groups cannot give path
-    statistics (``why_too_few_paths``), or an explicit horizon that excludes
-    every group."""
+def _cv_partition(state: PipelineState) -> tuple[range, ...]:
+    """The CV partition's groups on the loaded data; a data error when they
+    cannot serve the CV stage: calendar years that break
+    ``why_too_few_paths``' rules (too many splits, or too few paths), or an
+    explicit horizon that excludes every group."""
     cfg = state.cfg
-    part = partition(state.spot, *cfg.partition_scheme())
-    if why := why_too_few_paths(part.n_groups, cfg.k):
+    groups = partition(state.spot, *cfg.partition_scheme())
+    if why := why_too_few_paths(len(groups), cfg.k):
         raise DataError(why)
     for h in cfg.horizon_list() or ():
-        _check_served(part, [h], cfg.min_obs)
-    return part
+        _check_served(groups, [h], cfg.min_obs)
+    return groups
 
 
-def _check_served(part: GroupPartition, horizons: list[int], min_obs: int | None) -> None:
-    """A data error when each of ``horizons`` excludes every group of ``part``."""
-    if all(excludes_every_group(part, h, min_obs) for h in horizons):
+def _check_served(groups: tuple[range, ...], horizons: list[int], min_obs: int | None) -> None:
+    """A data error when each of ``horizons`` excludes every one of ``groups``."""
+    if all(excludes_every_group(groups, h, min_obs) for h in horizons):
         named = ", ".join(map(str, horizons))
         verb = f"horizon {named} excludes" if len(horizons) == 1 else f"horizons {named} each exclude"
-        raise DataError(f"{verb} every partition group (largest group: {max(part.sizes)} observations)")
+        raise DataError(f"{verb} every partition group (largest group: {max(map(len, groups))} observations)")
 
 
 def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:

@@ -1,12 +1,13 @@
 """Combinatorial time-series cross-validation with performance paths.
 
-The sample is split chronologically into N groups; every choice of k test
-groups gives one train/test split (C(N,k) of them, test sets in lexicographic
-order), all made as arrays by ``split_table``. Each group's test appearances,
-taken in split order, are assigned paths 0..C(N-1,k-1)-1 (``path_table``); a
-path is a chronological reassembly with exactly one test cell per group. Path
-scores are the mean of cell scores for variance reduction and the minimum for
-VaR.
+The sample is split chronologically into N groups, and a partition is the
+tuple of its groups' ranges (``partition``); every choice of k test groups
+gives one train/test split (C(N,k) of them, at most ``MAX_SPLITS``, test sets
+in lexicographic order), all made as arrays by ``split_table``. Each group's
+test appearances, taken in split order, are assigned paths 0..C(N-1,k-1)-1
+(``path_table``); a path is a chronological reassembly with exactly one test
+cell per group. Path scores are the mean of cell scores for variance
+reduction and the minimum for VaR.
 
 ``run_cv`` scores every method of one horizon on every ``Criterion`` in
 one call: the group returns and the spot side of each test group are
@@ -31,7 +32,6 @@ from .series import PriceSeries, log_returns
 
 __all__ = [
     "Scheme",
-    "GroupPartition",
     "PathReport",
     "partition",
     "split_table",
@@ -40,6 +40,7 @@ __all__ = [
     "excluded_groups",
     "excludes_every_group",
     "MIN_PATHS",
+    "MAX_SPLITS",
     "why_too_few_paths",
     "RatioFn",
     "run_cv",
@@ -51,22 +52,18 @@ class Scheme(Enum):
     CALENDAR_YEAR = "year"
 
 
-@dataclass(frozen=True)
-class GroupPartition:
-    groups: tuple[range, ...]
-    sizes: tuple[int, ...]
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-
 MIN_PATHS = MOMENTS_MIN_OBS  # the fewest paths whose distribution gets moments
+MAX_SPLITS = 40_000  # C(N, k) cap: ~1 GB of RSS and ~85 s per-segment at T=4000, all six methods
 
 
 def _why_bad_k(n_groups: int, k: int) -> str | None:
-    """Why N partition groups cannot be split with k test groups, or None."""
-    return None if 1 <= k < n_groups else f"k must satisfy 1 <= k < N, got k={k}, N={n_groups}"
+    """Why N partition groups cannot be split with k test groups, or None:
+    k outside [1, N), or more than ``MAX_SPLITS`` splits."""
+    if not 1 <= k < n_groups:
+        return f"k must satisfy 1 <= k < N, got k={k}, N={n_groups}"
+    if (n_splits := math.comb(n_groups, k)) > MAX_SPLITS:
+        return f"N={n_groups} groups with k={k} give {n_splits} CV splits; a run takes at most {MAX_SPLITS}"
+    return None
 
 
 def why_too_few_paths(n_groups: int, k: int) -> str | None:
@@ -94,8 +91,9 @@ class PathReport:
     failed_reasons: tuple[tuple[str, str], ...]
 
 
-def partition(series: PriceSeries | int, scheme: Scheme, n_groups: int = 10) -> GroupPartition:
-    """Partition the sample chronologically.
+def partition(series: PriceSeries | int, scheme: Scheme, n_groups: int = 10) -> tuple[range, ...]:
+    """Partition the sample chronologically into its groups, each the range
+    of its observations.
 
     EqualCount gives N-1 groups of floor(T/N) samples and a final group with
     the remainder; CalendarYear buckets by timestamp year.
@@ -108,7 +106,6 @@ def partition(series: PriceSeries | int, scheme: Scheme, n_groups: int = 10) -> 
             raise InsufficientDataError(f"{T} samples for {n_groups} groups")
         base = T // n_groups
         bounds = [i * base for i in range(n_groups)] + [T]
-        groups = tuple(range(bounds[i], bounds[i + 1]) for i in range(n_groups))
     elif scheme is Scheme.CALENDAR_YEAR:
         if isinstance(series, int):
             raise DataError("calendar-year partition needs a timestamped series")
@@ -117,16 +114,16 @@ def partition(series: PriceSeries | int, scheme: Scheme, n_groups: int = 10) -> 
         if len(starts) < 2:
             raise InsufficientDataError("need at least 2 distinct calendar years")
         bounds = list(starts) + [len(series)]
-        groups = tuple(range(bounds[i], bounds[i + 1]) for i in range(len(starts)))
     else:
         raise DataError(f"unknown partition scheme {scheme}")
-    return GroupPartition(groups=groups, sizes=tuple(len(g) for g in groups))
+    return tuple(map(range, bounds[:-1], bounds[1:]))
 
 
 def split_table(n_groups: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """All C(N,k) splits, test sets in lexicographic order: (tests, train),
     each split's ascending test groups (splits, k) and its training mask
-    (splits, N)."""
+    (splits, N). A DataError for k outside [1, N) or over ``MAX_SPLITS``
+    splits."""
     if why := _why_bad_k(n_groups, k):
         raise DataError(why)
     tests = np.fromiter(chain.from_iterable(combinations(range(n_groups), k)), dtype=np.intp).reshape(-1, k)
@@ -181,14 +178,14 @@ def path_statistics(
 
 
 RatioFn = Callable[[np.ndarray], list]
-"""A batched ratio function: given the training mask (splits, partition
-groups) of a batch of splits, as ``split_table`` gives it, it returns one
-outcome per split, the hedge ratio or the ``DataError`` or ``NumericError``
-its fit raises. Any other exception ends the call. A split's outcome does
+"""A batched ratio function: given the training mask (splits, N) of a batch
+of splits over the N groups of a partition, as ``split_table`` gives it, it
+returns one outcome per split, the hedge ratio or the ``DataError`` or
+``NumericError`` its fit raises. Any other exception ends the call. A split's outcome does
 not depend on the rest of its batch."""
 
 
-def excluded_groups(part: GroupPartition, horizon: int, min_obs: int | None = None) -> list[tuple[int, str]]:
+def excluded_groups(groups: tuple[range, ...], horizon: int, min_obs: int | None = None) -> list[tuple[int, str]]:
     """(group index, reason) of each group too short to score at ``horizon``.
 
     A group needs ``min_obs`` within-group horizon differences (default
@@ -197,14 +194,14 @@ def excluded_groups(part: GroupPartition, horizon: int, min_obs: int | None = No
     min_obs = max(2 * horizon if min_obs is None else min_obs, VAR_MIN_OBS)
     return [
         (gi, f"{max(len(g) - horizon, 0)} observations at horizon {horizon} < {min_obs}")
-        for gi, g in enumerate(part.groups)
+        for gi, g in enumerate(groups)
         if len(g) - horizon < min_obs
     ]
 
 
-def excludes_every_group(part: GroupPartition, horizon: int, min_obs: int | None = None) -> bool:
-    """Whether ``excluded_groups`` excludes every group of ``part`` at ``horizon``."""
-    return len(excluded_groups(part, horizon, min_obs)) == part.n_groups
+def excludes_every_group(groups: tuple[range, ...], horizon: int, min_obs: int | None = None) -> bool:
+    """Whether ``excluded_groups`` excludes every one of ``groups`` at ``horizon``."""
+    return len(excluded_groups(groups, horizon, min_obs)) == len(groups)
 
 
 def run_cv(
@@ -212,12 +209,13 @@ def run_cv(
     fut: PriceSeries,
     ratio_fns: dict[str, RatioFn],
     horizon: int,
-    part: GroupPartition,
+    groups: tuple[range, ...],
     k: int,
     min_obs: int | None = None,
     alpha: float = 0.05,
 ) -> dict[tuple[str, Criterion], PathReport]:
-    """Run the full combinatorial CV of every method of one horizon.
+    """Run the full combinatorial CV of every method of one horizon over the
+    partition ``groups`` with ``k`` test groups.
 
     ``ratio_fns`` maps each method label to its ratio function; the result
     maps each (label, criterion) to its report, labels in dict order, every
@@ -227,7 +225,7 @@ def run_cv(
     is excluded, no fit is made.
 
     Each ratio function is called once, in dict order, with the training
-    mask of ``split_table`` (splits, ``part.groups``). A split whose outcome
+    mask of ``split_table`` (splits, ``groups``). A split whose outcome
     is a ``NumericError`` or ``DataError``, or a non-finite ratio, fails for
     that method, its exception class and message going to
     ``PathReport.failed_reasons``. Each included test group is then scored
@@ -241,10 +239,10 @@ def run_cv(
     """
     if len(spot) != len(fut):
         raise DataError("spot and futures series must be aligned")
-    tests, train = split_table(part.n_groups, k)
-    if excludes_every_group(part, horizon, min_obs):
+    tests, train = split_table(len(groups), k)
+    if excludes_every_group(groups, horizon, min_obs):
         raise InsufficientDataError(f"all groups excluded at horizon {horizon}")
-    excluded = excluded_groups(part, horizon, min_obs)
+    excluded = excluded_groups(groups, horizon, min_obs)
     skip = {g for g, _ in excluded}
 
     # one hedge ratio per (method, split); NaN marks a failed split
@@ -262,8 +260,8 @@ def run_cv(
 
     # each included test group once, for every (method, split) it tests
     split_of = path_table(train)  # (path, group) -> split
-    scores = {c: np.full((len(ratio_fns), len(split_of), part.n_groups), np.nan) for c in Criterion}
-    for g, rg in enumerate(part.groups):
+    scores = {c: np.full((len(ratio_fns), len(split_of), len(groups)), np.nan) for c in Criterion}
+    for g, rg in enumerate(groups):
         ok = ~failed[:, split_of[:, g]]  # (method, path)
         if g in skip or not ok.any():
             continue
@@ -274,7 +272,7 @@ def run_cv(
 
     # per-split values through the (split, test slot) -> path table
     path_of = np.empty(train.shape, dtype=np.intp)  # (split, group) -> path, at test cells
-    path_of[split_of, np.arange(part.n_groups)] = np.arange(len(split_of))[:, None]
+    path_of[split_of, np.arange(len(groups))] = np.arange(len(split_of))[:, None]
     test_paths = np.take_along_axis(path_of, tests, axis=1)
     reports = {}
     for c in Criterion:

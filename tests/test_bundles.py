@@ -92,3 +92,13 @@ def test_a_run_exiting_with_another_code_than_its_configs_is_flagged():
     assert bundles.unexpected_exit("pipeline_scoring", failed) == ["exit code 2, expected 0"]
     assert bundles.unexpected_exit("cv_huge", ok) == ["exit code 0, expected 2"]
     assert set(bundles.NONZERO_EXITS) <= set(bundles._corpus())
+
+
+def test_each_cli_run_has_the_address_space_ceiling(tmp_path):
+    # a stand-in package whose CLI prints its own limit, so nothing is allocated to reach the ceiling
+    cli = tmp_path / "src" / "emdhedge" / "cli.py"
+    cli.parent.mkdir(parents=True)
+    (cli.parent / "__init__.py").write_text("")
+    cli.write_text("import resource\nprint(*resource.getrlimit(resource.RLIMIT_AS))\n")
+    run = bundles._run(tmp_path / "src", tmp_path / "run", [])
+    assert run.stdout.split() == [str(bundles.CHILD_ADDRESS_SPACE)] * 2

@@ -3,14 +3,17 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emdhedge
-from emdhedge import cli
+from emdhedge import cli, cpcv
 from emdhedge.cli import (
     RunConfig,
     UsageError,
@@ -642,7 +645,7 @@ class TestPipeline:
         # segment of each leg
         spot, fut, _ = load_csv(pair)
         cfg = RunConfig(max_sifts=1).sift_config()
-        groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
+        groups = partition(spot, Scheme.EQUAL_COUNT, 5)
         _, train = split_table(5, 2)
         segments = {seg for mask in train for seg in restrict(spot, [groups[g] for g in np.flatnonzero(mask)])}
         ranges = [("prices", range(0, len(spot)))] + [("training segment", seg) for seg in segments]
@@ -711,7 +714,7 @@ class TestPipeline:
         argv += ["--decompose-scope", "per-segment", "--methods", method_list, "--horizons", "2,5"]
         assert main(argv) == 0
         spot, fut, _ = load_csv(pair_csv)
-        groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
+        groups = partition(spot, Scheme.EQUAL_COUNT, 5)
         spans = sorted({
             (seg.start, seg.stop)
             for mask in split_table(5, 2)[1]
@@ -854,7 +857,7 @@ class TestPipeline:
         self, pair_csv, tmp_path, capsys
     ):
         spot, _, _ = load_csv(pair_csv)
-        n_years = len(partition(spot, Scheme.CALENDAR_YEAR).groups)
+        n_years = len(partition(spot, Scheme.CALENDAR_YEAR))
         outdir = tmp_path / "out"
         rc = main(
             ["cv", "--input", str(pair_csv), "--out", str(outdir)]
@@ -1065,6 +1068,26 @@ class TestBadConfigFailsUpFront:
         assert "2 CV paths" in capsys.readouterr().err
         self._assert_a_lone_failed_manifest(outdir)
 
+    def test_equal_groups_over_the_split_cap_are_a_usage_error_within_a_second(self, pair_csv, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        start = time.perf_counter()
+        rc = main(["cv", "--input", str(pair_csv), "--out", str(outdir), "--partition", "equal:50", "--k", "10"])
+        assert rc == 1 and time.perf_counter() - start < 1.0
+        why = f"N=50 groups with k=10 give {math.comb(50, 10)} CV splits; a run takes at most {cpcv.MAX_SPLITS}"
+        assert capsys.readouterr().err == f"usage error: {why}\n"
+        assert not outdir.exists()
+
+    def test_calendar_years_over_the_split_cap_are_a_data_error_before_any_artifact(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 1,500 days from 2000-01-03 span 5 calendar years: k=2 gives C(5, 2) = 10 splits and 4 paths
+        pair, outdir = tmp_path / "pair.csv", tmp_path / "out"
+        assert main(["synth", "--out", str(pair), "--length", "1500", "--seed", "2"]) == 0
+        monkeypatch.setattr(cpcv, "MAX_SPLITS", 9)
+        assert main(["cv", "--input", str(pair), "--out", str(outdir), "--partition", "year"]) == 2
+        assert "N=5 groups with k=2 give 10 CV splits; a run takes at most 9" in capsys.readouterr().err
+        self._assert_a_lone_failed_manifest(outdir)
+
     def test_unknown_method_is_a_usage_error_before_any_artifact(self, pair_csv, tmp_path, capsys):
         outdir = tmp_path / "out"
         argv = ["pipeline", "--input", str(pair_csv), "--out", str(outdir), "--methods", "MV,GARCH"]
@@ -1256,15 +1279,18 @@ def _a_cell_is_finite(table: Path) -> bool:
     scope=st.sampled_from(["full", "per-segment"]),
     command=st.sampled_from(["pipeline", "analyze", "cv", "hedge"]),
     scale=st.just(0) | st.integers(-12, 12) | st.integers(-170, 170),
+    # a split cap lowered to fall on either side of the drawn C(N, k), from 10 to 120
+    cap=st.none() | st.integers(10, 120),
 )
 def test_the_cli_contract_holds_for_drawn_configs(
-    length, seed, groups, k, horizons, horizon_cap, methods, scope, command, scale
+    length, seed, groups, k, horizons, horizon_cap, methods, scope, command, scale, cap
 ):
     """Every run exits with a documented code, a run that exits 0 fills a
     cell of each table it writes or names the table in ``empty_tables``,
     warns of nothing and writes nothing to stderr, a price outside
-    [2^-511, 2^511) is a data error, and every missing number has a reason.
-    The prices are scaled by 10^scale."""
+    [2^-511, 2^511) is a data error, a CV run over the split cap is a usage
+    error, and every missing number has a reason. The prices are scaled by
+    10^scale."""
     with tempfile.TemporaryDirectory() as tmp:
         pair, outdir = Path(tmp) / "pair.csv", Path(tmp) / "out"
         assert main(["synth", "--out", str(pair), "--length", str(length), "--seed", str(seed)]) == 0
@@ -1273,8 +1299,11 @@ def test_the_cli_contract_holds_for_drawn_configs(
         argv += ["--horizons", horizons, "--horizon-cap", str(horizon_cap), "--methods", methods]
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(io.StringIO()) as err:
             warnings.simplefilter("always")
-            rc = main(argv + ["--decompose-scope", scope, "--max-lag", "2"])
+            with mock.patch.object(cpcv, "MAX_SPLITS", cap or cpcv.MAX_SPLITS):
+                rc = main(argv + ["--decompose-scope", scope, "--max-lag", "2"])
         assert rc in (0, 1, 2, 3)
+        if command != "hedge" and math.comb(groups, k) > (cap or cpcv.MAX_SPLITS):
+            assert rc == 1 and "CV splits; a run takes at most" in err.getvalue()
         if outside:
             assert rc == 2
         if rc == 0:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emdhedge import cpcv
 from emdhedge.cpcv import (
+    MAX_SPLITS,
     MIN_PATHS,
-    GroupPartition,
     Scheme,
     excludes_every_group,
     partition,
@@ -35,7 +37,7 @@ EXCLUDED = "excluded"
 FAILED = "failed"
 
 
-def batched(fn, spot, part):
+def batched(fn, spot, groups):
     """The batched ratio function of a per-split one: each split's ratio, or
     the DataError or NumericError it raises, calling ``fn`` on each split's
     training segments (its training groups, merged) in split order."""
@@ -44,7 +46,7 @@ def batched(fn, spot, part):
         out = []
         for row in train:
             try:
-                out.append(fn(restrict(spot, [part.groups[g] for g in np.flatnonzero(row)])))
+                out.append(fn(restrict(spot, [groups[g] for g in np.flatnonzero(row)])))
             except (DataError, NumericError) as exc:
                 out.append(exc)
         return out
@@ -64,15 +66,15 @@ def price_series(values, start="2016-01-01"):
 
 class TestPartition:
     def test_equal_count_remainder_goes_last(self):
-        part = partition(23, Scheme.EQUAL_COUNT, 5)
-        assert part.sizes == (4, 4, 4, 4, 7)
-        assert part.groups[0] == range(0, 4)
-        assert part.groups[-1] == range(16, 23)
+        groups = partition(23, Scheme.EQUAL_COUNT, 5)
+        assert tuple(map(len, groups)) == (4, 4, 4, 4, 7)
+        assert groups[0] == range(0, 4)
+        assert groups[-1] == range(16, 23)
 
     def test_equal_count_covers_everything(self):
-        part = partition(1000, Scheme.EQUAL_COUNT, 7)
-        assert sum(part.sizes) == 1000
-        flat = [i for g in part.groups for i in g]
+        groups = partition(1000, Scheme.EQUAL_COUNT, 7)
+        assert sum(map(len, groups)) == 1000
+        flat = [i for g in groups for i in g]
         assert flat == list(range(1000))
 
     def test_calendar_year(self):
@@ -84,8 +86,8 @@ class TestPartition:
             ]
         )
         s = PriceSeries(ts, np.linspace(1, 2, 180))
-        part = partition(s, Scheme.CALENDAR_YEAR)
-        assert part.sizes == (100, 50, 30)
+        groups = partition(s, Scheme.CALENDAR_YEAR)
+        assert tuple(map(len, groups)) == (100, 50, 30)
 
     def test_too_small(self):
         with pytest.raises(InsufficientDataError):
@@ -150,6 +152,21 @@ class TestSplitTable:
         assert (enough is None) == (n_groups - 1 >= MIN_PATHS)
         if enough is not None:
             assert enough.endswith(f"give {n_groups - 1} CV paths; path statistics need {MIN_PATHS}")
+
+    @pytest.mark.parametrize("n_groups, k", [(6, 3), (20, 5)])
+    def test_the_split_cap_at_its_edge_and_its_one_message(self, monkeypatch, n_groups, k):
+        n_splits = math.comb(n_groups, k)
+        monkeypatch.setattr(cpcv, "MAX_SPLITS", n_splits)
+        assert len(split_table(n_groups, k)[0]) == n_splits and why_too_few_paths(n_groups, k) is None
+        monkeypatch.setattr(cpcv, "MAX_SPLITS", n_splits - 1)
+        message = f"N={n_groups} groups with k={k} give {n_splits} CV splits; a run takes at most {n_splits - 1}"
+        with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
+            split_table(n_groups, k)
+        assert why_too_few_paths(n_groups, k) == message
+
+    def test_the_cap_admits_15504_splits_and_refuses_forty_years_at_k_5(self):
+        assert math.comb(20, 5) == 15504 <= MAX_SPLITS
+        assert why_too_few_paths(40, 5) == f"N=40 groups with k=5 give 658008 CV splits; a run takes at most {MAX_SPLITS}"
 
 
 class TestPathTable:
@@ -244,9 +261,9 @@ class TestRunCv:
         vals = np.exp(rng.normal(0, 0.01, 400).cumsum())
         spot = price_series(vals)
         fut = price_series(vals)
-        part = partition(400, Scheme.EQUAL_COUNT, 5)
-        fn = batched(lambda segs: 1.0, spot, part)
-        reports = run_one(spot, fut, fn, 1, part, 2)
+        groups = partition(400, Scheme.EQUAL_COUNT, 5)
+        fn = batched(lambda segs: 1.0, spot, groups)
+        reports = run_one(spot, fut, fn, 1, groups, 2)
         rep = reports[Criterion.VARIANCE_REDUCTION]
         assert rep.n_paths_total == 4
         assert rep.n_paths_voided == 0
@@ -254,14 +271,14 @@ class TestRunCv:
 
     def test_deterministic(self):
         spot, fut = coint_series(seed=7)
-        part = partition(len(spot), Scheme.EQUAL_COUNT, 5)
+        groups = partition(len(spot), Scheme.EQUAL_COUNT, 5)
 
         def fn(segs):
             lengths = sum(len(s) for s in segs)
             return 0.9 + 1e-6 * lengths
 
-        a = run_one(spot, fut, batched(fn, spot, part), 3, part, 2)
-        b = run_one(spot, fut, batched(fn, spot, part), 3, part, 2)
+        a = run_one(spot, fut, batched(fn, spot, groups), 3, groups, 2)
+        b = run_one(spot, fut, batched(fn, spot, groups), 3, groups, 2)
         for c in Criterion:
             assert a[c].per_path_values == b[c].per_path_values
             assert a[c].per_split_values == b[c].per_split_values
@@ -271,8 +288,8 @@ class TestRunCv:
         # values (mean rule) equals the grand mean of per-split values:
         # both count every cell exactly once
         spot, fut = coint_series(seed=9, n=1000)
-        part = partition(1000, Scheme.EQUAL_COUNT, 5)
-        rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 2, part, 2)[Criterion.VARIANCE_REDUCTION]
+        groups = partition(1000, Scheme.EQUAL_COUNT, 5)
+        rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, groups), 2, groups, 2)[Criterion.VARIANCE_REDUCTION]
         assert not rep.excluded_groups and not rep.failed_splits
         path_mean = np.mean(rep.per_path_values)
         split_mean = np.mean([v for v in rep.per_split_values])
@@ -280,23 +297,23 @@ class TestRunCv:
 
     def test_short_groups_excluded_at_long_horizon(self):
         spot, fut = coint_series(seed=3, n=149)
-        part = partition(149, Scheme.EQUAL_COUNT, 5)  # sizes (29,29,29,29,33)
-        rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 10, part, 2)[Criterion.VARIANCE_REDUCTION]
+        groups = partition(149, Scheme.EQUAL_COUNT, 5)  # sizes (29,29,29,29,33)
+        rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, groups), 10, groups, 2)[Criterion.VARIANCE_REDUCTION]
         # min_obs = max(2*10, 20) = 20: groups of 29 have 19 diffs and drop,
         # the 33-sample remainder group has 23 and stays
         assert sorted(g for g, _ in rep.excluded_groups) == [0, 1, 2, 3]
 
     def test_all_groups_excluded_raises(self):
         spot, fut = coint_series(seed=3, n=520)
-        part = partition(520, Scheme.EQUAL_COUNT, 5)
+        groups = partition(520, Scheme.EQUAL_COUNT, 5)
         with pytest.raises(InsufficientDataError):
-            fn = batched(lambda segs: 0.9, spot, part)
-            run_one(spot, fut, fn, 100, part, 2)
+            fn = batched(lambda segs: 0.9, spot, groups)
+            run_one(spot, fut, fn, 100, groups, 2)
 
     def test_excludes_every_group_at_its_edge(self):
-        part = partition(520, Scheme.EQUAL_COUNT, 5)  # five groups of 104
+        groups = partition(520, Scheme.EQUAL_COUNT, 5)  # five groups of 104
         # default min_obs 2h: 104 - 34 = 70 >= 68 differences, 104 - 35 = 69 < 70
-        assert not excludes_every_group(part, 34) and excludes_every_group(part, 35)
+        assert not excludes_every_group(groups, 34) and excludes_every_group(groups, 35)
         small = partition(125, Scheme.EQUAL_COUNT, 5)  # five groups of 25
         # the VaR floor of 20 differences holds under the default and under any smaller min_obs
         assert not excludes_every_group(small, 5) and excludes_every_group(small, 6)
@@ -306,7 +323,7 @@ class TestRunCv:
 
     def test_failed_split_voids_touching_paths(self):
         spot, fut = coint_series(seed=5, n=600)
-        part = partition(600, Scheme.EQUAL_COUNT, 5)
+        groups = partition(600, Scheme.EQUAL_COUNT, 5)
         calls = {"n": 0}
 
         def flaky(segs):
@@ -315,7 +332,7 @@ class TestRunCv:
                 raise InsufficientDataError("synthetic failure")
             return 0.9
 
-        rep = run_one(spot, fut, batched(flaky, spot, part), 1, part, 2)[Criterion.VARIANCE_REDUCTION]
+        rep = run_one(spot, fut, batched(flaky, spot, groups), 1, groups, 2)[Criterion.VARIANCE_REDUCTION]
         assert rep.failed_splits == (0,)
         # split 0 carries path 1 for groups 0 and 1 -> exactly one path voided
         assert rep.n_paths_voided == 1
@@ -324,8 +341,8 @@ class TestRunCv:
 
     def test_var_criterion_uses_min_rule(self):
         spot, fut = coint_series(seed=11, n=1500)
-        part = partition(1500, Scheme.EQUAL_COUNT, 5)
-        reports = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 1, part, 2)
+        groups = partition(1500, Scheme.EQUAL_COUNT, 5)
+        reports = run_one(spot, fut, batched(lambda segs: 0.9, spot, groups), 1, groups, 2)
         var_rep = reports[Criterion.VAR]
         vr_rep = reports[Criterion.VARIANCE_REDUCTION]
         assert var_rep.n_paths_total == vr_rep.n_paths_total == 4
@@ -335,8 +352,7 @@ class TestRunCv:
         spot, fut = coint_series(seed=5, n=221)
         bounds = (0, 21, 41, 101, 161, 221)  # 20 and 19 one-day differences in groups 0 and 1
         groups = tuple(range(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-        part = GroupPartition(groups, tuple(map(len, groups)))
-        rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, part), 1, part, 2, min_obs=1)[Criterion.VAR]
+        rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, groups), 1, groups, 2, min_obs=1)[Criterion.VAR]
         assert rep.excluded_groups == ((1, "19 observations at horizon 1 < 20"),)
         # split 0 tests groups (0, 1): its value is group 0's VaR on 20 differences
         assert math.isfinite(rep.per_split_values[0])
@@ -346,13 +362,13 @@ class TestRunCv:
         # per test cell and a tuple per split read 38 MB; the split and path
         # tables, the scores and one group's portfolios read 22 MB
         spot, fut = coint_series(seed=3, n=4000)
-        part = partition(spot, Scheme.EQUAL_COUNT, 20)
+        groups = partition(spot, Scheme.EQUAL_COUNT, 20)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            rep = run_one(spot, fut, lambda train: [0.9] * len(train), 1, part, 5)[Criterion.VAR]
+            rep = run_one(spot, fut, lambda train: [0.9] * len(train), 1, groups, 5)[Criterion.VAR]
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
@@ -362,14 +378,14 @@ class TestRunCv:
 
     def test_failed_split_keeps_exception_class_and_message(self):
         spot, fut = coint_series(seed=5, n=600)
-        part = partition(600, Scheme.EQUAL_COUNT, 5)
+        groups = partition(600, Scheme.EQUAL_COUNT, 5)
 
         def fn(segs):
             if segs[0].start > 0:  # group 0 is a test group
                 raise InsufficientDataError("synthetic failure")
             return float("nan") if len(segs) == 1 else 0.9
 
-        rep = run_one(spot, fut, batched(fn, spot, part), 1, part, 2)[Criterion.VARIANCE_REDUCTION]
+        rep = run_one(spot, fut, batched(fn, spot, groups), 1, groups, 2)[Criterion.VARIANCE_REDUCTION]
         # splits 0-3 test group 0; split 9 tests (3, 4) and trains on one block
         assert rep.failed_splits == (0, 1, 2, 3, 9)
         assert rep.failed_reasons == (("InsufficientDataError", "synthetic failure"),) * 4 + (
@@ -392,13 +408,13 @@ def reference_paths(cell_scores, path_of, criterion):
     return tuple(per_path), stats, voided
 
 
-def reference_cv(spot, fut, ratio_fn, h, part, k, min_obs, alpha):
+def reference_cv(spot, fut, ratio_fn, h, groups, k, min_obs, alpha):
     """run_cv written per cell: one portfolio and one 1-D criterion per
     (test group, split), for every criterion. A group is excluded below
     ``min_obs`` differences or the VaR quantile's floor of 20."""
-    splits, path_of = reference_splits(part.n_groups, k)
+    splits, path_of = reference_splits(len(groups), k)
     rets, excluded = {}, []
-    for g, rg in enumerate(part.groups):
+    for g, rg in enumerate(groups):
         if len(rg) - h < max(min_obs, 20):
             excluded.append(g)
             continue
@@ -411,7 +427,7 @@ def reference_cv(spot, fut, ratio_fn, h, part, k, min_obs, alpha):
     degenerate = 0
     for s, (test, train) in enumerate(splits):
         try:
-            ratio = float(ratio_fn(restrict(spot, [part.groups[g] for g in train])))
+            ratio = float(ratio_fn(restrict(spot, [groups[g] for g in train])))
             if not math.isfinite(ratio):
                 raise NumericError("non-finite hedge ratio")
         except (NumericError, InsufficientDataError, DataError):
@@ -454,7 +470,6 @@ class TestRunCvMatchesPerCellReference:
         spot, fut = coint_series(seed=21, n=sum(self.SIZES))
         bounds = np.cumsum((0,) + self.SIZES)
         groups = tuple(range(bounds[i], bounds[i + 1]) for i in range(len(self.SIZES)))
-        part = GroupPartition(groups, self.SIZES)
         flat = spot.values.copy()
         flat[groups[3].start : groups[3].stop] = flat[groups[3].start]
         spot = price_series(flat)
@@ -472,15 +487,15 @@ class TestRunCvMatchesPerCellReference:
             idx = np.concatenate([np.arange(s.start, s.stop - 1) for s in segs])
             return float(np.cov(ds[idx], df[idx])[0, 1] / np.var(df[idx], ddof=1))
 
-        return spot, fut, part, ratio_fn
+        return spot, fut, groups, ratio_fn
 
     @pytest.mark.parametrize("h", [1, 4])
     def test_equals_reference(self, h):
-        spot, fut, part, ratio_fn = self.scenario()
+        spot, fut, groups, ratio_fn = self.scenario()
         min_obs, alpha = 25, 0.05
-        fn = batched(ratio_fn, spot, part)
-        got = run_one(spot, fut, fn, h, part, 3, min_obs=min_obs, alpha=alpha)
-        want, failed, excluded, degenerate = reference_cv(spot, fut, ratio_fn, h, part, 3, min_obs, alpha)
+        fn = batched(ratio_fn, spot, groups)
+        got = run_one(spot, fut, fn, h, groups, 3, min_obs=min_obs, alpha=alpha)
+        want, failed, excluded, degenerate = reference_cv(spot, fut, ratio_fn, h, groups, 3, min_obs, alpha)
         # the scenario reaches every cell status
         assert failed and excluded == [2] and degenerate
         for c in Criterion:
@@ -573,22 +588,21 @@ class TestMultiMethodRunCv:
         spot, fut = coint_series(seed=seed, n=max(n, 100))  # synth makes at least 100 samples
         bounds = np.cumsum((0,) + sizes)
         groups = tuple(range(bounds[i], bounds[i + 1]) for i in range(len(sizes)))
-        part = GroupPartition(groups, sizes)
         values = spot.values[:n].copy()
         if flat is not None:
             values[groups[flat].start : groups[flat].stop] = values[groups[flat].start]
         spot, fut = price_series(values), price_series(fut.values[:n])
         fns = {m: table_fn(groups, table) for m, table in outcomes.items()}
-        args = (h, part, k)
-        got = run_cv(spot, fut, {m: batched(fn, spot, part) for m, fn in fns.items()}, *args, min_obs=min_obs)
+        args = (h, groups, k)
+        got = run_cv(spot, fut, {m: batched(fn, spot, groups) for m, fn in fns.items()}, *args, min_obs=min_obs)
         assert list(got) == [(m, c) for m in fns for c in Criterion]
         for m, fn in fns.items():
-            want, failed, excluded, _ = reference_cv(spot, fut, fn, h, part, k, min_obs, 0.05)
+            want, failed, excluded, _ = reference_cv(spot, fut, fn, h, groups, k, min_obs, 0.05)
             for c in Criterion:
                 same_report(got[m, c], *want[c], failed, excluded)
         # a method's reports do not depend on the other methods or their order
         others = rnd.sample(list(fns), rnd.randint(1, len(fns)))
-        alone = run_cv(spot, fut, {m: batched(fns[m], spot, part) for m in others}, *args, min_obs=min_obs)
+        alone = run_cv(spot, fut, {m: batched(fns[m], spot, groups) for m in others}, *args, min_obs=min_obs)
         for m, c in alone:
             assert repr(alone[m, c]) == repr(got[m, c])
 

@@ -55,7 +55,7 @@ def _segment_sets(spot, fut, segments, cfg=SiftConfig()) -> dict:
 def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
     spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
     cfg = SiftConfig()
-    groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
+    groups = partition(spot, Scheme.EQUAL_COUNT, 5)
     train = _trains(5, 2)[3]  # test groups (0, 4): one training segment
     segments = restrict(spot, [groups[g] for g in train])
     train_2 = _trains(5, 2)[1]  # test groups (0, 2): two training segments
@@ -93,7 +93,7 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
 )
 def test_a_per_segment_split_without_rows_names_its_first_segments_cause(method, h, imf_index, cause):
     spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
-    groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups  # 80 observations each
+    groups = partition(spot, Scheme.EQUAL_COUNT, 5)  # 80 observations each
     # every training segment here is one group long
     imfs = _segment_sets(spot, fut, list(groups))
     fn = make_ratio_fn(method, spot, fut, h, imf_index=imf_index, imfs=imfs, groups=groups)
@@ -110,7 +110,7 @@ def test_a_spot_imf_without_a_futures_partner_fails_every_split(method):
     spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
     s_set, f_set = decompose(spot.values), decompose(fut.values)
     few = ImfSet(f_set.imfs[:2], f_set.residue, f_set.source_len)
-    groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
+    groups = partition(spot, Scheme.EQUAL_COUNT, 5)
     for imf_index in (3, 4):
         fn = make_ratio_fn(method, spot, fut, 5, imf_index=imf_index, imfs=(s_set, few), groups=groups)
         for outcome in fn(_mask(5, [(0, 1, 2), (2, 3, 4)])):
@@ -159,7 +159,7 @@ def _groups(spot, scheme):
     if scheme == "short group":  # group 2 is shorter than every footprint at h = 17
         bounds = (0, 160, 320, 326, 480, 640, 800)
         return tuple(range(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-    return partition(spot, Scheme(scheme), 6).groups
+    return partition(spot, Scheme(scheme), 6)
 
 
 def _outcome(call):
@@ -239,7 +239,7 @@ def _long_batch(max_lag: int, method: Method = Method.EECM) -> list:
     at horizon 1 on the T=2000 seed-0 synth in 6 equal groups: its 15
     splits at k=2."""
     spot, fut = _long_pair()
-    groups = partition(spot, Scheme.EQUAL_COUNT, 6).groups
+    groups = partition(spot, Scheme.EQUAL_COUNT, 6)
     fn = make_ratio_fn(method, spot, fut, 1, max_lag=max_lag, groups=groups)
     return fn(split_table(6, 2)[1])
 
@@ -272,7 +272,7 @@ def test_an_eecm_design_with_no_row_builds_no_factor():
     # 299 differences, all taken by 1000 lags: a q = 2005 column zero pad
     # alone would be 32 MB, and a QR of no block asks LAPACK for a workspace
     spot, fut = gen_coint_pair(SynthSpec(length=300, seed=0, coint=CointSpec()))
-    groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
+    groups = partition(spot, Scheme.EQUAL_COUNT, 5)
     fn = make_ratio_fn(Method.EECM, spot, fut, 1, max_lag=1000, groups=groups)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -315,7 +315,7 @@ def _segment_imfs(case) -> dict:
     """The decompositions of every training segment of ``TRAINS``, per case,
     shared by its examples."""
     spot, fut, _, _ = _legs(case)
-    groups = partition(spot, Scheme.EQUAL_COUNT, 8).groups
+    groups = partition(spot, Scheme.EQUAL_COUNT, 8)
     return _segment_sets(spot, fut, _training_segments(groups, TRAINS))
 
 
@@ -338,7 +338,7 @@ def _segment_imfs(case) -> dict:
 @example(method=Method.VEMD, case="cointegrated", h=17, order=[*range(21)], size=21, scope="per-segment")
 def test_a_splits_outcome_does_not_depend_on_its_batch(method, case, h, order, size, scope):
     spot, fut, s_set, f_set = _legs(case)
-    groups = partition(spot, Scheme.EQUAL_COUNT, 8).groups
+    groups = partition(spot, Scheme.EQUAL_COUNT, 8)
     batch = [TRAINS[i] for i in order[:size]]
     imfs = (s_set, f_set) if scope == "full" else _segment_imfs(case)
     fn = make_ratio_fn(method, spot, fut, h, imf_index=1, imfs=imfs, groups=groups)
@@ -356,7 +356,7 @@ def test_a_too_short_training_segment_is_left_out_of_its_blocks():
     s0, f0 = gen_coint_pair(SynthSpec(length=100, seed=2, coint=CointSpec()))
     spot = PriceSeries(s0.timestamps[:30], s0.values[:30])
     fut = PriceSeries(s0.timestamps[:30], f0.values[:30])
-    groups = partition(spot, Scheme.EQUAL_COUNT, 5).groups
+    groups = partition(spot, Scheme.EQUAL_COUNT, 5)
     trains = _trains(5, 2)
     segments = _training_segments(groups, trains)
     # each distinct segment once, in (first group, last group) order

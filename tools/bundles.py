@@ -7,8 +7,11 @@ byte.
 REF is any git revision of this repository; its ``src/`` is extracted with
 ``git archive``. The corpus inputs are generated once, by this checkout's
 ``synth``. Each config then runs under both trees, each run in a fresh
-process with one BLAS thread, from directories of the same relative path, so
-whole manifests (their ``input`` and ``out`` included) compare. A config is
+process with one BLAS thread and an address-space ceiling
+(``CHILD_ADDRESS_SPACE``), from directories of the same relative path, so
+whole manifests (their ``input`` and ``out`` included) compare. A config
+whose memory grows without bound thus fails at the ceiling, and is reported
+as differing, instead of exhausting the host. A config is
 ``identical`` when the exit codes, stdout, stderr and every file it wrote
 match; otherwise its first difference is printed, with each differing CSV's
 largest relative cell move. A config whose run under this checkout's tree
@@ -29,6 +32,7 @@ import argparse
 import csv
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -36,6 +40,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# each CLI run's address space; the corpus's largest runs (495 splits, EECM at L=80) peak at 150-190 MB of it
+CHILD_ADDRESS_SPACE = 2 * 2**30
 sys.path.insert(0, str(ROOT / "perfbench"))
 from worker import REFERENCE_SEED, WORKLOADS, input_seeds  # noqa: E402  (perfbench is not a package)
 
@@ -112,7 +118,7 @@ NONZERO_EXITS = dict.fromkeys(
     ["synth_out_of_range", "cv_horizon_90", "cv_huge", "hedge_mono", "hedge_whole", "hedge_aemd_short",
      "cv_all_excluded", "cv_no_row", "decompose_missing", *(f"decompose_{source}" for source in LOADER_FAULTS)],
     2,
-) | {"pipeline_scaled_down": 3, "pipeline_scaled_up": 3}
+) | {"pipeline_scaled_down": 3, "pipeline_scaled_up": 3, "cv_too_many_splits": 1}
 
 
 def _corpus() -> dict[str, list[str]]:
@@ -151,6 +157,8 @@ def _corpus() -> dict[str, list[str]]:
         "cv_no_row": ["cv", "pair600_3", "--partition", "equal:6", "--horizon-cap", "1", "--methods", "MV"],
         "pipeline_scaled_down": ["pipeline", "scaled_down", *eq5],
         "pipeline_scaled_up": ["pipeline", "scaled_up", *eq5],
+        # C(50, 10) splits, over the split cap: a usage error, and no file
+        "cv_too_many_splits": ["cv", "pair300", "--partition", "equal:50", "--k", "10"],
     }
     for source in (*LOADER_FAULTS, "twospot", "blankprice"):
         runs[f"decompose_{source}"] = ["decompose", source]
@@ -186,11 +194,17 @@ def _env(src: Path) -> dict[str, str]:
     return env
 
 
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
 def _run(src: Path, cwd: Path, args: list[str]) -> subprocess.CompletedProcess:
-    """One CLI call in a fresh process importing the tree at ``src``."""
+    """One CLI call in a fresh process importing the tree at ``src``, under
+    the ``CHILD_ADDRESS_SPACE`` ceiling."""
     cwd.mkdir(parents=True)
     return subprocess.run(
-        [sys.executable, "-m", "emdhedge.cli", *args], cwd=cwd, env=_env(src), capture_output=True, text=True
+        [sys.executable, "-m", "emdhedge.cli", *args], cwd=cwd, env=_env(src), capture_output=True, text=True,
+        preexec_fn=_limit_address_space,
     )
 
 
