@@ -25,4 +25,4 @@ class SingularDesignError(NumericError):
 
 
 class DegenerateInputError(NumericError):
-    """Zero-variance or otherwise degenerate input to an estimator."""
+    """Zero-variance or otherwise degenerate input to an analysis regression."""

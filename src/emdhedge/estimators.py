@@ -11,8 +11,10 @@ spans a gap. ``_legs`` is the one rule for which series an EMD method
 regresses. The CV ratio functions in ``methods`` fit the same rows from
 per-bucket QR factors; they share ``_legs``, this module's sample checks,
 the row rule (``_min_rows``) and rank rule with their errors, ECM's
-reduction order, the futures-variance floor with the spread that clears
-it, and the EECM lag search, which read only an R factor, never X'X.
+reduction order and the EECM lag search, which read only an R factor,
+never X'X. The rank rule is the one refusal of a degenerate design: every
+design holds the intercept and the futures column, so a futures column of
+(near) zero variance fails it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from .emd import ImfSet
 from .errors import (
     DataError,
-    DegenerateInputError,
     InsufficientDataError,
     SingularDesignError,
 )
@@ -142,7 +143,7 @@ def ols(y: np.ndarray, X: np.ndarray, intercept: bool = True) -> OlsFit:
     if tss > 0.0:
         r2 = 1.0 - sse / tss
     else:
-        r2 = 1.0 if sse <= 1e-300 else 0.0
+        r2 = 1.0 if sse == 0.0 else 0.0
     dof = n - p
     sigma2 = sse / dof
     se = np.sqrt(sigma2) * np.linalg.norm(vt / s[:, None], axis=0)
@@ -178,22 +179,6 @@ def _check_rows(method: Method, n: int, horizon: int) -> None:
         raise InsufficientDataError("no segment long enough for horizon + max_lag")
     if n < MIN_OBS:
         raise InsufficientDataError(_TOO_FEW[method].format(n=n, h=horizon))
-
-
-# Futures differences whose variance (``np.var``) is at most FUTURES_VAR_FLOOR
-# are degenerate. n values whose spread max - min is d have variance at least
-# d^2 / 2n: the squared deviations of the two extremes alone sum to at least
-# d^2 / 2, the least at a mean midway between them. So a sample of under 5e19
-# values whose spread exceeds FUTURES_SPREAD_FLOOR clears the floor, d^2 / 2n
-# > 1e-280 / 1e20 = FUTURES_VAR_FLOOR, and only a smaller spread needs the
-# variance itself.
-FUTURES_VAR_FLOOR = 1e-300
-FUTURES_SPREAD_FLOOR = 1e-140
-
-
-def _check_futures_variance(df: np.ndarray) -> None:
-    if len(df) < 2 or float(np.var(df)) <= FUTURES_VAR_FLOOR:
-        raise DegenerateInputError("futures differences have zero variance")
 
 
 def design_rows(
@@ -248,7 +233,6 @@ def _sample(method: Method, s, f, segments, horizon: int, **kw) -> np.ndarray:
 def _fit(method: Method, rows: np.ndarray, horizon: int, p: int = -1) -> OlsFit:
     """The method's checks, then ``ols`` of y on the design columns before p."""
     _check_rows(method, len(rows), horizon)
-    _check_futures_variance(rows[:, 1])
     return ols(rows[:, -1], rows[:, 1:p], intercept=True)
 
 
@@ -417,7 +401,6 @@ def eecm_ratio(
     lv = _sample(Method.SEMD, level(s), level(f), segments, 0)
     coint = ols(lv[:, -1], lv[:, 1], intercept=True)
     _check_rows(Method.EECM, len(raw), horizon)
-    _check_futures_variance(raw[:, 1])
     rows = _with_u(raw, coint.alpha, coint.slope, include_u)
     n_base = 3 if include_u else 2
     r = np.linalg.qr(rows, mode="r")

@@ -40,12 +40,10 @@ from .errors import DataError, InsufficientDataError, NumericError, SingularDesi
 from .estimators import (
     ECM_RANK_DEFICIENT,
     ECM_REDUCTIONS,
-    FUTURES_SPREAD_FLOOR,
     MIN_OBS,
     NO_EECM_FIT,
     RANK_DEFICIENT,
     Method,
-    _check_futures_variance,
     _check_rows,
     _eecm_factor,
     _eecm_select,
@@ -86,7 +84,7 @@ class _Buckets:
 
     def __init__(self, rows: np.ndarray, first: np.ndarray, last: np.ndarray, left_out: dict | None = None):
         self.start = np.flatnonzero(np.diff(first, prepend=-1) | np.diff(last, prepend=-1))
-        self.rows, self.left_out = rows, left_out
+        self.left_out = left_out
         self.first, self.last = first[self.start], last[self.start]
         self.count = np.diff(np.append(self.start, len(rows)))
         # one batched QR of the zero-padded blocks (zero rows leave R as it
@@ -98,8 +96,6 @@ class _Buckets:
         blocks[inside] = rows[(self.start[:, None] + offset)[inside]]
         r = np.linalg.qr(blocks, mode="r")
         self.r = np.concatenate([r, np.zeros_like(r[:1])])
-        x = rows[:, 1]  # the futures column
-        self.x_min, self.x_max = np.minimum.reduceat(x, self.start), np.maximum.reduceat(x, self.start)
 
     def select(self, train: np.ndarray) -> np.ndarray:
         """(splits, blocks) mask of the blocks each split uses, from its
@@ -131,18 +127,6 @@ class _Buckets:
     def stacks(self, slot: np.ndarray) -> np.ndarray:
         """The R stacks of ``slot``'s splits, as one (splits, kmax * q, q) array."""
         return self.r[slot].reshape(len(slot), -1, self.r.shape[2])
-
-    def check_futures_variance(self, out: _Outcomes, use: np.ndarray) -> None:
-        """``_check_futures_variance`` on each split's used rows. Only splits
-        whose futures spread by at most ``FUTURES_SPREAD_FLOOR`` can fail it
-        (see there)."""
-        def check(s: int) -> None:
-            spans = zip(self.start[use[s]], self.count[use[s]])
-            _check_futures_variance(np.concatenate([self.rows[a : a + c, 1] for a, c in spans]))
-
-        hi = np.where(use, self.x_max, -np.inf).max(axis=1, initial=-np.inf)
-        lo = np.where(use, self.x_min, np.inf).min(axis=1, initial=np.inf)
-        out.check(hi - lo <= FUTURES_SPREAD_FLOOR, check)
 
 
 class _Outcomes:
@@ -207,7 +191,6 @@ def _fit_splits(method: Method, horizon: int, max_lag: int, rows: _Buckets, leve
     if rows.left_out is not None:
         out.fail(n == 0, lambda s: InsufficientDataError(rows.why_no_rows(train[s], horizon)))
     out.check(n < MIN_OBS, lambda s: _check_rows(method, int(n[s]), horizon))
-    rows.check_futures_variance(out, use)
     if not out.live.any():  # every split has failed: nothing left to fit
         return list(out.errors)
 

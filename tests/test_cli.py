@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emdhedge
@@ -988,6 +988,17 @@ class TestFloatingPointPolicy:
         assert manifest["failed_stage"] == "preliminary"
         assert manifest["warnings"][-1] == f"stage preliminary failed: {reason}"
 
+    def test_a_degenerate_split_names_the_rank_rule_at_any_price_unit(self, tmp_path):
+        # at 1e-150 times the prices some IMF pairs' futures columns are round-off:
+        # each of their fits fails the rank rule, and no other rule names them
+        path = self._scaled(tmp_path, 1e-150, length=300, seed=0)
+        outdir = tmp_path / "out"
+        assert main(["hedge", "--input", str(path), "--out", str(outdir)]) == 0
+        warnings = json.loads((outdir / "manifest.json").read_text())["warnings"]
+        failed = [w for w in warnings if w.startswith("in-sample ") and "no futures IMF" not in w]
+        assert len(failed) == 13
+        assert all(w.endswith(": regressor matrix is rank deficient") for w in failed)
+
 
 class TestBadConfigFailsUpFront:
     @pytest.mark.parametrize(
@@ -1282,6 +1293,9 @@ def _a_cell_is_finite(table: Path) -> bool:
     # a split cap lowered to fall on either side of the drawn C(N, k), from 10 to 120
     cap=st.none() | st.integers(10, 120),
 )
+# over the split cap and outside the price range: the usage error wins
+@example(length=100, seed=0, groups=6, k=2, horizons="auto", horizon_cap=1, methods="MV", scope="full",
+         command="pipeline", scale=152, cap=10)
 def test_the_cli_contract_holds_for_drawn_configs(
     length, seed, groups, k, horizons, horizon_cap, methods, scope, command, scale, cap
 ):
@@ -1289,8 +1303,8 @@ def test_the_cli_contract_holds_for_drawn_configs(
     cell of each table it writes or names the table in ``empty_tables``,
     warns of nothing and writes nothing to stderr, a price outside
     [2^-511, 2^511) is a data error, a CV run over the split cap is a usage
-    error, and every missing number has a reason. The prices are scaled by
-    10^scale."""
+    error, found before the prices are loaded, and every missing number has
+    a reason. The prices are scaled by 10^scale."""
     with tempfile.TemporaryDirectory() as tmp:
         pair, outdir = Path(tmp) / "pair.csv", Path(tmp) / "out"
         assert main(["synth", "--out", str(pair), "--length", str(length), "--seed", str(seed)]) == 0
@@ -1304,7 +1318,7 @@ def test_the_cli_contract_holds_for_drawn_configs(
         assert rc in (0, 1, 2, 3)
         if command != "hedge" and math.comb(groups, k) > (cap or cpcv.MAX_SPLITS):
             assert rc == 1 and "CV splits; a run takes at most" in err.getvalue()
-        if outside:
+        elif outside:  # a usage error comes before loading
             assert rc == 2
         if rc == 0:
             assert [str(w.message) for w in caught] == [] and err.getvalue() == ""

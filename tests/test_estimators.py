@@ -3,11 +3,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emdhedge.emd import Imf, ImfSet, decompose
 from emdhedge.errors import (
     DataError,
-    DegenerateInputError,
     InsufficientDataError,
     NumericError,
     SingularDesignError,
@@ -15,11 +16,8 @@ from emdhedge.errors import (
 from emdhedge import methods
 from emdhedge.estimators import (
     ECM_RANK_DEFICIENT,
-    FUTURES_SPREAD_FLOOR,
-    FUTURES_VAR_FLOOR,
     MIN_OBS,
     RANK_DEFICIENT,
-    _check_futures_variance,
     _eecm_factor,
     _eecm_select,
     _full_rank,
@@ -159,9 +157,10 @@ class TestMvRatio:
         assert grid[int(np.argmin(variances))] == pytest.approx(est.ratio, abs=0.01)
 
     def test_degenerate_futures(self):
+        # constant futures: dF is all zero, so [1, dF] fails the rank rule
         fut = price_series(np.full(100, 10.0))
         spot, _ = coint_pair(seed=1, n=100)
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(SingularDesignError, match=f"^{RANK_DEFICIENT}$"):
             mv_ratio(spot, fut, 1)
 
     def test_scale_invariance(self):
@@ -798,12 +797,11 @@ class TestFitBoundaries:
         assert rows.shape == (n_rows, 5 + 2 * max_lag) and back == 20 + max_lag
 
     def test_ecm_fails_when_every_reduction_is_rank_deficient(self):
-        # log futures linear in time: dF takes two values one ulp apart, so its
-        # variance clears the floor but [1, dF], the smallest reduction, is deficient
+        # log futures linear in time: dF takes two values one ulp apart, so it
+        # is not constant, yet [1, dF], the smallest reduction, is deficient
         spot = price_series(np.exp(4.0 + 0.01 * np.random.default_rng(0).normal(size=40).cumsum()))
         fut = price_series(np.exp(4.0 + 0.01 * np.arange(40)))
         rows, _ = design_rows(Method.ECM, spot.values, fut.values, 1)
-        _check_futures_variance(rows[:, 1])
         assert len(set(rows[:, 1].tolist())) == 2
         want = ("SingularDesignError", ECM_RANK_DEFICIENT)
         assert _raised(lambda: ecm_ratio(spot, fut, 1)) == want
@@ -842,6 +840,17 @@ class TestFitBoundaries:
         assert fit.alpha == pytest.approx(c, abs=1e-14) and fit.slope == pytest.approx(0.0, abs=1e-15)
         assert fit.r_squared == (1.0 if c == 0.0 else 0.0)
 
+    @pytest.mark.parametrize("c", [0.0, 2.0, -0.5, 0.1, -3.7])
+    def test_the_r_squared_of_a_constant_y_does_not_depend_on_its_unit(self, c):
+        # scaled by 2^-460 every coefficient and residual scales exactly, and a
+        # nonzero residual sum of squares falls under 1e-300: R-squared still
+        # reads 1 only for an exact zero residual, as in the unscaled fit
+        x = np.arange(20.0)
+        unit, tiny = ols(np.full(20, c), x), ols(np.full(20, c * 2.0**-460), x)
+        resid = np.full(20, c * 2.0**-460) - tiny.alpha - tiny.slope * x
+        assert float(resid @ resid) <= 1e-300
+        assert tiny.alpha == unit.alpha * 2.0**-460 and tiny.r_squared == unit.r_squared
+
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_the_row_rule_and_its_error_are_shared(self, p):
         # ``ols`` and the batched fits reject n = p + 1 rows of p coefficients with one message
@@ -863,24 +872,35 @@ class TestFitBoundaries:
         m, n_ = _eecm_select(r, np.array([_min_rows(n_base), _min_rows(n_base) - 1]), n_base, 3)
         assert m.tolist() == [0, -1] and n_[0] == 0
 
-    def test_the_spread_bound_clears_the_variance_floor(self):
-        # the worst case of the bound: two extremes d apart, every other value midway
-        n = 10**5
-        d = FUTURES_SPREAD_FLOOR * (1 + 1e-12)
-        x = np.full(n, d / 2)
-        x[0], x[-1] = 0.0, d
-        assert float(np.var(x)) >= d * d / (2 * n) * (1 - 1e-9) > FUTURES_VAR_FLOOR
-
-    @pytest.mark.parametrize("step", [1e-150, 3e-150, 2e-140])
-    def test_a_batched_split_meets_the_variance_floor_as_the_estimator_does(self, step):
-        # futures alternating 0, step: variance step^2 / 4, under the floor at
-        # 1e-150 and over it at 3e-150 (both spreads under FUTURES_SPREAD_FLOOR,
-        # so checked exactly), and far over it at 2e-140
-        x = step * (np.arange(30) % 2)
-        rows = np.column_stack([np.ones(30), x, np.arange(30.0)])
-        blocks = methods._Buckets(rows, np.zeros(30, dtype=int), np.zeros(30, dtype=int))
-        out = methods._Outcomes(1)
-        blocks.check_futures_variance(out, np.ones((1, 1), dtype=bool))
-        want = _raised(lambda: _check_futures_variance(x))
-        assert _raised(lambda: out.errors[0]) == want
-        assert want == (("DegenerateInputError", "futures differences have zero variance") if step == 1e-150 else None)
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.name)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(MIN_OBS, 2000),
+        level=st.floats(2.0**-511, 2.0**511, exclude_max=True),
+        sign=st.sampled_from([1.0, -1.0, 0.0]),
+        spread=st.just(0.0) | st.floats(0.0, 1e-150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_degenerate_futures_column_fails_the_rank_rule(self, method, n, level, sign, spread, seed):
+        # every design holds [1, futures], so a futures column that is constant,
+        # or spreads by at most 1e-150, at any magnitude, fails the rank rule
+        # with its own message, in the estimator and in the batched fits alike
+        if method in (Method.MV, Method.ECM, Method.EECM):
+            # a futures leg constant at ``level``: its log differences are all zero
+            spot, fut = price_series(_walk(n + 3, seed)), price_series(np.full(n + 3, level))
+            want = _raised({
+                Method.MV: lambda: mv_ratio(spot, fut, 1),
+                Method.ECM: lambda: ecm_ratio(spot, fut, 1),
+                Method.EECM: lambda: eecm_ratio(spot, fut, 1, max_lag=2),
+            }[method])
+            got = [make_ratio_fn(method, spot, fut, 1, max_lag=2)(WHOLE)[0]]
+        else:
+            # a futures IMF at sign * level, plus noise of at most ``spread``
+            fut_imf = sign * level + spread * np.random.default_rng(seed).random(n + 1)
+            sets = _imf_set(np.log(_walk(n + 1, seed))), _imf_set(fut_imf)
+            h, k = (5, None) if method is Method.AEMD else (1, 1)
+            want = _raised(lambda: emd_ratio(method, *sets, h, k))
+            scopes = (sets, {range(0, n + 1): sets})  # full, per-segment
+            got = [make_ratio_fn(method, *_prices(n + 1), h, k, imfs)(WHOLE)[0] for imfs in scopes]
+        assert want == ("SingularDesignError", ECM_RANK_DEFICIENT if method is Method.ECM else RANK_DEFICIENT)
+        assert [_raised(lambda: g) for g in got] == [want] * len(got)

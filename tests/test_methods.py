@@ -148,7 +148,7 @@ def _legs(case):
         return spot, PriceSeries(spot.timestamps, vals), s_set, decompose(vals)
     if case == "identical legs":  # ECM's level columns collinear: its fallback and the rank rule
         return spot, PriceSeries(spot.timestamps, spot.values), s_set, s_set
-    if case == "constant futures":  # every futures column is constant: DegenerateInputError
+    if case == "constant futures":  # every futures column is constant: each design fails the rank rule
         flat = np.full(len(spot), 100.0)
         zeros = tuple(replace(imf, values=np.zeros(len(spot))) for imf in s_set.imfs)
         return spot, PriceSeries(spot.timestamps, flat), s_set, ImfSet(zeros, flat, len(spot))

@@ -65,7 +65,7 @@ SYNTH_INPUTS = {
 
 def _derived_inputs(inputs: Path) -> None:
     """Inputs edited from pair300, whose row i is at file line i + 2: a UTF-8
-    byte order mark; prices scaled past 2^511, and by 1e-14 and 1e14; a
+    byte order mark; prices scaled past 2^511, and by 1e-150, 1e-14 and 1e14; a
     linear spot leg; the loader's faults (a blank or NaT date, a repeated
     date, an unparseable or negative price, a blank line before a fault, and
     undecodable bytes after the rows, with and without a faulty row before
@@ -87,6 +87,7 @@ def _derived_inputs(inputs: Path) -> None:
     undecodable = b"\xff\xfe,1,2\n"
     edits = {  # name -> (header, rows ([] is a blank line), bytes after them)
         "huge": (header, scaled(1e160), b""),
+        "scaled_tiny": (header, scaled(1e-150), b""),
         "scaled_down": (header, scaled(1e-14), b""),
         "scaled_up": (header, scaled(1e14), b""),
         "mono": (header, [[r[0], repr(100 + 0.1 * i), r[2]] for i, r in enumerate(rows)], b""),
@@ -155,6 +156,8 @@ def _corpus() -> dict[str, list[str]]:
         "hedge_aemd_short": ["hedge", "short101", "--horizons", "1", "--methods", "AEMD"],
         "cv_all_excluded": ["cv", "short100", *eq5],
         "cv_no_row": ["cv", "pair600_3", "--partition", "equal:6", "--horizon-cap", "1", "--methods", "MV"],
+        # all six methods at 1e-150, where every EMD cell that pairs its IMFs fails the rank rule
+        "hedge_scaled_tiny": ["hedge", "scaled_tiny"],
         "pipeline_scaled_down": ["pipeline", "scaled_down", *eq5],
         "pipeline_scaled_up": ["pipeline", "scaled_up", *eq5],
         # C(50, 10) splits, over the split cap: a usage error, and no file
