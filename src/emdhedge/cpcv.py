@@ -53,7 +53,9 @@ class Scheme(Enum):
 
 
 MIN_PATHS = MOMENTS_MIN_OBS  # the fewest paths whose distribution gets moments
-MAX_SPLITS = 40_000  # C(N, k) cap: ~1 GB of RSS and ~85 s per-segment at T=4000, all six methods
+# C(N, k) cap; its cost is extrapolated from runs of at most 15,504 splits (per-segment at
+# T=4000, all six methods: ~2.1 s and ~23 MB of max RSS per 1,000 splits) to ~85 s and ~1 GB
+MAX_SPLITS = 40_000
 
 
 def _why_bad_k(n_groups: int, k: int) -> str | None:

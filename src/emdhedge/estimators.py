@@ -1,20 +1,19 @@
-"""Hedge-ratio estimators: shared OLS engine plus the six methods.
+"""Hedge-ratio estimators: shared OLS engine plus the rules of the six methods.
 
 Conventional estimators (MV, ECM, EECM) regress horizon-h log-price
 differences; the EMD family (vanilla, sample-saving, aggregate) regresses
-price-level IMFs. The four reference estimators, ``mv_ratio``,
-``ecm_ratio``, ``eecm_ratio`` and ``emd_ratio`` (all three EMD methods),
-each take a training sample ``segments`` (index ranges; default: the whole
-series) and fit the rows of the row builder ``design_rows`` whose footprint
-(the indices a row reads) lies inside one segment, so no difference or lag
-spans a gap. ``_legs`` is the one rule for which series an EMD method
-regresses. The CV ratio functions in ``methods`` fit the same rows from
-per-bucket QR factors; they share ``_legs``, this module's sample checks,
+price-level IMFs, of the series ``_legs`` picks. The row builder
+``design_rows`` gives a method's regression rows, each with its footprint
+(the indices it reads), and ``pool`` keeps those whose footprint lies inside
+one segment of a training sample, so no difference or lag spans a gap. The
+CV ratio functions in ``methods`` fit every method from per-bucket QR
+factors of these rows; they share ``_legs``, this module's sample checks,
 the row rule (``_min_rows``) and rank rule with their errors, ECM's
 reduction order and the EECM lag search, which read only an R factor,
-never X'X. The rank rule is the one refusal of a degenerate design: every
-design holds the intercept and the futures column, so a futures column of
-(near) zero variance fails it.
+never X'X. ``eecm_ratio`` is EECM on one training sample ``segments``
+(default: the whole series). The rank rule is the one refusal of a
+degenerate design: every design holds the intercept and the futures column,
+so a futures column of (near) zero variance fails it.
 """
 
 from __future__ import annotations
@@ -41,12 +40,9 @@ __all__ = [
     "design_rows",
     "pool",
     "ols",
-    "mv_ratio",
-    "ecm_ratio",
     "eecm_ratio",
     "pair_imfs",
     "horizon_of",
-    "emd_ratio",
 ]
 
 MIN_OBS = 10
@@ -230,59 +226,12 @@ def _sample(method: Method, s, f, segments, horizon: int, **kw) -> np.ndarray:
     return pool(*design_rows(method, s, f, horizon, **kw), segments)
 
 
-def _fit(method: Method, rows: np.ndarray, horizon: int, p: int = -1) -> OlsFit:
-    """The method's checks, then ``ols`` of y on the design columns before p."""
-    _check_rows(method, len(rows), horizon)
-    return ols(rows[:, -1], rows[:, 1:p], intercept=True)
-
-
-def mv_ratio(
-    spot: PriceSeries,
-    fut: PriceSeries,
-    horizon: int,
-    segments: tuple[range, ...] | None = None,
-) -> HedgeEstimate:
-    """Minimum-variance ratio: slope of horizon-h log-return regression."""
-    fit = _fit(Method.MV, _sample(Method.MV, spot.values, fut.values, segments, horizon), horizon)
-    return HedgeEstimate(fit.slope, fit)
-
-
-def ecm_ratio(
-    spot: PriceSeries,
-    fut: PriceSeries,
-    horizon: int,
-    include_levels: bool = True,
-    segments: tuple[range, ...] | None = None,
-) -> HedgeEstimate:
-    """Error-correction ratio: dS on dF plus the lagged log price levels.
-
-    The level terms use the observation's earlier endpoint (lag = horizon).
-    ``include_levels=False`` is the restricted variant, nesting back to MV.
-    """
-    rows = _sample(Method.ECM, spot.values, fut.values, segments, horizon)
-    if not include_levels:
-        fit = _fit(Method.ECM, rows, horizon, 2)
-    else:
-        fit = _ecm_fallback(lambda p: _fit(Method.ECM, rows, horizon, p))
-    return HedgeEstimate(fit.slope, fit)
-
-
 ECM_RANK_DEFICIENT = "ECM design is rank deficient in every reduction"
 NO_EECM_FIT = "no EECM candidate model could be fit"
 # ECM's reductions, as counts p of its leading design columns [1, dF, S, F]:
 # when the two level columns are collinear (e.g. identical legs), drop the
 # futures level, then both, rather than failing outright
 ECM_REDUCTIONS = (4, 3, 2)
-
-
-def _ecm_fallback(fit):
-    """``fit(p)`` on the first of ``ECM_REDUCTIONS`` whose design has full rank."""
-    for p in ECM_REDUCTIONS:
-        try:
-            return fit(p)
-        except SingularDesignError:
-            continue
-    raise SingularDesignError(ECM_RANK_DEFICIENT)
 
 
 def _with_u(block: np.ndarray, a, b, include_u: bool) -> np.ndarray:
@@ -491,20 +440,3 @@ def _legs(method: Method, spot_set: ImfSet, fut_set: ImfSet, horizon: int, imf_i
     if imf_index is None or not 1 <= imf_index < len(pairs):  # the last pair is the residues'
         raise DataError(f"spot IMF{imf_index} has no futures IMF to pair with")
     return pairs[imf_index - 1].spot, pairs[imf_index - 1].fut
-
-
-def emd_ratio(
-    method: Method,
-    spot_set: ImfSet,
-    fut_set: ImfSet,
-    horizon: int,
-    imf_index: int | None = None,
-    segments: tuple[range, ...] | None = None,
-) -> HedgeEstimate:
-    """EMD-family ratio (VEMD, SEMD or AEMD) on the series ``_legs`` picks:
-    VEMD regresses horizon-h level differences of IMF pair ``imf_index``
-    (the IMFs themselves, not log returns), SEMD that pair's levels, AEMD
-    the levels of the ``aggregate_imfs`` sums."""
-    s, f = _legs(method, spot_set, fut_set, horizon, imf_index)
-    fit = _fit(method, _sample(method, s, f, segments, horizon), horizon)
-    return HedgeEstimate(fit.slope, fit)

@@ -17,7 +17,7 @@ from emdhedge.analysis import (
 from emdhedge.cli import RunConfig, run_pipeline
 from emdhedge.cpcv import path_statistics, path_table, split_table
 from emdhedge.emd import SiftConfig, decompose, is_imf
-from emdhedge.estimators import ecm_ratio, eecm_ratio, mv_ratio, pair_imfs
+from emdhedge.estimators import Method, design_rows, eecm_ratio, pair_imfs
 from emdhedge.performance import (
     Criterion,
     he_var,
@@ -27,6 +27,8 @@ from emdhedge.performance import (
 )
 from emdhedge.series import log_returns
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair, gen_tones
+import oracle
+from oracle import whole
 
 
 class _budget:
@@ -120,24 +122,28 @@ def test_criterion_05_mv_correctness():
     with _budget(5, 10.0, "MV ratio = cov/var, grid-optimal, HE = R^2"):
         spot, fut = gen_coint_pair(SynthSpec(length=1500, seed=100, coint=CointSpec()))
         for h in (1, 5, 20):
-            est = mv_ratio(spot, fut, h)
+            ratio = whole(Method.MV, spot, fut, h)
             ds = log_returns(spot.values, h)
             df = log_returns(fut.values, h)
             cov_slope = np.cov(ds, df, ddof=1)[0, 1] / np.var(df, ddof=1)
-            assert abs(est.ratio - cov_slope) <= 1e-10
-            grid = np.linspace(est.ratio - 0.5, est.ratio + 0.5, 201)
+            assert abs(ratio - cov_slope) <= 1e-10
+            grid = np.linspace(ratio - 0.5, ratio + 0.5, 201)
             variances = [float(np.var(ds - g * df, ddof=1)) for g in grid]
             best = grid[int(np.argmin(variances))]
-            assert abs(best - est.ratio) <= grid[1] - grid[0]
-            assert abs(he_variance(ds, ds - est.ratio * df) - est.fit.r_squared) <= 1e-8
+            assert abs(best - ratio) <= grid[1] - grid[0]
+            r_squared = oracle.fit(Method.MV, spot.values, fut.values, h).r_squared
+            assert abs(he_variance(ds, ds - ratio * df) - r_squared) <= 1e-8
 
 
 def test_criterion_06_estimator_nesting():
     with _budget(6, 10.0, "restricted ECM and lag-0 EECM reproduce MV on 50 seeds"):
         for seed in range(50):
             spot, fut = gen_coint_pair(SynthSpec(length=300, seed=seed, coint=CointSpec()))
-            mv = mv_ratio(spot, fut, 1).ratio
-            ecm0 = ecm_ratio(spot, fut, 1, include_levels=False).ratio
+            mv = whole(Method.MV, spot, fut, 1)
+            # restricted ECM: ECM's rows hold MV's, fitted on [1, dF] alone
+            ecm, _ = design_rows(Method.ECM, spot.values, fut.values, 1)
+            assert np.array_equal(ecm[:, [0, 1, -1]], design_rows(Method.MV, spot.values, fut.values, 1)[0])
+            ecm0 = oracle.fit(Method.ECM, spot.values, fut.values, 1, p=2).slope
             eecm0 = eecm_ratio(spot, fut, 1, max_lag=0, include_u=False).ratio
             assert abs(ecm0 - mv) <= 1e-12
             assert abs(eecm0 - mv) <= 1e-12
@@ -150,8 +156,8 @@ def test_criterion_07_cointegration_oracle():
         for seed in range(100):
             spec = SynthSpec(length=2000, seed=seed, coint=CointSpec(long_run_slope=0.9, basis_phi=0.8))
             spot, fut = gen_coint_pair(spec)
-            r1 = mv_ratio(spot, fut, 1).ratio
-            r50 = mv_ratio(spot, fut, 50).ratio
+            r1 = whole(Method.MV, spot, fut, 1)
+            r50 = whole(Method.MV, spot, fut, 50)
             in_band_h1 += 0.85 <= r1 <= 0.95
             in_band_h50 += abs(r50 - 0.9) <= 0.05
         assert in_band_h1 >= 95, f"horizon 1: {in_band_h1}/100 in band"

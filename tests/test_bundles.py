@@ -102,3 +102,14 @@ def test_each_cli_run_has_the_address_space_ceiling(tmp_path):
     cli.write_text("import resource\nprint(*resource.getrlimit(resource.RLIMIT_AS))\n")
     run = bundles._run(tmp_path / "src", tmp_path / "run", [])
     assert run.stdout.split() == [str(bundles.CHILD_ADDRESS_SPACE)] * 2
+
+
+def test_the_src_line_counts_of_two_trees(tmp_path):
+    # only Python files count, as ``wc -l`` counts their lines (a last line without a newline is not one)
+    trees = {"ref": {"a.py": "x\ny\n", "b.txt": "z\n"}, "new": {"a.py": "x\n", "sub/c.py": "1\n2\n3"}}
+    for tree, files in trees.items():
+        for name, text in files.items():
+            (tmp_path / tree / "src" / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / tree / "src" / name).write_text(text)
+    found = bundles.src_line_counts("abc123", tmp_path / "ref" / "src", tmp_path / "new" / "src")
+    assert found == "src/: 2 lines at abc123, 3 here"

@@ -26,11 +26,8 @@ from emdhedge.estimators import (
     Method,
     aggregate_imfs,
     design_rows,
-    ecm_ratio,
     eecm_ratio,
-    emd_ratio,
     horizon_of,
-    mv_ratio,
     ols,
     pair_imfs,
 )
@@ -38,6 +35,8 @@ from emdhedge.cpcv import Scheme, partition, run_cv, split_table
 from emdhedge.methods import make_ratio_fn
 from emdhedge.series import PriceSeries, log_returns, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
+import oracle
+from oracle import WHOLE, whole
 
 
 def price_series(values):
@@ -111,14 +110,15 @@ def coint_pair(seed=0, n=2000, b=0.9, phi=0.8, sigma=0.005):
 
 
 class TestMvRatio:
+    """MV's laws on the shipped fit, ``make_ratio_fn`` on the whole series."""
+
     def test_proportional(self):
         rng = np.random.default_rng(1)
         lf = rng.normal(0, 0.01, 100).cumsum()
         fut = price_series(np.exp(lf))
         spot = price_series(np.exp(2 * lf))
-        est = mv_ratio(spot, fut, 1)
-        assert est.ratio == pytest.approx(2.0)
-        assert est.fit.r_squared == pytest.approx(1.0)
+        assert whole(Method.MV, spot, fut, 1) == pytest.approx(2.0)
+        assert oracle.fit(Method.MV, spot.values, fut.values, 1).r_squared == pytest.approx(1.0)
 
     def test_zero_covariance(self):
         # alternate the spot move orthogonally to the futures move
@@ -130,60 +130,60 @@ class TestMvRatio:
         dsv = log_returns(spot.values, 1)
         dfv = log_returns(fut.values, 1)
         assert np.cov(dsv, dfv)[0, 1] == pytest.approx(0.0, abs=1e-15)
-        est = mv_ratio(spot, fut, 1)
-        assert est.ratio == pytest.approx(0.0, abs=1e-10)
+        assert whole(Method.MV, spot, fut, 1) == pytest.approx(0.0, abs=1e-10)
 
     def test_cointegrated_pair_recovers_slope(self):
         spot, fut = coint_pair(seed=5)
-        est = mv_ratio(spot, fut, 1)
-        assert 0.85 <= est.ratio <= 0.95
+        assert 0.85 <= whole(Method.MV, spot, fut, 1) <= 0.95
 
     def test_slope_equals_cov_over_var(self):
         spot, fut = coint_pair(seed=8, n=500)
         for h in (1, 5):
             ds = log_returns(spot.values, h)
             df = log_returns(fut.values, h)
-            est = mv_ratio(spot, fut, h)
             expected = np.cov(ds, df, ddof=1)[0, 1] / np.var(df, ddof=1)
-            assert abs(est.ratio - expected) <= 1e-10
+            assert abs(whole(Method.MV, spot, fut, h) - expected) <= 1e-10
 
     def test_grid_optimality(self):
         spot, fut = coint_pair(seed=3, n=800)
-        est = mv_ratio(spot, fut, 1)
+        ratio = whole(Method.MV, spot, fut, 1)
         ds = log_returns(spot.values, 1)
         df = log_returns(fut.values, 1)
-        grid = np.linspace(est.ratio - 1, est.ratio + 1, 201)
+        grid = np.linspace(ratio - 1, ratio + 1, 201)
         variances = [np.var(ds - h * df, ddof=1) for h in grid]
-        assert grid[int(np.argmin(variances))] == pytest.approx(est.ratio, abs=0.01)
+        assert grid[int(np.argmin(variances))] == pytest.approx(ratio, abs=0.01)
 
     def test_degenerate_futures(self):
         # constant futures: dF is all zero, so [1, dF] fails the rank rule
         fut = price_series(np.full(100, 10.0))
         spot, _ = coint_pair(seed=1, n=100)
         with pytest.raises(SingularDesignError, match=f"^{RANK_DEFICIENT}$"):
-            mv_ratio(spot, fut, 1)
+            whole(Method.MV, spot, fut, 1)
 
     def test_scale_invariance(self):
         spot, fut = coint_pair(seed=4, n=400)
-        base = mv_ratio(spot, fut, 3).ratio
+        base = whole(Method.MV, spot, fut, 3)
         spot2 = price_series(spot.values * 17.0)
         fut2 = price_series(fut.values * 0.003)
-        assert mv_ratio(spot2, fut2, 3).ratio == pytest.approx(base, abs=1e-12)
+        assert whole(Method.MV, spot2, fut2, 3) == pytest.approx(base, abs=1e-12)
 
 
 class TestEcmRatio:
     def test_identical_series_perfect_match(self):
         spot, _ = coint_pair(seed=2, n=300)
         fut = price_series(spot.values)
-        est = ecm_ratio(spot, fut, 1)
-        assert est.ratio == pytest.approx(1.0)
-        assert est.fit.r_squared == pytest.approx(1.0)
+        assert whole(Method.ECM, spot, fut, 1) == pytest.approx(1.0)
+        assert oracle.fit(Method.ECM, spot.values, fut.values, 1).r_squared == pytest.approx(1.0)
 
     def test_restricted_variant_equals_mv(self):
+        # ECM's design restricted to [1, dF] is MV's: its rows hold MV's bit
+        # for bit, so its fit is the shipped MV fit
         spot, fut = coint_pair(seed=6, n=400)
         for h in (1, 5):
-            restricted = ecm_ratio(spot, fut, h, include_levels=False)
-            assert restricted.ratio == pytest.approx(mv_ratio(spot, fut, h).ratio, abs=1e-14)
+            ecm, _ = design_rows(Method.ECM, spot.values, fut.values, h)
+            assert np.array_equal(ecm[:, [0, 1, -1]], design_rows(Method.MV, spot.values, fut.values, h)[0])
+            restricted = oracle.fit(Method.ECM, spot.values, fut.values, h, p=2).slope
+            assert restricted == pytest.approx(whole(Method.MV, spot, fut, h), abs=1e-14)
 
     def test_closer_to_long_run_slope_than_mv(self):
         # strong mean reversion pushes the short-run MV slope below the
@@ -191,8 +191,8 @@ class TestEcmRatio:
         closer = 0
         for seed in range(10):
             spot, fut = coint_pair(seed=seed, n=3000, b=0.9, phi=0.97, sigma=0.012)
-            mv = mv_ratio(spot, fut, 1).ratio
-            ecm = ecm_ratio(spot, fut, 1).ratio
+            mv = whole(Method.MV, spot, fut, 1)
+            ecm = whole(Method.ECM, spot, fut, 1)
             closer += abs(ecm - 0.9) <= abs(mv - 0.9)
         assert closer >= 6
 
@@ -207,7 +207,7 @@ class TestEecmRatio:
     def test_max_lag_zero_without_u_equals_mv(self):
         spot, fut = coint_pair(seed=10, n=400)
         est = eecm_ratio(spot, fut, 1, max_lag=0, include_u=False)
-        assert est.ratio == pytest.approx(mv_ratio(spot, fut, 1).ratio, abs=1e-14)
+        assert est.ratio == pytest.approx(whole(Method.MV, spot, fut, 1), abs=1e-14)
 
     def test_aic_selects_lags_with_ar2_dynamics(self):
         # AR(2) basis dynamics should make nonzero lag choices common
@@ -509,51 +509,73 @@ def synthetic_pair_sets():
     return spot_set, fut_set
 
 
+def _emd_fn(method, spot_set, fut_set, horizon, imf_index=None, groups=None):
+    """The shipped full-scope ratio function of an EMD method on these
+    decompositions (the price series it is given are read for their length only)."""
+    prices = price_series(np.ones(spot_set.source_len))
+    return make_ratio_fn(method, prices, prices, horizon, imf_index, (spot_set, fut_set), groups=groups)
+
+
+def _emd_whole(method, spot_set, fut_set, horizon, imf_index=None):
+    """``_emd_fn``'s ratio on the whole series, or its error, raised."""
+    prices = price_series(np.ones(spot_set.source_len))
+    return whole(method, prices, prices, horizon, imf_index, (spot_set, fut_set))
+
+
+def _emd_oracle(method, spot_set, fut_set, horizon, imf_index=None, segments=None):
+    """The oracle's fit of an EMD method on the legs ``_legs`` picks."""
+    return oracle.fit(method, *_legs(method, spot_set, fut_set, horizon, imf_index), horizon, segments)
+
+
 class TestVemdRatio:
     def test_half_amplitude_futures(self):
         spot_set, fut_set = synthetic_pair_sets()
         for h in (1, 5):
-            est = emd_ratio(Method.VEMD, spot_set, fut_set, h, 1)
-            assert est.ratio == pytest.approx(2.0, abs=1e-9)
+            assert _emd_whole(Method.VEMD, spot_set, fut_set, h, 1) == pytest.approx(2.0, abs=1e-9)
 
     def test_self_pair(self):
         spot_set, _ = synthetic_pair_sets()
-        est = emd_ratio(Method.VEMD, spot_set, spot_set, 3, 1)
-        assert est.ratio == pytest.approx(1.0)
-        assert est.fit.r_squared == pytest.approx(1.0)
+        assert _emd_whole(Method.VEMD, spot_set, spot_set, 3, 1) == pytest.approx(1.0)
+        assert _emd_oracle(Method.VEMD, spot_set, spot_set, 3, 1).r_squared == pytest.approx(1.0)
 
     def test_horizon_equal_to_exact_period_degenerates(self):
         # differencing a pure tone at exactly its period yields all zeros
         t = np.arange(400.0)
         x = np.sin(2 * np.pi * t / 20)
         with pytest.raises(NumericError):
-            emd_ratio(Method.VEMD, _imf_set(x), _imf_set(x), 20, 1)
+            _emd_whole(Method.VEMD, _imf_set(x), _imf_set(x), 20, 1)
 
     def test_segment_restriction_changes_sample(self):
+        # groups cut at the segment bounds: the split training on groups 0
+        # and 2 pools 298 rows of each, the whole series 1198
         spot_set, fut_set = synthetic_pair_sets()
-        full = emd_ratio(Method.VEMD, spot_set, fut_set, 2, 1)
-        part = emd_ratio(Method.VEMD, spot_set, fut_set, 2, 1, segments=(range(0, 300), range(600, 900)))
-        assert part.fit.n_obs == 2 * (300 - 2)
-        assert full.fit.n_obs == 1200 - 2
+        segs = (range(0, 300), range(600, 900))
+        part, full = (_emd_oracle(Method.VEMD, spot_set, fut_set, 2, 1, s) for s in (segs, None))
+        assert part.n_obs == 2 * (300 - 2)
+        assert full.n_obs == 1200 - 2
+        groups = tuple(range(a, a + 300) for a in range(0, 1200, 300))
+        fn = _emd_fn(Method.VEMD, spot_set, fut_set, 2, 1, groups)
+        got = fn(np.array([[True, False, True, False], [True] * 4]))
+        assert got == [pytest.approx(want.slope, rel=1e-12, abs=0.0) for want in (part, full)]
+        assert got[0] != got[1]
 
     def test_scale_invariance(self):
         spot_set, fut_set = synthetic_pair_sets()
-        base = emd_ratio(Method.VEMD, spot_set, fut_set, 2, 1).ratio
+        base = _emd_whole(Method.VEMD, spot_set, fut_set, 2, 1)
         spot, scaled = _imf_set(spot_set.imfs[0].values), _imf_set(fut_set.imfs[0].values * 100.0)
-        assert emd_ratio(Method.VEMD, spot, scaled, 2, 1).ratio * 100.0 == pytest.approx(base, abs=1e-12)
+        assert _emd_whole(Method.VEMD, spot, scaled, 2, 1) * 100.0 == pytest.approx(base, abs=1e-12)
 
 
 class TestSemdRatio:
     def test_half_amplitude_futures(self):
         spot_set, fut_set = synthetic_pair_sets()
-        est = emd_ratio(Method.SEMD, spot_set, fut_set, 1, 1)
-        assert est.ratio == pytest.approx(2.0, abs=1e-9)
+        assert _emd_whole(Method.SEMD, spot_set, fut_set, 1, 1) == pytest.approx(2.0, abs=1e-9)
 
     def test_uses_levels_not_differences(self):
         spot_set, fut_set = synthetic_pair_sets()
-        est = emd_ratio(Method.SEMD, spot_set, fut_set, 5, 1)
-        # sample size is the full IMF length regardless of horizon
-        assert est.fit.n_obs == 1200
+        # sample size is the full IMF length regardless of horizon, and so is the ratio
+        assert _emd_oracle(Method.SEMD, spot_set, fut_set, 5, 1).n_obs == 1200
+        assert _emd_whole(Method.SEMD, spot_set, fut_set, 5, 1) == _emd_whole(Method.SEMD, spot_set, fut_set, 1, 1)
 
 
 class TestAemdRatio:
@@ -562,18 +584,17 @@ class TestAemdRatio:
         cycles = [i.cycle for i in spot_set.imfs]
         h = int(np.ceil(cycles[0])) + 1
         assert sum(c <= h for c in cycles) == 1
-        agg = emd_ratio(Method.AEMD, spot_set, fut_set, h)
-        assert agg.ratio == pytest.approx(emd_ratio(Method.SEMD, spot_set, fut_set, 1, 1).ratio, abs=1e-12)
+        agg = _emd_whole(Method.AEMD, spot_set, fut_set, h)
+        assert agg == pytest.approx(_emd_whole(Method.SEMD, spot_set, fut_set, 1, 1), abs=1e-12)
 
     def test_no_qualifying_imf_raises(self):
         spot_set, fut_set = synthetic_pair_sets()
         with pytest.raises(DataError):
-            emd_ratio(Method.AEMD, spot_set, fut_set, 1)
+            _emd_whole(Method.AEMD, spot_set, fut_set, 1)
 
     def test_large_horizon_includes_all(self):
         spot_set, fut_set = synthetic_pair_sets()
-        est = emd_ratio(Method.AEMD, spot_set, fut_set, 10_000)
-        assert est.ratio == pytest.approx(2.0, abs=1e-6)
+        assert _emd_whole(Method.AEMD, spot_set, fut_set, 10_000) == pytest.approx(2.0, abs=1e-6)
 
     def test_an_imf_counts_at_the_horizon_of_its_own_cycle(self):
         # the auto row of an IMF with cycle 3.3 has h = 3, and its aggregate
@@ -601,7 +622,7 @@ class TestAemdRatio:
     ],
 )
 def test_legs_is_the_series_an_emd_method_regresses(method, imf_index):
-    # the batched ratio functions and ``emd_ratio`` both take their series from ``_legs``
+    # the batched ratio functions take their series from ``_legs``, in both scopes
     spot_set, fut_set = synthetic_pair_sets()
     assert len(spot_set.imfs) == len(fut_set.imfs) == 2
     if method is Method.AEMD:
@@ -630,28 +651,14 @@ def _emd_sets(n):
     return _imf_set(np.log(_walk(n, 1))), _imf_set(np.log(_walk(n, 2)))
 
 
-# each builder yields an estimate from exactly n_obs regression observations
-BOUNDARY_CASES = {
-    "MV": lambda n: mv_ratio(price_series(_walk(n + 1, 1)), price_series(_walk(n + 1, 2)), 1),
-    "ECM": lambda n: ecm_ratio(price_series(_walk(n + 1, 1)), price_series(_walk(n + 1, 2)), 1),
-    "EECM": lambda n: eecm_ratio(
-        price_series(_walk(n + 1, 1)), price_series(_walk(n + 1, 2)), 1, max_lag=0
-    ),
-    "VEMD": lambda n: emd_ratio(Method.VEMD, *_emd_sets(n + 1), 1, 1),
-    "SEMD": lambda n: emd_ratio(Method.SEMD, *_emd_sets(n), 1, 1),
-    "AEMD": lambda n: emd_ratio(Method.AEMD, *_emd_sets(n), 5),
-}
-
-
 def _prices(n):
-    """The (spot, futures) price series of n prices the cases above regress."""
+    """The (spot, futures) price series of n prices the cases below regress."""
     return price_series(_walk(n, 1)), price_series(_walk(n, 2))
 
 
-# the training mask of one split training on the whole series as its one group
-WHOLE = np.ones((1, 1), dtype=bool)
-# the batched ratio function of each case, on the same data: its one split trains on the whole series
-BATCHED_BOUNDARY_CASES = {
+# the shipped ratio function of each case: its one split trains on the whole
+# series and has exactly n regression observations
+BOUNDARY_CASES = {
     "MV": lambda n: make_ratio_fn(Method.MV, *_prices(n + 1), 1),
     "ECM": lambda n: make_ratio_fn(Method.ECM, *_prices(n + 1), 1),
     "EECM": lambda n: make_ratio_fn(Method.EECM, *_prices(n + 1), 1, max_lag=0),
@@ -659,28 +666,38 @@ BATCHED_BOUNDARY_CASES = {
     "SEMD": lambda n: make_ratio_fn(Method.SEMD, *_prices(n), 1, 1, _emd_sets(n)),
     "AEMD": lambda n: make_ratio_fn(Method.AEMD, *_prices(n), 5, None, _emd_sets(n)),
 }
+# the fit of each case on the same data: the oracle's, and for EECM the
+# one-series estimator's, which the brute-force lag grid checks
+ORACLE_BOUNDARY_CASES = {
+    "MV": lambda n: oracle.fit(Method.MV, _walk(n + 1, 1), _walk(n + 1, 2), 1),
+    "ECM": lambda n: oracle.fit(Method.ECM, _walk(n + 1, 1), _walk(n + 1, 2), 1),
+    "EECM": lambda n: eecm_ratio(*_prices(n + 1), 1, max_lag=0).fit,
+    "VEMD": lambda n: _emd_oracle(Method.VEMD, *_emd_sets(n + 1), 1, 1),
+    "SEMD": lambda n: _emd_oracle(Method.SEMD, *_emd_sets(n), 1, 1),
+    "AEMD": lambda n: _emd_oracle(Method.AEMD, *_emd_sets(n), 5),
+}
 
 
 @pytest.mark.parametrize("method", sorted(BOUNDARY_CASES))
 class TestMinObsBoundary:
     def test_one_below_minimum_rejected(self, method):
-        with pytest.raises(InsufficientDataError):
-            BOUNDARY_CASES[method](MIN_OBS - 1)
+        (got,) = BOUNDARY_CASES[method](MIN_OBS - 1)(WHOLE)
+        assert isinstance(got, InsufficientDataError)
 
     def test_minimum_accepted(self, method):
-        est = BOUNDARY_CASES[method](MIN_OBS)
-        assert est.fit.n_obs == MIN_OBS
-        assert np.isfinite(est.ratio)
+        (got,) = BOUNDARY_CASES[method](MIN_OBS)(WHOLE)
+        assert np.isfinite(got)
+        assert ORACLE_BOUNDARY_CASES[method](MIN_OBS).n_obs == MIN_OBS
 
     def test_batched_one_below_minimum_gives_the_same_error(self, method):
-        want = _raised(lambda: BOUNDARY_CASES[method](MIN_OBS - 1))
+        want = _raised(lambda: ORACLE_BOUNDARY_CASES[method](MIN_OBS - 1))
         assert want[0] == "InsufficientDataError"
-        (got,) = BATCHED_BOUNDARY_CASES[method](MIN_OBS - 1)(WHOLE)
+        (got,) = BOUNDARY_CASES[method](MIN_OBS - 1)(WHOLE)
         assert _raised(lambda: got) == want
 
     def test_batched_minimum_gives_the_same_ratio(self, method):
-        (got,) = BATCHED_BOUNDARY_CASES[method](MIN_OBS)(WHOLE)
-        assert got == pytest.approx(BOUNDARY_CASES[method](MIN_OBS).ratio, rel=1e-12, abs=0.0)
+        (got,) = BOUNDARY_CASES[method](MIN_OBS)(WHOLE)
+        assert got == pytest.approx(ORACLE_BOUNDARY_CASES[method](MIN_OBS).slope, rel=1e-12, abs=0.0)
 
 
 # segments that are not a training sample of a 200-observation series, and
@@ -693,15 +710,9 @@ BAD_SEGMENTS = {
     "no segment": ((), "at least one segment"),
 }
 _S, _F = price_series(_walk(200, 1)), price_series(_walk(200, 2))
-_SETS = _imf_set(np.log(_S.values)), _imf_set(np.log(_F.values))
 SEGMENT_TAKERS = {
     "restrict": lambda segs: restrict(_S, segs),
-    "MV": lambda segs: mv_ratio(_S, _F, 3, segments=segs),
-    "ECM": lambda segs: ecm_ratio(_S, _F, 3, segments=segs),
     "EECM": lambda segs: eecm_ratio(_S, _F, 3, max_lag=2, segments=segs),
-    "VEMD": lambda segs: emd_ratio(Method.VEMD, *_SETS, 3, 1, segs),
-    "SEMD": lambda segs: emd_ratio(Method.SEMD, *_SETS, 1, 1, segs),
-    "AEMD": lambda segs: emd_ratio(Method.AEMD, *_SETS, 5, segments=segs),
 }
 
 
@@ -756,8 +767,8 @@ def _raised(call):
 
 
 class TestFitBoundaries:
-    """Each estimator boundary at its edge, on the scalar estimator and on the
-    batched ratio function that shares its definition."""
+    """Each estimator boundary at its edge, on the shipped ratio function and
+    on the oracle (for EECM, the one-series estimator) alike."""
 
     @pytest.mark.parametrize(
         "method, horizon, max_lag, message",
@@ -769,9 +780,12 @@ class TestFitBoundaries:
     )
     def test_ecm_and_eecm_without_a_row_name_their_footprint(self, method, horizon, max_lag, message):
         spot, fut = price_series(_walk(30, 1)), price_series(_walk(30, 2))
-        estimate = {Method.ECM: ecm_ratio, Method.EECM: lambda *a: eecm_ratio(*a, max_lag=max_lag)}[method]
+        estimate = {
+            Method.ECM: lambda: oracle.fit(method, spot.values, fut.values, horizon),
+            Method.EECM: lambda: eecm_ratio(spot, fut, horizon, max_lag=max_lag),
+        }[method]
         want = ("InsufficientDataError", message)
-        assert _raised(lambda: estimate(spot, fut, horizon)) == want
+        assert _raised(estimate) == want
         whole = make_ratio_fn(method, spot, fut, horizon, max_lag=max_lag)
         halves = make_ratio_fn(method, spot, fut, horizon, max_lag=max_lag, groups=(range(15), range(15, 30)))
         outcomes = whole(WHOLE) + halves(np.array([[True, False], [True, True]]))  # splits training on 0, then 0-1
@@ -804,29 +818,30 @@ class TestFitBoundaries:
         rows, _ = design_rows(Method.ECM, spot.values, fut.values, 1)
         assert len(set(rows[:, 1].tolist())) == 2
         want = ("SingularDesignError", ECM_RANK_DEFICIENT)
-        assert _raised(lambda: ecm_ratio(spot, fut, 1)) == want
-        assert _raised(lambda: make_ratio_fn(Method.ECM, spot, fut, 1)(WHOLE)[0]) == want
+        assert _raised(lambda: oracle.fit(Method.ECM, spot.values, fut.values, 1)) == want
+        assert _raised(lambda: whole(Method.ECM, spot, fut, 1)) == want
         # MV's one design is that reduction
         want = ("SingularDesignError", RANK_DEFICIENT)
-        assert _raised(lambda: mv_ratio(spot, fut, 1)) == want
-        assert _raised(lambda: make_ratio_fn(Method.MV, spot, fut, 1)(WHOLE)[0]) == want
+        assert _raised(lambda: oracle.fit(Method.MV, spot.values, fut.values, 1)) == want
+        assert _raised(lambda: whole(Method.MV, spot, fut, 1)) == want
 
-    @pytest.mark.parametrize("case, p", [("walks", 4), ("identical legs", 3), ("constant spot", 2)])
+    @pytest.mark.parametrize("case, p", [("walks", 4), ("identical levels", 3), ("constant spot", 2)])
     def test_ecm_takes_the_first_reduction_of_full_rank(self, case, p):
-        # identical legs make S and F collinear; a constant spot makes S a
-        # multiple of the intercept, leaving only [1, dF]
+        # legs equal but for the last spot price make the level columns S and F
+        # (read at each row's earlier end) equal, while dS is not dF, so [1, dF, S]
+        # and [1, dF] give other slopes; a constant spot makes S a multiple of
+        # the intercept, leaving only [1, dF]
         s, f = _walk(60, 1), _walk(60, 2)
-        s = {"walks": s, "identical legs": f, "constant spot": np.full(60, 100.0)}[case]
-        est = ecm_ratio(price_series(s), price_series(f), 1)
-        assert len(est.fit.t_stats) == p
-        (got,) = make_ratio_fn(Method.ECM, price_series(s), price_series(f), 1)(WHOLE)
-        assert got == pytest.approx(est.ratio, rel=1e-12, abs=1e-15)
+        s = {"walks": s, "identical levels": f * np.append(np.ones(59), 1.01), "constant spot": np.full(60, 100.0)}[case]
+        want = oracle.fit(Method.ECM, s, f, 1)
+        assert want.p == p
+        got = whole(Method.ECM, price_series(s), price_series(f), 1)
+        assert got == pytest.approx(want.slope, rel=1e-12, abs=1e-15)
 
     def test_full_scope_aemd_without_an_imf_under_the_horizon_fails_every_split(self):
         # each leg's one IMF has cycle 2, so horizon_of puts it above horizon 1
         sets = _emd_sets(60)
         want = ("DataError", "no spot IMF with cycle <= horizon 1")
-        assert _raised(lambda: emd_ratio(Method.AEMD, *sets, 1)) == want
         groups = tuple(range(a, a + 12) for a in range(0, 60, 12))
         fn = make_ratio_fn(Method.AEMD, *_prices(60), 1, imfs=sets, groups=groups)
         batch = split_table(len(groups), 2)[1]
@@ -884,13 +899,13 @@ class TestFitBoundaries:
     def test_a_degenerate_futures_column_fails_the_rank_rule(self, method, n, level, sign, spread, seed):
         # every design holds [1, futures], so a futures column that is constant,
         # or spreads by at most 1e-150, at any magnitude, fails the rank rule
-        # with its own message, in the estimator and in the batched fits alike
+        # with its own message, in the oracle and in the shipped fit alike
         if method in (Method.MV, Method.ECM, Method.EECM):
             # a futures leg constant at ``level``: its log differences are all zero
             spot, fut = price_series(_walk(n + 3, seed)), price_series(np.full(n + 3, level))
             want = _raised({
-                Method.MV: lambda: mv_ratio(spot, fut, 1),
-                Method.ECM: lambda: ecm_ratio(spot, fut, 1),
+                Method.MV: lambda: oracle.fit(method, spot.values, fut.values, 1),
+                Method.ECM: lambda: oracle.fit(method, spot.values, fut.values, 1),
                 Method.EECM: lambda: eecm_ratio(spot, fut, 1, max_lag=2),
             }[method])
             got = [make_ratio_fn(method, spot, fut, 1, max_lag=2)(WHOLE)[0]]
@@ -899,7 +914,7 @@ class TestFitBoundaries:
             fut_imf = sign * level + spread * np.random.default_rng(seed).random(n + 1)
             sets = _imf_set(np.log(_walk(n + 1, seed))), _imf_set(fut_imf)
             h, k = (5, None) if method is Method.AEMD else (1, 1)
-            want = _raised(lambda: emd_ratio(method, *sets, h, k))
+            want = _raised(lambda: _emd_oracle(method, *sets, h, k))
             scopes = (sets, {range(0, n + 1): sets})  # full, per-segment
             got = [make_ratio_fn(method, *_prices(n + 1), h, k, imfs)(WHOLE)[0] for imfs in scopes]
         assert want == ("SingularDesignError", ECM_RANK_DEFICIENT if method is Method.ECM else RANK_DEFICIENT)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emdhedge import methods
+from emdhedge import estimators, methods
 from emdhedge.cpcv import Scheme, partition, split_table
 from emdhedge.emd import MIN_SAMPLES, ImfSet, SiftConfig, decompose, decompose_all
 from emdhedge.errors import DataError, EmdHedgeError, InsufficientDataError
@@ -15,16 +15,14 @@ from emdhedge.estimators import (
     Method,
     aggregate_imfs,
     design_rows,
-    ecm_ratio,
     eecm_ratio,
-    emd_ratio,
-    mv_ratio,
     ols,
     pool,
 )
 from emdhedge.methods import make_ratio_fn, training_segments
 from emdhedge.series import PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
+import oracle
 
 
 def _trains(n_groups, k) -> list[tuple[int, ...]]:
@@ -117,7 +115,7 @@ def test_a_spot_imf_without_a_futures_partner_fails_every_split(method):
             assert isinstance(outcome, DataError) and f"spot IMF{imf_index} has no futures IMF" in str(outcome)
 
 
-def test_an_emd_ratio_function_without_decompositions_is_refused():
+def test_an_emd_method_without_decompositions_is_refused():
     # the CLI always passes them
     spot, fut, s_set, f_set = _legs("cointegrated")
     make_ratio_fn(Method.VEMD, spot, fut, 5, imf_index=1, imfs=(s_set, f_set))
@@ -194,17 +192,22 @@ def _recorded_lags(monkeypatch) -> list:
     ],
 )
 def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeypatch):
+    # the oracle's fit on the split's training segments; EECM's, the one-series
+    # estimator's, which the brute-force lag grid checks
     spot, fut, s_set, f_set = _legs(case)
     groups = _groups(spot, scheme)
     trains = _trains(len(groups), 1 if scheme == "year" else 2)
     lags = _recorded_lags(monkeypatch)
     for h in (3, 17):
-        estimators = {
-            Method.MV: lambda segs: mv_ratio(spot, fut, h, segments=segs),
-            Method.ECM: lambda segs: ecm_ratio(spot, fut, h, segments=segs),
+        references = {
+            Method.MV: lambda segs: oracle.fit(Method.MV, spot.values, fut.values, h, segs),
+            Method.ECM: lambda segs: oracle.fit(Method.ECM, spot.values, fut.values, h, segs),
             Method.EECM: lambda segs: eecm_ratio(spot, fut, h, segments=segs),
-        } | {m: lambda segs, m=m: emd_ratio(m, s_set, f_set, h, 1, segs) for m in methods.EMD_FAMILY}
-        for method, estimate in estimators.items():
+        } | {
+            m: lambda segs, m=m: oracle.fit(m, *estimators._legs(m, s_set, f_set, h, 1), h, segs)
+            for m in methods.EMD_FAMILY
+        }
+        for method, estimate in references.items():
             fn = make_ratio_fn(method, spot, fut, h, imf_index=1, imfs=(s_set, f_set), groups=groups)
             for train in trains:
                 segs = restrict(spot, [groups[g] for g in train])
@@ -214,7 +217,8 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
                 if isinstance(want, tuple):
                     assert got == want, (method, h, train)
                     continue
-                assert abs(got - want.ratio) <= 1e-12 * abs(want.ratio), (method, h, train)
+                slope = want.fit.slope if method is Method.EECM else want.slope
+                assert abs(got - slope) <= 1e-12 * abs(slope), (method, h, train)
                 if method is Method.EECM:
                     assert lags == [want.lags], (h, train)
 

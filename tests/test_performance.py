@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emdhedge.errors import DataError, InsufficientDataError
-from emdhedge.estimators import mv_ratio
+from emdhedge.estimators import Method
 from emdhedge.performance import (
     Criterion,
     effectiveness_rows,
@@ -19,6 +19,8 @@ from emdhedge.performance import (
 )
 from emdhedge.series import log_returns
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
+import oracle
+from oracle import whole
 
 
 class TestHeVariance:
@@ -41,11 +43,11 @@ class TestHeVariance:
         # at the minimum-variance ratio with intercept-corrected returns,
         # variance reduction equals the regression R-squared
         spot, fut = gen_coint_pair(SynthSpec(length=600, seed=21, coint=CointSpec()))
-        est = mv_ratio(spot, fut, 1)
         ds = log_returns(spot.values, 1)
         df = log_returns(fut.values, 1)
-        port = ds - est.ratio * df
-        assert he_variance(ds, port) == pytest.approx(est.fit.r_squared, abs=1e-8)
+        port = ds - whole(Method.MV, spot, fut, 1) * df
+        r_squared = oracle.fit(Method.MV, spot.values, fut.values, 1).r_squared
+        assert he_variance(ds, port) == pytest.approx(r_squared, abs=1e-8)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)

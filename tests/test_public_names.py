@@ -8,6 +8,7 @@ from pathlib import Path
 import emdhedge
 
 SRC = Path(emdhedge.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # exported names that no code of the package reads, each with its reader
 READ_OUTSIDE_THE_PACKAGE = {
@@ -20,9 +21,6 @@ READ_OUTSIDE_THE_PACKAGE = {
     "he_variance": "perfbench tracer; 1-D variance-reduction reference of the tests' reference_cv",
     # the references that the tests check the package's batched paths against
     "is_imf": "reference of the IMF definition in the tests",
-    "mv_ratio": "reference estimator of the tests",
-    "ecm_ratio": "reference estimator of the tests",
-    "emd_ratio": "reference estimator of the tests",
 }
 
 
@@ -54,3 +52,20 @@ def test_every_exported_name_is_read_in_the_package_or_allow_listed():
     assert sorted(set(unread) - set(READ_OUTSIDE_THE_PACKAGE)) == [], unread
     # an allow-listed name that the package reads, or that is no longer exported, is stale
     assert sorted(set(READ_OUTSIDE_THE_PACKAGE) - set(unread)) == []
+
+
+def _traced() -> set[tuple[str, str]]:
+    """The (module, name) of each function perfbench/tracer.py wraps, from its
+    ``TRACED`` table, read with ``ast`` rather than imported."""
+    for node in ast.parse(TRACER.read_text(), str(TRACER)).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]:
+            return set(ast.literal_eval(node.value).values())
+    raise AssertionError(f"{TRACER} has no TRACED table")
+
+
+def test_every_name_kept_for_the_tracer_is_one_it_wraps():
+    # a name kept only for the tracer loses its reason when the tracer stops wrapping it
+    exported = _exported()
+    kept = {name for name, reason in READ_OUTSIDE_THE_PACKAGE.items() if reason.startswith("perfbench tracer")}
+    assert kept
+    assert sorted(name for name in kept if (f"emdhedge.{exported[name]}", name) not in _traced()) == []

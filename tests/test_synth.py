@@ -3,7 +3,7 @@ import pytest
 
 from emdhedge.emd import decompose
 from emdhedge.errors import DataError
-from emdhedge.estimators import mv_ratio
+from emdhedge.estimators import Method
 from emdhedge.synth import (
     CointSpec,
     SynthSpec,
@@ -13,6 +13,8 @@ from emdhedge.synth import (
     gen_coint_pair,
     gen_tones,
 )
+import oracle
+from oracle import whole
 
 
 class TestGenTones:
@@ -79,9 +81,8 @@ class TestGenCointPair:
             length=400, seed=5, coint=CointSpec(basis_phi=0.0, basis_sigma=0.0)
         )
         spot, fut = gen_coint_pair(spec)
-        est = mv_ratio(spot, fut, 1)
-        assert est.ratio == pytest.approx(0.9, abs=1e-10)
-        assert est.fit.r_squared == pytest.approx(1.0, abs=1e-10)
+        assert whole(Method.MV, spot, fut, 1) == pytest.approx(0.9, abs=1e-10)
+        assert oracle.fit(Method.MV, spot.values, fut.values, 1).r_squared == pytest.approx(1.0, abs=1e-10)
 
     def test_unstable_basis_rejected(self):
         with pytest.raises(DataError):

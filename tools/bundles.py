@@ -18,6 +18,8 @@ largest relative cell move. A config whose run under this checkout's tree
 exits with another code than its own (``NONZERO_EXITS``, else 0) is reported
 too. In a clean checkout ``compare HEAD`` runs every config of one commit
 twice, so it checks that reruns are byte-identical and exit as documented.
+The last line gives the line count of the Python files under REF's ``src/``
+and under this checkout's.
 
 The three benchmark workloads' configs are built from
 ``perfbench/worker.py``'s ``WORKLOADS``, on inputs 0-3 of the reference seed
@@ -267,6 +269,13 @@ def diff_runs(ref: subprocess.CompletedProcess, new: subprocess.CompletedProcess
     return out + diff_dirs(a, b)
 
 
+def src_line_counts(ref: str, ref_src: Path, src: Path) -> str:
+    """The line counts of the Python files under ``ref_src`` (REF's ``src/``)
+    and under ``src``, as ``wc -l`` counts them."""
+    ref_lines, lines = (sum(p.read_bytes().count(b"\n") for p in d.rglob("*.py")) for d in (ref_src, src))
+    return f"src/: {ref_lines} lines at {ref}, {lines} here"
+
+
 def compare(ref: str, work: Path) -> int:
     """Run the corpus under REF's tree and this checkout's; 0 if every config is identical."""
     ref_src = work / "ref_tree"
@@ -295,6 +304,7 @@ def compare(ref: str, work: Path) -> int:
             print(f"    {line}", flush=True)
     print(f"{len(corpus) - differing} of {len(corpus)} configs identical to {ref} "
           f"({time.perf_counter() - start:.0f} s for both trees)")
+    print(src_line_counts(ref, ref_src / "src", ROOT / "src"))
     return 1 if differing else 0
 
 
