@@ -509,15 +509,9 @@ def synthetic_pair_sets():
     return spot_set, fut_set
 
 
-def _emd_fn(method, spot_set, fut_set, horizon, imf_index=None, groups=None):
-    """The shipped full-scope ratio function of an EMD method on these
-    decompositions (the price series it is given are read for their length only)."""
-    prices = price_series(np.ones(spot_set.source_len))
-    return make_ratio_fn(method, prices, prices, horizon, imf_index, (spot_set, fut_set), groups=groups)
-
-
 def _emd_whole(method, spot_set, fut_set, horizon, imf_index=None):
-    """``_emd_fn``'s ratio on the whole series, or its error, raised."""
+    """The shipped full-scope fit of an EMD method on these decompositions, on
+    the whole series (the prices it is given are read for their length only)."""
     prices = price_series(np.ones(spot_set.source_len))
     return whole(method, prices, prices, horizon, imf_index, (spot_set, fut_set))
 
@@ -554,7 +548,8 @@ class TestVemdRatio:
         assert part.n_obs == 2 * (300 - 2)
         assert full.n_obs == 1200 - 2
         groups = tuple(range(a, a + 300) for a in range(0, 1200, 300))
-        fn = _emd_fn(Method.VEMD, spot_set, fut_set, 2, 1, groups)
+        prices = price_series(np.ones(1200))
+        fn = make_ratio_fn(Method.VEMD, prices, prices, 2, 1, (spot_set, fut_set), groups=groups)
         got = fn(np.array([[True, False, True, False], [True] * 4]))
         assert got == [pytest.approx(want.slope, rel=1e-12, abs=0.0) for want in (part, full)]
         assert got[0] != got[1]
@@ -832,7 +827,8 @@ class TestFitBoundaries:
         # and [1, dF] give other slopes; a constant spot makes S a multiple of
         # the intercept, leaving only [1, dF]
         s, f = _walk(60, 1), _walk(60, 2)
-        s = {"walks": s, "identical levels": f * np.append(np.ones(59), 1.01), "constant spot": np.full(60, 100.0)}[case]
+        last_moved = f * np.append(np.ones(59), 1.01)
+        s = {"walks": s, "identical levels": last_moved, "constant spot": np.full(60, 100.0)}[case]
         want = oracle.fit(Method.ECM, s, f, 1)
         assert want.p == p
         got = whole(Method.ECM, price_series(s), price_series(f), 1)
@@ -903,11 +899,10 @@ class TestFitBoundaries:
         if method in (Method.MV, Method.ECM, Method.EECM):
             # a futures leg constant at ``level``: its log differences are all zero
             spot, fut = price_series(_walk(n + 3, seed)), price_series(np.full(n + 3, level))
-            want = _raised({
-                Method.MV: lambda: oracle.fit(method, spot.values, fut.values, 1),
-                Method.ECM: lambda: oracle.fit(method, spot.values, fut.values, 1),
-                Method.EECM: lambda: eecm_ratio(spot, fut, 1, max_lag=2),
-            }[method])
+            if method is Method.EECM:
+                want = _raised(lambda: eecm_ratio(spot, fut, 1, max_lag=2))
+            else:
+                want = _raised(lambda: oracle.fit(method, spot.values, fut.values, 1))
             got = [make_ratio_fn(method, spot, fut, 1, max_lag=2)(WHOLE)[0]]
         else:
             # a futures IMF at sign * level, plus noise of at most ``spread``
