@@ -23,6 +23,7 @@ from emdhedge.estimators import (
     _full_rank,
     _legs,
     _min_rows,
+    _sample,
     Method,
     aggregate_imfs,
     design_rows,
@@ -705,9 +706,17 @@ BAD_SEGMENTS = {
     "no segment": ((), "at least one segment"),
 }
 _S, _F = price_series(_walk(200, 1)), price_series(_walk(200, 2))
+_SETS = _imf_set(np.log(_S.values)), _imf_set(np.log(_F.values))
+# the other methods' takers are the pooled-sample builder ``_sample`` on
+# each method's series: prices, or the legs ``_legs`` picks
 SEGMENT_TAKERS = {
     "restrict": lambda segs: restrict(_S, segs),
+    "MV": lambda segs: _sample(Method.MV, _S.values, _F.values, segs, 3),
+    "ECM": lambda segs: _sample(Method.ECM, _S.values, _F.values, segs, 3),
     "EECM": lambda segs: eecm_ratio(_S, _F, 3, max_lag=2, segments=segs),
+    "VEMD": lambda segs: _sample(Method.VEMD, *_legs(Method.VEMD, *_SETS, 3, 1), segs, 3),
+    "SEMD": lambda segs: _sample(Method.SEMD, *_legs(Method.SEMD, *_SETS, 1, 1), segs, 1),
+    "AEMD": lambda segs: _sample(Method.AEMD, *_legs(Method.AEMD, *_SETS, 5, None), segs, 5),
 }
 
 
