@@ -3,17 +3,16 @@
 Conventional estimators (MV, ECM, EECM) regress horizon-h log-price
 differences; the EMD family (vanilla, sample-saving, aggregate) regresses
 price-level IMFs, of the series ``_legs`` picks. The row builder
-``design_rows`` gives a method's regression rows, each with its footprint
-(the indices it reads), and ``pool`` keeps those whose footprint lies inside
-one segment of a training sample, so no difference or lag spans a gap. The
-CV ratio functions in ``methods`` fit every method from per-bucket QR
-factors of these rows; they share ``_legs``, this module's sample checks,
-the row rule (``_min_rows``) and rank rule with their errors, ECM's
-reduction order and the EECM lag search, which read only an R factor,
-never X'X. ``eecm_ratio`` is EECM on one training sample ``segments``
-(default: the whole series). The rank rule is the one refusal of a
-degenerate design: every design holds the intercept and the futures column,
-so a futures column of (near) zero variance fails it.
+``design_rows`` gives a method's regression rows over the whole series, each
+with its footprint (the indices it reads). The CV ratio functions in
+``methods`` fit every method from per-bucket QR factors of these rows, on a
+training sample given as partition groups plus a training mask; they share
+``_legs``, the row rule (``_min_rows``) and rank rule with their errors,
+ECM's reduction order and the EECM lag search, which read only an R factor,
+never X'X. ``eecm_ratio`` is that fit of EECM on the whole series. The rank
+rule is the one refusal of a degenerate design: every design holds the
+intercept and the futures column, so a futures column of (near) zero
+variance fails it.
 """
 
 from __future__ import annotations
@@ -30,15 +29,13 @@ from .errors import (
     InsufficientDataError,
     SingularDesignError,
 )
-from .series import PriceSeries, check_segments
+from .series import PriceSeries
 
 __all__ = [
     "Method",
     "OlsFit",
-    "HedgeEstimate",
     "ImfPair",
     "design_rows",
-    "pool",
     "ols",
     "eecm_ratio",
     "pair_imfs",
@@ -74,13 +71,6 @@ class OlsFit:
     @property
     def slope(self) -> float:
         return float(self.beta[0])
-
-
-@dataclass(frozen=True)
-class HedgeEstimate:
-    ratio: float
-    fit: OlsFit
-    lags: tuple[int, int] | None = None
 
 
 def _min_rows(p):
@@ -214,18 +204,6 @@ def design_rows(
     return np.column_stack(cols + [ds[lag:]]), horizon + lag
 
 
-def pool(rows: np.ndarray, back: int, segments: tuple[range, ...]) -> np.ndarray:
-    """The rows whose footprint lies inside one of ``segments``, in order."""
-    return np.concatenate([rows[g.start : max(g.start, g.stop - back)] for g in segments])
-
-
-def _sample(method: Method, s, f, segments, horizon: int, **kw) -> np.ndarray:
-    """The rows [1, design | y] of ``method`` whose footprint lies inside one
-    of ``segments`` (default: the whole series), pooled in time order."""
-    segments = (range(0, len(s)),) if segments is None else check_segments(segments, len(s))
-    return pool(*design_rows(method, s, f, horizon, **kw), segments)
-
-
 ECM_RANK_DEFICIENT = "ECM design is rank deficient in every reduction"
 NO_EECM_FIT = "no EECM candidate model could be fit"
 # ECM's reductions, as counts p of its leading design columns [1, dF, S, F]:
@@ -234,7 +212,7 @@ NO_EECM_FIT = "no EECM candidate model could be fit"
 ECM_REDUCTIONS = (4, 3, 2)
 
 
-def _with_u(block: np.ndarray, a, b, include_u: bool) -> np.ndarray:
+def _with_u(block: np.ndarray, a, b) -> np.ndarray:
     """EECM columns [1, dF, S, F, lags | dS] -> [1, dF, u, lags | dS].
 
     S and F are the (log) levels at the earlier endpoint and u = S - a - b F
@@ -242,8 +220,8 @@ def _with_u(block: np.ndarray, a, b, include_u: bool) -> np.ndarray:
     so applied to an R factor of X it gives one of XM. ``block`` may be a
     stack of matrices, with a and b broadcast against it.
     """
-    u = [block[..., 2:3] - a * block[..., 0:1] - b * block[..., 3:4]] if include_u else []
-    return np.concatenate([block[..., :2]] + u + [block[..., 4:]], axis=-1)
+    u = block[..., 2:3] - a * block[..., 0:1] - b * block[..., 3:4]
+    return np.concatenate([block[..., :2], u, block[..., 4:]], axis=-1)
 
 
 def _eecm_select(r: np.ndarray, nobs: np.ndarray, n_base: int, max_lag: int):
@@ -330,36 +308,18 @@ def eecm_ratio(
     fut: PriceSeries,
     horizon: int,
     max_lag: int = 10,
-    include_u: bool = True,
     log_levels: bool = True,
-    segments: tuple[range, ...] | None = None,
-) -> HedgeEstimate:
-    """Extended ECM: AIC-selected lags of dS and dF plus the cointegration
-    residual.
+) -> float:
+    """Extended ECM's hedge ratio on the whole series: the fit the CLI
+    reports, ``methods.make_ratio_fn``, on one split training on every
+    observation. Raises the error that fit gives."""
+    from .methods import make_ratio_fn  # methods imports this module
 
-    The cointegrating regression S = a + b F + u runs on (log) levels over
-    the full training sample; the grid search over (m, n) lag counts shares
-    one sample aligned to ``max_lag``, scored by ``_eecm_select`` from one
-    QR factorization of the full design [1, dF, u, dS lags 1..L,
-    dF lags 1..L | dS]. Only the winner is refit with ``ols``.
-    """
-    s, f = spot.values, fut.values
-    raw = _sample(Method.EECM, s, f, segments, horizon, max_lag=max_lag, log_levels=log_levels)
-    level = np.log if log_levels else np.asarray
-    # the cointegrating regression has SEMD's rows [1, F | S], on price levels
-    lv = _sample(Method.SEMD, level(s), level(f), segments, 0)
-    coint = ols(lv[:, -1], lv[:, 1], intercept=True)
-    _check_rows(Method.EECM, len(raw), horizon)
-    rows = _with_u(raw, coint.alpha, coint.slope, include_u)
-    n_base = 3 if include_u else 2
-    r = np.linalg.qr(rows, mode="r")
-    m, n_ = _eecm_select(r[None], np.array([len(rows)]), n_base, max_lag)
-    if m[0] < 0:
-        raise SingularDesignError(NO_EECM_FIT)
-    m, n_ = int(m[0]), int(n_[0])
-    lags = list(range(n_base, n_base + m)) + list(range(n_base + max_lag, n_base + max_lag + n_))
-    fit = ols(rows[:, -1], rows[:, list(range(1, n_base)) + lags], intercept=True)
-    return HedgeEstimate(fit.slope, fit, lags=(m, n_))
+    whole = np.ones((1, 1), dtype=bool)
+    (got,) = make_ratio_fn(Method.EECM, spot, fut, horizon, max_lag=max_lag, log_levels=log_levels)(whole)
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 @dataclass(frozen=True)

@@ -202,7 +202,7 @@ def _fit_splits(method: Method, horizon: int, max_lag: int, rows: _Buckets, leve
         """The R factors of the stacks of splits ``s``, EECM's after ``_with_u``."""
         stack = rows.stacks(slot[s])
         if method is Method.EECM:
-            stack = _with_u(stack, coef[s, 0, None, None], coef[s, 1, None, None], include_u=True)
+            stack = _with_u(stack, coef[s, 0, None, None], coef[s, 1, None, None])
         return np.linalg.qr(stack, mode="r")
 
     step = max(1, _STACK_FLOATS // slot[0].size // rows.r[0].size)

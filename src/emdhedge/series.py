@@ -5,8 +5,10 @@ Conventions
 - Timestamps are numpy ``datetime64[D]`` arrays, strictly increasing.
 - Horizon-h log returns (``log_returns``) are overlapping (stride 1) plain
   arrays; every scored return, in-sample and cross-validated, comes from it.
-- A training sample is a tuple of index ranges ("segments") into one series
-  (``check_segments``); no transform ever differences across a segment boundary.
+- The CLI's training sample is partition groups plus a training mask, fitted
+  by ``methods.make_ratio_fn``; for library callers, ``restrict`` merges
+  training groups into index ranges ("segments") and ``check_segments``
+  checks such a tuple.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from emdhedge.analysis import (
 from emdhedge.cli import RunConfig, run_pipeline
 from emdhedge.cpcv import path_statistics, path_table, split_table
 from emdhedge.emd import SiftConfig, decompose, is_imf
-from emdhedge.estimators import Method, design_rows, eecm_ratio, pair_imfs
+from emdhedge.estimators import Method, design_rows, pair_imfs
 from emdhedge.performance import (
     Criterion,
     he_var,
@@ -144,7 +144,7 @@ def test_criterion_06_estimator_nesting():
             ecm, _ = design_rows(Method.ECM, spot.values, fut.values, 1)
             assert np.array_equal(ecm[:, [0, 1, -1]], design_rows(Method.MV, spot.values, fut.values, 1)[0])
             ecm0 = oracle.fit(Method.ECM, spot.values, fut.values, 1, p=2).slope
-            eecm0 = eecm_ratio(spot, fut, 1, max_lag=0, include_u=False).ratio
+            eecm0 = oracle.eecm(spot.values, fut.values, 1, max_lag=0, include_u=False).slope
             assert abs(ecm0 - mv) <= 1e-12
             assert abs(eecm0 - mv) <= 1e-12
 

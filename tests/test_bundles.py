@@ -105,11 +105,15 @@ def test_each_cli_run_has_the_address_space_ceiling(tmp_path):
 
 
 def test_the_src_line_counts_of_two_trees(tmp_path):
-    # only Python files count, as ``wc -l`` counts their lines (a last line without a newline is not one)
-    trees = {"ref": {"a.py": "x\ny\n", "b.txt": "z\n"}, "new": {"a.py": "x\n", "sub/c.py": "1\n2\n3"}}
+    # only Python files under src/ and tests/ count, as ``wc -l`` counts their
+    # lines (a last line without a newline is not one)
+    trees = {
+        "ref": {"src/a.py": "x\ny\n", "src/b.txt": "z\n", "tests/t.py": "1\n"},
+        "new": {"src/a.py": "x\n", "src/sub/c.py": "1\n2\n3", "tests/t.py": "1\n2\n", "tools/d.py": "1\n"},
+    }
     for tree, files in trees.items():
         for name, text in files.items():
-            (tmp_path / tree / "src" / name).parent.mkdir(parents=True, exist_ok=True)
-            (tmp_path / tree / "src" / name).write_text(text)
-    found = bundles.src_line_counts("abc123", tmp_path / "ref" / "src", tmp_path / "new" / "src")
-    assert found == "src/: 2 lines at abc123, 3 here"
+            (tmp_path / tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / tree / name).write_text(text)
+    found = bundles.line_counts("abc123", tmp_path / "ref", tmp_path / "new")
+    assert found == ["src/: 2 lines at abc123, 3 here", "tests/: 1 lines at abc123, 2 here"]

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emdhedge
-from emdhedge import cli, cpcv
+from emdhedge import cli, cpcv, estimators
 from emdhedge.cli import (
     RunConfig,
     UsageError,
@@ -31,7 +31,7 @@ from emdhedge.cli import (
 )
 from emdhedge.cpcv import Scheme, partition, split_table
 from emdhedge.emd import Imf, ImfSet, decompose
-from emdhedge.errors import DataError, SingularDesignError
+from emdhedge.errors import DataError, InsufficientDataError, SingularDesignError
 from emdhedge.estimators import Method
 from emdhedge.series import load_csv, log_returns, restrict
 
@@ -595,6 +595,28 @@ class TestPipeline:
         assert header == "imf,horizon,MV,VEMD"
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert set(manifest["skipped_methods"]) == {"ECM", "EECM", "SEMD", "AEMD"}
+
+    def test_eecm_ratio_is_the_in_sample_eecm_cell(self, tmp_path):
+        # the whole-series call is the fit the in-sample table reports, cell for
+        # cell; at max_lag 300 no row is left, and the run warns with its error
+        pair = tmp_path / "pair.csv"
+        main(["synth", "--out", str(pair), "--length", "300", "--seed", "0"])
+        spot, fut, _ = load_csv(pair)
+        for max_lag in (10, 300):
+            outdir = tmp_path / f"max_lag_{max_lag}"
+            argv = ["hedge", "--input", str(pair), "--out", str(outdir), "--horizons", "1,5", "--max-lag", str(max_lag)]
+            assert main([*argv, "--methods", "MV,EECM"]) == 0
+            with open(outdir / "insample_ratios.csv", newline="") as fh:
+                cells = {int(row["horizon"]): row["EECM"] for row in csv.DictReader(fh)}
+            warned = json.loads((outdir / "manifest.json").read_text())["warnings"]
+            for h in (1, 5):
+                if max_lag == 10:
+                    assert cells[h] == repr(estimators.eecm_ratio(spot, fut, h, max_lag))
+                    continue
+                assert cells[h] == "nan"
+                with pytest.raises(InsufficientDataError) as raised:
+                    estimators.eecm_ratio(spot, fut, h, max_lag)
+                assert f"in-sample EECM imf1 h={h}: {raised.value}" in warned
 
     def test_cv_reruns_byte_identical(self, pair_csv, tmp_path):
         cfg = RunConfig(

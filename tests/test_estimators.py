@@ -23,7 +23,6 @@ from emdhedge.estimators import (
     _full_rank,
     _legs,
     _min_rows,
-    _sample,
     Method,
     aggregate_imfs,
     design_rows,
@@ -34,7 +33,7 @@ from emdhedge.estimators import (
 )
 from emdhedge.cpcv import Scheme, partition, run_cv, split_table
 from emdhedge.methods import make_ratio_fn
-from emdhedge.series import PriceSeries, log_returns, restrict
+from emdhedge.series import PriceSeries, check_segments, log_returns, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 import oracle
 from oracle import WHOLE, whole
@@ -199,20 +198,23 @@ class TestEcmRatio:
 
 
 class TestEecmRatio:
-    def test_degenerate_grid(self):
+    """EECM's laws on the shipped fit, its lags read from ``_eecm_select``;
+    a design without u, which the shipped fit never takes, on the oracle alone."""
+
+    def test_degenerate_grid(self, monkeypatch):
         spot, fut = coint_pair(seed=9, n=300)
-        est = eecm_ratio(spot, fut, 1, max_lag=0)
-        assert np.isfinite(est.ratio)
-        assert est.lags == (0, 0)
+        lags = oracle.recorded_lags(monkeypatch)
+        assert np.isfinite(eecm_ratio(spot, fut, 1, max_lag=0))
+        assert lags == [(0, 0)]
 
     def test_max_lag_zero_without_u_equals_mv(self):
         spot, fut = coint_pair(seed=10, n=400)
-        est = eecm_ratio(spot, fut, 1, max_lag=0, include_u=False)
-        assert est.ratio == pytest.approx(whole(Method.MV, spot, fut, 1), abs=1e-14)
+        without_u = oracle.eecm(spot.values, fut.values, 1, max_lag=0, include_u=False)
+        assert without_u.slope == pytest.approx(whole(Method.MV, spot, fut, 1), abs=1e-14)
 
-    def test_aic_selects_lags_with_ar2_dynamics(self):
+    def test_aic_selects_lags_with_ar2_dynamics(self, monkeypatch):
         # AR(2) basis dynamics should make nonzero lag choices common
-        hits = 0
+        lags = oracle.recorded_lags(monkeypatch)
         n = 400
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -223,86 +225,38 @@ class TestEecmRatio:
                 u[t] = 1.2 * u[t - 1] - 0.5 * u[t - 2] + eps[t]
             spot = price_series(np.exp(0.1 + 0.9 * lf + u))
             fut = price_series(np.exp(lf))
-            est = eecm_ratio(spot, fut, 1, max_lag=3)
-            hits += est.lags != (0, 0)
-        assert hits > 20
+            eecm_ratio(spot, fut, 1, max_lag=3)
+        assert len(lags) == 40
+        assert sum(lag != (0, 0) for lag in lags) > 20
 
     def test_tie_break_prefers_parsimony(self):
         # a perfectly deterministic relation makes every candidate SSE ~ 0;
         # AIC floors at -inf and the tie-break picks the smallest (m+n, m)
         lf = np.linspace(4.0, 4.5, 200) + 0.05 * np.sin(np.arange(200) / 5)
-        spot = price_series(np.exp(lf))
-        fut = price_series(np.exp(lf))
-        est = eecm_ratio(spot, fut, 1, max_lag=2, include_u=False)
-        assert est.lags == (0, 0)
-
-
-def brute_force_eecm(spot_segs, fut_segs, h, max_lag, include_u, log_levels=True):
-    """Every (m, n) candidate fitted with lstsq; same sample, AIC and
-    tie-break as eecm_ratio, the cointegration residual on log or raw
-    levels. Returns (lags, slope on dF, full-design rank deficiency)."""
-    ls = [np.log(v) for v in spot_segs]
-    lf = [np.log(v) for v in fut_segs]
-    vs, vf = (ls, lf) if log_levels else (spot_segs, fut_segs)
-    levels = np.column_stack([np.ones(sum(map(len, vf))), np.concatenate(vf)])
-    c, *_ = np.linalg.lstsq(levels, np.concatenate(vs), rcond=None)
-    u_all = np.concatenate(vs) - levels @ c
-    rows, pos = [], 0
-    for s, f in zip(ls, lf):
-        u = u_all[pos : pos + len(s)]
-        pos += len(s)
-        ds, df = s[h:] - s[:-h], f[h:] - f[:-h]
-        for t in range(max_lag, len(ds)):
-            rows.append(
-                [ds[t], df[t], u[t]]
-                + [ds[t - i] for i in range(1, max_lag + 1)]
-                + [df[t - i] for i in range(1, max_lag + 1)]
-            )
-    A = np.array(rows)
-    y, nobs = A[:, 0], len(A)
-    u_cols = [2] if include_u else []
-    ds_cols = list(range(3, 3 + max_lag))
-    df_cols = list(range(3 + max_lag, 3 + 2 * max_lag))
-    full = np.column_stack([np.ones(nobs), A[:, [1] + u_cols + ds_cols + df_cols]])
-    deficient = np.linalg.matrix_rank(full) < full.shape[1]
-    best = None
-    for m in range(max_lag + 1):
-        for n in range(max_lag + 1):
-            X = np.column_stack([np.ones(nobs), A[:, [1] + u_cols + ds_cols[:m] + df_cols[:n]]])
-            p = X.shape[1]
-            if nobs <= p + 1 or np.linalg.matrix_rank(X) < p:
-                continue
-            coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-            r = y - X @ coef
-            sse = r @ r
-            aic = nobs * math.log(sse / nobs) + 2 * p if sse > 0 else -math.inf
-            key = (aic, m + n, m)
-            if best is None or key < best[0]:
-                best = (key, (m, n), coef[1])
-    return best[1], best[2], deficient
+        assert oracle.eecm(np.exp(lf), np.exp(lf), 1, max_lag=2, include_u=False).lags == (0, 0)
 
 
 class TestEecmLagSearch:
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_brute_force_grid(self, seed):
+    def test_matches_brute_force_grid(self, seed, monkeypatch):
+        # the whole series, then the two-segment sample as groups 0 and 2 of three
         spot, fut = coint_pair(seed=seed, n=300)
-        two = (range(0, 130), range(170, 300))
+        groups = (range(0, 130), range(130, 170), range(170, 300))
+        samples = (None, (groups[0], groups[2]))
+        lags = oracle.recorded_lags(monkeypatch)
         for h in (1, 5, 17):
-            for segs in (None, two):
-                if segs is None:
-                    s_vals, f_vals = [spot.values], [fut.values]
-                else:
-                    s_vals = [spot.values[r.start : r.stop] for r in segs]
-                    f_vals = [fut.values[r.start : r.stop] for r in segs]
-                # log_levels=False is ``--levels raw``; without u the levels go unused
-                for include_u, log_levels in ((True, True), (True, False), (False, True)):
-                    est = eecm_ratio(spot, fut, h, include_u=include_u, log_levels=log_levels, segments=segs)
-                    lags, ratio, _ = brute_force_eecm(s_vals, f_vals, h, 10, include_u, log_levels)
-                    assert est.lags == lags
-                    assert abs(est.ratio - ratio) <= 1e-12
+            # log_levels=False is ``--levels raw``
+            for log_levels in (True, False):
+                fn = make_ratio_fn(Method.EECM, spot, fut, h, log_levels=log_levels, groups=groups)
+                del lags[:]
+                got = fn(np.array([[True, True, True], [True, False, True]]))
+                for ratio, lag, segs in zip(got, lags, samples, strict=True):
+                    want = oracle.eecm(spot.values, fut.values, h, 10, segs, log_levels=log_levels)
+                    assert lag == want.lags, (h, log_levels, segs)
+                    assert abs(ratio - want.slope) <= 1e-12, (h, log_levels, segs)
 
     @pytest.mark.parametrize("include_u", [True, False])
-    def test_rank_deficient_full_design(self, include_u):
+    def test_rank_deficient_full_design(self, include_u, monkeypatch):
         # a futures leg repeating every 4 days makes dF lag 4 a copy of dF
         # (and dF plus lags 1..3 sum to zero), so the full design fails the
         # rank rule and each candidate is checked on its own
@@ -310,14 +264,14 @@ class TestEecmLagSearch:
         n = 300
         lf = np.tile(4.0 + 0.02 * rng.normal(size=4), n // 4)
         ls = 0.1 + 0.9 * lf + 0.001 * rng.normal(size=n).cumsum() + 0.005 * rng.normal(size=n)
-        spot = price_series(np.exp(ls))
-        fut = price_series(np.exp(lf))
-        lags, ratio, deficient = brute_force_eecm([spot.values], [fut.values], 1, 6, include_u)
-        assert deficient
-        est = eecm_ratio(spot, fut, 1, max_lag=6, include_u=include_u)
-        assert est.lags == lags
-        assert est.lags[1] <= 2
-        assert abs(est.ratio - ratio) <= 1e-12
+        want = oracle.eecm(np.exp(ls), np.exp(lf), 1, 6, include_u=include_u)
+        assert want.deficient
+        assert want.lags[1] <= 2
+        if include_u:
+            lags = oracle.recorded_lags(monkeypatch)
+            ratio = eecm_ratio(price_series(np.exp(ls)), price_series(np.exp(lf)), 1, max_lag=6)
+            assert lags == [want.lags]
+            assert abs(ratio - want.slope) <= 1e-12
 
 
 # ``_eecm_select`` as it was when it QR-factored every candidate column set
@@ -420,7 +374,7 @@ class TestEecmTrailingBlock:
         max_lag = {"max_lag 0": 0, "max_lag 1": 1}.get(case, 10)
         n_base = 3 if seed % 2 else 2
         cols = n_base + 2 * max_lag + 1
-        # "short r": fewer rows than columns, as ``eecm_ratio`` factors a short sample
+        # "short r": fewer rows than columns, as the shipped fit factors a short sample
         rows = 12 if case == "short r" else cols + 30
         # "repeated lags": only the candidates holding both copies are deficient,
         # so the largest candidate of each small m passes and of each large m fails
@@ -455,17 +409,20 @@ class TestEecmTrailingBlock:
             calls.append(args[0].shape)
             return svd(*args, **kw)
 
+        lags = oracle.recorded_lags(monkeypatch)
         monkeypatch.setattr(np.linalg, "svd", counting)
-        est = eecm_ratio(spot, fut, 1, max_lag=10)
+        ratio = eecm_ratio(spot, fut, 1, max_lag=10)
         monkeypatch.undo()
-        lags, ratio, deficient = brute_force_eecm([spot.values], [fut.values], 1, 10, True)
-        assert deficient
-        assert est.lags == lags
-        assert abs(est.ratio - ratio) <= 1e-12 * abs(ratio)
-        # the cointegrating and the winner's ``ols``, the full design, the
+        want = oracle.eecm(spot.values, fut.values, 1, 10)
+        assert want.deficient
+        assert lags == [want.lags]
+        assert abs(ratio - want.slope) <= 1e-12 * abs(want.slope)
+        # the cointegrating regression's rank rule, the full design, the
         # largest candidate (m, 5 - m) of each m, then, below the three of
-        # those that fail (m = 0, 1, 2), each candidate on its own
-        assert len(calls) == 2 + 1 + 6 + (5 + 4 + 3)
+        # those that fail (m = 0, 1, 2), each candidate on its own; the winner
+        # is solved from its R factor, with no SVD
+        assert len(calls) == 1 + 1 + 6 + (5 + 4 + 3)
+        assert calls[0][1:] == (2, 2) and calls[1][2] == 3 + 2 * 10
         assert [shape[2] for shape in calls[2:8]] == [3 + 5] * 6
 
 
@@ -662,12 +619,11 @@ BOUNDARY_CASES = {
     "SEMD": lambda n: make_ratio_fn(Method.SEMD, *_prices(n), 1, 1, _emd_sets(n)),
     "AEMD": lambda n: make_ratio_fn(Method.AEMD, *_prices(n), 5, None, _emd_sets(n)),
 }
-# the fit of each case on the same data: the oracle's, and for EECM the
-# one-series estimator's, which the brute-force lag grid checks
+# the oracle's fit of each case on the same data
 ORACLE_BOUNDARY_CASES = {
     "MV": lambda n: oracle.fit(Method.MV, _walk(n + 1, 1), _walk(n + 1, 2), 1),
     "ECM": lambda n: oracle.fit(Method.ECM, _walk(n + 1, 1), _walk(n + 1, 2), 1),
-    "EECM": lambda n: eecm_ratio(*_prices(n + 1), 1, max_lag=0).fit,
+    "EECM": lambda n: oracle.eecm(_walk(n + 1, 1), _walk(n + 1, 2), 1, max_lag=0),
     "VEMD": lambda n: _emd_oracle(Method.VEMD, *_emd_sets(n + 1), 1, 1),
     "SEMD": lambda n: _emd_oracle(Method.SEMD, *_emd_sets(n), 1, 1),
     "AEMD": lambda n: _emd_oracle(Method.AEMD, *_emd_sets(n), 5),
@@ -705,18 +661,12 @@ BAD_SEGMENTS = {
     "step 2": ((range(0, 100, 2),), "step 2"),
     "no segment": ((), "at least one segment"),
 }
-_S, _F = price_series(_walk(200, 1)), price_series(_walk(200, 2))
-_SETS = _imf_set(np.log(_S.values)), _imf_set(np.log(_F.values))
-# the other methods' takers are the pooled-sample builder ``_sample`` on
-# each method's series: prices, or the legs ``_legs`` picks
+_S = price_series(_walk(200, 1))
+# the shipped takers of a training sample; no estimator takes one, the CLI's
+# is partition groups plus a training mask
 SEGMENT_TAKERS = {
     "restrict": lambda segs: restrict(_S, segs),
-    "MV": lambda segs: _sample(Method.MV, _S.values, _F.values, segs, 3),
-    "ECM": lambda segs: _sample(Method.ECM, _S.values, _F.values, segs, 3),
-    "EECM": lambda segs: eecm_ratio(_S, _F, 3, max_lag=2, segments=segs),
-    "VEMD": lambda segs: _sample(Method.VEMD, *_legs(Method.VEMD, *_SETS, 3, 1), segs, 3),
-    "SEMD": lambda segs: _sample(Method.SEMD, *_legs(Method.SEMD, *_SETS, 1, 1), segs, 1),
-    "AEMD": lambda segs: _sample(Method.AEMD, *_legs(Method.AEMD, *_SETS, 5, None), segs, 5),
+    "check_segments": lambda segs: check_segments(segs, len(_S)),
 }
 
 
@@ -772,7 +722,7 @@ def _raised(call):
 
 class TestFitBoundaries:
     """Each estimator boundary at its edge, on the shipped ratio function and
-    on the oracle (for EECM, the one-series estimator) alike."""
+    on the oracle alike."""
 
     @pytest.mark.parametrize(
         "method, horizon, max_lag, message",
@@ -786,7 +736,7 @@ class TestFitBoundaries:
         spot, fut = price_series(_walk(30, 1)), price_series(_walk(30, 2))
         estimate = {
             Method.ECM: lambda: oracle.fit(method, spot.values, fut.values, horizon),
-            Method.EECM: lambda: eecm_ratio(spot, fut, horizon, max_lag=max_lag),
+            Method.EECM: lambda: oracle.eecm(spot.values, fut.values, horizon, max_lag),
         }[method]
         want = ("InsufficientDataError", message)
         assert _raised(estimate) == want
@@ -909,7 +859,7 @@ class TestFitBoundaries:
             # a futures leg constant at ``level``: its log differences are all zero
             spot, fut = price_series(_walk(n + 3, seed)), price_series(np.full(n + 3, level))
             if method is Method.EECM:
-                want = _raised(lambda: eecm_ratio(spot, fut, 1, max_lag=2))
+                want = _raised(lambda: oracle.eecm(spot.values, fut.values, 1, max_lag=2))
             else:
                 want = _raised(lambda: oracle.fit(method, spot.values, fut.values, 1))
             got = [make_ratio_fn(method, spot, fut, 1, max_lag=2)(WHOLE)[0]]

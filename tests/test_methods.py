@@ -15,9 +15,7 @@ from emdhedge.estimators import (
     Method,
     aggregate_imfs,
     design_rows,
-    eecm_ratio,
     ols,
-    pool,
 )
 from emdhedge.methods import make_ratio_fn, training_segments
 from emdhedge.series import PriceSeries, restrict
@@ -126,13 +124,13 @@ def test_an_emd_method_without_decompositions_is_refused():
 class TestPool:
     def test_observation_count(self):
         vals = np.arange(1.0, 31.0)
-        rows = pool(*design_rows(Method.VEMD, vals, vals, 4), (range(0, 12), range(15, 20), range(22, 25)))
+        rows = oracle.pool(*design_rows(Method.VEMD, vals, vals, 4), (range(0, 12), range(15, 20), range(22, 25)))
         # segments of length 12, 5, 3: only those longer than h contribute
         assert len(rows) == (12 - 4) + (5 - 4) + 0
 
     def test_never_crosses_boundary(self):
         vals = np.concatenate([np.full(10, 1.0), np.full(10, 100.0)])
-        rows = pool(*design_rows(Method.VEMD, vals, vals, 1), (range(0, 10), range(11, 20)))
+        rows = oracle.pool(*design_rows(Method.VEMD, vals, vals, 1), (range(0, 10), range(11, 20)))
         assert len(rows) == 9 + 8
         assert np.all(rows[:, 1:] == 0.0)  # the 1 -> 100 jump never appears
 
@@ -168,19 +166,6 @@ def _outcome(call):
     return (type(got).__name__, str(got)) if isinstance(got, EmdHedgeError) else got
 
 
-def _recorded_lags(monkeypatch) -> list:
-    """The (m, n) of each split that ``methods._eecm_select`` scores from now on."""
-    lags, select = [], methods._eecm_select
-
-    def recording(*args):
-        m, n_ = select(*args)
-        lags.extend(zip(m.tolist(), n_.tolist()))
-        return m, n_
-
-    monkeypatch.setattr(methods, "_eecm_select", recording)
-    return lags
-
-
 @pytest.mark.parametrize(
     "case, scheme",
     [
@@ -192,17 +177,16 @@ def _recorded_lags(monkeypatch) -> list:
     ],
 )
 def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeypatch):
-    # the oracle's fit on the split's training segments; EECM's, the one-series
-    # estimator's, which the brute-force lag grid checks
+    # the oracle's fit on the split's training segments
     spot, fut, s_set, f_set = _legs(case)
     groups = _groups(spot, scheme)
     trains = _trains(len(groups), 1 if scheme == "year" else 2)
-    lags = _recorded_lags(monkeypatch)
+    lags = oracle.recorded_lags(monkeypatch)
     for h in (3, 17):
         references = {
             Method.MV: lambda segs: oracle.fit(Method.MV, spot.values, fut.values, h, segs),
             Method.ECM: lambda segs: oracle.fit(Method.ECM, spot.values, fut.values, h, segs),
-            Method.EECM: lambda segs: eecm_ratio(spot, fut, h, segments=segs),
+            Method.EECM: lambda segs: oracle.eecm(spot.values, fut.values, h, segments=segs),
         } | {
             m: lambda segs, m=m: oracle.fit(m, *estimators._legs(m, s_set, f_set, h, 1), h, segs)
             for m in methods.EMD_FAMILY
@@ -217,8 +201,7 @@ def test_bucketed_ratio_equals_the_estimator_on_each_split(case, scheme, monkeyp
                 if isinstance(want, tuple):
                     assert got == want, (method, h, train)
                     continue
-                slope = want.fit.slope if method is Method.EECM else want.slope
-                assert abs(got - slope) <= 1e-12 * abs(slope), (method, h, train)
+                assert abs(got - want.slope) <= 1e-12 * abs(want.slope), (method, h, train)
                 if method is Method.EECM:
                     assert lags == [want.lags], (h, train)
 
@@ -228,13 +211,14 @@ def test_a_raw_levels_eecm_batch_equals_the_estimator_on_each_split(monkeypatch)
     spot, fut, _, _ = _legs("cointegrated")
     groups = _groups(spot, "equal")
     splits = _trains(len(groups), 2)
-    lags = _recorded_lags(monkeypatch)
+    lags = oracle.recorded_lags(monkeypatch)
     for h in (3, 17):
         got = make_ratio_fn(Method.EECM, spot, fut, h, log_levels=False, groups=groups)(_mask(len(groups), splits))
         assert len(lags) == len(splits)
         for train, ratio, lag in zip(splits, got, lags):
-            want = eecm_ratio(spot, fut, h, log_levels=False, segments=restrict(spot, [groups[g] for g in train]))
-            assert lag == want.lags and abs(ratio - want.ratio) <= 1e-12 * abs(want.ratio), (h, train)
+            segs = restrict(spot, [groups[g] for g in train])
+            want = oracle.eecm(spot.values, fut.values, h, segments=segs, log_levels=False)
+            assert lag == want.lags and abs(ratio - want.slope) <= 1e-12 * abs(want.slope), (h, train)
         del lags[:]
 
 

@@ -16,7 +16,7 @@ READ_OUTSIDE_THE_PACKAGE = {
     "sift": "perfbench tracer",
     "decompose": "perfbench tracer",
     "restrict": "perfbench tracer",
-    "eecm_ratio": "perfbench tracer; reference estimator of the tests",
+    "eecm_ratio": "perfbench tracer",
     "he_var": "perfbench tracer; 1-D VaR reference of the tests' reference_cv",
     "he_variance": "perfbench tracer; 1-D variance-reduction reference of the tests' reference_cv",
     # the references that the tests check the package's batched paths against
@@ -54,13 +54,20 @@ def test_every_exported_name_is_read_in_the_package_or_allow_listed():
     assert sorted(set(READ_OUTSIDE_THE_PACKAGE) - set(unread)) == []
 
 
-def _traced() -> set[tuple[str, str]]:
+def _tracer_table(table: str) -> set[tuple[str, str]]:
     """The (module, name) of each function perfbench/tracer.py wraps, from its
-    ``TRACED`` table, read with ``ast`` rather than imported."""
+    table ``table`` (``TRACED`` or ``TRACED_RESULTS``), read with ``ast``
+    rather than imported."""
     for node in ast.parse(TRACER.read_text(), str(TRACER)).body:
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [table]:
             return set(ast.literal_eval(node.value).values())
-    raise AssertionError(f"{TRACER} has no TRACED table")
+    raise AssertionError(f"{TRACER} has no {table} table")
+
+
+def test_every_function_the_tracer_wraps_exists():
+    # ``Tracer.install`` looks each up with ``getattr``, so without one the benchmark stops before it runs
+    wrapped = _tracer_table("TRACED") | _tracer_table("TRACED_RESULTS")
+    assert sorted(f"{m}.{name}" for m, name in wrapped if not hasattr(importlib.import_module(m), name)) == []
 
 
 def test_every_name_kept_for_the_tracer_is_one_it_wraps():
@@ -68,4 +75,4 @@ def test_every_name_kept_for_the_tracer_is_one_it_wraps():
     exported = _exported()
     kept = {name for name, reason in READ_OUTSIDE_THE_PACKAGE.items() if reason.startswith("perfbench tracer")}
     assert kept
-    assert sorted(name for name in kept if (f"emdhedge.{exported[name]}", name) not in _traced()) == []
+    assert sorted(name for name in kept if (f"emdhedge.{exported[name]}", name) not in _tracer_table("TRACED")) == []

@@ -4,8 +4,8 @@ byte.
 
     python tools/bundles.py compare REF
 
-REF is any git revision of this repository; its ``src/`` is extracted with
-``git archive``. The corpus inputs are generated once, by this checkout's
+REF is any git revision of this repository; its ``src/`` and ``tests/`` are
+extracted with ``git archive``. The corpus inputs are generated once, by this checkout's
 ``synth``. Each config then runs under both trees, each run in a fresh
 process with one BLAS thread and an address-space ceiling
 (``CHILD_ADDRESS_SPACE``), from directories of the same relative path, so
@@ -18,8 +18,9 @@ largest relative cell move. A config whose run under this checkout's tree
 exits with another code than its own (``NONZERO_EXITS``, else 0) is reported
 too. In a clean checkout ``compare HEAD`` runs every config of one commit
 twice, so it checks that reruns are byte-identical and exit as documented.
-The last line gives the line count of the Python files under REF's ``src/``
-and under this checkout's.
+The last two lines give the line counts of the Python files under REF's
+``src/`` and ``tests/`` and under this checkout's: code moved from ``src/``
+into the tests is no reduction, so both numbers are needed.
 
 The three benchmark workloads' configs are built from
 ``perfbench/worker.py``'s ``WORKLOADS``, on inputs 0-3 of the reference seed
@@ -269,18 +270,24 @@ def diff_runs(ref: subprocess.CompletedProcess, new: subprocess.CompletedProcess
     return out + diff_dirs(a, b)
 
 
-def src_line_counts(ref: str, ref_src: Path, src: Path) -> str:
-    """The line counts of the Python files under ``ref_src`` (REF's ``src/``)
-    and under ``src``, as ``wc -l`` counts them."""
-    ref_lines, lines = (sum(p.read_bytes().count(b"\n") for p in d.rglob("*.py")) for d in (ref_src, src))
-    return f"src/: {ref_lines} lines at {ref}, {lines} here"
+def line_counts(ref: str, ref_root: Path, root: Path) -> list[str]:
+    """Per directory, ``src/`` then ``tests/``, the line counts of the Python
+    files under ``ref_root`` (REF's tree) and under ``root``, as ``wc -l``
+    counts them."""
+    found = []
+    for d in ("src", "tests"):
+        ref_lines, lines = (sum(p.read_bytes().count(b"\n") for p in (r / d).rglob("*.py")) for r in (ref_root, root))
+        found.append(f"{d}/: {ref_lines} lines at {ref}, {lines} here")
+    return found
 
 
 def compare(ref: str, work: Path) -> int:
     """Run the corpus under REF's tree and this checkout's; 0 if every config is identical."""
     ref_src = work / "ref_tree"
     ref_src.mkdir(parents=True)
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"], capture_output=True)
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src", "tests"], capture_output=True
+    )
     if archive.returncode:
         sys.exit(f"git archive {ref} failed: {archive.stderr.decode().strip()}")
     subprocess.run(["tar", "-x", "-C", str(ref_src)], input=archive.stdout, check=True)
@@ -304,7 +311,7 @@ def compare(ref: str, work: Path) -> int:
             print(f"    {line}", flush=True)
     print(f"{len(corpus) - differing} of {len(corpus)} configs identical to {ref} "
           f"({time.perf_counter() - start:.0f} s for both trees)")
-    print(src_line_counts(ref, ref_src / "src", ROOT / "src"))
+    print(*line_counts(ref, ref_src, ROOT), sep="\n")
     return 1 if differing else 0
 
 
