@@ -29,6 +29,7 @@ from emdhedge.estimators import (
     design_rows,
 )
 from emdhedge.methods import make_ratio_fn
+from emdhedge.series import check_segments
 
 # the training mask of one split training on the whole series as its one group
 WHOLE = np.ones((1, 1), dtype=bool)
@@ -50,6 +51,12 @@ def pool(rows: np.ndarray, back: int, segments: tuple[range, ...]) -> np.ndarray
     return np.concatenate([rows[g.start : max(g.start, g.stop - back)] for g in segments])
 
 
+def _training_sample(segments, n: int) -> tuple[range, ...]:
+    """``segments`` once ``series.check_segments`` accepts them as a training
+    sample of ``n`` observations (default: the whole series)."""
+    return (range(0, n),) if segments is None else check_segments(segments, n)
+
+
 def fit(method: Method, s, f, horizon: int, segments: tuple[range, ...] | None = None, p: int | None = None) -> Fit:
     """The least-squares hedge of ``method`` on the series ``s`` and ``f``
     (prices for MV and ECM, the legs ``estimators._legs`` picks for the EMD
@@ -57,7 +64,7 @@ def fit(method: Method, s, f, horizon: int, segments: tuple[range, ...] | None =
     ECM takes the first of its reductions whose design has full rank; ``p``
     fits the first p design columns alone, e.g. ECM's restricted [1, dF]."""
     s, f = np.asarray(s, dtype=float), np.asarray(f, dtype=float)
-    rows = pool(*design_rows(method, s, f, horizon), segments or (range(0, len(s)),))
+    rows = pool(*design_rows(method, s, f, horizon), _training_sample(segments, len(s)))
     _check_rows(method, len(rows), horizon)
     y = rows[:, -1]
     for k in (p,) if p else (4, 3, 2) if method is Method.ECM else (2,):
@@ -126,7 +133,7 @@ def eecm(
     ``include_u=False`` drops u, a design the shipped fit never takes.
     """
     s, f = np.asarray(s, dtype=float), np.asarray(f, dtype=float)
-    segs = segments or (range(0, len(s)),)
+    segs = _training_sample(segments, len(s))
     level = np.log if log_levels else np.asarray
     s_lv, f_lv = (np.concatenate([level(x[g.start : g.stop]) for g in segs]) for x in (s, f))
     levels = np.column_stack([np.ones(len(f_lv)), f_lv])

@@ -661,12 +661,20 @@ BAD_SEGMENTS = {
     "step 2": ((range(0, 100, 2),), "step 2"),
     "no segment": ((), "at least one segment"),
 }
-_S = price_series(_walk(200, 1))
-# the shipped takers of a training sample; no estimator takes one, the CLI's
-# is partition groups plus a training mask
+_S, _F = price_series(_walk(200, 1)), price_series(_walk(200, 2))
+_SETS = _imf_set(np.log(_S.values)), _imf_set(np.log(_F.values))
+# the shipped takers of a training sample (no estimator takes one: the CLI's
+# is partition groups plus a training mask), and each method's pooled sample
+# in the oracle, on its series: prices, or the legs ``_legs`` picks
 SEGMENT_TAKERS = {
     "restrict": lambda segs: restrict(_S, segs),
     "check_segments": lambda segs: check_segments(segs, len(_S)),
+    "MV": lambda segs: oracle.fit(Method.MV, _S.values, _F.values, 3, segs),
+    "ECM": lambda segs: oracle.fit(Method.ECM, _S.values, _F.values, 3, segs),
+    "EECM": lambda segs: oracle.eecm(_S.values, _F.values, 3, max_lag=2, segments=segs),
+    "VEMD": lambda segs: _emd_oracle(Method.VEMD, *_SETS, 3, 1, segs),
+    "SEMD": lambda segs: _emd_oracle(Method.SEMD, *_SETS, 1, 1, segs),
+    "AEMD": lambda segs: _emd_oracle(Method.AEMD, *_SETS, 5, None, segs),
 }
 
 
