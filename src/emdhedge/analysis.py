@@ -213,14 +213,14 @@ def _t_pvalue_exact(t_stat: float, dof: int):
 
 
 def significance_stars(t_stat: float, dof: int) -> str:
-    """Two-sided stars at 0.01 (***), 0.05 (**), 0.10 (*).
+    """Two-sided stars at 0.01 (***), 0.05 (**), 0.10 (*); none for a NaN t or dof < 1.
 
     A p-value within a relative 1e-6 of a level, where the rounding of the
     float evaluation could decide the comparison, is recomputed exactly
     (``_t_pvalue_exact``) for dof >= 2; at dof = 1 the float value is
     scipy's already.
     """
-    if dof < 1 or not np.isfinite(t_stat):
+    if dof < 1 or math.isnan(t_stat):
         return ""
     p = _t_pvalue(t_stat, dof)
     if dof > 1 and any(abs(p - level) <= _NEAR_TIE * level for level, _ in _STAR_LEVELS):

@@ -183,8 +183,8 @@ RatioFn = Callable[[np.ndarray], list]
 """A batched ratio function: given the training mask (splits, N) of a batch
 of splits over the N groups of a partition, as ``split_table`` gives it, it
 returns one outcome per split, the hedge ratio or the ``DataError`` or
-``NumericError`` its fit raises. Any other exception ends the call. A split's outcome does
-not depend on the rest of its batch."""
+``NumericError`` its fit gives. Any other exception ends the call. A split's outcome does not
+depend on the rest of its batch: bit for bit up to 128 design columns, within round-off above."""
 
 
 def excluded_groups(groups: tuple[range, ...], horizon: int, min_obs: int | None = None) -> list[tuple[int, str]]:

@@ -176,9 +176,14 @@ def _extrema(x: np.ndarray, lay: _Layout) -> tuple[np.ndarray, np.ndarray, np.nd
     return maxima, minima, flips_before[1:] - flips_before[:-1]
 
 
-def _check_extrema_samples(x: np.ndarray) -> None:
-    if len(x) < 3:
-        raise InsufficientDataError("need at least 3 samples for extrema detection")
+def _unsiftable(x: np.ndarray, fewest: int = 3, purpose: str = "for extrema detection") -> DataError | None:
+    """The error of a series the sift cannot take, or None: one not
+    one-dimensional, holding a NaN or an infinity, or under ``fewest`` samples."""
+    if x.ndim != 1:
+        return DataError(f"a series to sift must be one-dimensional, not of shape {x.shape}")
+    if not np.isfinite(x).all():
+        return DataError("a series to sift must hold only finite values")
+    return InsufficientDataError(f"need at least {fewest} samples {purpose}") if len(x) < fewest else None
 
 
 def find_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -189,7 +194,8 @@ def find_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     samples; an exact zero between opposite signs counts once.
     """
     x = np.asarray(x, dtype=float)
-    _check_extrema_samples(x)
+    if error := _unsiftable(x):
+        raise error
     maxima, minima, crossings = _extrema(x, _Layout(np.array([len(x)])))
     return maxima, minima, int(crossings[0])
 
@@ -491,7 +497,8 @@ def sift(x: np.ndarray, cfg: SiftConfig = SiftConfig()) -> SiftResult:
     envelopes vanish mid-sift the current iterate is returned residue-like.
     """
     x = np.asarray(x, dtype=float)
-    _check_extrema_samples(x)
+    if error := _unsiftable(x):
+        raise error
     ((results, _),) = _sift_all([x], cfg, 1)
     return results[-1]
 
@@ -504,17 +511,17 @@ def cycle(n_maxima: int, n_minima: int, series_len: int) -> float:
     return series_len / denom * 2.0
 
 
-def decompose_all(xs: list[np.ndarray], cfg: SiftConfig = SiftConfig()) -> list[ImfSet | InsufficientDataError]:
+def decompose_all(xs: list[np.ndarray], cfg: SiftConfig = SiftConfig()) -> list[ImfSet | DataError]:
     """Decompose each series of xs in lockstep: per series, its ImfSet, or
-    the error raised for it (a series shorter than ``MIN_SAMPLES``). Each
-    result is the one ``decompose`` gives for that series alone. Consecutive series are sifted together in
-    batches of at most ``_LOCKSTEP_SAMPLES`` samples."""
+    the error raised for it (``_unsiftable``'s, at ``MIN_SAMPLES``). Each
+    result is the one ``decompose`` gives for that series alone. Consecutive
+    series are sifted together in batches of at most ``_LOCKSTEP_SAMPLES``."""
     xs = [np.asarray(x, dtype=float) for x in xs]
     out: list = [None] * len(xs)
     batches, size = [[]], 0
     for i, x in enumerate(xs):
-        if len(x) < MIN_SAMPLES:
-            out[i] = InsufficientDataError(f"need at least {MIN_SAMPLES} samples to decompose")
+        if (error := _unsiftable(x, MIN_SAMPLES, "to decompose")) is not None:
+            out[i] = error
             continue
         if size + len(x) > _LOCKSTEP_SAMPLES:
             batches.append([])

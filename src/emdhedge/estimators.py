@@ -7,12 +7,12 @@ price-level IMFs, of the series ``_legs`` picks. The row builder
 with its footprint (the indices it reads). The CV ratio functions in
 ``methods`` fit every method from per-bucket QR factors of these rows, on a
 training sample given as partition groups plus a training mask; they share
-``_legs``, the row rule (``_min_rows``) and rank rule with their errors,
-ECM's reduction order and the EECM lag search, which read only an R factor,
-never X'X. ``eecm_ratio`` is that fit of EECM on the whole series. The rank
-rule is the one refusal of a degenerate design: every design holds the
-intercept and the futures column, so a futures column of (near) zero
-variance fails it.
+``_legs``, the sample-size rule (``_too_few_obs``), the row rule
+(``_min_rows``) and rank rule with their errors, ECM's reduction order and
+the EECM lag search, which read only an R factor, never X'X. ``eecm_ratio``
+is that fit of EECM on the whole series. The rank rule is the one refusal
+of a degenerate design: every design holds the intercept and the futures
+column, so a futures column of (near) zero variance fails it.
 """
 
 from __future__ import annotations
@@ -157,14 +157,13 @@ _TOO_FEW = {
 }
 
 
-def _check_rows(method: Method, n: int, horizon: int) -> None:
-    """Every estimator's sample-size rule on its n regression rows."""
+def _too_few_obs(method: Method, n: int, horizon: int) -> InsufficientDataError:
+    """The error of ``method``'s fit on n < ``MIN_OBS`` rows: every estimator's sample-size rule."""
     if n == 0 and method is Method.ECM:
-        raise InsufficientDataError("no segment long enough for the horizon")
+        return InsufficientDataError("no segment long enough for the horizon")
     if n == 0 and method is Method.EECM:
-        raise InsufficientDataError("no segment long enough for horizon + max_lag")
-    if n < MIN_OBS:
-        raise InsufficientDataError(_TOO_FEW[method].format(n=n, h=horizon))
+        return InsufficientDataError("no segment long enough for horizon + max_lag")
+    return InsufficientDataError(_TOO_FEW[method].format(n=n, h=horizon))
 
 
 def design_rows(

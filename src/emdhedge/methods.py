@@ -2,7 +2,7 @@
 
 A ratio function (``cpcv.RatioFn``) takes the training mask (splits,
 partition groups) of a batch of CV splits and returns each split's hedge
-ratio, or the error its fit raises. EMD methods support two decomposition
+ratio, or the error its fit gives. EMD methods support two decomposition
 scopes:
 
 - ``full``: decompose the whole series once and restrict regression samples
@@ -27,7 +27,8 @@ X'X would square their condition number. All splits of a call are fitted
 together: their stacks, zero-padded to the widest, take a batched QR in
 chunks of splits, and the checks, rank rule, solve, ECM fallback and EECM
 lag search each run once over the batch as array masks, so numpy's per-call
-overhead is paid per call, not per split.
+overhead is paid per call, not per split. A split's outcome is the one it
+gets alone bit for bit up to 128 design columns, within round-off above.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ from .estimators import (
     NO_EECM_FIT,
     RANK_DEFICIENT,
     Method,
-    _check_rows,
     _eecm_factor,
     _eecm_select,
     _full_rank,
     _legs,
     _min_rows,
+    _too_few_obs,
     _too_few_rows,
     _with_u,
     design_rows,
@@ -101,28 +102,23 @@ class _Buckets:
         r = np.linalg.qr(blocks, mode="r")
         self.r = np.concatenate([r, np.zeros_like(r[:1])])
 
-    def select(self, train: np.ndarray) -> np.ndarray:
-        """(splits, blocks) mask of the blocks each split uses, from its
-        training groups ``train`` (splits, groups): those whose groups, first
-        to last, all train, and for per-segment blocks neither neighbour does."""
+    def why_no_rows(self, train: np.ndarray, horizon: int) -> InsufficientDataError:
+        """Per-segment: the error of a split training on groups ``train`` that
+        has no rows, naming why its first training segment has none."""
+        a = int(train.argmax())
+        why = self.left_out[a, a + int(np.append(train[a:], False).argmin()) - 1]
+        return InsufficientDataError(f"no training segment yields rows at horizon {horizon} ({why})")
+
+    def stack(self, train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row counts, slots): per split training on groups ``train`` (splits,
+        groups), the indices into ``r`` of the blocks it uses, padded with the
+        zero R's to one (splits, kmax) array: those whose groups, first to last,
+        all train, and for per-segment blocks neither neighbour does."""
         gaps = np.cumsum(~train, axis=1)
         use = train[:, self.first] & (gaps[:, self.last] == gaps[:, self.first])
         if self.left_out is not None:
             edged = np.pad(train, ((0, 0), (1, 1)))
             use &= ~edged[:, self.first] & ~edged[:, self.last + 2]
-        return use
-
-    def why_no_rows(self, train: np.ndarray, horizon: int) -> str:
-        """Per-segment: why a split training on groups ``train`` has no rows,
-        from its first training segment a..b."""
-        a = int(train.argmax())
-        b = a + int(np.append(train[a:], False).argmin()) - 1
-        return f"no training segment yields rows at horizon {horizon} ({self.left_out[a, b]})"
-
-    def stack(self, use: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(row counts, slots): per split, the indices into ``r`` of the used
-        buckets' R factors in bucket order, padded with the zero R's to one
-        (splits, kmax) array; ``r[slots]`` gives the R stacks."""
         slot = np.full((len(use), max(int(use.sum(axis=1).max(initial=0)), 1)), len(self.count))
         s, b = np.nonzero(use)
         slot[s, (np.cumsum(use, axis=1) - 1)[s, b]] = b
@@ -134,20 +130,11 @@ class _Buckets:
 
 
 class _Outcomes:
-    """Per split of a batch, its ratio or the first exception it raises."""
+    """Per split of a batch, its ratio or the first error its fit gives."""
 
     def __init__(self, n: int):
         self.errors: list = [None] * n
         self.live = np.ones(n, dtype=bool)
-
-    def check(self, mask: np.ndarray, check) -> None:
-        """Run ``check(s)`` on each live split s in ``mask``; a split whose
-        check raises fails with that exception."""
-        for s in np.flatnonzero(self.live & mask).tolist():
-            try:
-                check(s)
-            except (DataError, NumericError) as exc:
-                self.errors[s], self.live[s] = exc, False
 
     def fail(self, mask: np.ndarray, error) -> None:
         """Fail each live split s in ``mask`` with the exception ``error(s)``."""
@@ -183,18 +170,17 @@ def _slope(out: _Outcomes, n: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _fit_splits(method: Method, horizon: int, max_lag: int, rows: _Buckets, levels, train: np.ndarray) -> list:
-    """The estimator's ratio, or the exception it raises, on each split's
-    rows inside its training groups ``train`` (splits, groups), from bucket
-    Rs: the same checks in the same order, each as a mask over the batch."""
+    """The estimator's ratio, or the error its fit gives, on each split's
+    rows inside its training groups ``train`` (splits, groups), from bucket Rs:
+    the same checks in the same order, each a mask over the batch for ``out.fail``."""
     out = _Outcomes(len(train))
-    use = rows.select(train)
-    n, slot = rows.stack(use)
+    n, slot = rows.stack(train)
     if method is Method.EECM:  # the cointegrating regression comes first
-        n_lv, lv = levels.stack(levels.select(train))
+        n_lv, lv = levels.stack(train)
         coef = _slope(out, n_lv, np.linalg.qr(levels.stacks(lv), mode="r"))
     if rows.left_out is not None:
-        out.fail(n == 0, lambda s: InsufficientDataError(rows.why_no_rows(train[s], horizon)))
-    out.check(n < MIN_OBS, lambda s: _check_rows(method, int(n[s]), horizon))
+        out.fail(n == 0, lambda s: rows.why_no_rows(train[s], horizon))
+    out.fail(n < MIN_OBS, lambda s: _too_few_obs(method, int(n[s]), horizon))
     if not out.live.any():  # every split has failed: nothing left to fit
         return list(out.errors)
 
@@ -264,7 +250,7 @@ def make_ratio_fn(
                 s, f = _legs(method, s_set, f_set, horizon, imf_index)
                 rows, _ = design_rows(method, s, f, horizon)
                 if not len(rows):
-                    _check_rows(method, 0, horizon)
+                    raise _too_few_obs(method, 0, horizon)
             except DataError as exc:
                 left_out[a, b] = f"groups {a}-{b}: {exc}"
                 continue

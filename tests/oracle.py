@@ -2,7 +2,7 @@
 
 ``fit`` computes what ``methods.make_ratio_fn`` fits for MV, ECM and the EMD
 family the plain way: the rows of ``estimators.design_rows`` that ``pool``
-keeps, the row rule of ``estimators._check_rows``, the rank by
+keeps, the sample-size rule of ``estimators._too_few_obs``, the rank by
 ``np.linalg.matrix_rank``, ECM's reductions 4, 3, 2 in order, and the slope by
 ``np.linalg.lstsq``. ``eecm`` fits every EECM lag candidate by brute force,
 from rows it builds itself. The batched fit factors stacked QR factors
@@ -23,8 +23,9 @@ from emdhedge.estimators import (
     ECM_RANK_DEFICIENT,
     NO_EECM_FIT,
     RANK_DEFICIENT,
+    MIN_OBS,
     Method,
-    _check_rows,
+    _too_few_obs,
     _too_few_rows,
     design_rows,
 )
@@ -65,7 +66,8 @@ def fit(method: Method, s, f, horizon: int, segments: tuple[range, ...] | None =
     fits the first p design columns alone, e.g. ECM's restricted [1, dF]."""
     s, f = np.asarray(s, dtype=float), np.asarray(f, dtype=float)
     rows = pool(*design_rows(method, s, f, horizon), _training_sample(segments, len(s)))
-    _check_rows(method, len(rows), horizon)
+    if len(rows) < MIN_OBS:
+        raise _too_few_obs(method, len(rows), horizon)
     y = rows[:, -1]
     for k in (p,) if p else (4, 3, 2) if method is Method.ECM else (2,):
         x = rows[:, :k]
@@ -154,7 +156,8 @@ def eecm(
                 + [ds[t - i] for i in range(1, max_lag + 1)]
                 + [df[t - i] for i in range(1, max_lag + 1)]
             )
-    _check_rows(Method.EECM, len(rows), horizon)
+    if len(rows) < MIN_OBS:
+        raise _too_few_obs(Method.EECM, len(rows), horizon)
     A = np.array(rows)
     y, nobs = A[:, 0], len(A)
     base = [1, 2] if include_u else [1]

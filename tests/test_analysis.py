@@ -247,15 +247,27 @@ class TestSignificanceStars:
     def test_sign_symmetric(self):
         assert significance_stars(-5.0, 30) == significance_stars(5.0, 30)
 
-    def test_matches_scipy_t_survival(self):
-        def reference(t, dof):
-            p = 2.0 * sp_stats.t.sf(abs(t), dof)
-            return "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.10 else ""
+    @staticmethod
+    def reference(t, dof):
+        p = 2.0 * sp_stats.t.sf(abs(t), dof)
+        return "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.10 else ""
 
+    def test_matches_scipy_t_survival(self):
         for dof in (1, 2, 7, 40, 500):
             edges = [sp_stats.t.isf(a / 2, dof) for a in (0.01, 0.05, 0.10)]
             for t in np.r_[edges, np.nextafter(edges, 0.0), np.linspace(-12.0, 12.0, 49)]:
-                assert significance_stars(t, dof) == reference(t, dof)
+                assert significance_stars(t, dof) == self.reference(t, dof)
+
+    @pytest.mark.parametrize("dof", [1, 2, 30])
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_an_infinite_t_matches_scipy(self, t, dof):
+        # p = 0: the t of an exact nonzero fit is the most significant there is
+        assert significance_stars(t, dof) == self.reference(t, dof) == "***"
+
+    def test_an_exact_fit_through_the_origin_gets_its_stars(self):
+        x = np.arange(1.0, 9.0)
+        fit = determinant_regression(2 * x, x)
+        assert fit.t_origin == math.inf and significance_stars(fit.t_origin, fit.n_obs - 1) == "***"
 
     def test_invalid_inputs_blank(self):
         assert significance_stars(float("nan"), 30) == ""

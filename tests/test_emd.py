@@ -452,6 +452,27 @@ class TestDecompose:
         with pytest.raises(InsufficientDataError):
             decompose(np.arange(7.0))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.where(np.arange(100) == 50, np.nan, sine(20, 100)), "a series to sift must hold only finite values"),
+            (np.where(np.arange(100) == 50, np.inf, sine(20, 100)), "a series to sift must hold only finite values"),
+            (np.where(np.arange(100) == 0, -np.inf, sine(20, 100)), "a series to sift must hold only finite values"),
+            (np.ones((10, 10)), "a series to sift must be one-dimensional, not of shape (10, 10)"),
+        ],
+        ids=["nan", "inf", "-inf", "10x10"],
+    )
+    def test_a_series_it_cannot_sift_is_a_data_error(self, bad, message):
+        # the error is the series' own result in a batch, which the good series beside it does not change
+        good = sine(20, 100)
+        got, alone = decompose_all([bad, good])
+        assert type(got) is DataError and str(got) == message
+        assert np.array_equal(alone.reconstruct(), decompose(good).reconstruct())
+        for call in (decompose, sift):
+            with pytest.raises(DataError) as raised:
+                call(bad)
+            assert type(raised.value) is DataError and str(raised.value) == message
+
     def test_reconstruction_exact(self):
         rng = np.random.default_rng(7)
         x = sine(15, 800, 2.0) + sine(90, 800, 1.0) + rng.normal(0, 0.3, 800)

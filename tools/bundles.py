@@ -2,7 +2,7 @@
 git revision and under this checkout's, and compare what they write byte for
 byte.
 
-    python tools/bundles.py compare REF
+    python tools/bundles.py compare REF [--within TOL]
 
 REF is any git revision of this repository; its ``src/`` and ``tests/`` are
 extracted with ``git archive``. The corpus inputs are generated once, by this checkout's
@@ -13,26 +13,35 @@ whole manifests (their ``input`` and ``out`` included) compare. A config
 whose memory grows without bound thus fails at the ceiling, and is reported
 as differing, instead of exhausting the host. A config is
 ``identical`` when the exit codes, stdout, stderr and every file it wrote
-match; otherwise its first difference is printed, with each differing CSV's
-largest relative cell move. A config whose run under this checkout's tree
+match; otherwise its first difference is printed, with each differing
+file's largest move (``largest_move``): a float cell or JSON number's move
+against the larger of its own magnitude and the largest of its CSV column
+or JSON array (so a value near zero is judged against its column's scale),
+with its row and column or JSON pointer, or the first other value that
+differs (text and stars, integer counts, NaN and infinities). A config whose run under this checkout's tree
 exits with another code than its own (``NONZERO_EXITS``, else 0) is reported
 too. In a clean checkout ``compare HEAD`` runs every config of one commit
 twice, so it checks that reruns are byte-identical and exit as documented.
-The last two lines give the line counts of the Python files under REF's
+
+``--within TOL`` judges a numerical rewrite, whose floats may move by
+round-off: a config that is not identical is ``within TOL`` when its exit
+code, stdout, stderr and file set match and no file's largest move exceeds
+TOL, so every other value is equal; any other config ``DIFFERS``. The last two lines give the line counts of the Python files under REF's
 ``src/`` and ``tests/`` and under this checkout's: code moved from ``src/``
 into the tests is no reduction, so both numbers are needed.
 
 The three benchmark workloads' configs are built from
 ``perfbench/worker.py``'s ``WORKLOADS``, on inputs 0-3 of the reference seed
 and of hold-out seed 11. Everything runs in a temporary directory,
-removed at the end. Exits 0 when every config is identical and exits with its
-own code, and 1 otherwise.
+removed at the end. Exits 0 when every config is identical (or within TOL)
+and exits with its own code, and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
 import resource
@@ -214,44 +223,96 @@ def _run(src: Path, cwd: Path, args: list[str]) -> subprocess.CompletedProcess:
     )
 
 
-def _cell_move(x: str, y: str) -> float:
-    """Relative move between two cells: 0 for equal text, inf for text or a
-    NaN against a number."""
-    if x == y:
-        return 0.0
-    try:
-        a, b = float(x), float(y)
-    except ValueError:
-        return math.inf
-    if math.isnan(a) or math.isnan(b):
-        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
-    return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+def _float(value) -> float | None:
+    """A finite float, from a CSV cell written with a point or an exponent or
+    from a JSON number that is not an integer; None for any other value."""
+    if isinstance(value, str):
+        try:
+            int(value)
+            return None
+        except ValueError:
+            pass
+        try:
+            value = float(value)
+        except ValueError:
+            return None
+    return value if type(value) is float and math.isfinite(value) else None
 
 
-def csv_move(a: Path, b: Path) -> str:
-    """The largest relative cell move from CSV ``a`` to CSV ``b``."""
+def _move(x, y, scale: float) -> float:
+    """How far value y lies from value x: for two finite floats, their
+    distance over the larger of their magnitudes and ``scale``; else 0 when
+    they are equal (NaN equal to NaN) and inf when not."""
+    a, b = _float(x), _float(y)
+    if a is not None and b is not None:
+        return abs(a - b) / max(abs(a), abs(b), scale) if a != b else 0.0
+    same = type(x) is type(y) and (x == y or isinstance(x, float) and math.isnan(x) and math.isnan(y))
+    return 0.0 if same else math.inf
+
+
+def _scale(values) -> float:
+    """The largest magnitude among the finite floats of ``values``."""
+    return max((abs(v) for v in map(_float, values) if v is not None), default=0.0)
+
+
+def csv_moves(a: Path, b: Path):
+    """(move, where, old, new) of each cell of CSV ``b`` that differs from
+    CSV ``a``, each float measured against its column's largest magnitude."""
     ra, rb = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
     if [len(r) for r in ra] != [len(r) for r in rb]:
-        return f"shape differs ({len(ra)} rows against {len(rb)})"
-    moves = ((_cell_move(x, y), i, j) for i, rows in enumerate(zip(ra, rb)) for j, (x, y) in enumerate(zip(*rows)))
-    move, i, j = max(moves, default=(0.0, 0, 0))
-    return f"largest relative cell move {move:.3g} at row {i}, column {ra[0][j] if ra else j}"
+        yield math.inf, "the shape", f"{len(ra)} rows", f"{len(rb)} rows"
+        return
+    scale = [_scale(col) for col in zip(*ra[1:], *rb[1:])] if len(ra) > 1 else []
+    for i, (row_a, row_b) in enumerate(zip(ra, rb)):
+        for j, (x, y) in enumerate(zip(row_a, row_b)):
+            if x != y:
+                yield _move(x, y, scale[j] if i else 0.0), f"row {i}, column {ra[0][j]}", x, y
+
+
+def json_moves(x, y, key: str = "", scale: float = 0.0):
+    """(move, key, old, new) of each value of JSON document ``y`` that
+    differs from ``x``, keys as JSON pointers, each number of an array
+    measured against that array's largest magnitude."""
+    if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+        for k in sorted(x):
+            yield from json_moves(x[k], y[k], f"{key}/{k}")
+    elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        scale = _scale(x + y)
+        for i, (u, v) in enumerate(zip(x, y)):
+            yield from json_moves(u, v, f"{key}/{i}", scale)
+    elif (move := _move(x, y, scale)) > 0.0:
+        yield move, key or "/", x, y
+
+
+def largest_move(a: Path, b: Path) -> tuple[float, str]:
+    """The largest move from file ``a`` to file ``b`` (``_move``; inf for a
+    file that is neither CSV nor JSON) and a line that says where it is."""
+    if a.suffix not in (".csv", ".json"):
+        return math.inf, "its bytes differ"
+    moves = csv_moves(a, b) if a.suffix == ".csv" else json_moves(*(json.loads(p.read_text()) for p in (a, b)))
+    move, where, x, y = max(moves, key=lambda m: m[0], default=(0.0, "no value", "", ""))
+    if math.isinf(move):
+        return move, f"value differs at {where}: {x!r} -> {y!r}"
+    return move, f"largest move {move:.3g} at {where}"
+
+
+def _files(d: Path) -> set[str]:
+    """The paths of the files under ``d``, relative to it."""
+    return {p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file()}
 
 
 def diff_dirs(a: Path, b: Path) -> list[str]:
     """How the files under ``b`` differ from those under ``a``: nothing when
     every file matches byte for byte; else the first differing path, in
-    sorted order, then each differing CSV's largest relative cell move."""
-    files_a, files_b = ({p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file()} for d in (a, b))
+    sorted order, then each differing file's ``largest_move``."""
+    files_a, files_b = _files(a), _files(b)
     one_side = files_a ^ files_b
     differing = sorted(f for f in files_a & files_b if (a / f).read_bytes() != (b / f).read_bytes())
     if not one_side and not differing:
         return []
     first = min(one_side | set(differing))
     where = f" (only under {'the first' if first in files_a else 'the second'} tree)" if first in one_side else ""
-    out = [f"first differing file: {first}{where}"]
-    out += [f"{f}: {csv_move(a / f, b / f)}" for f in differing if f.endswith(".csv")]
-    return out
+    return [f"first differing file: {first}{where}"] + [f"{f}: {largest_move(a / f, b / f)[1]}" for f in differing]
 
 
 def unexpected_exit(name: str, run: subprocess.CompletedProcess) -> list[str]:
@@ -270,6 +331,20 @@ def diff_runs(ref: subprocess.CompletedProcess, new: subprocess.CompletedProcess
     return out + diff_dirs(a, b)
 
 
+def verdict(ref, new, a: Path, b: Path, tol: float | None = None) -> tuple[str, list[str]]:
+    """``identical``, ``within TOL`` or ``DIFFERS`` for run ``new`` (writing
+    under ``b``) against run ``ref`` (under ``a``), and how it differs
+    (``diff_runs``). Without ``tol`` a run is identical or differs; with it,
+    a run whose exit code, streams and file set match is within TOL when no
+    differing file's ``largest_move`` exceeds ``tol``."""
+    found = diff_runs(ref, new, a, b)
+    streams = [(r.returncode, r.stdout, r.stderr) for r in (ref, new)]
+    if not found or tol is None or streams[0] != streams[1] or _files(a) != _files(b):
+        return ("DIFFERS" if found else "identical"), found
+    moves = (largest_move(a / f, b / f)[0] for f in _files(a) if (a / f).read_bytes() != (b / f).read_bytes())
+    return (f"within {tol:g}" if max(moves) <= tol else "DIFFERS"), found
+
+
 def line_counts(ref: str, ref_root: Path, root: Path) -> list[str]:
     """Per directory, ``src/`` then ``tests/``, the line counts of the Python
     files under ``ref_root`` (REF's tree) and under ``root``, as ``wc -l``
@@ -281,8 +356,9 @@ def line_counts(ref: str, ref_root: Path, root: Path) -> list[str]:
     return found
 
 
-def compare(ref: str, work: Path) -> int:
-    """Run the corpus under REF's tree and this checkout's; 0 if every config is identical."""
+def compare(ref: str, work: Path, tol: float | None = None) -> int:
+    """Run the corpus under REF's tree and this checkout's; 0 if every config
+    is identical, or with ``tol`` within it."""
     ref_src = work / "ref_tree"
     ref_src.mkdir(parents=True)
     archive = subprocess.run(
@@ -299,20 +375,23 @@ def compare(ref: str, work: Path) -> int:
             sys.exit(f"synth of input {name} failed: {made.stderr.strip()}")
     _derived_inputs(inputs)
 
-    corpus, differing = _corpus(), 0
+    corpus, kinds = _corpus(), []
     start = time.perf_counter()
     for name, args in corpus.items():
         a, b = work / "ref" / name, work / "new" / name
         ref_run, new = _run(ref_src / "src", a, args), _run(ROOT / "src", b, args)
-        found = unexpected_exit(name, new) + diff_runs(ref_run, new, a, b)
-        differing += bool(found)
-        print(f"{name}: {'DIFFERS' if found else 'identical'}", flush=True)
+        kind, found = verdict(ref_run, new, a, b, tol)
+        if wrong_exit := unexpected_exit(name, new):
+            kind, found = "DIFFERS", wrong_exit + found
+        kinds.append(kind)
+        print(f"{name}: {kind}", flush=True)
         for line in found:
             print(f"    {line}", flush=True)
-    print(f"{len(corpus) - differing} of {len(corpus)} configs identical to {ref} "
+    within = f", {sum(k.startswith('within') for k in kinds)} within {tol:g}" if tol is not None else ""
+    print(f"{kinds.count('identical')} of {len(corpus)} configs identical to {ref}{within} "
           f"({time.perf_counter() - start:.0f} s for both trees)")
     print(*line_counts(ref, ref_src, ROOT), sep="\n")
-    return 1 if differing else 0
+    return 1 if "DIFFERS" in kinds else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -320,9 +399,10 @@ def main(argv: list[str] | None = None) -> int:
     sub = p.add_subparsers(dest="command", required=True)
     c = sub.add_parser("compare", help="run the corpus under REF and this checkout and compare the outputs")
     c.add_argument("ref", metavar="REF", help="a git revision, e.g. HEAD or a commit id")
+    c.add_argument("--within", metavar="TOL", type=float, help="also accept configs whose floats move by at most TOL")
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="bundles-") as tmp:
-        return compare(args.ref, Path(tmp))
+        return compare(args.ref, Path(tmp), args.within)
 
 
 if __name__ == "__main__":
