@@ -18,6 +18,7 @@ import numpy as np
 from .emd import ImfSet
 from .errors import DataError, DegenerateInputError, EmdHedgeError, InsufficientDataError, NumericError
 from .estimators import ImfPair, OlsFit, _min_rows, ols
+from .performance import degenerate
 
 __all__ = [
     "VarianceRow",
@@ -68,7 +69,7 @@ def variance_decomposition(logret_set: ImfSet, source: np.ndarray) -> list[Varia
     ``logret_set`` must decompose the log-return series itself, not levels.
     """
     src_var = float(np.var(np.asarray(source, dtype=float), ddof=1))
-    if src_var <= 0.0:
+    if degenerate(math.sqrt(src_var), float(np.max(np.abs(source)))):
         raise DegenerateInputError("source series has zero variance")
     components = [(imf.index, imf.values) for imf in logret_set.imfs] + [(None, logret_set.residue)]
     rows = []
@@ -128,7 +129,7 @@ def determinant_regression(performance: np.ndarray, matching: np.ndarray) -> Det
 def relative_performance(model_he: float, mv_he: float) -> float:
     """(model - MV) / |MV|; the absolute denominator keeps the sign meaningful
     when the MV performance is negative."""
-    if abs(mv_he) <= 1e-12:
+    if degenerate(abs(mv_he)):
         raise DegenerateInputError("MV performance too close to zero")
     return (model_he - mv_he) / abs(mv_he)
 

@@ -227,6 +227,15 @@ def _emit_csv(state: PipelineState, name: str, header: list[str], rows: Iterable
     state.artifacts.append(name)
 
 
+def _emit_filled(state: PipelineState, header: list[str], tables: dict[str, tuple[list, str]]) -> None:
+    """Write a stage's tables, name -> (rows, what they hold); a table of NaN alone is a DataError naming it."""
+    for rows, what in tables.values():
+        if not any(math.isfinite(v) for row in rows for v in row[2:]):
+            raise DataError(f"no {what} for any method and horizon")
+    for name, (rows, _) in tables.items():
+        _emit_csv(state, name, header, rows)
+
+
 # ---------------------------------------------------------------------------
 # pipeline stages
 
@@ -424,12 +433,9 @@ def _emit_insample(state: PipelineState) -> None:
                             f"in-sample {methods[i].value} imf{imf_index} h={h}: {crit.value} not scored: {why}"
                         )
             score_rows[crit].append([f"imf{imf_index}", h] + values)
-    if not any(math.isfinite(v) for row in ratio_rows for v in row[2:]):  # a table of NaN alone fails
-        raise DataError("no in-sample hedge ratio for any method and horizon")
-    header = ["imf", "horizon"] + [m.value for m in methods]
-    _emit_csv(state, "insample_ratios.csv", header, ratio_rows)
-    for crit in Criterion:  # insample_variance_reduction.csv, insample_var.csv
-        _emit_csv(state, f"insample_{crit.value}.csv", header, score_rows[crit])
+    ratios = {"insample_ratios.csv": (ratio_rows, "in-sample hedge ratio")}
+    scores = {f"insample_{c.value}.csv": (rows, f"in-sample {c.value} score") for c, rows in score_rows.items()}
+    _emit_filled(state, ["imf", "horizon"] + [m.value for m in methods], ratios | scores)
 
 
 def _emit_cv(state: PipelineState) -> None:
@@ -476,6 +482,9 @@ def _emit_cv(state: PipelineState) -> None:
                 else:
                     cv_rows[crit][1] = max(cv_rows[crit][1], len(rep.per_path_values))
                     cv_rows[crit] += [rep.stats.mean, rep.stats.std, rep.stats.skew, rep.stats.kurt]
+                    if math.isnan(rep.stats.skew):  # and kurt: ``moments``' degeneracy rule
+                        why = f"no {crit.value} path skewness or kurtosis: the paths' spread is round-off"
+                        state.warnings.append(f"cv {method.value} imf{imf_index} h={h}: {why}")
         for crit, cv_row in cv_rows.items():
             tables[crit].append(cv_row)
 
@@ -483,12 +492,8 @@ def _emit_cv(state: PipelineState) -> None:
         for leg, s in zip(("spot", "futures"), sets):
             if isinstance(s, ImfSet):
                 _warn_unconverged(state, f"{leg} training segment [{seg.start}, {seg.stop})", s)
-    for crit in Criterion:  # a table of NaN alone is a failed stage, not a result
-        if not any(math.isfinite(v) for row in tables[crit] for v in row[2:]):
-            raise DataError(f"no {crit.value} path statistics for any method and horizon")
     header = ["horizon", "path"] + [f"{m.value}_{c}" for m in methods for c in ("mean", "std", "skew", "kurt")]
-    for crit in Criterion:  # cv_variance_reduction.csv, cv_var.csv
-        _emit_csv(state, f"cv_{crit.value}.csv", header, tables[crit])
+    _emit_filled(state, header, {f"cv_{c.value}.csv": (r, f"{c.value} path statistics") for c, r in tables.items()})
     _write_json(state.outdir / "cv_paths.json", sidecar)
     state.artifacts.append("cv_paths.json")
 

@@ -13,7 +13,8 @@ reduction and the minimum for VaR.
 one call: the group returns and the spot side of each test group are
 computed once, and each criterion's scores are one (method, path, group)
 array, with failed and excluded cells as masks, aggregated by
-``path_statistics``.
+``path_statistics``. A (method, split, test group) cell's score reads only
+that group's returns and the split's ratio.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ scopes:
   decomposition itself sees test data);
 - ``per-segment``: re-run the decomposition on each training segment (a
   maximal run of adjacent training groups, ``training_segments``) and pool
-  the segments' rows, eliminating look-ahead.
+  the segments' rows, eliminating look-ahead: a split's outcome (ratio or
+  error) reads no price of its test groups, as an MV, ECM or EECM one does.
 
 Rows come from the estimators' row builder, ``estimators.design_rows``: a
 method's regression rows [1, design | y], each with its footprint [i, i +

@@ -2,7 +2,8 @@
 
 Evaluation returns are horizon-h log differences (stride 1), consistent with
 the conventional estimators. The VaR quantile uses linear interpolation at
-position (n-1)*alpha + 1 so outputs are bit-reproducible.
+position (n-1)*alpha + 1 so outputs are bit-reproducible. One rule, ``degenerate``,
+refuses a spread at round-off level; it judges dimensionless returns and ratios only.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import DataError, InsufficientDataError
 __all__ = [
     "Criterion",
     "Moments",
+    "degenerate",
     "effectiveness_rows",
     "he_variance",
     "var_quantile",
@@ -28,6 +30,11 @@ __all__ = [
 DEGENERACY_THRESHOLD = 1e-12
 VAR_MIN_OBS = 20  # the fewest returns an empirical VaR quantile is taken from
 MOMENTS_MIN_OBS = 4  # the fewest values that get moments (skewness and kurtosis)
+
+
+def degenerate(spread: float, scale: float = 1.0) -> bool:
+    """Whether ``spread`` is at most ``DEGENERACY_THRESHOLD`` * max(1, |scale|)."""
+    return spread <= DEGENERACY_THRESHOLD * max(1.0, abs(scale))
 
 
 class Criterion(Enum):
@@ -65,16 +72,14 @@ def effectiveness_rows(
         if min(len(spot_ret), portfolios.shape[1]) < 2:
             raise InsufficientDataError("need at least 2 observations per side")
         vs = float(np.var(spot_ret, ddof=1))
-        # relative floor: a constant series can show O(eps^2) variance from
-        # round-off in the mean subtraction
-        floor = (DEGENERACY_THRESHOLD * max(1.0, float(np.max(np.abs(spot_ret))))) ** 2
-        if vs <= floor:
+        # a constant series can show O(eps) std from round-off in the mean subtraction
+        if degenerate(math.sqrt(vs), float(np.max(np.abs(spot_ret)))):
             return np.full(len(portfolios), np.nan)
         return 1.0 - np.var(portfolios, axis=1, ddof=1) / vs
     # 1 - q_alpha(portfolio)/q_alpha(spot) on signed returns
     qs = var_quantile(spot_ret, alpha)
     qp = var_quantile(portfolios, alpha)
-    if abs(qs) < DEGENERACY_THRESHOLD:
+    if degenerate(abs(qs)):
         return np.full(len(portfolios), np.nan)
     return 1.0 - qp / qs
 
@@ -128,21 +133,19 @@ def moments(values: np.ndarray) -> Moments:
     (central moments with n denominator).
 
     g1 and g2 repeat ``scipy.stats.skew``/``kurtosis`` (``bias=True``)
-    operation for operation, including their NaN for a second moment at
-    round-off level relative to the mean.
+    operation for operation, but are NaN wherever sqrt(m2) is ``degenerate``
+    against the mean: by design, a wider band than scipy's m2 <= (eps * mean)^2.
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
     if n < MOMENTS_MIN_OBS:
         raise InsufficientDataError(f"need at least {MOMENTS_MIN_OBS} observations for moments")
     std = float(np.std(values, ddof=1))
-    if std <= 0.0:
-        return Moments(float(values.mean()), 0.0, float("nan"), float("nan"))
     mean = values.mean()
     d = values - mean
     d2 = d**2
     m2, m3, m4 = np.mean(d2), np.mean(d2 * d), np.mean(d2**2)
-    if m2 <= (np.finfo(float).eps * mean) ** 2:
+    if degenerate(math.sqrt(m2), float(mean)):
         skew = kurt = float("nan")
     else:
         skew = float(m3 / m2**1.5)

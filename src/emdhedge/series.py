@@ -14,6 +14,7 @@ Conventions
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,11 +77,11 @@ def load_csv(
 
     The kept rows only build the two legs; ``PriceSeries`` accepts them. If a
     parse or it refuses, each kept row is checked in turn for a date that does
-    not parse (a blank or ``NaT`` one included), a price that does not parse
-    or is outside [2^-511, 2^511), and a date not after the previous row's;
-    the first line with a fault is named, by its line in the file: the header
-    is line 1, blank lines count, and a row that spans lines (a quoted cell
-    with a line break) is named by its last line.
+    not fix its day (blank, ``NaT``, ``today``, ``now`` or with a time zone), a
+    price that does not parse or is outside [2^-511, 2^511), and a date not
+    after the previous row's; the first line with a fault is named, by its
+    line in the file: the header is line 1, blank lines count, and a row that
+    spans lines (a quoted cell with a line break) is named by its last line.
     """
     path = Path(path)
     if not path.exists():
@@ -119,15 +120,25 @@ def load_csv(
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
     if unreadable is None:
         try:
-            ts = np.array(dates, dtype="datetime64[D]")
+            ts = _days(dates)
             s, f = (np.array([float(v) for v in cells]) for cells in (spots, futs))
             return PriceSeries(ts, s), PriceSeries(ts, f), dropped
-        except (ValueError, DataError):  # its line is named by the rescan below
+        except (ValueError, UserWarning, DataError):  # its line is named by the rescan below
             pass
     _first_fault(path, zip(lines, dates, spots, futs))
     if unreadable is not None:
         raise unreadable
     raise InsufficientDataError(f"{path}: fewer than 2 usable rows")
+
+
+def _days(cells: list[str]) -> np.ndarray:
+    """The days of date cells; a ValueError or UserWarning for one that fixes no day."""
+    with warnings.catch_warnings():  # numpy converts a time zone to UTC, with this warning
+        warnings.filterwarnings("error", "no explicit representation of timezones")
+        days = np.array(cells, dtype="datetime64[D]")
+    if np.isnat(days).any() or not {"today", "now"}.isdisjoint(map(str.lower, cells)):  # read off the clock
+        raise ValueError("a date that fixes no day")
+    return days
 
 
 def _in_range(v):
@@ -145,11 +156,9 @@ def _first_fault(path: Path, rows) -> None:
     for line, raw_d, raw_s, raw_f in rows:
         where = f"{path}:{line}"
         try:
-            d = np.datetime64(raw_d, "D")
-        except ValueError:
-            d = np.datetime64("NaT")
-        if np.isnat(d):
-            raise DataError(f"{where}: unparseable date '{raw_d}'")
+            (d,) = _days([raw_d])
+        except (ValueError, UserWarning):
+            raise DataError(f"{where}: unparseable date '{raw_d}'") from None
         try:
             s, f = float(raw_s), float(raw_f)
         except ValueError:

@@ -1219,7 +1219,7 @@ class TestBadConfigFailsUpFront:
 
 
 def _unexplained_nans(outdir: Path) -> list[str]:
-    """The NaN cells of the bundle's CV means and in-sample tables that have
+    """The NaN cells of the bundle's CV moments and in-sample tables that have
     no reason: a manifest warning naming the cell's method and horizon, an
     exclusion at its horizon, or failed splits in ``cv_paths.json``."""
     manifest = json.loads((outdir / "manifest.json").read_text())
@@ -1243,8 +1243,8 @@ def _unexplained_nans(outdir: Path) -> list[str]:
             for row in csv.DictReader(fh):
                 h = int(row["horizon"])
                 for col, value in row.items():
-                    method = col[: -len("_mean")] if crit else col
-                    if (col.endswith("_mean") or not crit) and value == "nan" and not explained(method, h, crit):
+                    method = col.rsplit("_", 1)[0] if crit else col
+                    if value == "nan" and not explained(method, h, crit):
                         unexplained.append(f"{name} h={h} {col}")
     return unexplained
 
@@ -1304,7 +1304,7 @@ def _a_cell_is_finite(table: Path) -> bool:
     seed=st.integers(0, 10_000),
     groups=st.integers(5, 10),
     k=st.integers(2, 3),
-    horizons=st.just("auto") | st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(
+    horizons=st.just("auto") | st.lists(st.integers(1, 400), min_size=1, max_size=3, unique=True).map(
         lambda hs: ",".join(map(str, hs))
     ),
     horizon_cap=st.sampled_from([1, 30, 183]),
@@ -1318,6 +1318,9 @@ def _a_cell_is_finite(table: Path) -> bool:
 # over the split cap and outside the price range: the usage error wins
 @example(length=100, seed=0, groups=6, k=2, horizons="auto", horizon_cap=1, methods="MV", scope="full",
          command="pipeline", scale=152, cap=10)
+# 15 returns at h=85, too few for a VaR quantile: the in-sample VaR table is all NaN
+@example(length=100, seed=0, groups=5, k=2, horizons="85", horizon_cap=183, methods="MV,SEMD", command="hedge",
+         scope="full", scale=0, cap=None)
 def test_the_cli_contract_holds_for_drawn_configs(
     length, seed, groups, k, horizons, horizon_cap, methods, scope, command, scale, cap
 ):

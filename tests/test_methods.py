@@ -1,14 +1,15 @@
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emdhedge import estimators, methods
-from emdhedge.cpcv import Scheme, partition, split_table
+from emdhedge import cpcv, estimators, methods
+from emdhedge.cpcv import Criterion, Scheme, partition, run_cv, split_table
 from emdhedge.emd import MIN_SAMPLES, ImfSet, SiftConfig, decompose, decompose_all
 from emdhedge.errors import DataError, EmdHedgeError, InsufficientDataError
 from emdhedge.estimators import (
@@ -17,7 +18,7 @@ from emdhedge.estimators import (
     design_rows,
     ols,
 )
-from emdhedge.methods import make_ratio_fn, training_segments
+from emdhedge.methods import EMD_FAMILY, make_ratio_fn, training_segments
 from emdhedge.series import PriceSeries, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 import oracle
@@ -370,3 +371,85 @@ def test_a_too_short_training_segment_is_left_out_of_its_blocks():
     # stored errors re-raise with the same class and message on every lookup
     for a, b in zip(runs, runs[2:]):
         assert [(type(o), str(o)) for o in a] == [(type(o), str(o)) for o in b]
+
+
+def _noisy_groups(series: PriceSeries, groups, noisy, rng) -> PriceSeries:
+    """``series`` with the prices of the groups ``noisy`` times exp(N(0, 0.02^2)) noise."""
+    values = series.values.copy()
+    for g in noisy:
+        values[groups[g].start : groups[g].stop] *= np.exp(rng.normal(0.0, 0.02, len(groups[g])))
+    return PriceSeries(series.timestamps, values)
+
+
+# The full-scope EMD methods are left out, and nothing is asserted of them: they
+# fit on the whole-series decomposition, which sees the test prices. That is the
+# full scope's documented look-ahead (``methods``), and the per-segment scope is
+# the one without it.
+NO_LOOK_AHEAD = [(m, "full") for m in (Method.MV, Method.ECM, Method.EECM)] + [(m, "per-segment") for m in EMD_FAMILY]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    length=st.integers(200, 500),
+    n_groups=st.integers(3, 6),
+    k=st.integers(1, 2),
+    h=st.integers(1, 8),
+    max_lag=st.integers(0, 3),
+    method_scope=st.sampled_from(NO_LOOK_AHEAD),
+    seed=st.integers(0, 2**16),
+    split=st.integers(0, 14),
+)
+def test_a_splits_outcome_reads_no_price_of_its_test_groups(length, n_groups, k, h, max_lag, method_scope, seed, split):
+    """Noise on a split's test-group prices leaves its outcome, a ratio or an
+    error, the same bit for bit."""
+    method, scope = method_scope
+    spot, fut = gen_coint_pair(SynthSpec(length=length, seed=seed, coint=CointSpec()))
+    groups = partition(spot, Scheme.EQUAL_COUNT, n_groups)
+    tests, train = split_table(n_groups, k)
+    mask, rng = train[split % len(train), None], np.random.default_rng(seed)
+    outcomes = []
+    for legs in ((spot, fut), [_noisy_groups(leg, groups, tests[split % len(train)], rng) for leg in (spot, fut)]):
+        # per-segment: the decompositions of the split's training segments, as the CLI makes them
+        imfs = _segment_sets(*legs, list(training_segments(groups, mask).values())) if scope == "per-segment" else None
+        (got,) = make_ratio_fn(method, *legs, h, 1, imfs, max_lag, groups=groups)(mask)
+        outcomes.append((type(got).__name__, str(got)) if isinstance(got, EmdHedgeError) else repr(got))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_groups=st.integers(3, 6),
+    k=st.integers(2, 3),
+    h=st.integers(1, 5),
+    noisy=st.integers(0, 5),
+)
+def test_a_cells_score_reads_only_its_test_groups_returns(seed, n_groups, k, h, noisy):
+    """Each (method, split, test group) cell is scored on that group's returns
+    alone: with ratios that read no price, noise on one group's prices leaves
+    every cell of every other group the same bit for bit, and moves its own."""
+    k, noisy = min(k, n_groups - 1), noisy % n_groups
+    spot, fut = gen_coint_pair(SynthSpec(length=300, seed=seed, coint=CointSpec()))
+    groups = partition(spot, Scheme.EQUAL_COUNT, n_groups)
+    tests, _ = split_table(n_groups, k)
+    # two methods, each with a fixed ratio per split
+    fns = {label: lambda train, b=b: np.linspace(b, b + 0.5, len(train)).tolist() for label, b in (("a", 0), ("b", 1))}
+    noise = np.random.default_rng(seed)
+    reduce_rows = cpcv._reduce_rows
+    runs = []
+    for legs in ((spot, fut), [_noisy_groups(leg, groups, [noisy], noise) for leg in (spot, fut)]):
+        seen = []
+
+        def spy(values, keep, reduce):
+            seen.append(values.copy())
+            return reduce_rows(values, keep, reduce)
+
+        with mock.patch.object(cpcv, "_reduce_rows", spy):
+            run_cv(*legs, fns, h, groups, k)
+        # per criterion, the per-split reduction's input: (method x split, test slot) cells
+        runs.append([v for v in seen if v.shape[1] == k])
+    assert len(runs[0]) == len(Criterion)
+    other = np.tile(tests != noisy, (len(fns), 1))
+    for before, after in zip(*runs):
+        assert before[other].tobytes() == after[other].tobytes()
+        assert (before[~other] != after[~other]).any()

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emdhedge.errors import DataError, InsufficientDataError
+from emdhedge.analysis import relative_performance, variance_decomposition
+from emdhedge.emd import decompose
+from emdhedge.errors import DataError, DegenerateInputError, InsufficientDataError
 from emdhedge.estimators import Method
 from emdhedge.performance import (
+    DEGENERACY_THRESHOLD,
     Criterion,
+    degenerate,
     effectiveness_rows,
     he_var,
     he_variance,
@@ -191,6 +195,40 @@ class TestMoments:
                     [m.skew, m.kurt],
                     [stats.skew(x, bias=True), stats.kurtosis(x, fisher=True, bias=True)],
                 )
+
+
+def _refused(call) -> bool:
+    """Whether ``call()`` gives no number: NaN, or a DegenerateInputError."""
+    try:
+        return math.isnan(call())
+    except DegenerateInputError:
+        return True
+
+
+# each caller of ``degenerate``, as a call whose judged spread is exactly a,
+# under a scale of 1: [-a, 0, a] has std a, and [-a, a, -a, a] has sqrt(m2) a
+DEGENERACY_CALLERS = {
+    "variance reduction": lambda a: he_variance(np.array([-a, 0.0, a]), np.zeros(3)),
+    "VaR": lambda a: he_var(np.full(VAR_MIN_OBS, -a), np.zeros(VAR_MIN_OBS)),
+    "moments": lambda a: moments(np.array([-a, a, -a, a])).skew,
+    "relative performance": lambda a: relative_performance(0.5, a),
+    "variance decomposition": lambda a: variance_decomposition(
+        decompose(np.sin(np.arange(60.0) / 3)), np.array([-a, 0.0, a])
+    )[0].percent,
+}
+
+
+@pytest.mark.parametrize("caller", sorted(DEGENERACY_CALLERS))
+def test_a_spread_at_the_degeneracy_threshold_is_refused_and_twice_it_is_scored(caller):
+    call = DEGENERACY_CALLERS[caller]
+    assert _refused(lambda: call(DEGENERACY_THRESHOLD))
+    assert not _refused(lambda: call(2 * DEGENERACY_THRESHOLD))
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.5, -1.0, 1e3, -1e3])
+def test_the_degeneracy_threshold_scales_with_magnitudes_past_one(scale):
+    edge = DEGENERACY_THRESHOLD * max(1.0, abs(scale))
+    assert degenerate(edge, scale) and not degenerate(2 * edge, scale)
 
 
 finite_returns = st.lists(

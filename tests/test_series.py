@@ -1,4 +1,5 @@
 import math
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -188,6 +189,16 @@ class TestLoadCsv:
         rows[line - 2] = f"{cell},1,2"
         assert self._error(tmp_path, rows) == f":{line}: unparseable date '{cell}'"
 
+    @pytest.mark.parametrize("cell", ["today", "NOW", "2020-01-03T00:00Z", "2020-01-03T00:00+01:00"])
+    def test_a_date_the_file_does_not_fix_names_its_line(self, tmp_path, cell):
+        """numpy reads ``today`` and ``now`` off the clock, and converts a time
+        zone to UTC with a warning: each is an unparseable date, and warns of nothing."""
+        rows = [f"{np.datetime64('2020-01-01') + i},1,2" for i in range(5)]
+        rows[2] = f"{cell},1,2"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._error(tmp_path, rows) == f":4: unparseable date '{cell}'"
+
     def test_a_blank_line_counts_as_a_file_line(self, tmp_path):
         p = tmp_path / "bl.csv"
         p.write_text("date,spot,futures\n2020-01-01,1,2\n\n2020-01-02,1,2\nbad,1,2\n")
@@ -213,7 +224,10 @@ class TestLoadCsv:
 # the differential property: load_csv against a plain row-by-row oracle on
 # small CSVs, each a clean pair with up to two cells edited
 FIRST_DAY = date(2020, 1, 1)
-DATE_EDITS = {"repeated": -2, "earlier": -3, "blank": "", "nat": "NaT", "notadate": "notadate"}
+DATE_EDITS = {
+    "repeated": -2, "earlier": -3, "blank": "", "nat": "NaT", "notadate": "notadate",
+    "clock": "today", "zoned": "2020-01-01T00:00Z",
+}
 PRICE_CELLS = ["", "x", "-1", "0", "inf", "nan", "1e160", "1e-300"]
 # blank lines longer than the text reader's buffer, so the rows before them
 # are read, and checked, before the undecodable bytes after them

@@ -78,11 +78,12 @@ SYNTH_INPUTS = {
 def _derived_inputs(inputs: Path) -> None:
     """Inputs edited from pair300, whose row i is at file line i + 2: a UTF-8
     byte order mark; prices scaled past 2^511, and by 1e-150, 1e-14 and 1e14; a
-    linear spot leg; the loader's faults (a blank or NaT date, a repeated
-    date, an unparseable or negative price, a blank line before a fault, and
-    undecodable bytes after the rows, with and without a faulty row before
-    them); a repeated spot column; a row with a blank price; and ``run.cfg``,
-    a whole pipeline run as a config file."""
+    linear spot leg; the loader's faults (a blank or NaT date, a date read
+    off the clock, a date with a time zone, a repeated date, an unparseable or
+    negative price, a blank line before a fault, and undecodable bytes after
+    the rows, with and without a faulty row before them); a repeated spot
+    column; a row with a blank price; and ``run.cfg``, a whole pipeline run as
+    a config file."""
     text = (inputs / "pair300.csv").read_text()
     (inputs / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
     header, *rows = [line.split(",") for line in text.splitlines()]
@@ -105,6 +106,8 @@ def _derived_inputs(inputs: Path) -> None:
         "mono": (header, [[r[0], repr(100 + 0.1 * i), r[2]] for i, r in enumerate(rows)], b""),
         "nodate": (header, put(2, 0, ""), b""),
         "natdate": (header, put(4, 0, "NaT"), b""),
+        "todaydate": (header, put(len(rows) - 1, 0, "today"), b""),
+        "zonedate": (header, put(8, 0, rows[8][0] + "T00:00Z"), b""),
         "order": (header, put(5, 0, rows[4][0]), b""),
         "badprice": (header, put(7, 1, "x"), b""),
         "negprice": (header, put(9, 2, "-1"), b""),
@@ -124,12 +127,16 @@ def _derived_inputs(inputs: Path) -> None:
 
 
 # the derived inputs with a loader fault, on each of which decompose is a data error
-LOADER_FAULTS = ("nodate", "natdate", "order", "badprice", "negprice", "blankline", "undecodable", "undecodable_fault")
+LOADER_FAULTS = (
+    "nodate", "natdate", "todaydate", "zonedate", "order", "badprice", "negprice", "blankline", "undecodable",
+    "undecodable_fault",
+)
 # the exit code of each corpus config that does not exit 0: the data errors, and the scaled pipelines,
 # whose matching-degree regressions fail the rank rule at either scale
 NONZERO_EXITS = dict.fromkeys(
     ["synth_out_of_range", "cv_horizon_90", "cv_huge", "hedge_mono", "hedge_whole", "hedge_aemd_short",
-     "cv_all_excluded", "cv_no_row", "decompose_missing", *(f"decompose_{source}" for source in LOADER_FAULTS)],
+     "cv_all_excluded", "cv_no_row", "hedge_var_too_few", "decompose_missing",
+     *(f"decompose_{source}" for source in LOADER_FAULTS)],
     2,
 ) | {"pipeline_scaled_down": 3, "pipeline_scaled_up": 3, "cv_too_many_splits": 1}
 
@@ -168,6 +175,8 @@ def _corpus() -> dict[str, list[str]]:
         "hedge_aemd_short": ["hedge", "short101", "--horizons", "1", "--methods", "AEMD"],
         "cv_all_excluded": ["cv", "short100", *eq5],
         "cv_no_row": ["cv", "pair600_3", "--partition", "equal:6", "--horizon-cap", "1", "--methods", "MV"],
+        # 10 returns at h=590, too few for a VaR quantile: the in-sample VaR table has no number
+        "hedge_var_too_few": ["hedge", "pair600_3", "--horizons", "590"],
         # all six methods at 1e-150, where every EMD cell that pairs its IMFs fails the rank rule
         "hedge_scaled_tiny": ["hedge", "scaled_tiny"],
         "pipeline_scaled_down": ["pipeline", "scaled_down", *eq5],
