@@ -17,7 +17,7 @@ import numpy as np
 
 from .emd import ImfSet
 from .errors import DataError, DegenerateInputError, EmdHedgeError, InsufficientDataError, NumericError
-from .estimators import ImfPair, OlsFit, _min_rows, ols
+from .estimators import _min_rows, ols, pair_count
 from .performance import degenerate
 
 __all__ = [
@@ -79,25 +79,21 @@ def variance_decomposition(logret_set: ImfSet, source: np.ndarray) -> list[Varia
     return rows
 
 
-def matching_degree(pairs: list[ImfPair]) -> list[MatchRow]:
-    """Per-pair level regression of spot IMF on futures IMF; R-squared is the
-    matching degree. A failed fit re-raises with its pair named."""
+def matching_degree(spot_set: ImfSet, fut_set: ImfSet) -> list[MatchRow]:
+    """Per-pair level regression of spot IMF on futures IMF, over the
+    ``pair_count`` IMF pairs and then the residues; R-squared is the matching
+    degree. A failed fit re-raises with its pair named."""
+    n = pair_count(spot_set, fut_set)
+    pairs = [(i, s.values, f.values, s.cycle, f.cycle) for i, s, f in zip(range(1, n + 1), spot_set.imfs, fut_set.imfs)]
+    pairs.append((None, spot_set.residue, fut_set.residue, None, None))
     rows = []
-    for pair in pairs:
+    for index, spot, fut, cycle_spot, cycle_fut in pairs:
         try:
-            fit = ols(pair.spot, pair.fut, intercept=True)
+            fit = ols(spot, fut, intercept=True)
         except EmdHedgeError as exc:
-            label = "residue" if pair.index is None else f"imf{pair.index}"
+            label = "residue" if index is None else f"imf{index}"
             raise type(exc)(f"matching degree of {label}: {exc}") from None
-        rows.append(
-            MatchRow(
-                imf_index=pair.index,
-                beta=fit.slope,
-                r_squared=fit.r_squared,
-                cycle_spot=pair.spot_cycle,
-                cycle_fut=pair.fut_cycle,
-            )
-        )
+        rows.append(MatchRow(index, fit.slope, fit.r_squared, cycle_spot, cycle_fut))
     return rows
 
 

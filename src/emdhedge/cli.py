@@ -35,7 +35,7 @@ from .cpcv import (
 )
 from .emd import ImfSet, SiftConfig, _decomposed, decompose_all
 from .errors import DataError, EmdHedgeError, NumericError
-from .estimators import Method, horizon_of, pair_imfs
+from .estimators import Method, horizon_of, pair_count
 from .methods import EMD_FAMILY, make_ratio_fn, training_segments
 from .performance import effectiveness_rows
 from .series import PriceSeries, load_csv, log_returns
@@ -256,7 +256,6 @@ class PipelineState:
     return_sets: list[ImfSet | EmdHedgeError] | None = None
     # per-segment CV: each training segment's (spot, futures) decompositions, each an ImfSet or its error
     segment_sets: dict[range, tuple] = field(default_factory=dict)
-    pairs: list | None = None
     rows: list[tuple[int, int]] = field(default_factory=list)  # (imf_index, horizon)
     match_rows: list | None = None
     cv_reports: dict = field(default_factory=dict)  # (method, horizon, criterion) -> PathReport
@@ -320,8 +319,9 @@ def _emit_decomposition(state: PipelineState) -> None:
     legs = (("spot", state.spot_set), ("futures", state.fut_set))
     for name, s in legs:
         _warn_unconverged(state, f"{name} prices [0, {s.source_len})", s)
-    state.pairs, surplus = pair_imfs(state.spot_set, state.fut_set)
-    state.warnings.extend(f"unmatched {s} excluded from pairing" for s in surplus)
+    n = pair_count(state.spot_set, state.fut_set)
+    for name, s in legs:  # the longer leg's IMFs past the pairs
+        state.warnings.extend(f"unmatched {name} IMF{i + 1} excluded from pairing" for i in range(n, len(s.imfs)))
     rows = state.rows = _select_rows(state)
     if not rows:
         if "insample" in state.stages or "cv" in state.stages:
@@ -380,7 +380,7 @@ def _emit_preliminary(state: PipelineState) -> None:
             rows.append([name, label, vr.variance, vr.percent])
     _emit_csv(state, "variance_decomposition.csv", ["leg", "component", "variance", "percent"], rows)
 
-    state.match_rows = matching_degree(state.pairs)
+    state.match_rows = matching_degree(state.spot_set, state.fut_set)
     rows = [
         [f"imf{m.imf_index}", m.beta, m.r_squared, m.cycle_spot, m.cycle_fut]
         if m.imf_index is not None
@@ -562,13 +562,15 @@ def _emit_determinants(state: PipelineState) -> None:
     emit("determinants.csv", header, det_rows, "no MV or EMD-family method selected")
 
     rel_rows = []
-    for method in (m for m in EMD_FAMILY if m in methods):
+    emd_methods = [m for m in EMD_FAMILY if m in methods]
+    for method in emd_methods if Method.MV in methods else ():  # without MV, no row has a relative VaR
         label = f"relative performance {method.value}"
         f = fit(label, method, Criterion.VAR, lambda rep, h: relative_to_mv(label, rep, h))
         if f is not None:
             rel_rows.append([method.value] + affine(f))
     header = ["method", "alpha", "t_alpha", "sig_alpha", "beta", "t_beta", "sig_beta", "r_squared", "n"]
-    emit("relative_performance.csv", header, rel_rows, "no EMD-family method selected")
+    no_method = "MV not selected" if emd_methods else "no EMD-family method selected"
+    emit("relative_performance.csv", header, rel_rows, no_method)
 
 
 STAGES = ("decompose", "preliminary", "insample", "cv", "determinants")

@@ -66,7 +66,6 @@ __all__ = [
     "SiftResult",
     "find_extrema",
     "envelope_mean",
-    "is_imf",
     "sift",
     "decompose",
     "decompose_all",
@@ -391,39 +390,11 @@ def envelope_mean(
     return _envelope_means(_Layout(np.array([len(x)])), e, x[e], count, mirror)[0]
 
 
-def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(x))))
-
-
 def _rms_of(sq: np.ndarray, a: int, b: int) -> float:
-    """``_rms`` of the series at [a, b) from its squares ``sq[a:b]``, bit for
-    bit: np.mean sums the slice by numpy's pairwise sum, which np.add.reduceat
-    (a running sum) would not reproduce."""
+    """The rms ``np.sqrt(np.mean(np.square(x[a:b])))`` from the squares
+    ``sq[a:b]``, bit for bit: np.mean sums the slice by numpy's pairwise sum,
+    which np.add.reduceat (a running sum) would not reproduce."""
     return math.sqrt(np.add.reduce(sq[a:b]) / (b - a))
-
-
-def is_imf(x: np.ndarray, envelope_tolerance: float = 0.05, mirror: int = 2) -> tuple[bool, dict]:
-    """Test the two IMF conditions.
-
-    Condition 1: |#extrema - #zero crossings| <= 1.
-    Condition 2: rms of the envelope mean <= tolerance * rms(x).
-    """
-    maxima, minima, crossings = find_extrema(x)
-    counts = {
-        "n_maxima": len(maxima),
-        "n_minima": len(minima),
-        "n_zero_crossings": crossings,
-    }
-    n_ext = len(maxima) + len(minima)
-    if abs(n_ext - crossings) > 1:
-        return False, counts
-    m = envelope_mean(x, maxima, minima, mirror)
-    if m is None:
-        return False, counts
-    rx = _rms(x)
-    if rx == 0.0:
-        return False, counts
-    return _rms(m) <= envelope_tolerance * rx, counts
 
 
 def _sift_all(xs: list[np.ndarray], cfg: SiftConfig, max_imfs: int) -> list:

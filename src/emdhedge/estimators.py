@@ -34,11 +34,10 @@ from .series import PriceSeries
 __all__ = [
     "Method",
     "OlsFit",
-    "ImfPair",
     "design_rows",
     "ols",
     "eecm_ratio",
-    "pair_imfs",
+    "pair_count",
     "horizon_of",
 ]
 
@@ -321,53 +320,15 @@ def eecm_ratio(
     return got
 
 
-@dataclass(frozen=True)
-class ImfPair:
-    """Index-wise pairing of one spot IMF with one futures IMF.
-
-    ``index`` is None for the residue (trend) pair, which never carries a
-    cycle.
-    """
-
-    index: int | None
-    spot: np.ndarray
-    fut: np.ndarray
-    spot_cycle: float | None
-    fut_cycle: float | None
-
-
-def pair_imfs(spot_set: ImfSet, fut_set: ImfSet) -> tuple[list[ImfPair], list[str]]:
-    """Pair i-th spot IMF with i-th futures IMF; residues pair with each other.
-
-    Returns (pairs, surplus) where surplus names unmatched IMFs; they are
-    never used silently.
-    """
+def pair_count(spot_set: ImfSet, fut_set: ImfSet) -> int:
+    """The number of IMF pairs: the i-th spot IMF pairs with the i-th futures
+    IMF, up to the shorter leg's count, and the residues pair with each
+    other. The longer leg's surplus IMFs pair with none. A leg with no IMF (a
+    trend) is a data error that names it."""
     legs = (("spot", spot_set), ("futures", fut_set))
     if trends := [f"the {leg} decomposition has no IMF (a trend)" for leg, s in legs if not s.imfs]:
         raise DataError("; ".join(trends))
-    n = min(len(spot_set.imfs), len(fut_set.imfs))
-    pairs = [
-        ImfPair(
-            index=i + 1,
-            spot=spot_set.imfs[i].values,
-            fut=fut_set.imfs[i].values,
-            spot_cycle=spot_set.imfs[i].cycle,
-            fut_cycle=fut_set.imfs[i].cycle,
-        )
-        for i in range(n)
-    ]
-    pairs.append(
-        ImfPair(
-            index=None,
-            spot=spot_set.residue,
-            fut=fut_set.residue,
-            spot_cycle=None,
-            fut_cycle=None,
-        )
-    )
-    surplus = [f"spot IMF{i + 1}" for i in range(n, len(spot_set.imfs))]
-    surplus += [f"futures IMF{i + 1}" for i in range(n, len(fut_set.imfs))]
-    return pairs, surplus
+    return min(len(spot_set.imfs), len(fut_set.imfs))
 
 
 def horizon_of(cycle: float) -> int:
@@ -392,10 +353,10 @@ def aggregate_imfs(spot_set: ImfSet, fut_set: ImfSet, horizon: int):
 
 def _legs(method: Method, spot_set: ImfSet, fut_set: ImfSet, horizon: int, imf_index: int | None):
     """The (spot, futures) series an EMD method regresses: AEMD's
-    ``aggregate_imfs``, else IMF pair ``imf_index``."""
+    ``aggregate_imfs``, else IMF pair ``imf_index`` of ``pair_count``'s pairs."""
     if method is Method.AEMD:
         return aggregate_imfs(spot_set, fut_set, horizon)
-    pairs, _ = pair_imfs(spot_set, fut_set)
-    if imf_index is None or not 1 <= imf_index < len(pairs):  # the last pair is the residues'
+    n = pair_count(spot_set, fut_set)
+    if imf_index is None or not 1 <= imf_index <= n:
         raise DataError(f"spot IMF{imf_index} has no futures IMF to pair with")
-    return pairs[imf_index - 1].spot, pairs[imf_index - 1].fut
+    return spot_set.imfs[imf_index - 1].values, fut_set.imfs[imf_index - 1].values

@@ -10,6 +10,8 @@ instead, so the two agree to round-off, and on a failure by error class and
 message (Claessen & Hughes, "QuickCheck", ICFP 2000, on checking an
 implementation against an independent model). ``whole`` is the shipped fit on
 the whole series, and ``recorded_lags`` spies on the EECM lags it picks.
+``is_imf`` tests the two conditions of the IMF definition on one series, and
+``imf_set`` builds a decomposition by hand.
 """
 
 import math
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from emdhedge import methods
+from emdhedge.emd import Imf, ImfSet, envelope_mean, find_extrema
 from emdhedge.errors import SingularDesignError
 from emdhedge.estimators import (
     ECM_RANK_DEFICIENT,
@@ -184,3 +187,37 @@ def eecm(
     if best is None:
         raise SingularDesignError(NO_EECM_FIT)
     return EecmFit(best[2], best[1], nobs, np.linalg.matrix_rank(full) < full.shape[1])
+
+
+def _rms(x: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(np.square(x))))
+
+
+def is_imf(x: np.ndarray, envelope_tolerance: float = 0.05, mirror: int = 2) -> tuple[bool, dict]:
+    """Test the two IMF conditions.
+
+    Condition 1: |#extrema - #zero crossings| <= 1.
+    Condition 2: rms of the envelope mean <= tolerance * rms(x).
+    """
+    maxima, minima, crossings = find_extrema(x)
+    counts = {
+        "n_maxima": len(maxima),
+        "n_minima": len(minima),
+        "n_zero_crossings": crossings,
+    }
+    n_ext = len(maxima) + len(minima)
+    if abs(n_ext - crossings) > 1:
+        return False, counts
+    m = envelope_mean(x, maxima, minima, mirror)
+    if m is None:
+        return False, counts
+    rx = _rms(x)
+    if rx == 0.0:
+        return False, counts
+    return _rms(m) <= envelope_tolerance * rx, counts
+
+
+def imf_set(*imfs, residue, cycle=6.0) -> ImfSet:
+    """A hand-built decomposition: ``imfs`` in order, each of cycle ``cycle``,
+    and ``residue``."""
+    return ImfSet(tuple(Imf(v, i, cycle, 0, 0, 0, 1, True) for i, v in enumerate(imfs, 1)), residue, len(residue))

@@ -16,8 +16,8 @@ from emdhedge.analysis import (
 )
 from emdhedge.cli import RunConfig, run_pipeline
 from emdhedge.cpcv import path_statistics, path_table, split_table
-from emdhedge.emd import SiftConfig, decompose, is_imf
-from emdhedge.estimators import Method, design_rows, pair_imfs
+from emdhedge.emd import SiftConfig, decompose
+from emdhedge.estimators import Method, design_rows
 from emdhedge.performance import (
     Criterion,
     he_var,
@@ -28,7 +28,7 @@ from emdhedge.performance import (
 from emdhedge.series import log_returns
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair, gen_tones
 import oracle
-from oracle import whole
+from oracle import is_imf, whole
 
 
 class _budget:
@@ -265,8 +265,7 @@ def test_criterion_11_analysis_identities():
         t = np.arange(1000.0)
         x = np.sin(2 * np.pi * t / 15) + np.sin(2 * np.pi * t / 110) + 3
         s = decompose(x)
-        pairs, _ = pair_imfs(s, s)
-        for row in matching_degree(pairs[:-1]):
+        for row in matching_degree(s, s)[:-1]:
             assert abs(row.beta - 1.0) <= 1e-10
             assert abs(row.r_squared - 1.0) <= 1e-10
 

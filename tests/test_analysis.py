@@ -18,7 +18,8 @@ from emdhedge.analysis import (
 from emdhedge.cli import main
 from emdhedge.emd import decompose
 from emdhedge.errors import DataError, DegenerateInputError, InsufficientDataError, SingularDesignError
-from emdhedge.estimators import ImfPair, pair_imfs
+from emdhedge.estimators import ols
+from oracle import imf_set
 
 
 def two_tone(n=1200, scale=1.0):
@@ -70,16 +71,14 @@ class TestVarianceDecomposition:
 class TestMatchingDegree:
     def test_self_pairing_is_perfect(self):
         s = decompose(two_tone())
-        pairs, _ = pair_imfs(s, s)
-        for row in matching_degree(pairs[:-1]):
+        for row in matching_degree(s, s)[:-1]:
             assert row.beta == pytest.approx(1.0)
             assert row.r_squared == pytest.approx(1.0)
 
     def test_scaled_futures_leg(self):
         x = two_tone()
         a, b = decompose(x), decompose(0.25 * x)
-        pairs, _ = pair_imfs(a, b)
-        rows = matching_degree(pairs[:-1])
+        rows = matching_degree(a, b)[:-1]
         assert rows[0].beta == pytest.approx(4.0, abs=1e-6)
         assert rows[0].r_squared == pytest.approx(1.0, abs=1e-9)
 
@@ -88,38 +87,47 @@ class TestMatchingDegree:
         rng = np.random.default_rng(23)
         x = np.sin(2 * np.pi * np.arange(4000.0) / 25)
         e = rng.normal(0, x.std(), 4000)
-        pair = ImfPair(index=1, spot=x + e, fut=x, spot_cycle=25.0, fut_cycle=25.0)
-        (row,) = matching_degree([pair])
+        trend = np.arange(4000.0)
+        row, _ = matching_degree(imf_set(x + e, residue=trend, cycle=25.0), imf_set(x, residue=trend, cycle=25.0))
         assert row.r_squared == pytest.approx(0.5, abs=0.05)
 
     def test_independent_noise_near_zero(self):
         rng = np.random.default_rng(29)
-        pair = ImfPair(
-            index=1,
-            spot=rng.normal(size=3000),
-            fut=rng.normal(size=3000),
-            spot_cycle=3.0,
-            fut_cycle=3.0,
-        )
-        (row,) = matching_degree([pair])
+        trend = np.arange(3000.0)
+        spot, fut = (imf_set(rng.normal(size=3000), residue=trend, cycle=3.0) for _ in range(2))
+        row, _ = matching_degree(spot, fut)
         assert row.r_squared < 0.05
 
     @pytest.mark.parametrize("index, label", [(2, "imf2"), (None, "residue")])
     def test_a_failed_fit_names_its_pair(self, index, label):
-        x = np.sin(np.arange(50.0))
-        good = ImfPair(index=1, spot=x, fut=2 * x, spot_cycle=6.0, fut_cycle=6.0)
-        flat = ImfPair(index=index, spot=x, fut=np.ones(50), spot_cycle=None, fut_cycle=None)
+        # the futures leg of the named pair is flat, so its fit fails the rank rule
+        x, flat = np.sin(np.arange(50.0)), np.ones(50)
+        trend = np.arange(50.0)
+        if index is None:
+            spot, fut = imf_set(x, residue=trend), imf_set(2 * x, residue=flat)
+        else:
+            spot, fut = imf_set(x, x, residue=trend), imf_set(2 * x, flat, residue=trend)
         with pytest.raises(SingularDesignError) as info:
-            matching_degree([good, flat])
+            matching_degree(spot, fut)
         assert str(info.value) == f"matching degree of {label}: regressor matrix is rank deficient"
+
+    def test_rows_are_the_pairs_then_the_residues(self):
+        # the spot leg's third IMF has no futures partner and no row; the residues pair last
+        rng = np.random.default_rng(31)
+        trend = np.arange(200.0)
+        spot = imf_set(*rng.normal(size=(3, 200)), residue=trend, cycle=4.0)
+        fut = imf_set(*rng.normal(size=(2, 200)), residue=trend ** 2, cycle=9.0)
+        rows = matching_degree(spot, fut)
+        assert [(r.imf_index, r.cycle_spot, r.cycle_fut) for r in rows] == [(1, 4.0, 9.0), (2, 4.0, 9.0), (None,) * 3]
+        legs = [(s.values, f.values) for s, f in zip(spot.imfs, fut.imfs)] + [(spot.residue, fut.residue)]
+        assert [r.r_squared for r in rows] == [ols(s, f).r_squared for s, f in legs]
 
     @pytest.mark.parametrize("shifted", PLANTED_PERIODS)
     def test_a_planted_pair_recovers_its_mismatched_tone(self, shifted):
         # the spot IMF of each planted tone sits at its period; the futures
         # leg's copy of one tone is a quarter period out of phase
         n = 3000
-        pairs, _ = pair_imfs(decompose(planted_leg(n, 1)), decompose(planted_leg(n, 2, shifted)))
-        rows = matching_degree(pairs)[: len(PLANTED_PERIODS)]
+        rows = matching_degree(decompose(planted_leg(n, 1)), decompose(planted_leg(n, 2, shifted)))
         for row, period in zip(rows, PLANTED_PERIODS):
             assert row.cycle_spot == pytest.approx(period, rel=0.05)
             if period == shifted:

@@ -414,6 +414,17 @@ class TestEmptyTables:
             "relative_performance.csv": "no EMD-family method selected",
         }
 
+    def test_relative_performance_without_mv_fits_nothing_and_is_named(self, tmp_path):
+        # the regression is on the EMD VaR relative to MV's, so without MV it has no observation
+        pair, outdir = tmp_path / "pair.csv", tmp_path / "out"
+        assert main(["synth", "--out", str(pair), "--length", "300", "--seed", "0"]) == 0
+        argv = ["analyze", "--input", str(pair), "--out", str(outdir), "--partition", "equal:5"]
+        assert main(argv + ["--methods", "VEMD,SEMD"]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["empty_tables"]["relative_performance.csv"] == "MV not selected"
+        assert [w for w in manifest["warnings"] if w.startswith("relative performance")] == []
+        assert len((outdir / "relative_performance.csv").read_text().splitlines()) == 1
+
     def test_a_run_whose_tables_all_have_rows_names_none(self, tmp_path):
         pair, outdir = tmp_path / "pair.csv", tmp_path / "out"
         assert main(["synth", "--out", str(pair), "--length", "2000", "--seed", "1"]) == 0
@@ -546,13 +557,29 @@ class TestPipeline:
         imf = Imf(special, 1, 4.0, 2, 2, 3, 1, True)
         fake = ImfSet(imfs=(imf, imf), residue=special[::-1].copy(), source_len=n)
         monkeypatch.setattr(cli, "decompose_all", lambda xs, cfg: [fake] * len(xs))
-        monkeypatch.setattr(cli, "pair_imfs", lambda a, b: ([], []))
         outdir = tmp_path / "out"
         rc = main(["decompose", "--input", str(pair_csv), "--out", str(outdir), "--horizons", "5"])
         assert rc == 0
         cells = [repr(float(v)) for v in special]
         lines = [f"{t},{cells[t]},{cells[t]},{cells[n - 1 - t]}\n" for t in range(n)]
         assert (outdir / "decomposition_spot.csv").read_bytes() == ("t,imf1,imf2,residue\n" + "".join(lines)).encode()
+
+    @pytest.mark.parametrize(
+        "n_spot, n_fut, unpaired",
+        [(3, 1, ["spot IMF2", "spot IMF3"]), (1, 3, ["futures IMF2", "futures IMF3"]), (2, 2, []), (3, 2, ["spot IMF3"])],
+    )
+    def test_the_surplus_warnings_name_exactly_the_unpaired_imfs(
+        self, n_spot, n_fut, unpaired, pair_csv, tmp_path, monkeypatch
+    ):
+        n = len(load_csv(pair_csv)[0])
+        legs = [_imf_set([2.0, 5.0, 9.0][:k], n) for k in (n_spot, n_fut)]
+        monkeypatch.setattr(cli, "decompose_all", lambda xs, cfg: legs)
+        outdir = tmp_path / "out"
+        assert main(["decompose", "--input", str(pair_csv), "--out", str(outdir)]) == 0
+        warnings = json.loads((outdir / "manifest.json").read_text())["warnings"]
+        surplus = [w for w in warnings if w.startswith("unmatched")]
+        assert surplus == [f"unmatched {imf} excluded from pairing" for imf in unpaired]
+        assert len(surplus) == abs(n_spot - n_fut)
 
     def test_a_missing_cycle_is_an_empty_cell(self, tmp_path):
         # on this input the futures leg has one IMF more than the spot leg

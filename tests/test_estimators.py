@@ -29,14 +29,14 @@ from emdhedge.estimators import (
     eecm_ratio,
     horizon_of,
     ols,
-    pair_imfs,
+    pair_count,
 )
 from emdhedge.cpcv import Scheme, partition, run_cv, split_table
 from emdhedge.methods import make_ratio_fn
 from emdhedge.series import PriceSeries, check_segments, log_returns, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
 import oracle
-from oracle import WHOLE, whole
+from oracle import WHOLE, imf_set, whole
 
 
 def price_series(values):
@@ -426,37 +426,59 @@ class TestEecmTrailingBlock:
         assert [shape[2] for shape in calls[2:8]] == [3 + 5] * 6
 
 
-class TestPairImfs:
-    def test_equal_counts(self):
-        t = np.arange(1500.0)
-        x = np.sin(2 * np.pi * t / 12) + np.sin(2 * np.pi * t / 80) + 0.001 * t + 5
-        a = decompose(x)
-        b = decompose(x * 1.3)
-        pairs, surplus = pair_imfs(a, b)
-        if len(a.imfs) == len(b.imfs):
-            assert not surplus
-        assert pairs[-1].index is None
-        assert len(pairs) == min(len(a.imfs), len(b.imfs)) + 1
+SPOT_TREND = "the spot decomposition has no IMF (a trend)"
+FUTURES_TREND = "the futures decomposition has no IMF (a trend)"
 
-    def test_unequal_counts_reports_surplus(self):
+
+def _k_imf_set(k, n=40):
+    """A hand-built decomposition of k IMFs over a ramp residue."""
+    t = np.arange(float(n))
+    return imf_set(*(np.sin(t * i) for i in range(1, k + 1)), residue=t)
+
+
+class TestPairCount:
+    @pytest.mark.parametrize("n_spot", range(4))
+    @pytest.mark.parametrize("n_fut", range(4))
+    def test_the_count_is_the_shorter_legs_and_a_trend_leg_is_named(self, n_spot, n_fut):
+        trends = {(0, 0): f"{SPOT_TREND}; {FUTURES_TREND}", (0, 1): SPOT_TREND, (1, 0): FUTURES_TREND}
+        want = trends.get((min(n_spot, 1), min(n_fut, 1)))
+        if want is None:
+            assert pair_count(_k_imf_set(n_spot), _k_imf_set(n_fut)) == min(n_spot, n_fut)
+        else:
+            with pytest.raises(DataError) as raised:
+                pair_count(_k_imf_set(n_spot), _k_imf_set(n_fut))
+            assert type(raised.value) is DataError and str(raised.value) == want
+
+    def test_unequal_decompositions_pair_up_to_the_shorter(self):
         t = np.arange(2000.0)
         x = np.sin(2 * np.pi * t / 10) + np.sin(2 * np.pi * t / 60) + np.sin(2 * np.pi * t / 400) + 3
         y = np.sin(2 * np.pi * t / 10) + 3
         a, b = decompose(x), decompose(y)
-        pairs, surplus = pair_imfs(a, b)
-        n = min(len(a.imfs), len(b.imfs))
-        assert len(pairs) == n + 1
-        assert len(surplus) == abs(len(a.imfs) - len(b.imfs))
+        assert len(a.imfs) != len(b.imfs)
+        assert pair_count(a, b) == pair_count(b, a) == min(len(a.imfs), len(b.imfs))
 
     def test_self_pairs_match_perfectly(self):
         t = np.arange(800.0)
         x = np.sin(2 * np.pi * t / 15) + 0.5 * np.sin(2 * np.pi * t / 120) + 2
         a = decompose(x)
-        pairs, _ = pair_imfs(a, a)
-        for pair in pairs[:-1]:
-            fit = ols(pair.spot, pair.fut)
+        assert pair_count(a, a) == len(a.imfs)
+        for i in range(1, len(a.imfs) + 1):
+            fit = ols(*_legs(Method.SEMD, a, a, 0, i))
             assert fit.slope == pytest.approx(1.0)
             assert fit.r_squared == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("method", [Method.VEMD, Method.SEMD])
+    @pytest.mark.parametrize("imf_index", [None, 0, 3])
+    def test_legs_name_a_trend_leg_before_an_index_without_a_pair(self, method, imf_index):
+        # with two IMFs a leg there are two pairs, so index 3 (n + 1), like 0 and None, has none
+        with pytest.raises(DataError) as raised:
+            _legs(method, _k_imf_set(2), _k_imf_set(0), 1, imf_index)
+        assert type(raised.value) is DataError and str(raised.value) == FUTURES_TREND
+        with pytest.raises(DataError) as raised:
+            _legs(method, _k_imf_set(2), _k_imf_set(2), 1, imf_index)
+        assert str(raised.value) == f"spot IMF{imf_index} has no futures IMF to pair with"
+        s, f = _legs(method, _k_imf_set(2), _k_imf_set(3), 1, 2)
+        assert np.array_equal(s, np.sin(np.arange(40.0) * 2)) and np.array_equal(f, s)
 
 
 def synthetic_pair_sets():

@@ -101,6 +101,21 @@ def test_a_per_segment_split_without_rows_names_its_first_segments_cause(method,
 
 
 @pytest.mark.parametrize("method", [Method.VEMD, Method.SEMD])
+def test_a_per_segment_split_whose_one_segment_has_a_trend_futures_leg_names_it(method):
+    # a linear futures leg decomposes into its trend alone on every segment
+    spot, _ = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
+    fut = PriceSeries(spot.timestamps, 100 + 0.1 * np.arange(400.0))
+    groups = partition(spot, Scheme.EQUAL_COUNT, 5)
+    train = [(1, 2, 3)]  # one training segment, groups 1-3
+    imfs = _segment_sets(spot, fut, _training_segments(groups, train))
+    fn = make_ratio_fn(method, spot, fut, 5, imf_index=1, imfs=imfs, groups=groups)
+    (got,) = fn(_mask(5, train))
+    assert type(got) is InsufficientDataError
+    cause = "the futures decomposition has no IMF (a trend)"
+    assert str(got) == f"no training segment yields rows at horizon 5 (groups 1-3: {cause})"
+
+
+@pytest.mark.parametrize("method", [Method.VEMD, Method.SEMD])
 def test_a_spot_imf_without_a_futures_partner_fails_every_split(method):
     # futures keeps 2 IMFs: spot IMF3 would take the residue pair's slot,
     # and spot IMF4 lies past the pairs

@@ -14,13 +14,13 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 READ_OUTSIDE_THE_PACKAGE = {
     # wrapped by name in perfbench/tracer.py
     "sift": "perfbench tracer",
+    "find_extrema": "perfbench tracer",
+    "envelope_mean": "perfbench tracer",
     "decompose": "perfbench tracer",
     "restrict": "perfbench tracer",
     "eecm_ratio": "perfbench tracer",
     "he_var": "perfbench tracer; 1-D VaR reference of the tests' reference_cv",
     "he_variance": "perfbench tracer; 1-D variance-reduction reference of the tests' reference_cv",
-    # the references that the tests check the package's batched paths against
-    "is_imf": "reference of the IMF definition in the tests",
 }
 
 

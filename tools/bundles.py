@@ -162,6 +162,8 @@ def _corpus() -> dict[str, list[str]]:
         "decompose": ["decompose", "pair300"],
         "analyze_full": ["analyze", "pair300", *eq5],
         "analyze_segment": ["analyze", "pair300", *eq5, *per_seg],
+        # the determinants stage without MV: no row has a VaR relative to MV's
+        "analyze_no_mv": ["analyze", "pair300", *eq5, "--methods", "VEMD,SEMD"],
         "cv_segment_emd": ["cv", "pair300", *eq5, *per_seg, "--methods", "VEMD,SEMD,AEMD"],
         "cv_bom": ["cv", "bom", *eq5],
         "pipeline_year": ["pipeline", "long4000", "--partition", "year"],
