@@ -31,13 +31,13 @@ from .analysis import (
     variance_decomposition,
 )
 from .cpcv import (
-    MIN_PATHS, Criterion, PathReport, Scheme, excludes_every_group, partition, run_cv, split_table, why_too_few_paths,
+    MIN_PATHS, PathReport, calendar_years, excludes_every_group, partition, run_cv, split_table, why_too_few_paths,
 )
 from .emd import ImfSet, SiftConfig, _decomposed, decompose_all
 from .errors import DataError, EmdHedgeError, NumericError
 from .estimators import Method, horizon_of, pair_count
 from .methods import EMD_FAMILY, make_ratio_fn, training_segments
-from .performance import effectiveness_rows
+from .performance import Criterion, effectiveness_rows
 from .series import PriceSeries, load_csv, log_returns
 from .synth import CointSpec, SynthSpec, gen_coint_pair, gen_tones
 
@@ -70,7 +70,7 @@ class RunConfig:
         only to runs with a CV stage; the decompose stage checks them."""
         if self.k < 1:
             raise UsageError(f"k must be >= 1, got {self.k}")
-        self.partition_scheme()
+        self.n_groups()
         if self.max_lag < 0:
             raise UsageError(f"max_lag must be >= 0, got {self.max_lag}")
         try:
@@ -130,14 +130,14 @@ class RunConfig:
                 raise UsageError(f"bad horizon '{tok}'") from None
         return horizons
 
-    def partition_scheme(self) -> tuple[Scheme, int | None]:
-        """(scheme, N) from ``equal:N`` or ``year``; N is None for ``year``."""
+    def n_groups(self) -> int | None:
+        """N from ``equal:N``, or None for ``year``."""
         spec = self.partition.strip().lower()
         if spec == "year":
-            return Scheme.CALENDAR_YEAR, None
+            return None
         if spec.startswith("equal:"):
             try:
-                return Scheme.EQUAL_COUNT, int(spec.split(":", 1)[1])
+                return int(spec.split(":", 1)[1])
             except ValueError:
                 raise UsageError(f"bad partition spec '{self.partition}'") from None
         raise UsageError(f"bad partition spec '{self.partition}' (use equal:N or year)")
@@ -582,7 +582,8 @@ def _cv_partition(state: PipelineState) -> tuple[range, ...]:
     ``why_too_few_paths``' rules (too many splits, or too few paths), or an
     explicit horizon that excludes every group."""
     cfg = state.cfg
-    groups = partition(state.spot, *cfg.partition_scheme())
+    n_groups = cfg.n_groups()
+    groups = calendar_years(state.spot.timestamps) if n_groups is None else partition(len(state.spot), n_groups)
     if why := why_too_few_paths(len(groups), cfg.k):
         raise DataError(why)
     for h in cfg.horizon_list() or ():
@@ -608,7 +609,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
     as a ``DataError`` if it was one (the loader's as it is), else as a
     ``NumericError``, so the CLI exits 2 or 3.
     """
-    _, n_groups = cfg.partition_scheme()
+    n_groups = cfg.n_groups()
     if "cv" in stages and n_groups is not None and (why := why_too_few_paths(n_groups, cfg.k)):
         raise UsageError(why)  # equal:N: a config error, before loading
     if not cfg.input:
@@ -671,15 +672,6 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    """``--config`` plus one ``--<field-name>`` per ``RunConfig`` field; values
-    are coerced in ``parse_config`` and checked by ``RunConfig``, as
-    config-file values are."""
-    p.add_argument("--config")
-    for f in fields(RunConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name)
-
-
 def _tone_list(text: str) -> tuple[tuple[float, float], ...]:
     """``period:amplitude`` pairs, comma-separated."""
     try:
@@ -697,14 +689,16 @@ _SYNTH_FLAGS = {
 
 
 def _cmd_synth(args) -> int:
-    """A flag of the other ``--mode`` is a usage error; a flag left unset
-    takes its spec field's default."""
+    """A flag of the other ``--mode``, or a tones series with no nonzero tone
+    and no noise, is a usage error; a flag left unset takes its spec default."""
     for mode, flags in _SYNTH_FLAGS.items():
         given = [dest.replace("_", "-") for dest in flags if getattr(args, dest) is not None]
         if mode != args.mode and given:
             raise UsageError(f"--{given[0]} is a --mode {mode} flag, not a --mode {args.mode} one")
     values = {name: v for dest, name in _SYNTH_FLAGS[args.mode].items() if (v := getattr(args, dest)) is not None}
     if args.mode == "tones":
+        if not (any(amp for _, amp in values.get("tones", ())) or values.get("noise_sigma", 0) > 0):
+            raise UsageError("--mode tones needs a nonzero tone or a positive --noise: the series would have no IMF")
         spot = fut = gen_tones(SynthSpec(length=args.length, seed=args.seed, **values))
     else:
         spot, fut = gen_coint_pair(SynthSpec(length=args.length, seed=args.seed, coint=CointSpec(**values)))
@@ -731,7 +725,10 @@ _STAGES_OF = {
 
 
 def _parser() -> _Parser:
-    """The command-line parser; every pipeline subcommand gets the common flags."""
+    """The command-line parser. Every pipeline subcommand takes the flags of
+    one shared parser: ``--config`` plus one ``--<field-name>`` per
+    ``RunConfig`` field, whose values are coerced in ``parse_config`` and
+    checked by ``RunConfig``, as config-file values are."""
     parser = _Parser(prog="emdhedge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -747,8 +744,11 @@ def _parser() -> _Parser:
     p_synth.add_argument("--phi", type=float)
     p_synth.add_argument("--basis-sigma", dest="basis_sigma", type=float)
 
+    common = argparse.ArgumentParser(add_help=False)
+    for flag in ["config", *(f.name for f in fields(RunConfig))]:
+        common.add_argument("--" + flag.replace("_", "-"))
     for name in _STAGES_OF:
-        _add_common_flags(sub.add_parser(name))
+        sub.add_parser(name, parents=[common])
     return parser
 
 

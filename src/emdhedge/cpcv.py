@@ -1,7 +1,8 @@
 """Combinatorial time-series cross-validation with performance paths.
 
-The sample is split chronologically into N groups, and a partition is the
-tuple of its groups' ranges (``partition``); every choice of k test groups
+The sample is split chronologically into groups, and a partition is the
+tuple of its groups' ranges: N equal-count groups (``partition``) or one
+group per calendar year (``calendar_years``); every choice of k test groups
 gives one train/test split (C(N,k) of them, at most ``MAX_SPLITS``, test sets
 in lexicographic order), all made as arrays by ``split_table``. Each group's
 test appearances, taken in split order, are assigned paths 0..C(N-1,k-1)-1
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain, combinations
 from typing import Callable
 
@@ -32,9 +32,9 @@ from .performance import MOMENTS_MIN_OBS, VAR_MIN_OBS, Criterion, Moments, effec
 from .series import PriceSeries, log_returns
 
 __all__ = [
-    "Scheme",
     "PathReport",
     "partition",
+    "calendar_years",
     "split_table",
     "path_table",
     "path_statistics",
@@ -46,11 +46,6 @@ __all__ = [
     "RatioFn",
     "run_cv",
 ]
-
-
-class Scheme(Enum):
-    EQUAL_COUNT = "equal"
-    CALENDAR_YEAR = "year"
 
 
 MIN_PATHS = MOMENTS_MIN_OBS  # the fewest paths whose distribution gets moments
@@ -94,31 +89,24 @@ class PathReport:
     failed_reasons: tuple[tuple[str, str], ...]
 
 
-def partition(series: PriceSeries | int, scheme: Scheme, n_groups: int = 10) -> tuple[range, ...]:
-    """Partition the sample chronologically into its groups, each the range
-    of its observations.
+def partition(n_obs: int, n_groups: int) -> tuple[range, ...]:
+    """The ranges of N = ``n_groups`` chronological groups of T = ``n_obs``
+    observations: N-1 groups of floor(T/N) and a last group with the rest."""
+    if n_groups < 2:
+        raise DataError("need at least 2 groups")
+    if n_obs < 2 * n_groups:
+        raise InsufficientDataError(f"{n_obs} samples for {n_groups} groups")
+    base = n_obs // n_groups
+    bounds = [i * base for i in range(n_groups)] + [n_obs]
+    return tuple(map(range, bounds[:-1], bounds[1:]))
 
-    EqualCount gives N-1 groups of floor(T/N) samples and a final group with
-    the remainder; CalendarYear buckets by timestamp year.
-    """
-    if scheme is Scheme.EQUAL_COUNT:
-        T = series if isinstance(series, int) else len(series)
-        if n_groups < 2:
-            raise DataError("need at least 2 groups")
-        if T < 2 * n_groups:
-            raise InsufficientDataError(f"{T} samples for {n_groups} groups")
-        base = T // n_groups
-        bounds = [i * base for i in range(n_groups)] + [T]
-    elif scheme is Scheme.CALENDAR_YEAR:
-        if isinstance(series, int):
-            raise DataError("calendar-year partition needs a timestamped series")
-        years = series.timestamps.astype("datetime64[Y]").astype(int)
-        _, starts = np.unique(years, return_index=True)
-        if len(starts) < 2:
-            raise InsufficientDataError("need at least 2 distinct calendar years")
-        bounds = list(starts) + [len(series)]
-    else:
-        raise DataError(f"unknown partition scheme {scheme}")
+
+def calendar_years(timestamps: np.ndarray) -> tuple[range, ...]:
+    """One group per calendar year of the increasing ``timestamps``."""
+    _, starts = np.unique(timestamps.astype("datetime64[Y]"), return_index=True)
+    if len(starts) < 2:
+        raise InsufficientDataError("need at least 2 distinct calendar years")
+    bounds = [*starts.tolist(), len(timestamps)]
     return tuple(map(range, bounds[:-1], bounds[1:]))
 
 

@@ -29,7 +29,7 @@ from emdhedge.cli import (
     parse_config,
     run_pipeline,
 )
-from emdhedge.cpcv import Scheme, partition, split_table
+from emdhedge.cpcv import calendar_years, partition, split_table
 from emdhedge.emd import Imf, ImfSet, decompose
 from emdhedge.errors import DataError, InsufficientDataError, SingularDesignError
 from emdhedge.estimators import Method
@@ -128,9 +128,7 @@ _FIELD_VALUES = {
 @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
 def test_every_config_field_is_a_flag_and_a_config_key(name, tmp_path):
     text, value = _FIELD_VALUES[name]
-    parser = argparse.ArgumentParser()
-    cli._add_common_flags(parser)
-    from_flag = parse_config(parser.parse_args(["--" + name.replace("_", "-"), text]))
+    from_flag = parse_config(cli._parser().parse_args(["pipeline", "--" + name.replace("_", "-"), text]))
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"{name} = {text}\n")
     from_file = parse_config(ns(config=str(cfg_file)))
@@ -182,6 +180,17 @@ class TestSynthCommand:
         out = tmp_path / "pair.csv"
         assert main(["synth", "--out", str(out), *flags]) == 1
         assert f"usage error: argument {flags[-2]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--noise", "0"], ["--noise", "-1"], ["--trend", "0.01"], ["--tones", "20:0,90:0"]]
+    )
+    def test_a_tones_series_without_a_nonzero_tone_or_noise_is_a_usage_error(self, flags, tmp_path, capsys):
+        # such a series has no IMF, so every pipeline command would refuse it
+        out = tmp_path / "t.csv"
+        assert main(["synth", "--out", str(out), "--length", "300", "--mode", "tones", *flags]) == 1
+        err = "--mode tones needs a nonzero tone or a positive --noise: the series would have no IMF"
+        assert capsys.readouterr().err == f"usage error: {err}\n"
         assert not out.exists()
 
     def test_a_negative_seed_is_a_data_error(self, tmp_path, capsys):
@@ -694,7 +703,7 @@ class TestPipeline:
         # segment of each leg
         spot, fut, _ = load_csv(pair)
         cfg = RunConfig(max_sifts=1).sift_config()
-        groups = partition(spot, Scheme.EQUAL_COUNT, 5)
+        groups = partition(len(spot), 5)
         _, train = split_table(5, 2)
         segments = {seg for mask in train for seg in restrict(spot, [groups[g] for g in np.flatnonzero(mask)])}
         ranges = [("prices", range(0, len(spot)))] + [("training segment", seg) for seg in segments]
@@ -763,7 +772,7 @@ class TestPipeline:
         argv += ["--decompose-scope", "per-segment", "--methods", method_list, "--horizons", "2,5"]
         assert main(argv) == 0
         spot, fut, _ = load_csv(pair_csv)
-        groups = partition(spot, Scheme.EQUAL_COUNT, 5)
+        groups = partition(len(spot), 5)
         spans = sorted({
             (seg.start, seg.stop)
             for mask in split_table(5, 2)[1]
@@ -906,7 +915,7 @@ class TestPipeline:
         self, pair_csv, tmp_path, capsys
     ):
         spot, _, _ = load_csv(pair_csv)
-        n_years = len(partition(spot, Scheme.CALENDAR_YEAR))
+        n_years = len(calendar_years(spot.timestamps))
         outdir = tmp_path / "out"
         rc = main(
             ["cv", "--input", str(pair_csv), "--out", str(outdir)]

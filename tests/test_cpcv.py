@@ -12,7 +12,7 @@ from emdhedge import cpcv
 from emdhedge.cpcv import (
     MAX_SPLITS,
     MIN_PATHS,
-    Scheme,
+    calendar_years,
     excludes_every_group,
     partition,
     path_statistics,
@@ -66,13 +66,13 @@ def price_series(values, start="2016-01-01"):
 
 class TestPartition:
     def test_equal_count_remainder_goes_last(self):
-        groups = partition(23, Scheme.EQUAL_COUNT, 5)
+        groups = partition(23, 5)
         assert tuple(map(len, groups)) == (4, 4, 4, 4, 7)
         assert groups[0] == range(0, 4)
         assert groups[-1] == range(16, 23)
 
     def test_equal_count_covers_everything(self):
-        groups = partition(1000, Scheme.EQUAL_COUNT, 7)
+        groups = partition(1000, 7)
         assert sum(map(len, groups)) == 1000
         flat = [i for g in groups for i in g]
         assert flat == list(range(1000))
@@ -86,12 +86,28 @@ class TestPartition:
             ]
         )
         s = PriceSeries(ts, np.linspace(1, 2, 180))
-        groups = partition(s, Scheme.CALENDAR_YEAR)
+        groups = calendar_years(s.timestamps)
         assert tuple(map(len, groups)) == (100, 50, 30)
 
     def test_too_small(self):
         with pytest.raises(InsufficientDataError):
-            partition(15, Scheme.EQUAL_COUNT, 10)
+            partition(15, 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equal_count_law(self, data):
+        # N-1 groups of floor(T/N) observations, the last group the rest, tiling range(T) in order
+        n_groups = data.draw(st.integers(2, 40))
+        n_obs = data.draw(st.integers(2 * n_groups, 5000))
+        groups = partition(n_obs, n_groups)
+        assert [i for g in groups for i in g] == list(range(n_obs))
+        base = n_obs // n_groups
+        assert [len(g) for g in groups] == [base] * (n_groups - 1) + [n_obs - (n_groups - 1) * base]
+        with pytest.raises(DataError, match="^need at least 2 groups$"):
+            partition(n_obs, data.draw(st.integers(-40, 1)))
+        short = data.draw(st.integers(0, 2 * n_groups - 1))
+        with pytest.raises(InsufficientDataError, match=f"^{short} samples for {n_groups} groups$"):
+            partition(short, n_groups)
 
 
 def reference_splits(n_groups, k):
@@ -261,7 +277,7 @@ class TestRunCv:
         vals = np.exp(rng.normal(0, 0.01, 400).cumsum())
         spot = price_series(vals)
         fut = price_series(vals)
-        groups = partition(400, Scheme.EQUAL_COUNT, 5)
+        groups = partition(400, 5)
         fn = batched(lambda segs: 1.0, spot, groups)
         reports = run_one(spot, fut, fn, 1, groups, 2)
         rep = reports[Criterion.VARIANCE_REDUCTION]
@@ -271,7 +287,7 @@ class TestRunCv:
 
     def test_deterministic(self):
         spot, fut = coint_series(seed=7)
-        groups = partition(len(spot), Scheme.EQUAL_COUNT, 5)
+        groups = partition(len(spot), 5)
 
         def fn(segs):
             lengths = sum(len(s) for s in segs)
@@ -288,7 +304,7 @@ class TestRunCv:
         # values (mean rule) equals the grand mean of per-split values:
         # both count every cell exactly once
         spot, fut = coint_series(seed=9, n=1000)
-        groups = partition(1000, Scheme.EQUAL_COUNT, 5)
+        groups = partition(1000, 5)
         rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, groups), 2, groups, 2)[Criterion.VARIANCE_REDUCTION]
         assert not rep.excluded_groups and not rep.failed_splits
         path_mean = np.mean(rep.per_path_values)
@@ -297,7 +313,7 @@ class TestRunCv:
 
     def test_short_groups_excluded_at_long_horizon(self):
         spot, fut = coint_series(seed=3, n=149)
-        groups = partition(149, Scheme.EQUAL_COUNT, 5)  # sizes (29,29,29,29,33)
+        groups = partition(149, 5)  # sizes (29,29,29,29,33)
         rep = run_one(spot, fut, batched(lambda segs: 0.9, spot, groups), 10, groups, 2)[Criterion.VARIANCE_REDUCTION]
         # min_obs = max(2*10, 20) = 20: groups of 29 have 19 diffs and drop,
         # the 33-sample remainder group has 23 and stays
@@ -305,25 +321,25 @@ class TestRunCv:
 
     def test_all_groups_excluded_raises(self):
         spot, fut = coint_series(seed=3, n=520)
-        groups = partition(520, Scheme.EQUAL_COUNT, 5)
+        groups = partition(520, 5)
         with pytest.raises(InsufficientDataError):
             fn = batched(lambda segs: 0.9, spot, groups)
             run_one(spot, fut, fn, 100, groups, 2)
 
     def test_excludes_every_group_at_its_edge(self):
-        groups = partition(520, Scheme.EQUAL_COUNT, 5)  # five groups of 104
+        groups = partition(520, 5)  # five groups of 104
         # default min_obs 2h: 104 - 34 = 70 >= 68 differences, 104 - 35 = 69 < 70
         assert not excludes_every_group(groups, 34) and excludes_every_group(groups, 35)
-        small = partition(125, Scheme.EQUAL_COUNT, 5)  # five groups of 25
+        small = partition(125, 5)  # five groups of 25
         # the VaR floor of 20 differences holds under the default and under any smaller min_obs
         assert not excludes_every_group(small, 5) and excludes_every_group(small, 6)
         assert not excludes_every_group(small, 5, min_obs=1) and excludes_every_group(small, 6, min_obs=1)
-        uneven = partition(149, Scheme.EQUAL_COUNT, 5)  # sizes (29, 29, 29, 29, 33)
+        uneven = partition(149, 5)  # sizes (29, 29, 29, 29, 33)
         assert not excludes_every_group(uneven, 10)  # the last group keeps 23 of 20 differences
 
     def test_failed_split_voids_touching_paths(self):
         spot, fut = coint_series(seed=5, n=600)
-        groups = partition(600, Scheme.EQUAL_COUNT, 5)
+        groups = partition(600, 5)
         calls = {"n": 0}
 
         def flaky(segs):
@@ -341,7 +357,7 @@ class TestRunCv:
 
     def test_var_criterion_uses_min_rule(self):
         spot, fut = coint_series(seed=11, n=1500)
-        groups = partition(1500, Scheme.EQUAL_COUNT, 5)
+        groups = partition(1500, 5)
         reports = run_one(spot, fut, batched(lambda segs: 0.9, spot, groups), 1, groups, 2)
         var_rep = reports[Criterion.VAR]
         vr_rep = reports[Criterion.VARIANCE_REDUCTION]
@@ -362,7 +378,7 @@ class TestRunCv:
         # per test cell and a tuple per split read 38 MB; the split and path
         # tables, the scores and one group's portfolios read 22 MB
         spot, fut = coint_series(seed=3, n=4000)
-        groups = partition(spot, Scheme.EQUAL_COUNT, 20)
+        groups = partition(len(spot), 20)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -378,7 +394,7 @@ class TestRunCv:
 
     def test_failed_split_keeps_exception_class_and_message(self):
         spot, fut = coint_series(seed=5, n=600)
-        groups = partition(600, Scheme.EQUAL_COUNT, 5)
+        groups = partition(600, 5)
 
         def fn(segs):
             if segs[0].start > 0:  # group 0 is a test group

@@ -31,7 +31,7 @@ from emdhedge.estimators import (
     ols,
     pair_count,
 )
-from emdhedge.cpcv import Scheme, partition, run_cv, split_table
+from emdhedge.cpcv import partition, run_cv, split_table
 from emdhedge.methods import make_ratio_fn
 from emdhedge.series import PriceSeries, check_segments, log_returns, restrict
 from emdhedge.synth import CointSpec, SynthSpec, gen_coint_pair
@@ -725,12 +725,9 @@ _PRICES = np.linspace(1.0, 2.0, 12) ** 2
          re.escape("price values must be in [2^-511, 2^511)")),
         (lambda x: price_series(np.append(_PRICES, x)), np.nextafter(2.0**-511, 0.0), 2.0**-511,
          re.escape("price values must be in [2^-511, 2^511)")),
-        (lambda n: partition(100, Scheme.EQUAL_COUNT, n), 1, 2, "need at least 2 groups"),
-        (lambda s: partition(s, Scheme.CALENDAR_YEAR), 400, _prices(400)[0],  # 2015-01-01 to 2016-02-04
-         "calendar-year partition needs a timestamped series"),
-        (lambda scheme: partition(100, scheme), "equal", Scheme.EQUAL_COUNT, "unknown partition scheme equal"),
+        (lambda n: partition(100, n), 1, 2, "need at least 2 groups"),
         (lambda n: run_cv(_prices(400)[0], price_series(_walk(n, 2)), {"MV": lambda b: [1.0] * len(b)}, 1,
-                          partition(400, Scheme.EQUAL_COUNT, 4), 2), 399, 400,
+                          partition(400, 4), 2), 399, 400,
          "spot and futures series must be aligned"),
     ],
 )

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emdhedge import cpcv, estimators, methods
-from emdhedge.cpcv import Criterion, Scheme, partition, run_cv, split_table
+from emdhedge.cpcv import Criterion, calendar_years, partition, run_cv, split_table
 from emdhedge.emd import MIN_SAMPLES, ImfSet, SiftConfig, decompose, decompose_all
 from emdhedge.errors import DataError, EmdHedgeError, InsufficientDataError
 from emdhedge.estimators import (
@@ -52,7 +52,7 @@ def _segment_sets(spot, fut, segments, cfg=SiftConfig()) -> dict:
 def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
     spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
     cfg = SiftConfig()
-    groups = partition(spot, Scheme.EQUAL_COUNT, 5)
+    groups = partition(len(spot), 5)
     train = _trains(5, 2)[3]  # test groups (0, 4): one training segment
     segments = restrict(spot, [groups[g] for g in train])
     train_2 = _trains(5, 2)[1]  # test groups (0, 2): two training segments
@@ -90,7 +90,7 @@ def test_per_segment_ratio_is_ols_on_pooled_segment_imfs():
 )
 def test_a_per_segment_split_without_rows_names_its_first_segments_cause(method, h, imf_index, cause):
     spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
-    groups = partition(spot, Scheme.EQUAL_COUNT, 5)  # 80 observations each
+    groups = partition(len(spot), 5)  # 80 observations each
     # every training segment here is one group long
     imfs = _segment_sets(spot, fut, list(groups))
     fn = make_ratio_fn(method, spot, fut, h, imf_index=imf_index, imfs=imfs, groups=groups)
@@ -105,7 +105,7 @@ def test_a_per_segment_split_whose_one_segment_has_a_trend_futures_leg_names_it(
     # a linear futures leg decomposes into its trend alone on every segment
     spot, _ = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
     fut = PriceSeries(spot.timestamps, 100 + 0.1 * np.arange(400.0))
-    groups = partition(spot, Scheme.EQUAL_COUNT, 5)
+    groups = partition(len(spot), 5)
     train = [(1, 2, 3)]  # one training segment, groups 1-3
     imfs = _segment_sets(spot, fut, _training_segments(groups, train))
     fn = make_ratio_fn(method, spot, fut, 5, imf_index=1, imfs=imfs, groups=groups)
@@ -122,7 +122,7 @@ def test_a_spot_imf_without_a_futures_partner_fails_every_split(method):
     spot, fut = gen_coint_pair(SynthSpec(length=400, seed=4, coint=CointSpec()))
     s_set, f_set = decompose(spot.values), decompose(fut.values)
     few = ImfSet(f_set.imfs[:2], f_set.residue, f_set.source_len)
-    groups = partition(spot, Scheme.EQUAL_COUNT, 5)
+    groups = partition(len(spot), 5)
     for imf_index in (3, 4):
         fn = make_ratio_fn(method, spot, fut, 5, imf_index=imf_index, imfs=(s_set, few), groups=groups)
         for outcome in fn(_mask(5, [(0, 1, 2), (2, 3, 4)])):
@@ -171,7 +171,7 @@ def _groups(spot, scheme):
     if scheme == "short group":  # group 2 is shorter than every footprint at h = 17
         bounds = (0, 160, 320, 326, 480, 640, 800)
         return tuple(range(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-    return partition(spot, Scheme(scheme), 6)
+    return calendar_years(spot.timestamps) if scheme == "year" else partition(len(spot), 6)
 
 
 def _outcome(call):
@@ -243,7 +243,7 @@ def _long_batch(max_lag: int, method: Method = Method.EECM) -> list:
     at horizon 1 on the T=2000 seed-0 synth in 6 equal groups: its 15
     splits at k=2."""
     spot, fut = _long_pair()
-    groups = partition(spot, Scheme.EQUAL_COUNT, 6)
+    groups = partition(len(spot), 6)
     fn = make_ratio_fn(method, spot, fut, 1, max_lag=max_lag, groups=groups)
     return fn(split_table(6, 2)[1])
 
@@ -276,7 +276,7 @@ def test_an_eecm_design_with_no_row_builds_no_factor():
     # 299 differences, all taken by 1000 lags: a q = 2005 column zero pad
     # alone would be 32 MB, and a QR of no block asks LAPACK for a workspace
     spot, fut = gen_coint_pair(SynthSpec(length=300, seed=0, coint=CointSpec()))
-    groups = partition(spot, Scheme.EQUAL_COUNT, 5)
+    groups = partition(len(spot), 5)
     fn = make_ratio_fn(Method.EECM, spot, fut, 1, max_lag=1000, groups=groups)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -319,7 +319,7 @@ def _segment_imfs(case) -> dict:
     """The decompositions of every training segment of ``TRAINS``, per case,
     shared by its examples."""
     spot, fut, _, _ = _legs(case)
-    groups = partition(spot, Scheme.EQUAL_COUNT, 8)
+    groups = partition(len(spot), 8)
     return _segment_sets(spot, fut, _training_segments(groups, TRAINS))
 
 
@@ -342,7 +342,7 @@ def _segment_imfs(case) -> dict:
 @example(method=Method.VEMD, case="cointegrated", h=17, order=[*range(21)], size=21, scope="per-segment")
 def test_a_splits_outcome_does_not_depend_on_its_batch(method, case, h, order, size, scope):
     spot, fut, s_set, f_set = _legs(case)
-    groups = partition(spot, Scheme.EQUAL_COUNT, 8)
+    groups = partition(len(spot), 8)
     batch = [TRAINS[i] for i in order[:size]]
     imfs = (s_set, f_set) if scope == "full" else _segment_imfs(case)
     fn = make_ratio_fn(method, spot, fut, h, imf_index=1, imfs=imfs, groups=groups)
@@ -360,7 +360,7 @@ def test_a_too_short_training_segment_is_left_out_of_its_blocks():
     s0, f0 = gen_coint_pair(SynthSpec(length=100, seed=2, coint=CointSpec()))
     spot = PriceSeries(s0.timestamps[:30], s0.values[:30])
     fut = PriceSeries(s0.timestamps[:30], f0.values[:30])
-    groups = partition(spot, Scheme.EQUAL_COUNT, 5)
+    groups = partition(len(spot), 5)
     trains = _trains(5, 2)
     segments = _training_segments(groups, trains)
     # each distinct segment once, in (first group, last group) order
@@ -419,7 +419,7 @@ def test_a_splits_outcome_reads_no_price_of_its_test_groups(length, n_groups, k,
     error, the same bit for bit."""
     method, scope = method_scope
     spot, fut = gen_coint_pair(SynthSpec(length=length, seed=seed, coint=CointSpec()))
-    groups = partition(spot, Scheme.EQUAL_COUNT, n_groups)
+    groups = partition(len(spot), n_groups)
     tests, train = split_table(n_groups, k)
     mask, rng = train[split % len(train), None], np.random.default_rng(seed)
     outcomes = []
@@ -445,7 +445,7 @@ def test_a_cells_score_reads_only_its_test_groups_returns(seed, n_groups, k, h, 
     every cell of every other group the same bit for bit, and moves its own."""
     k, noisy = min(k, n_groups - 1), noisy % n_groups
     spot, fut = gen_coint_pair(SynthSpec(length=300, seed=seed, coint=CointSpec()))
-    groups = partition(spot, Scheme.EQUAL_COUNT, n_groups)
+    groups = partition(len(spot), n_groups)
     tests, _ = split_table(n_groups, k)
     # two methods, each with a fixed ratio per split
     fns = {label: lambda train, b=b: np.linspace(b, b + 0.5, len(train)).tolist() for label, b in (("a", 0), ("b", 1))}

@@ -131,14 +131,14 @@ LOADER_FAULTS = (
     "nodate", "natdate", "todaydate", "zonedate", "order", "badprice", "negprice", "blankline", "undecodable",
     "undecodable_fault",
 )
-# the exit code of each corpus config that does not exit 0: the data errors, and the scaled pipelines,
-# whose matching-degree regressions fail the rank rule at either scale
+# the exit code of each corpus config that does not exit 0: the data errors, the scaled pipelines,
+# whose matching-degree regressions fail the rank rule at either scale, and the usage errors
 NONZERO_EXITS = dict.fromkeys(
     ["synth_out_of_range", "cv_horizon_90", "cv_huge", "hedge_mono", "hedge_whole", "hedge_aemd_short",
      "cv_all_excluded", "cv_no_row", "hedge_var_too_few", "decompose_missing",
      *(f"decompose_{source}" for source in LOADER_FAULTS)],
     2,
-) | {"pipeline_scaled_down": 3, "pipeline_scaled_up": 3, "cv_too_many_splits": 1}
+) | {"pipeline_scaled_down": 3, "pipeline_scaled_up": 3, "cv_too_many_splits": 1, "synth_tones": 1}
 
 
 def _corpus() -> dict[str, list[str]]:
@@ -200,6 +200,7 @@ def _corpus() -> dict[str, list[str]]:
     runs["cv_eecm_max_lag_80"] = ["cv", "long2000", "--partition", "equal:10", "--methods", "EECM", "--max-lag", "80"]
     return {
         "synth_coint": ["synth", "--out", "pair.csv", "--length", "300"],
+        # a tones series with no tone and no noise would have no IMF: a usage error, and no file
         "synth_tones": ["synth", "--out", "tones.csv", "--length", "300", "--mode", "tones"],
         # a spot leg near 1e200, outside the price range: a data error, and no file
         "synth_out_of_range": ["synth", "--out", "big.csv", "--length", "300", "--b", "100"],
